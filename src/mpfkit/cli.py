@@ -4,8 +4,9 @@ Every subcommand resolves one :class:`ExperimentConfig` (defaults, then a
 JSON config file, then explicit flags), echoes the resolved values into its
 JSON output, and writes only deterministic artifacts: reruns with the same
 inputs produce byte-identical files.  Exit status is 0 when every checked
-inequality holds, 1 when a verification suite found a violation, and 2 for
-configuration problems.
+inequality holds, 1 when a verification suite found a violation, 2 for
+configuration problems, and 3 when the run itself failed (the traceback is
+printed).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .bch import check_truncated_generator, phi_report
 from .bounds import (
     admissibility_chain,
     bch_time_condition,
+    build_report,
     divergence_diagnostics,
     gate_cost_table,
     matched_mpf_spec,
@@ -43,6 +45,7 @@ from .commutators import (
 )
 from .hamiltonians import (
     HamiltonianSpec,
+    family_constants,
     heisenberg_chain,
     load_spec,
     long_range_zz_chain,
@@ -110,6 +113,25 @@ def _coerce_k_list(value) -> tuple[int, ...]:
     return ks
 
 
+def _coerce_value(name: str, value, annotation: str):
+    """Convert one config-file value to the type of its config field."""
+    kind, _, optional = annotation.partition(" | ")
+    if value is None and optional:
+        return None
+    if name == "k_list":
+        return _coerce_k_list(value)
+    try:
+        converted = {"int": int, "float": float, "str": str}[kind](value)
+    except (TypeError, ValueError):
+        converted = None
+    # a string may spell a number; any other value must already have the type
+    if converted is None or isinstance(value, bool) or (
+        converted != value and not isinstance(value, str)
+    ):
+        raise ConfigError(f"config key {name!r} must be {annotation}, got {value!r}")
+    return converted
+
+
 def _load_config_file(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -160,16 +182,14 @@ def _validate(cfg: ExperimentConfig) -> None:
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge defaults, config-file values, and explicit flags, then validate."""
     cfg = ExperimentConfig()
-    known = {f.name for f in fields(ExperimentConfig)}
+    known = {f.name: f.type for f in fields(ExperimentConfig)}
     if getattr(args, "config", None):
         data = _load_config_file(args.config)
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - set(known))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         for name, value in data.items():
-            if name == "k_list" and value is not None:
-                value = _coerce_k_list(value)
-            setattr(cfg, name, value)
+            setattr(cfg, name, _coerce_value(name, value, known[name]))
     for name in known:
         value = getattr(args, name, None)
         if value is None:
@@ -196,19 +216,18 @@ def build_family(cfg: ExperimentConfig) -> HamiltonianSpec:
     return spec
 
 
-def family_at_size(cfg: ExperimentConfig, n_sites: int) -> HamiltonianSpec:
-    if cfg.family == "heisenberg":
-        return heisenberg_chain(n_sites, coupling=cfg.coupling, field=cfg.field)
-    return long_range_zz_chain(n_sites, cfg.exponent, base=cfg.coupling)
+def _configured(compute, *args, **kwargs):
+    """Call ``compute`` on configured values; its ValueError is a ConfigError."""
+    try:
+        return compute(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def build_mpf_spec(cfg: ExperimentConfig, base_order: int) -> MPFSpec:
-    try:
-        if cfg.k_list is not None:
-            return solve_coefficients(cfg.k_list, base_order)
-        return build_mpf(cfg.j_count, base_order)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if cfg.k_list is not None:
+        return _configured(solve_coefficients, cfg.k_list, base_order)
+    return _configured(build_mpf, cfg.j_count, base_order)
 
 
 # -- deterministic writers -------------------------------------------------
@@ -289,7 +308,7 @@ def cmd_verify_order(cfg: ExperimentConfig) -> int:
     spec = build_family(cfg)
     _require_dense(cfg, "verify-order")
     out = _out_dir(cfg)
-    plan = build_plan(spec.n_groups, cfg.p)
+    plan = _configured(build_plan, spec.n_groups, cfg.p)
     taus = geometric_grid(cfg.tau_min, cfg.tau_max, cfg.tau_points)
 
     trotter = TrotterEvaluator(spec, plan, cfg.dense_cap)
@@ -301,7 +320,7 @@ def cmd_verify_order(cfg: ExperimentConfig) -> int:
     mpf_columns: list[tuple[str, np.ndarray]] = []
     if cfg.p % 2 == 0:
         if cfg.k_list is not None:
-            mpf_specs = [solve_coefficients(cfg.k_list, cfg.p)]
+            mpf_specs = [build_mpf_spec(cfg, cfg.p)]
         else:
             mpf_specs = [build_mpf(j, cfg.p) for j in range(1, cfg.j_count + 1)]
         for mspec in mpf_specs:
@@ -381,7 +400,7 @@ def _alpha_rows(cfg: ExperimentConfig, spec: HamiltonianSpec) -> tuple[list[dict
                 )
             )
             continue
-        alpha = nested_commutator_sum(spec, q, mode, cfg.dense_cap)
+        alpha = _configured(nested_commutator_sum, spec, q, mode, cfg.dense_cap)
         alphas[q] = alpha
         factorial = factorial_commutator_bound(
             q, spec.locality, spec.extensiveness, spec.n_sites
@@ -446,9 +465,8 @@ def _phi_rows(
 
 
 def _truncation_rows(
-    cfg: ExperimentConfig, spec: HamiltonianSpec, plan
+    cfg: ExperimentConfig, spec: HamiltonianSpec, plan, p0: int
 ) -> list[dict]:
-    p0 = truncation_order(cfg.n_sites, cfg.eps)
     if p0 > cfg.q_max:
         return [
             _untestable(
@@ -493,9 +511,8 @@ def _truncation_rows(
 
 
 def _step_bound_rows(
-    cfg: ExperimentConfig, spec: HamiltonianSpec, plan, mpf_spec: MPFSpec
+    cfg: ExperimentConfig, spec: HamiltonianSpec, plan, mpf_spec: MPFSpec, p0: int
 ) -> list[dict]:
-    p0 = truncation_order(cfg.n_sites, cfg.eps)
     if p0 > cfg.q_max:
         return [
             _untestable(
@@ -503,6 +520,9 @@ def _step_bound_rows(
                 f"p0 = {p0} exceeds the qmax window {cfg.q_max}",
             )
         ]
+    if p0 <= cfg.p:
+        note = f"p0 = {p0} leaves no commutator window above p = {cfg.p}"
+        return [_untestable("step_error_bound", note)]
     if cfg.n_sites > cfg.dense_cap:
         return [
             _untestable("step_error_bound", "dense matrices beyond the cap")
@@ -548,15 +568,16 @@ def _step_bound_rows(
 def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
     spec = build_family(cfg)
     out = _out_dir(cfg)
-    plan = build_plan(spec.n_groups, cfg.p)
+    plan = _configured(build_plan, spec.n_groups, cfg.p)
+    p0 = _configured(truncation_order, cfg.n_sites, cfg.eps)
     rows: list[dict] = []
     alpha_rows, alphas = _alpha_rows(cfg, spec)
     rows.extend(alpha_rows)
     rows.extend(_phi_rows(cfg, spec, plan, alphas))
-    rows.extend(_truncation_rows(cfg, spec, plan))
+    rows.extend(_truncation_rows(cfg, spec, plan, p0))
     if cfg.p % 2 == 0:
         mpf_spec = build_mpf_spec(cfg, cfg.p)
-        rows.extend(_step_bound_rows(cfg, spec, plan, mpf_spec))
+        rows.extend(_step_bound_rows(cfg, spec, plan, mpf_spec, p0))
     else:
         rows.append(
             _untestable("step_error_bound", "extrapolation needs an even base order")
@@ -646,13 +667,17 @@ def _n_sweep(cfg: ExperimentConfig, mpf_spec: MPFSpec) -> dict:
         return {"rows": [], "note": "fixed-size Hamiltonian file; no size sweep"}
     rows = []
     for n in N_SWEEP_SIZES:
-        fam = family_at_size(cfg, n)
-        plan = build_plan(fam.n_groups, cfg.p)
-        report = report_from_parts(fam, plan, mpf_spec, cfg.t, cfg.eps)
+        k, g, n_groups = family_constants(
+            cfg.family, n, cfg.coupling, cfg.field, cfg.exponent
+        )
+        plan = build_plan(n_groups, cfg.p)
+        report = build_report(
+            n, k, g, n_groups, plan.stage_factor, mpf_spec, cfg.t, cfg.eps
+        )
         rows.append(
             {
                 "n": n,
-                "g": fam.extensiveness,
+                "g": g,
                 "r1": report.r1,
                 "r2": report.r2,
                 "r": report.r,
@@ -678,11 +703,12 @@ def cmd_cost(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     plan = build_plan(spec.n_groups, cfg.p)
     mpf_spec = build_mpf_spec(cfg, cfg.p)
-    report = report_from_parts(spec, plan, mpf_spec, cfg.t, cfg.eps)
+    report = _configured(report_from_parts, spec, plan, mpf_spec, cfg.t, cfg.eps)
     consistency = self_consistency(report)
     chain = admissibility_chain(report)
     queries = query_count(mpf_spec.norm_c_1, mpf_spec.norm_k_1, report.r)
-    table = gate_cost_table(
+    table = _configured(
+        gate_cost_table,
         cfg.n_sites,
         spec.extensiveness,
         cfg.t,
@@ -696,8 +722,11 @@ def cmd_cost(cfg: ExperimentConfig) -> int:
 
     if cfg.n_sites <= ENUMERATION_SITE_CAP and cfg.q_max >= 3:
         diagnostics = asdict(
-            divergence_diagnostics(
-                spec, range(2, cfg.q_max + 1), mode=_enumeration_mode(cfg)
+            _configured(
+                divergence_diagnostics,
+                spec,
+                range(2, cfg.q_max + 1),
+                mode=_enumeration_mode(cfg),
             )
         )
     else:
@@ -747,7 +776,8 @@ def cmd_cost(cfg: ExperimentConfig) -> int:
 def cmd_table1(cfg: ExperimentConfig) -> int:
     spec = build_family(cfg)
     out = _out_dir(cfg)
-    rows = gate_cost_table(
+    rows = _configured(
+        gate_cost_table,
         cfg.n_sites,
         spec.extensiveness,
         cfg.t,
@@ -783,7 +813,7 @@ def cmd_phi(cfg: ExperimentConfig) -> int:
             f"n_sites = {cfg.n_sites} exceeds the site cap {ENUMERATION_SITE_CAP}"
         )
     out = _out_dir(cfg)
-    plan = build_plan(spec.n_groups, cfg.p)
+    plan = _configured(build_plan, spec.n_groups, cfg.p)
     mode = _enumeration_mode(cfg)
     rows = []
     violated = False
@@ -853,7 +883,7 @@ def cmd_alpha(cfg: ExperimentConfig) -> int:
         )
         one_norm = power_commutator_bound(q, spec.total_one_norm)
         if enumerable:
-            alpha = nested_commutator_sum(spec, q, mode, cfg.dense_cap)
+            alpha = _configured(nested_commutator_sum, spec, q, mode, cfg.dense_cap)
             slack = 1e-12
             factorial_holds = alpha <= factorial * (1.0 + slack) + slack
             one_norm_holds = alpha <= one_norm * (1.0 + slack) + slack
@@ -1003,9 +1033,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception:
+        import traceback  # only a failed run pays for it
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

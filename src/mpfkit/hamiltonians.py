@@ -31,6 +31,7 @@ __all__ = [
     "spec_to_document",
     "heisenberg_chain",
     "long_range_zz_chain",
+    "family_constants",
     "GScalingReport",
     "g_scaling_report",
 ]
@@ -261,6 +262,46 @@ def long_range_zz_chain(
             z_mask = (1 << i) | (1 << (i + d))
             tagged.append((PauliTerm(n_sites, 0, z_mask, coeff), d))
     return make_spec(n_sites, tagged)
+
+
+def family_constants(
+    family: str,
+    n_sites: int,
+    coupling: float = 1.0,
+    field: float = 0.0,
+    exponent: float = 2.0,
+) -> tuple[int, float, int]:
+    """Locality, extensiveness and group count of a built-in chain.
+
+    ``family`` is ``"heisenberg"`` (:func:`heisenberg_chain`, open
+    boundary) or ``"long-range-zz"`` (:func:`long_range_zz_chain` with
+    ``base=coupling``).  No term is built: the per-site weights are summed
+    in the order :func:`make_spec` adds them, one distance (or one
+    Heisenberg string) at a time and the field last, so every value is
+    bit-identical to the built spec's.
+    """
+    if n_sites < 2:
+        raise ValueError("need at least two sites for a chain")
+    per_site = np.zeros(n_sites)
+    if family == "heisenberg":
+        # XX, YY and ZZ on every bond all carry |coupling|, so the order
+        # in which a site's bonds add it does not change the sum
+        weights = [(1, abs(complex(coupling)))] * 3
+        n_groups = (2 if n_sites > 2 else 1) + (field != 0.0)
+    elif family == "long-range-zz":
+        weights = [
+            (d, abs(complex(coupling / float(d) ** exponent)))
+            for d in range(1, n_sites)
+        ]
+        n_groups = n_sites - 1
+    else:
+        raise ValueError(f"no built-in family {family!r}")
+    for d, a in weights:
+        per_site[d:] += a
+        per_site[: n_sites - d] += a
+    if family == "heisenberg" and field != 0.0:
+        per_site += abs(complex(field))
+    return 2, float(per_site.max()), n_groups
 
 
 # -- extensiveness scaling diagnostics -------------------------------------

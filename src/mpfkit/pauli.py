@@ -324,9 +324,3 @@ class PauliSum:
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         return self.hermiticity_defect() <= tol
-
-    def max_imag(self) -> float:
-        return max((abs(c.imag) for c in self._data.values()), default=0.0)
-
-    def max_real(self) -> float:
-        return max((abs(c.real) for c in self._data.values()), default=0.0)

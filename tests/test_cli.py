@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from mpfkit import cli, hamiltonians
 from mpfkit.cli import main
 from mpfkit.commutators import nested_commutator_sum
 from mpfkit.hamiltonians import heisenberg_chain, spec_to_document
@@ -55,6 +56,53 @@ class TestConfigResolution:
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text("not json at all")
         assert run(tmp_path, "cost", "--config", str(cfg_file)) == 2
+
+    def test_config_string_is_coerced_to_field_type(self, tmp_path):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"n_sites": "4", "eps": "0.25"}))
+        code = run(tmp_path, "alpha", "--config", str(cfg_file), "--qmax", "3")
+        assert code == 0
+        cfg = load(tmp_path, "alpha_table.json")["config"]
+        assert cfg["n_sites"] == 4 and isinstance(cfg["n_sites"], int)
+        assert cfg["eps"] == 0.25
+
+    @pytest.mark.parametrize(
+        "entry, expected",
+        [
+            ({"eps": "small"}, "float"),
+            ({"n_sites": 4.5}, "int"),
+            ({"n_sites": True}, "int"),
+            ({"family": 3}, "str"),
+        ],
+    )
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, entry, expected):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(entry))
+        assert run(tmp_path, "cost", "--config", str(cfg_file)) == 2
+        err = capsys.readouterr().err
+        assert repr(next(iter(entry))) in err and expected in err
+
+    def test_internal_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        def broken(cfg):
+            raise ValueError("internal slip")
+
+        monkeypatch.setitem(cli._COMMANDS, "alpha", (broken, "broken"))
+        assert run(tmp_path, "alpha") == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "internal slip" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify-order", "--p", "3"),
+            ("verify-order", "--k-list", "2,1"),
+            ("verify-bounds", "--eps", "100"),
+            ("cost", "--t", "1e-9"),
+            ("table1", "--t", "1e-9"),
+        ],
+    )
+    def test_values_the_library_rejects_exit_2(self, tmp_path, argv):
+        assert run(tmp_path, *argv) == 2
 
     def test_bad_flag_values(self, tmp_path):
         assert run(tmp_path, "verify-order", "--eps", "-1.0") == 2
@@ -144,6 +192,13 @@ class TestVerifyBounds:
         assert "step_error_bound" in names
         assert "mu_ceiling" in names
 
+    def test_untestable_without_window_above_p(self, tmp_path):
+        # p0 = ceil(ln(3 N / eps)) = 2 leaves no alpha_q with p < q <= p0
+        code = run(tmp_path, "verify-bounds", "--n-sites", "2", "--eps", "1.0")
+        assert code == 0
+        rows = {r["name"]: r for r in load(tmp_path, "verify_bounds.json")["rows"]}
+        assert rows["step_error_bound"]["status"] == "untestable"
+
     def test_untestable_beyond_qmax_window(self, tmp_path):
         assert run(tmp_path, "verify-bounds") == 0
         doc = load(tmp_path, "verify_bounds.json")
@@ -212,6 +267,24 @@ class TestCost:
         doc = load(tmp_path, "cost_report.json")
         gs = [row["g"] for row in doc["n_sweep"]["rows"]]
         assert all(b > a for a, b in zip(gs, gs[1:]))
+
+    @pytest.mark.parametrize("family", ["long-range-zz", "heisenberg"])
+    def test_n_sweep_builds_no_terms(self, tmp_path, monkeypatch, family):
+        built = []
+        make_spec = hamiltonians.make_spec
+
+        def counting(n_sites, terms):
+            built.append(n_sites)
+            return make_spec(n_sites, terms)
+
+        monkeypatch.setattr(hamiltonians, "make_spec", counting)
+        code = run(tmp_path, "cost", "--family", family, "--n-sites", "6")
+        assert code == 0
+        assert built == [6]
+        doc = load(tmp_path, "cost_report.json")
+        assert [row["n"] for row in doc["n_sweep"]["rows"]] == [
+            64, 128, 256, 512, 1024,
+        ]
 
     def test_odd_base_order_rejected(self, tmp_path):
         assert run(tmp_path, "cost", "--p", "3") == 2

@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mpfkit.hamiltonians import (
+    family_constants,
     g_scaling_report,
     heisenberg_chain,
     load_spec,
@@ -87,6 +90,63 @@ class TestLongRange:
             for t in s.terms():
                 lo, hi = t.support
                 assert hi - lo == d
+
+
+def _constants(spec):
+    return spec.locality, spec.extensiveness, spec.n_groups
+
+
+# negative, zero and non-round values; exact equality must hold for all
+_COUPLINGS = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+
+
+class TestFamilyConstants:
+    """The streamed constants equal the built spec's, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 256),
+        coupling=_COUPLINGS,
+        field=st.one_of(st.just(0.0), _COUPLINGS),
+    )
+    @example(n=2, coupling=1.0, field=0.0)
+    @example(n=2, coupling=-0.7, field=0.3)
+    @example(n=3, coupling=0.1, field=0.0)
+    @example(n=256, coupling=-1.2345678901, field=0.8)
+    def test_heisenberg_matches_make_spec(self, n, coupling, field):
+        spec = heisenberg_chain(n, coupling=coupling, field=field)
+        got = family_constants("heisenberg", n, coupling=coupling, field=field)
+        assert got == _constants(spec)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 256),
+        exponent=st.floats(0.25, 4.0),
+        base=_COUPLINGS,
+    )
+    @example(n=2, exponent=2.0, base=1.0)
+    @example(n=256, exponent=0.5, base=-0.73)
+    @example(n=256, exponent=1.0, base=1.0)
+    @example(n=97, exponent=3.0, base=1.9)
+    def test_long_range_matches_make_spec(self, n, exponent, base):
+        spec = long_range_zz_chain(n, exponent, base=base)
+        got = family_constants(
+            "long-range-zz", n, coupling=base, exponent=exponent
+        )
+        assert got == _constants(spec)
+
+    def test_group_counts(self):
+        assert family_constants("heisenberg", 2, field=0.0)[2] == 1
+        assert family_constants("heisenberg", 2, field=0.5)[2] == 2
+        assert family_constants("heisenberg", 5, field=0.0)[2] == 2
+        assert family_constants("heisenberg", 5, field=0.5)[2] == 3
+        assert family_constants("long-range-zz", 7)[2] == 6
+
+    def test_rejects_unknown_family_and_short_chain(self):
+        with pytest.raises(ValueError, match="family"):
+            family_constants("file", 4)
+        with pytest.raises(ValueError, match="two sites"):
+            family_constants("heisenberg", 1)
 
 
 class TestDocumentForm:
