@@ -135,13 +135,6 @@ class TestFamilyConstants:
         )
         assert got == _constants(spec)
 
-    def test_group_counts(self):
-        assert family_constants("heisenberg", 2, field=0.0)[2] == 1
-        assert family_constants("heisenberg", 2, field=0.5)[2] == 2
-        assert family_constants("heisenberg", 5, field=0.0)[2] == 2
-        assert family_constants("heisenberg", 5, field=0.5)[2] == 3
-        assert family_constants("long-range-zz", 7)[2] == 6
-
     def test_rejects_unknown_family_and_short_chain(self):
         with pytest.raises(ValueError, match="family"):
             family_constants("file", 4)
