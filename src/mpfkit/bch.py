@@ -36,7 +36,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import dense
-from .commutators import nested_commutator_sum
 from .hamiltonians import HamiltonianSpec
 from .pauli import PauliSum
 from .trotter import ProductFormulaPlan, TrotterEvaluator, loglog_slope
@@ -198,18 +197,16 @@ def phi_report(
     spec: HamiltonianSpec,
     q: int,
     *,
-    alpha_q: float | None = None,
+    alpha_q: float,
     norm_mode: str = "exact",
     cap: int = dense.DEFAULT_DENSE_CAP,
 ) -> PhiReport:
     """Compute Phi_q together with every bound the tables need.
 
-    ``alpha_q`` may be passed in when a commutator table is already built;
-    otherwise it is enumerated here with the requested norm mode.
+    ``alpha_q`` is the order-q commutator sum, taken from the table the
+    caller enumerated with :func:`mpfkit.commutators.commutator_sums`.
     """
     op = compute_phi(plan, spec, q)
-    if alpha_q is None:
-        alpha_q = nested_commutator_sum(spec, q, norm_mode, cap)
     norm_exact: float | None = None
     if norm_mode == "exact" and spec.n_sites <= cap:
         norm_exact = (

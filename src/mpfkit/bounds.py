@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping
 
 from .commutators import (
     factorial_commutator_bound,
-    nested_commutator_sum,
     power_commutator_bound,
     mu_window_bound,
 )
@@ -57,8 +56,8 @@ __all__ = [
     "self_consistency",
     "ChainCheck",
     "admissibility_chain",
-    "QueryCount",
-    "query_count",
+    "QUERY_SCALING",
+    "PRIOR_QUERY_SCALING",
     "CostRow",
     "gate_cost_table",
     "DivergenceDiagnostics",
@@ -540,29 +539,11 @@ def admissibility_chain(report: BoundReport, rel_tol: float = 1e-9) -> ChainChec
     )
 
 
-_OUR_SCALING = (
+# symbolic scalings of BoundReport.query_count, here and in prior work
+QUERY_SCALING = (
     "{N^(1/(p+1)) + log^2(N g t / eps)} g t * polylog(N g t / eps)"
 )
-_PRIOR_SCALING = "N^(1/(p+1)) g t * polylog(N g t / eps)"
-
-
-@dataclass(frozen=True)
-class QueryCount:
-    """Controlled base-formula query total with its symbolic scalings."""
-
-    value: float
-    scaling: str
-    prior_scaling: str
-
-
-def query_count(norm_c_1: float, norm_k_1: float, r: int) -> QueryCount:
-    if r < 1:
-        raise ValueError("step count must be positive")
-    return QueryCount(
-        value=norm_c_1 * norm_k_1 * r,
-        scaling=_OUR_SCALING,
-        prior_scaling=_PRIOR_SCALING,
-    )
+PRIOR_QUERY_SCALING = "N^(1/(p+1)) g t * polylog(N g t / eps)"
 
 
 @dataclass(frozen=True)
@@ -716,15 +697,16 @@ class DivergenceDiagnostics:
 
 def divergence_diagnostics(
     spec: HamiltonianSpec,
-    q_values: Sequence[int],
-    mode: str = "exact",
+    alphas: Mapping[int, float],
 ) -> DivergenceDiagnostics:
-    qs = tuple(int(q) for q in q_values)
+    """Contrast the enumerated ``alphas`` window with both closed forms.
+
+    The mapping's keys, in their order, are the window of orders.
+    """
+    qs = tuple(alphas)
     if len(qs) < 2 or any(q < 2 for q in qs) or sorted(qs) != list(qs):
         raise ValueError("need an ascending window of orders >= 2")
-    exact = tuple(
-        nested_commutator_sum(spec, q, mode=mode) ** (1.0 / q) for q in qs
-    )
+    exact = tuple(alphas[q] ** (1.0 / q) for q in qs)
     factorial = tuple(
         factorial_commutator_bound(
             q, spec.locality, spec.extensiveness, spec.n_sites

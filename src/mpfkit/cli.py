@@ -30,17 +30,18 @@ from .bounds import (
     gate_cost_table,
     matched_mpf_spec,
     mpf_time_condition,
-    query_count,
+    PRIOR_QUERY_SCALING,
+    QUERY_SCALING,
     report_from_parts,
     self_consistency,
     step_error_bound,
     truncation_order,
 )
 from .commutators import (
+    commutator_sums,
     factorial_commutator_bound,
     mu_from_alphas,
     mu_window_bound,
-    nested_commutator_sum,
     power_commutator_bound,
 )
 from .hamiltonians import (
@@ -56,6 +57,7 @@ from .trotter import TrotterEvaluator, build_plan, geometric_grid, loglog_slope
 SLOPE_MARGIN = 0.8
 NOISE_FLOOR = 1e-11
 ENUMERATION_SITE_CAP = 16
+_SITE_CAP_NOTE = "nested-commutator enumeration beyond the site cap"
 N_SWEEP_SIZES = (64, 128, 256, 512, 1024)
 EPS_SWEEP = tuple(10.0 ** (-2.0 - 0.5 * i) for i in range(13))
 
@@ -263,6 +265,11 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             sink.writerow(["" if v is None else v for v in row])
 
 
+def _write_rows(path: Path, rows: list[dict]) -> None:
+    """CSV of same-keyed row dicts, headed by their keys."""
+    write_csv(path, list(rows[0]), [list(r.values()) for r in rows])
+
+
 def _out_dir(cfg: ExperimentConfig) -> Path:
     path = Path(cfg.out)
     path.mkdir(parents=True, exist_ok=True)
@@ -281,6 +288,17 @@ def _enumeration_mode(cfg: ExperimentConfig) -> str:
     if cfg.norm_mode == "exact" and cfg.n_sites <= cfg.dense_cap:
         return "exact"
     return "one-norm"
+
+
+def _alpha_table(
+    cfg: ExperimentConfig, spec: HamiltonianSpec
+) -> dict[int, float] | None:
+    """The run's one table alpha_1..alpha_qmax; None beyond the site cap."""
+    if cfg.n_sites > ENUMERATION_SITE_CAP:
+        return None
+    return _configured(
+        commutator_sums, spec, cfg.q_max, _enumeration_mode(cfg), cfg.dense_cap
+    )
 
 
 # -- verify-order ----------------------------------------------------------
@@ -387,40 +405,37 @@ def _untestable(name: str, note: str) -> dict:
     }
 
 
-def _alpha_rows(cfg: ExperimentConfig, spec: HamiltonianSpec) -> tuple[list[dict], dict]:
+def _alpha_rows(
+    cfg: ExperimentConfig, spec: HamiltonianSpec, alphas: dict[int, float] | None
+) -> list[dict]:
     rows: list[dict] = []
-    alphas: dict[int, float] = {}
     mode = _enumeration_mode(cfg)
     for q in range(2, cfg.q_max + 1):
-        if cfg.n_sites > ENUMERATION_SITE_CAP:
+        if alphas is None:
             rows.append(
-                _untestable(
-                    f"alpha_factorial[q={q}]",
-                    "nested-commutator enumeration beyond the site cap",
-                )
+                _untestable(f"alpha_factorial[q={q}]", _SITE_CAP_NOTE)
             )
             continue
-        alpha = _configured(nested_commutator_sum, spec, q, mode, cfg.dense_cap)
-        alphas[q] = alpha
+        alpha = alphas[q]
         factorial = factorial_commutator_bound(
             q, spec.locality, spec.extensiveness, spec.n_sites
         )
         one_norm = power_commutator_bound(q, spec.total_one_norm)
         rows.append(_row(f"alpha_factorial[q={q}]", alpha, factorial, note=mode))
         rows.append(_row(f"alpha_one_norm[q={q}]", alpha, one_norm, note=mode))
-    return rows, alphas
+    return rows
 
 
 def _phi_rows(
     cfg: ExperimentConfig,
     spec: HamiltonianSpec,
     plan,
-    alphas: dict[int, float],
+    alphas: dict[int, float] | None,
 ) -> list[dict]:
     rows: list[dict] = []
     mode = _enumeration_mode(cfg)
     for q in range(2, cfg.q_max + 1):
-        if cfg.n_sites > ENUMERATION_SITE_CAP:
+        if alphas is None:
             rows.append(
                 _untestable(
                     f"phi_norm[q={q}]", "series coefficients beyond the site cap"
@@ -428,7 +443,7 @@ def _phi_rows(
             )
             continue
         report = phi_report(
-            plan, spec, q, alpha_q=alphas.get(q), norm_mode=mode, cap=cfg.dense_cap
+            plan, spec, q, alpha_q=alphas[q], norm_mode=mode, cap=cfg.dense_cap
         )
         if report.norm_exact is not None:
             measured = report.norm_exact
@@ -511,7 +526,12 @@ def _truncation_rows(
 
 
 def _step_bound_rows(
-    cfg: ExperimentConfig, spec: HamiltonianSpec, plan, mpf_spec: MPFSpec, p0: int
+    cfg: ExperimentConfig,
+    spec: HamiltonianSpec,
+    plan,
+    mpf_spec: MPFSpec,
+    p0: int,
+    alphas: dict[int, float] | None,
 ) -> list[dict]:
     if p0 > cfg.q_max:
         return [
@@ -527,11 +547,9 @@ def _step_bound_rows(
         return [
             _untestable("step_error_bound", "dense matrices beyond the cap")
         ]
+    if alphas is None:
+        return [_untestable("step_error_bound", _SITE_CAP_NOTE)]
     mode = _enumeration_mode(cfg)
-    alphas = {
-        q: nested_commutator_sum(spec, q, mode, cfg.dense_cap)
-        for q in range(cfg.p + 1, p0 + 1)
-    }
     mu = mu_from_alphas(alphas, cfg.p, mpf_spec.m, p0, source=mode)
     ceiling = mu_window_bound(
         cfg.n_sites, cfg.p, p0, spec.locality, spec.extensiveness
@@ -570,14 +588,13 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     plan = _configured(build_plan, spec.n_groups, cfg.p)
     p0 = _configured(truncation_order, cfg.n_sites, cfg.eps)
-    rows: list[dict] = []
-    alpha_rows, alphas = _alpha_rows(cfg, spec)
-    rows.extend(alpha_rows)
+    alphas = _alpha_table(cfg, spec)
+    rows = _alpha_rows(cfg, spec, alphas)
     rows.extend(_phi_rows(cfg, spec, plan, alphas))
     rows.extend(_truncation_rows(cfg, spec, plan, p0))
     if cfg.p % 2 == 0:
         mpf_spec = build_mpf_spec(cfg, cfg.p)
-        rows.extend(_step_bound_rows(cfg, spec, plan, mpf_spec, p0))
+        rows.extend(_step_bound_rows(cfg, spec, plan, mpf_spec, p0, alphas))
     else:
         rows.append(
             _untestable("step_error_bound", "extrapolation needs an even base order")
@@ -594,14 +611,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
         "passed": passed,
     }
     write_json(out / "verify_bounds.json", payload)
-    write_csv(
-        out / "verify_bounds.csv",
-        ["name", "status", "lhs", "rhs", "margin", "note"],
-        [
-            [r["name"], r["status"], r["lhs"], r["rhs"], r["margin"], r["note"]]
-            for r in rows
-        ],
-    )
+    _write_rows(out / "verify_bounds.csv", rows)
     return 0 if passed else 1
 
 
@@ -706,7 +716,6 @@ def cmd_cost(cfg: ExperimentConfig) -> int:
     report = _configured(report_from_parts, spec, plan, mpf_spec, cfg.t, cfg.eps)
     consistency = self_consistency(report)
     chain = admissibility_chain(report)
-    queries = query_count(mpf_spec.norm_c_1, mpf_spec.norm_k_1, report.r)
     table = _configured(
         gate_cost_table,
         cfg.n_sites,
@@ -720,15 +729,10 @@ def cmd_cost(cfg: ExperimentConfig) -> int:
         d=cfg.d if cfg.range_class == "long" else None,
     )
 
-    if cfg.n_sites <= ENUMERATION_SITE_CAP and cfg.q_max >= 3:
-        diagnostics = asdict(
-            _configured(
-                divergence_diagnostics,
-                spec,
-                range(2, cfg.q_max + 1),
-                mode=_enumeration_mode(cfg),
-            )
-        )
+    alphas = _alpha_table(cfg, spec) if cfg.q_max >= 3 else None
+    if alphas is not None:
+        window = {q: alphas[q] for q in range(2, cfg.q_max + 1)}
+        diagnostics = asdict(divergence_diagnostics(spec, window))
     else:
         diagnostics = {"note": "nested-commutator window beyond the site cap"}
 
@@ -741,7 +745,11 @@ def cmd_cost(cfg: ExperimentConfig) -> int:
         "report": asdict(report),
         "consistency": asdict(consistency),
         "chain": asdict(chain),
-        "query": asdict(queries),
+        "query": {
+            "value": report.query_count,
+            "scaling": QUERY_SCALING,
+            "prior_scaling": PRIOR_QUERY_SCALING,
+        },
         "gate_table": [asdict(row) for row in table],
         "divergence": diagnostics,
         "eps_sweep": eps_sweep,
@@ -794,11 +802,7 @@ def cmd_table1(cfg: ExperimentConfig) -> int:
         "rows": [asdict(row) for row in rows],
     }
     write_json(out / "gate_costs.json", payload)
-    write_csv(
-        out / "gate_costs.csv",
-        ["algorithm", "expression", "value", "polylog_pending"],
-        [[r.algorithm, r.expression, r.value, r.polylog_pending] for r in rows],
-    )
+    _write_rows(out / "gate_costs.csv", payload["rows"])
     return 0
 
 
@@ -815,10 +819,13 @@ def cmd_phi(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     plan = _configured(build_plan, spec.n_groups, cfg.p)
     mode = _enumeration_mode(cfg)
+    alphas = _alpha_table(cfg, spec)
     rows = []
     violated = False
     for q in range(2, cfg.q_max + 1):
-        report = phi_report(plan, spec, q, norm_mode=mode, cap=cfg.dense_cap)
+        report = phi_report(
+            plan, spec, q, alpha_q=alphas[q], norm_mode=mode, cap=cfg.dense_cap
+        )
         if report.norm_exact is not None:
             norm = report.norm_exact
             norm_is_exact = True
@@ -848,22 +855,7 @@ def cmd_phi(cfg: ExperimentConfig) -> int:
         )
     payload = {"config": cfg.echo(), "rows": rows, "passed": not violated}
     write_json(out / "phi_report.json", payload)
-    write_csv(
-        out / "phi_norms.csv",
-        [
-            "q", "norm", "norm_is_exact", "norm_bound", "hermiticity_defect",
-            "locality", "locality_bound", "extensiveness",
-            "extensiveness_bound", "bounds_hold",
-        ],
-        [
-            [
-                r["q"], r["norm"], r["norm_is_exact"], r["norm_bound"],
-                r["hermiticity_defect"], r["locality"], r["locality_bound"],
-                r["extensiveness"], r["extensiveness_bound"], r["bounds_hold"],
-            ]
-            for r in rows
-        ],
-    )
+    _write_rows(out / "phi_norms.csv", rows)
     return 0 if not violated else 1
 
 
@@ -874,7 +866,8 @@ def cmd_alpha(cfg: ExperimentConfig) -> int:
     spec = build_family(cfg)
     out = _out_dir(cfg)
     mode = _enumeration_mode(cfg)
-    enumerable = cfg.n_sites <= ENUMERATION_SITE_CAP
+    alphas = _alpha_table(cfg, spec)
+    enumerable = alphas is not None
     rows = []
     violated = False
     for q in range(2, cfg.q_max + 1):
@@ -883,7 +876,7 @@ def cmd_alpha(cfg: ExperimentConfig) -> int:
         )
         one_norm = power_commutator_bound(q, spec.total_one_norm)
         if enumerable:
-            alpha = _configured(nested_commutator_sum, spec, q, mode, cfg.dense_cap)
+            alpha = alphas[q]
             slack = 1e-12
             factorial_holds = alpha <= factorial * (1.0 + slack) + slack
             one_norm_holds = alpha <= one_norm * (1.0 + slack) + slack
@@ -905,20 +898,7 @@ def cmd_alpha(cfg: ExperimentConfig) -> int:
         )
     payload = {"config": cfg.echo(), "rows": rows, "passed": not violated}
     write_json(out / "alpha_table.json", payload)
-    write_csv(
-        out / "alpha_table.csv",
-        [
-            "q", "alpha", "mode", "factorial_bound", "factorial_holds",
-            "one_norm_bound", "one_norm_holds",
-        ],
-        [
-            [
-                r["q"], r["alpha"], r["mode"], r["factorial_bound"],
-                r["factorial_holds"], r["one_norm_bound"], r["one_norm_holds"],
-            ]
-            for r in rows
-        ],
-    )
+    _write_rows(out / "alpha_table.csv", rows)
     return 0 if not violated else 1
 
 

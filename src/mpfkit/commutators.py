@@ -6,9 +6,9 @@ The central quantity is the order-q commutator sum of a grouped Hamiltonian,
 
 with the rightmost pair innermost.  It is enumerated exactly by depth-first
 search over group tuples with the partial nests shared along prefixes and
-zero branches pruned.  Two closed forms dominate it: the factorial/locality
-form  (q-1)! (2 k g)^{q-1} N g  and the crude power form  (2 L)^q  with L the
-total one-norm.  An observable can be spliced into the nest at any depth;
+zero branches pruned; one search yields every order up to q_max.  Two
+closed forms dominate it: the factorial/locality form  (q-1)! (2 k g)^{q-1}
+N g  and the crude power form  (2 L)^q  with L the total one-norm.  An observable can be spliced into the nest at any depth;
 the corresponding sum is bounded by  q! (2 k g)^q ||O||.
 
 On top of the alpha table sits the step-size constant mu: a supremum over
@@ -29,11 +29,10 @@ from .pauli import PauliSum
 
 __all__ = [
     "DEFAULT_TUPLE_BUDGET",
+    "commutator_sums",
     "nested_commutator_sum",
     "factorial_commutator_bound",
     "power_commutator_bound",
-    "CommutatorTable",
-    "build_commutator_table",
     "inserted_commutator_sum",
     "insertion_bound",
     "MuResult",
@@ -56,44 +55,44 @@ def _sum_norm(
     raise ValueError(f"unknown norm mode {mode!r} (use 'exact' or 'one-norm')")
 
 
-def nested_commutator_sum(
+def commutator_sums(
     spec: HamiltonianSpec,
-    q: int,
+    q_max: int,
     mode: str = "exact",
     cap: int = dense.DEFAULT_DENSE_CAP,
     budget: int = DEFAULT_TUPLE_BUDGET,
-) -> float:
-    """Exact enumeration of the order-q commutator sum.
+) -> dict[int, float]:
+    """Every commutator sum alpha_1..alpha_{q_max} from one enumeration.
+
+    A single depth-first search walks the group tuples; each nonzero nest
+    of q groups adds its norm to alpha_q, and the search descends only
+    while q < q_max.  The nests of one order are met in lexicographic tuple
+    order, so each alpha_q is summed in the same order as by a search
+    stopped at q.
 
     ``mode="exact"`` measures spectral norms through the dense backend;
     ``mode="one-norm"`` replaces every norm by the coefficient one-norm of
     the same symbolically exact nest (an upper bound, no dense work).
 
-    Cost grows as n_groups^q tuples; a budget guard refuses runaway calls.
+    Cost grows as n_groups^q_max tuples; the budget and the dense cap are
+    checked once, before any nest is built.
     """
-    if q < 1:
+    if q_max < 1:
         raise ValueError("q must be >= 1")
     n_groups = spec.n_groups
-    if n_groups**q > budget:
+    if n_groups**q_max > budget:
         raise ValueError(
-            f"{n_groups}^{q} tuples exceed the budget {budget}; "
+            f"{n_groups}^{q_max} tuples exceed the budget {budget}; "
             "raise it explicitly for big enumerations"
         )
     if mode == "exact":
         dense.check_dense_cap(spec.n_sites, cap)
     sums = spec.group_sums
-    if q == 1:
-        return sum(_sum_norm(s, mode, cap) for s in sums)
-
-    total = 0.0
+    alphas = dict.fromkeys(range(1, q_max + 1), 0.0)
 
     def descend(depth: int, nest: PauliSum) -> None:
-        nonlocal total
-        if depth == q:
-            for h in sums:
-                final = h.commutator(nest)
-                if final:
-                    total += _sum_norm(final, mode, cap)
+        alphas[depth] += _sum_norm(nest, mode, cap)
+        if depth == q_max:
             return
         for h in sums:
             nxt = h.commutator(nest)
@@ -101,8 +100,19 @@ def nested_commutator_sum(
                 descend(depth + 1, nxt)
 
     for first in sums:
-        descend(2, first)
-    return total
+        descend(1, first)
+    return alphas
+
+
+def nested_commutator_sum(
+    spec: HamiltonianSpec,
+    q: int,
+    mode: str = "exact",
+    cap: int = dense.DEFAULT_DENSE_CAP,
+    budget: int = DEFAULT_TUPLE_BUDGET,
+) -> float:
+    """The order-q commutator sum alone; see :func:`commutator_sums`."""
+    return commutator_sums(spec, q, mode, cap, budget)[q]
 
 
 def factorial_commutator_bound(q: int, k: int, g: float, n_sites: int) -> float:
@@ -117,87 +127,6 @@ def power_commutator_bound(q: int, total_one_norm: float) -> float:
     if q < 1:
         raise ValueError("q must be >= 1")
     return (2.0 * total_one_norm) ** q
-
-
-@dataclass(frozen=True)
-class CommutatorTable:
-    """alpha_q values and bounds for a contiguous range of orders."""
-
-    q_values: tuple[int, ...]
-    alpha_exact: tuple[float | None, ...]
-    alpha_one_norm: tuple[float, ...]
-    factorial_bound: tuple[float, ...]
-    power_bound: tuple[float, ...]
-    locality: int
-    extensiveness: float
-    n_sites: int
-    total_one_norm: float
-
-    def alpha(self, q: int, source: str = "exact") -> float:
-        """Look up one α value by order and source column."""
-        try:
-            i = self.q_values.index(q)
-        except ValueError:
-            raise KeyError(f"q={q} not tabulated (have {self.q_values})") from None
-        col = {
-            "exact": self.alpha_exact,
-            "one-norm": self.alpha_one_norm,
-            "factorial": self.factorial_bound,
-            "power": self.power_bound,
-        }.get(source)
-        if col is None:
-            raise ValueError(f"unknown source {source!r}")
-        val = col[i]
-        if val is None:
-            raise ValueError(f"alpha(q={q}) not computed for source {source!r}")
-        return val
-
-    def as_mapping(self, source: str = "exact") -> dict[int, float]:
-        return {q: self.alpha(q, source) for q in self.q_values}
-
-
-def build_commutator_table(
-    spec: HamiltonianSpec,
-    q_max: int,
-    q_min: int = 2,
-    *,
-    with_exact: bool = True,
-    cap: int = dense.DEFAULT_DENSE_CAP,
-    budget: int = DEFAULT_TUPLE_BUDGET,
-) -> CommutatorTable:
-    """Tabulate alpha_q for q in [q_min, q_max] with both norm modes.
-
-    Set ``with_exact=False`` to skip the dense spectral norms (the one-norm
-    column and closed-form bounds are always present).
-    """
-    if not 1 <= q_min <= q_max:
-        raise ValueError("need 1 <= q_min <= q_max")
-    qs = tuple(range(q_min, q_max + 1))
-    exact: list[float | None] = []
-    one_norm: list[float] = []
-    for q in qs:
-        one_norm.append(nested_commutator_sum(spec, q, "one-norm", cap, budget))
-        exact.append(
-            nested_commutator_sum(spec, q, "exact", cap, budget)
-            if with_exact
-            else None
-        )
-    return CommutatorTable(
-        q_values=qs,
-        alpha_exact=tuple(exact),
-        alpha_one_norm=tuple(one_norm),
-        factorial_bound=tuple(
-            factorial_commutator_bound(q, spec.locality, spec.extensiveness, spec.n_sites)
-            for q in qs
-        ),
-        power_bound=tuple(
-            power_commutator_bound(q, spec.total_one_norm) for q in qs
-        ),
-        locality=spec.locality,
-        extensiveness=spec.extensiveness,
-        n_sites=spec.n_sites,
-        total_one_norm=spec.total_one_norm,
-    )
 
 
 def inserted_commutator_sum(

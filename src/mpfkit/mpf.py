@@ -43,9 +43,6 @@ __all__ = [
     "solve_coefficients",
     "build_mpf",
     "MPFEvaluator",
-    "evaluate_mpf",
-    "mpf_error",
-    "long_time_error",
     "ConditionReport",
     "condition_report",
     "linear_k_specs",
@@ -257,37 +254,6 @@ class MPFEvaluator:
             raise ValueError("need a positive step count")
         repeated = np.linalg.matrix_power(self.step(t / steps), steps)
         return dense.spectral_norm(self.exact_unitary(t) - repeated)
-
-
-def evaluate_mpf(
-    mpf_spec: MPFSpec,
-    plan: ProductFormulaPlan,
-    ham: HamiltonianSpec,
-    tau: float,
-    cap: int = dense.DEFAULT_DENSE_CAP,
-) -> np.ndarray:
-    return MPFEvaluator(mpf_spec, plan, ham, cap).step(tau)
-
-
-def mpf_error(
-    mpf_spec: MPFSpec,
-    plan: ProductFormulaPlan,
-    ham: HamiltonianSpec,
-    tau: float,
-    cap: int = dense.DEFAULT_DENSE_CAP,
-) -> float:
-    return MPFEvaluator(mpf_spec, plan, ham, cap).error(tau)
-
-
-def long_time_error(
-    mpf_spec: MPFSpec,
-    plan: ProductFormulaPlan,
-    ham: HamiltonianSpec,
-    t: float,
-    steps: int,
-    cap: int = dense.DEFAULT_DENSE_CAP,
-) -> float:
-    return MPFEvaluator(mpf_spec, plan, ham, cap).long_time_error(t, steps)
 
 
 @dataclass(frozen=True)

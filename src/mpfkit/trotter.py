@@ -30,8 +30,6 @@ __all__ = [
     "build_plan",
     "suzuki_fractions",
     "TrotterEvaluator",
-    "trotter_unitary",
-    "trotter_error",
     "geometric_grid",
     "loglog_slope",
 ]
@@ -156,24 +154,6 @@ class TrotterEvaluator:
 
     def error_sweep(self, taus: np.ndarray) -> np.ndarray:
         return np.array([self.error(t) for t in taus])
-
-
-def trotter_unitary(
-    plan: ProductFormulaPlan,
-    spec: HamiltonianSpec,
-    tau: float,
-    cap: int = dense.DEFAULT_DENSE_CAP,
-) -> np.ndarray:
-    return TrotterEvaluator(spec, plan, cap).formula_unitary(tau)
-
-
-def trotter_error(
-    plan: ProductFormulaPlan,
-    spec: HamiltonianSpec,
-    tau: float,
-    cap: int = dense.DEFAULT_DENSE_CAP,
-) -> float:
-    return TrotterEvaluator(spec, plan, cap).error(tau)
 
 
 def geometric_grid(start: float, stop: float, points: int = 12) -> np.ndarray:

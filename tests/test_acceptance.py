@@ -32,6 +32,7 @@ from mpfkit.bounds import (
     trotter_number,
 )
 from mpfkit.commutators import (
+    commutator_sums,
     factorial_commutator_bound,
     insertion_bound,
     inserted_commutator_sum,
@@ -174,10 +175,11 @@ def test_criterion_04_series_coefficients():
     worst_herm = 0.0
     bound_ok = True
     shape_ok = True
+    alphas = commutator_sums(spec, 5)
     for p in (1, 2):
         plan = build_plan(spec.n_groups, p)
         for q in range(2, 6):
-            rep = phi_report(plan, spec, q)
+            rep = phi_report(plan, spec, q, alpha_q=alphas[q])
             if q <= p:
                 worst_zero = max(worst_zero, rep.norm_exact)
             worst_herm = max(worst_herm, rep.hermiticity_defect)

@@ -123,7 +123,7 @@ class TestBounds:
     def test_phi_report_fields(self):
         spec = heisenberg_chain(3, field=0.2)
         plan = build_plan(spec.n_groups, 1)
-        rep = phi_report(plan, spec, 3)
+        rep = phi_report(plan, spec, 3, alpha_q=nested_commutator_sum(spec, 3))
         assert rep.q == 3
         assert rep.norm_exact is not None
         assert rep.norm_exact <= rep.norm_bound

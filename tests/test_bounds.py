@@ -6,7 +6,12 @@ import math
 import pytest
 
 from mpfkit import bounds
-from mpfkit.commutators import mu_from_alphas, mu_window_bound, nested_commutator_sum
+from mpfkit.commutators import (
+    commutator_sums,
+    mu_from_alphas,
+    mu_window_bound,
+    nested_commutator_sum,
+)
 from mpfkit.hamiltonians import heisenberg_chain, make_spec
 from mpfkit.mpf import build_mpf
 from mpfkit.pauli import PauliTerm
@@ -283,15 +288,15 @@ class TestEnumeratedMu:
 
 class TestQueryCount:
     def test_value_and_strings(self):
-        q = bounds.query_count(5.0 / 3.0, 3.0, 100)
-        assert q.value == pytest.approx(500.0, rel=1e-12)
-        assert "polylog" in q.scaling
-        assert "polylog" in q.prior_scaling
+        # build_mpf(2): |c|_1 = 5/3 and |k|_1 = 3, so 5 queries per step
+        rep = desk_report(j_count=2)
+        assert rep.query_count == pytest.approx(5.0 * rep.r, rel=1e-12)
+        assert "polylog" in bounds.QUERY_SCALING
+        assert "polylog" in bounds.PRIOR_QUERY_SCALING
 
     def test_single_term_reduces_to_step_count(self):
-        spec = build_mpf(1)
-        q = bounds.query_count(spec.norm_c_1, spec.norm_k_1, 37)
-        assert q.value == 37.0
+        rep = desk_report(j_count=1)
+        assert rep.query_count == float(rep.r)
 
 
 class TestGateCostTable:
@@ -341,7 +346,9 @@ class TestGateCostTable:
 class TestDivergenceDiagnostics:
     def test_heisenberg_window(self):
         ham = heisenberg_chain(3, field=0.5)
-        diag = bounds.divergence_diagnostics(ham, range(2, 9))
+        sums = commutator_sums(ham, 8)
+        window = {q: sums[q] for q in range(2, 9)}
+        diag = bounds.divergence_diagnostics(ham, window)
         assert diag.factorial_tail_increasing
         assert diag.plateau_value == pytest.approx(
             2.0 * ham.total_one_norm, rel=1e-12
@@ -359,14 +366,16 @@ class TestDivergenceDiagnostics:
                 (PauliTerm.from_label("IZ", -0.4), 2),
             ],
         )
-        diag = bounds.divergence_diagnostics(spec, range(2, 7))
+        sums = commutator_sums(spec, 6)
+        window = {q: sums[q] for q in range(2, 7)}
+        diag = bounds.divergence_diagnostics(spec, window)
         assert diag.exact_all_zero
 
     def test_window_validation(self):
         ham = heisenberg_chain(3, field=0.5)
         with pytest.raises(ValueError):
-            bounds.divergence_diagnostics(ham, [4, 3, 2])
+            bounds.divergence_diagnostics(ham, {4: 1.0, 3: 1.0, 2: 1.0})
         with pytest.raises(ValueError):
-            bounds.divergence_diagnostics(ham, [1, 2, 3])
+            bounds.divergence_diagnostics(ham, {1: 1.0, 2: 1.0, 3: 1.0})
         with pytest.raises(ValueError):
-            bounds.divergence_diagnostics(ham, [3])
+            bounds.divergence_diagnostics(ham, {3: 1.0})

@@ -8,10 +8,14 @@ import json
 
 import pytest
 
-from mpfkit import cli, hamiltonians
-from mpfkit.cli import main
+from mpfkit import bch, cli, commutators, hamiltonians
+from mpfkit.bounds import truncation_order
+from mpfkit.cli import ExperimentConfig, main
 from mpfkit.commutators import nested_commutator_sum
 from mpfkit.hamiltonians import heisenberg_chain, spec_to_document
+from mpfkit.mpf import build_mpf
+from mpfkit.pauli import PauliSum
+from mpfkit.trotter import build_plan
 
 
 def run(tmp_path, *argv):
@@ -349,6 +353,83 @@ class TestPhiAlpha:
 
     def test_phi_rejects_large_systems(self, tmp_path):
         assert run(tmp_path, "phi", "--n-sites", "24") == 2
+
+
+class TestOneAlphaTable:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify-bounds", "--eps", "0.25"),
+            ("cost", "--qmax", "4"),
+            ("phi", "--qmax", "4"),
+            ("alpha", "--qmax", "4"),
+        ],
+    )
+    def test_each_command_enumerates_once(self, tmp_path, monkeypatch, argv):
+        orders = []
+        commutator_sums = commutators.commutator_sums
+
+        def counting(spec, q_max, *args, **kwargs):
+            orders.append(q_max)
+            return commutator_sums(spec, q_max, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "commutator_sums", counting)
+        monkeypatch.setattr(commutators, "commutator_sums", counting)
+        assert run(tmp_path, *argv) == 0
+        assert orders == [5 if argv[0] == "verify-bounds" else 4]
+
+    @pytest.mark.parametrize("command", ["alpha", "verify-bounds"])
+    def test_over_budget_refused_before_any_commutator(
+        self, tmp_path, monkeypatch, command
+    ):
+        calls = []
+        commutator = PauliSum.commutator
+
+        def counting(self, other):
+            calls.append(1)
+            return commutator(self, other)
+
+        monkeypatch.setattr(PauliSum, "commutator", counting)
+        assert run(tmp_path, command, "--qmax", "20") == 2
+        assert calls == []
+
+    def test_phi_over_budget_refused_before_any_series(self, tmp_path, monkeypatch):
+        calls = []
+
+        def refused(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a series coefficient was computed")
+
+        monkeypatch.setattr(bch, "compute_phi", refused)
+        assert run(tmp_path, "phi", "--qmax", "13") == 2
+        assert calls == []
+
+    def test_cost_enumerates_under_the_configured_dense_cap(
+        self, tmp_path, monkeypatch
+    ):
+        caps = []
+
+        def zeros(spec, q_max, mode, cap):
+            caps.append(cap)
+            return dict.fromkeys(range(1, q_max + 1), 0.0)
+
+        monkeypatch.setattr(cli, "commutator_sums", zeros)
+        argv = ("cost", "--n-sites", "13", "--dense-cap", "13", "--qmax", "3")
+        assert run(tmp_path, *argv) == 0
+        assert caps == [13]
+        assert load(tmp_path, "cost_report.json")["divergence"]["exact_all_zero"]
+
+    def test_step_bound_untestable_without_a_table(self):
+        # beyond the site cap no table is built, even when the dense cap allows
+        cfg = ExperimentConfig(n_sites=17, dense_cap=17, q_max=11)
+        spec = heisenberg_chain(17)
+        p0 = truncation_order(cfg.n_sites, cfg.eps)
+        assert cfg.p < p0 <= cfg.q_max
+        rows = cli._step_bound_rows(
+            cfg, spec, build_plan(spec.n_groups, 2), build_mpf(2), p0, None
+        )
+        assert [row["status"] for row in rows] == ["untestable"]
+        assert "site cap" in rows[0]["note"]
 
 
 class TestReproducibility:

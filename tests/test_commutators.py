@@ -8,7 +8,7 @@ import pytest
 
 from mpfkit import dense
 from mpfkit.commutators import (
-    build_commutator_table,
+    commutator_sums,
     factorial_commutator_bound,
     inserted_commutator_sum,
     insertion_bound,
@@ -89,6 +89,40 @@ class TestNestedSum:
             nested_commutator_sum(two_group_toy(), 2, mode="fro")
 
 
+class TestCommutatorSums:
+    def test_one_search_matches_brute_force_at_every_order(self):
+        specs = [
+            two_group_toy(),
+            heisenberg_chain(3, field=0.5),
+            heisenberg_chain(4, field=0.0),
+        ]
+        for spec in specs:
+            sums = commutator_sums(spec, 4)
+            assert list(sums) == [1, 2, 3, 4]
+            for q, got in sums.items():
+                ref = brute_alpha(spec, q)
+                assert got == pytest.approx(ref, rel=1e-9), (spec.n_sites, q)
+
+    def test_frozen_values_keep_their_summation_order(self):
+        # values of a search stopped at each order; == holds only while
+        # every alpha_q adds its nests in lexicographic tuple order
+        spec = heisenberg_chain(4, field=0.5)
+        assert commutator_sums(spec, 5) == {
+            1: 11.0,
+            2: 27.71281292110204,
+            3: 332.55375505322445,
+            4: 3103.835047163428,
+            5: 37246.02056596114,
+        }
+        assert commutator_sums(spec, 5, "one-norm") == {
+            1: 11.0,
+            2: 48.0,
+            3: 576.0,
+            4: 5376.0,
+            5: 64512.0,
+        }
+
+
 class TestClosedFormBounds:
     def test_factorial_bound_dominates(self):
         for n, field in ((3, 0.5), (4, 0.0), (5, 0.9)):
@@ -110,20 +144,25 @@ class TestClosedFormBounds:
 
     def test_table_columns_are_ordered(self):
         spec = heisenberg_chain(4, field=0.5)
-        table = build_commutator_table(spec, q_max=4)
-        for i, q in enumerate(table.q_values):
-            assert table.alpha_exact[i] <= table.alpha_one_norm[i] * (1 + 1e-12)
-            assert table.alpha_one_norm[i] <= table.power_bound[i] * (1 + 1e-12)
-            assert table.alpha_exact[i] <= table.factorial_bound[i]
-            assert table.alpha(q, "exact") == table.alpha_exact[i]
+        exact = commutator_sums(spec, 4)
+        loose = commutator_sums(spec, 4, "one-norm")
+        for q in range(2, 5):
+            factorial = factorial_commutator_bound(
+                q, spec.locality, spec.extensiveness, spec.n_sites
+            )
+            power = power_commutator_bound(q, spec.total_one_norm)
+            assert exact[q] <= loose[q] * (1 + 1e-12)
+            assert loose[q] <= power * (1 + 1e-12)
+            assert exact[q] <= factorial
+            assert exact[q] == nested_commutator_sum(spec, q)
 
     def test_table_without_exact_column(self):
+        # the one-norm table needs no dense matrix, so no dense cap applies
         spec = heisenberg_chain(3)
-        table = build_commutator_table(spec, q_max=3, with_exact=False)
-        assert table.alpha_exact == (None, None)
-        with pytest.raises(ValueError, match="not computed"):
-            table.alpha(2, "exact")
-        table.alpha(2, "one-norm")
+        loose = commutator_sums(spec, 3, "one-norm", cap=1)
+        assert list(loose) == [1, 2, 3]
+        with pytest.raises(ValueError, match="exceeds cap"):
+            commutator_sums(spec, 3, "exact", cap=1)
 
     def test_closed_form_values(self):
         assert factorial_commutator_bound(3, 2, 6.0, 4) == pytest.approx(
@@ -199,8 +238,7 @@ class TestMu:
 
     def test_window_enlargement_stability(self):
         spec = heisenberg_chain(4, field=0.5)
-        table = build_commutator_table(spec, q_max=4, q_min=3)
-        alphas = table.as_mapping("exact")
+        alphas = commutator_sums(spec, 4)
         base = mu_from_alphas(alphas, p=2, m=4, p0=4, n_max=8)
         wider = mu_from_alphas(alphas, p=2, m=4, p0=4, n_max=10)
         if base.converged:
@@ -209,8 +247,7 @@ class TestMu:
 
     def test_enumerated_value_below_window_bound(self):
         spec = heisenberg_chain(4, field=0.5)
-        table = build_commutator_table(spec, q_max=4, q_min=3)
-        res = mu_from_alphas(table.as_mapping("exact"), p=2, m=4, p0=4)
+        res = mu_from_alphas(commutator_sums(spec, 4), p=2, m=4, p0=4)
         cap = mu_window_bound(
             spec.n_sites, 2, 4, spec.locality, spec.extensiveness
         )

@@ -12,12 +12,9 @@ from mpfkit.mpf import (
     build_mpf,
     closed_form_coefficients,
     condition_report,
-    evaluate_mpf,
     exact_system_solve,
     linear_k_specs,
-    long_time_error,
     make_mpf_spec,
-    mpf_error,
     solve_coefficients,
     vandermonde_residuals,
 )
@@ -137,22 +134,22 @@ class TestEvaluation:
         rescaled = make_mpf_spec(
             mpf.k_values, [c / total for c in mpf.c_values]
         )
-        a = evaluate_mpf(mpf, plan, spec, 0.3)
-        b = evaluate_mpf(rescaled, plan, spec, 0.3)
+        a = MPFEvaluator(mpf, plan, spec).step(0.3)
+        b = MPFEvaluator(rescaled, plan, spec).step(0.3)
         assert np.allclose(a, b, atol=1e-14)
 
     def test_error_vanishes_at_zero_time(self):
         spec = heisenberg_chain(3, field=0.5)
         plan = build_plan(spec.n_groups, 2)
-        assert mpf_error(build_mpf(2), plan, spec, 0.0) == pytest.approx(
+        assert MPFEvaluator(build_mpf(2), plan, spec).error(0.0) == pytest.approx(
             0.0, abs=1e-14
         )
 
     def test_two_terms_beat_one_at_small_step(self):
         spec = heisenberg_chain(4, field=0.8)
         plan = build_plan(spec.n_groups, 2)
-        e1 = mpf_error(build_mpf(1), plan, spec, 0.05)
-        e2 = mpf_error(build_mpf(2), plan, spec, 0.05)
+        e1 = MPFEvaluator(build_mpf(1), plan, spec).error(0.05)
+        e2 = MPFEvaluator(build_mpf(2), plan, spec).error(0.05)
         assert e2 < e1
 
     def test_asymmetric_plan_rejected(self):
@@ -195,8 +192,9 @@ class TestLongTime:
         spec = heisenberg_chain(3, field=0.5)
         plan = build_plan(spec.n_groups, 2)
         mpf = build_mpf(2)
-        a = long_time_error(mpf, plan, spec, 0.4, 1)
-        b = mpf_error(mpf, plan, spec, 0.4)
+        ev = MPFEvaluator(mpf, plan, spec)
+        a = ev.long_time_error(0.4, 1)
+        b = ev.error(0.4)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_more_steps_reduce_error(self):

@@ -10,8 +10,6 @@ from mpfkit.trotter import (
     geometric_grid,
     loglog_slope,
     suzuki_fractions,
-    trotter_error,
-    trotter_unitary,
 )
 
 
@@ -72,7 +70,7 @@ class TestEvaluation:
         spec = heisenberg_chain(2, coupling=1.0, field=0.0)
         assert spec.n_groups == 1
         plan = build_plan(1, 1)
-        assert trotter_error(plan, spec, 0.7) <= 1e-12
+        assert TrotterEvaluator(spec, plan).error(0.7) <= 1e-12
 
     def test_formula_unitarity(self):
         spec = heisenberg_chain(4, field=0.3)
@@ -121,7 +119,7 @@ class TestConvergenceOrder:
         spec = heisenberg_chain(4, field=0.5)
         tau = 0.05
         errs = [
-            trotter_error(build_plan(spec.n_groups, p), spec, tau)
+            TrotterEvaluator(spec, build_plan(spec.n_groups, p)).error(tau)
             for p in (1, 2, 4)
         ]
         assert errs[0] > errs[1] > errs[2]
@@ -158,6 +156,6 @@ class TestGridAndSlope:
     def test_unitary_shortcut_matches_evaluator(self):
         spec = heisenberg_chain(3, field=0.4)
         plan = build_plan(spec.n_groups, 2)
-        direct = trotter_unitary(plan, spec, 0.11)
+        direct = TrotterEvaluator(spec, plan).formula_unitary(0.11)
         ev = TrotterEvaluator(spec, plan)
         assert np.max(np.abs(direct - ev.formula_unitary(0.11))) == 0.0
