@@ -145,9 +145,9 @@ def compute_phi_range(
     plan: ProductFormulaPlan,
     spec: HamiltonianSpec,
     q_max: int,
-    q_min: int = 2,
 ) -> dict[int, PauliSum]:
-    return {q: compute_phi(plan, spec, q) for q in range(q_min, q_max + 1)}
+    """The table Phi_2..Phi_qmax, keyed by order."""
+    return {q: compute_phi(plan, spec, q) for q in range(2, q_max + 1)}
 
 
 def phi_norm_bound(stage_factor: float, alpha_q: float, q: int) -> float:
@@ -197,30 +197,31 @@ def phi_report(
     spec: HamiltonianSpec,
     q: int,
     *,
+    phi_q: PauliSum,
     alpha_q: float,
     norm_mode: str = "exact",
     cap: int = dense.DEFAULT_DENSE_CAP,
 ) -> PhiReport:
-    """Compute Phi_q together with every bound the tables need.
+    """Measure Phi_q and evaluate every bound the tables need.
 
-    ``alpha_q`` is the order-q commutator sum, taken from the table the
-    caller enumerated with :func:`mpfkit.commutators.commutator_sums`.
+    ``phi_q`` is the order-q series coefficient, taken from the table the
+    caller built with :func:`compute_phi_range`; ``alpha_q`` is the order-q
+    commutator sum, from :func:`mpfkit.commutators.commutator_sums`.
     """
-    op = compute_phi(plan, spec, q)
     norm_exact: float | None = None
     if norm_mode == "exact" and spec.n_sites <= cap:
         norm_exact = (
-            dense.spectral_norm(dense.from_pauli_sum(op, cap)) if op else 0.0
+            dense.spectral_norm(dense.from_pauli_sum(phi_q, cap)) if phi_q else 0.0
         )
     return PhiReport(
         q=q,
-        operator=op,
+        operator=phi_q,
         norm_exact=norm_exact,
         norm_bound=phi_norm_bound(plan.stage_factor, alpha_q, q),
-        hermiticity_defect=op.hermiticity_defect(),
-        locality=op.locality(),
+        hermiticity_defect=phi_q.hermiticity_defect(),
+        locality=phi_q.locality(),
         locality_bound=phi_locality_bound(q, spec.locality),
-        extensiveness=op.extensiveness(),
+        extensiveness=phi_q.extensiveness(),
         extensiveness_bound=phi_extensiveness_bound(
             q, plan.stage_factor, spec.locality, spec.extensiveness
         ),
@@ -231,33 +232,29 @@ def phi_report(
 
 
 def effective_generator(
-    plan: ProductFormulaPlan,
     spec: HamiltonianSpec,
     tau: float,
     p0: int,
-    phis: dict[int, PauliSum] | None = None,
+    phis: dict[int, PauliSum],
 ) -> PauliSum:
     """H + sum_{q=2}^{p0} Phi_q tau^{q-1}, the generator of one step."""
     if p0 < 1:
         raise ValueError("truncation order must be >= 1")
     gen = spec.full_sum()
-    if phis is None:
-        phis = compute_phi_range(plan, spec, p0)
     for q in range(2, p0 + 1):
         gen = gen + phis[q].scale(tau ** (q - 1))
     return gen
 
 
 def truncated_step_unitary(
-    plan: ProductFormulaPlan,
     spec: HamiltonianSpec,
     tau: float,
     p0: int,
-    phis: dict[int, PauliSum] | None = None,
+    phis: dict[int, PauliSum],
     cap: int = dense.DEFAULT_DENSE_CAP,
 ) -> np.ndarray:
     """exp(-i (H tau + sum Phi_q tau^q)) through the dense backend."""
-    gen = effective_generator(plan, spec, tau, p0, phis)
+    gen = effective_generator(spec, tau, p0, phis)
     mat = dense.from_pauli_sum(gen, cap)
     # the series coefficients carry float-product noise; symmetrized check
     return dense.expm_minus_i(mat, tau, herm_tol=1e-8)
@@ -272,7 +269,7 @@ def truncation_defect(
 ) -> float:
     """|| T(tau) - exp(-i H_eff^{(p0)}(tau) tau) || at one time argument."""
     u = evaluator.formula_unitary(tau)
-    v = truncated_step_unitary(evaluator.plan, evaluator.spec, tau, p0, phis, cap)
+    v = truncated_step_unitary(evaluator.spec, tau, p0, phis, cap)
     return dense.spectral_norm(u - v)
 
 
@@ -292,8 +289,8 @@ class TruncationCheck:
 
 
 def check_truncated_generator(
-    plan: ProductFormulaPlan,
-    spec: HamiltonianSpec,
+    evaluator: TrotterEvaluator,
+    phis: dict[int, PauliSum],
     epsilon: float,
     p0: int,
     tau_boundary: float,
@@ -304,20 +301,20 @@ def check_truncated_generator(
 ) -> TruncationCheck:
     """Verify the truncated series reproduces the step to epsilon.
 
+    ``evaluator`` supplies the dense step of its plan and ``phis`` that
+    plan's series coefficients Phi_2..Phi_p0 (higher orders are ignored).
     Measures the defect at ``tau_boundary`` scaled by each subdivision (all
     must come in below epsilon) and, when a slope grid is supplied, fits the
     defect's convergence order on it (expected about p0 + 1).
     """
-    phis = compute_phi_range(plan, spec, p0)
-    ev = TrotterEvaluator(spec, plan, cap)
     taus = tuple(tau_boundary * s for s in subdivisions)
-    defects = tuple(truncation_defect(ev, phis, t, p0, cap) for t in taus)
+    defects = tuple(truncation_defect(evaluator, phis, t, p0, cap) for t in taus)
     worst = max(defects)
     slope = None
     n_used = 0
     if slope_grid is not None:
         errs = np.array(
-            [truncation_defect(ev, phis, t, p0, cap) for t in slope_grid]
+            [truncation_defect(evaluator, phis, t, p0, cap) for t in slope_grid]
         )
         slope, n_used = loglog_slope(np.asarray(slope_grid), errs)
     return TruncationCheck(

@@ -591,79 +591,42 @@ def gate_cost_table(
     load = n_sites * g * t / eps
     gt = g * t
     n = float(n_sites)
-    rows: list[CostRow] = []
+    # a finite range is the k = 1 case; n**1 == n and n**(1+1) == n**2 exactly
     if range_class == "finite":
-        rows.append(
-            CostRow(
-                "trotter",
-                "N g t (N g t / eps)^(1/p)",
-                n * gt * load ** (1.0 / p),
-                False,
-            )
-        )
-        rows.append(
-            CostRow(
-                "lcu",
-                "N^2 g t log(N g t / eps) / loglog(N g t / eps)",
-                n**2 * gt * _log_over_loglog(load),
-                False,
-            )
-        )
-        rows.append(
-            CostRow(
-                "qsvt",
-                "N (N g t + log(1/eps) / loglog(1/eps))",
-                n * (n * gt + _log_over_loglog(1.0 / eps)),
-                False,
-            )
-        )
-        rows.append(
-            CostRow(
-                "mpf",
-                "N {N^(1/(p+1)) + log^2(N g t / eps)} g t * polylog",
-                n * (n ** (1.0 / (p + 1)) + math.log(load) ** 2) * gt,
-                True,
-            )
-        )
-        rows.append(
-            CostRow("hhkl", "N g t * polylog", n * gt, True)
-        )
-        return tuple(rows)
-    if k is None or k < 1:
+        k, n_k, n_k1 = 1, "N", "N^2"
+    elif k is None or k < 1:
         raise ValueError("long-range rows need the locality k")
-    rows.append(
+    else:
+        n_k, n_k1 = "N^k", "N^(k+1)"
+    rows = [
         CostRow(
             "trotter",
-            "N^k g t (N g t / eps)^(1/p)",
+            f"{n_k} g t (N g t / eps)^(1/p)",
             n**k * gt * load ** (1.0 / p),
             False,
-        )
-    )
-    rows.append(
+        ),
         CostRow(
             "lcu",
-            "N^(k+1) g t log(N g t / eps) / loglog(N g t / eps)",
+            f"{n_k1} g t log(N g t / eps) / loglog(N g t / eps)",
             n ** (k + 1) * gt * _log_over_loglog(load),
             False,
-        )
-    )
-    rows.append(
+        ),
         CostRow(
             "qsvt",
-            "N^k (N g t + log(1/eps) / loglog(1/eps))",
+            f"{n_k} (N g t + log(1/eps) / loglog(1/eps))",
             n**k * (n * gt + _log_over_loglog(1.0 / eps)),
             False,
-        )
-    )
-    rows.append(
+        ),
         CostRow(
             "mpf",
-            "N^k {N^(1/(p+1)) + log^2(N g t / eps)} g t * polylog",
+            f"{n_k} {{N^(1/(p+1)) + log^2(N g t / eps)}} g t * polylog",
             n**k * (n ** (1.0 / (p + 1)) + math.log(load) ** 2) * gt,
             True,
-        )
-    )
-    if nu is not None and d is not None and nu > 2 * d:
+        ),
+    ]
+    if range_class == "finite":
+        rows.append(CostRow("hhkl", "N g t * polylog", n * gt, True))
+    elif nu is not None and d is not None and nu > 2 * d:
         rows.append(
             CostRow(
                 "hhkl",

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bch import check_truncated_generator, phi_report
+from .bch import check_truncated_generator, compute_phi_range, phi_report
 from .bounds import (
     admissibility_chain,
     bch_time_condition,
@@ -44,6 +44,7 @@ from .commutators import (
     mu_window_bound,
     power_commutator_bound,
 )
+from .dense import fit_line
 from .hamiltonians import (
     HamiltonianSpec,
     family_constants,
@@ -52,6 +53,7 @@ from .hamiltonians import (
     long_range_zz_chain,
 )
 from .mpf import MAX_J, MPFEvaluator, MPFSpec, build_mpf, solve_coefficients
+from .pauli import PauliSum
 from .trotter import TrotterEvaluator, build_plan, geometric_grid, loglog_slope
 
 SLOPE_MARGIN = 0.8
@@ -90,7 +92,6 @@ class ExperimentConfig:
     dense_cap: int = 12
     q_max: int = 5
     out: str = "."
-    seed: int = 0
     range_class: str = "finite"
     nu: float | None = None
     d: int = 1
@@ -342,8 +343,7 @@ def cmd_verify_order(cfg: ExperimentConfig) -> int:
         else:
             mpf_specs = [build_mpf(j, cfg.p) for j in range(1, cfg.j_count + 1)]
         for mspec in mpf_specs:
-            evaluator = MPFEvaluator(mspec, plan, spec, cfg.dense_cap)
-            errors = evaluator.error_sweep(taus)
+            errors = MPFEvaluator(mspec, trotter).error_sweep(taus)
             entry = _slope_entry(taus, errors, mspec.m + SLOPE_MARGIN)
             entry.update(
                 j_count=mspec.j_count,
@@ -431,6 +431,7 @@ def _phi_rows(
     spec: HamiltonianSpec,
     plan,
     alphas: dict[int, float] | None,
+    phis: dict[int, PauliSum] | None,
 ) -> list[dict]:
     rows: list[dict] = []
     mode = _enumeration_mode(cfg)
@@ -443,7 +444,13 @@ def _phi_rows(
             )
             continue
         report = phi_report(
-            plan, spec, q, alpha_q=alphas[q], norm_mode=mode, cap=cfg.dense_cap
+            plan,
+            spec,
+            q,
+            phi_q=phis[q],
+            alpha_q=alphas[q],
+            norm_mode=mode,
+            cap=cfg.dense_cap,
         )
         if report.norm_exact is not None:
             measured = report.norm_exact
@@ -479,26 +486,36 @@ def _phi_rows(
     return rows
 
 
-def _truncation_rows(
-    cfg: ExperimentConfig, spec: HamiltonianSpec, plan, p0: int
-) -> list[dict]:
+def _dense_blocker(
+    cfg: ExperimentConfig, p0: int, alphas: dict[int, float] | None
+) -> str | None:
+    """Why the dense checks at order p0 cannot run; None when they can."""
     if p0 > cfg.q_max:
-        return [
-            _untestable(
-                "truncation_defect",
-                f"p0 = {p0} exceeds the qmax window {cfg.q_max}",
-            )
-        ]
+        return f"p0 = {p0} exceeds the qmax window {cfg.q_max}"
     if cfg.n_sites > cfg.dense_cap:
-        return [
-            _untestable("truncation_defect", "dense matrices beyond the cap")
-        ]
+        return "dense matrices beyond the cap"
+    if alphas is None:
+        return _SITE_CAP_NOTE
+    return None
+
+
+def _truncation_rows(
+    cfg: ExperimentConfig,
+    spec: HamiltonianSpec,
+    evaluator: TrotterEvaluator | None,
+    phis: dict[int, PauliSum] | None,
+    p0: int,
+    blocked: str | None,
+) -> list[dict]:
+    if blocked:
+        return [_untestable("truncation_defect", blocked)]
+    plan = evaluator.plan
     boundary = bch_time_condition(
         cfg.n_sites, cfg.eps, plan.stage_factor, spec.locality, spec.extensiveness
     )
     check = check_truncated_generator(
-        plan,
-        spec,
+        evaluator,
+        phis,
         cfg.eps,
         p0,
         boundary,
@@ -528,28 +545,20 @@ def _truncation_rows(
 def _step_bound_rows(
     cfg: ExperimentConfig,
     spec: HamiltonianSpec,
-    plan,
+    evaluator: TrotterEvaluator | None,
     mpf_spec: MPFSpec,
     p0: int,
     alphas: dict[int, float] | None,
+    blocked: str | None,
 ) -> list[dict]:
-    if p0 > cfg.q_max:
-        return [
-            _untestable(
-                "step_error_bound",
-                f"p0 = {p0} exceeds the qmax window {cfg.q_max}",
-            )
-        ]
-    if p0 <= cfg.p:
+    # a p0 beyond the qmax window is reported first, through the blocker
+    if p0 <= min(cfg.p, cfg.q_max):
         note = f"p0 = {p0} leaves no commutator window above p = {cfg.p}"
         return [_untestable("step_error_bound", note)]
-    if cfg.n_sites > cfg.dense_cap:
-        return [
-            _untestable("step_error_bound", "dense matrices beyond the cap")
-        ]
-    if alphas is None:
-        return [_untestable("step_error_bound", _SITE_CAP_NOTE)]
+    if blocked:
+        return [_untestable("step_error_bound", blocked)]
     mode = _enumeration_mode(cfg)
+    plan = evaluator.plan
     mu = mu_from_alphas(alphas, cfg.p, mpf_spec.m, p0, source=mode)
     ceiling = mu_window_bound(
         cfg.n_sites, cfg.p, p0, spec.locality, spec.extensiveness
@@ -570,8 +579,7 @@ def _step_bound_rows(
         cfg.eps,
         boundary_bch,
     )
-    evaluator = MPFEvaluator(mpf_spec, plan, spec, cfg.dense_cap)
-    measured = evaluator.error(tau)
+    measured = MPFEvaluator(mpf_spec, evaluator).error(tau)
     rows.append(
         _row(
             "step_error_bound",
@@ -589,12 +597,18 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
     plan = _configured(build_plan, spec.n_groups, cfg.p)
     p0 = _configured(truncation_order, cfg.n_sites, cfg.eps)
     alphas = _alpha_table(cfg, spec)
+    phis = None if alphas is None else compute_phi_range(plan, spec, cfg.q_max)
+    # the truncation check and the step bound share one dense evaluator
+    blocked = _dense_blocker(cfg, p0, alphas)
+    evaluator = None if blocked else TrotterEvaluator(spec, plan, cfg.dense_cap)
     rows = _alpha_rows(cfg, spec, alphas)
-    rows.extend(_phi_rows(cfg, spec, plan, alphas))
-    rows.extend(_truncation_rows(cfg, spec, plan, p0))
+    rows.extend(_phi_rows(cfg, spec, plan, alphas, phis))
+    rows.extend(_truncation_rows(cfg, spec, evaluator, phis, p0, blocked))
     if cfg.p % 2 == 0:
         mpf_spec = build_mpf_spec(cfg, cfg.p)
-        rows.extend(_step_bound_rows(cfg, spec, plan, mpf_spec, p0, alphas))
+        rows.extend(
+            _step_bound_rows(cfg, spec, evaluator, mpf_spec, p0, alphas, blocked)
+        )
     else:
         rows.append(
             _untestable("step_error_bound", "extrapolation needs an even base order")
@@ -618,14 +632,22 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
 # -- cost ------------------------------------------------------------------
 
 
-def _fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
-    design = np.vstack([xs, np.ones_like(xs)]).T
-    sol, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    residual = float(np.sqrt(np.mean((design @ sol - ys) ** 2)))
-    return float(sol[0]), residual
+def _gate_costs(cfg: ExperimentConfig, spec: HamiltonianSpec):
+    return _configured(
+        gate_cost_table,
+        cfg.n_sites,
+        spec.extensiveness,
+        cfg.t,
+        cfg.eps,
+        cfg.p,
+        range_class=cfg.range_class,
+        k=spec.locality,
+        nu=cfg.nu,
+        d=cfg.d,
+    )
 
 
-def _eps_sweep(cfg: ExperimentConfig, spec: HamiltonianSpec) -> dict:
+def _eps_sweep(cfg: ExperimentConfig, spec: HamiltonianSpec, plan) -> dict:
     rows = []
     for eps in EPS_SWEEP:
         try:
@@ -635,7 +657,6 @@ def _eps_sweep(cfg: ExperimentConfig, spec: HamiltonianSpec) -> dict:
         except ValueError as exc:
             rows.append({"eps": eps, "note": str(exc)})
             continue
-        plan = build_plan(spec.n_groups, cfg.p)
         report = report_from_parts(spec, plan, matched, cfg.t, eps)
         rows.append(
             {
@@ -652,11 +673,11 @@ def _eps_sweep(cfg: ExperimentConfig, spec: HamiltonianSpec) -> dict:
     if len(complete) >= 6:
         log_r = np.log([row["r"] for row in complete])
         log_inv = np.log([1.0 / row["eps"] for row in complete])
-        power_slope, power_res = _fit_line(log_inv, log_r)
-        polylog_slope, polylog_res = _fit_line(np.log(log_inv), log_r)
+        power_slope, power_res = fit_line(log_inv, log_r)
+        polylog_slope, polylog_res = fit_line(np.log(log_inv), log_r)
         half = len(complete) // 2
-        early_slope, _ = _fit_line(log_inv[:half], log_r[:half])
-        late_slope, _ = _fit_line(log_inv[half:], log_r[half:])
+        early_slope, _ = fit_line(log_inv[:half], log_r[:half])
+        late_slope, _ = fit_line(log_inv[half:], log_r[half:])
         fits.update(
             power_exponent=power_slope,
             power_residual=power_res,
@@ -695,7 +716,7 @@ def _n_sweep(cfg: ExperimentConfig, mpf_spec: MPFSpec) -> dict:
         )
     log_n = np.log([row["n"] for row in rows])
     log_r1 = np.log([row["r1"] for row in rows])
-    slope, residual = _fit_line(log_n, log_r1)
+    slope, residual = fit_line(log_n, log_r1)
     return {
         "rows": rows,
         "r1_slope": slope,
@@ -716,27 +737,18 @@ def cmd_cost(cfg: ExperimentConfig) -> int:
     report = _configured(report_from_parts, spec, plan, mpf_spec, cfg.t, cfg.eps)
     consistency = self_consistency(report)
     chain = admissibility_chain(report)
-    table = _configured(
-        gate_cost_table,
-        cfg.n_sites,
-        spec.extensiveness,
-        cfg.t,
-        cfg.eps,
-        cfg.p,
-        range_class=cfg.range_class,
-        k=spec.locality if cfg.range_class == "long" else None,
-        nu=cfg.nu,
-        d=cfg.d if cfg.range_class == "long" else None,
-    )
+    table = _gate_costs(cfg, spec)
 
     alphas = _alpha_table(cfg, spec) if cfg.q_max >= 3 else None
     if alphas is not None:
         window = {q: alphas[q] for q in range(2, cfg.q_max + 1)}
         diagnostics = asdict(divergence_diagnostics(spec, window))
+    elif cfg.q_max < 3:
+        diagnostics = {"note": "the window 2..qmax holds fewer than two orders"}
     else:
         diagnostics = {"note": "nested-commutator window beyond the site cap"}
 
-    eps_sweep = _eps_sweep(cfg, spec)
+    eps_sweep = _eps_sweep(cfg, spec, plan)
     n_sweep = _n_sweep(cfg, mpf_spec)
 
     passed = consistency.holds and chain.holds
@@ -784,18 +796,7 @@ def cmd_cost(cfg: ExperimentConfig) -> int:
 def cmd_table1(cfg: ExperimentConfig) -> int:
     spec = build_family(cfg)
     out = _out_dir(cfg)
-    rows = _configured(
-        gate_cost_table,
-        cfg.n_sites,
-        spec.extensiveness,
-        cfg.t,
-        cfg.eps,
-        cfg.p,
-        range_class=cfg.range_class,
-        k=spec.locality if cfg.range_class == "long" else None,
-        nu=cfg.nu,
-        d=cfg.d if cfg.range_class == "long" else None,
-    )
+    rows = _gate_costs(cfg, spec)
     payload = {
         "config": cfg.echo(),
         "range_class": cfg.range_class,
@@ -820,11 +821,18 @@ def cmd_phi(cfg: ExperimentConfig) -> int:
     plan = _configured(build_plan, spec.n_groups, cfg.p)
     mode = _enumeration_mode(cfg)
     alphas = _alpha_table(cfg, spec)
+    phis = compute_phi_range(plan, spec, cfg.q_max)
     rows = []
     violated = False
     for q in range(2, cfg.q_max + 1):
         report = phi_report(
-            plan, spec, q, alpha_q=alphas[q], norm_mode=mode, cap=cfg.dense_cap
+            plan,
+            spec,
+            q,
+            phi_q=phis[q],
+            alpha_q=alphas[q],
+            norm_mode=mode,
+            cap=cfg.dense_cap,
         )
         if report.norm_exact is not None:
             norm = report.norm_exact
@@ -925,7 +933,6 @@ def _shared_flags() -> argparse.ArgumentParser:
     run.add_argument(
         "--qmax", type=int, dest="q_max", help="top commutator order checked"
     )
-    run.add_argument("--seed", type=int, help="echoed into outputs")
     model = shared.add_argument_group("model")
     model.add_argument("--family", choices=list(FAMILIES))
     model.add_argument("--n-sites", type=int, dest="n_sites")

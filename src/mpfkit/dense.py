@@ -28,6 +28,7 @@ __all__ = [
     "spectral_norm",
     "unitary_log",
     "log_series_fit",
+    "fit_line",
 ]
 
 DEFAULT_DENSE_CAP = 12
@@ -202,3 +203,11 @@ def log_series_fit(
     if n_sites is None:
         return mats
     return [pauli_decompose(m, n_sites, tol=decompose_tol) for m in mats]
+
+
+def fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
+    """Least-squares line ``ys ~ a xs + b``: returns (a, RMS residual)."""
+    design = np.vstack([xs, np.ones_like(xs)]).T
+    sol, *_ = np.linalg.lstsq(design, ys, rcond=None)
+    residual = float(np.sqrt(np.mean((design @ sol - ys) ** 2)))
+    return float(sol[0]), residual

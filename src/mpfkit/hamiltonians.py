@@ -15,13 +15,13 @@ ZZ chain grouped by interaction distance.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .dense import fit_line
 from .pauli import PauliSum, PauliTerm
 
 __all__ = [
@@ -337,19 +337,11 @@ def g_scaling_report(
     if min(gs) <= 0.0:
         raise ValueError("extensiveness must be positive to fit scaling")
     ln_n = np.log(np.asarray(sizes, dtype=float))
-    ln_g = np.log(np.asarray(gs, dtype=float))
-    a_pow = np.vstack([ln_n, np.ones_like(ln_n)]).T
-    sol_pow, res_pow, *_ = np.linalg.lstsq(a_pow, ln_g, rcond=None)
-    power_slope = float(sol_pow[0])
-    power_residual = float(math.sqrt(res_pow[0] / len(sizes))) if len(res_pow) else 0.0
     g_arr = np.asarray(gs, dtype=float)
-    sol_log, res_log, *_ = np.linalg.lstsq(a_pow, g_arr, rcond=None)
-    # res_log is in g units; rescale to be comparable with the log-log fit
-    log_residual = (
-        float(math.sqrt(res_log[0] / len(sizes)) / np.mean(g_arr))
-        if len(res_log)
-        else 0.0
-    )
+    power_slope, power_residual = fit_line(ln_n, np.log(g_arr))
+    _, log_residual = fit_line(ln_n, g_arr)
+    # that residual is in g units; rescale to be comparable with the log-log fit
+    log_residual /= float(np.mean(g_arr))
     if abs(power_slope) < constant_slope_tol:
         regime = "constant"
     elif log_residual < power_residual:

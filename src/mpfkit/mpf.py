@@ -22,7 +22,6 @@ Vandermonde solve loses all accuracy well before J = 12.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -30,8 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import dense
-from .hamiltonians import HamiltonianSpec
-from .trotter import ProductFormulaPlan, TrotterEvaluator
+from .trotter import TrotterEvaluator
 
 __all__ = [
     "MAX_J",
@@ -197,18 +195,13 @@ def build_mpf(j_count: int, base_order: int = 2) -> MPFSpec:
 class MPFEvaluator:
     """Dense evaluation of the combined step against the exact propagator.
 
-    Wraps a :class:`TrotterEvaluator` so every base-formula factor reuses the
-    cached group eigendecompositions; the k_j-fold powers are plain repeated
-    matrix products.
+    Reads every base-formula factor from the given :class:`TrotterEvaluator`,
+    so evaluators that share one reuse its cached group eigendecompositions;
+    the k_j-fold powers are plain repeated matrix products.
     """
 
-    def __init__(
-        self,
-        mpf_spec: MPFSpec,
-        plan: ProductFormulaPlan,
-        ham: HamiltonianSpec,
-        cap: int = dense.DEFAULT_DENSE_CAP,
-    ) -> None:
+    def __init__(self, mpf_spec: MPFSpec, trotter: TrotterEvaluator) -> None:
+        plan = trotter.plan
         if not plan.symmetric or plan.order % 2:
             raise ValueError(
                 "multi-product combination requires a symmetric even-order plan"
@@ -218,15 +211,14 @@ class MPFEvaluator:
                 f"plan order {plan.order} != spec base order {mpf_spec.base_order}"
             )
         self.mpf_spec = mpf_spec
-        self.plan = plan
-        self._trotter = TrotterEvaluator(ham, plan, cap)
-        self.dim = self._trotter.dim
+        self._trotter = trotter
 
     def exact_unitary(self, tau: float) -> np.ndarray:
         return self._trotter.exact_unitary(tau)
 
     def step(self, tau: float) -> np.ndarray:
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
+        dim = self._trotter.dim
+        acc = np.zeros((dim, dim), dtype=complex)
         for c, k in zip(self.mpf_spec.c_values, self.mpf_spec.k_values):
             base = self._trotter.formula_unitary(tau / k)
             acc += c * np.linalg.matrix_power(base, k)
@@ -290,22 +282,14 @@ def condition_report(specs: Sequence[MPFSpec]) -> ConditionReport:
     norm_c = np.array([s.norm_c_1 for s in ordered])
     norm_k = np.array([s.norm_k_1 for s in ordered])
     ln_j = np.log(np.asarray(js, dtype=float))
-    design = np.vstack([ln_j, np.ones_like(ln_j)]).T
-    sol_pow, res_pow, *_ = np.linalg.lstsq(design, np.log(norm_c), rcond=None)
-    power_residual = (
-        float(math.sqrt(res_pow[0] / len(js))) if len(res_pow) else 0.0
-    )
-    sol_log, res_log, *_ = np.linalg.lstsq(design, norm_c, rcond=None)
-    log_residual = (
-        float(math.sqrt(res_log[0] / len(js)) / np.mean(norm_c))
-        if len(res_log)
-        else 0.0
-    )
+    power_exponent, power_residual = dense.fit_line(ln_j, np.log(norm_c))
+    _, log_residual = dense.fit_line(ln_j, norm_c)
+    log_residual /= float(np.mean(norm_c))
     return ConditionReport(
         j_values=tuple(js),
         norm_c_values=tuple(float(x) for x in norm_c),
         norm_k_values=tuple(float(x) for x in norm_k),
-        power_exponent=float(sol_pow[0]),
+        power_exponent=power_exponent,
         power_residual=power_residual,
         log_residual=log_residual,
         subpolynomial=log_residual <= power_residual,

@@ -185,8 +185,5 @@ def loglog_slope(
             f"only {n_used} points above the noise floor {floor:g}; "
             "enlarge the time grid"
         )
-    lt = np.log(taus[mask])
-    le = np.log(errors[mask])
-    design = np.vstack([lt, np.ones_like(lt)]).T
-    sol, *_ = np.linalg.lstsq(design, le, rcond=None)
-    return float(sol[0]), n_used
+    slope, _ = dense.fit_line(np.log(taus[mask]), np.log(errors[mask]))
+    return slope, n_used

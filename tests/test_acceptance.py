@@ -15,6 +15,7 @@ from mpfkit import dense
 from mpfkit.bch import (
     check_truncated_generator,
     compute_phi,
+    compute_phi_range,
     oracle_phi_from_logs,
     phi_report,
 )
@@ -178,8 +179,9 @@ def test_criterion_04_series_coefficients():
     alphas = commutator_sums(spec, 5)
     for p in (1, 2):
         plan = build_plan(spec.n_groups, p)
+        phis = compute_phi_range(plan, spec, 5)
         for q in range(2, 6):
-            rep = phi_report(plan, spec, q, alpha_q=alphas[q])
+            rep = phi_report(plan, spec, q, phi_q=phis[q], alpha_q=alphas[q])
             if q <= p:
                 worst_zero = max(worst_zero, rep.norm_exact)
             worst_herm = max(worst_herm, rep.hermiticity_defect)
@@ -230,8 +232,8 @@ def test_criterion_05_truncated_generator():
         spec.n_sites, eps, plan.stage_factor, spec.locality, spec.extensiveness
     )
     check = check_truncated_generator(
-        plan,
-        spec,
+        TrotterEvaluator(spec, plan),
+        compute_phi_range(plan, spec, p0),
         eps,
         p0,
         boundary,
@@ -253,12 +255,13 @@ def test_criterion_06_extrapolation_order():
     spec = desk_chain()
     plan = build_plan(spec.n_groups, 2)
     taus = geometric_grid(0.01, 0.3, 12)
+    trotter = TrotterEvaluator(spec, plan)
     slope_ok = True
     slopes = []
     residual_ok = True
     for j in (1, 2, 3):
         mspec = build_mpf(j)
-        errors = MPFEvaluator(mspec, plan, spec).error_sweep(taus)
+        errors = MPFEvaluator(mspec, trotter).error_sweep(taus)
         slope, _ = loglog_slope(taus, errors)
         slopes.append(slope)
         slope_ok = slope_ok and slope >= mspec.m + 0.8
@@ -300,6 +303,7 @@ def test_criterion_07_step_bound_with_enumerated_mu():
     boundary = bch_time_condition(
         spec.n_sites, eps, plan.stage_factor, spec.locality, spec.extensiveness
     )
+    trotter = TrotterEvaluator(spec, plan)
     violations = 0
     details = []
     for j in (1, 2):
@@ -316,7 +320,7 @@ def test_criterion_07_step_bound_with_enumerated_mu():
             eps,
             boundary,
         )
-        measured = MPFEvaluator(mspec, plan, spec).error(tau)
+        measured = MPFEvaluator(mspec, trotter).error(tau)
         violations += not bound.admissible
         violations += measured > bound.value
         violations += mu.value > ceiling
@@ -369,7 +373,8 @@ def test_criterion_09_long_time_desk_simulation():
     plan = build_plan(spec.n_groups, 2)
     mspec = build_mpf(2)
     rep = report_from_parts(spec, plan, mspec, 1.0, 1e-3)
-    error = MPFEvaluator(mspec, plan, spec).long_time_error(1.0, rep.r)
+    trotter = TrotterEvaluator(spec, plan)
+    error = MPFEvaluator(mspec, trotter).long_time_error(1.0, rep.r)
     report(
         9,
         error <= 1e-3,

@@ -123,7 +123,13 @@ class TestBounds:
     def test_phi_report_fields(self):
         spec = heisenberg_chain(3, field=0.2)
         plan = build_plan(spec.n_groups, 1)
-        rep = phi_report(plan, spec, 3, alpha_q=nested_commutator_sum(spec, 3))
+        rep = phi_report(
+            plan,
+            spec,
+            3,
+            phi_q=compute_phi(plan, spec, 3),
+            alpha_q=nested_commutator_sum(spec, 3),
+        )
         assert rep.q == 3
         assert rep.norm_exact is not None
         assert rep.norm_exact <= rep.norm_bound
@@ -164,14 +170,14 @@ class TestTruncatedGenerator:
     def test_truncated_unitary_is_unitary(self):
         spec = heisenberg_chain(3, field=0.3)
         plan = build_plan(spec.n_groups, 2)
-        u = truncated_step_unitary(plan, spec, 0.08, 4)
+        u = truncated_step_unitary(spec, 0.08, 4, compute_phi_range(plan, spec, 4))
         assert np.max(np.abs(u @ u.conj().T - np.eye(8))) <= 1e-11
 
     def test_effective_generator_terms(self):
         spec = toy_spec()
         plan = build_plan(2, 1)
         tau = 0.1
-        gen = effective_generator(plan, spec, tau, 2)
+        gen = effective_generator(spec, tau, 2, compute_phi_range(plan, spec, 2))
         manual = spec.full_sum() + compute_phi(plan, spec, 2).scale(tau)
         assert coeff_distance(gen, manual) <= 1e-14
 
@@ -179,8 +185,8 @@ class TestTruncatedGenerator:
         spec = heisenberg_chain(3, field=0.5)
         plan = build_plan(spec.n_groups, 1)
         check = check_truncated_generator(
-            plan,
-            spec,
+            TrotterEvaluator(spec, plan),
+            compute_phi_range(plan, spec, 4),
             epsilon=0.3,
             p0=4,
             tau_boundary=2e-4,

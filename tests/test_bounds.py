@@ -342,6 +342,72 @@ class TestGateCostTable:
             # N g t / eps below e starves the log factors
             bounds.gate_cost_table(1, 1.0, 1.0, 0.9, 2)
 
+    def test_rows_frozen_for_both_range_classes(self):
+        # the finite class is the long-range rows at k = 1 plus its own hhkl
+        # row; these literals pin every expression and value bit for bit
+        args = (37, 1.7, 0.9, 3e-4, 4)
+        finite = (
+            ("trotter", "N g t (N g t / eps)^(1/p)", 1179.8753554286902, False),
+            (
+                "lcu",
+                "N^2 g t log(N g t / eps) / loglog(N g t / eps)",
+                10189.447889323019,
+                False,
+            ),
+            (
+                "qsvt",
+                "N (N g t + log(1/eps) / loglog(1/eps))",
+                2237.9476202840997,
+                False,
+            ),
+            (
+                "mpf",
+                "N {N^(1/(p+1)) + log^2(N g t / eps)} g t * polylog",
+                8470.595747632045,
+                True,
+            ),
+            ("hhkl", "N g t * polylog", 56.61, True),
+        )
+        long_range = (
+            ("trotter", "N^k g t (N g t / eps)^(1/p)", 1615249.361581877, False),
+            (
+                "lcu",
+                "N^(k+1) g t log(N g t / eps) / loglog(N g t / eps)",
+                13949354.160483211,
+                False,
+            ),
+            (
+                "qsvt",
+                "N^k (N g t + log(1/eps) / loglog(1/eps))",
+                3063750.2921689325,
+                False,
+            ),
+            (
+                "mpf",
+                "N^k {N^(1/(p+1)) + log^2(N g t / eps)} g t * polylog",
+                11596245.57850827,
+                True,
+            ),
+        )
+        decay_row = (
+            "hhkl",
+            "N g t (N g t / eps)^(2d/(nu-d))",
+            612711015.7270671,
+            False,
+        )
+        cases = (
+            ({}, finite),
+            # nu > 2d adds the decay row; nu <= 2d leaves it out
+            (dict(range_class="long", k=3, nu=2.5, d=1), long_range + (decay_row,)),
+            (dict(range_class="long", k=3, nu=2.0, d=1), long_range),
+        )
+        for kwargs, want in cases:
+            rows = bounds.gate_cost_table(*args, **kwargs)
+            got = tuple(
+                (r.algorithm, r.expression, r.value, r.polylog_pending) for r in rows
+            )
+            assert got == want, kwargs
+
 
 class TestDivergenceDiagnostics:
     def test_heisenberg_window(self):

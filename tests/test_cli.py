@@ -15,7 +15,7 @@ from mpfkit.commutators import nested_commutator_sum
 from mpfkit.hamiltonians import heisenberg_chain, spec_to_document
 from mpfkit.mpf import build_mpf
 from mpfkit.pauli import PauliSum
-from mpfkit.trotter import build_plan
+from mpfkit.trotter import TrotterEvaluator
 
 
 def run(tmp_path, *argv):
@@ -55,6 +55,12 @@ class TestConfigResolution:
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({"bogus_key": 3}))
         assert run(tmp_path, "cost", "--config", str(cfg_file)) == 2
+
+    def test_seed_is_not_a_config_key(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"seed": 0}))
+        assert run(tmp_path, "cost", "--config", str(cfg_file)) == 2
+        assert "unknown config keys: seed" in capsys.readouterr().err
 
     def test_malformed_config_file(self, tmp_path):
         cfg_file = tmp_path / "run.json"
@@ -290,6 +296,12 @@ class TestCost:
             64, 128, 256, 512, 1024,
         ]
 
+    def test_short_window_note_names_the_window(self, tmp_path):
+        # 4 sites are inside the site cap; qmax 2 leaves one order, not two
+        assert run(tmp_path, "cost", "--qmax", "2") == 0
+        note = load(tmp_path, "cost_report.json")["divergence"]["note"]
+        assert note == "the window 2..qmax holds fewer than two orders"
+
     def test_odd_base_order_rejected(self, tmp_path):
         assert run(tmp_path, "cost", "--p", "3") == 2
 
@@ -425,11 +437,49 @@ class TestOneAlphaTable:
         spec = heisenberg_chain(17)
         p0 = truncation_order(cfg.n_sites, cfg.eps)
         assert cfg.p < p0 <= cfg.q_max
-        rows = cli._step_bound_rows(
-            cfg, spec, build_plan(spec.n_groups, 2), build_mpf(2), p0, None
-        )
+        blocked = cli._dense_blocker(cfg, p0, None)
+        rows = cli._step_bound_rows(cfg, spec, None, build_mpf(2), p0, None, blocked)
         assert [row["status"] for row in rows] == ["untestable"]
         assert "site cap" in rows[0]["note"]
+
+
+class TestOneEvaluatorAndPhiTable:
+    @pytest.mark.parametrize(
+        "argv, builds",
+        [
+            (("verify-order", "--n-sites", "5", "--J", "3"), 1),
+            (("verify-bounds", "--n-sites", "5", "--eps", "0.5"), 1),
+            # p0 = 10 exceeds qmax = 5: both dense checks are untestable
+            (("verify-bounds",), 0),
+        ],
+        ids=["verify-order", "verify-bounds", "verify-bounds-default"],
+    )
+    def test_dense_evaluator_built_at_most_once(
+        self, tmp_path, monkeypatch, argv, builds
+    ):
+        calls = []
+        init = TrotterEvaluator.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TrotterEvaluator, "__init__", counting)
+        assert run(tmp_path, *argv) == 0
+        assert len(calls) == builds
+
+    def test_verify_bounds_builds_one_phi_table(self, tmp_path, monkeypatch):
+        # p0 = 4 <= qmax = 5: the phi rows and the truncation check share it
+        orders = []
+        compute_phi = bch.compute_phi
+
+        def counting(plan, spec, q):
+            orders.append(q)
+            return compute_phi(plan, spec, q)
+
+        monkeypatch.setattr(bch, "compute_phi", counting)
+        assert run(tmp_path, "verify-bounds", "--n-sites", "5", "--eps", "0.5") == 0
+        assert orders == [2, 3, 4, 5]
 
 
 class TestReproducibility:

@@ -18,7 +18,12 @@ from mpfkit.mpf import (
     solve_coefficients,
     vandermonde_residuals,
 )
-from mpfkit.trotter import build_plan, geometric_grid, loglog_slope
+from mpfkit.trotter import (
+    TrotterEvaluator,
+    build_plan,
+    geometric_grid,
+    loglog_slope,
+)
 
 
 class TestCoefficients:
@@ -104,7 +109,7 @@ class TestEvaluation:
     def test_single_term_equals_base_formula(self):
         spec = heisenberg_chain(3, field=0.5)
         plan = build_plan(spec.n_groups, 2)
-        ev = MPFEvaluator(build_mpf(1), plan, spec)
+        ev = MPFEvaluator(build_mpf(1), TrotterEvaluator(spec, plan))
         m = ev.step(0.2)
         base = ev._trotter.formula_unitary(0.2)
         assert np.allclose(m, base, atol=1e-15)
@@ -112,7 +117,7 @@ class TestEvaluation:
     def test_commuting_groups_reproduce_exact_propagator(self):
         spec = commuting_two_group_spec()
         plan = build_plan(2, 2)
-        ev = MPFEvaluator(build_mpf(2), plan, spec)
+        ev = MPFEvaluator(build_mpf(2), TrotterEvaluator(spec, plan))
         for tau in (0.1, 0.7, 2.3):
             assert np.allclose(ev.step(tau), ev.exact_unitary(tau), atol=1e-12)
 
@@ -122,7 +127,7 @@ class TestEvaluation:
         plan = build_plan(spec.n_groups, 2)
         for j in (1, 2, 3):
             mpf = build_mpf(j)
-            ev = MPFEvaluator(mpf, plan, spec)
+            ev = MPFEvaluator(mpf, TrotterEvaluator(spec, plan))
             for tau in rng.uniform(0.01, 2.0, size=4):
                 assert dense.spectral_norm(ev.step(tau)) <= mpf.norm_c_1 + 1e-10
 
@@ -134,35 +139,47 @@ class TestEvaluation:
         rescaled = make_mpf_spec(
             mpf.k_values, [c / total for c in mpf.c_values]
         )
-        a = MPFEvaluator(mpf, plan, spec).step(0.3)
-        b = MPFEvaluator(rescaled, plan, spec).step(0.3)
+        a = MPFEvaluator(mpf, TrotterEvaluator(spec, plan)).step(0.3)
+        b = MPFEvaluator(rescaled, TrotterEvaluator(spec, plan)).step(0.3)
         assert np.allclose(a, b, atol=1e-14)
 
     def test_error_vanishes_at_zero_time(self):
         spec = heisenberg_chain(3, field=0.5)
         plan = build_plan(spec.n_groups, 2)
-        assert MPFEvaluator(build_mpf(2), plan, spec).error(0.0) == pytest.approx(
-            0.0, abs=1e-14
-        )
+        ev = MPFEvaluator(build_mpf(2), TrotterEvaluator(spec, plan))
+        assert ev.error(0.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_two_terms_beat_one_at_small_step(self):
         spec = heisenberg_chain(4, field=0.8)
         plan = build_plan(spec.n_groups, 2)
-        e1 = MPFEvaluator(build_mpf(1), plan, spec).error(0.05)
-        e2 = MPFEvaluator(build_mpf(2), plan, spec).error(0.05)
+        e1 = MPFEvaluator(build_mpf(1), TrotterEvaluator(spec, plan)).error(0.05)
+        e2 = MPFEvaluator(build_mpf(2), TrotterEvaluator(spec, plan)).error(0.05)
         assert e2 < e1
 
     def test_asymmetric_plan_rejected(self):
         spec = heisenberg_chain(3, field=0.5)
         with pytest.raises(ValueError):
-            MPFEvaluator(build_mpf(2), build_plan(spec.n_groups, 1), spec)
+            MPFEvaluator(
+                build_mpf(2), TrotterEvaluator(spec, build_plan(spec.n_groups, 1))
+            )
 
     def test_plan_order_must_match_base_order(self):
         spec = heisenberg_chain(3, field=0.5)
         with pytest.raises(ValueError):
             MPFEvaluator(
-                build_mpf(2, base_order=4), build_plan(spec.n_groups, 2), spec
+                build_mpf(2, base_order=4),
+                TrotterEvaluator(spec, build_plan(spec.n_groups, 2)),
             )
+
+    def test_shared_trotter_evaluator_gives_the_same_errors(self):
+        spec = heisenberg_chain(4, field=0.8)
+        plan = build_plan(spec.n_groups, 2)
+        shared = TrotterEvaluator(spec, plan)
+        for j in (1, 2, 3):
+            mspec = build_mpf(j)
+            for tau in (0.05, 0.2):
+                fresh = MPFEvaluator(mspec, TrotterEvaluator(spec, plan))
+                assert MPFEvaluator(mspec, shared).error(tau) == fresh.error(tau)
 
 
 class TestOrderCondition:
@@ -171,7 +188,7 @@ class TestOrderCondition:
         plan = build_plan(spec.n_groups, 2)
         taus = geometric_grid(0.01, 0.3, 12)
         for j in (1, 2, 3):
-            ev = MPFEvaluator(build_mpf(j), plan, spec)
+            ev = MPFEvaluator(build_mpf(j), TrotterEvaluator(spec, plan))
             slope, used = loglog_slope(taus, ev.error_sweep(taus))
             assert used >= 3
             assert slope >= 2 * j + 0.8
@@ -183,7 +200,8 @@ class TestOrderCondition:
         plan = build_plan(spec.n_groups, 2)
         loose = make_mpf_spec((1, 2), (0.5, 0.5), residual_tol=None)
         taus = geometric_grid(0.02, 0.3, 10)
-        slope, _ = loglog_slope(taus, MPFEvaluator(loose, plan, spec).error_sweep(taus))
+        ev = MPFEvaluator(loose, TrotterEvaluator(spec, plan))
+        slope, _ = loglog_slope(taus, ev.error_sweep(taus))
         assert slope < 3.5
 
 
@@ -192,7 +210,7 @@ class TestLongTime:
         spec = heisenberg_chain(3, field=0.5)
         plan = build_plan(spec.n_groups, 2)
         mpf = build_mpf(2)
-        ev = MPFEvaluator(mpf, plan, spec)
+        ev = MPFEvaluator(mpf, TrotterEvaluator(spec, plan))
         a = ev.long_time_error(0.4, 1)
         b = ev.error(0.4)
         assert a == pytest.approx(b, rel=1e-12)
@@ -200,14 +218,14 @@ class TestLongTime:
     def test_more_steps_reduce_error(self):
         spec = heisenberg_chain(3, field=0.7)
         plan = build_plan(spec.n_groups, 2)
-        ev = MPFEvaluator(build_mpf(2), plan, spec)
+        ev = MPFEvaluator(build_mpf(2), TrotterEvaluator(spec, plan))
         errs = [ev.long_time_error(1.0, r) for r in (2, 4, 8, 16)]
         assert all(a > b for a, b in zip(errs, errs[1:]))
 
     def test_extrapolated_error_is_step_count_multiple(self):
         spec = heisenberg_chain(3, field=0.5)
         plan = build_plan(spec.n_groups, 2)
-        ev = MPFEvaluator(build_mpf(2), plan, spec)
+        ev = MPFEvaluator(build_mpf(2), TrotterEvaluator(spec, plan))
         assert ev.extrapolated_error(0.1, 7) == pytest.approx(
             7 * ev.error(0.1), rel=1e-12
         )
