@@ -14,9 +14,12 @@ permutation average
                       [A_{sigma(1)}, [A_{sigma(2)}, ... A_{sigma(q)}]]
 
 where ``d_sigma`` counts adjacent descents, times an overall ``(-i)^{q-1}``.
-Permutation weights are aggregated as exact fractions per argument sequence,
-so sequences whose weights cancel exactly are never evaluated; the surviving
-nested commutators are shared along common suffixes.
+Permutation weights are summed as exact fractions once per group word (the
+group labels a composition spells out), so sequences whose weights cancel
+exactly are never evaluated; the surviving nested commutators are shared
+along common suffixes.  Order q visits C(q+V-1, V-1) compositions of the V
+merged stages but at most n_groups^q words, and :func:`compute_phi_range`
+refuses tables over ``DEFAULT_COMPOSITION_BUDGET`` compositions.
 
 Orders ``q <= p`` vanish for an order-p plan, every ``Phi_q`` is Hermitian,
 and the series truncated at order p0 reproduces the step unitary to
@@ -41,6 +44,7 @@ from .pauli import PauliSum
 from .trotter import ProductFormulaPlan, TrotterEvaluator, loglog_slope
 
 __all__ = [
+    "DEFAULT_COMPOSITION_BUDGET",
     "compute_phi",
     "compute_phi_range",
     "phi_norm_bound",
@@ -56,6 +60,8 @@ __all__ = [
     "oracle_phi_from_logs",
 ]
 
+DEFAULT_COMPOSITION_BUDGET = 10**6
+
 
 @lru_cache(maxsize=16)
 def _perm_weights(q: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
@@ -67,13 +73,19 @@ def _perm_weights(q: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
     return tuple(out)
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _compositions(
+    total: int, parts: int, start: int = 0
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Compositions of ``total`` >= 1 over slots ``start..parts-1``.
+
+    Each is given as its nonzero ``(slot, part)`` pairs, in lexicographic order
+    of the full part tuples, the order that fixes :func:`compute_phi`'s sums.
+    """
+    for v in range(parts - 1, start - 1, -1):
+        for k in range(1, total):
+            for rest in _compositions(total - k, parts, v + 1):
+                yield ((v, k),) + rest
+        yield ((v, total),)
 
 
 def compute_phi(
@@ -84,34 +96,36 @@ def compute_phi(
     """The order-q coefficient of the effective-generator series.
 
     ``q = 1`` returns the Hamiltonian itself (the stage fractions sum to one
-    per group).  Cost grows roughly as ``V^q`` nested commutators with V the
-    merged stage count, so keep q at desk scale (<= 6 or so).
+    per group).  The sum visits C(q+V-1, V-1) compositions, with V the merged
+    stage count, and sums exact permutation weights for each of at most
+    n_groups^q distinct words.  No budget is checked here; see
+    :func:`compute_phi_range`.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     if plan.n_groups != spec.n_groups:
         raise ValueError("plan and spec disagree on the group count")
     slots = plan.merged_stages()[::-1]  # leftmost product factor first
-    v_count = len(slots)
     group_of = [g for g, _ in slots]
     alpha_of = [a for _, a in slots]
 
-    # aggregate the exact permutation weights per group sequence
+    # sum the exact permutation weights once per group word
+    words: dict[tuple[int, ...], list[tuple[tuple[int, ...], float]]] = {}
     agg: dict[tuple[int, ...], float] = {}
-    for comp in _compositions(q, v_count):
+    for comp in _compositions(q, len(slots)):
         comp_factor = 1.0
-        positions: list[int] = []
-        for v, q_v in enumerate(comp):
-            if q_v:
-                comp_factor *= alpha_of[v] ** q_v / math.factorial(q_v)
-                positions.extend([group_of[v]] * q_v)
-        local: dict[tuple[int, ...], Fraction] = {}
-        for sigma, w in _perm_weights(q):
-            key = tuple(positions[i] for i in sigma)
-            local[key] = local.get(key, Fraction(0)) + w
-        for key, fr in local.items():
-            if fr:
-                agg[key] = agg.get(key, 0.0) + float(fr) * comp_factor
+        word: tuple[int, ...] = ()
+        for v, q_v in comp:
+            comp_factor *= alpha_of[v] ** q_v / math.factorial(q_v)
+            word += (group_of[v],) * q_v
+        if word not in words:
+            local: dict[tuple[int, ...], Fraction] = {}
+            for sigma, w in _perm_weights(q):
+                key = tuple(word[i] for i in sigma)
+                local[key] = local.get(key, Fraction(0)) + w
+            words[word] = [(key, float(fr)) for key, fr in local.items() if fr]
+        for key, f in words[word]:
+            agg[key] = agg.get(key, 0.0) + f * comp_factor
 
     # evaluate the surviving nested commutators, sharing common suffixes
     acc: dict[tuple[int, int], complex] = {}
@@ -146,7 +160,17 @@ def compute_phi_range(
     spec: HamiltonianSpec,
     q_max: int,
 ) -> dict[int, PauliSum]:
-    """The table Phi_2..Phi_qmax, keyed by order."""
+    """The table Phi_2..Phi_qmax, keyed by order.
+
+    Refused before any work over ``DEFAULT_COMPOSITION_BUDGET`` compositions.
+    """
+    v_count = len(plan.merged_stages())
+    count = sum(math.comb(q + v_count - 1, q) for q in range(2, q_max + 1))
+    if count > DEFAULT_COMPOSITION_BUDGET:
+        raise ValueError(
+            f"Phi_2..Phi_{q_max} sum over {count} compositions, over the "
+            f"budget {DEFAULT_COMPOSITION_BUDGET}; lower q_max or the plan order"
+        )
     return {q: compute_phi(plan, spec, q) for q in range(2, q_max + 1)}
 
 

@@ -597,7 +597,9 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
     plan = _configured(build_plan, spec.n_groups, cfg.p)
     p0 = _configured(truncation_order, cfg.n_sites, cfg.eps)
     alphas = _alpha_table(cfg, spec)
-    phis = None if alphas is None else compute_phi_range(plan, spec, cfg.q_max)
+    phis = None
+    if alphas is not None:
+        phis = _configured(compute_phi_range, plan, spec, cfg.q_max)
     # the truncation check and the step bound share one dense evaluator
     blocked = _dense_blocker(cfg, p0, alphas)
     evaluator = None if blocked else TrotterEvaluator(spec, plan, cfg.dense_cap)
@@ -821,7 +823,7 @@ def cmd_phi(cfg: ExperimentConfig) -> int:
     plan = _configured(build_plan, spec.n_groups, cfg.p)
     mode = _enumeration_mode(cfg)
     alphas = _alpha_table(cfg, spec)
-    phis = compute_phi_range(plan, spec, cfg.q_max)
+    phis = _configured(compute_phi_range, plan, spec, cfg.q_max)
     rows = []
     violated = False
     for q in range(2, cfg.q_max + 1):

@@ -1,9 +1,14 @@
 """Effective-generator coefficients: conventions, vanishing, bounds, oracle."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mpfkit import dense
+from mpfkit import bch, dense
 from mpfkit.bch import (
     check_truncated_generator,
     compute_phi,
@@ -17,6 +22,7 @@ from mpfkit.bch import (
     truncated_step_unitary,
     truncation_defect,
 )
+from mpfkit.bch import _compositions, _perm_weights
 from mpfkit.commutators import nested_commutator_sum
 from mpfkit.hamiltonians import heisenberg_chain, make_spec
 from mpfkit.pauli import PauliSum, PauliTerm
@@ -196,3 +202,212 @@ class TestTruncatedGenerator:
         assert check.margin > 0
         assert check.slope is not None
         assert check.slope >= 4.8
+
+
+# -- word-level weight aggregation against the per-composition oracle -------
+
+
+def recursive_compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in recursive_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def fraction_oracle_phi(plan, spec, q):
+    """compute_phi with the exact permutation weights summed per composition."""
+    slots = plan.merged_stages()[::-1]  # leftmost product factor first
+    v_count = len(slots)
+    group_of = [g for g, _ in slots]
+    alpha_of = [a for _, a in slots]
+
+    # aggregate the exact permutation weights per group sequence
+    agg: dict[tuple[int, ...], float] = {}
+    for comp in recursive_compositions(q, v_count):
+        comp_factor = 1.0
+        positions: list[int] = []
+        for v, q_v in enumerate(comp):
+            if q_v:
+                comp_factor *= alpha_of[v] ** q_v / math.factorial(q_v)
+                positions.extend([group_of[v]] * q_v)
+        local: dict[tuple[int, ...], Fraction] = {}
+        for sigma, w in _perm_weights(q):
+            key = tuple(positions[i] for i in sigma)
+            local[key] = local.get(key, Fraction(0)) + w
+        for key, fr in local.items():
+            if fr:
+                agg[key] = agg.get(key, 0.0) + float(fr) * comp_factor
+
+    # evaluate the surviving nested commutators, sharing common suffixes
+    acc: dict[tuple[int, int], complex] = {}
+    stack: list[PauliSum | None] = [None] * q
+    prev: tuple[int, ...] | None = None
+    for seq in sorted(agg, key=lambda s: s[::-1]):
+        weight = agg[seq]
+        if abs(weight) < 1e-300:
+            continue
+        if prev is None:
+            start = q - 1
+        else:
+            l = q
+            while l > 0 and prev[l - 1] == seq[l - 1]:
+                l -= 1
+            start = l - 1
+        for j in range(start, -1, -1):
+            h = spec.group_sum(seq[j])
+            stack[j] = h if j == q - 1 else h.commutator(stack[j + 1])
+        prev = seq
+        nest = stack[0]
+        if nest:
+            for key, c in nest.items():
+                acc[key] = acc.get(key, 0.0) + weight * c
+
+    overall = (-1j) ** (q - 1) / (q * q)
+    return PauliSum(spec.n_sites, {k: overall * c for k, c in acc.items()})
+
+
+@st.composite
+def three_site_specs(draw):
+    """Bond and field terms on three sites, split into one to three groups."""
+    n_groups = draw(st.integers(1, 3))
+    value = st.floats(-2.0, 2.0).filter(lambda c: abs(c) >= 1e-3)
+    terms = []
+    for bond in range(2):
+        for pauli in "XYZ":
+            label = "".join(pauli if i in (bond, bond + 1) else "I" for i in range(3))
+            term = PauliTerm.from_label(label, draw(value))
+            terms.append((term, min(bond + 1, n_groups)))
+    if n_groups == 3 or draw(st.booleans()):
+        for site in range(3):
+            label = "".join("Z" if i == site else "I" for i in range(3))
+            terms.append((PauliTerm.from_label(label, draw(value)), n_groups))
+    return make_spec(3, terms)
+
+
+# compute_phi(build_plan(3, p), heisenberg_chain(3, field=0.4), q) keyed by
+# (p, q), as the per-composition Fraction aggregation computed it
+FROZEN_PHI_THREE_SITES = {
+    (1, 1): {
+        (3, 0): 1.0, (3, 3): 1.0, (0, 3): 1.0, (6, 0): 1.0, (6, 6): 1.0, (0, 6): 1.0,
+        (0, 1): 0.4, (0, 2): 0.4, (0, 4): 0.4,
+    },
+    (1, 2): {
+        (5, 3): 1.0, (6, 3): -1.0, (5, 6): -1.0, (6, 5): 1.0, (3, 6): 1.0, (3, 5): -1.0,
+    },
+    (1, 3): {
+        (6, 6): -0.6666666666666666, (5, 5): 1.3333333333333333,
+        (0, 6): -0.6666666666666666, (0, 5): 1.3333333333333333,
+        (6, 0): -0.6666666666666666, (5, 0): 1.3333333333333333,
+        (3, 3): -0.6666666666666666, (0, 3): -0.6666666666666666,
+        (3, 0): -0.6666666666666666,
+    },
+    (1, 4): {
+        (3, 5): 0.6666666666666666, (6, 5): -0.6666666666666666,
+        (6, 3): 0.6666666666666666, (3, 6): -0.6666666666666666,
+        (5, 3): -0.6666666666666666, (5, 6): 0.6666666666666666,
+    },
+    (1, 5): {},
+    (2, 1): {
+        (3, 0): 1.0, (3, 3): 1.0, (0, 3): 1.0, (6, 0): 1.0, (6, 6): 1.0, (0, 6): 1.0,
+        (0, 1): 0.4, (0, 2): 0.4, (0, 4): 0.4,
+    },
+    (2, 2): {},
+    (2, 3): {
+        (6, 6): 0.3333333333333333, (5, 5): 0.3333333333333333,
+        (0, 6): 0.3333333333333333, (0, 5): 0.3333333333333333,
+        (6, 0): 0.3333333333333333, (5, 0): 0.3333333333333333,
+        (3, 3): -0.6666666666666666, (0, 3): -0.6666666666666666,
+        (3, 0): -0.6666666666666666,
+    },
+    (2, 4): {},
+    (2, 5): {
+        (6, 6): -0.3333333333333334, (5, 5): 0.33333333333333337,
+        (0, 6): -0.3333333333333334, (0, 5): 0.33333333333333337,
+        (6, 0): -0.3333333333333334, (5, 0): 0.33333333333333337,
+    },
+    (4, 1): {
+        (3, 0): 1.0, (3, 3): 1.0, (0, 3): 1.0, (6, 0): 1.0, (6, 6): 1.0, (0, 6): 1.0,
+        (0, 1): 0.4, (0, 2): 0.4, (0, 4): 0.4,
+    },
+    (4, 2): {},
+    (4, 3): {},
+    (4, 4): {},
+    (4, 5): {
+        (6, 6): -0.007683536370017126, (5, 5): -0.024791998465442822,
+        (0, 6): -0.007683536370017126, (0, 5): -0.024791998465442822,
+        (6, 0): -0.007683536370017126, (5, 0): -0.024791998465442822,
+        (3, 3): 0.03247553483545995, (0, 3): 0.03247553483545995,
+        (3, 0): 0.03247553483545995,
+    },
+}
+
+# Phi_5 of the fourth-order plan on heisenberg_chain(4, field=0.0), the
+# coefficient the `series` benchmark workload spends its time on
+FROZEN_PHI_SERIES = {
+    (6, 6): -0.11502694026256755, (5, 5): -0.03966719754470554,
+    (9, 6): 0.06495106967091624, (5, 10): -0.06495106967091616,
+    (0, 6): -0.11502694026256755, (0, 5): -0.03966719754470554,
+    (15, 6): 0.06495106967091624, (15, 10): -0.06495106967091616,
+    (15, 5): -0.06495106967091616, (15, 9): 0.06495106967091624,
+    (10, 5): -0.06495106967091616, (6, 9): 0.06495106967091624,
+    (10, 10): -0.03966719754470554, (0, 10): -0.03966719754470554,
+    (0, 9): -0.014875199079264956, (9, 9): -0.014875199079264956,
+    (6, 0): -0.11502694026256755, (5, 0): -0.03966719754470554,
+    (9, 15): 0.06495106967091624, (5, 15): -0.06495106967091616,
+    (10, 15): -0.06495106967091616, (6, 15): 0.06495106967091624,
+    (10, 0): -0.03966719754470554, (9, 0): -0.014875199079264956,
+    (3, 3): 0.10461826721562177, (0, 3): 0.10461826721562177,
+    (12, 12): 0.10461826721562177, (0, 12): 0.10461826721562177,
+    (3, 0): 0.10461826721562177, (12, 0): 0.10461826721562177,
+}
+
+
+class TestWordAggregation:
+    @settings(max_examples=30, deadline=None)
+    @given(spec=three_site_specs(), p=st.sampled_from([1, 2, 4]), q=st.integers(1, 5))
+    @example(spec=heisenberg_chain(3, coupling=-0.9, field=0.0), p=4, q=5)
+    @example(spec=heisenberg_chain(3, coupling=1.3, field=0.7), p=4, q=4)
+    def test_matches_the_fraction_oracle(self, spec, p, q):
+        if spec.n_groups == 3 and p == 4:
+            q = min(q, 4)
+        plan = build_plan(spec.n_groups, p)
+        mine = dict(compute_phi(plan, spec, q).items())
+        assert mine == dict(fraction_oracle_phi(plan, spec, q).items())
+
+    def test_enumeration_order_matches_the_recursive_generator(self):
+        for parts in range(1, 13):
+            for total in range(1, 7):
+                dense_parts = []
+                for comp in _compositions(total, parts):
+                    full = [0] * parts
+                    for v, q_v in comp:
+                        full[v] = q_v
+                    dense_parts.append(tuple(full))
+                assert dense_parts == list(recursive_compositions(total, parts))
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_three_site_coefficients_are_frozen(self, p):
+        spec = heisenberg_chain(3, field=0.4)
+        plan = build_plan(spec.n_groups, p)
+        for q in range(1, 6):
+            phi = dict(compute_phi(plan, spec, q).items())
+            assert phi == FROZEN_PHI_THREE_SITES[(p, q)], q
+
+    def test_series_coefficient_is_frozen(self):
+        spec = heisenberg_chain(4, field=0.0)
+        plan = build_plan(spec.n_groups, 4)
+        assert dict(compute_phi(plan, spec, 5).items()) == FROZEN_PHI_SERIES
+
+
+class TestCompositionBudget:
+    def test_checked_before_any_coefficient(self, monkeypatch):
+        # two merged stages: C(3, 2) + C(4, 3) = 7 compositions for q = 2, 3
+        plan = build_plan(2, 1)
+        monkeypatch.setattr(bch, "DEFAULT_COMPOSITION_BUDGET", 7)
+        assert sorted(compute_phi_range(plan, toy_spec(), 3)) == [2, 3]
+        monkeypatch.setattr(bch, "DEFAULT_COMPOSITION_BUDGET", 6)
+        monkeypatch.setattr(bch, "compute_phi", None)
+        with pytest.raises(ValueError, match="7 compositions, over the budget 6"):
+            compute_phi_range(plan, toy_spec(), 3)

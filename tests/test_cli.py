@@ -482,6 +482,33 @@ class TestOneEvaluatorAndPhiTable:
         assert orders == [2, 3, 4, 5]
 
 
+class TestCompositionBudget:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify-bounds", "--n-sites", "5", "--p", "6", "--qmax", "4"),
+            ("phi", "--p", "6", "--qmax", "4"),
+        ],
+        ids=["verify-bounds", "phi"],
+    )
+    def test_over_budget_refused_before_any_series(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        # three groups at p = 6 merge into 101 stages: C(102, 2) + C(103, 3)
+        # + C(104, 4) compositions for Phi_2..Phi_4
+        calls = []
+
+        def refused(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a series coefficient was computed")
+
+        monkeypatch.setattr(bch, "compute_phi", refused)
+        assert run(tmp_path, *argv) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert "4780128 compositions, over the budget 1000000" in err
+
+
 class TestReproducibility:
     def test_rerun_is_byte_identical(self, tmp_path):
         argv = ["verify-bounds", "--eps", "0.25"]
