@@ -18,8 +18,9 @@ Permutation weights are summed as exact fractions once per group word (the
 group labels a composition spells out), so sequences whose weights cancel
 exactly are never evaluated; the surviving nested commutators are shared
 along common suffixes.  Order q visits C(q+V-1, V-1) compositions of the V
-merged stages but at most n_groups^q words, and :func:`compute_phi_range`
-refuses tables over ``DEFAULT_COMPOSITION_BUDGET`` compositions.
+merged stages but at most n_groups^q words, and
+:func:`check_composition_budget` refuses tables over
+``DEFAULT_COMPOSITION_BUDGET`` compositions.
 
 Orders ``q <= p`` vanish for an order-p plan, every ``Phi_q`` is Hermitian,
 and the series truncated at order p0 reproduces the step unitary to
@@ -45,6 +46,7 @@ from .trotter import ProductFormulaPlan, TrotterEvaluator, loglog_slope
 
 __all__ = [
     "DEFAULT_COMPOSITION_BUDGET",
+    "check_composition_budget",
     "compute_phi",
     "compute_phi_range",
     "phi_norm_bound",
@@ -155,14 +157,11 @@ def compute_phi(
     return PauliSum(spec.n_sites, {k: overall * c for k, c in acc.items()})
 
 
-def compute_phi_range(
-    plan: ProductFormulaPlan,
-    spec: HamiltonianSpec,
-    q_max: int,
-) -> dict[int, PauliSum]:
-    """The table Phi_2..Phi_qmax, keyed by order.
+def check_composition_budget(plan: ProductFormulaPlan, q_max: int) -> None:
+    """Refuse a table Phi_2..Phi_qmax over ``DEFAULT_COMPOSITION_BUDGET``.
 
-    Refused before any work over ``DEFAULT_COMPOSITION_BUDGET`` compositions.
+    Order q visits C(q+V-1, q) compositions of the V merged stages.  Callers
+    that do other expensive work before the series check this first.
     """
     v_count = len(plan.merged_stages())
     count = sum(math.comb(q + v_count - 1, q) for q in range(2, q_max + 1))
@@ -171,6 +170,18 @@ def compute_phi_range(
             f"Phi_2..Phi_{q_max} sum over {count} compositions, over the "
             f"budget {DEFAULT_COMPOSITION_BUDGET}; lower q_max or the plan order"
         )
+
+
+def compute_phi_range(
+    plan: ProductFormulaPlan,
+    spec: HamiltonianSpec,
+    q_max: int,
+) -> dict[int, PauliSum]:
+    """The table Phi_2..Phi_qmax, keyed by order.
+
+    Refused before any work by :func:`check_composition_budget`.
+    """
+    check_composition_budget(plan, q_max)
     return {q: compute_phi(plan, spec, q) for q in range(2, q_max + 1)}
 
 

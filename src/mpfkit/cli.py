@@ -21,7 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .bch import check_truncated_generator, compute_phi_range, phi_report
+from .bch import (
+    check_composition_budget,
+    check_truncated_generator,
+    compute_phi_range,
+    phi_report,
+)
 from .bounds import (
     admissibility_chain,
     bch_time_condition,
@@ -596,6 +601,9 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     plan = _configured(build_plan, spec.n_groups, cfg.p)
     p0 = _configured(truncation_order, cfg.n_sites, cfg.eps)
+    if cfg.n_sites <= ENUMERATION_SITE_CAP:
+        # refuse an over-budget series before the alpha enumeration
+        _configured(check_composition_budget, plan, cfg.q_max)
     alphas = _alpha_table(cfg, spec)
     phis = None
     if alphas is not None:
@@ -822,6 +830,7 @@ def cmd_phi(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     plan = _configured(build_plan, spec.n_groups, cfg.p)
     mode = _enumeration_mode(cfg)
+    _configured(check_composition_budget, plan, cfg.q_max)
     alphas = _alpha_table(cfg, spec)
     phis = _configured(compute_phi_range, plan, spec, cfg.q_max)
     rows = []

@@ -508,6 +508,31 @@ class TestCompositionBudget:
         err = capsys.readouterr().err
         assert "4780128 compositions, over the budget 1000000" in err
 
+    @pytest.mark.parametrize("command", ["verify-bounds", "phi"])
+    def test_over_budget_refused_before_the_alpha_table(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        # at 10 sites the exact alpha table alone takes about a minute
+        calls = []
+
+        def refused(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("the alpha table was enumerated")
+
+        monkeypatch.setattr(cli, "commutator_sums", refused)
+        argv = (command, "--n-sites", "10", "--p", "6", "--qmax", "4")
+        assert run(tmp_path, *argv) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert "4780128 compositions, over the budget 1000000" in err
+
+
+    def test_tuple_budget_still_refuses_first(self, tmp_path, capsys):
+        # 3^13 tuples exceed the tuple budget; the p = 2 plan's compositions
+        # are within theirs
+        assert run(tmp_path, "phi", "--qmax", "13") == 2
+        assert "3^13 tuples exceed the budget 1000000" in capsys.readouterr().err
+
 
 class TestReproducibility:
     def test_rerun_is_byte_identical(self, tmp_path):

@@ -1,10 +1,14 @@
-"""Dense backend: Kronecker builds, exact exponentials, norms, matrix logs."""
+"""Dense backend: signed-permutation builds against the Kronecker oracle,
+exact exponentials, norms, matrix logs and the Pauli decomposition."""
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mpfkit import dense
+from mpfkit.hamiltonians import heisenberg_chain
 from mpfkit.pauli import PauliSum, PauliTerm
 
 MATS = {
@@ -13,6 +17,7 @@ MATS = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+SITE_MATS = {(0, 0): MATS["I"], (1, 0): MATS["X"], (0, 1): MATS["Z"], (1, 1): MATS["Y"]}
 
 
 def label_matrix(label: str) -> np.ndarray:
@@ -20,6 +25,91 @@ def label_matrix(label: str) -> np.ndarray:
     for ch in label:
         out = np.kron(out, MATS[ch])
     return out
+
+
+def kron_oracle(s: PauliSum) -> np.ndarray:
+    """The Kronecker-product build, one n-fold product per string."""
+    dim = 1 << s.n_sites
+    out = np.zeros((dim, dim), dtype=complex)
+    for (x, z), c in s.items():
+        m = np.eye(1, dtype=complex)
+        for j in range(s.n_sites):
+            m = np.kron(m, SITE_MATS[((x >> j) & 1, (z >> j) & 1)])
+        out += c * m
+    return out
+
+
+def basis_loop_decompose(mat: np.ndarray, n_sites: int, tol: float = 1e-12) -> PauliSum:
+    """``tr(P mat) / 2^n`` from one dense build and matmul per basis string."""
+    dim = 1 << n_sites
+    acc: dict[tuple[int, int], complex] = {}
+    for x in range(dim):
+        for z in range(dim):
+            p = kron_oracle(PauliSum(n_sites, {(x, z): 1.0}))
+            c = np.trace(p @ mat) / dim
+            if abs(c) > tol:
+                acc[(x, z)] = c
+    return PauliSum(n_sites, acc)
+
+
+def heisenberg_nest(n_sites: int) -> PauliSum:
+    """[H_odd, [H_even, [H_odd, H_even]]] of a Heisenberg chain."""
+    even, odd = heisenberg_chain(n_sites, coupling=0.7).group_sums
+    return odd.commutator(even.commutator(odd.commutator(even)))
+
+
+# one site: the nest [X + Y + Z, [X, 0.3 Z]] of the single-site spin letters
+ONE_SITE_NEST = PauliSum.from_terms(
+    [PauliTerm.from_label(l) for l in "XYZ"]
+).commutator(PauliSum.from_label("X").commutator(PauliSum.from_label("Z", 0.3)))
+
+# three strings on one permuted diagonal whose float sum depends on the order
+# they are added in: (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+ORDER_SENSITIVE = PauliSum(3, {(0, 0): 0.1, (0, 1): 0.2, (0, 2): 0.3})
+
+_COEFFS = st.one_of(
+    st.floats(-2.0, 2.0).map(complex),
+    st.floats(-2.0, 2.0).map(lambda v: complex(0.0, v)),
+    st.floats(-2.0, 0.0).map(complex),
+    st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+)
+
+
+@st.composite
+def pauli_sums(draw, max_sites: int = 8) -> PauliSum:
+    """Sums of 0-12 strings on 1..max_sites sites.
+
+    The x-masks come from a pool of at most three, so strings often share a
+    permuted diagonal; z is often x itself (a Y on every flipped site) or 0,
+    and the identity string is always available.
+    """
+    n = draw(st.integers(1, max_sites))
+    top = (1 << n) - 1
+    pool = draw(st.lists(st.integers(0, top), min_size=1, max_size=3))
+    data: dict[tuple[int, int], complex] = {}
+    for _ in range(draw(st.integers(0, 12))):
+        x = draw(st.one_of(st.sampled_from(pool), st.just(0)))
+        z = draw(st.one_of(st.integers(0, top), st.just(x), st.just(0)))
+        data[(x, z)] = draw(_COEFFS)
+    return PauliSum(n, data)
+
+
+class TestSignedPermutationBuild:
+    @settings(max_examples=200, deadline=None)
+    @given(s=pauli_sums())
+    @example(s=ONE_SITE_NEST)
+    @example(s=heisenberg_nest(8))
+    @example(s=ORDER_SENSITIVE)
+    @example(s=PauliSum(5))
+    @example(s=PauliSum.from_label("IIII", -1.5j))
+    def test_bitwise_equal_to_kron_oracle(self, s):
+        got = dense.from_pauli_sum(s)
+        assert got.dtype == complex and got.flags.c_contiguous
+        assert got.tobytes() == kron_oracle(s).tobytes()
+
+    def test_pinned_nests_are_nontrivial(self):
+        assert len(ONE_SITE_NEST) == 2
+        assert len(heisenberg_nest(8)) > 50
 
 
 def test_from_pauli_sum_matches_label_kron():
@@ -66,6 +156,20 @@ def test_expm_matches_scipy_on_random_hermitian():
 def test_expm_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         dense.expm_minus_i(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+
+@pytest.mark.parametrize("herm_tol", [1e-10, 1e-8])
+def test_defect_just_above_herm_tol_rejected(herm_tol):
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    h = (a + a.conj().T) / 2
+    skew = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    skew = (skew - skew.conj().T) / 2
+    # scale the anti-Hermitian part so the spectral defect is 1.01 herm_tol
+    skew *= 1.01 * herm_tol / np.linalg.norm(2 * skew, ord=2)
+    with pytest.raises(ValueError, match="Hermitian"):
+        dense.HermitianFactorization.of(h + skew, herm_tol)
+    dense.HermitianFactorization.of(h, herm_tol)
 
 
 def test_factorization_reuse_is_consistent():
@@ -131,6 +235,28 @@ def test_pauli_decompose_round_trip():
     for l, c in zip(labels, coeffs):
         assert back.coefficient(l) == pytest.approx(c, abs=1e-12)
     assert len(back) == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_sites=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    sparse=st.booleans(),
+)
+def test_pauli_decompose_matches_basis_loop(n_sites, seed, sparse):
+    rng = np.random.default_rng(seed)
+    dim = 1 << n_sites
+    if sparse:
+        keys = rng.integers(0, dim, size=(3, 2))
+        mat = dense.from_pauli_sum(
+            PauliSum(n_sites, {(int(x), int(z)): complex(*rng.normal(size=2)) for x, z in keys})
+        )
+    else:
+        mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    got = dict(dense.pauli_decompose(mat, n_sites).items())
+    want = dict(basis_loop_decompose(mat, n_sites).items())
+    assert list(got) == list(want)
+    assert all(abs(got[k] - want[k]) <= 1e-12 for k in want)
 
 
 def test_log_series_fit_recovers_polynomial_generator():
