@@ -59,7 +59,6 @@ __all__ = [
     "truncation_defect",
     "TruncationCheck",
     "check_truncated_generator",
-    "oracle_phi_from_logs",
 ]
 
 DEFAULT_COMPOSITION_BUDGET = 10**6
@@ -363,26 +362,3 @@ def check_truncated_generator(
         slope=slope,
         slope_points=n_used,
     )
-
-
-def oracle_phi_from_logs(
-    plan: ProductFormulaPlan,
-    spec: HamiltonianSpec,
-    max_order: int,
-    taus: np.ndarray,
-    cap: int = dense.DEFAULT_DENSE_CAP,
-) -> list[PauliSum]:
-    """Independent route to the series: polynomial fit of dense matrix logs.
-
-    Samples ``log T(tau)`` on the given grid, fits orders ``1..max_order``,
-    and converts ``C_q = -i Phi_q`` back to Hermitian Pauli sums.  Purely a
-    cross-check; agreement with :func:`compute_phi` pins the sign and
-    ordering conventions of the series.
-    """
-    ev = TrotterEvaluator(spec, plan, cap)
-    unitaries = [ev.formula_unitary(t) for t in taus]
-    mats = dense.log_series_fit(np.asarray(taus), unitaries, max_order)
-    out = []
-    for m in mats:
-        out.append(dense.pauli_decompose(1j * m, spec.n_sites, tol=1e-12))
-    return out

@@ -49,7 +49,7 @@ from .commutators import (
     mu_window_bound,
     power_commutator_bound,
 )
-from .dense import fit_line
+from .dense import fit_line, spectral_norm
 from .hamiltonians import (
     HamiltonianSpec,
     family_constants,
@@ -336,27 +336,44 @@ def cmd_verify_order(cfg: ExperimentConfig) -> int:
     taus = geometric_grid(cfg.tau_min, cfg.tau_max, cfg.tau_points)
 
     trotter = TrotterEvaluator(spec, plan, cfg.dense_cap)
-    trotter_errors = trotter.error_sweep(taus)
-    trotter_entry = _slope_entry(taus, trotter_errors, cfg.p + SLOPE_MARGIN)
-    trotter_entry["order"] = cfg.p
-
-    mpf_entries: list[dict] = []
-    mpf_columns: list[tuple[str, np.ndarray]] = []
+    mpf_specs: list[MPFSpec] = []
     if cfg.p % 2 == 0:
         if cfg.k_list is not None:
             mpf_specs = [build_mpf_spec(cfg, cfg.p)]
         else:
             mpf_specs = [build_mpf(j, cfg.p) for j in range(1, cfg.j_count + 1)]
-        for mspec in mpf_specs:
-            errors = MPFEvaluator(mspec, trotter).error_sweep(taus)
-            entry = _slope_entry(taus, errors, mspec.m + SLOPE_MARGIN)
-            entry.update(
-                j_count=mspec.j_count,
-                k_values=list(mspec.k_values),
-                order=mspec.m,
-            )
-            mpf_entries.append(entry)
-            mpf_columns.append((f"mpf_j{mspec.j_count}", errors))
+    evaluators = [MPFEvaluator(mspec, trotter) for mspec in mpf_specs]
+
+    # tau outer: the exact propagator and one base power T(tau/k)^k per
+    # distinct k (k = 1 is the Trotter step) are formed once, read by the
+    # Trotter error and every extrapolation, and dropped before the next tau
+    ks = sorted({1}.union(*(mspec.k_values for mspec in mpf_specs)))
+    trotter_errors = np.empty(len(taus))
+    mpf_errors = np.empty((len(evaluators), len(taus)))
+    for i, tau in enumerate(taus):
+        exact = trotter.exact_unitary(tau)
+        powers = {
+            k: np.linalg.matrix_power(trotter.formula_unitary(tau / k), k)
+            for k in ks
+        }
+        trotter_errors[i] = spectral_norm(exact - powers[1])
+        for j, ev in enumerate(evaluators):
+            combined = ev.combine(powers[k] for k in ev.mpf_spec.k_values)
+            mpf_errors[j, i] = spectral_norm(exact - combined)
+
+    trotter_entry = _slope_entry(taus, trotter_errors, cfg.p + SLOPE_MARGIN)
+    trotter_entry["order"] = cfg.p
+    mpf_entries: list[dict] = []
+    mpf_columns: list[tuple[str, np.ndarray]] = []
+    for mspec, errors in zip(mpf_specs, mpf_errors):
+        entry = _slope_entry(taus, errors, mspec.m + SLOPE_MARGIN)
+        entry.update(
+            j_count=mspec.j_count,
+            k_values=list(mspec.k_values),
+            order=mspec.m,
+        )
+        mpf_entries.append(entry)
+        mpf_columns.append((f"mpf_j{mspec.j_count}", errors))
 
     passed = trotter_entry["status"] != "fail" and all(
         entry["status"] != "fail" for entry in mpf_entries

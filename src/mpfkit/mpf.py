@@ -216,13 +216,23 @@ class MPFEvaluator:
     def exact_unitary(self, tau: float) -> np.ndarray:
         return self._trotter.exact_unitary(tau)
 
-    def step(self, tau: float) -> np.ndarray:
+    def combine(self, powers: Iterable[np.ndarray]) -> np.ndarray:
+        """``sum_j c_j P_j`` for the base powers ``P_j = T(tau/k_j)^{k_j}``.
+
+        ``powers`` yields one matrix per node, in ``k_values`` order, and is
+        read one matrix at a time, so a generator keeps only one alive.
+        """
         dim = self._trotter.dim
         acc = np.zeros((dim, dim), dtype=complex)
-        for c, k in zip(self.mpf_spec.c_values, self.mpf_spec.k_values):
-            base = self._trotter.formula_unitary(tau / k)
-            acc += c * np.linalg.matrix_power(base, k)
+        for c, power in zip(self.mpf_spec.c_values, powers, strict=True):
+            acc += c * power
         return acc
+
+    def step(self, tau: float) -> np.ndarray:
+        return self.combine(
+            np.linalg.matrix_power(self._trotter.formula_unitary(tau / k), k)
+            for k in self.mpf_spec.k_values
+        )
 
     def error(self, tau: float) -> float:
         return dense.spectral_norm(self.exact_unitary(tau) - self.step(tau))

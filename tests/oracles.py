@@ -1,0 +1,141 @@
+"""Matrix-log route to the effective-generator series, kept as a test oracle.
+
+An independent check of :func:`mpfkit.bch.compute_phi`: sample the dense
+step unitary on a grid of small time arguments, take principal matrix
+logarithms, fit ``log T(tau) = sum_q C_q tau^q`` by least squares and
+expand each ``C_q`` in the Pauli basis.  Nothing in ``mpfkit`` reaches this
+chain, so it lives with the tests, and scipy (for the Schur form) is a test
+dependency only.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.linalg
+
+from mpfkit import dense
+from mpfkit.dense import _PHASES, _bit_reverse, _popcounts
+from mpfkit.hamiltonians import HamiltonianSpec
+from mpfkit.pauli import PauliSum
+from mpfkit.trotter import ProductFormulaPlan, TrotterEvaluator
+
+
+def pauli_decompose(mat: np.ndarray, n_sites: int, tol: float = 1e-12) -> PauliSum:
+    """Expand a dense matrix in the Pauli-string basis.
+
+    Coefficients are ``tr(P mat) / 2^n``; entries below ``tol`` are dropped.
+    Exact for any matrix since the strings form a basis.  Each x-mask reads
+    its permuted diagonal ``mat[b, b ^ xr]`` once; the parity signs of all
+    z-masks then make a Walsh-Hadamard transform of that diagonal, so the
+    whole expansion costs O(n 4^n).  Terms are ordered by x-mask, then
+    z-mask.
+    """
+    dim = 1 << n_sites
+    if mat.shape != (dim, dim):
+        raise ValueError(f"matrix shape {mat.shape} does not match n_sites={n_sites}")
+    masks = np.arange(dim)
+    rev = np.array([_bit_reverse(m, n_sites) for m in range(dim)], dtype=np.int64)
+    # row x holds the permuted diagonal of string x
+    w = np.asarray(mat, dtype=complex)[masks, masks ^ rev[:, None]]
+    half = 1
+    while half < dim:
+        w = w.reshape(dim, -1, 2, half)
+        a, b = w[:, :, :1], w[:, :, 1:]
+        w = np.concatenate([a + b, a - b], axis=2)
+        half *= 2
+    # w[x, zr] = sum_b (-1)^{|zr&b|} mat[b, b ^ xr]
+    phase = np.array(_PHASES)[_popcounts(n_sites)[masks[:, None] & masks] & 3]
+    coeffs = w.reshape(dim, dim)[:, rev] * phase / dim
+    keep = np.abs(coeffs) > tol
+    return PauliSum(
+        n_sites,
+        {(int(x), int(z)): coeffs[x, z] for x, z in zip(*np.nonzero(keep))},
+    )
+
+
+def unitary_log(u: np.ndarray, *, unitary_tol: float = 1e-10, branch_margin: float = 0.3) -> np.ndarray:
+    """Principal logarithm of a unitary matrix through its Schur form.
+
+    For unitary (hence normal) input the complex Schur form is diagonal, so
+    the log is ``Q diag(i * angle) Q^dag`` with angles in (-pi, pi].  Samples
+    whose eigenphases come within ``branch_margin`` of the +-pi branch cut are
+    rejected: the principal branch would misread them and a polynomial fit
+    built on top would silently corrupt.
+    """
+    dim = u.shape[0]
+    defect = np.linalg.norm(u @ u.conj().T - np.eye(dim), ord=2)
+    if defect > unitary_tol:
+        raise ValueError(f"input is not unitary (defect {defect:.3e})")
+    t, q = scipy.linalg.schur(u, output="complex")
+    off = np.linalg.norm(t - np.diag(np.diag(t)))
+    if off > 1e-8:
+        raise ValueError(f"Schur form not diagonal (off-diagonal {off:.3e})")
+    phases = np.angle(np.diag(t))
+    if np.any(np.abs(phases) > np.pi - branch_margin):
+        worst = float(np.max(np.abs(phases)))
+        raise ValueError(
+            f"eigenphase {worst:.4f} within {branch_margin} of the branch cut; "
+            "shrink the time argument"
+        )
+    return (q * (1j * phases)) @ q.conj().T
+
+
+def log_series_fit(
+    taus: np.ndarray,
+    unitaries: list[np.ndarray],
+    max_order: int,
+    *,
+    n_sites: int | None = None,
+    decompose_tol: float = 1e-9,
+) -> list[PauliSum] | list[np.ndarray]:
+    """Fit ``log U(tau) = sum_q C_q tau^q`` from sampled unitaries.
+
+    Takes the principal log of each sample (rejecting branch-cut cases), then
+    solves one least-squares problem for the matrix-valued polynomial with
+    zero constant term.  Returns the coefficient matrices for orders
+    ``1..max_order``; when ``n_sites`` is given each is Pauli-decomposed.
+
+    The fit window must keep ``tau * ||H||`` well inside (-pi, pi) and small
+    enough that orders above ``max_order`` are negligible; in practice pass a
+    couple of guard orders beyond the ones you intend to read.
+    """
+    taus = np.asarray(taus, dtype=float)
+    if len(taus) != len(unitaries):
+        raise ValueError("sample count mismatch")
+    if len(taus) < max_order + 1:
+        raise ValueError("need more samples than fitted orders")
+    logs = np.stack([unitary_log(u).reshape(-1) for u in unitaries])
+    design = np.vander(taus, N=max_order + 1, increasing=True)[:, 1:]
+    # column scaling: raw monomial columns span many decades and would
+    # poison the least-squares conditioning
+    col = np.linalg.norm(design, axis=0)
+    coeffs, *_ = np.linalg.lstsq(design / col, logs, rcond=None)
+    coeffs = coeffs / col[:, None]
+    dim = unitaries[0].shape[0]
+    mats = [coeffs[q].reshape(dim, dim) for q in range(max_order)]
+    if n_sites is None:
+        return mats
+    return [pauli_decompose(m, n_sites, tol=decompose_tol) for m in mats]
+
+
+def oracle_phi_from_logs(
+    plan: ProductFormulaPlan,
+    spec: HamiltonianSpec,
+    max_order: int,
+    taus: np.ndarray,
+    cap: int = dense.DEFAULT_DENSE_CAP,
+) -> list[PauliSum]:
+    """Independent route to the series: polynomial fit of dense matrix logs.
+
+    Samples ``log T(tau)`` on the given grid, fits orders ``1..max_order``,
+    and converts ``C_q = -i Phi_q`` back to Hermitian Pauli sums.  Purely a
+    cross-check; agreement with :func:`mpfkit.bch.compute_phi` pins the sign
+    and ordering conventions of the series.
+    """
+    ev = TrotterEvaluator(spec, plan, cap)
+    unitaries = [ev.formula_unitary(t) for t in taus]
+    mats = log_series_fit(np.asarray(taus), unitaries, max_order)
+    out = []
+    for m in mats:
+        out.append(pauli_decompose(1j * m, spec.n_sites, tol=1e-12))
+    return out

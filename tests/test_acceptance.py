@@ -16,7 +16,6 @@ from mpfkit.bch import (
     check_truncated_generator,
     compute_phi,
     compute_phi_range,
-    oracle_phi_from_logs,
     phi_report,
 )
 from mpfkit.bounds import (
@@ -56,6 +55,7 @@ from mpfkit.trotter import (
     geometric_grid,
     loglog_slope,
 )
+from oracles import oracle_phi_from_logs
 
 
 def report(number: int, ok: bool, detail: str, elapsed: float, budget: float):

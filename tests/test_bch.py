@@ -14,7 +14,6 @@ from mpfkit.bch import (
     compute_phi,
     compute_phi_range,
     effective_generator,
-    oracle_phi_from_logs,
     phi_extensiveness_bound,
     phi_locality_bound,
     phi_norm_bound,
@@ -27,6 +26,7 @@ from mpfkit.commutators import nested_commutator_sum
 from mpfkit.hamiltonians import heisenberg_chain, make_spec
 from mpfkit.pauli import PauliSum, PauliTerm
 from mpfkit.trotter import TrotterEvaluator, build_plan, geometric_grid
+from oracles import oracle_phi_from_logs
 
 
 def toy_spec():

@@ -5,6 +5,10 @@ writes, the same way a shell user would.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,8 @@ from mpfkit.hamiltonians import heisenberg_chain, spec_to_document
 from mpfkit.mpf import build_mpf
 from mpfkit.pauli import PauliSum
 from mpfkit.trotter import TrotterEvaluator
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def run(tmp_path, *argv):
@@ -189,6 +195,27 @@ class TestVerifyOrder:
         doc = load(tmp_path, "verify_order.json")
         assert doc["mpf"] == []
         assert doc["trotter"]["status"] == "pass"
+
+    def test_each_tau_forms_one_power_per_distinct_k(self, tmp_path, monkeypatch):
+        # J = 3 over 4 taus: one exact propagator per tau, and one base step
+        # per (tau, k) for k = 1, 2, 3 shared by the Trotter error and all
+        # three extrapolations
+        calls = {"exact": 0, "formula": 0}
+        exact, formula = TrotterEvaluator.exact_unitary, TrotterEvaluator.formula_unitary
+
+        def counting_exact(self, tau):
+            calls["exact"] += 1
+            return exact(self, tau)
+
+        def counting_formula(self, tau):
+            calls["formula"] += 1
+            return formula(self, tau)
+
+        monkeypatch.setattr(TrotterEvaluator, "exact_unitary", counting_exact)
+        monkeypatch.setattr(TrotterEvaluator, "formula_unitary", counting_formula)
+        argv = ("verify-order", "--n-sites", "5", "--J", "3", "--tau-points", "4")
+        assert run(tmp_path, *argv) == 0
+        assert calls == {"exact": 4, "formula": 12}
 
 
 class TestVerifyBounds:
@@ -551,3 +578,60 @@ class TestReproducibility:
         first = (tmp_path / "cost_report.json").read_bytes()
         assert run(tmp_path, "cost") == 0
         assert (tmp_path / "cost_report.json").read_bytes() == first
+
+
+class TestNoScipyAtRunTime:
+    """No CLI process imports scipy: it is a test dependency only.
+
+    Each check runs in a fresh interpreter with ``PYTHONPATH`` set to the
+    package's source folder, so nothing this test process imported counts.
+    A subcommand that needs scipy (say a sparse-norm ``scaling`` run built
+    on ``scipy.sparse.linalg.eigsh``) may import it inside its own handler
+    only, never at module level.
+    """
+
+    def check(self, code, cwd):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        probe = code + "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            cwd=cwd,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()
+
+    def test_importing_every_module(self, tmp_path):
+        code = (
+            "import importlib, pkgutil, sys\n"
+            "import mpfkit, mpfkit.cli\n"
+            "names = [m.name for m in pkgutil.iter_modules(mpfkit.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module('mpfkit.' + name)\n"
+            "print(sorted(names))"
+        )
+        names, loaded = self.check(code, tmp_path)
+        for name in ("bch", "cli", "dense", "mpf", "trotter"):
+            assert repr(name) in names
+        assert loaded == "[]"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cost", "--n-sites", "5"),
+            ("verify-order", "--n-sites", "5", "--tau-points", "4"),
+        ],
+        ids=["cost", "verify-order"],
+    )
+    def test_running_a_subcommand(self, tmp_path, argv):
+        code = (
+            "import sys\n"
+            "from mpfkit.cli import main\n"
+            f"assert main({list(argv)!r} + ['--out', 'out']) == 0"
+        )
+        (loaded,) = self.check(code, tmp_path)
+        assert loaded == "[]"
+        assert any((tmp_path / "out").iterdir())
