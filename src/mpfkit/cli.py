@@ -352,10 +352,7 @@ def cmd_verify_order(cfg: ExperimentConfig) -> int:
     mpf_errors = np.empty((len(evaluators), len(taus)))
     for i, tau in enumerate(taus):
         exact = trotter.exact_unitary(tau)
-        powers = {
-            k: np.linalg.matrix_power(trotter.formula_unitary(tau / k), k)
-            for k in ks
-        }
+        powers = {k: trotter.formula_power(tau, k) for k in ks}
         trotter_errors[i] = spectral_norm(exact - powers[1])
         for j, ev in enumerate(evaluators):
             combined = ev.combine(powers[k] for k in ev.mpf_spec.k_values)

@@ -230,8 +230,7 @@ class MPFEvaluator:
 
     def step(self, tau: float) -> np.ndarray:
         return self.combine(
-            np.linalg.matrix_power(self._trotter.formula_unitary(tau / k), k)
-            for k in self.mpf_spec.k_values
+            self._trotter.formula_power(tau, k) for k in self.mpf_spec.k_values
         )
 
     def error(self, tau: float) -> float:

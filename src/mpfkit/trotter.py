@@ -149,6 +149,10 @@ class TrotterEvaluator:
             u = self._group_facts[g - 1].expm_minus_i(a * tau) @ u
         return u
 
+    def formula_power(self, tau: float, k: int) -> np.ndarray:
+        """``T(tau/k)^k``: k formula steps of size tau/k."""
+        return np.linalg.matrix_power(self.formula_unitary(tau / k), k)
+
     def error(self, tau: float) -> float:
         return dense.spectral_norm(self.exact_unitary(tau) - self.formula_unitary(tau))
 
