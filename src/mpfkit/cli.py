@@ -49,7 +49,7 @@ from .commutators import (
     mu_window_bound,
     power_commutator_bound,
 )
-from .dense import fit_line, spectral_norm
+from .dense import fit_line
 from .hamiltonians import (
     HamiltonianSpec,
     family_constants,
@@ -59,7 +59,13 @@ from .hamiltonians import (
 )
 from .mpf import MAX_J, MPFEvaluator, MPFSpec, build_mpf, solve_coefficients
 from .pauli import PauliSum
-from .trotter import TrotterEvaluator, build_plan, geometric_grid, loglog_slope
+from .trotter import (
+    TrotterEvaluator,
+    build_plan,
+    difference_norm,
+    geometric_grid,
+    loglog_slope,
+)
 
 SLOPE_MARGIN = 0.8
 NOISE_FLOOR = 1e-11
@@ -345,18 +351,19 @@ def cmd_verify_order(cfg: ExperimentConfig) -> int:
     evaluators = [MPFEvaluator(mspec, trotter) for mspec in mpf_specs]
 
     # tau outer: the exact propagator and one base power T(tau/k)^k per
-    # distinct k (k = 1 is the Trotter step) are formed once, read by the
-    # Trotter error and every extrapolation, and dropped before the next tau
+    # distinct k (k = 1 is the Trotter step) are formed once, block by block
+    # over the Hamiltonian's invariant sectors, read by the Trotter error and
+    # every extrapolation, and dropped before the next tau
     ks = sorted({1}.union(*(mspec.k_values for mspec in mpf_specs)))
     trotter_errors = np.empty(len(taus))
     mpf_errors = np.empty((len(evaluators), len(taus)))
     for i, tau in enumerate(taus):
-        exact = trotter.exact_unitary(tau)
-        powers = {k: trotter.formula_power(tau, k) for k in ks}
-        trotter_errors[i] = spectral_norm(exact - powers[1])
+        exact = trotter.exact_blocks(tau)
+        powers = {k: trotter.power_blocks(tau, k) for k in ks}
+        trotter_errors[i] = difference_norm(exact, powers[1])
         for j, ev in enumerate(evaluators):
             combined = ev.combine(powers[k] for k in ev.mpf_spec.k_values)
-            mpf_errors[j, i] = spectral_norm(exact - combined)
+            mpf_errors[j, i] = difference_norm(exact, combined)
 
     trotter_entry = _slope_entry(taus, trotter_errors, cfg.p + SLOPE_MARGIN)
     trotter_entry["order"] = cfg.p

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import dense
-from .trotter import TrotterEvaluator
+from .trotter import TrotterEvaluator, difference_norm
 
 __all__ = [
     "MAX_J",
@@ -197,7 +197,9 @@ class MPFEvaluator:
 
     Reads every base-formula factor from the given :class:`TrotterEvaluator`,
     so evaluators that share one reuse its cached group eigendecompositions;
-    the k_j-fold powers are plain repeated matrix products.
+    the k_j-fold powers are plain repeated matrix products.  Like the
+    evaluator it works on the blocks of the invariant sectors; only
+    :meth:`step` and :meth:`exact_unitary` return full matrices.
     """
 
     def __init__(self, mpf_spec: MPFSpec, trotter: TrotterEvaluator) -> None:
@@ -216,34 +218,37 @@ class MPFEvaluator:
     def exact_unitary(self, tau: float) -> np.ndarray:
         return self._trotter.exact_unitary(tau)
 
-    def combine(self, powers: Iterable[np.ndarray]) -> np.ndarray:
+    def combine(self, powers: Iterable[list[np.ndarray]]) -> list[np.ndarray]:
         """``sum_j c_j P_j`` for the base powers ``P_j = T(tau/k_j)^{k_j}``.
 
-        ``powers`` yields one matrix per node, in ``k_values`` order, and is
-        read one matrix at a time, so a generator keeps only one alive.
+        Each power is given as the evaluator's blocks
+        (:meth:`TrotterEvaluator.power_blocks`) and the sum is returned the
+        same way.  ``powers`` yields one power per node, in ``k_values``
+        order, and is read one power at a time, so a generator keeps only
+        one alive.
         """
-        dim = self._trotter.dim
-        acc = np.zeros((dim, dim), dtype=complex)
+        acc = [
+            np.zeros(idx.shape + idx.shape[-1:], dtype=complex)
+            for idx in self._trotter.sectors
+        ]
         for c, power in zip(self.mpf_spec.c_values, powers, strict=True):
-            acc += c * power
+            for a, b in zip(acc, power, strict=True):
+                a += c * b
         return acc
 
-    def step(self, tau: float) -> np.ndarray:
+    def step_blocks(self, tau: float) -> list[np.ndarray]:
         return self.combine(
-            self._trotter.formula_power(tau, k) for k in self.mpf_spec.k_values
+            self._trotter.power_blocks(tau, k) for k in self.mpf_spec.k_values
         )
 
+    def step(self, tau: float) -> np.ndarray:
+        return self._trotter.scatter(self.step_blocks(tau))
+
     def error(self, tau: float) -> float:
-        return dense.spectral_norm(self.exact_unitary(tau) - self.step(tau))
+        return difference_norm(self._trotter.exact_blocks(tau), self.step_blocks(tau))
 
     def error_sweep(self, taus: np.ndarray) -> np.ndarray:
         return np.array([self.error(t) for t in taus])
-
-    def extrapolated_error(self, tau: float, steps: int) -> float:
-        """Per-step error scaled by a step count (the crude long-time proxy)."""
-        if steps < 1:
-            raise ValueError("need a positive step count")
-        return steps * self.error(tau)
 
     def long_time_error(self, t: float, steps: int) -> float:
         """Actual deviation of the repeated step over a full evolution.
@@ -253,8 +258,8 @@ class MPFEvaluator:
         """
         if steps < 1:
             raise ValueError("need a positive step count")
-        repeated = np.linalg.matrix_power(self.step(t / steps), steps)
-        return dense.spectral_norm(self.exact_unitary(t) - repeated)
+        repeated = [np.linalg.matrix_power(b, steps) for b in self.step_blocks(t / steps)]
+        return difference_norm(self._trotter.exact_blocks(t), repeated)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,16 @@
-"""Matrix-log route to the effective-generator series, kept as a test oracle.
+"""Slow reference routes kept as test oracles.
 
-An independent check of :func:`mpfkit.bch.compute_phi`: sample the dense
-step unitary on a grid of small time arguments, take principal matrix
-logarithms, fit ``log T(tau) = sum_q C_q tau^q`` by least squares and
-expand each ``C_q`` in the Pauli basis.  Nothing in ``mpfkit`` reaches this
-chain, so it lives with the tests, and scipy (for the Schur form) is a test
-dependency only.
+- The full-matrix evaluator: every stage exponential and propagator as one
+  2^n x 2^n matrix, with no split into invariant sectors.  It checks the
+  blocked :class:`mpfkit.trotter.TrotterEvaluator` and
+  :class:`mpfkit.mpf.MPFEvaluator` entrywise.
+- The matrix-log route to the effective-generator series, an independent
+  check of :func:`mpfkit.bch.compute_phi`: sample the dense step unitary on
+  a grid of small time arguments, take principal matrix logarithms, fit
+  ``log T(tau) = sum_q C_q tau^q`` by least squares and expand each ``C_q``
+  in the Pauli basis.  scipy (for the Schur form) is a test dependency only.
+
+Nothing in ``mpfkit`` reaches these routes, so they live with the tests.
 """
 
 from __future__ import annotations
@@ -16,8 +21,45 @@ import scipy.linalg
 from mpfkit import dense
 from mpfkit.dense import _PHASES, _bit_reverse, _popcounts
 from mpfkit.hamiltonians import HamiltonianSpec
+from mpfkit.mpf import MPFSpec
 from mpfkit.pauli import PauliSum
 from mpfkit.trotter import ProductFormulaPlan, TrotterEvaluator
+
+
+class FullMatrixEvaluator:
+    """Stage-by-stage product of full-matrix stage exponentials.
+
+    One full :class:`mpfkit.dense.HermitianFactorization` per group and one
+    for the full Hamiltonian, with no sector split: the evaluation the
+    blocked ``TrotterEvaluator`` must reproduce.
+    """
+
+    def __init__(self, spec: HamiltonianSpec, plan: ProductFormulaPlan) -> None:
+        self.plan = plan
+        self.dim = 1 << spec.n_sites
+        self._group_facts = [
+            dense.HermitianFactorization.of(dense.from_pauli_sum(s))
+            for s in spec.group_sums
+        ]
+        self._full_fact = dense.HermitianFactorization.of(
+            dense.from_pauli_sum(spec.full_sum())
+        )
+
+    def exact_unitary(self, tau: float) -> np.ndarray:
+        return self._full_fact.expm_minus_i(tau)
+
+    def formula_unitary(self, tau: float) -> np.ndarray:
+        u = np.eye(self.dim, dtype=complex)
+        for g, a in self.plan.stages:
+            u = self._group_facts[g - 1].expm_minus_i(a * tau) @ u
+        return u
+
+    def mpf_step(self, mpf_spec: MPFSpec, tau: float) -> np.ndarray:
+        """``sum_j c_j T(tau/k_j)^{k_j}``, each power a full matrix."""
+        acc = np.zeros((self.dim, self.dim), dtype=complex)
+        for c, k in zip(mpf_spec.c_values, mpf_spec.k_values):
+            acc += c * np.linalg.matrix_power(self.formula_unitary(tau / k), k)
+        return acc
 
 
 def pauli_decompose(mat: np.ndarray, n_sites: int, tol: float = 1e-12) -> PauliSum:

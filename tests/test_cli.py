@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mpfkit import bch, cli, commutators, hamiltonians
@@ -146,6 +147,30 @@ class TestConfigResolution:
         assert run(tmp_path, "alpha", "--family", "file") == 2
 
 
+# verify-order --n-sites 8 --J 3 --tau-points 6 (coupling 1, field 0.8) as
+# the full-matrix evaluator wrote it: order_sweep.csv rows, then each slope
+FROZEN_ORDER_SWEEP = [
+    [0.01, 1.5272830208964142e-05, 1.5272830208964142e-05,
+     7.874289977990929e-10, 2.9410503113245794e-14],
+    [0.019743504858348197, 0.00011748151661318747, 0.00011748151661318747,
+     2.3633223812055558e-08, 2.468559297328349e-12],
+    [0.03898059840916188, 0.0009023478764216141, 0.0009023478764216141,
+     7.101411559395225e-07, 2.889199729366904e-10],
+    [0.0769613634072608, 0.006890658376564018, 0.006890658376564018,
+     2.1412824513598423e-05, 3.3890491148126834e-08],
+    [0.15194870523363546, 0.051439904580984165, 0.051439904580984165,
+     0.0006479810057409798, 3.975917484956521e-06],
+    [0.3, 0.35075912387138364, 0.35075912387138364,
+     0.019029761164833264, 0.00044340943195398335],
+]
+FROZEN_ORDER_SLOPES = {
+    "trotter": (2.9606163934879643, 6),
+    "mpf_j1": (2.9606163934879643, 6),
+    "mpf_j2": (5.00099739864348, 6),
+    "mpf_j3": (6.982311546267223, 4),
+}
+
+
 class TestVerifyOrder:
     def test_desk_run_passes(self, tmp_path):
         assert run(tmp_path, "verify-order") == 0
@@ -199,23 +224,48 @@ class TestVerifyOrder:
     def test_each_tau_forms_one_power_per_distinct_k(self, tmp_path, monkeypatch):
         # J = 3 over 4 taus: one exact propagator per tau, and one base step
         # per (tau, k) for k = 1, 2, 3 shared by the Trotter error and all
-        # three extrapolations
-        calls = {"exact": 0, "formula": 0}
-        exact, formula = TrotterEvaluator.exact_unitary, TrotterEvaluator.formula_unitary
+        # three extrapolations; the sweep never forms a full matrix
+        calls = dict.fromkeys(
+            ("exact_blocks", "formula_blocks", "exact_unitary", "formula_unitary"), 0
+        )
 
-        def counting_exact(self, tau):
-            calls["exact"] += 1
-            return exact(self, tau)
+        def counting(name):
+            original = getattr(TrotterEvaluator, name)
 
-        def counting_formula(self, tau):
-            calls["formula"] += 1
-            return formula(self, tau)
+            def counted(self, tau):
+                calls[name] += 1
+                return original(self, tau)
 
-        monkeypatch.setattr(TrotterEvaluator, "exact_unitary", counting_exact)
-        monkeypatch.setattr(TrotterEvaluator, "formula_unitary", counting_formula)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(TrotterEvaluator, name, counting(name))
         argv = ("verify-order", "--n-sites", "5", "--J", "3", "--tau-points", "4")
         assert run(tmp_path, *argv) == 0
-        assert calls == {"exact": 4, "formula": 12}
+        assert calls == {
+            "exact_blocks": 4,
+            "formula_blocks": 12,
+            "exact_unitary": 0,
+            "formula_unitary": 0,
+        }
+
+    def test_eight_site_order_sweep_is_frozen(self, tmp_path):
+        argv = ("verify-order", "--n-sites", "8", "--J", "3", "--tau-points", "6")
+        assert run(tmp_path, *argv) == 0
+        lines = (tmp_path / "order_sweep.csv").read_text().splitlines()
+        assert lines[0] == "tau,trotter_p2,mpf_j1,mpf_j2,mpf_j3"
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert np.array(rows).shape == np.array(FROZEN_ORDER_SWEEP).shape
+        assert np.max(np.abs(np.array(rows) - FROZEN_ORDER_SWEEP)) <= 1e-13
+        doc = load(tmp_path, "verify_order.json")
+        entries = {"trotter": doc["trotter"]}
+        entries.update((f"mpf_j{e['j_count']}", e) for e in doc["mpf"])
+        assert set(entries) == set(FROZEN_ORDER_SLOPES)
+        for name, (slope, used) in FROZEN_ORDER_SLOPES.items():
+            assert entries[name]["status"] == "pass", name
+            assert entries[name]["points_used"] == used, name
+            assert entries[name]["slope"] == pytest.approx(slope, abs=1e-5), name
+        assert doc["passed"] is True
 
 
 class TestVerifyBounds:

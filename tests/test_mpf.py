@@ -222,13 +222,10 @@ class TestLongTime:
         errs = [ev.long_time_error(1.0, r) for r in (2, 4, 8, 16)]
         assert all(a > b for a, b in zip(errs, errs[1:]))
 
-    def test_extrapolated_error_is_step_count_multiple(self):
+    def test_long_time_error_rejects_zero_steps(self):
         spec = heisenberg_chain(3, field=0.5)
         plan = build_plan(spec.n_groups, 2)
         ev = MPFEvaluator(build_mpf(2), TrotterEvaluator(spec, plan))
-        assert ev.extrapolated_error(0.1, 7) == pytest.approx(
-            7 * ev.error(0.1), rel=1e-12
-        )
         with pytest.raises(ValueError):
             ev.long_time_error(1.0, 0)
 

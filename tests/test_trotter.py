@@ -1,16 +1,31 @@
-"""Plan construction and convergence order of the product formulas."""
+"""Plan construction, blocked evaluation and convergence order of the product formulas."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mpfkit.hamiltonians import heisenberg_chain
+from mpfkit import dense
+from mpfkit.hamiltonians import (
+    HamiltonianSpec,
+    heisenberg_chain,
+    long_range_zz_chain,
+    make_spec,
+)
+from mpfkit.mpf import MPFEvaluator, build_mpf
+from mpfkit.pauli import PauliTerm
 from mpfkit.trotter import (
     TrotterEvaluator,
     build_plan,
+    difference_norm,
     geometric_grid,
     loglog_slope,
     suzuki_fractions,
 )
+
+from oracles import FullMatrixEvaluator
 
 
 class TestPlanShapes:
@@ -86,7 +101,7 @@ class TestEvaluation:
         u = ev.formula_unitary(0.37)
         expected = np.eye(ev.dim, dtype=complex)
         for g in range(1, spec.n_groups + 1):
-            stage = ev._group_facts[g - 1].expm_minus_i(0.37)
+            stage = dense.expm_minus_i(dense.from_pauli_sum(spec.group_sum(g)), 0.37)
             expected = stage @ expected
         assert np.max(np.abs(u - expected)) <= 1e-12
 
@@ -159,3 +174,137 @@ class TestGridAndSlope:
         direct = TrotterEvaluator(spec, plan).formula_unitary(0.11)
         ev = TrotterEvaluator(spec, plan)
         assert np.max(np.abs(direct - ev.formula_unitary(0.11))) == 0.0
+
+
+def anisotropic_chain(
+    n_sites: int, jx: float, jy: float, jz: float = 1.0, field: float = 0.0
+) -> HamiltonianSpec:
+    """XYZ chain grouped like the Heisenberg chain: even bonds, odd bonds, field.
+
+    With ``jx != jy`` the bonds change total magnetization by two, so only
+    the parity of the number of flipped spins is conserved.
+    """
+    tagged = []
+    for b in range(n_sites - 1):
+        pair = (1 << b) | (1 << (b + 1))
+        for x_mask, z_mask, c in ((pair, 0, jx), (pair, pair, jy), (0, pair, jz)):
+            tagged.append((PauliTerm(n_sites, x_mask, z_mask, complex(c)), 1 + b % 2))
+    if field:
+        group = 2 if n_sites > 2 else 1
+        for s in range(n_sites):
+            tagged.append((PauliTerm(n_sites, 0, 1 << s, complex(field)), group + 1))
+    return make_spec(n_sites, tagged)
+
+
+def single_group_chain(n_sites: int, coupling: float, field: float) -> HamiltonianSpec:
+    """Every term of a Heisenberg chain in one group: the plan is exact."""
+    spec = heisenberg_chain(n_sites, coupling=coupling, field=field)
+    return make_spec(n_sites, [(t, 1) for t, _ in spec.terms])
+
+
+def block_mask(ev: TrotterEvaluator) -> np.ndarray:
+    """True on the entries inside the evaluator's sectors."""
+    mask = np.zeros((ev.dim, ev.dim), dtype=bool)
+    for idx in ev.sectors:
+        mask[idx[:, :, None], idx[:, None, :]] = True
+    return mask
+
+
+def sector_sizes(ev: TrotterEvaluator) -> list[int]:
+    return sorted(idx.shape[1] for idx in ev.sectors for _ in idx)
+
+
+class TestInvariantSectors:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            heisenberg_chain(6, coupling=0.9, field=0.8),
+            heisenberg_chain(5, field=0.4, periodic=True),
+            anisotropic_chain(5, 1.0, 0.6, 0.3, field=0.5),
+            long_range_zz_chain(5, 1.5),
+            single_group_chain(4, 1.1, 0.3),
+        ],
+    )
+    def test_every_matrix_is_block_diagonal(self, spec):
+        ev = TrotterEvaluator(spec, build_plan(spec.n_groups, 2))
+        outside = ~block_mask(ev)
+        sums = [*spec.group_sums, spec.full_sum()]
+        for m in (dense.from_pauli_sum(s) for s in sums):
+            assert np.all(m[outside] == 0.0)
+        # the sectors partition the basis
+        assert sorted(np.concatenate([idx.ravel() for idx in ev.sectors])) == list(
+            range(ev.dim)
+        )
+
+    def test_heisenberg_sectors_are_magnetization_shells(self):
+        spec = heisenberg_chain(8, field=0.8)
+        ev = TrotterEvaluator(spec, build_plan(spec.n_groups, 2))
+        assert sector_sizes(ev) == sorted(math.comb(8, m) for m in range(9))
+        for idx in ev.sectors:
+            for row in idx:
+                assert len({int(b).bit_count() for b in row}) == 1
+
+    def test_anisotropic_chain_keeps_only_parity(self):
+        spec = anisotropic_chain(6, 1.0, 0.5, 0.7, field=0.3)
+        ev = TrotterEvaluator(spec, build_plan(spec.n_groups, 2))
+        assert sector_sizes(ev) == [32, 32]
+
+    def test_diagonal_hamiltonian_splits_into_basis_states(self):
+        spec = long_range_zz_chain(6, 1.0)
+        ev = TrotterEvaluator(spec, build_plan(spec.n_groups, 2))
+        assert sector_sizes(ev) == [1] * 64
+
+
+@st.composite
+def blocked_specs(draw):
+    n = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["heisenberg", "zz", "single", "anisotropic"]))
+    coupling = draw(st.floats(0.3, 1.5)) * draw(st.sampled_from([-1.0, 1.0]))
+    field = draw(st.floats(-1.0, 1.0))
+    if kind == "heisenberg":
+        return heisenberg_chain(n, coupling=coupling, field=field)
+    if kind == "zz":
+        return long_range_zz_chain(n, draw(st.floats(0.5, 3.0)), coupling)
+    if kind == "single":
+        return single_group_chain(n, coupling, field)
+    jy = coupling + draw(st.floats(0.2, 1.0))
+    return anisotropic_chain(n, coupling, jy, draw(st.floats(-1.0, 1.0)), field)
+
+
+class TestBlockedAgainstFullMatrix:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec=blocked_specs(),
+        p=st.sampled_from([1, 2, 4]),
+        tau=st.floats(-0.8, 0.8),
+        j_count=st.integers(1, 3),
+    )
+    @example(spec=heisenberg_chain(4, coupling=1.0, field=0.8), p=4, tau=-0.3, j_count=3)
+    @example(spec=anisotropic_chain(4, 1.0, 0.4, 0.8, field=0.6), p=2, tau=0.5, j_count=2)
+    def test_propagators_match_entrywise(self, spec, p, tau, j_count):
+        plan = build_plan(spec.n_groups, p)
+        ev = TrotterEvaluator(spec, plan)
+        oracle = FullMatrixEvaluator(spec, plan)
+        formula, exact = oracle.formula_unitary(tau), oracle.exact_unitary(tau)
+        assert np.max(np.abs(ev.formula_unitary(tau) - formula)) <= 1e-12
+        assert np.max(np.abs(ev.exact_unitary(tau) - exact)) <= 1e-12
+        assert abs(ev.error(tau) - dense.spectral_norm(exact - formula)) <= 1e-12
+        if p % 2 == 0:
+            mpf_spec = build_mpf(j_count, p)
+            mpf = MPFEvaluator(mpf_spec, ev)
+            step = oracle.mpf_step(mpf_spec, tau)
+            assert np.max(np.abs(mpf.step(tau) - step)) <= 1e-12
+            assert abs(mpf.error(tau) - dense.spectral_norm(exact - step)) <= 1e-12
+
+    def test_difference_norm_is_the_full_spectral_norm(self):
+        rng = np.random.default_rng(5)
+        spec = heisenberg_chain(4, field=0.3)
+        ev = TrotterEvaluator(spec, build_plan(spec.n_groups, 2))
+        shapes = [idx.shape + idx.shape[-1:] for idx in ev.sectors]
+        # the largest block norm sits in each stack in turn
+        for big in range(len(shapes)):
+            a = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+            a[big] *= 10.0
+            b = [rng.normal(size=s) for s in shapes]
+            full = np.linalg.norm(ev.scatter(a) - ev.scatter(b), ord=2)
+            assert difference_norm(a, b) == pytest.approx(full, rel=1e-12)
