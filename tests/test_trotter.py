@@ -190,9 +190,9 @@ def anisotropic_chain(
         for x_mask, z_mask, c in ((pair, 0, jx), (pair, pair, jy), (0, pair, jz)):
             tagged.append((PauliTerm(n_sites, x_mask, z_mask, complex(c)), 1 + b % 2))
     if field:
-        group = 2 if n_sites > 2 else 1
+        field_group = 3 if n_sites > 2 else 2
         for s in range(n_sites):
-            tagged.append((PauliTerm(n_sites, 0, 1 << s, complex(field)), group + 1))
+            tagged.append((PauliTerm(n_sites, 0, 1 << s, complex(field)), field_group))
     return make_spec(n_sites, tagged)
 
 
