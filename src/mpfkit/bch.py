@@ -40,9 +40,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import dense
+from .formulas import ProductFormulaPlan, loglog_slope
 from .hamiltonians import HamiltonianSpec
 from .pauli import PauliSum
-from .trotter import ProductFormulaPlan, TrotterEvaluator, loglog_slope
+from .trotter import TrotterEvaluator
 
 __all__ = [
     "DEFAULT_COMPOSITION_BUDGET",

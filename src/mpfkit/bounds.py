@@ -30,9 +30,14 @@ from .commutators import (
     power_commutator_bound,
     mu_window_bound,
 )
+from .formulas import (
+    MAX_J,
+    MPFSpec,
+    ProductFormulaPlan,
+    closed_form_coefficients,
+    make_mpf_spec,
+)
 from .hamiltonians import HamiltonianSpec
-from .mpf import MAX_J, MPFSpec, closed_form_coefficients, make_mpf_spec
-from .trotter import ProductFormulaPlan
 
 __all__ = [
     "truncation_order",

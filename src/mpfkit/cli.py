@@ -18,15 +18,8 @@ import sys
 from csv import writer as csv_writer
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .bch import (
-    check_composition_budget,
-    check_truncated_generator,
-    compute_phi_range,
-    phi_report,
-)
 from .bounds import (
     admissibility_chain,
     bch_time_condition,
@@ -49,7 +42,15 @@ from .commutators import (
     mu_window_bound,
     power_commutator_bound,
 )
-from .dense import fit_line
+from .formulas import (
+    MAX_J,
+    MPFSpec,
+    build_mpf,
+    build_plan,
+    fit_line,
+    loglog_slope,
+    solve_coefficients,
+)
 from .hamiltonians import (
     HamiltonianSpec,
     family_constants,
@@ -57,15 +58,13 @@ from .hamiltonians import (
     load_spec,
     long_range_zz_chain,
 )
-from .mpf import MAX_J, MPFEvaluator, MPFSpec, build_mpf, solve_coefficients
 from .pauli import PauliSum
-from .trotter import (
-    TrotterEvaluator,
-    build_plan,
-    difference_norm,
-    geometric_grid,
-    loglog_slope,
-)
+
+# numpy and the modules built on it (dense, trotter, mpf, bch) are imported
+# inside the code that builds matrices, so a run that builds none never
+# loads them
+if TYPE_CHECKING:
+    from .trotter import TrotterEvaluator
 
 SLOPE_MARGIN = 0.8
 NOISE_FLOOR = 1e-11
@@ -165,6 +164,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown family {cfg.family!r}; choose from {FAMILIES}")
     if cfg.family == "file" and not cfg.ham_file:
         raise ConfigError("family 'file' needs --ham-file")
+    if cfg.ham_file and cfg.family != "file":
+        raise ConfigError("--ham-file is read only with --family file")
     if cfg.n_sites < 2:
         raise ConfigError("need at least two sites")
     if cfg.p < 1:
@@ -252,10 +253,6 @@ def _as_jsonable(value):
         return {key: _as_jsonable(val) for key, val in value.items()}
     if isinstance(value, (list, tuple)):
         return [_as_jsonable(item) for item in value]
-    if isinstance(value, np.ndarray):
-        return [_as_jsonable(item) for item in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
     if isinstance(value, float):
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
@@ -284,7 +281,10 @@ def _write_rows(path: Path, rows: list[dict]) -> None:
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
     path = Path(cfg.out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output folder: {exc}") from None
     return path
 
 
@@ -305,7 +305,7 @@ def _enumeration_mode(cfg: ExperimentConfig) -> str:
 def _alpha_table(
     cfg: ExperimentConfig, spec: HamiltonianSpec
 ) -> dict[int, float] | None:
-    """The run's one table alpha_1..alpha_qmax; None beyond the site cap."""
+    """The run's one table alpha_2..alpha_qmax; None beyond the site cap."""
     if cfg.n_sites > ENUMERATION_SITE_CAP:
         return None
     return _configured(
@@ -316,9 +316,11 @@ def _alpha_table(
 # -- verify-order ----------------------------------------------------------
 
 
-def _slope_entry(taus: np.ndarray, errors: np.ndarray, threshold: float) -> dict:
+def _slope_entry(
+    taus: Sequence[float], errors: Sequence[float], threshold: float
+) -> dict:
     entry: dict = {"threshold": threshold}
-    if float(np.max(errors)) <= NOISE_FLOOR:
+    if max(errors) <= NOISE_FLOOR:
         entry.update(slope=None, points_used=0, status="exact")
         return entry
     try:
@@ -335,6 +337,9 @@ def _slope_entry(taus: np.ndarray, errors: np.ndarray, threshold: float) -> dict
 
 
 def cmd_verify_order(cfg: ExperimentConfig) -> int:
+    from .mpf import MPFEvaluator
+    from .trotter import TrotterEvaluator, difference_norm, geometric_grid
+
     spec = build_family(cfg)
     _require_dense(cfg, "verify-order")
     out = _out_dir(cfg)
@@ -355,20 +360,20 @@ def cmd_verify_order(cfg: ExperimentConfig) -> int:
     # over the Hamiltonian's invariant sectors, read by the Trotter error and
     # every extrapolation, and dropped before the next tau
     ks = sorted({1}.union(*(mspec.k_values for mspec in mpf_specs)))
-    trotter_errors = np.empty(len(taus))
-    mpf_errors = np.empty((len(evaluators), len(taus)))
-    for i, tau in enumerate(taus):
+    trotter_errors: list[float] = []
+    mpf_errors: list[list[float]] = [[] for _ in evaluators]
+    for tau in taus:
         exact = trotter.exact_blocks(tau)
         powers = {k: trotter.power_blocks(tau, k) for k in ks}
-        trotter_errors[i] = difference_norm(exact, powers[1])
-        for j, ev in enumerate(evaluators):
+        trotter_errors.append(difference_norm(exact, powers[1]))
+        for errors, ev in zip(mpf_errors, evaluators):
             combined = ev.combine(powers[k] for k in ev.mpf_spec.k_values)
-            mpf_errors[j, i] = difference_norm(exact, combined)
+            errors.append(difference_norm(exact, combined))
 
     trotter_entry = _slope_entry(taus, trotter_errors, cfg.p + SLOPE_MARGIN)
     trotter_entry["order"] = cfg.p
     mpf_entries: list[dict] = []
-    mpf_columns: list[tuple[str, np.ndarray]] = []
+    mpf_columns: list[tuple[str, list[float]]] = []
     for mspec, errors in zip(mpf_specs, mpf_errors):
         entry = _slope_entry(taus, errors, mspec.m + SLOPE_MARGIN)
         entry.update(
@@ -398,8 +403,8 @@ def cmd_verify_order(cfg: ExperimentConfig) -> int:
     header = ["tau", f"trotter_p{cfg.p}"] + [name for name, _ in mpf_columns]
     rows = []
     for i, tau in enumerate(taus):
-        row = [float(tau), float(trotter_errors[i])]
-        row.extend(float(col[i]) for _, col in mpf_columns)
+        row = [float(tau), trotter_errors[i]]
+        row.extend(col[i] for _, col in mpf_columns)
         rows.append(row)
     write_csv(out / "order_sweep.csv", header, rows)
     return 0 if passed else 1
@@ -459,6 +464,8 @@ def _phi_rows(
     alphas: dict[int, float] | None,
     phis: dict[int, PauliSum] | None,
 ) -> list[dict]:
+    from .bch import phi_report
+
     rows: list[dict] = []
     mode = _enumeration_mode(cfg)
     for q in range(2, cfg.q_max + 1):
@@ -535,6 +542,8 @@ def _truncation_rows(
 ) -> list[dict]:
     if blocked:
         return [_untestable("truncation_defect", blocked)]
+    from .bch import check_truncated_generator
+
     plan = evaluator.plan
     boundary = bch_time_condition(
         cfg.n_sites, cfg.eps, plan.stage_factor, spec.locality, spec.extensiveness
@@ -583,6 +592,8 @@ def _step_bound_rows(
         return [_untestable("step_error_bound", note)]
     if blocked:
         return [_untestable("step_error_bound", blocked)]
+    from .mpf import MPFEvaluator
+
     mode = _enumeration_mode(cfg)
     plan = evaluator.plan
     mu = mu_from_alphas(alphas, cfg.p, mpf_spec.m, p0, source=mode)
@@ -618,6 +629,9 @@ def _step_bound_rows(
 
 
 def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
+    from .bch import check_composition_budget, compute_phi_range
+    from .trotter import TrotterEvaluator
+
     spec = build_family(cfg)
     out = _out_dir(cfg)
     plan = _configured(build_plan, spec.n_groups, cfg.p)
@@ -702,10 +716,11 @@ def _eps_sweep(cfg: ExperimentConfig, spec: HamiltonianSpec, plan) -> dict:
     complete = [row for row in rows if "r" in row]
     fits: dict = {"rows": rows}
     if len(complete) >= 6:
-        log_r = np.log([row["r"] for row in complete])
-        log_inv = np.log([1.0 / row["eps"] for row in complete])
+        log_r = [math.log(row["r"]) for row in complete]
+        log_inv = [math.log(1.0 / row["eps"]) for row in complete]
         power_slope, power_res = fit_line(log_inv, log_r)
-        polylog_slope, polylog_res = fit_line(np.log(log_inv), log_r)
+        log_log_inv = [math.log(x) for x in log_inv]
+        polylog_slope, polylog_res = fit_line(log_log_inv, log_r)
         half = len(complete) // 2
         early_slope, _ = fit_line(log_inv[:half], log_r[:half])
         late_slope, _ = fit_line(log_inv[half:], log_r[half:])
@@ -745,9 +760,9 @@ def _n_sweep(cfg: ExperimentConfig, mpf_spec: MPFSpec) -> dict:
                 "r": report.r,
             }
         )
-    log_n = np.log([row["n"] for row in rows])
-    log_r1 = np.log([row["r1"] for row in rows])
-    slope, residual = fit_line(log_n, log_r1)
+    slope, residual = fit_line(
+        [math.log(row["n"]) for row in rows], [math.log(row["r1"]) for row in rows]
+    )
     return {
         "rows": rows,
         "r1_slope": slope,
@@ -842,6 +857,8 @@ def cmd_table1(cfg: ExperimentConfig) -> int:
 
 
 def cmd_phi(cfg: ExperimentConfig) -> int:
+    from .bch import check_composition_budget, compute_phi_range, phi_report
+
     spec = build_family(cfg)
     if cfg.n_sites > ENUMERATION_SITE_CAP:
         raise ConfigError(

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
-from . import dense
+from .formulas import DEFAULT_DENSE_CAP, check_dense_cap
 from .hamiltonians import HamiltonianSpec
 from .pauli import PauliSum
 
@@ -43,39 +43,33 @@ __all__ = [
 DEFAULT_TUPLE_BUDGET = 10**6
 
 
-def _sum_norm(
-    s: PauliSum, mode: str, cap: int
-) -> float:
+def _sum_norm(s: PauliSum, mode: str, cap: int) -> float:
     if mode == "one-norm":
         return s.one_norm()
-    if mode == "exact":
-        if not s:
-            return 0.0
-        return dense.spectral_norm(dense.from_pauli_sum(s, cap))
-    raise ValueError(f"unknown norm mode {mode!r} (use 'exact' or 'one-norm')")
+    if not s:
+        return 0.0
+    from . import dense  # numpy loads with the first nest that needs a matrix
+
+    return dense.spectral_norm(dense.from_pauli_sum(s, cap))
 
 
-def commutator_sums(
+def _nest_sums(
     spec: HamiltonianSpec,
+    q_min: int,
     q_max: int,
-    mode: str = "exact",
-    cap: int = dense.DEFAULT_DENSE_CAP,
-    budget: int = DEFAULT_TUPLE_BUDGET,
+    mode: str,
+    cap: int,
+    budget: int,
+    splice: tuple[PauliSum, int] | None = None,
 ) -> dict[int, float]:
-    """Every commutator sum alpha_1..alpha_{q_max} from one enumeration.
+    """Norm sums of the nonzero nests of orders q_min..q_max, by order.
 
-    A single depth-first search walks the group tuples; each nonzero nest
-    of q groups adds its norm to alpha_q, and the search descends only
-    while q < q_max.  The nests of one order are met in lexicographic tuple
-    order, so each alpha_q is summed in the same order as by a search
-    stopped at q.
-
-    ``mode="exact"`` measures spectral norms through the dense backend;
-    ``mode="one-norm"`` replaces every norm by the coefficient one-norm of
-    the same symbolically exact nest (an upper bound, no dense work).
-
-    Cost grows as n_groups^q_max tuples; the budget and the dense cap are
-    checked once, before any nest is built.
+    One depth-first search walks the group tuples, extending each nonzero
+    nest by every group and descending only while its order is below
+    q_max; the nests of one order are met in lexicographic tuple order.
+    ``splice = (O, j)`` commutes O onto each nest once it holds j groups.
+    The tuple budget, the norm mode and the dense cap are checked before
+    any nest is built.
     """
     if q_max < 1:
         raise ValueError("q must be >= 1")
@@ -85,13 +79,21 @@ def commutator_sums(
             f"{n_groups}^{q_max} tuples exceed the budget {budget}; "
             "raise it explicitly for big enumerations"
         )
+    if mode not in ("exact", "one-norm"):
+        raise ValueError(f"unknown norm mode {mode!r} (use 'exact' or 'one-norm')")
     if mode == "exact":
-        dense.check_dense_cap(spec.n_sites, cap)
+        check_dense_cap(spec.n_sites, cap)
+    observable, insert_after = splice or (None, 0)
     sums = spec.group_sums
-    alphas = dict.fromkeys(range(1, q_max + 1), 0.0)
+    alphas = dict.fromkeys(range(q_min, q_max + 1), 0.0)
 
     def descend(depth: int, nest: PauliSum) -> None:
-        alphas[depth] += _sum_norm(nest, mode, cap)
+        if depth == insert_after:
+            nest = observable.commutator(nest)
+            if not nest:
+                return
+        if depth >= q_min:
+            alphas[depth] += _sum_norm(nest, mode, cap)
         if depth == q_max:
             return
         for h in sums:
@@ -104,15 +106,39 @@ def commutator_sums(
     return alphas
 
 
+def commutator_sums(
+    spec: HamiltonianSpec,
+    q_max: int,
+    mode: str = "exact",
+    cap: int = DEFAULT_DENSE_CAP,
+    budget: int = DEFAULT_TUPLE_BUDGET,
+) -> dict[int, float]:
+    """Every commutator sum alpha_2..alpha_{q_max} from one enumeration.
+
+    Each nonzero nest of q groups adds its norm to alpha_q, summed in the
+    same order as by a search stopped at q.  Orders start at 2: alpha_1,
+    the sum of the group norms (:func:`nested_commutator_sum` at q = 1),
+    enters no bound, and skipping it spares one dense build per group.
+
+    ``mode="exact"`` measures spectral norms through the dense backend;
+    ``mode="one-norm"`` replaces every norm by the coefficient one-norm of
+    the same symbolically exact nest (an upper bound, no dense work).
+
+    Cost grows as n_groups^q_max tuples; the budget and the dense cap are
+    checked once, before any nest is built.
+    """
+    return _nest_sums(spec, 2, q_max, mode, cap, budget)
+
+
 def nested_commutator_sum(
     spec: HamiltonianSpec,
     q: int,
     mode: str = "exact",
-    cap: int = dense.DEFAULT_DENSE_CAP,
+    cap: int = DEFAULT_DENSE_CAP,
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> float:
     """The order-q commutator sum alone; see :func:`commutator_sums`."""
-    return commutator_sums(spec, q, mode, cap, budget)[q]
+    return _nest_sums(spec, q, q, mode, cap, budget)[q]
 
 
 def factorial_commutator_bound(q: int, k: int, g: float, n_sites: int) -> float:
@@ -135,7 +161,7 @@ def inserted_commutator_sum(
     q: int,
     insert_after: int,
     mode: str = "exact",
-    cap: int = dense.DEFAULT_DENSE_CAP,
+    cap: int = DEFAULT_DENSE_CAP,
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> float:
     """Commutator sum with an observable spliced into the nest.
@@ -154,36 +180,8 @@ def inserted_commutator_sum(
         raise ValueError(f"insert_after must be in 1..{q}")
     if observable.n_sites != spec.n_sites:
         raise ValueError("observable site count differs from spec")
-    n_groups = spec.n_groups
-    if n_groups**q > budget:
-        raise ValueError(
-            f"{n_groups}^{q} tuples exceed the budget {budget}"
-        )
-    if mode == "exact":
-        dense.check_dense_cap(spec.n_sites, cap)
-    sums = spec.group_sums
-
-    total = 0.0
-
-    def descend(depth: int, nest: PauliSum) -> None:
-        # depth counts how many group factors have been consumed so far
-        nonlocal total
-        current = nest
-        if depth == insert_after:
-            current = observable.commutator(current)
-            if not current:
-                return
-        if depth == q:
-            total += _sum_norm(current, mode, cap)
-            return
-        for h in sums:
-            nxt = h.commutator(current)
-            if nxt:
-                descend(depth + 1, nxt)
-
-    for first in sums:
-        descend(1, first)
-    return total
+    splice = (observable, insert_after)
+    return _nest_sums(spec, q, q, mode, cap, budget, splice)[q]
 
 
 def insertion_bound(q: int, k: int, g: float, observable_norm: float) -> float:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .formulas import DEFAULT_DENSE_CAP, DenseCapError, check_dense_cap
 from .pauli import PauliSum
 
 __all__ = [
@@ -34,25 +35,10 @@ __all__ = [
     "invariant_sectors",
     "expm_minus_i",
     "spectral_norm",
-    "fit_line",
 ]
-
-DEFAULT_DENSE_CAP = 12
 
 # i^k, the phase of a string with k sites carrying Y
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-
-
-class DenseCapError(ValueError):
-    """Raised when a dense build would exceed the configured qubit cap."""
-
-
-def check_dense_cap(n_sites: int, cap: int = DEFAULT_DENSE_CAP) -> None:
-    if n_sites > cap:
-        raise DenseCapError(
-            f"dense build on {n_sites} sites exceeds cap {cap}; "
-            "raise the cap explicitly if this is intended"
-        )
 
 
 def _bit_reverse(mask: int, n_sites: int) -> int:
@@ -194,11 +180,3 @@ def spectral_norm(a: np.ndarray) -> float:
     if _inf_norm(a + _adjoint(a)) <= tol:
         return float(np.max(np.abs(np.linalg.eigvalsh(1j * a))))
     return float(np.max(np.linalg.svd(a, compute_uv=False)))
-
-
-def fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
-    """Least-squares line ``ys ~ a xs + b``: returns (a, RMS residual)."""
-    design = np.vstack([xs, np.ones_like(xs)]).T
-    sol, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    residual = float(np.sqrt(np.mean((design @ sol - ys) ** 2)))
-    return float(sol[0]), residual

@@ -15,13 +15,13 @@ ZZ chain grouped by interaction distance.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
-import numpy as np
-
-from .dense import fit_line
 from .pauli import PauliSum, PauliTerm
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "heisenberg_chain",
     "long_range_zz_chain",
     "family_constants",
-    "GScalingReport",
-    "g_scaling_report",
 ]
 
 
@@ -275,14 +273,13 @@ def family_constants(
 
     ``family`` is ``"heisenberg"`` (:func:`heisenberg_chain`, open
     boundary) or ``"long-range-zz"`` (:func:`long_range_zz_chain` with
-    ``base=coupling``).  No term is built: the per-site weights are summed
+    ``base=coupling``).  No term is built: each site's weights are summed
     in the order :func:`make_spec` adds them, one distance (or one
     Heisenberg string) at a time and the field last, so every value is
     bit-identical to the built spec's.
     """
     if n_sites < 2:
         raise ValueError("need at least two sites for a chain")
-    per_site = np.zeros(n_sites)
     if family == "heisenberg":
         # XX, YY and ZZ on every bond all carry |coupling|, so the order
         # in which a site's bonds add it does not change the sum
@@ -296,63 +293,21 @@ def family_constants(
         n_groups = n_sites - 1
     else:
         raise ValueError(f"no built-in family {family!r}")
-    for d, a in weights:
-        per_site[d:] += a
-        per_site[: n_sites - d] += a
-    if family == "heisenberg" and field != 0.0:
-        per_site += abs(complex(field))
-    return 2, float(per_site.max()), n_groups
-
-
-# -- extensiveness scaling diagnostics -------------------------------------
-
-
-@dataclass(frozen=True)
-class GScalingReport:
-    """Extensiveness-versus-size fit across a family of specs."""
-
-    sizes: tuple[int, ...]
-    g_values: tuple[float, ...]
-    power_slope: float
-    power_residual: float
-    log_residual: float
-    regime: str
-
-
-def g_scaling_report(
-    builder: Callable[[int], HamiltonianSpec],
-    sizes: Sequence[int],
-    constant_slope_tol: float = 0.05,
-) -> GScalingReport:
-    """Fit how the extensiveness grows with system size.
-
-    Compares a power law ``g ~ N^s`` (log-log least squares) against a
-    logarithmic model ``g ~ a + b ln N`` and labels the regime as
-    ``"constant"``, ``"logarithmic"`` or ``"power"`` by slope size and
-    residual comparison.
-    """
-    if len(sizes) < 3:
-        raise ValueError("need at least three sizes to fit")
-    gs = [builder(n).extensiveness for n in sizes]
-    if min(gs) <= 0.0:
-        raise ValueError("extensiveness must be positive to fit scaling")
-    ln_n = np.log(np.asarray(sizes, dtype=float))
-    g_arr = np.asarray(gs, dtype=float)
-    power_slope, power_residual = fit_line(ln_n, np.log(g_arr))
-    _, log_residual = fit_line(ln_n, g_arr)
-    # that residual is in g units; rescale to be comparable with the log-log fit
-    log_residual /= float(np.mean(g_arr))
-    if abs(power_slope) < constant_slope_tol:
-        regime = "constant"
-    elif log_residual < power_residual:
-        regime = "logarithmic"
-    else:
-        regime = "power"
-    return GScalingReport(
-        sizes=tuple(int(n) for n in sizes),
-        g_values=tuple(float(g) for g in gs),
-        power_slope=power_slope,
-        power_residual=power_residual,
-        log_residual=log_residual,
-        regime=regime,
-    )
+    # site i <= n-1-i, and its mirror n-1-i, add every weight of distance
+    # d <= i twice (a bond on each side) and then every weight of distance
+    # i < d < n-i once; the doubled head is shared from site to site, and
+    # the tail is a left fold because sum() of floats compensates on 3.12+
+    ds = [d for d, _ in weights]
+    values = [a for _, a in weights]
+    g = head = 0.0
+    lo = 0
+    for i in range((n_sites + 1) // 2):
+        while lo < len(ds) and ds[lo] <= i:
+            head = head + values[lo] + values[lo]
+            lo += 1
+        tail = values[lo : bisect_left(ds, n_sites - i)]
+        g = max(g, reduce(add, tail, head))
+    if family == "heisenberg":
+        # every site gains the field last, and rounding is monotone
+        g += abs(complex(field))
+    return 2, g, n_groups

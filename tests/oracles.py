@@ -9,11 +9,20 @@
   a grid of small time arguments, take principal matrix logarithms, fit
   ``log T(tau) = sum_q C_q tau^q`` by least squares and expand each ``C_q``
   in the Pauli basis.  scipy (for the Schur form) is a test dependency only.
+- The numpy routes of two plain-float helpers: the ``lstsq`` line fit behind
+  :func:`mpfkit.formulas.fit_line` and the array form of
+  :func:`mpfkit.formulas.vandermonde_residuals`.
+- Two scaling diagnostics that check paper claims on families of inputs:
+  how the extensiveness g grows with N (:func:`g_scaling_report`) and how
+  the weight norm ||c||_1 grows with J (:func:`condition_report`).
 
 Nothing in ``mpfkit`` reaches these routes, so they live with the tests.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -21,7 +30,7 @@ import scipy.linalg
 from mpfkit import dense
 from mpfkit.dense import _PHASES, _bit_reverse, _popcounts
 from mpfkit.hamiltonians import HamiltonianSpec
-from mpfkit.mpf import MPFSpec
+from mpfkit.mpf import MPFSpec, build_mpf
 from mpfkit.pauli import PauliSum
 from mpfkit.trotter import ProductFormulaPlan, TrotterEvaluator
 
@@ -181,3 +190,122 @@ def oracle_phi_from_logs(
     for m in mats:
         out.append(pauli_decompose(1j * m, spec.n_sites, tol=1e-12))
     return out
+
+
+def lstsq_fit_line(xs, ys) -> tuple[float, float]:
+    """Least-squares line ``ys ~ a xs + b`` by ``lstsq``: (a, RMS residual)."""
+    xs = np.asarray(xs, dtype=float)
+    design = np.vstack([xs, np.ones_like(xs)]).T
+    sol, *_ = np.linalg.lstsq(design, ys, rcond=None)
+    residual = float(np.sqrt(np.mean((design @ sol - ys) ** 2)))
+    return float(sol[0]), residual
+
+
+def array_vandermonde_residuals(k_values, c_values) -> np.ndarray:
+    """Row-wise defect of the Richardson system, summed by numpy."""
+    ks = np.asarray(k_values, dtype=float)
+    cs = np.asarray(c_values, dtype=float)
+    out = np.empty(len(ks))
+    for i in range(len(ks)):
+        target = 1.0 if i == 0 else 0.0
+        out[i] = abs(float(np.sum(cs * ks ** (-2.0 * i))) - target)
+    return out
+
+
+@dataclass(frozen=True)
+class GScalingReport:
+    """Extensiveness-versus-size fit across a family of specs."""
+
+    sizes: tuple[int, ...]
+    g_values: tuple[float, ...]
+    power_slope: float
+    power_residual: float
+    log_residual: float
+    regime: str
+
+
+def g_scaling_report(
+    builder: Callable[[int], HamiltonianSpec],
+    sizes: Sequence[int],
+    constant_slope_tol: float = 0.05,
+) -> GScalingReport:
+    """Fit how the extensiveness grows with system size.
+
+    Compares a power law ``g ~ N^s`` (log-log least squares) against a
+    logarithmic model ``g ~ a + b ln N`` and labels the regime as
+    ``"constant"``, ``"logarithmic"`` or ``"power"`` by slope size and
+    residual comparison.
+    """
+    if len(sizes) < 3:
+        raise ValueError("need at least three sizes to fit")
+    gs = [builder(n).extensiveness for n in sizes]
+    if min(gs) <= 0.0:
+        raise ValueError("extensiveness must be positive to fit scaling")
+    ln_n = np.log(np.asarray(sizes, dtype=float))
+    g_arr = np.asarray(gs, dtype=float)
+    power_slope, power_residual = lstsq_fit_line(ln_n, np.log(g_arr))
+    _, log_residual = lstsq_fit_line(ln_n, g_arr)
+    # that residual is in g units; rescale to be comparable with the log-log fit
+    log_residual /= float(np.mean(g_arr))
+    if abs(power_slope) < constant_slope_tol:
+        regime = "constant"
+    elif log_residual < power_residual:
+        regime = "logarithmic"
+    else:
+        regime = "power"
+    return GScalingReport(
+        sizes=tuple(int(n) for n in sizes),
+        g_values=tuple(float(g) for g in gs),
+        power_slope=power_slope,
+        power_residual=power_residual,
+        log_residual=log_residual,
+        regime=regime,
+    )
+
+
+@dataclass(frozen=True)
+class ConditionReport:
+    """Growth of the weight and node 1-norms across a J-sweep."""
+
+    j_values: tuple[int, ...]
+    norm_c_values: tuple[float, ...]
+    norm_k_values: tuple[float, ...]
+    power_exponent: float
+    power_residual: float
+    log_residual: float
+    subpolynomial: bool
+
+
+def linear_k_specs(
+    j_max: int, base_order: int = 2, j_min: int = 1
+) -> list[MPFSpec]:
+    """Solved specs for the k_j = j scheme across J = j_min..j_max."""
+    return [build_mpf(j, base_order) for j in range(j_min, j_max + 1)]
+
+
+def condition_report(specs: Sequence[MPFSpec]) -> ConditionReport:
+    """Fit how the weight 1-norm grows with the term count.
+
+    Compares a power law ``norm ~ J^s`` against a logarithmic model
+    ``norm ~ a + b ln J``; the scheme counts as sub-polynomial when the
+    logarithmic model fits at least as well.  Purely diagnostic.
+    """
+    ordered = sorted(specs, key=lambda s: s.j_count)
+    js = [s.j_count for s in ordered]
+    if len(js) < 3 or len(set(js)) != len(js):
+        raise ValueError("need at least three specs with distinct term counts")
+    norm_c = np.array([s.norm_c_1 for s in ordered])
+    norm_k = np.array([s.norm_k_1 for s in ordered])
+    ln_j = np.log(np.asarray(js, dtype=float))
+    power_exponent, power_residual = lstsq_fit_line(ln_j, np.log(norm_c))
+    _, log_residual = lstsq_fit_line(ln_j, norm_c)
+    log_residual /= float(np.mean(norm_c))
+    return ConditionReport(
+        j_values=tuple(js),
+        norm_c_values=tuple(float(x) for x in norm_c),
+        norm_k_values=tuple(float(x) for x in norm_k),
+        power_exponent=power_exponent,
+        power_residual=power_residual,
+        log_residual=log_residual,
+        subpolynomial=log_residual <= power_residual,
+    )

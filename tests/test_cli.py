@@ -143,6 +143,20 @@ class TestConfigResolution:
         cfg = load(tmp_path, "alpha_table.json")["config"]
         assert cfg["n_sites"] == 3
 
+    def test_ham_file_needs_file_family(self, tmp_path, capsys):
+        assert run(tmp_path, "cost", "--ham-file", "nofile.json") == 2
+        err = capsys.readouterr().err
+        assert "--ham-file" in err and "--family file" in err
+        assert not (tmp_path / "cost_report.json").exists()
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "afile"
+        target.write_text("")
+        assert main(["cost", "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert str(target) in err
+        assert "Traceback" not in err
+
     def test_file_family_needs_path(self, tmp_path):
         assert run(tmp_path, "alpha", "--family", "file") == 2
 
@@ -631,18 +645,24 @@ class TestReproducibility:
 
 
 class TestNoScipyAtRunTime:
-    """No CLI process imports scipy: it is a test dependency only.
+    """No CLI process imports scipy, and none that builds no matrix imports numpy.
 
-    Each check runs in a fresh interpreter with ``PYTHONPATH`` set to the
-    package's source folder, so nothing this test process imported counts.
-    A subcommand that needs scipy (say a sparse-norm ``scaling`` run built
-    on ``scipy.sparse.linalg.eigsh``) may import it inside its own handler
-    only, never at module level.
+    scipy is a test dependency only.  numpy loads with the dense layer, the
+    first time a run builds a matrix.  Each check runs in a fresh
+    interpreter with ``PYTHONPATH`` set to the package's source folder, so
+    nothing this test process imported counts; it prints the loaded scipy
+    modules and then whether numpy is loaded.  A subcommand that needs scipy
+    (say a sparse-norm ``scaling`` run built on ``scipy.sparse.linalg.eigsh``)
+    may import it inside its own handler only, never at module level.
     """
 
     def check(self, code, cwd):
         env = {**os.environ, "PYTHONPATH": str(SRC)}
-        probe = code + "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        probe = (
+            code
+            + "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            + "\nprint('numpy' in sys.modules)"
+        )
         done = subprocess.run(
             [sys.executable, "-c", probe],
             cwd=cwd,
@@ -663,10 +683,15 @@ class TestNoScipyAtRunTime:
             "    importlib.import_module('mpfkit.' + name)\n"
             "print(sorted(names))"
         )
-        names, loaded = self.check(code, tmp_path)
-        for name in ("bch", "cli", "dense", "mpf", "trotter"):
+        names, loaded, numpy_loaded = self.check(code, tmp_path)
+        for name in ("bch", "cli", "dense", "formulas", "mpf", "trotter"):
             assert repr(name) in names
         assert loaded == "[]"
+        assert numpy_loaded == "True"
+
+    def test_importing_the_cli_leaves_numpy_unloaded(self, tmp_path):
+        code = "import sys\nimport mpfkit.cli"
+        assert self.check(code, tmp_path) == ["[]", "False"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -682,6 +707,31 @@ class TestNoScipyAtRunTime:
             "from mpfkit.cli import main\n"
             f"assert main({list(argv)!r} + ['--out', 'out']) == 0"
         )
-        (loaded,) = self.check(code, tmp_path)
+        loaded, numpy_loaded = self.check(code, tmp_path)
         assert loaded == "[]"
+        # both runs build matrices, so the probe sees numpy when it is there
+        assert numpy_loaded == "True"
         assert any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, status",
+        [
+            (("cost", "--family", "long-range-zz", "--n-sites", "6",
+              "--exponent", exponent), 0)
+            for exponent in ("0.5", "1", "3")
+        ]
+        + [
+            (("table1",), 0),
+            (("verify-order", "--tau-min", "0.5", "--tau-max", "0.1"), 2),
+        ],
+        ids=["cost-a0.5", "cost-a1", "cost-a3", "table1", "config-error"],
+    )
+    def test_runs_without_matrices_leave_numpy_unloaded(
+        self, tmp_path, argv, status
+    ):
+        code = (
+            "import sys\n"
+            "from mpfkit.cli import main\n"
+            f"assert main({list(argv)!r} + ['--out', 'out']) == {status}"
+        )
+        assert self.check(code, tmp_path) == ["[]", "False"]

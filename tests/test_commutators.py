@@ -98,7 +98,8 @@ class TestCommutatorSums:
         ]
         for spec in specs:
             sums = commutator_sums(spec, 4)
-            assert list(sums) == [1, 2, 3, 4]
+            assert list(sums) == [2, 3, 4]
+            sums[1] = nested_commutator_sum(spec, 1)
             for q, got in sums.items():
                 ref = brute_alpha(spec, q)
                 assert got == pytest.approx(ref, rel=1e-9), (spec.n_sites, q)
@@ -107,15 +108,15 @@ class TestCommutatorSums:
         # values of a search stopped at each order; == holds only while
         # every alpha_q adds its nests in lexicographic tuple order
         spec = heisenberg_chain(4, field=0.5)
+        assert nested_commutator_sum(spec, 1) == 11.0
+        assert nested_commutator_sum(spec, 1, "one-norm") == 11.0
         assert commutator_sums(spec, 5) == {
-            1: 11.0,
             2: 27.71281292110204,
             3: 332.55375505322445,
             4: 3103.835047163428,
             5: 37246.02056596114,
         }
         assert commutator_sums(spec, 5, "one-norm") == {
-            1: 11.0,
             2: 48.0,
             3: 576.0,
             4: 5376.0,
@@ -160,7 +161,7 @@ class TestClosedFormBounds:
         # the one-norm table needs no dense matrix, so no dense cap applies
         spec = heisenberg_chain(3)
         loose = commutator_sums(spec, 3, "one-norm", cap=1)
-        assert list(loose) == [1, 2, 3]
+        assert list(loose) == [2, 3]
         with pytest.raises(ValueError, match="exceeds cap"):
             commutator_sums(spec, 3, "exact", cap=1)
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from mpfkit.hamiltonians import (
     family_constants,
-    g_scaling_report,
     heisenberg_chain,
     load_spec,
     long_range_zz_chain,
@@ -17,6 +16,7 @@ from mpfkit.hamiltonians import (
     spec_to_document,
 )
 from mpfkit.pauli import PauliTerm
+from oracles import g_scaling_report
 
 
 class TestHeisenberg:
