@@ -35,15 +35,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-import numpy as np
-
-from . import dense
-from .formulas import ProductFormulaPlan, loglog_slope
+from .formulas import DEFAULT_DENSE_CAP, ProductFormulaPlan, loglog_slope
 from .hamiltonians import HamiltonianSpec
 from .pauli import PauliSum
-from .trotter import TrotterEvaluator
+
+# numpy and the dense layer load in the dense checks only
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .trotter import TrotterEvaluator
 
 __all__ = [
     "DEFAULT_COMPOSITION_BUDGET",
@@ -235,7 +237,7 @@ def phi_report(
     phi_q: PauliSum,
     alpha_q: float,
     norm_mode: str = "exact",
-    cap: int = dense.DEFAULT_DENSE_CAP,
+    cap: int = DEFAULT_DENSE_CAP,
 ) -> PhiReport:
     """Measure Phi_q and evaluate every bound the tables need.
 
@@ -245,6 +247,8 @@ def phi_report(
     """
     norm_exact: float | None = None
     if norm_mode == "exact" and spec.n_sites <= cap:
+        from . import dense
+
         norm_exact = (
             dense.spectral_norm(dense.from_pauli_sum(phi_q, cap)) if phi_q else 0.0
         )
@@ -286,9 +290,11 @@ def truncated_step_unitary(
     tau: float,
     p0: int,
     phis: dict[int, PauliSum],
-    cap: int = dense.DEFAULT_DENSE_CAP,
+    cap: int = DEFAULT_DENSE_CAP,
 ) -> np.ndarray:
     """exp(-i (H tau + sum Phi_q tau^q)) through the dense backend."""
+    from . import dense
+
     gen = effective_generator(spec, tau, p0, phis)
     mat = dense.from_pauli_sum(gen, cap)
     # the series coefficients carry float-product noise; symmetrized check
@@ -300,9 +306,11 @@ def truncation_defect(
     phis: dict[int, PauliSum],
     tau: float,
     p0: int,
-    cap: int = dense.DEFAULT_DENSE_CAP,
+    cap: int = DEFAULT_DENSE_CAP,
 ) -> float:
     """|| T(tau) - exp(-i H_eff^{(p0)}(tau) tau) || at one time argument."""
+    from . import dense
+
     u = evaluator.formula_unitary(tau)
     v = truncated_step_unitary(evaluator.spec, tau, p0, phis, cap)
     return dense.spectral_norm(u - v)
@@ -332,7 +340,7 @@ def check_truncated_generator(
     *,
     subdivisions: Sequence[float] = (1.0, 0.5, 0.25),
     slope_grid: np.ndarray | None = None,
-    cap: int = dense.DEFAULT_DENSE_CAP,
+    cap: int = DEFAULT_DENSE_CAP,
 ) -> TruncationCheck:
     """Verify the truncated series reproduces the step to epsilon.
 
@@ -348,10 +356,8 @@ def check_truncated_generator(
     slope = None
     n_used = 0
     if slope_grid is not None:
-        errs = np.array(
-            [truncation_defect(evaluator, phis, t, p0, cap) for t in slope_grid]
-        )
-        slope, n_used = loglog_slope(np.asarray(slope_grid), errs)
+        errs = [truncation_defect(evaluator, phis, t, p0, cap) for t in slope_grid]
+        slope, n_used = loglog_slope(slope_grid, errs)
     return TruncationCheck(
         p0=p0,
         epsilon=epsilon,

@@ -1,20 +1,18 @@
 """Dense-matrix backend for desk-scale verification.
 
-Everything here builds 2^n x 2^n complex matrices with numpy and is meant for
-small n (default cap 12 qubits).  Symbolic Pauli work lives in
+Everything here works on complex matrices of side up to 2^n with numpy and
+is meant for small n (default cap 12 qubits).  Symbolic Pauli work lives in
 :mod:`mpfkit.pauli`; this module converts to matrices, exponentiates
 Hermitian generators exactly through eigendecomposition, and measures
 spectral norms.
 
 Conversion rests on one index map: a Pauli string is a signed permutation
-of the computational basis.  :func:`from_pauli_sum` scatters each string
-into its permuted diagonal in O(2^n), adding strings in the sum's order, so
-the result is bitwise the Kronecker-product build's.
-
-Matrices that share invariant sectors are worked on block by block:
-:func:`invariant_sectors` finds the sectors, and the factorization and the
-norm below accept a stack of equal-size blocks ``(count, size, size)`` as
-well as a single matrix.
+of the computational basis.  :func:`permuted_diagonals` adds each string
+into its permuted diagonal in O(2^n), in the sum's order, so every entry is
+bitwise the Kronecker-product build's.  :func:`invariant_sectors` finds the
+sectors the diagonals link and :func:`sector_blocks` fills their blocks;
+the factorization and the norm accept a stack of equal-size blocks
+``(count, size, size)`` as well as a single matrix.
 """
 
 from __future__ import annotations
@@ -30,9 +28,12 @@ __all__ = [
     "DEFAULT_DENSE_CAP",
     "DenseCapError",
     "HermitianFactorization",
+    "adjoint",
     "check_dense_cap",
     "from_pauli_sum",
     "invariant_sectors",
+    "permuted_diagonals",
+    "sector_blocks",
     "expm_minus_i",
     "spectral_norm",
 ]
@@ -54,8 +55,8 @@ def _popcounts(n_sites: int) -> np.ndarray:
     return pop
 
 
-def from_pauli_sum(s: PauliSum, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    """Dense matrix of a Pauli sum, one signed permutation per string.
+def permuted_diagonals(s: PauliSum) -> dict[int, np.ndarray]:
+    """A Pauli sum as one permuted diagonal per x-mask.
 
     Site 0 is the most significant bit of the basis index, matching the
     left-to-right reading of string labels.  With ``xr`` and ``zr`` the
@@ -63,43 +64,48 @@ def from_pauli_sum(s: PauliSum, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
 
         P(x, z) |b> = i^{|x&z|} (-1)^{|zr&b|} |b XOR xr>,
 
-    so it fills the one permuted diagonal ``out[b ^ xr, b]``.  Strings are
-    added in the sum's own order, so every entry receives its contributions
-    in the order, and with the exact values, of the Kronecker-product build
-    ``sum c * (site_0 (x) ... (x) site_{n-1})``: the two matrices are
-    bitwise identical, signed zeros included (a sum started at +0 never
-    holds a -0).  Cost is O(2^n) per string plus one O(4^n) allocation.
+    so ``diags[xr][b]`` is the sum's entry ``(b ^ xr, b)``.  Strings are
+    added in the sum's order from +0, so each entry gets the exact terms, in
+    the same order, of the Kronecker-product build ``sum c * (site_0 (x) ...
+    (x) site_{n-1})``: the two are bitwise equal, signed zeros included (a
+    sum started at +0 never holds a -0).  Cost is O(2^n) per string.
     """
-    check_dense_cap(s.n_sites, cap)
     n = s.n_sites
-    dim = 1 << n
-    idx = np.arange(dim)
+    idx = np.arange(1 << n)
     odd = (_popcounts(n) & 1).astype(bool)
-    out = np.zeros((dim, dim), dtype=complex)
+    diags: dict[int, np.ndarray] = {}
     for (x, z), c in s.items():
         v = c * _PHASES[(x & z).bit_count() & 3]
         flip = odd[idx & _bit_reverse(z, n)]
-        out[idx ^ _bit_reverse(x, n), idx] += np.where(flip, -v, v)
-    return out
+        d = diags.setdefault(_bit_reverse(x, n), np.zeros(1 << n, dtype=complex))
+        d += np.where(flip, -v, v)
+    return diags
 
 
-def invariant_sectors(mats: list[np.ndarray]) -> list[np.ndarray]:
-    """Joint invariant sectors of equal-shape square matrices, grouped by size.
+def from_pauli_sum(s: PauliSum, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+    """Dense matrix of a Pauli sum: the one block of the whole basis."""
+    check_dense_cap(s.n_sites, cap)
+    return sector_blocks(permuted_diagonals(s), [np.arange(1 << s.n_sites)[None]])[0][0]
 
-    The sectors are the connected components of the union of the exact
-    nonzero patterns, so every matrix is exactly block diagonal on them:
-    total magnetization for a Heisenberg chain, single basis states for a
-    diagonal Hamiltonian, one sector when nothing splits.  Returns one int
-    array of shape ``(count, size)`` per distinct sector size, ascending in
-    size; each row lists one sector's basis indices in ascending order, and
-    rows are ordered by their smallest index.  Cost is O(4^n) for the
-    pattern plus a few passes over its nonzeros.
+
+def invariant_sectors(
+    dim: int, pairs: list[tuple[int, np.ndarray]]
+) -> list[np.ndarray]:
+    """Invariant sectors of the basis ``0..dim-1`` under linked index pairs.
+
+    Each ``(xr, b)`` in ``pairs`` links each index in the array ``b`` with
+    ``b ^ xr``, as the nonzeros of a permuted diagonal do.  The sectors are
+    the connected components, so a matrix with only linked nonzeros is
+    exactly block diagonal on them: total magnetization for a Heisenberg
+    chain, single basis states for a diagonal Hamiltonian, one sector when
+    nothing splits.  Returns one int array of shape ``(count, size)`` per
+    distinct sector size, ascending in size; each row lists one sector's
+    basis indices in ascending order, rows ordered by their smallest index.
     """
-    dim = mats[0].shape[0]
-    linked = np.zeros((dim, dim), dtype=bool)
-    for m in mats:
-        linked |= m != 0
-    rows, cols = np.nonzero(linked | linked.T)
+    # self-links change no component and keep the lists nonempty
+    near = np.concatenate([np.arange(dim)] + [b for _, b in pairs])
+    far = np.concatenate([np.arange(dim)] + [b ^ xr for xr, b in pairs])
+    rows, cols = np.concatenate([near, far]), np.concatenate([far, near])
     # each index takes its smallest neighbour's label, then jumps to its
     # label's label; labels only fall and stay inside the component, and at
     # the fixed point every component carries its smallest index
@@ -118,7 +124,28 @@ def invariant_sectors(mats: list[np.ndarray]) -> list[np.ndarray]:
     return [chunk.reshape(-1, size[chunk[0]]) for chunk in np.split(order, cuts)]
 
 
-def _adjoint(a: np.ndarray) -> np.ndarray:
+def sector_blocks(
+    diags: dict[int, np.ndarray], sectors: list[np.ndarray]
+) -> list[np.ndarray]:
+    """The blocks ``m[idx[:, :, None], idx[:, None, :]]`` on each stack ``idx``
+    of ``sectors``, of the matrix m whose :func:`permuted_diagonals` are
+    ``diags`` and whose nonzeros all lie in the sectors; m is never formed.
+    """
+    row, col = np.empty((2, sum(idx.size for idx in sectors)), dtype=np.int64)
+    for idx in sectors:
+        row[idx], col[idx] = np.indices(idx.shape)
+    blocks = []
+    for idx in sectors:
+        block, flat = np.zeros(idx.shape + idx.shape[-1:], dtype=complex), idx.ravel()
+        for xr, d in diags.items():
+            b = flat[d[flat] != 0]
+            block[row[b], col[b ^ xr], col[b]] = d[b]
+        blocks.append(block)
+    return blocks
+
+
+def adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of every block of a stack."""
     return np.swapaxes(a, -1, -2).conj()
 
 
@@ -144,16 +171,19 @@ class HermitianFactorization:
         # the defect is anti-Hermitian, so its inf-norm (max row sum) bounds
         # its spectral norm from above at O(4^n) cost, without an SVD; over
         # a stack of blocks it is the inf-norm of their direct sum
-        defect = _inf_norm(h - _adjoint(h))
+        defect = _inf_norm(h - adjoint(h))
         if defect > herm_tol:
             raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
         vals, vecs = np.linalg.eigh(h)
         return cls(vals=vals, vecs=vecs)
 
+    def phases(self, tau: float) -> np.ndarray:
+        """The eigenvalues ``exp(-i vals tau)`` of ``exp(-i h tau)``."""
+        return np.exp(-1j * self.vals * tau)
+
     def expm_minus_i(self, tau: float) -> np.ndarray:
         """``exp(-i h tau)``, exactly unitary up to rounding."""
-        phases = np.exp(-1j * self.vals * tau)
-        return (self.vecs * phases[..., None, :]) @ _adjoint(self.vecs)
+        return (self.vecs * self.phases(tau)[..., None, :]) @ adjoint(self.vecs)
 
 
 def expm_minus_i(h: np.ndarray, tau: float, herm_tol: float = 1e-10) -> np.ndarray:
@@ -175,8 +205,8 @@ def spectral_norm(a: np.ndarray) -> float:
     if scale == 0.0:
         return 0.0
     tol = 1e-13 * scale
-    if _inf_norm(a - _adjoint(a)) <= tol:
+    if _inf_norm(a - adjoint(a)) <= tol:
         return float(np.max(np.abs(np.linalg.eigvalsh(a))))
-    if _inf_norm(a + _adjoint(a)) <= tol:
+    if _inf_norm(a + adjoint(a)) <= tol:
         return float(np.max(np.abs(np.linalg.eigvalsh(1j * a))))
     return float(np.max(np.linalg.svd(a, compute_uv=False)))

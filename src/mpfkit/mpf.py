@@ -44,7 +44,7 @@ class MPFEvaluator:
     so evaluators that share one reuse its cached group eigendecompositions;
     the k_j-fold powers are plain repeated matrix products.  Like the
     evaluator it works on the blocks of the invariant sectors; only
-    :meth:`step` and :meth:`exact_unitary` return full matrices.
+    :meth:`step` returns a full matrix.
     """
 
     def __init__(self, mpf_spec: MPFSpec, trotter: TrotterEvaluator) -> None:
@@ -59,9 +59,6 @@ class MPFEvaluator:
             )
         self.mpf_spec = mpf_spec
         self._trotter = trotter
-
-    def exact_unitary(self, tau: float) -> np.ndarray:
-        return self._trotter.exact_unitary(tau)
 
     def combine(self, powers: Iterable[list[np.ndarray]]) -> list[np.ndarray]:
         """``sum_j c_j P_j`` for the base powers ``P_j = T(tau/k_j)^{k_j}``.

@@ -30,14 +30,13 @@ __all__ = [
 class TrotterEvaluator:
     """Dense evaluator over the Hamiltonian's invariant sectors.
 
-    Built once per (spec, plan).  The sectors are the connected components
-    of the union of the nonzero patterns of every group matrix and the full
-    Hamiltonian (:func:`dense.invariant_sectors`); every one of those
-    matrices is exactly block diagonal on them.  Each group and the full
-    Hamiltonian is factorized once per block, and every propagator is formed
-    block by block: total magnetization splits a Heisenberg chain into
-    blocks of sizes C(n, m), and a diagonal Hamiltonian into 1x1 blocks.
-    A Hamiltonian with one sector is one block.
+    Built once per (spec, plan) without a 2^n x 2^n matrix: the sectors are
+    the components of the nonzeros of the groups' and H's permuted diagonals
+    (magnetization shells of sizes C(n, m) for a Heisenberg chain), and each
+    is factorized per block.  A step runs through the group eigenbases along
+    the merged stages, ``T = V_last P_last W ... W P_first V_first^dag``,
+    with each ``P`` a stage's phases and ``W = V_next^dag V_prev`` formed
+    once, so a stage costs one matrix product.
 
     Blocks of equal size are stacked.  The ``*_blocks`` methods return one
     ``(count, size, size)`` array per entry of ``sectors``, in that order;
@@ -60,17 +59,21 @@ class TrotterEvaluator:
         self.spec = spec
         self.plan = plan
         self.dim = 1 << spec.n_sites
-        mats = [dense.from_pauli_sum(s, cap) for s in spec.group_sums]
-        mats.append(dense.from_pauli_sum(spec.full_sum(), cap))
-        self.sectors = dense.invariant_sectors(mats)
-        # facts[s][m] factorizes matrix m on the stack of blocks sectors[s]
-        facts = [
-            [dense.HermitianFactorization.of(m[idx[:, :, None], idx[:, None, :]])
-             for m in mats]
-            for idx in self.sectors
+        diags = list(map(dense.permuted_diagonals, (*spec.group_sums, spec.full_sum())))
+        nonzero = [(xr, np.flatnonzero(d)) for ds in diags for xr, d in ds.items()]
+        self.sectors = dense.invariant_sectors(self.dim, nonzero)
+        # facts[m][s] factorizes sum m on the stack of blocks sectors[s]
+        blocks = (dense.sector_blocks(ds, self.sectors) for ds in diags)
+        facts = [list(map(dense.HermitianFactorization.of, b)) for b in blocks]
+        self._group_facts = list(zip(*facts[:-1]))
+        self._full_fact = facts[-1]
+        # stages by 0-based group, and W[g, h] = V_h^dag V_g per stack
+        self._stages = [(g - 1, a) for g, a in plan.merged_stages()]
+        steps = {(g, h) for (g, _), (h, _) in zip(self._stages, self._stages[1:])}
+        self._transitions = [
+            {(g, h): dense.adjoint(f[h].vecs) @ f[g].vecs for g, h in steps}
+            for f in self._group_facts
         ]
-        self._group_facts = [f[:-1] for f in facts]
-        self._full_fact = [f[-1] for f in facts]
 
     def scatter(self, blocks: list[np.ndarray]) -> np.ndarray:
         """The full matrix whose blocks on ``sectors`` are ``blocks``."""
@@ -83,13 +86,15 @@ class TrotterEvaluator:
         return [f.expm_minus_i(tau) for f in self._full_fact]
 
     def formula_blocks(self, tau: float) -> list[np.ndarray]:
+        (first, a), *rest = self._stages
         out = []
-        for facts in self._group_facts:
-            u = None
-            for g, a in self.plan.stages:
-                stage = facts[g - 1].expm_minus_i(a * tau)
-                u = stage if u is None else stage @ u
-            out.append(u)
+        for facts, transitions in zip(self._group_facts, self._transitions):
+            g = first
+            u = facts[g].phases(a * tau)[..., None] * dense.adjoint(facts[g].vecs)
+            for h, b in rest:
+                u = facts[h].phases(b * tau)[..., None] * (transitions[g, h] @ u)
+                g = h
+            out.append(facts[g].vecs @ u)
         return out
 
     def power_blocks(self, tau: float, k: int) -> list[np.ndarray]:
@@ -114,7 +119,8 @@ def difference_norm(a: list[np.ndarray], b: list[np.ndarray]) -> float:
 
     The norm of a direct sum is the largest block norm.
     """
-    return max(dense.spectral_norm(x - y) for x, y in zip(a, b, strict=True))
+    pairs = zip(a, b, strict=True)
+    return float(max(np.linalg.svd(x - y, compute_uv=False).max() for x, y in pairs))
 
 
 def geometric_grid(start: float, stop: float, points: int = 12) -> np.ndarray:

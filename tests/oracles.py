@@ -4,6 +4,10 @@
   2^n x 2^n matrix, with no split into invariant sectors.  It checks the
   blocked :class:`mpfkit.trotter.TrotterEvaluator` and
   :class:`mpfkit.mpf.MPFEvaluator` entrywise.
+- The matrix form of :func:`mpfkit.dense.invariant_sectors`: the connected
+  components of the union of full matrices' nonzero patterns, found by
+  scipy's graph search.  It checks the sectors the evaluator finds from the
+  Pauli masks.
 - The matrix-log route to the effective-generator series, an independent
   check of :func:`mpfkit.bch.compute_phi`: sample the dense step unitary on
   a grid of small time arguments, take principal matrix logarithms, fit
@@ -26,6 +30,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.csgraph
 
 from mpfkit import dense
 from mpfkit.dense import _PHASES, _bit_reverse, _popcounts
@@ -69,6 +75,30 @@ class FullMatrixEvaluator:
         for c, k in zip(mpf_spec.c_values, mpf_spec.k_values):
             acc += c * np.linalg.matrix_power(self.formula_unitary(tau / k), k)
         return acc
+
+
+def invariant_sectors(mats: list[np.ndarray]) -> list[np.ndarray]:
+    """Joint invariant sectors of equal-shape square matrices, grouped by size.
+
+    The connected components of the union of the exact nonzero patterns,
+    laid out like :func:`mpfkit.dense.invariant_sectors`: one ``(count,
+    size)`` array per size, ascending; indices ascending within a row, rows
+    ordered by their smallest index.
+    """
+    linked = np.zeros(mats[0].shape, dtype=bool)
+    for m in mats:
+        linked |= m != 0
+    count, label = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_matrix(linked), directed=False
+    )
+    comps = sorted(
+        (np.flatnonzero(label == c) for c in range(count)),
+        key=lambda c: (c.size, c[0]),
+    )
+    by_size: dict[int, list[np.ndarray]] = {}
+    for c in comps:
+        by_size.setdefault(c.size, []).append(c)
+    return [np.array(rows) for _, rows in sorted(by_size.items())]
 
 
 def pauli_decompose(mat: np.ndarray, n_sites: int, tol: float = 1e-12) -> PauliSum:

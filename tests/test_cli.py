@@ -13,14 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpfkit import bch, cli, commutators, hamiltonians
+from mpfkit import bch, cli, commutators, dense, hamiltonians
 from mpfkit.bounds import truncation_order
 from mpfkit.cli import ExperimentConfig, main
 from mpfkit.commutators import nested_commutator_sum
 from mpfkit.hamiltonians import heisenberg_chain, spec_to_document
 from mpfkit.mpf import build_mpf
 from mpfkit.pauli import PauliSum
-from mpfkit.trotter import TrotterEvaluator
+from mpfkit.trotter import TrotterEvaluator, build_plan
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -262,6 +262,15 @@ class TestVerifyOrder:
             "exact_unitary": 0,
             "formula_unitary": 0,
         }
+
+    def test_evaluator_and_sweep_build_no_full_matrix(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a full matrix")
+
+        monkeypatch.setattr(dense, "from_pauli_sum", refuse)
+        spec = heisenberg_chain(5)
+        TrotterEvaluator(spec, build_plan(spec.n_groups, 2))
+        assert run(tmp_path, "verify-order", "--n-sites", "5") == 0
 
     def test_eight_site_order_sweep_is_frozen(self, tmp_path):
         argv = ("verify-order", "--n-sites", "8", "--J", "3", "--tau-points", "6")
@@ -722,9 +731,13 @@ class TestNoScipyAtRunTime:
         ]
         + [
             (("table1",), 0),
+            (("phi", "--n-sites", "4", "--norm-mode", "one-norm"), 0),
             (("verify-order", "--tau-min", "0.5", "--tau-max", "0.1"), 2),
         ],
-        ids=["cost-a0.5", "cost-a1", "cost-a3", "table1", "config-error"],
+        ids=[
+            "cost-a0.5", "cost-a1", "cost-a3", "table1", "phi-one-norm",
+            "config-error",
+        ],
     )
     def test_runs_without_matrices_leave_numpy_unloaded(
         self, tmp_path, argv, status

@@ -25,7 +25,7 @@ from mpfkit.trotter import (
     suzuki_fractions,
 )
 
-from oracles import FullMatrixEvaluator
+from oracles import FullMatrixEvaluator, invariant_sectors
 
 
 class TestPlanShapes:
@@ -271,6 +271,27 @@ def blocked_specs(draw):
     return anisotropic_chain(n, coupling, jy, draw(st.floats(-1.0, 1.0)), field)
 
 
+class TestMaskBuiltBlocks:
+    @settings(max_examples=40, deadline=None)
+    @given(spec=blocked_specs())
+    # XX + YY cancels exactly on the aligned pairs of each bond; the XYZ
+    # chain with XX != YY leaves every entry of a bond nonzero
+    @example(spec=heisenberg_chain(5, coupling=1.0, field=0.0))
+    @example(spec=anisotropic_chain(4, 1.0, 0.4, 0.8, field=0.6))
+    def test_blocks_and_sectors_match_the_full_matrices(self, spec):
+        ev = TrotterEvaluator(spec, build_plan(spec.n_groups, 2))
+        sums = [*spec.group_sums, spec.full_sum()]
+        mats = [dense.from_pauli_sum(s) for s in sums]
+        expected = invariant_sectors(mats)
+        assert [idx.shape for idx in ev.sectors] == [idx.shape for idx in expected]
+        for got, want in zip(ev.sectors, expected):
+            assert np.array_equal(got, want)
+        for s, m in zip(sums, mats):
+            blocks = dense.sector_blocks(dense.permuted_diagonals(s), ev.sectors)
+            for idx, b in zip(ev.sectors, blocks, strict=True):
+                assert b.tobytes() == m[idx[:, :, None], idx[:, None, :]].tobytes()
+
+
 class TestBlockedAgainstFullMatrix:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -281,6 +302,7 @@ class TestBlockedAgainstFullMatrix:
     )
     @example(spec=heisenberg_chain(4, coupling=1.0, field=0.8), p=4, tau=-0.3, j_count=3)
     @example(spec=anisotropic_chain(4, 1.0, 0.4, 0.8, field=0.6), p=2, tau=0.5, j_count=2)
+    @example(spec=anisotropic_chain(5, 0.7, 1.2, -0.4, field=0.3), p=4, tau=0.6, j_count=3)
     def test_propagators_match_entrywise(self, spec, p, tau, j_count):
         plan = build_plan(spec.n_groups, p)
         ev = TrotterEvaluator(spec, plan)
