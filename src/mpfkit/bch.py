@@ -14,11 +14,11 @@ permutation average
                       [A_{sigma(1)}, [A_{sigma(2)}, ... A_{sigma(q)}]]
 
 where ``d_sigma`` counts adjacent descents, times an overall ``(-i)^{q-1}``.
-Permutation weights are summed as exact fractions once per group word (the
-group labels a composition spells out), so sequences whose weights cancel
-exactly are never evaluated; the surviving nested commutators are shared
-along common suffixes.  Order q visits C(q+V-1, V-1) compositions of the V
-merged stages but at most n_groups^q words, and
+Permutation weights are summed as exact integers over one denominator once
+per group word (the group labels a composition spells out), so sequences
+whose weights cancel exactly are never evaluated; the surviving nested
+commutators are shared along common suffixes.  Order q visits C(q+V-1, V-1)
+compositions of the V merged stages but at most n_groups^q words, and
 :func:`check_composition_budget` refuses tables over
 ``DEFAULT_COMPOSITION_BUDGET`` compositions.
 
@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -68,13 +67,15 @@ DEFAULT_COMPOSITION_BUDGET = 10**6
 
 
 @lru_cache(maxsize=16)
-def _perm_weights(q: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """All permutations of 0..q-1 with their exact descent weights."""
+def _perm_weights(q: int) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
+    """``(den, ((sigma, n), ...))`` over the permutations of 0..q-1, with
+    ``n / den = (-1)^d / C(q-1, d)`` exactly and ``den = lcm_d C(q-1, d)``."""
+    den = math.lcm(*(math.comb(q - 1, d) for d in range(q)))
     out = []
     for sigma in itertools.permutations(range(q)):
         d = sum(1 for i in range(q - 1) if sigma[i] > sigma[i + 1])
-        out.append((sigma, Fraction((-1) ** d, math.comb(q - 1, d))))
-    return tuple(out)
+        out.append((sigma, (-1) ** d * (den // math.comb(q - 1, d))))
+    return den, tuple(out)
 
 
 def _compositions(
@@ -113,7 +114,8 @@ def compute_phi(
     group_of = [g for g, _ in slots]
     alpha_of = [a for _, a in slots]
 
-    # sum the exact permutation weights once per group word
+    # sum the exact weights once per group word; int / int rounds correctly
+    den, weights = _perm_weights(q)
     words: dict[tuple[int, ...], list[tuple[tuple[int, ...], float]]] = {}
     agg: dict[tuple[int, ...], float] = {}
     for comp in _compositions(q, len(slots)):
@@ -123,11 +125,11 @@ def compute_phi(
             comp_factor *= alpha_of[v] ** q_v / math.factorial(q_v)
             word += (group_of[v],) * q_v
         if word not in words:
-            local: dict[tuple[int, ...], Fraction] = {}
-            for sigma, w in _perm_weights(q):
+            local: dict[tuple[int, ...], int] = {}
+            for sigma, w in weights:
                 key = tuple(word[i] for i in sigma)
-                local[key] = local.get(key, Fraction(0)) + w
-            words[word] = [(key, float(fr)) for key, fr in local.items() if fr]
+                local[key] = local.get(key, 0) + w
+            words[word] = [(key, n / den) for key, n in local.items() if n]
         for key, f in words[word]:
             agg[key] = agg.get(key, 0.0) + f * comp_factor
 

@@ -6,10 +6,13 @@ The central quantity is the order-q commutator sum of a grouped Hamiltonian,
 
 with the rightmost pair innermost.  It is enumerated exactly by depth-first
 search over group tuples with the partial nests shared along prefixes and
-zero branches pruned; one search yields every order up to q_max.  Two
-closed forms dominate it: the factorial/locality form  (q-1)! (2 k g)^{q-1}
-N g  and the crude power form  (2 L)^q  with L the total one-norm.  An observable can be spliced into the nest at any depth;
-the corresponding sum is bounded by  q! (2 k g)^q ||O||.
+zero branches pruned; one search yields every order up to q_max.  It starts
+from the pairs g_1 < g_2 only and counts each nest twice, since the swapped
+pair negates the whole subtree, and takes exact norms block by block on the
+groups' invariant sectors.  Two closed forms dominate it: the
+factorial/locality form  (q-1)! (2 k g)^{q-1} N g  and the crude power form
+(2 L)^q  with L the total one-norm.  An observable can be spliced into the
+nest at any depth; the corresponding sum is bounded by  q! (2 k g)^q ||O||.
 
 On top of the alpha table sits the step-size constant mu: a supremum over
 composition sums of alpha values whose (q+n-1)-th root controls how far the
@@ -19,9 +22,11 @@ n; the result records its witness and whether the window was wide enough.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .formulas import DEFAULT_DENSE_CAP, check_dense_cap
 from .hamiltonians import HamiltonianSpec
@@ -29,6 +34,7 @@ from .pauli import PauliSum
 
 __all__ = [
     "DEFAULT_TUPLE_BUDGET",
+    "SectorLeakError",
     "commutator_sums",
     "nested_commutator_sum",
     "factorial_commutator_bound",
@@ -43,14 +49,51 @@ __all__ = [
 DEFAULT_TUPLE_BUDGET = 10**6
 
 
-def _sum_norm(s: PauliSum, mode: str, cap: int) -> float:
-    if mode == "one-norm":
-        return s.one_norm()
-    if not s:
-        return 0.0
-    from . import dense  # numpy loads with the first nest that needs a matrix
+# rounding a nest may leave outside the sectors, per unit of (2 L)^q
+LEAK_TOL = 1e-12
 
-    return dense.spectral_norm(dense.from_pauli_sum(s, cap))
+
+class SectorLeakError(RuntimeError):
+    """A nest leaks more than rounding outside the groups' sectors: a fault of
+    the program, not a ``ValueError``, so the CLI reports a crash."""
+
+
+def _sector_norm(
+    spec: HamiltonianSpec, observable: PauliSum | None
+) -> Callable[[PauliSum, int], float]:
+    """``norm(nest, q)``: the exact norm of a nest of q groups, taken block by
+    block on the sectors of the groups (and the observable), which it
+    conserves.  Rounding that links two sectors is zeroed; more of it than
+    ``LEAK_TOL (2 L)^q`` (times ``2 ||O||_1``), in Frobenius norm, raises.
+    """
+    import numpy as np  # numpy loads with the first nest that needs a matrix
+
+    from . import dense
+
+    diags = [dense.permuted_diagonals(s) for s in (*spec.group_sums, observable) if s]
+    pairs = [(xr, np.flatnonzero(d)) for ds in diags for xr, d in ds.items()]
+    sectors = dense.invariant_sectors(1 << spec.n_sites, pairs)
+    label = np.empty(1 << spec.n_sites, dtype=np.int64)
+    for idx in sectors:
+        label[idx] = idx[:, :1]  # each sector by its smallest index
+    index = np.arange(label.size)
+    allowance = LEAK_TOL * (2.0 * observable.one_norm() if observable else 1.0)
+
+    def norm(nest: PauliSum, q: int) -> float:
+        nest_diags = dense.permuted_diagonals(nest)
+        leak = 0.0
+        for xr, d in nest_diags.items():
+            outside = label[index ^ xr] != label
+            leak += float(np.sum(np.abs(d[outside]) ** 2))
+            d[outside] = 0.0
+        tol = allowance * (2.0 * spec.total_one_norm) ** q
+        if math.sqrt(leak) > tol:
+            raise SectorLeakError(
+                f"nest leaks {math.sqrt(leak):.3e} outside the sectors, over {tol:.3e}"
+            )
+        return max(map(dense.spectral_norm, dense.sector_blocks(nest_diags, sectors)))
+
+    return norm
 
 
 def _nest_sums(
@@ -66,10 +109,14 @@ def _nest_sums(
 
     One depth-first search walks the group tuples, extending each nonzero
     nest by every group and descending only while its order is below
-    q_max; the nests of one order are met in lexicographic tuple order.
-    ``splice = (O, j)`` commutes O onto each nest once it holds j groups.
-    The tuple budget, the norm mode and the dense cap are checked before
-    any nest is built.
+    q_max.  From order 2 on it starts from the pairs g_1 < g_2 alone, in
+    lexicographic order, and adds each nest's norm with weight 2: the pair
+    (g_2, g_1) gives the negated nest and negates its whole subtree.
+    ``splice = (O, j)`` commutes O onto each nest once it holds j groups;
+    at j = 1 the antisymmetry fails and every tuple is walked.  Exact norms
+    come from :func:`_sector_norm`, built at the first nonzero nest.  The
+    tuple budget, the norm mode and the dense cap are checked before any
+    nest is built.
     """
     if q_max < 1:
         raise ValueError("q must be >= 1")
@@ -86,23 +133,31 @@ def _nest_sums(
     observable, insert_after = splice or (None, 0)
     sums = spec.group_sums
     alphas = dict.fromkeys(range(q_min, q_max + 1), 0.0)
+    sector_norm = functools.cache(lambda: _sector_norm(spec, observable))
 
-    def descend(depth: int, nest: PauliSum) -> None:
+    def descend(depth: int, nest: PauliSum, weight: float) -> None:
         if depth == insert_after:
             nest = observable.commutator(nest)
             if not nest:
                 return
         if depth >= q_min:
-            alphas[depth] += _sum_norm(nest, mode, cap)
+            norm = sector_norm()(nest, depth) if mode == "exact" else nest.one_norm()
+            alphas[depth] += weight * norm
         if depth == q_max:
             return
         for h in sums:
             nxt = h.commutator(nest)
             if nxt:
-                descend(depth + 1, nxt)
+                descend(depth + 1, nxt, weight)
 
-    for first in sums:
-        descend(1, first)
+    if q_min == 1 or insert_after == 1:
+        for first in sums:
+            descend(1, first, 1.0)
+    else:
+        for first, second in itertools.combinations(sums, 2):
+            pair = second.commutator(first)
+            if pair:
+                descend(2, pair, 2.0)
     return alphas
 
 
@@ -115,14 +170,16 @@ def commutator_sums(
 ) -> dict[int, float]:
     """Every commutator sum alpha_2..alpha_{q_max} from one enumeration.
 
-    Each nonzero nest of q groups adds its norm to alpha_q, summed in the
-    same order as by a search stopped at q.  Orders start at 2: alpha_1,
-    the sum of the group norms (:func:`nested_commutator_sum` at q = 1),
-    enters no bound, and skipping it spares one dense build per group.
+    Each nonzero nest of q groups with g_1 < g_2 adds twice its norm to
+    alpha_q, in lexicographic tuple order, as a search stopped at q would.
+    Orders start at 2: alpha_1, the sum of the group norms
+    (:func:`nested_commutator_sum` at q = 1), enters no bound.
 
-    ``mode="exact"`` measures spectral norms through the dense backend;
-    ``mode="one-norm"`` replaces every norm by the coefficient one-norm of
-    the same symbolically exact nest (an upper bound, no dense work).
+    ``mode="exact"`` measures spectral norms block by block on the groups'
+    invariant sectors; a nest that leaks more than ``LEAK_TOL (2 L)^q`` out
+    of them raises :class:`SectorLeakError`.  ``mode="one-norm"`` replaces
+    every norm by the coefficient one-norm of the same symbolically exact
+    nest (an upper bound, no dense work).
 
     Cost grows as n_groups^q_max tuples; the budget and the dense cap are
     checked once, before any nest is built.

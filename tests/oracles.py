@@ -13,6 +13,12 @@
   a grid of small time arguments, take principal matrix logarithms, fit
   ``log T(tau) = sum_q C_q tau^q`` by least squares and expand each ``C_q``
   in the Pauli basis.  scipy (for the Schur form) is a test dependency only.
+- The exact descent weights of :func:`mpfkit.bch.compute_phi` as
+  ``Fraction`` values, the form :func:`mpfkit.bch._perm_weights` puts over
+  one integer denominator.
+- The all-tuples commutator traversal, which walks every group tuple where
+  :mod:`mpfkit.commutators` walks only the pairs g_1 < g_2 and doubles, and
+  the full-matrix nest norm that the sector-blocked norm must reproduce.
 - The numpy routes of two plain-float helpers: the ``lstsq`` line fit behind
   :func:`mpfkit.formulas.fit_line` and the array form of
   :func:`mpfkit.formulas.vandermonde_residuals`.
@@ -25,7 +31,10 @@ Nothing in ``mpfkit`` reaches these routes, so they live with the tests.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -99,6 +108,59 @@ def invariant_sectors(mats: list[np.ndarray]) -> list[np.ndarray]:
     for c in comps:
         by_size.setdefault(c.size, []).append(c)
     return [np.array(rows) for _, rows in sorted(by_size.items())]
+
+
+def fraction_perm_weights(q: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """All permutations of 0..q-1 with their exact descent weights."""
+    out = []
+    for sigma in itertools.permutations(range(q)):
+        d = sum(1 for i in range(q - 1) if sigma[i] > sigma[i + 1])
+        out.append((sigma, Fraction((-1) ** d, math.comb(q - 1, d))))
+    return tuple(out)
+
+
+def full_matrix_norm(nest: PauliSum, q: int = 0) -> float:
+    """Spectral norm of a Pauli sum built as one 2^n x 2^n matrix.
+
+    Takes (and ignores) the nest order the sector-blocked norm reads its
+    leak allowance from, so it can stand in for that norm.
+    """
+    return dense.spectral_norm(dense.from_pauli_sum(nest))
+
+
+def all_tuples_commutator_sums(
+    spec: HamiltonianSpec,
+    q_max: int,
+    mode: str = "exact",
+    splice: tuple[PauliSum, int] | None = None,
+) -> dict[int, float]:
+    """alpha_2..alpha_qmax from every group tuple, each nest normed once.
+
+    The depth-first search before the pair halving: nests of one order are
+    met in lexicographic tuple order, full-matrix norms in exact mode.
+    ``splice = (O, j)`` commutes O onto each nest once it holds j groups.
+    """
+    observable, insert_after = splice or (None, 0)
+    alphas = dict.fromkeys(range(2, q_max + 1), 0.0)
+
+    def descend(depth: int, nest: PauliSum) -> None:
+        if depth == insert_after:
+            nest = observable.commutator(nest)
+            if not nest:
+                return
+        if depth >= 2:
+            exact = mode == "exact"
+            alphas[depth] += full_matrix_norm(nest) if exact else nest.one_norm()
+        if depth == q_max:
+            return
+        for h in spec.group_sums:
+            nxt = h.commutator(nest)
+            if nxt:
+                descend(depth + 1, nxt)
+
+    for first in spec.group_sums:
+        descend(1, first)
+    return alphas
 
 
 def pauli_decompose(mat: np.ndarray, n_sites: int, tol: float = 1e-12) -> PauliSum:

@@ -26,7 +26,7 @@ from mpfkit.commutators import nested_commutator_sum
 from mpfkit.hamiltonians import heisenberg_chain, make_spec
 from mpfkit.pauli import PauliSum, PauliTerm
 from mpfkit.trotter import TrotterEvaluator, build_plan, geometric_grid
-from oracles import oracle_phi_from_logs
+from oracles import fraction_perm_weights, oracle_phi_from_logs
 
 
 def toy_spec():
@@ -233,7 +233,7 @@ def fraction_oracle_phi(plan, spec, q):
                 comp_factor *= alpha_of[v] ** q_v / math.factorial(q_v)
                 positions.extend([group_of[v]] * q_v)
         local: dict[tuple[int, ...], Fraction] = {}
-        for sigma, w in _perm_weights(q):
+        for sigma, w in fraction_perm_weights(q):
             key = tuple(positions[i] for i in sigma)
             local[key] = local.get(key, Fraction(0)) + w
         for key, fr in local.items():
@@ -375,6 +375,32 @@ class TestWordAggregation:
         plan = build_plan(spec.n_groups, p)
         mine = dict(compute_phi(plan, spec, q).items())
         assert mine == dict(fraction_oracle_phi(plan, spec, q).items())
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_integer_weights_are_the_fractions(self, q):
+        den, weights = _perm_weights(q)
+        oracle = fraction_perm_weights(q)
+        assert [sigma for sigma, _ in weights] == [sigma for sigma, _ in oracle]
+        assert all(Fraction(n, den) == w for (_, n), (_, w) in zip(weights, oracle))
+
+    @pytest.mark.parametrize(
+        "spec, p",
+        [
+            (heisenberg_chain(6, coupling=1.1, field=0.8), 2),
+            (heisenberg_chain(4, coupling=0.9, field=0.0), 4),
+        ],
+        ids=["certify", "series"],
+    )
+    def test_integer_weights_keep_every_item_bitwise(self, monkeypatch, spec, p):
+        # with the Fraction weights over the denominator 1, compute_phi turns
+        # each summed Fraction into a float as it did before the integer sums
+        plan = build_plan(spec.n_groups, p)
+        got = [list(compute_phi(plan, spec, q).items()) for q in range(2, 6)]
+        monkeypatch.setattr(bch, "_perm_weights", lambda q: (1, fraction_perm_weights(q)))
+        want = [list(compute_phi(plan, spec, q).items()) for q in range(2, 6)]
+        assert [[(k, repr(c)) for k, c in items] for items in got] == [
+            [(k, repr(c)) for k, c in items] for items in want
+        ]
 
     def test_enumeration_order_matches_the_recursive_generator(self):
         for parts in range(1, 13):

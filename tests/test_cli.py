@@ -108,6 +108,13 @@ class TestConfigResolution:
         err = capsys.readouterr().err
         assert "Traceback" in err and "internal slip" in err
 
+    def test_sector_leak_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a negative allowance refuses the first nest, which is a fault of
+        # the program and not of the configuration
+        monkeypatch.setattr(commutators, "LEAK_TOL", -1.0)
+        assert run(tmp_path, "alpha", "--qmax", "3") == 3
+        assert "SectorLeakError" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from mpfkit import dense
+from mpfkit import commutators, dense
 from mpfkit.commutators import (
+    SectorLeakError,
     commutator_sums,
     factorial_commutator_bound,
     inserted_commutator_sum,
@@ -19,6 +22,8 @@ from mpfkit.commutators import (
 )
 from mpfkit.hamiltonians import heisenberg_chain, long_range_zz_chain, make_spec
 from mpfkit.pauli import PauliSum, PauliTerm
+from oracles import all_tuples_commutator_sums, full_matrix_norm
+from test_trotter import anisotropic_chain, blocked_specs
 
 
 def two_group_toy():
@@ -42,6 +47,20 @@ def brute_alpha(spec, q: int) -> float:
         for g in tup[1:]:
             m = mats[g] @ m - m @ mats[g]
         total += np.linalg.norm(m, ord=2)
+    return total
+
+
+def pair_order_alpha(spec, q: int, norm) -> float:
+    """alpha_q summed in the documented order: over the q-tuples with
+    g_1 < g_2 in lexicographic order, twice each nest's norm."""
+    total = 0.0
+    for tup in itertools.product(range(spec.n_groups), repeat=q):
+        if tup[0] < tup[1]:
+            nest = spec.group_sums[tup[0]]
+            for g in tup[1:]:
+                nest = spec.group_sums[g].commutator(nest)
+            if nest:
+                total += 2.0 * norm(nest)
     return total
 
 
@@ -104,16 +123,25 @@ class TestCommutatorSums:
                 ref = brute_alpha(spec, q)
                 assert got == pytest.approx(ref, rel=1e-9), (spec.n_sites, q)
 
-    def test_frozen_values_keep_their_summation_order(self):
-        # values of a search stopped at each order; == holds only while
-        # every alpha_q adds its nests in lexicographic tuple order
+    def test_frozen_values_keep_their_summation_order(self, monkeypatch):
+        # with the full-matrix norm put in for the blocked one, == holds only
+        # while alpha_q adds its nests in the documented pair order; in the
+        # Heisenberg chain the field commutes with both bond groups, so only
+        # the XYZ chain has more than one nonzero pair
         spec = heisenberg_chain(4, field=0.5)
+        monkeypatch.setattr(commutators, "_sector_norm", lambda *_: full_matrix_norm)
+        for s in (spec, anisotropic_chain(4, 1.0, 0.4, 0.8, field=0.6)):
+            assert commutator_sums(s, 5) == {
+                q: pair_order_alpha(s, q, full_matrix_norm) for q in range(2, 6)
+            }
+        monkeypatch.undo()
+        # values of a search stopped at each order, with the blocked norm
         assert nested_commutator_sum(spec, 1) == 11.0
         assert nested_commutator_sum(spec, 1, "one-norm") == 11.0
         assert commutator_sums(spec, 5) == {
-            2: 27.71281292110204,
-            3: 332.55375505322445,
-            4: 3103.835047163428,
+            2: 27.712812921102042,
+            3: 332.5537550532244,
+            4: 3103.8350471634276,
             5: 37246.02056596114,
         }
         assert commutator_sums(spec, 5, "one-norm") == {
@@ -122,6 +150,102 @@ class TestCommutatorSums:
             4: 5376.0,
             5: 64512.0,
         }
+
+
+@st.composite
+def nests(draw):
+    """A spec, an observable or None, a nest of q groups (zero or not) with
+    the observable spliced in after some of them, and q."""
+    spec = draw(blocked_specs())
+    groups = st.integers(0, spec.n_groups - 1)
+    tup = draw(st.lists(groups, min_size=1, max_size=4))
+    observable, insert_after = None, 0
+    if draw(st.booleans()):
+        label = draw(st.text("IXYZ", min_size=spec.n_sites, max_size=spec.n_sites))
+        observable = PauliSum.from_label(label, draw(st.floats(0.2, 2.0)))
+        insert_after = draw(st.integers(1, len(tup)))
+    nest = None
+    for depth, g in enumerate(tup, start=1):
+        h = spec.group_sums[g]
+        nest = h if nest is None else h.commutator(nest)
+        if depth == insert_after:
+            nest = observable.commutator(nest)
+    return spec, observable, nest, len(tup)
+
+
+def parity_flipping_nest():
+    """XX and YY of unequal weight leave only the two parity sectors; the
+    spliced X_0 flips parity, so its diagonals must join the sector build."""
+    spec = anisotropic_chain(4, 1.0, 0.4, 0.8, field=0.6)
+    observable = PauliSum.from_label("XIII", 0.5)
+    pair = spec.group_sums[1].commutator(spec.group_sums[0])
+    return spec, observable, observable.commutator(pair), 2
+
+
+class TestSectorBlockedNorm:
+    @settings(max_examples=60, deadline=None)
+    @given(case=nests())
+    @example(case=parity_flipping_nest())
+    def test_matches_the_full_matrix_norm(self, case):
+        spec, observable, nest, q = case
+        assume(nest)
+        got = commutators._sector_norm(spec, observable)(nest, q)
+        want = full_matrix_norm(nest)
+        assert abs(got - want) <= 1e-13 * want
+
+    def test_table_builds_no_full_matrix(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a full matrix was built")
+
+        monkeypatch.setattr(dense, "from_pauli_sum", refused)
+        assert commutator_sums(heisenberg_chain(5, field=0.5), 4)[4] > 0.0
+
+    def test_planted_out_of_sector_term_is_refused(self):
+        spec = heisenberg_chain(4, field=0.5)
+        first, second = spec.group_sums[:2]
+        nest = second.commutator(first) + PauliSum.from_label("XIII", 1e-3)
+        norm = commutators._sector_norm(spec, None)
+        # its Frobenius norm 4e-3 is far above LEAK_TOL (2 L)^2 = 4.8e-10
+        with pytest.raises(SectorLeakError, match="outside the sectors"):
+            norm(nest, 2)
+        # the CLI maps a ValueError to a configuration error (exit 2)
+        assert not issubclass(SectorLeakError, ValueError)
+
+
+class TestHalvedTraversal:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec=blocked_specs(),
+        q_max=st.integers(2, 4),
+        mode=st.sampled_from(["exact", "one-norm"]),
+    )
+    @example(spec=heisenberg_chain(5, coupling=1.0, field=0.0), q_max=4, mode="exact")
+    @example(spec=anisotropic_chain(4, 1.0, 0.4, 0.8, field=0.6), q_max=4, mode="exact")
+    # one order-5 nest is a rounding residue of about 1e-13 that lies wholly
+    # outside the magnetization sectors
+    @example(spec=heisenberg_chain(4, coupling=1.1937, field=0.6123), q_max=5, mode="exact")
+    def test_table_matches_every_tuple(self, spec, q_max, mode):
+        got = commutator_sums(spec, q_max, mode)
+        want = all_tuples_commutator_sums(spec, q_max, mode)
+        assert list(got) == list(want)
+        for q in want:
+            assert abs(got[q] - want[q]) <= 1e-14 * want[q], q
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        spec=blocked_specs(),
+        q=st.integers(2, 3),
+        mode=st.sampled_from(["exact", "one-norm"]),
+        data=st.data(),
+    )
+    def test_spliced_sum_matches_every_tuple(self, spec, q, mode, data):
+        label = data.draw(st.text("IXYZ", min_size=spec.n_sites, max_size=spec.n_sites))
+        observable = PauliSum.from_label(label, data.draw(st.floats(0.2, 2.0)))
+        insert_after = data.draw(st.integers(1, q))
+        got = inserted_commutator_sum(spec, observable, q, insert_after, mode)
+        splice = (observable, insert_after)
+        want = all_tuples_commutator_sums(spec, q, mode, splice)[q]
+        assert abs(got - want) <= 1e-14 * want
 
 
 class TestClosedFormBounds:
