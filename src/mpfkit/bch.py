@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .formulas import DEFAULT_DENSE_CAP, ProductFormulaPlan, loglog_slope
 from .hamiltonians import HamiltonianSpec
@@ -216,8 +215,7 @@ def phi_extensiveness_bound(
     )
 
 
-@dataclass(frozen=True)
-class PhiReport:
+class PhiReport(NamedTuple):
     """One series coefficient with its measured and bounded sizes."""
 
     q: int
@@ -318,8 +316,7 @@ def truncation_defect(
     return dense.spectral_norm(u - v)
 
 
-@dataclass(frozen=True)
-class TruncationCheck:
+class TruncationCheck(NamedTuple):
     """Measured truncation defects at and below the admissible boundary."""
 
     p0: int

@@ -22,8 +22,7 @@ closed-form ceiling from the locality data is used instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .commutators import (
     factorial_commutator_bound,
@@ -120,8 +119,7 @@ def mpf_time_condition(c_p: float, mu: float) -> float:
     return 1.0 / (2.0 * c_p * mu)
 
 
-@dataclass(frozen=True)
-class StepErrorBound:
+class StepErrorBound(NamedTuple):
     """Per-step error budget split into its two contributions."""
 
     value: float
@@ -200,8 +198,7 @@ def matched_mpf_spec(
     return make_mpf_spec(ks, cs, base_order=base_order, m=m)
 
 
-@dataclass(frozen=True)
-class TrotterNumbers:
+class TrotterNumbers(NamedTuple):
     """The two step-count lower bounds and their combined ceiling."""
 
     r1: float
@@ -279,8 +276,7 @@ def helper_inequality_x(a: float, m: int) -> float:
     )
 
 
-@dataclass(frozen=True)
-class HelperInequalityCheck:
+class HelperInequalityCheck(NamedTuple):
     a: float
     m: int
     x: float
@@ -295,8 +291,7 @@ def helper_inequality_check(a: float, m: int) -> HelperInequalityCheck:
     return HelperInequalityCheck(a=a, m=m, x=x, lhs=lhs, holds=lhs <= a)
 
 
-@dataclass(frozen=True)
-class BoundInputs:
+class BoundInputs(NamedTuple):
     """Scalar inputs the budget formulas consume."""
 
     n_sites: int
@@ -313,8 +308,7 @@ class BoundInputs:
     norm_k_1: float
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Budget summary: step counts, admissible windows, query cost.
 
     ``mu_value`` is the enumerated windowed supremum when a Hamiltonian was
@@ -451,8 +445,7 @@ def report_from_parts(
     )
 
 
-@dataclass(frozen=True)
-class ConsistencyCheck:
+class ConsistencyCheck(NamedTuple):
     """Both defining inequalities of the step count, evaluated at r."""
 
     rhs: float
@@ -493,8 +486,7 @@ def self_consistency(report: BoundReport, rel_tol: float = 1e-9) -> ConsistencyC
     )
 
 
-@dataclass(frozen=True)
-class ChainCheck:
+class ChainCheck(NamedTuple):
     """Admissibility chain for the realized step tau = t/r.
 
     ``step_holds``: tau clears the max-prefactor bound with the allocation
@@ -551,8 +543,7 @@ QUERY_SCALING = (
 PRIOR_QUERY_SCALING = "N^(1/(p+1)) g t * polylog(N g t / eps)"
 
 
-@dataclass(frozen=True)
-class CostRow:
+class CostRow(NamedTuple):
     """One algorithm's gate-count expression evaluated at the inputs.
 
     ``polylog_pending`` marks rows whose literal value omits an unresolved
@@ -643,8 +634,7 @@ def gate_cost_table(
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class DivergenceDiagnostics:
+class DivergenceDiagnostics(NamedTuple):
     """Sup-candidate sequences (alpha_q)^(1/q) from three alpha sources.
 
     The factorial source grows without bound as q increases (its candidates

@@ -16,7 +16,6 @@ import json
 import math
 import sys
 from csv import writer as csv_writer
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -80,9 +79,9 @@ class ConfigError(Exception):
     """Raised for unusable configuration; mapped to exit status 2."""
 
 
-@dataclass
 class ExperimentConfig:
-    """Resolved run parameters shared by all subcommands."""
+    """Resolved run parameters shared by all subcommands: the annotated
+    attributes, whose defaults keyword arguments override by name."""
 
     family: str = "heisenberg"
     n_sites: int = 4
@@ -106,8 +105,15 @@ class ExperimentConfig:
     nu: float | None = None
     d: int = 1
 
+    def __init__(self, **values) -> None:
+        unknown = sorted(values.keys() - self.__annotations__.keys())
+        if unknown:
+            raise TypeError(f"unknown config fields: {', '.join(unknown)}")
+        for name in self.__annotations__:
+            setattr(self, name, values.get(name, getattr(self, name)))
+
     def echo(self) -> dict:
-        doc = asdict(self)
+        doc = {name: getattr(self, name) for name in self.__annotations__}
         if doc["k_list"] is not None:
             doc["k_list"] = list(doc["k_list"])
         return doc
@@ -197,7 +203,7 @@ def _validate(cfg: ExperimentConfig) -> None:
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge defaults, config-file values, and explicit flags, then validate."""
     cfg = ExperimentConfig()
-    known = {f.name: f.type for f in fields(ExperimentConfig)}
+    known = ExperimentConfig.__annotations__
     if getattr(args, "config", None):
         data = _load_config_file(args.config)
         unknown = sorted(set(data) - set(known))
@@ -249,6 +255,8 @@ def build_mpf_spec(cfg: ExperimentConfig, base_order: int) -> MPFSpec:
 
 
 def _as_jsonable(value):
+    if hasattr(value, "_asdict"):
+        value = value._asdict()
     if isinstance(value, dict):
         return {key: _as_jsonable(val) for key, val in value.items()}
     if isinstance(value, (list, tuple)):
@@ -788,7 +796,7 @@ def cmd_cost(cfg: ExperimentConfig) -> int:
     alphas = _alpha_table(cfg, spec) if cfg.q_max >= 3 else None
     if alphas is not None:
         window = {q: alphas[q] for q in range(2, cfg.q_max + 1)}
-        diagnostics = asdict(divergence_diagnostics(spec, window))
+        diagnostics = divergence_diagnostics(spec, window)
     elif cfg.q_max < 3:
         diagnostics = {"note": "the window 2..qmax holds fewer than two orders"}
     else:
@@ -800,15 +808,15 @@ def cmd_cost(cfg: ExperimentConfig) -> int:
     passed = consistency.holds and chain.holds
     payload = {
         "config": cfg.echo(),
-        "report": asdict(report),
-        "consistency": asdict(consistency),
-        "chain": asdict(chain),
+        "report": report,
+        "consistency": consistency,
+        "chain": chain,
         "query": {
             "value": report.query_count,
             "scaling": QUERY_SCALING,
             "prior_scaling": PRIOR_QUERY_SCALING,
         },
-        "gate_table": [asdict(row) for row in table],
+        "gate_table": table,
         "divergence": diagnostics,
         "eps_sweep": eps_sweep,
         "n_sweep": n_sweep,
@@ -846,7 +854,7 @@ def cmd_table1(cfg: ExperimentConfig) -> int:
     payload = {
         "config": cfg.echo(),
         "range_class": cfg.range_class,
-        "rows": [asdict(row) for row in rows],
+        "rows": [row._asdict() for row in rows],
     }
     write_json(out / "gate_costs.json", payload)
     _write_rows(out / "gate_costs.csv", payload["rows"])

@@ -25,8 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .formulas import DEFAULT_DENSE_CAP, check_dense_cap
 from .hamiltonians import HamiltonianSpec
@@ -91,7 +90,8 @@ def _sector_norm(
             raise SectorLeakError(
                 f"nest leaks {math.sqrt(leak):.3e} outside the sectors, over {tol:.3e}"
             )
-        return max(map(dense.spectral_norm, dense.sector_blocks(nest_diags, sectors)))
+        stacks = (dense.sector_blocks(nest_diags, [idx])[0] for idx in sectors)
+        return max(map(dense.spectral_norm, stacks))  # one stack held at a time
 
     return norm
 
@@ -251,8 +251,7 @@ def insertion_bound(q: int, k: int, g: float, observable_norm: float) -> float:
 # -- the window constant mu ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MuResult:
+class MuResult(NamedTuple):
     """Windowed supremum defining the admissible-step constant.
 
     ``witness`` is the (q, n) pair attaining the supremum (lexicographically

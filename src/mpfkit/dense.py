@@ -17,7 +17,7 @@ the factorization and the norm accept a stack of equal-size blocks
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,8 +130,10 @@ def sector_blocks(
     """The blocks ``m[idx[:, :, None], idx[:, None, :]]`` on each stack ``idx``
     of ``sectors``, of the matrix m whose :func:`permuted_diagonals` are
     ``diags`` and whose nonzeros all lie in the sectors; m is never formed.
+    ``sectors`` may hold any of the stacks of :func:`invariant_sectors`.
     """
-    row, col = np.empty((2, sum(idx.size for idx in sectors)), dtype=np.int64)
+    dim = 1 + max(int(idx.max()) for idx in sectors)
+    row, col = np.empty((2, dim), dtype=np.int64)
     for idx in sectors:
         row[idx], col[idx] = np.indices(idx.shape)
     blocks = []
@@ -154,8 +156,7 @@ def _inf_norm(a: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(a), axis=-1)))
 
 
-@dataclass(frozen=True)
-class HermitianFactorization:
+class HermitianFactorization(NamedTuple):
     """Cached eigendecomposition ``h = vecs @ diag(vals) @ vecs^dag``.
 
     Built once per Hamiltonian group so that stage exponentials at many

@@ -40,9 +40,8 @@ build before anything imports numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "DEFAULT_DENSE_CAP",
@@ -82,8 +81,7 @@ def check_dense_cap(n_sites: int, cap: int = DEFAULT_DENSE_CAP) -> None:
 # -- product-formula plans -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProductFormulaPlan:
+class ProductFormulaPlan(NamedTuple):
     """Stage list of one product-formula step.
 
     ``stage_factor`` is the literal stage count divided by the group count
@@ -160,8 +158,7 @@ def build_plan(n_groups: int, order: int) -> ProductFormulaPlan:
 # -- multi-product weights -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MPFSpec:
+class MPFSpec(NamedTuple):
     """A solved multi-product formula: base order, nodes, weights, norms.
 
     ``m`` is the achieved order of the combined step, equal to ``2 * j_count``
@@ -191,16 +188,13 @@ def _validated_k(k_values: Iterable[int]) -> tuple[int, ...]:
 
 
 def closed_form_coefficients(k_values: Iterable[int]) -> list[Fraction]:
-    """Exact weights c_j = prod_{i != j} k_j^2 / (k_j^2 - k_i^2)."""
-    ks = [Fraction(k) for k in _validated_k(k_values)]
-    out = []
-    for j, kj in enumerate(ks):
-        c = Fraction(1)
-        for i, ki in enumerate(ks):
-            if i != j:
-                c *= kj * kj / (kj * kj - ki * ki)
-        out.append(c)
-    return out
+    """Exact weights c_j = prod_{i != j} k_j^2 / (k_j^2 - k_i^2), each one
+    integer quotient of products, reduced once."""
+    squares = [k * k for k in _validated_k(k_values)]
+    return [
+        Fraction(s ** (len(squares) - 1), math.prod(s - t for t in squares if t != s))
+        for s in squares
+    ]
 
 
 def exact_system_solve(k_values: Iterable[int]) -> list[Fraction]:

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .pauli import PauliSum, PauliTerm
 
@@ -35,14 +34,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class HamiltonianSpec:
+class HamiltonianSpec(NamedTuple):
     """Immutable grouped Hamiltonian with derived structure constants.
 
     Built through :func:`make_spec`; do not construct directly.  ``terms``
     keeps the literal (term, group) list so that the partition can be
     reconstructed exactly; ``group_sums[g-1]`` is the canonical Pauli sum of
-    group ``g``.
+    group ``g``.  Two specs are equal only when they are the same object.
     """
 
     n_sites: int
@@ -52,7 +50,11 @@ class HamiltonianSpec:
     extensiveness: float
     total_one_norm: float
     non_commuting_groups: bool
-    group_sums: tuple[PauliSum, ...] = field(repr=False)
+    group_sums: tuple[PauliSum, ...]
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
     def group_sum(self, group: int) -> PauliSum:
         if not 1 <= group <= self.n_groups:

@@ -19,7 +19,7 @@ return new objects; nothing mutates in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -84,8 +84,7 @@ def terms_commute(x1: int, z1: int, x2: int, z2: int) -> bool:
     return ((x1 & z2).bit_count() + (z1 & x2).bit_count()) % 2 == 0
 
 
-@dataclass(frozen=True, slots=True)
-class PauliTerm:
+class PauliTerm(namedtuple("PauliTerm", "n_sites x_mask z_mask coeff")):
     """One weighted Pauli string.
 
     Attributes
@@ -96,19 +95,19 @@ class PauliTerm:
         Bit ``j`` set means X (resp. Z) acts on site ``j``; both set means Y.
     coeff:
         Complex weight of the string.
+
+    A named tuple, so immutable; ``__new__`` checks the site count and masks.
     """
 
-    n_sites: int
-    x_mask: int
-    z_mask: int
-    coeff: complex
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_sites < 1:
+    def __new__(cls, n_sites: int, x_mask: int, z_mask: int, coeff: complex):
+        if n_sites < 1:
             raise ValueError("n_sites must be positive")
-        top = 1 << self.n_sites
-        if not (0 <= self.x_mask < top and 0 <= self.z_mask < top):
+        top = 1 << n_sites
+        if not (0 <= x_mask < top and 0 <= z_mask < top):
             raise ValueError("mask exceeds n_sites")
+        return tuple.__new__(cls, (n_sites, x_mask, z_mask, coeff))
 
     @classmethod
     def from_label(cls, label: str, coeff: complex = 1.0) -> "PauliTerm":

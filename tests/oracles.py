@@ -22,6 +22,9 @@
 - The numpy routes of two plain-float helpers: the ``lstsq`` line fit behind
   :func:`mpfkit.formulas.fit_line` and the array form of
   :func:`mpfkit.formulas.vandermonde_residuals`.
+- The Richardson weights of :func:`mpfkit.formulas.closed_form_coefficients`
+  as a running ``Fraction`` product, one factor per node pair, where the
+  package reduces one integer quotient per weight.
 - Two scaling diagnostics that check paper claims on families of inputs:
   how the extensiveness g grows with N (:func:`g_scaling_report`) and how
   the weight norm ||c||_1 grows with J (:func:`condition_report`).
@@ -291,6 +294,19 @@ def lstsq_fit_line(xs, ys) -> tuple[float, float]:
     sol, *_ = np.linalg.lstsq(design, ys, rcond=None)
     residual = float(np.sqrt(np.mean((design @ sol - ys) ** 2)))
     return float(sol[0]), residual
+
+
+def fraction_closed_form_coefficients(k_values) -> list[Fraction]:
+    """c_j = prod_{i != j} k_j^2 / (k_j^2 - k_i^2), one Fraction step per factor."""
+    ks = [Fraction(k) for k in k_values]
+    out = []
+    for j, kj in enumerate(ks):
+        c = Fraction(1)
+        for i, ki in enumerate(ks):
+            if i != j:
+                c *= kj * kj / (kj * kj - ki * ki)
+        out.append(c)
+    return out
 
 
 def array_vandermonde_residuals(k_values, c_values) -> np.ndarray:

@@ -661,15 +661,19 @@ class TestReproducibility:
 
 
 class TestNoScipyAtRunTime:
-    """No CLI process imports scipy, and none that builds no matrix imports numpy.
+    """No CLI process imports scipy or ``dataclasses``, and none that builds
+    no matrix imports numpy or ``inspect``.
 
     scipy is a test dependency only.  numpy loads with the dense layer, the
-    first time a run builds a matrix.  Each check runs in a fresh
-    interpreter with ``PYTHONPATH`` set to the package's source folder, so
-    nothing this test process imported counts; it prints the loaded scipy
-    modules and then whether numpy is loaded.  A subcommand that needs scipy
-    (say a sparse-norm ``scaling`` run built on ``scipy.sparse.linalg.eigsh``)
-    may import it inside its own handler only, never at module level.
+    first time a run builds a matrix, and it imports ``inspect`` itself.
+    ``dataclasses`` (and the ``inspect`` it pulls in) would cost every run
+    its start-up time, so the records are named tuples.  Each check runs in
+    a fresh interpreter with ``PYTHONPATH`` set to the package's source
+    folder, so nothing this test process imported counts; it prints the
+    loaded scipy modules and then whether numpy, ``dataclasses`` and
+    ``inspect`` are loaded.  A subcommand that needs scipy (say a
+    sparse-norm ``scaling`` run built on ``scipy.sparse.linalg.eigsh``) may
+    import it inside its own handler only, never at module level.
     """
 
     def check(self, code, cwd):
@@ -678,6 +682,8 @@ class TestNoScipyAtRunTime:
             code
             + "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
             + "\nprint('numpy' in sys.modules)"
+            + "\nprint('dataclasses' in sys.modules)"
+            + "\nprint('inspect' in sys.modules)"
         )
         done = subprocess.run(
             [sys.executable, "-c", probe],
@@ -699,15 +705,15 @@ class TestNoScipyAtRunTime:
             "    importlib.import_module('mpfkit.' + name)\n"
             "print(sorted(names))"
         )
-        names, loaded, numpy_loaded = self.check(code, tmp_path)
+        names, *flags = self.check(code, tmp_path)
         for name in ("bch", "cli", "dense", "formulas", "mpf", "trotter"):
             assert repr(name) in names
-        assert loaded == "[]"
-        assert numpy_loaded == "True"
+        # scipy, numpy, dataclasses, inspect
+        assert flags == ["[]", "True", "False", "True"]
 
     def test_importing_the_cli_leaves_numpy_unloaded(self, tmp_path):
         code = "import sys\nimport mpfkit.cli"
-        assert self.check(code, tmp_path) == ["[]", "False"]
+        assert self.check(code, tmp_path) == ["[]", "False", "False", "False"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -723,10 +729,9 @@ class TestNoScipyAtRunTime:
             "from mpfkit.cli import main\n"
             f"assert main({list(argv)!r} + ['--out', 'out']) == 0"
         )
-        loaded, numpy_loaded = self.check(code, tmp_path)
-        assert loaded == "[]"
-        # both runs build matrices, so the probe sees numpy when it is there
-        assert numpy_loaded == "True"
+        # both runs build matrices, so the probe sees numpy when it is there,
+        # and with it inspect
+        assert self.check(code, tmp_path) == ["[]", "True", "False", "True"]
         assert any((tmp_path / "out").iterdir())
 
     @pytest.mark.parametrize(
@@ -754,4 +759,4 @@ class TestNoScipyAtRunTime:
             "from mpfkit.cli import main\n"
             f"assert main({list(argv)!r} + ['--out', 'out']) == {status}"
         )
-        assert self.check(code, tmp_path) == ["[]", "False"]
+        assert self.check(code, tmp_path) == ["[]", "False", "False", "False"]

@@ -1,4 +1,4 @@
-"""Plain-float fits and residuals against their numpy oracles."""
+"""Plain-float fits, residuals and Richardson weights against their oracles."""
 
 import math
 
@@ -9,11 +9,16 @@ from hypothesis import strategies as st
 from mpfkit.formulas import (
     MAX_J,
     build_mpf,
+    closed_form_coefficients,
     fit_line,
     loglog_slope,
     vandermonde_residuals,
 )
-from oracles import array_vandermonde_residuals, lstsq_fit_line
+from oracles import (
+    array_vandermonde_residuals,
+    fraction_closed_form_coefficients,
+    lstsq_fit_line,
+)
 
 _EPS = 2.0**-52
 _COORDS = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
@@ -98,3 +103,15 @@ class TestVandermondeResiduals:
     def test_rejects_unequal_lengths(self):
         with pytest.raises(ValueError, match="equal length"):
             vandermonde_residuals([1, 2], [1.0])
+
+
+class TestClosedFormCoefficients:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 60), min_size=1, max_size=MAX_J, unique=True))
+    def test_integer_products_equal_the_fraction_loop(self, ks):
+        ks = sorted(ks)
+        got = closed_form_coefficients(ks)
+        ref = fraction_closed_form_coefficients(ks)
+        assert got == ref
+        # the same Fractions, so every float weight is bitwise the same
+        assert [float(c) for c in got] == [float(c) for c in ref]
