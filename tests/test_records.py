@@ -44,18 +44,6 @@ def test_records_refuse_assignment(cls):
     )
 
 
-def test_built_records_refuse_assignment():
-    spec = heisenberg_chain(4, field=0.5)
-    for record, name in (
-        (PauliTerm.from_label("XZ"), "coeff"),
-        (spec, "n_sites"),
-        (formulas.build_plan(3, 2), "stages"),
-        (formulas.build_mpf(3), "c_values"),
-    ):
-        with pytest.raises(AttributeError):
-            setattr(record, name, None)
-
-
 class TestPauliTermChecks:
     @pytest.mark.parametrize(
         "fields",
