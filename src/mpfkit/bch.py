@@ -35,7 +35,13 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
-from .formulas import DEFAULT_DENSE_CAP, ProductFormulaPlan, loglog_slope
+from .formulas import (
+    DEFAULT_DENSE_CAP,
+    LEAK_TOL,
+    ProductFormulaPlan,
+    SectorLeakError,
+    loglog_slope,
+)
 from .hamiltonians import HamiltonianSpec
 from .pauli import PauliSum
 
@@ -56,7 +62,6 @@ __all__ = [
     "PhiReport",
     "phi_report",
     "effective_generator",
-    "truncated_step_unitary",
     "truncation_defect",
     "TruncationCheck",
     "check_truncated_generator",
@@ -285,35 +290,41 @@ def effective_generator(
     return gen
 
 
-def truncated_step_unitary(
-    spec: HamiltonianSpec,
-    tau: float,
-    p0: int,
-    phis: dict[int, PauliSum],
-    cap: int = DEFAULT_DENSE_CAP,
-) -> np.ndarray:
-    """exp(-i (H tau + sum Phi_q tau^q)) through the dense backend."""
-    from . import dense
-
-    gen = effective_generator(spec, tau, p0, phis)
-    mat = dense.from_pauli_sum(gen, cap)
-    # the series coefficients carry float-product noise; symmetrized check
-    return dense.expm_minus_i(mat, tau, herm_tol=1e-8)
-
-
 def truncation_defect(
     evaluator: TrotterEvaluator,
     phis: dict[int, PauliSum],
     tau: float,
     p0: int,
-    cap: int = DEFAULT_DENSE_CAP,
 ) -> float:
-    """|| T(tau) - exp(-i H_eff^{(p0)}(tau) tau) || at one time argument."""
-    from . import dense
+    """|| T(tau) - exp(-i H_eff^{(p0)}(tau) tau) || at one time argument.
 
-    u = evaluator.formula_unitary(tau)
-    v = truncated_step_unitary(evaluator.spec, tau, p0, phis, cap)
-    return dense.spectral_norm(u - v)
+    The truncated generator is filled on the evaluator's blocks and
+    factorized per stack.  Its float-built Phi_q leak rounding outside the
+    sectors, which is zeroed, and break the mirror symmetry by rounding;
+    more of either (in Frobenius norm, and in the one-norm of the
+    mirror-odd part on a split basis) than ``LEAK_TOL sum_q (2 L)^q
+    |tau|^(q-1)`` raises :class:`SectorLeakError`.
+    """
+    from . import dense
+    from .trotter import difference_norm
+
+    spec = evaluator.spec
+    gen = effective_generator(spec, tau, p0, phis)
+    two_l = 2.0 * spec.total_one_norm
+    tol = LEAK_TOL * sum(two_l**q * abs(tau) ** (q - 1) for q in range(1, p0 + 1))
+    diags = dense.permuted_diagonals(gen)
+    leak = dense.cut_leak(diags, dense.sector_labels(evaluator.dim, evaluator.sectors))
+    odd = dense.mirror_odd_norm(gen) if evaluator.reflected else 0.0
+    for size, what in ((leak, "leaks outside the sectors"), (odd, "is mirror-odd")):
+        if size > tol:
+            raise SectorLeakError(f"generator {what} by {size:.3e}, over {tol:.3e}")
+    # the series coefficients carry float-product noise; symmetrized check
+    facts = (
+        dense.HermitianFactorization.of(b, herm_tol=1e-8)
+        for b in dense.parity_blocks(diags, evaluator.basis)
+    )
+    exact = [f.expm_minus_i(tau) for f in facts]
+    return difference_norm(evaluator.formula_blocks(tau), exact)
 
 
 class TruncationCheck(NamedTuple):
@@ -339,7 +350,6 @@ def check_truncated_generator(
     *,
     subdivisions: Sequence[float] = (1.0, 0.5, 0.25),
     slope_grid: np.ndarray | None = None,
-    cap: int = DEFAULT_DENSE_CAP,
 ) -> TruncationCheck:
     """Verify the truncated series reproduces the step to epsilon.
 
@@ -350,12 +360,12 @@ def check_truncated_generator(
     defect's convergence order on it (expected about p0 + 1).
     """
     taus = tuple(tau_boundary * s for s in subdivisions)
-    defects = tuple(truncation_defect(evaluator, phis, t, p0, cap) for t in taus)
+    defects = tuple(truncation_defect(evaluator, phis, t, p0) for t in taus)
     worst = max(defects)
     slope = None
     n_used = 0
     if slope_grid is not None:
-        errs = [truncation_defect(evaluator, phis, t, p0, cap) for t in slope_grid]
+        errs = [truncation_defect(evaluator, phis, t, p0) for t in slope_grid]
         slope, n_used = loglog_slope(slope_grid, errs)
     return TruncationCheck(
         p0=p0,

@@ -19,28 +19,6 @@ from csv import writer as csv_writer
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .bounds import (
-    admissibility_chain,
-    bch_time_condition,
-    build_report,
-    divergence_diagnostics,
-    gate_cost_table,
-    matched_mpf_spec,
-    mpf_time_condition,
-    PRIOR_QUERY_SCALING,
-    QUERY_SCALING,
-    report_from_parts,
-    self_consistency,
-    step_error_bound,
-    truncation_order,
-)
-from .commutators import (
-    commutator_sums,
-    factorial_commutator_bound,
-    mu_from_alphas,
-    mu_window_bound,
-    power_commutator_bound,
-)
 from .formulas import (
     MAX_J,
     MPFSpec,
@@ -61,7 +39,7 @@ from .pauli import PauliSum
 
 # numpy and the modules built on it (dense, trotter, mpf, bch) are imported
 # inside the code that builds matrices, so a run that builds none never
-# loads them
+# loads them; bounds and commutators load in the handlers that use them
 if TYPE_CHECKING:
     from .trotter import TrotterEvaluator
 
@@ -314,6 +292,8 @@ def _alpha_table(
     cfg: ExperimentConfig, spec: HamiltonianSpec
 ) -> dict[int, float] | None:
     """The run's one table alpha_2..alpha_qmax; None beyond the site cap."""
+    from .commutators import commutator_sums
+
     if cfg.n_sites > ENUMERATION_SITE_CAP:
         return None
     return _configured(
@@ -375,6 +355,9 @@ def cmd_verify_order(cfg: ExperimentConfig) -> int:
         powers = {k: trotter.power_blocks(tau, k) for k in ks}
         trotter_errors.append(difference_norm(exact, powers[1]))
         for errors, ev in zip(mpf_errors, evaluators):
+            if ev.mpf_spec.k_values == (1,) and ev.mpf_spec.c_values == (1.0,):
+                errors.append(trotter_errors[-1])  # the Trotter step itself
+                continue
             combined = ev.combine(powers[k] for k in ev.mpf_spec.k_values)
             errors.append(difference_norm(exact, combined))
 
@@ -447,6 +430,8 @@ def _untestable(name: str, note: str) -> dict:
 def _alpha_rows(
     cfg: ExperimentConfig, spec: HamiltonianSpec, alphas: dict[int, float] | None
 ) -> list[dict]:
+    from .commutators import factorial_commutator_bound, power_commutator_bound
+
     rows: list[dict] = []
     mode = _enumeration_mode(cfg)
     for q in range(2, cfg.q_max + 1):
@@ -551,6 +536,7 @@ def _truncation_rows(
     if blocked:
         return [_untestable("truncation_defect", blocked)]
     from .bch import check_truncated_generator
+    from .bounds import bch_time_condition
 
     plan = evaluator.plan
     boundary = bch_time_condition(
@@ -563,7 +549,6 @@ def _truncation_rows(
         p0,
         boundary,
         subdivisions=(1.0, 0.5),
-        cap=cfg.dense_cap,
     )
     rows = [
         _row(
@@ -600,6 +585,8 @@ def _step_bound_rows(
         return [_untestable("step_error_bound", note)]
     if blocked:
         return [_untestable("step_error_bound", blocked)]
+    from .bounds import bch_time_condition, mpf_time_condition, step_error_bound
+    from .commutators import mu_from_alphas, mu_window_bound
     from .mpf import MPFEvaluator
 
     mode = _enumeration_mode(cfg)
@@ -638,6 +625,7 @@ def _step_bound_rows(
 
 def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
     from .bch import check_composition_budget, compute_phi_range
+    from .bounds import truncation_order
     from .trotter import TrotterEvaluator
 
     spec = build_family(cfg)
@@ -686,6 +674,8 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
 
 
 def _gate_costs(cfg: ExperimentConfig, spec: HamiltonianSpec):
+    from .bounds import gate_cost_table
+
     return _configured(
         gate_cost_table,
         cfg.n_sites,
@@ -701,6 +691,8 @@ def _gate_costs(cfg: ExperimentConfig, spec: HamiltonianSpec):
 
 
 def _eps_sweep(cfg: ExperimentConfig, spec: HamiltonianSpec, plan) -> dict:
+    from .bounds import matched_mpf_spec, report_from_parts
+
     rows = []
     for eps in EPS_SWEEP:
         try:
@@ -748,6 +740,8 @@ def _eps_sweep(cfg: ExperimentConfig, spec: HamiltonianSpec, plan) -> dict:
 
 
 def _n_sweep(cfg: ExperimentConfig, mpf_spec: MPFSpec) -> dict:
+    from .bounds import build_report
+
     if cfg.family == "file":
         return {"rows": [], "note": "fixed-size Hamiltonian file; no size sweep"}
     rows = []
@@ -782,6 +776,15 @@ def _n_sweep(cfg: ExperimentConfig, mpf_spec: MPFSpec) -> dict:
 
 
 def cmd_cost(cfg: ExperimentConfig) -> int:
+    from .bounds import (
+        PRIOR_QUERY_SCALING,
+        QUERY_SCALING,
+        admissibility_chain,
+        divergence_diagnostics,
+        report_from_parts,
+        self_consistency,
+    )
+
     if cfg.p % 2 != 0:
         raise ConfigError("cost reports need an even base order")
     spec = build_family(cfg)
@@ -928,6 +931,8 @@ def cmd_phi(cfg: ExperimentConfig) -> int:
 
 
 def cmd_alpha(cfg: ExperimentConfig) -> int:
+    from .commutators import factorial_commutator_bound, power_commutator_bound
+
     spec = build_family(cfg)
     out = _out_dir(cfg)
     mode = _enumeration_mode(cfg)

@@ -27,7 +27,7 @@ import itertools
 import math
 from typing import Callable, Mapping, NamedTuple
 
-from .formulas import DEFAULT_DENSE_CAP, check_dense_cap
+from .formulas import DEFAULT_DENSE_CAP, LEAK_TOL, SectorLeakError, check_dense_cap
 from .hamiltonians import HamiltonianSpec
 from .pauli import PauliSum
 
@@ -48,15 +48,6 @@ __all__ = [
 DEFAULT_TUPLE_BUDGET = 10**6
 
 
-# rounding a nest may leave outside the sectors, per unit of (2 L)^q
-LEAK_TOL = 1e-12
-
-
-class SectorLeakError(RuntimeError):
-    """A nest leaks more than rounding outside the groups' sectors: a fault of
-    the program, not a ``ValueError``, so the CLI reports a crash."""
-
-
 def _sector_norm(
     spec: HamiltonianSpec, observable: PauliSum | None
 ) -> Callable[[PauliSum, int], float]:
@@ -72,23 +63,16 @@ def _sector_norm(
     diags = [dense.permuted_diagonals(s) for s in (*spec.group_sums, observable) if s]
     pairs = [(xr, np.flatnonzero(d)) for ds in diags for xr, d in ds.items()]
     sectors = dense.invariant_sectors(1 << spec.n_sites, pairs)
-    label = np.empty(1 << spec.n_sites, dtype=np.int64)
-    for idx in sectors:
-        label[idx] = idx[:, :1]  # each sector by its smallest index
-    index = np.arange(label.size)
+    label = dense.sector_labels(1 << spec.n_sites, sectors)
     allowance = LEAK_TOL * (2.0 * observable.one_norm() if observable else 1.0)
 
     def norm(nest: PauliSum, q: int) -> float:
         nest_diags = dense.permuted_diagonals(nest)
-        leak = 0.0
-        for xr, d in nest_diags.items():
-            outside = label[index ^ xr] != label
-            leak += float(np.sum(np.abs(d[outside]) ** 2))
-            d[outside] = 0.0
+        leak = dense.cut_leak(nest_diags, label)
         tol = allowance * (2.0 * spec.total_one_norm) ** q
-        if math.sqrt(leak) > tol:
+        if leak > tol:
             raise SectorLeakError(
-                f"nest leaks {math.sqrt(leak):.3e} outside the sectors, over {tol:.3e}"
+                f"nest leaks {leak:.3e} outside the sectors, over {tol:.3e}"
             )
         stacks = (dense.sector_blocks(nest_diags, [idx])[0] for idx in sectors)
         return max(map(dense.spectral_norm, stacks))  # one stack held at a time

@@ -10,13 +10,19 @@ Conversion rests on one index map: a Pauli string is a signed permutation
 of the computational basis.  :func:`permuted_diagonals` adds each string
 into its permuted diagonal in O(2^n), in the sum's order, so every entry is
 bitwise the Kronecker-product build's.  :func:`invariant_sectors` finds the
-sectors the diagonals link and :func:`sector_blocks` fills their blocks;
-the factorization and the norm accept a stack of equal-size blocks
-``(count, size, size)`` as well as a single matrix.
+sectors the diagonals link and :func:`sector_blocks` fills their blocks.
+A sum that commutes with the site reflection R splits further:
+:func:`parity_basis` halves each sector that R maps onto itself into the
+combinations ``(|b> +- |R b>) / sqrt 2``, and :func:`parity_blocks` fills
+those blocks from two gathers of the same diagonals.  The factorization and
+the norm accept a stack of equal-size blocks ``(count, size, size)`` as
+well as a single matrix.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -31,10 +37,15 @@ __all__ = [
     "adjoint",
     "check_dense_cap",
     "from_pauli_sum",
+    "ParityStack",
+    "cut_leak",
     "invariant_sectors",
+    "mirror_odd_norm",
+    "parity_basis",
+    "parity_blocks",
     "permuted_diagonals",
     "sector_blocks",
-    "expm_minus_i",
+    "sector_labels",
     "spectral_norm",
 ]
 
@@ -42,6 +53,7 @@ __all__ = [
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
+@functools.cache
 def _bit_reverse(mask: int, n_sites: int) -> int:
     """Move site j of a Pauli mask to bit n-1-j of a basis index."""
     return int(format(mask, f"0{n_sites}b")[::-1], 2)
@@ -125,25 +137,117 @@ def invariant_sectors(
 
 
 def sector_blocks(
-    diags: dict[int, np.ndarray], sectors: list[np.ndarray]
+    diags: dict[int, np.ndarray],
+    sectors: list[np.ndarray],
+    cols: list[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
-    """The blocks ``m[idx[:, :, None], idx[:, None, :]]`` on each stack ``idx``
-    of ``sectors``, of the matrix m whose :func:`permuted_diagonals` are
-    ``diags`` and whose nonzeros all lie in the sectors; m is never formed.
-    ``sectors`` may hold any of the stacks of :func:`invariant_sectors`.
+    """The blocks ``m[idx[:, :, None], jdx[:, None, :]]`` on each stack ``idx``
+    of ``sectors`` and ``jdx`` of ``cols`` (``sectors`` itself by default),
+    of the matrix m whose :func:`permuted_diagonals` are ``diags`` and whose
+    nonzeros all lie in sectors that each row pair ``idx[c]``, ``jdx[c]``
+    shares; m is never formed.  ``sectors`` may hold any of the stacks of
+    :func:`invariant_sectors`, or parts of them.
     """
-    dim = 1 + max(int(idx.max()) for idx in sectors)
-    row, col = np.empty((2, dim), dtype=np.int64)
-    for idx in sectors:
-        row[idx], col[idx] = np.indices(idx.shape)
+    cols = sectors if cols is None else cols
+    dim = max([d.size for d in diags.values()] + [1 + int(i.max()) for i in sectors])
+    xrs = np.array(list(diags), dtype=np.int64)
     blocks = []
-    for idx in sectors:
-        block, flat = np.zeros(idx.shape + idx.shape[-1:], dtype=complex), idx.ravel()
-        for xr, d in diags.items():
-            b = flat[d[flat] != 0]
-            block[row[b], col[b ^ xr], col[b]] = d[b]
-        blocks.append(block)
+    for idx, jdx in zip(sectors, cols, strict=True):
+        # a row index outside idx lands in a spare last row, cut off below
+        row = np.full(dim, -1)
+        row[idx] = np.arange(idx.shape[1])
+        size, flat = jdx.shape[1], jdx.ravel()
+        block = np.zeros((len(idx), idx.shape[1] + 1, size), dtype=complex)
+        vals = np.empty((len(diags), flat.size), dtype=complex)
+        for n, d in enumerate(diags.values()):
+            vals[n] = d[flat]
+        k, e = np.nonzero(vals)  # the nonzeros of diagonal k at column entry e
+        block[e // size, row[flat[e] ^ xrs[k]], e % size] = vals[k, e]
+        blocks.append(block[:, :-1])
     return blocks
+
+
+def sector_labels(dim: int, sectors: list[np.ndarray]) -> np.ndarray:
+    """Each basis index's sector, named by the sector's smallest index."""
+    label = np.empty(dim, dtype=np.int64)
+    for idx in sectors:
+        label[idx] = idx[:, :1]
+    return label
+
+
+def cut_leak(diags: dict[int, np.ndarray], label: np.ndarray) -> float:
+    """Zero the entries of ``diags`` that link two sectors of ``label`` and
+    return their Frobenius norm."""
+    index, leak = np.arange(label.size), 0.0
+    for xr, d in diags.items():
+        outside = label[index ^ xr] != label
+        leak += float(np.sum(np.abs(d[outside]) ** 2))
+        d[outside] = 0.0
+    return math.sqrt(leak)
+
+
+def mirror_odd_norm(s: PauliSum) -> float:
+    """One-norm of the part (s - R s R) / 2 of s that is odd under the site
+    reflection R (site j to n-1-j), a bound on its norm; 0 when s = R s R."""
+    n, d = s.n_sites, dict(s.items())
+    m = {(_bit_reverse(x, n), _bit_reverse(z, n)): c for (x, z), c in d.items()}
+    return 0.5 * sum(abs(d.get(k, 0.0) - m.get(k, 0.0)) for k in d.keys() | m.keys())
+
+
+class ParityStack(NamedTuple):
+    """Stacked blocks, row c of ``index``, ``mirror`` (``(count, size)``) and
+    ``sign`` (``(count,)``) giving block c's basis ``(|a> + s |R a>) / sqrt 2``,
+    or ``|a>`` where ``a = mirror`` (a palindrome, or an unsplit sector)."""
+
+    index: np.ndarray
+    mirror: np.ndarray
+    sign: np.ndarray
+
+
+def parity_basis(sectors: list[np.ndarray], n_sites: int | None) -> list[ParityStack]:
+    """Split each sector that the site reflection R maps onto itself into its
+    symmetric and antisymmetric blocks, and stack the blocks by size.
+
+    Sectors that R maps onto others stay whole, as all do for
+    ``n_sites=None``, where R is taken as the identity.
+    """
+    dim = sum(idx.size for idx in sectors)
+    rev = np.arange(dim)
+    if n_sites is not None:
+        rev = sum(((rev >> j) & 1) << (n_sites - 1 - j) for j in range(n_sites))
+    label = sector_labels(dim, sectors)
+    rows = []
+    for row in (row for idx in sectors for row in idx):
+        if label[rev[row[0]]] != row[0]:
+            rows.append((row, row, 1.0))
+            continue
+        for sign, a in ((1.0, row[row <= rev[row]]), (-1.0, row[row < rev[row]])):
+            if a.size:
+                rows.append((a, rev[a], sign))
+    sizes = sorted({a.size for a, _, _ in rows})
+    return [
+        ParityStack(*map(np.array, zip(*(t for t in rows if t[0].size == n))))
+        for n in sizes
+    ]
+
+
+def parity_blocks(
+    diags: dict[int, np.ndarray], basis: list[ParityStack]
+) -> list[np.ndarray]:
+    """The blocks on ``basis`` of a matrix m that commutes with R, given by
+    its :func:`permuted_diagonals`: ``w_i w_j (m[a_i, a_j] + s m[a_i, r_j])``
+    for a = index, r = mirror and s = sign, with w = 1 for a pair and
+    1/sqrt 2 where a = r (so an unsplit sector's block is ``m[a, a]``).
+    """
+    plain = sector_blocks(diags, [p.index for p in basis])
+    cross = sector_blocks(diags, [p.index for p in basis], [p.mirror for p in basis])
+    out = []
+    for p, x, y in zip(basis, plain, cross):
+        f = (p.index == p.mirror) * 1.0
+        # 0.5 ** (f_i + f_j), square-rooted: 1, 1/sqrt 2, or exactly 1/2
+        w = np.sqrt(0.5 ** (f[:, :, None] + f[:, None, :]))
+        out.append(w * (x + p.sign[:, None, None] * y))
+    return out
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
@@ -185,11 +289,6 @@ class HermitianFactorization(NamedTuple):
     def expm_minus_i(self, tau: float) -> np.ndarray:
         """``exp(-i h tau)``, exactly unitary up to rounding."""
         return (self.vecs * self.phases(tau)[..., None, :]) @ adjoint(self.vecs)
-
-
-def expm_minus_i(h: np.ndarray, tau: float, herm_tol: float = 1e-10) -> np.ndarray:
-    """``exp(-i h tau)`` for Hermitian ``h`` via exact eigendecomposition."""
-    return HermitianFactorization.of(h, herm_tol).expm_minus_i(tau)
 
 
 def spectral_norm(a: np.ndarray) -> float:

@@ -43,8 +43,8 @@ class MPFEvaluator:
     Reads every base-formula factor from the given :class:`TrotterEvaluator`,
     so evaluators that share one reuse its cached group eigendecompositions;
     the k_j-fold powers are plain repeated matrix products.  Like the
-    evaluator it works on the blocks of the invariant sectors; only
-    :meth:`step` returns a full matrix.
+    evaluator it works on the blocks of its basis; only :meth:`step`
+    returns a full matrix.
     """
 
     def __init__(self, mpf_spec: MPFSpec, trotter: TrotterEvaluator) -> None:
@@ -65,15 +65,14 @@ class MPFEvaluator:
 
         Each power is given as the evaluator's blocks
         (:meth:`TrotterEvaluator.power_blocks`) and the sum is returned the
-        same way.  ``powers`` yields one power per node, in ``k_values``
-        order, and is read one power at a time, so a generator keeps only
-        one alive.
+        same way, sized from the powers.  ``powers`` yields one power per
+        node, in ``k_values`` order, and is read one power at a time, so a
+        generator keeps only one alive.
         """
-        acc = [
-            np.zeros(idx.shape + idx.shape[-1:], dtype=complex)
-            for idx in self._trotter.sectors
-        ]
-        for c, power in zip(self.mpf_spec.c_values, powers, strict=True):
+        terms = zip(self.mpf_spec.c_values, powers, strict=True)
+        c, power = next(terms)
+        acc = [c * b for b in power]
+        for c, power in terms:
             for a, b in zip(acc, power, strict=True):
                 a += c * b
         return acc
@@ -88,17 +87,3 @@ class MPFEvaluator:
 
     def error(self, tau: float) -> float:
         return difference_norm(self._trotter.exact_blocks(tau), self.step_blocks(tau))
-
-    def error_sweep(self, taus: np.ndarray) -> np.ndarray:
-        return np.array([self.error(t) for t in taus])
-
-    def long_time_error(self, t: float, steps: int) -> float:
-        """Actual deviation of the repeated step over a full evolution.
-
-        The combined step is not unitary, so the r-fold product is formed
-        explicitly (binary powering) rather than bounded term by term.
-        """
-        if steps < 1:
-            raise ValueError("need a positive step count")
-        repeated = [np.linalg.matrix_power(b, steps) for b in self.step_blocks(t / steps)]
-        return difference_norm(self._trotter.exact_blocks(t), repeated)

@@ -4,6 +4,15 @@
   2^n x 2^n matrix, with no split into invariant sectors.  It checks the
   blocked :class:`mpfkit.trotter.TrotterEvaluator` and
   :class:`mpfkit.mpf.MPFEvaluator` entrywise.
+- Two sweeps of the blocked evaluators that no subcommand runs: the step
+  error over a grid of time arguments and the long-time deviation of a
+  repeated extrapolated step.
+- The full-matrix views of the blocked evaluator: the exact propagator
+  rotated back from the parity blocks through an explicit rotation matrix,
+  the truncated effective generator exponentiated as one matrix, and the
+  truncation defect between the two full-matrix steps.  They check
+  :meth:`mpfkit.trotter.TrotterEvaluator.scatter` and the blocked
+  :func:`mpfkit.bch.truncation_defect`.
 - The matrix form of :func:`mpfkit.dense.invariant_sectors`: the connected
   components of the union of full matrices' nonzero patterns, found by
   scipy's graph search.  It checks the sectors the evaluator finds from the
@@ -45,12 +54,12 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from mpfkit import dense
+from mpfkit import bch, dense
 from mpfkit.dense import _PHASES, _bit_reverse, _popcounts
 from mpfkit.hamiltonians import HamiltonianSpec
-from mpfkit.mpf import MPFSpec, build_mpf
+from mpfkit.mpf import MPFEvaluator, MPFSpec, build_mpf
 from mpfkit.pauli import PauliSum
-from mpfkit.trotter import ProductFormulaPlan, TrotterEvaluator
+from mpfkit.trotter import ProductFormulaPlan, TrotterEvaluator, difference_norm
 
 
 class FullMatrixEvaluator:
@@ -87,6 +96,73 @@ class FullMatrixEvaluator:
         for c, k in zip(mpf_spec.c_values, mpf_spec.k_values):
             acc += c * np.linalg.matrix_power(self.formula_unitary(tau / k), k)
         return acc
+
+
+def expm_minus_i(h: np.ndarray, tau: float, herm_tol: float = 1e-10) -> np.ndarray:
+    """``exp(-i h tau)`` for Hermitian ``h`` via exact eigendecomposition."""
+    return dense.HermitianFactorization.of(h, herm_tol).expm_minus_i(tau)
+
+
+def error_sweep(ev: TrotterEvaluator | MPFEvaluator, taus: np.ndarray) -> np.ndarray:
+    """The evaluator's step error at each time argument."""
+    return np.array([ev.error(t) for t in taus])
+
+
+def long_time_error(ev: MPFEvaluator, t: float, steps: int) -> float:
+    """Actual deviation of the repeated extrapolated step over a full evolution.
+
+    The combined step is not unitary, so the r-fold product is formed
+    explicitly (binary powering) rather than bounded term by term.
+    """
+    if steps < 1:
+        raise ValueError("need a positive step count")
+    step = ev.step_blocks(t / steps)
+    repeated = [np.linalg.matrix_power(b, steps) for b in step]
+    return difference_norm(ev._trotter.exact_blocks(t), repeated)
+
+
+def parity_rotation(ev: TrotterEvaluator) -> np.ndarray:
+    """The unitary whose columns are the evaluator's basis vectors, stack by
+    stack and row by row: ``(|a> + s |r>) / sqrt 2`` for a pair, ``|a>``
+    where the index is its own mirror."""
+    cols = []
+    for p in ev.basis:
+        for index, mirror, sign in zip(p.index, p.mirror, p.sign):
+            for a, r in zip(index, mirror):
+                col = np.zeros(ev.dim)
+                col[a] = 1.0 if a == r else 0.5**0.5
+                col[r] += 0.0 if a == r else sign * 0.5**0.5
+                cols.append(col)
+    return np.array(cols).T
+
+
+def rotate_back(ev: TrotterEvaluator, blocks: list[np.ndarray]) -> np.ndarray:
+    """``Q diag(blocks) Q^dag`` with Q from :func:`parity_rotation`."""
+    q = parity_rotation(ev)
+    return q @ scipy.linalg.block_diag(*(b for stack in blocks for b in stack)) @ q.T
+
+
+def exact_unitary(ev: TrotterEvaluator, tau: float) -> np.ndarray:
+    """The evaluator's exact propagator as one full matrix."""
+    return rotate_back(ev, ev.exact_blocks(tau))
+
+
+def truncated_step_unitary(
+    spec: HamiltonianSpec, tau: float, p0: int, phis: dict[int, PauliSum]
+) -> np.ndarray:
+    """exp(-i (H tau + sum Phi_q tau^q)) as one full matrix."""
+    gen = bch.effective_generator(spec, tau, p0, phis)
+    # the series coefficients carry float-product noise; symmetrized check
+    return expm_minus_i(dense.from_pauli_sum(gen), tau, herm_tol=1e-8)
+
+
+def truncation_defect(
+    ev: TrotterEvaluator, phis: dict[int, PauliSum], tau: float, p0: int
+) -> float:
+    """The full-matrix defect || T(tau) - exp(-i H_eff^{(p0)}(tau) tau) ||."""
+    u = FullMatrixEvaluator(ev.spec, ev.plan).formula_unitary(tau)
+    v = truncated_step_unitary(ev.spec, tau, p0, phis)
+    return dense.spectral_norm(u - v)
 
 
 def invariant_sectors(mats: list[np.ndarray]) -> list[np.ndarray]:

@@ -55,7 +55,7 @@ from mpfkit.trotter import (
     geometric_grid,
     loglog_slope,
 )
-from oracles import oracle_phi_from_logs
+from oracles import error_sweep, long_time_error, oracle_phi_from_logs
 
 
 def report(number: int, ok: bool, detail: str, elapsed: float, budget: float):
@@ -112,7 +112,7 @@ def test_criterion_02_trotter_order_and_envelope():
     for p, (lo, hi) in ((1, (0.01, 0.3)), (2, (0.01, 0.3)), (4, (0.05, 0.5))):
         plan = build_plan(spec.n_groups, p)
         taus = geometric_grid(lo, hi, 12)
-        errors = TrotterEvaluator(spec, plan).error_sweep(taus)
+        errors = error_sweep(TrotterEvaluator(spec, plan), taus)
         slope, _ = loglog_slope(taus, errors)
         alpha = nested_commutator_sum(spec, p + 1, "exact")
         model = alpha * taus ** (p + 1)
@@ -261,7 +261,7 @@ def test_criterion_06_extrapolation_order():
     residual_ok = True
     for j in (1, 2, 3):
         mspec = build_mpf(j)
-        errors = MPFEvaluator(mspec, trotter).error_sweep(taus)
+        errors = error_sweep(MPFEvaluator(mspec, trotter), taus)
         slope, _ = loglog_slope(taus, errors)
         slopes.append(slope)
         slope_ok = slope_ok and slope >= mspec.m + 0.8
@@ -374,7 +374,7 @@ def test_criterion_09_long_time_desk_simulation():
     mspec = build_mpf(2)
     rep = report_from_parts(spec, plan, mspec, 1.0, 1e-3)
     trotter = TrotterEvaluator(spec, plan)
-    error = MPFEvaluator(mspec, trotter).long_time_error(1.0, rep.r)
+    error = long_time_error(MPFEvaluator(mspec, trotter), 1.0, rep.r)
     report(
         9,
         error <= 1e-3,

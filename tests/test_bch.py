@@ -18,7 +18,6 @@ from mpfkit.bch import (
     phi_locality_bound,
     phi_norm_bound,
     phi_report,
-    truncated_step_unitary,
     truncation_defect,
 )
 from mpfkit.bch import _compositions, _perm_weights
@@ -26,7 +25,9 @@ from mpfkit.commutators import nested_commutator_sum
 from mpfkit.hamiltonians import heisenberg_chain, make_spec
 from mpfkit.pauli import PauliSum, PauliTerm
 from mpfkit.trotter import TrotterEvaluator, build_plan, geometric_grid
-from oracles import fraction_perm_weights, oracle_phi_from_logs
+from mpfkit.formulas import SectorLeakError
+from oracles import fraction_perm_weights, oracle_phi_from_logs, truncated_step_unitary
+from oracles import truncation_defect as oracle_defect
 
 
 def toy_spec():
@@ -202,6 +203,35 @@ class TestTruncatedGenerator:
         assert check.margin > 0
         assert check.slope is not None
         assert check.slope >= 4.8
+
+    def test_float_built_generator_passes_the_leak_rule(self):
+        # Phi_q breaks the mirror symmetry and the sectors by rounding only
+        spec = heisenberg_chain(6, coupling=1.05, field=0.8)
+        plan = build_plan(spec.n_groups, 2)
+        ev = TrotterEvaluator(spec, plan)
+        assert ev.reflected
+        phis = compute_phi_range(plan, spec, 5)
+        for q, phi in phis.items():
+            assert dense.mirror_odd_norm(phi) <= 1e-13, q
+        defect = truncation_defect(ev, phis, 0.1, 5)
+        assert defect == pytest.approx(oracle_defect(ev, phis, 0.1, 5), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "label, match",
+        [("ZIIIII", "mirror-odd"), ("XIIIII", "outside the sectors")],
+        ids=["mirror-odd", "sector-leak"],
+    )
+    def test_perturbed_series_coefficient_is_refused(self, label, match):
+        # Z on one end site keeps the sectors but not the reflection; X on it
+        # links two magnetization shells
+        spec = heisenberg_chain(6, coupling=1.05, field=0.8)
+        plan = build_plan(spec.n_groups, 2)
+        ev = TrotterEvaluator(spec, plan)
+        phis = compute_phi_range(plan, spec, 3)
+        phis[3] = phis[3] + PauliSum.from_label(label, 1e-3)
+        with pytest.raises(SectorLeakError, match=match):
+            truncation_defect(ev, phis, 0.1, 3)
+        assert not issubclass(SectorLeakError, ValueError)
 
 
 # -- word-level weight aggregation against the per-composition oracle -------

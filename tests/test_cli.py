@@ -13,14 +13,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpfkit import bch, cli, commutators, dense, hamiltonians
+from mpfkit import bch, cli, commutators, dense, hamiltonians, trotter
 from mpfkit.bounds import truncation_order
 from mpfkit.cli import ExperimentConfig, main
 from mpfkit.commutators import nested_commutator_sum
 from mpfkit.hamiltonians import heisenberg_chain, spec_to_document
-from mpfkit.mpf import build_mpf
+from mpfkit.mpf import MPFEvaluator, build_mpf
 from mpfkit.pauli import PauliSum
 from mpfkit.trotter import TrotterEvaluator, build_plan
+
+import oracles
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -247,7 +249,7 @@ class TestVerifyOrder:
         # per (tau, k) for k = 1, 2, 3 shared by the Trotter error and all
         # three extrapolations; the sweep never forms a full matrix
         calls = dict.fromkeys(
-            ("exact_blocks", "formula_blocks", "exact_unitary", "formula_unitary"), 0
+            ("exact_blocks", "formula_blocks", "scatter", "formula_unitary"), 0
         )
 
         def counting(name):
@@ -266,9 +268,31 @@ class TestVerifyOrder:
         assert calls == {
             "exact_blocks": 4,
             "formula_blocks": 12,
-            "exact_unitary": 0,
+            "scatter": 0,
             "formula_unitary": 0,
         }
+
+    def test_one_node_extrapolation_reuses_the_trotter_error(
+        self, tmp_path, monkeypatch
+    ):
+        # k = (1,), c = (1.0,) is the Trotter step itself: per tau, one SVD
+        # pass for the Trotter error and one per extrapolation with J >= 2
+        calls = []
+        original = trotter.difference_norm
+
+        def counted(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(trotter, "difference_norm", counted)
+        argv = ("verify-order", "--n-sites", "5", "--J", "3", "--tau-points", "4")
+        assert run(tmp_path, *argv) == 0
+        assert len(calls) == 4 * 3
+        lines = (tmp_path / "order_sweep.csv").read_text().splitlines()
+        assert lines[0] == "tau,trotter_p2,mpf_j1,mpf_j2,mpf_j3"
+        for line in lines[1:]:
+            _, trotter_error, mpf_j1, *_ = line.split(",")
+            assert mpf_j1 == trotter_error
 
     def test_evaluator_and_sweep_build_no_full_matrix(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -298,7 +322,46 @@ class TestVerifyOrder:
         assert doc["passed"] is True
 
 
+class TestNoFullMatrixPath:
+    """No subcommand reaches the full-matrix views of the blocked evaluator:
+    each is stubbed to raise, and the runs exit as before."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_full_matrices(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached a full-matrix path")
+
+        for owner, name in [
+            (TrotterEvaluator, "scatter"),
+            (TrotterEvaluator, "formula_unitary"),
+            (MPFEvaluator, "step"),
+            (oracles, "exact_unitary"),
+            (oracles, "truncation_defect"),
+            (oracles, "truncated_step_unitary"),
+            (oracles, "expm_minus_i"),
+        ]:
+            monkeypatch.setattr(owner, name, refuse)
+
+    def test_verify_order(self, tmp_path):
+        argv = ("verify-order", "--n-sites", "6", "--J", "3", "--tau-points", "5")
+        assert run(tmp_path, *argv) == 0
+        assert load(tmp_path, "verify_order.json")["passed"] is True
+
+    def test_verify_bounds(self, tmp_path):
+        argv = ("verify-bounds", "--n-sites", "6", "--eps", "0.25")
+        assert run(tmp_path, *argv) == 0
+        rows = {r["name"]: r for r in load(tmp_path, "verify_bounds.json")["rows"]}
+        assert rows["truncation_defect"]["status"] == "pass"
+        assert rows["step_error_bound"]["status"] == "pass"
+
+
 class TestVerifyBounds:
+    def test_truncation_leak_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a negative allowance refuses the truncated generator's blocks
+        monkeypatch.setattr(bch, "LEAK_TOL", -1.0)
+        assert run(tmp_path, "verify-bounds", "--eps", "0.25") == 3
+        assert "SectorLeakError" in capsys.readouterr().err
+
     def test_small_eps_window_all_pass(self, tmp_path):
         assert run(tmp_path, "verify-bounds", "--eps", "0.25") == 0
         doc = load(tmp_path, "verify_bounds.json")
@@ -492,7 +555,7 @@ class TestOneAlphaTable:
             orders.append(q_max)
             return commutator_sums(spec, q_max, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "commutator_sums", counting)
+        monkeypatch.setattr(commutators, "commutator_sums", counting)
         monkeypatch.setattr(commutators, "commutator_sums", counting)
         assert run(tmp_path, *argv) == 0
         assert orders == [5 if argv[0] == "verify-bounds" else 4]
@@ -532,7 +595,7 @@ class TestOneAlphaTable:
             caps.append(cap)
             return dict.fromkeys(range(1, q_max + 1), 0.0)
 
-        monkeypatch.setattr(cli, "commutator_sums", zeros)
+        monkeypatch.setattr(commutators, "commutator_sums", zeros)
         argv = ("cost", "--n-sites", "13", "--dense-cap", "13", "--qmax", "3")
         assert run(tmp_path, *argv) == 0
         assert caps == [13]
@@ -626,7 +689,7 @@ class TestCompositionBudget:
             calls.append(args)
             raise AssertionError("the alpha table was enumerated")
 
-        monkeypatch.setattr(cli, "commutator_sums", refused)
+        monkeypatch.setattr(commutators, "commutator_sums", refused)
         argv = (command, "--n-sites", "10", "--p", "6", "--qmax", "4")
         assert run(tmp_path, *argv) == 2
         assert calls == []
@@ -710,6 +773,24 @@ class TestNoScipyAtRunTime:
             assert repr(name) in names
         # scipy, numpy, dataclasses, inspect
         assert flags == ["[]", "True", "False", "True"]
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (("verify-order", "--n-sites", "5", "--tau-points", "4"), []),
+            (("phi", "--n-sites", "4", "--norm-mode", "one-norm"), ["commutators"]),
+        ],
+        ids=["verify-order", "phi-one-norm"],
+    )
+    def test_handlers_load_bounds_and_commutators_on_use(self, tmp_path, argv, loaded):
+        code = (
+            "import sys\n"
+            "from mpfkit.cli import main\n"
+            f"assert main({list(argv)!r} + ['--out', 'out']) == 0\n"
+            "mods = ('mpfkit.bounds', 'mpfkit.commutators')\n"
+            "print(sorted(m[7:] for m in sys.modules if m in mods))"
+        )
+        assert self.check(code, tmp_path)[0] == repr(loaded)
 
     def test_importing_the_cli_leaves_numpy_unloaded(self, tmp_path):
         code = "import sys\nimport mpfkit.cli"

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpfkit import dense
+from mpfkit.bch import compute_phi_range, truncation_defect
 from mpfkit.hamiltonians import (
     HamiltonianSpec,
     heisenberg_chain,
@@ -25,7 +26,14 @@ from mpfkit.trotter import (
     suzuki_fractions,
 )
 
-from oracles import FullMatrixEvaluator, invariant_sectors
+import oracles
+from oracles import (
+    FullMatrixEvaluator,
+    error_sweep,
+    exact_unitary,
+    expm_minus_i,
+    invariant_sectors,
+)
 
 
 class TestPlanShapes:
@@ -101,7 +109,7 @@ class TestEvaluation:
         u = ev.formula_unitary(0.37)
         expected = np.eye(ev.dim, dtype=complex)
         for g in range(1, spec.n_groups + 1):
-            stage = dense.expm_minus_i(dense.from_pauli_sum(spec.group_sum(g)), 0.37)
+            stage = expm_minus_i(dense.from_pauli_sum(spec.group_sum(g)), 0.37)
             expected = stage @ expected
         assert np.max(np.abs(u - expected)) <= 1e-12
 
@@ -125,7 +133,7 @@ class TestConvergenceOrder:
         spec = heisenberg_chain(4, coupling=1.0, field=0.8)
         ev = TrotterEvaluator(spec, build_plan(spec.n_groups, order))
         taus = geometric_grid(1e-3, 1e-1, 12)
-        errs = ev.error_sweep(taus)
+        errs = error_sweep(ev, taus)
         slope, used = loglog_slope(taus, errs)
         assert used >= 3
         assert slope >= threshold, (order, slope)
@@ -202,6 +210,13 @@ def single_group_chain(n_sites: int, coupling: float, field: float) -> Hamiltoni
     return make_spec(n_sites, [(t, 1) for t, _ in spec.terms])
 
 
+def one_end_field_chain(n_sites: int, coupling: float, field: float) -> HamiltonianSpec:
+    """A Heisenberg chain with a field on site 0 only: no mirror symmetry."""
+    spec = heisenberg_chain(n_sites, coupling=coupling)
+    end = PauliTerm(n_sites, 0, 1, complex(field))
+    return make_spec(n_sites, [*spec.terms, (end, spec.n_groups + 1)])
+
+
 def block_mask(ev: TrotterEvaluator) -> np.ndarray:
     """True on the entries inside the evaluator's sectors."""
     mask = np.zeros((ev.dim, ev.dim), dtype=bool)
@@ -255,14 +270,81 @@ class TestInvariantSectors:
         assert sector_sizes(ev) == [1] * 64
 
 
+def basis_sizes(ev: TrotterEvaluator) -> list[int]:
+    return sorted(p.index.shape[1] for p in ev.basis for _ in p.index)
+
+
+class TestReflectionSplit:
+    def test_even_chain_splits_each_shell_by_parity(self):
+        spec = heisenberg_chain(8, field=0.8)
+        ev = TrotterEvaluator(spec, build_plan(spec.n_groups, 2))
+        assert ev.reflected
+        # shell m of C(8, m) states holds C(4, m / 2) palindromes for even m
+        expected = []
+        for m in range(9):
+            pal = math.comb(4, m // 2) if m % 2 == 0 else 0
+            pairs = (math.comb(8, m) - pal) // 2
+            expected += [pairs + pal] + ([pairs] if pairs else [])
+        assert basis_sizes(ev) == sorted(expected)
+        assert sorted(set(basis_sizes(ev))) == [1, 4, 12, 16, 28, 32, 38]
+        for p in ev.basis:
+            assert np.all(p.index <= p.mirror)
+            assert np.all(p.sign[np.any(p.index == p.mirror, axis=1)] == 1.0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            heisenberg_chain(7, field=0.8),
+            one_end_field_chain(6, 1.0, 0.7),
+            anisotropic_chain(5, 1.0, 0.5, 0.7, field=0.3),
+        ],
+        ids=["odd", "one-end-field", "odd-xyz"],
+    )
+    def test_asymmetric_specs_keep_the_sectors(self, spec):
+        ev = TrotterEvaluator(spec, build_plan(spec.n_groups, 2))
+        assert not ev.reflected
+        assert len(ev.basis) == len(ev.sectors)
+        for p, idx in zip(ev.basis, ev.sectors):
+            assert np.array_equal(p.index, idx) and np.array_equal(p.mirror, idx)
+            assert np.all(p.sign == 1.0)
+
+    def test_sectors_mapped_onto_others_stay_whole(self):
+        # every 1 x 1 sector of the diagonal chain maps onto its mirror
+        # state's; only the palindromes map onto themselves
+        spec = long_range_zz_chain(6, 1.5)
+        ev = TrotterEvaluator(spec, build_plan(spec.n_groups, 2))
+        assert ev.reflected
+        assert basis_sizes(ev) == [1] * 64
+        (p,) = ev.basis
+        assert sorted(p.index.ravel()) == list(range(64))
+        assert np.all(p.sign == 1.0)
+        assert np.sum(p.index != p.mirror) == 0
+
+    def test_step_keeps_only_the_end_eigenvectors(self):
+        spec = heisenberg_chain(6, field=0.8)
+        ev = TrotterEvaluator(spec, build_plan(spec.n_groups, 2))
+        # stages 1, 2, 3, 2, 1: group 1's eigenvectors and W(1, 2), W(2, 3)
+        for facts, transitions in zip(ev._group_facts, ev._transitions):
+            assert [f.vecs is not None for f in facts] == [True, False, False]
+            assert sorted(transitions) == [(0, 1), (1, 2)]
+
+
 @st.composite
 def blocked_specs(draw):
-    n = draw(st.integers(2, 5))
-    kind = draw(st.sampled_from(["heisenberg", "zz", "single", "anisotropic"]))
+    n = draw(st.integers(2, 6))
+    kind = draw(
+        st.sampled_from(
+            ["heisenberg", "periodic", "zz", "single", "anisotropic", "one-end"]
+        )
+    )
     coupling = draw(st.floats(0.3, 1.5)) * draw(st.sampled_from([-1.0, 1.0]))
     field = draw(st.floats(-1.0, 1.0))
     if kind == "heisenberg":
         return heisenberg_chain(n, coupling=coupling, field=field)
+    if kind == "periodic":
+        return heisenberg_chain(max(n, 3), coupling=coupling, field=field, periodic=True)
+    if kind == "one-end":
+        return one_end_field_chain(n, coupling, field or 0.5)
     if kind == "zz":
         return long_range_zz_chain(n, draw(st.floats(0.5, 3.0)), coupling)
     if kind == "single":
@@ -291,6 +373,26 @@ class TestMaskBuiltBlocks:
             for idx, b in zip(ev.sectors, blocks, strict=True):
                 assert b.tobytes() == m[idx[:, :, None], idx[:, None, :]].tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(spec=blocked_specs())
+    @example(spec=heisenberg_chain(6, coupling=0.9, field=0.8))
+    @example(spec=heisenberg_chain(4, coupling=1.1, field=0.4, periodic=True))
+    @example(spec=anisotropic_chain(6, 1.0, 0.4, 0.8, field=0.6))
+    def test_parity_blocks_are_the_rotated_matrices(self, spec):
+        # each parity block equals Q^dag m Q on its slice of the explicit
+        # rotation; a wrong sign or a missing palindrome weight breaks it
+        ev = TrotterEvaluator(spec, build_plan(spec.n_groups, 2))
+        q = oracles.parity_rotation(ev)
+        assert np.max(np.abs(q.T @ q - np.eye(ev.dim))) <= 1e-15
+        for s in [*spec.group_sums, spec.full_sum()]:
+            m = dense.from_pauli_sum(s)
+            blocks = dense.parity_blocks(dense.permuted_diagonals(s), ev.basis)
+            start = 0
+            for b in (b for stack in blocks for b in stack):
+                qs = q[:, start : start + len(b)]
+                assert np.max(np.abs(qs.T @ m @ qs - b)) <= 1e-13
+                start += len(b)
+
 
 class TestBlockedAgainstFullMatrix:
     @settings(max_examples=40, deadline=None)
@@ -303,13 +405,22 @@ class TestBlockedAgainstFullMatrix:
     @example(spec=heisenberg_chain(4, coupling=1.0, field=0.8), p=4, tau=-0.3, j_count=3)
     @example(spec=anisotropic_chain(4, 1.0, 0.4, 0.8, field=0.6), p=2, tau=0.5, j_count=2)
     @example(spec=anisotropic_chain(5, 0.7, 1.2, -0.4, field=0.3), p=4, tau=0.6, j_count=3)
+    # even chains split by reflection; the rest keep their sectors
+    @example(spec=heisenberg_chain(4, coupling=0.9, field=0.8), p=2, tau=0.7, j_count=3)
+    @example(spec=heisenberg_chain(6, coupling=1.1, field=0.8), p=2, tau=-0.6, j_count=3)
+    @example(spec=heisenberg_chain(8, coupling=1.0, field=0.8), p=2, tau=0.5, j_count=2)
+    @example(spec=heisenberg_chain(6, 0.8, 0.5, periodic=True), p=4, tau=0.4, j_count=2)
+    @example(spec=anisotropic_chain(6, 1.0, 0.4, 0.8, field=0.6), p=2, tau=0.5, j_count=3)
+    @example(spec=heisenberg_chain(5, coupling=1.0, field=0.8), p=2, tau=0.5, j_count=3)
+    @example(spec=long_range_zz_chain(6, 1.5), p=2, tau=0.7, j_count=2)
+    @example(spec=one_end_field_chain(6, 1.0, 0.7), p=2, tau=0.6, j_count=3)
     def test_propagators_match_entrywise(self, spec, p, tau, j_count):
         plan = build_plan(spec.n_groups, p)
         ev = TrotterEvaluator(spec, plan)
         oracle = FullMatrixEvaluator(spec, plan)
         formula, exact = oracle.formula_unitary(tau), oracle.exact_unitary(tau)
         assert np.max(np.abs(ev.formula_unitary(tau) - formula)) <= 1e-12
-        assert np.max(np.abs(ev.exact_unitary(tau) - exact)) <= 1e-12
+        assert np.max(np.abs(exact_unitary(ev, tau) - exact)) <= 1e-12
         assert abs(ev.error(tau) - dense.spectral_norm(exact - formula)) <= 1e-12
         if p % 2 == 0:
             mpf_spec = build_mpf(j_count, p)
@@ -318,11 +429,34 @@ class TestBlockedAgainstFullMatrix:
             assert np.max(np.abs(mpf.step(tau) - step)) <= 1e-12
             assert abs(mpf.error(tau) - dense.spectral_norm(exact - step)) <= 1e-12
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        spec=blocked_specs(),
+        p=st.sampled_from([1, 2]),
+        extra=st.integers(1, 2),
+        tau=st.floats(-0.3, 0.3),
+    )
+    @example(spec=heisenberg_chain(4, coupling=0.9, field=0.8), p=2, extra=2, tau=0.2)
+    @example(spec=heisenberg_chain(6, coupling=1.1, field=0.8), p=2, extra=1, tau=-0.25)
+    @example(spec=heisenberg_chain(8, coupling=1.0, field=0.8), p=2, extra=1, tau=0.15)
+    @example(spec=heisenberg_chain(6, 0.8, 0.5, periodic=True), p=1, extra=2, tau=0.2)
+    @example(spec=anisotropic_chain(6, 1.0, 0.4, 0.8, field=0.6), p=2, extra=1, tau=0.2)
+    @example(spec=heisenberg_chain(5, coupling=1.0, field=0.8), p=2, extra=2, tau=0.3)
+    @example(spec=long_range_zz_chain(6, 1.5), p=2, extra=1, tau=0.3)
+    @example(spec=one_end_field_chain(6, 1.0, 0.7), p=2, extra=1, tau=0.25)
+    def test_truncation_defect_matches_the_full_matrix(self, spec, p, extra, tau):
+        plan = build_plan(spec.n_groups, p)
+        ev = TrotterEvaluator(spec, plan)
+        p0 = p + extra
+        phis = compute_phi_range(plan, spec, p0)
+        oracle = oracles.truncation_defect(ev, phis, tau, p0)
+        assert abs(truncation_defect(ev, phis, tau, p0) - oracle) <= 1e-12
+
     def test_difference_norm_is_the_full_spectral_norm(self):
         rng = np.random.default_rng(5)
         spec = heisenberg_chain(4, field=0.3)
         ev = TrotterEvaluator(spec, build_plan(spec.n_groups, 2))
-        shapes = [idx.shape + idx.shape[-1:] for idx in ev.sectors]
+        shapes = [p.index.shape + p.index.shape[-1:] for p in ev.basis]
         # the largest block norm sits in each stack in turn
         for big in range(len(shapes)):
             a = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
@@ -330,3 +464,20 @@ class TestBlockedAgainstFullMatrix:
             b = [rng.normal(size=s) for s in shapes]
             full = np.linalg.norm(ev.scatter(a) - ev.scatter(b), ord=2)
             assert difference_norm(a, b) == pytest.approx(full, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            heisenberg_chain(6, field=0.3),
+            heisenberg_chain(5, field=0.3),
+            long_range_zz_chain(4, 1.0),
+        ],
+        ids=["even", "odd", "zz"],
+    )
+    def test_scatter_is_the_explicit_rotation(self, spec):
+        rng = np.random.default_rng(8)
+        ev = TrotterEvaluator(spec, build_plan(spec.n_groups, 2))
+        shapes = [p.index.shape + p.index.shape[-1:] for p in ev.basis]
+        a = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+        got, want = ev.scatter(a), oracles.rotate_back(ev, a)
+        assert np.max(np.abs(got - want)) <= 1e-14
