@@ -39,7 +39,6 @@ from .formulas import (
     DEFAULT_DENSE_CAP,
     LEAK_TOL,
     ProductFormulaPlan,
-    SectorLeakError,
     loglog_slope,
 )
 from .hamiltonians import HamiltonianSpec
@@ -248,15 +247,16 @@ def phi_report(
 
     ``phi_q`` is the order-q series coefficient, taken from the table the
     caller built with :func:`compute_phi_range`; ``alpha_q`` is the order-q
-    commutator sum, from :func:`mpfkit.commutators.commutator_sums`.
+    commutator sum, from :func:`mpfkit.commutators.commutator_sums`.  The
+    exact norm is read from the groups' sector frame, like a nest's norm.
     """
     norm_exact: float | None = None
     if norm_mode == "exact" and spec.n_sites <= cap:
         from . import dense
 
-        norm_exact = (
-            dense.spectral_norm(dense.from_pauli_sum(phi_q, cap)) if phi_q else 0.0
-        )
+        frame = dense.SectorFrame.of(spec.group_sums)
+        tol = LEAK_TOL * (2.0 * spec.total_one_norm) ** q
+        norm_exact = max(map(dense.spectral_norm, frame.blocks(phi_q, tol)))
     return PhiReport(
         q=q,
         operator=phi_q,
@@ -298,12 +298,9 @@ def truncation_defect(
 ) -> float:
     """|| T(tau) - exp(-i H_eff^{(p0)}(tau) tau) || at one time argument.
 
-    The truncated generator is filled on the evaluator's blocks and
-    factorized per stack.  Its float-built Phi_q leak rounding outside the
-    sectors, which is zeroed, and break the mirror symmetry by rounding;
-    more of either (in Frobenius norm, and in the one-norm of the
-    mirror-odd part on a split basis) than ``LEAK_TOL sum_q (2 L)^q
-    |tau|^(q-1)`` raises :class:`SectorLeakError`.
+    The truncated generator is filled on the evaluator's frame, under the
+    leak allowance ``LEAK_TOL sum_q (2 L)^q |tau|^(q-1)``, and factorized
+    per stack.
     """
     from . import dense
     from .trotter import difference_norm
@@ -312,17 +309,9 @@ def truncation_defect(
     gen = effective_generator(spec, tau, p0, phis)
     two_l = 2.0 * spec.total_one_norm
     tol = LEAK_TOL * sum(two_l**q * abs(tau) ** (q - 1) for q in range(1, p0 + 1))
-    diags = dense.permuted_diagonals(gen)
-    leak = dense.cut_leak(diags, dense.sector_labels(evaluator.dim, evaluator.sectors))
-    odd = dense.mirror_odd_norm(gen) if evaluator.reflected else 0.0
-    for size, what in ((leak, "leaks outside the sectors"), (odd, "is mirror-odd")):
-        if size > tol:
-            raise SectorLeakError(f"generator {what} by {size:.3e}, over {tol:.3e}")
+    blocks = evaluator.frame.blocks(gen, tol)
     # the series coefficients carry float-product noise; symmetrized check
-    facts = (
-        dense.HermitianFactorization.of(b, herm_tol=1e-8)
-        for b in dense.parity_blocks(diags, evaluator.basis)
-    )
+    facts = (dense.HermitianFactorization.of(b, herm_tol=1e-8) for b in blocks)
     exact = [f.expm_minus_i(tau) for f in facts]
     return difference_norm(evaluator.formula_blocks(tau), exact)
 

@@ -144,6 +144,11 @@ def _load_config_file(path: str) -> dict:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    # nan passes every comparison below, and inf passes the lower bounds
+    for name, kind in ExperimentConfig.__annotations__.items():
+        value = getattr(cfg, name)
+        if kind.startswith("float") and value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
     if cfg.family not in FAMILIES:
         raise ConfigError(f"unknown family {cfg.family!r}; choose from {FAMILIES}")
     if cfg.family == "file" and not cfg.ham_file:

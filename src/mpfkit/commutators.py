@@ -9,7 +9,7 @@ search over group tuples with the partial nests shared along prefixes and
 zero branches pruned; one search yields every order up to q_max.  It starts
 from the pairs g_1 < g_2 only and counts each nest twice, since the swapped
 pair negates the whole subtree, and takes exact norms block by block on the
-groups' invariant sectors.  Two closed forms dominate it: the
+groups' sector frame.  Two closed forms dominate it: the
 factorial/locality form  (q-1)! (2 k g)^{q-1} N g  and the crude power form
 (2 L)^q  with L the total one-norm.  An observable can be spliced into the
 nest at any depth; the corresponding sum is bounded by  q! (2 k g)^q ||O||.
@@ -51,31 +51,19 @@ DEFAULT_TUPLE_BUDGET = 10**6
 def _sector_norm(
     spec: HamiltonianSpec, observable: PauliSum | None
 ) -> Callable[[PauliSum, int], float]:
-    """``norm(nest, q)``: the exact norm of a nest of q groups, taken block by
-    block on the sectors of the groups (and the observable), which it
-    conserves.  Rounding that links two sectors is zeroed; more of it than
-    ``LEAK_TOL (2 L)^q`` (times ``2 ||O||_1``), in Frobenius norm, raises.
-    """
-    import numpy as np  # numpy loads with the first nest that needs a matrix
+    """``norm(nest, q)``: the exact norm of a nest of q groups, read one block
+    stack at a time from the sector frame of the groups (and the observable)
+    under the leak allowance ``LEAK_TOL (2 L)^q`` (times ``2 ||O||_1``)."""
+    from . import dense  # numpy loads with the first nest that needs a matrix
 
-    from . import dense
-
-    diags = [dense.permuted_diagonals(s) for s in (*spec.group_sums, observable) if s]
-    pairs = [(xr, np.flatnonzero(d)) for ds in diags for xr, d in ds.items()]
-    sectors = dense.invariant_sectors(1 << spec.n_sites, pairs)
-    label = dense.sector_labels(1 << spec.n_sites, sectors)
+    frame = dense.SectorFrame.of(
+        (*spec.group_sums, observable) if observable else spec.group_sums
+    )
     allowance = LEAK_TOL * (2.0 * observable.one_norm() if observable else 1.0)
 
     def norm(nest: PauliSum, q: int) -> float:
-        nest_diags = dense.permuted_diagonals(nest)
-        leak = dense.cut_leak(nest_diags, label)
         tol = allowance * (2.0 * spec.total_one_norm) ** q
-        if leak > tol:
-            raise SectorLeakError(
-                f"nest leaks {leak:.3e} outside the sectors, over {tol:.3e}"
-            )
-        stacks = (dense.sector_blocks(nest_diags, [idx])[0] for idx in sectors)
-        return max(map(dense.spectral_norm, stacks))  # one stack held at a time
+        return max(map(dense.spectral_norm, frame.blocks(nest, tol)))
 
     return norm
 
@@ -159,11 +147,10 @@ def commutator_sums(
     Orders start at 2: alpha_1, the sum of the group norms
     (:func:`nested_commutator_sum` at q = 1), enters no bound.
 
-    ``mode="exact"`` measures spectral norms block by block on the groups'
-    invariant sectors; a nest that leaks more than ``LEAK_TOL (2 L)^q`` out
-    of them raises :class:`SectorLeakError`.  ``mode="one-norm"`` replaces
-    every norm by the coefficient one-norm of the same symbolically exact
-    nest (an upper bound, no dense work).
+    ``mode="exact"`` measures spectral norms on the groups' sector frame
+    (:func:`_sector_norm`); ``mode="one-norm"`` replaces every norm by the
+    coefficient one-norm of the same symbolically exact nest (an upper
+    bound, no dense work).
 
     Cost grows as n_groups^q_max tuples; the budget and the dense cap are
     checked once, before any nest is built.

@@ -1,51 +1,47 @@
 """Dense-matrix backend for desk-scale verification.
 
 Everything here works on complex matrices of side up to 2^n with numpy and
-is meant for small n (default cap 12 qubits).  Symbolic Pauli work lives in
-:mod:`mpfkit.pauli`; this module converts to matrices, exponentiates
-Hermitian generators exactly through eigendecomposition, and measures
-spectral norms.
+is meant for small n (default cap 12 qubits).  It converts Pauli sums
+(:mod:`mpfkit.pauli`) to matrix blocks, exponentiates Hermitian generators
+exactly through eigendecomposition, and measures spectral norms.
 
 Conversion rests on one index map: a Pauli string is a signed permutation
 of the computational basis.  :func:`permuted_diagonals` adds each string
 into its permuted diagonal in O(2^n), in the sum's order, so every entry is
-bitwise the Kronecker-product build's.  :func:`invariant_sectors` finds the
-sectors the diagonals link and :func:`sector_blocks` fills their blocks.
-A sum that commutes with the site reflection R splits further:
-:func:`parity_basis` halves each sector that R maps onto itself into the
-combinations ``(|b> +- |R b>) / sqrt 2``, and :func:`parity_blocks` fills
-those blocks from two gathers of the same diagonals.  The factorization and
-the norm accept a stack of equal-size blocks ``(count, size, size)`` as
-well as a single matrix.
+bitwise the Kronecker-product build's.  Every exact norm and factorization
+reads its blocks from one :class:`SectorFrame`, built once per run from a
+Hamiltonian's groups: the :func:`invariant_sectors` their diagonals link,
+each halved into ``(|b> +- |R b>) / sqrt 2`` combinations when every group
+commutes with the site reflection R, and the rule for the rounding by which
+a float-built sum leaves them.  Factorization and norm take a stack of
+equal-size blocks ``(count, size, size)`` as well as a single matrix.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .formulas import DEFAULT_DENSE_CAP, DenseCapError, check_dense_cap
+from .formulas import DEFAULT_DENSE_CAP, DenseCapError, SectorLeakError, check_dense_cap
 from .pauli import PauliSum
 
 __all__ = [
     "DEFAULT_DENSE_CAP",
     "DenseCapError",
     "HermitianFactorization",
+    "ParityStack",
+    "SectorFrame",
     "adjoint",
     "check_dense_cap",
     "from_pauli_sum",
-    "ParityStack",
-    "cut_leak",
     "invariant_sectors",
     "mirror_odd_norm",
-    "parity_basis",
     "parity_blocks",
     "permuted_diagonals",
     "sector_blocks",
-    "sector_labels",
     "spectral_norm",
 ]
 
@@ -136,54 +132,39 @@ def invariant_sectors(
     return [chunk.reshape(-1, size[chunk[0]]) for chunk in np.split(order, cuts)]
 
 
-def sector_blocks(
-    diags: dict[int, np.ndarray],
-    sectors: list[np.ndarray],
-    cols: list[np.ndarray] | None = None,
-) -> list[np.ndarray]:
-    """The blocks ``m[idx[:, :, None], jdx[:, None, :]]`` on each stack ``idx``
-    of ``sectors`` and ``jdx`` of ``cols`` (``sectors`` itself by default),
-    of the matrix m whose :func:`permuted_diagonals` are ``diags`` and whose
-    nonzeros all lie in sectors that each row pair ``idx[c]``, ``jdx[c]``
-    shares; m is never formed.  ``sectors`` may hold any of the stacks of
-    :func:`invariant_sectors`, or parts of them.
-    """
-    cols = sectors if cols is None else cols
-    dim = max([d.size for d in diags.values()] + [1 + int(i.max()) for i in sectors])
+def _stacked(diags: dict[int, np.ndarray], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The x-masks of ``diags`` and the diagonals as one ``(count, dim)`` array."""
     xrs = np.array(list(diags), dtype=np.int64)
-    blocks = []
-    for idx, jdx in zip(sectors, cols, strict=True):
-        # a row index outside idx lands in a spare last row, cut off below
-        row = np.full(dim, -1)
-        row[idx] = np.arange(idx.shape[1])
-        size, flat = jdx.shape[1], jdx.ravel()
-        block = np.zeros((len(idx), idx.shape[1] + 1, size), dtype=complex)
-        vals = np.empty((len(diags), flat.size), dtype=complex)
-        for n, d in enumerate(diags.values()):
-            vals[n] = d[flat]
-        k, e = np.nonzero(vals)  # the nonzeros of diagonal k at column entry e
-        block[e // size, row[flat[e] ^ xrs[k]], e % size] = vals[k, e]
-        blocks.append(block[:, :-1])
-    return blocks
+    return xrs, np.array(list(diags.values())).reshape(len(xrs), dim)
 
 
-def sector_labels(dim: int, sectors: list[np.ndarray]) -> np.ndarray:
-    """Each basis index's sector, named by the sector's smallest index."""
-    label = np.empty(dim, dtype=np.int64)
-    for idx in sectors:
-        label[idx] = idx[:, :1]
-    return label
+def _fill(
+    xrs: np.ndarray, vals: np.ndarray, idx: np.ndarray, jdx: np.ndarray
+) -> np.ndarray:
+    """The blocks ``m[idx[:, :, None], jdx[:, None, :]]`` from the :func:`_stacked`
+    diagonals of m, for row pairs ``idx[c]``, ``jdx[c]`` that share m's sectors."""
+    # a row index outside idx lands in a spare last row, cut off below
+    row = np.full(vals.shape[1], -1)
+    row[idx] = np.arange(idx.shape[1])
+    size, flat = jdx.shape[1], jdx.ravel()
+    block = np.zeros((len(idx), idx.shape[1] + 1, size), dtype=complex)
+    cut = vals[:, flat]
+    k, e = np.nonzero(cut)  # the nonzeros of diagonal k at column entry e
+    block[e // size, row[flat[e] ^ xrs[k]], e % size] = cut[k, e]
+    return block[:, :-1]
 
 
-def cut_leak(diags: dict[int, np.ndarray], label: np.ndarray) -> float:
-    """Zero the entries of ``diags`` that link two sectors of ``label`` and
-    return their Frobenius norm."""
-    index, leak = np.arange(label.size), 0.0
-    for xr, d in diags.items():
-        outside = label[index ^ xr] != label
-        leak += float(np.sum(np.abs(d[outside]) ** 2))
-        d[outside] = 0.0
-    return math.sqrt(leak)
+def sector_blocks(
+    diags: dict[int, np.ndarray], sectors: list[np.ndarray]
+) -> list[np.ndarray]:
+    """The blocks ``m[idx[:, :, None], idx[:, None, :]]`` on each stack ``idx``
+    of ``sectors``, of the matrix m whose :func:`permuted_diagonals` are
+    ``diags`` and whose nonzeros all lie in the sectors; m is never formed.
+    ``sectors`` may hold any of the stacks of :func:`invariant_sectors`.
+    """
+    dim = max([d.size for d in diags.values()] + [1 + int(i.max()) for i in sectors])
+    xrs, vals = _stacked(diags, dim)
+    return [_fill(xrs, vals, idx, idx) for idx in sectors]
 
 
 def mirror_odd_norm(s: PauliSum) -> float:
@@ -204,31 +185,16 @@ class ParityStack(NamedTuple):
     sign: np.ndarray
 
 
-def parity_basis(sectors: list[np.ndarray], n_sites: int | None) -> list[ParityStack]:
-    """Split each sector that the site reflection R maps onto itself into its
-    symmetric and antisymmetric blocks, and stack the blocks by size.
-
-    Sectors that R maps onto others stay whole, as all do for
-    ``n_sites=None``, where R is taken as the identity.
-    """
-    dim = sum(idx.size for idx in sectors)
-    rev = np.arange(dim)
-    if n_sites is not None:
-        rev = sum(((rev >> j) & 1) << (n_sites - 1 - j) for j in range(n_sites))
-    label = sector_labels(dim, sectors)
-    rows = []
-    for row in (row for idx in sectors for row in idx):
-        if label[rev[row[0]]] != row[0]:
-            rows.append((row, row, 1.0))
-            continue
-        for sign, a in ((1.0, row[row <= rev[row]]), (-1.0, row[row < rev[row]])):
-            if a.size:
-                rows.append((a, rev[a], sign))
-    sizes = sorted({a.size for a, _, _ in rows})
-    return [
-        ParityStack(*map(np.array, zip(*(t for t in rows if t[0].size == n))))
-        for n in sizes
-    ]
+def _parity_fill(xrs: np.ndarray, vals: np.ndarray, p: ParityStack) -> np.ndarray:
+    """One stack of :func:`parity_blocks`; ``m[a, a]``, ``m[a, r]`` from one gather."""
+    if np.array_equal(p.index, p.mirror):
+        return _fill(xrs, vals, p.index, p.index)
+    both = _fill(xrs, vals, p.index, np.hstack([p.index, p.mirror]))
+    x, y = np.split(both, [p.index.shape[1]], axis=2)
+    f = (p.index == p.mirror) * 1.0
+    # 0.5 ** (f_i + f_j), square-rooted: 1, 1/sqrt 2, or exactly 1/2
+    w = np.sqrt(0.5 ** (f[:, :, None] + f[:, None, :]))
+    return w * (x + p.sign[:, None, None] * y)
 
 
 def parity_blocks(
@@ -239,15 +205,69 @@ def parity_blocks(
     for a = index, r = mirror and s = sign, with w = 1 for a pair and
     1/sqrt 2 where a = r (so an unsplit sector's block is ``m[a, a]``).
     """
-    plain = sector_blocks(diags, [p.index for p in basis])
-    cross = sector_blocks(diags, [p.index for p in basis], [p.mirror for p in basis])
-    out = []
-    for p, x, y in zip(basis, plain, cross):
-        f = (p.index == p.mirror) * 1.0
-        # 0.5 ** (f_i + f_j), square-rooted: 1, 1/sqrt 2, or exactly 1/2
-        w = np.sqrt(0.5 ** (f[:, :, None] + f[:, None, :]))
-        out.append(w * (x + p.sign[:, None, None] * y))
-    return out
+    xrs, vals = _stacked(diags, sum(p.index.size for p in basis))
+    return [_parity_fill(xrs, vals, p) for p in basis]
+
+
+class SectorFrame:
+    """The blocks that some Pauli sums, and every sum they conserve, split into.
+
+    ``sectors`` are the :func:`invariant_sectors` of the sums' nonzeros and
+    ``label`` names each basis index's sector by its smallest index.  When
+    every sum equals its mirror image under R (``reflected``), each sector
+    that R maps onto itself splits into its symmetric and antisymmetric
+    halves.  ``basis`` lists the block stacks by size as :class:`ParityStack` s.
+    """
+
+    def __init__(self, sums: Sequence[PauliSum]) -> None:
+        n = sums[0].n_sites
+        self.dim = 1 << n
+        diags = (d for s in sums for d in permuted_diagonals(s).items())
+        pairs = [(xr, np.flatnonzero(d)) for xr, d in diags]
+        self.sectors = invariant_sectors(self.dim, pairs)
+        self.label = np.empty(self.dim, dtype=np.int64)
+        for idx in self.sectors:
+            self.label[idx] = idx[:, :1]
+        self.reflected = not any(map(mirror_odd_norm, sums))
+        rev = np.arange(self.dim)
+        if self.reflected:
+            rev = sum(((rev >> j) & 1) << (n - 1 - j) for j in range(n))
+        rows = []
+        for row in (row for idx in self.sectors for row in idx):
+            if self.label[rev[row[0]]] != row[0]:
+                rows.append((row, row, 1.0))
+                continue
+            for sign, a in ((1.0, row[row <= rev[row]]), (-1.0, row[row < rev[row]])):
+                if a.size:
+                    rows.append((a, rev[a], sign))
+        self.basis = [
+            ParityStack(*map(np.array, zip(*(t for t in rows if t[0].size == size))))
+            for size in sorted({a.size for a, _, _ in rows})
+        ]
+
+    @staticmethod
+    @functools.lru_cache(maxsize=8)
+    def of(sums: tuple[PauliSum, ...]) -> "SectorFrame":
+        """The frame of ``sums``, built once per tuple of (identity-hashed) sums."""
+        return SectorFrame(sums)
+
+    def blocks(self, s: PauliSum, tol: float) -> Iterator[np.ndarray]:
+        """The blocks of ``s`` on ``basis``, one stack at a time.
+
+        Entries of ``s`` that link two sectors are zeroed; when their
+        Frobenius norm, or on a reflected frame the one-norm of the
+        mirror-odd part, exceeds ``tol``, :class:`SectorLeakError` is raised
+        before any block is filled.
+        """
+        xrs, vals = _stacked(permuted_diagonals(s), self.dim)
+        outside = self.label[np.arange(self.dim) ^ xrs[:, None]] != self.label
+        leak = math.sqrt(float(np.sum(np.abs(vals[outside]) ** 2)))
+        vals[outside] = 0.0
+        odd = mirror_odd_norm(s) if self.reflected else 0.0
+        for size, what in ((leak, "leaks outside the sectors"), (odd, "is mirror-odd")):
+            if size > tol:
+                raise SectorLeakError(f"sum {what} by {size:.3e}, over {tol:.3e}")
+        return (_parity_fill(xrs, vals, p) for p in self.basis)
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ ZZ chain grouped by interaction distance.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
 from functools import reduce
 from operator import add
@@ -74,8 +75,8 @@ def make_spec(
     """Validate a tagged term list and compute the derived constants.
 
     Group labels must cover ``1..max`` with no gaps and every group must be
-    non-empty.  Coefficients must be real (the Hamiltonian is Hermitian term
-    by term).
+    non-empty.  Coefficients must be finite and real (the Hamiltonian is
+    Hermitian term by term).
     """
     if not terms:
         raise ValueError("empty term list")
@@ -92,6 +93,8 @@ def make_spec(
         if abs(t.coeff.imag) > 1e-12:
             raise ValueError(f"non-real coefficient {t.coeff} on {t.label}")
         a = abs(t.coeff)
+        if not math.isfinite(a):
+            raise ValueError(f"non-finite coefficient {t.coeff} on {t.label}")
         total += a
         m = t.x_mask | t.z_mask
         k = max(k, m.bit_count())

@@ -3,11 +3,8 @@
 A plan (:mod:`mpfkit.formulas`) is a flat list of stages ``(group, alpha)``
 with ``stages[0]`` acting first.  Each stage exponential is exact (group
 eigendecomposition, cached per group), so measured errors are purely the
-formula's own, down to rounding.  Every group and the full Hamiltonian are
-block diagonal on the same invariant sectors, and, when every group is its
-own mirror image under the site reflection, on the symmetric and
-antisymmetric halves of each sector that the reflection maps onto itself;
-the evaluator factorizes and multiplies block by block on those blocks.
+formula's own, down to rounding.  The evaluator factorizes and multiplies
+block by block on the groups' :class:`mpfkit.dense.SectorFrame`.
 """
 
 from __future__ import annotations
@@ -15,7 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import dense
-from .formulas import ProductFormulaPlan, build_plan, loglog_slope, suzuki_fractions
+from .formulas import (
+    LEAK_TOL,
+    ProductFormulaPlan,
+    build_plan,
+    loglog_slope,
+    suzuki_fractions,
+)
 from .hamiltonians import HamiltonianSpec
 
 __all__ = [
@@ -30,27 +33,24 @@ __all__ = [
 
 
 class TrotterEvaluator:
-    """Dense evaluator over the Hamiltonian's invariant sectors.
+    """Dense evaluator on the blocks of the groups' sector frame.
 
-    Built once per (spec, plan) without a 2^n x 2^n matrix: the sectors are
-    the components of the nonzeros of the groups' and H's permuted diagonals
-    (magnetization shells of sizes C(n, m) for a Heisenberg chain).  When
-    every group equals its mirror image under the site reflection R
-    (j -> n-1-j), as on an even-length chain, each sector that R maps onto
-    itself splits further into its symmetric and antisymmetric blocks
-    (``reflected`` is then true).  ``basis`` lists the block stacks, as
-    :class:`mpfkit.dense.ParityStack` s, and ``sectors`` the unsplit
-    sectors.  Each sum is factorized per block.  A step
-    runs through the group eigenbases along the merged stages,
-    ``T = V_last P_last W ... W P_first V_first^dag``, with each ``P`` a
-    stage's phases and ``W = V_next^dag V_prev`` formed once per pair of
-    groups (its adjoint serves the reverse step), so a stage costs one
-    matrix product; only the first and last groups keep their eigenvectors.
+    Built once per (spec, plan) without a 2^n x 2^n matrix: ``frame`` is
+    the :class:`mpfkit.dense.SectorFrame` of the groups, which H conserves
+    too (magnetization shells of sizes C(n, m) for a Heisenberg chain, each
+    split by the site reflection on an even-length chain).  Each group and H
+    is factorized per block.  A step runs through the group eigenbases along
+    the merged stages, ``T = V_last P_last W ... W P_first V_first^dag``,
+    with each ``P`` a stage's phases and ``W = V_next^dag V_prev`` formed
+    once per pair of groups (its adjoint serves the reverse step), so a
+    stage costs one matrix product; only the first and last groups keep
+    their eigenvectors.
 
     Blocks of equal size are stacked.  The ``*_blocks`` methods return one
-    ``(count, size, size)`` array per entry of ``basis``, in that order;
-    :func:`difference_norm` reads errors from them.  :meth:`scatter` rotates
-    them back into the full matrix, which :meth:`formula_unitary` returns.
+    ``(count, size, size)`` array per entry of ``frame.basis``, in that
+    order; :func:`difference_norm` reads errors from them.  :meth:`scatter`
+    rotates them back into the full matrix, which :meth:`formula_unitary`
+    returns.
     """
 
     def __init__(
@@ -66,18 +66,14 @@ class TrotterEvaluator:
         dense.check_dense_cap(spec.n_sites, cap)
         self.spec = spec
         self.plan = plan
-        self.dim = 1 << spec.n_sites
-        sums = (*spec.group_sums, spec.full_sum())
-        diags = list(map(dense.permuted_diagonals, sums))
-        nonzero = [(xr, np.flatnonzero(d)) for ds in diags for xr, d in ds.items()]
-        self.sectors = dense.invariant_sectors(self.dim, nonzero)
-        self.reflected = not any(map(dense.mirror_odd_norm, sums))
-        self.basis = dense.parity_basis(
-            self.sectors, spec.n_sites if self.reflected else None
-        )
-        # facts[m][s] factorizes sum m on the stack of blocks basis[s]
-        blocks = (dense.parity_blocks(ds, self.basis) for ds in diags)
-        facts = [list(map(dense.HermitianFactorization.of, b)) for b in blocks]
+        self.frame = dense.SectorFrame.of(spec.group_sums)
+        # facts[m][s] factorizes sum m on the stack of blocks frame.basis[s];
+        # the groups keep the frame exactly and H up to its sum's rounding
+        tol = LEAK_TOL * 2.0 * spec.total_one_norm
+        facts = [
+            list(map(dense.HermitianFactorization.of, self.frame.blocks(s, tol)))
+            for s in (*spec.group_sums, spec.full_sum())
+        ]
         self._full_fact = facts[-1]
         # stages by 0-based group, W[g, h] = V_h^dag V_g per stack for g < h,
         # and eigenvectors kept for the first and last stage groups only
@@ -95,10 +91,10 @@ class TrotterEvaluator:
         ]
 
     def scatter(self, blocks: list[np.ndarray]) -> np.ndarray:
-        """The full matrix ``sum Q B Q^dag`` whose blocks on ``basis`` are
-        ``blocks``, Q's columns being the basis vectors ``u |a> + v |r>``."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for p, b in zip(self.basis, blocks, strict=True):
+        """The full matrix ``sum Q B Q^dag`` whose blocks on ``frame.basis``
+        are ``blocks``, Q's columns being the basis vectors ``u |a> + v |r>``."""
+        out = np.zeros((self.frame.dim,) * 2, dtype=complex)
+        for p, b in zip(self.frame.basis, blocks, strict=True):
             pair = p.index != p.mirror
             u = np.where(pair, 0.5**0.5, 1.0)
             v = np.where(pair, 0.5**0.5, 0.0) * p.sign[:, None]

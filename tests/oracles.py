@@ -126,10 +126,10 @@ def parity_rotation(ev: TrotterEvaluator) -> np.ndarray:
     stack and row by row: ``(|a> + s |r>) / sqrt 2`` for a pair, ``|a>``
     where the index is its own mirror."""
     cols = []
-    for p in ev.basis:
+    for p in ev.frame.basis:
         for index, mirror, sign in zip(p.index, p.mirror, p.sign):
             for a, r in zip(index, mirror):
-                col = np.zeros(ev.dim)
+                col = np.zeros(ev.frame.dim)
                 col[a] = 1.0 if a == r else 0.5**0.5
                 col[r] += 0.0 if a == r else sign * 0.5**0.5
                 cols.append(col)

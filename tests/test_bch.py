@@ -22,12 +22,18 @@ from mpfkit.bch import (
 )
 from mpfkit.bch import _compositions, _perm_weights
 from mpfkit.commutators import nested_commutator_sum
-from mpfkit.hamiltonians import heisenberg_chain, make_spec
+from mpfkit.hamiltonians import heisenberg_chain, long_range_zz_chain, make_spec
 from mpfkit.pauli import PauliSum, PauliTerm
 from mpfkit.trotter import TrotterEvaluator, build_plan, geometric_grid
 from mpfkit.formulas import SectorLeakError
-from oracles import fraction_perm_weights, oracle_phi_from_logs, truncated_step_unitary
+from oracles import (
+    fraction_perm_weights,
+    full_matrix_norm,
+    oracle_phi_from_logs,
+    truncated_step_unitary,
+)
 from oracles import truncation_defect as oracle_defect
+from test_trotter import anisotropic_chain, blocked_specs
 
 
 def toy_spec():
@@ -145,6 +151,24 @@ class TestBounds:
         assert rep.hermiticity_defect <= 1e-10
 
 
+class TestBlockedPhiNorm:
+    @settings(max_examples=30, deadline=None)
+    @given(spec=blocked_specs(), p=st.sampled_from([1, 2]), extra=st.integers(1, 2))
+    @example(spec=heisenberg_chain(6, coupling=1.05, field=0.8), p=2, extra=2)
+    @example(spec=heisenberg_chain(5, coupling=0.9, field=0.6), p=2, extra=1)
+    @example(spec=anisotropic_chain(4, 1.0, 0.4, 0.8, field=0.6), p=1, extra=2)
+    @example(spec=long_range_zz_chain(5, 1.5), p=2, extra=1)
+    @example(spec=heisenberg_chain(4, field=0.5), p=4, extra=1)
+    def test_matches_the_full_matrix_norm(self, spec, p, extra):
+        # reflected (even), unsplit (odd), XYZ and long-range specs alike
+        plan = build_plan(spec.n_groups, p)
+        q = p + extra
+        phi = compute_phi(plan, spec, q)
+        rep = phi_report(plan, spec, q, phi_q=phi, alpha_q=0.0)
+        want = full_matrix_norm(phi)
+        assert abs(rep.norm_exact - want) <= 1e-13 * want
+
+
 class TestMatrixLogOracle:
     def test_first_and_second_order_plans_match_fit(self):
         # five guard orders soak up the series truncation; the window is wide
@@ -209,7 +233,7 @@ class TestTruncatedGenerator:
         spec = heisenberg_chain(6, coupling=1.05, field=0.8)
         plan = build_plan(spec.n_groups, 2)
         ev = TrotterEvaluator(spec, plan)
-        assert ev.reflected
+        assert ev.frame.reflected
         phis = compute_phi_range(plan, spec, 5)
         for q, phi in phis.items():
             assert dense.mirror_odd_norm(phi) <= 1e-13, q

@@ -130,6 +130,52 @@ class TestConfigResolution:
     def test_values_the_library_rejects_exit_2(self, tmp_path, argv):
         assert run(tmp_path, *argv) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "command, field",
+        [
+            ("verify-order", "coupling"),
+            ("table1", "eps"),
+            ("cost", "t"),
+            ("alpha", "field"),
+            ("cost", "exponent"),
+            ("table1", "nu"),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_finite_float_setting_exits_2(
+        self, tmp_path, capsys, command, field, value, source
+    ):
+        # nan passes every bound check and inf every lower one
+        if source == "flag":
+            argv = (command, f"--{field}={value}")
+        else:
+            cfg_file = tmp_path / "run.json"
+            cfg_file.write_text(json.dumps({field: value}))
+            argv = (command, "--config", str(cfg_file))
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("coeff", ["NaN", "Infinity"])
+    @pytest.mark.parametrize(
+        "command", ["verify-order", "verify-bounds", "cost", "table1", "phi", "alpha"]
+    )
+    def test_non_finite_hamiltonian_coefficient_exits_2(
+        self, tmp_path, capsys, command, coeff
+    ):
+        ham = tmp_path / "chain.json"
+        doc = spec_to_document(heisenberg_chain(4, field=0.5))
+        doc["terms"][1]["coeff"] = "COEFF"
+        ham.write_text(json.dumps(doc).replace('"COEFF"', coeff))
+        out = tmp_path / "out"
+        argv = [command, "--family", "file", "--ham-file", str(ham), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "non-finite coefficient" in err and f"on {doc['terms'][1]['pauli']}" in err
+        assert not out.exists()
+
     def test_bad_flag_values(self, tmp_path):
         assert run(tmp_path, "verify-order", "--eps", "-1.0") == 2
         assert run(tmp_path, "verify-order", "--tau-points", "2") == 2
@@ -323,8 +369,9 @@ class TestVerifyOrder:
 
 
 class TestNoFullMatrixPath:
-    """No subcommand reaches the full-matrix views of the blocked evaluator:
-    each is stubbed to raise, and the runs exit as before."""
+    """No subcommand reaches the full-matrix builder ``dense.from_pauli_sum``
+    or the full-matrix views of the blocked evaluator: each is stubbed to
+    raise, and the runs exit as before."""
 
     @pytest.fixture(autouse=True)
     def refuse_full_matrices(self, monkeypatch):
@@ -332,6 +379,7 @@ class TestNoFullMatrixPath:
             raise AssertionError("reached a full-matrix path")
 
         for owner, name in [
+            (dense, "from_pauli_sum"),
             (TrotterEvaluator, "scatter"),
             (TrotterEvaluator, "formula_unitary"),
             (MPFEvaluator, "step"),
@@ -353,6 +401,15 @@ class TestNoFullMatrixPath:
         rows = {r["name"]: r for r in load(tmp_path, "verify_bounds.json")["rows"]}
         assert rows["truncation_defect"]["status"] == "pass"
         assert rows["step_error_bound"]["status"] == "pass"
+        assert rows["phi_norm[q=5]"]["note"] == "spectral norm"
+
+    def test_phi(self, tmp_path):
+        assert run(tmp_path, "phi", "--n-sites", "6") == 0
+        rows = load(tmp_path, "phi_report.json")["rows"]
+        assert all(row["norm_is_exact"] for row in rows)
+
+    def test_alpha(self, tmp_path):
+        assert run(tmp_path, "alpha", "--n-sites", "6") == 0
 
 
 class TestVerifyBounds:
@@ -638,6 +695,23 @@ class TestOneEvaluatorAndPhiTable:
         assert run(tmp_path, *argv) == 0
         assert len(calls) == builds
 
+    def test_verify_bounds_builds_one_sector_frame(self, tmp_path, monkeypatch):
+        # the evaluator, the nest norms, the Phi_q norms and the truncation
+        # defect all read the groups' frame, found by one sector search
+        calls = []
+        search = dense.invariant_sectors
+
+        def counting(*args):
+            calls.append(1)
+            return search(*args)
+
+        monkeypatch.setattr(dense, "invariant_sectors", counting)
+        argv = ("verify-bounds", "--n-sites", "6", "--eps", "0.25")
+        assert run(tmp_path, *argv) == 0
+        rows = {r["name"]: r for r in load(tmp_path, "verify_bounds.json")["rows"]}
+        assert rows["truncation_defect"]["status"] == "pass"
+        assert len(calls) == 1
+
     def test_verify_bounds_builds_one_phi_table(self, tmp_path, monkeypatch):
         # p0 = 4 <= qmax = 5: the phi rows and the truncation check share it
         orders = []
@@ -721,6 +795,37 @@ class TestReproducibility:
         first = (tmp_path / "cost_report.json").read_bytes()
         assert run(tmp_path, "cost") == 0
         assert (tmp_path / "cost_report.json").read_bytes() == first
+
+
+class TestTracer:
+    """``perfbench/tracer.py`` wraps mpfkit functions by name; a rename or a
+    removal breaks it before any benchmark runs, so each run here starts
+    a fresh interpreter on the tracer as the benchmark does."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify-bounds", "--n-sites", "5", "--eps", "0.5"),
+            ("phi", "--n-sites", "4", "--qmax", "4"),
+        ],
+        ids=["verify-bounds", "phi"],
+    )
+    def test_traced_run_builds_no_full_matrix(self, tmp_path, argv):
+        tracer = SRC.parent / "perfbench" / "tracer.py"
+        trace = tmp_path / "trace.json"
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, str(tracer), str(trace), *argv, "--out", "out"],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        counts = json.loads(trace.read_text())["counts"]
+        assert counts["cli.main.calls"] == 1
+        assert counts.get("dense.from_pauli_sum.calls", 0) == 0
 
 
 class TestNoScipyAtRunTime:

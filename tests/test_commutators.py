@@ -140,9 +140,9 @@ class TestCommutatorSums:
         assert nested_commutator_sum(spec, 1, "one-norm") == 11.0
         assert commutator_sums(spec, 5) == {
             2: 27.712812921102042,
-            3: 332.5537550532244,
-            4: 3103.8350471634276,
-            5: 37246.02056596114,
+            3: 332.55375505322456,
+            4: 3103.8350471634285,
+            5: 37246.02056596115,
         }
         assert commutator_sums(spec, 5, "one-norm") == {
             2: 48.0,
@@ -210,6 +210,16 @@ class TestSectorBlockedNorm:
             norm(nest, 2)
         # the CLI maps a ValueError to a configuration error (exit 2)
         assert not issubclass(SectorLeakError, ValueError)
+
+    def test_planted_mirror_odd_term_is_refused(self):
+        # Z on one end site keeps the magnetization sectors but breaks the
+        # reflection that splits the even chain's sectors
+        spec = heisenberg_chain(4, field=0.5)
+        first, second = spec.group_sums[:2]
+        nest = second.commutator(first) + PauliSum.from_label("ZIII", 1e-3)
+        norm = commutators._sector_norm(spec, None)
+        with pytest.raises(SectorLeakError, match="mirror-odd"):
+            norm(nest, 2)
 
 
 class TestHalvedTraversal:

@@ -154,6 +154,21 @@ def test_expm_matches_scipy_on_random_hermitian():
     assert np.max(np.abs(u @ u.conj().T - np.eye(8))) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "terms, odd",
+    [
+        # (s - R s R) / 2 = 0.375 (ZII - IIZ); XIX is its own mirror image
+        ([("ZII", 1.0), ("IIZ", 0.25), ("XIX", 0.5)], 0.75),
+        # a string whose mirror image is absent: (ZII - IIZ) / 2
+        ([("ZII", 1.0)], 1.0),
+        ([("XYZ", 0.5), ("ZYX", 0.5), ("IYI", 2.0)], 0.0),
+    ],
+)
+def test_mirror_odd_norm(terms, odd):
+    s = PauliSum.from_terms([PauliTerm.from_label(lab, c) for lab, c in terms])
+    assert dense.mirror_odd_norm(s) == odd
+
+
 def test_expm_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         expm_minus_i(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)

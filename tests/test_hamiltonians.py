@@ -182,6 +182,16 @@ class TestDocumentForm:
         with pytest.raises(ValueError, match="non-real"):
             make_spec(1, [(PauliTerm.from_label("X", 1j), 1)])
 
+    @pytest.mark.parametrize("coeff", ["NaN", "Infinity", "-Infinity"])
+    def test_rejects_non_finite_coefficient(self, coeff):
+        # json reads NaN and Infinity; PauliSum would drop a NaN term silently
+        text = (
+            '{"n_sites": 2, "terms": [{"pauli": "XX", "coeff": 1.0, "group": 1},'
+            f' {{"pauli": "ZI", "coeff": {coeff}, "group": 2}}]}}'
+        )
+        with pytest.raises(ValueError, match="non-finite coefficient .* on ZI"):
+            load_spec(json.loads(text))
+
 
 class TestGScaling:
     def test_shallow_power_law_regime(self):

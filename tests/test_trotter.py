@@ -99,7 +99,7 @@ class TestEvaluation:
         spec = heisenberg_chain(4, field=0.3)
         ev = TrotterEvaluator(spec, build_plan(spec.n_groups, 2))
         u = ev.formula_unitary(0.23)
-        assert np.max(np.abs(u @ u.conj().T - np.eye(ev.dim))) <= 1e-12
+        assert np.max(np.abs(u @ u.conj().T - np.eye(ev.frame.dim))) <= 1e-12
 
     def test_first_order_ordering_convention(self):
         # stages[0] must act first: T(tau) = e^{-iH2 tau} e^{-iH1 tau}
@@ -107,7 +107,7 @@ class TestEvaluation:
         plan = build_plan(spec.n_groups, 1)
         ev = TrotterEvaluator(spec, plan)
         u = ev.formula_unitary(0.37)
-        expected = np.eye(ev.dim, dtype=complex)
+        expected = np.eye(ev.frame.dim, dtype=complex)
         for g in range(1, spec.n_groups + 1):
             stage = expm_minus_i(dense.from_pauli_sum(spec.group_sum(g)), 0.37)
             expected = stage @ expected
@@ -219,14 +219,14 @@ def one_end_field_chain(n_sites: int, coupling: float, field: float) -> Hamilton
 
 def block_mask(ev: TrotterEvaluator) -> np.ndarray:
     """True on the entries inside the evaluator's sectors."""
-    mask = np.zeros((ev.dim, ev.dim), dtype=bool)
-    for idx in ev.sectors:
+    mask = np.zeros((ev.frame.dim, ev.frame.dim), dtype=bool)
+    for idx in ev.frame.sectors:
         mask[idx[:, :, None], idx[:, None, :]] = True
     return mask
 
 
 def sector_sizes(ev: TrotterEvaluator) -> list[int]:
-    return sorted(idx.shape[1] for idx in ev.sectors for _ in idx)
+    return sorted(idx.shape[1] for idx in ev.frame.sectors for _ in idx)
 
 
 class TestInvariantSectors:
@@ -247,15 +247,15 @@ class TestInvariantSectors:
         for m in (dense.from_pauli_sum(s) for s in sums):
             assert np.all(m[outside] == 0.0)
         # the sectors partition the basis
-        assert sorted(np.concatenate([idx.ravel() for idx in ev.sectors])) == list(
-            range(ev.dim)
+        assert sorted(np.concatenate([idx.ravel() for idx in ev.frame.sectors])) == list(
+            range(ev.frame.dim)
         )
 
     def test_heisenberg_sectors_are_magnetization_shells(self):
         spec = heisenberg_chain(8, field=0.8)
         ev = TrotterEvaluator(spec, build_plan(spec.n_groups, 2))
         assert sector_sizes(ev) == sorted(math.comb(8, m) for m in range(9))
-        for idx in ev.sectors:
+        for idx in ev.frame.sectors:
             for row in idx:
                 assert len({int(b).bit_count() for b in row}) == 1
 
@@ -271,14 +271,14 @@ class TestInvariantSectors:
 
 
 def basis_sizes(ev: TrotterEvaluator) -> list[int]:
-    return sorted(p.index.shape[1] for p in ev.basis for _ in p.index)
+    return sorted(p.index.shape[1] for p in ev.frame.basis for _ in p.index)
 
 
 class TestReflectionSplit:
     def test_even_chain_splits_each_shell_by_parity(self):
         spec = heisenberg_chain(8, field=0.8)
         ev = TrotterEvaluator(spec, build_plan(spec.n_groups, 2))
-        assert ev.reflected
+        assert ev.frame.reflected
         # shell m of C(8, m) states holds C(4, m / 2) palindromes for even m
         expected = []
         for m in range(9):
@@ -287,7 +287,7 @@ class TestReflectionSplit:
             expected += [pairs + pal] + ([pairs] if pairs else [])
         assert basis_sizes(ev) == sorted(expected)
         assert sorted(set(basis_sizes(ev))) == [1, 4, 12, 16, 28, 32, 38]
-        for p in ev.basis:
+        for p in ev.frame.basis:
             assert np.all(p.index <= p.mirror)
             assert np.all(p.sign[np.any(p.index == p.mirror, axis=1)] == 1.0)
 
@@ -302,9 +302,9 @@ class TestReflectionSplit:
     )
     def test_asymmetric_specs_keep_the_sectors(self, spec):
         ev = TrotterEvaluator(spec, build_plan(spec.n_groups, 2))
-        assert not ev.reflected
-        assert len(ev.basis) == len(ev.sectors)
-        for p, idx in zip(ev.basis, ev.sectors):
+        assert not ev.frame.reflected
+        assert len(ev.frame.basis) == len(ev.frame.sectors)
+        for p, idx in zip(ev.frame.basis, ev.frame.sectors):
             assert np.array_equal(p.index, idx) and np.array_equal(p.mirror, idx)
             assert np.all(p.sign == 1.0)
 
@@ -313,9 +313,9 @@ class TestReflectionSplit:
         # state's; only the palindromes map onto themselves
         spec = long_range_zz_chain(6, 1.5)
         ev = TrotterEvaluator(spec, build_plan(spec.n_groups, 2))
-        assert ev.reflected
+        assert ev.frame.reflected
         assert basis_sizes(ev) == [1] * 64
-        (p,) = ev.basis
+        (p,) = ev.frame.basis
         assert sorted(p.index.ravel()) == list(range(64))
         assert np.all(p.sign == 1.0)
         assert np.sum(p.index != p.mirror) == 0
@@ -365,12 +365,12 @@ class TestMaskBuiltBlocks:
         sums = [*spec.group_sums, spec.full_sum()]
         mats = [dense.from_pauli_sum(s) for s in sums]
         expected = invariant_sectors(mats)
-        assert [idx.shape for idx in ev.sectors] == [idx.shape for idx in expected]
-        for got, want in zip(ev.sectors, expected):
+        assert [idx.shape for idx in ev.frame.sectors] == [idx.shape for idx in expected]
+        for got, want in zip(ev.frame.sectors, expected):
             assert np.array_equal(got, want)
         for s, m in zip(sums, mats):
-            blocks = dense.sector_blocks(dense.permuted_diagonals(s), ev.sectors)
-            for idx, b in zip(ev.sectors, blocks, strict=True):
+            blocks = dense.sector_blocks(dense.permuted_diagonals(s), ev.frame.sectors)
+            for idx, b in zip(ev.frame.sectors, blocks, strict=True):
                 assert b.tobytes() == m[idx[:, :, None], idx[:, None, :]].tobytes()
 
     @settings(max_examples=40, deadline=None)
@@ -383,10 +383,10 @@ class TestMaskBuiltBlocks:
         # rotation; a wrong sign or a missing palindrome weight breaks it
         ev = TrotterEvaluator(spec, build_plan(spec.n_groups, 2))
         q = oracles.parity_rotation(ev)
-        assert np.max(np.abs(q.T @ q - np.eye(ev.dim))) <= 1e-15
+        assert np.max(np.abs(q.T @ q - np.eye(ev.frame.dim))) <= 1e-15
         for s in [*spec.group_sums, spec.full_sum()]:
             m = dense.from_pauli_sum(s)
-            blocks = dense.parity_blocks(dense.permuted_diagonals(s), ev.basis)
+            blocks = dense.parity_blocks(dense.permuted_diagonals(s), ev.frame.basis)
             start = 0
             for b in (b for stack in blocks for b in stack):
                 qs = q[:, start : start + len(b)]
@@ -456,7 +456,7 @@ class TestBlockedAgainstFullMatrix:
         rng = np.random.default_rng(5)
         spec = heisenberg_chain(4, field=0.3)
         ev = TrotterEvaluator(spec, build_plan(spec.n_groups, 2))
-        shapes = [p.index.shape + p.index.shape[-1:] for p in ev.basis]
+        shapes = [p.index.shape + p.index.shape[-1:] for p in ev.frame.basis]
         # the largest block norm sits in each stack in turn
         for big in range(len(shapes)):
             a = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
@@ -477,7 +477,7 @@ class TestBlockedAgainstFullMatrix:
     def test_scatter_is_the_explicit_rotation(self, spec):
         rng = np.random.default_rng(8)
         ev = TrotterEvaluator(spec, build_plan(spec.n_groups, 2))
-        shapes = [p.index.shape + p.index.shape[-1:] for p in ev.basis]
+        shapes = [p.index.shape + p.index.shape[-1:] for p in ev.frame.basis]
         a = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
         got, want = ev.scatter(a), oracles.rotate_back(ev, a)
         assert np.max(np.abs(got - want)) <= 1e-14
