@@ -20,7 +20,8 @@ whose weights cancel exactly are never evaluated; the surviving nested
 commutators are shared along common suffixes.  Order q visits C(q+V-1, V-1)
 compositions of the V merged stages but at most n_groups^q words, and
 :func:`check_composition_budget` refuses tables over
-``DEFAULT_COMPOSITION_BUDGET`` compositions.
+``DEFAULT_COMPOSITION_BUDGET`` compositions; each word also walks the q!
+permutations, counted against ``DEFAULT_PERMUTATION_BUDGET``.
 
 Orders ``q <= p`` vanish for an order-p plan, every ``Phi_q`` is Hermitian,
 and the series truncated at order p0 reproduces the step unitary to
@@ -52,6 +53,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DEFAULT_COMPOSITION_BUDGET",
+    "DEFAULT_PERMUTATION_BUDGET",
     "check_composition_budget",
     "compute_phi",
     "compute_phi_range",
@@ -67,6 +69,7 @@ __all__ = [
 ]
 
 DEFAULT_COMPOSITION_BUDGET = 10**6
+DEFAULT_PERMUTATION_BUDGET = 3 * 10**7
 
 
 @lru_cache(maxsize=16)
@@ -186,9 +189,23 @@ def compute_phi_range(
 ) -> dict[int, PauliSum]:
     """The table Phi_2..Phi_qmax, keyed by order.
 
-    Refused before any work by :func:`check_composition_budget`.
+    Refused before any work by :func:`check_composition_budget`, then when
+    the permutation sums would walk more than ``DEFAULT_PERMUTATION_BUDGET``
+    entries: order q stores q! weights and walks them once per distinct
+    word, of which there are at most min(n_groups^q, C(q+V-1, q)).
     """
     check_composition_budget(plan, q_max)
+    v_count = len(plan.merged_stages())
+    walked = sum(
+        math.factorial(q)
+        * (1 + min(plan.n_groups**q, math.comb(q + v_count - 1, q)))
+        for q in range(2, q_max + 1)
+    )
+    if walked > DEFAULT_PERMUTATION_BUDGET:
+        raise ValueError(
+            f"Phi_2..Phi_{q_max} walk {walked} permutation weights, over the "
+            f"budget {DEFAULT_PERMUTATION_BUDGET}; lower q_max"
+        )
     return {q: compute_phi(plan, spec, q) for q in range(2, q_max + 1)}
 
 
@@ -223,8 +240,8 @@ class PhiReport(NamedTuple):
     """One series coefficient with its measured and bounded sizes."""
 
     q: int
-    operator: PauliSum
-    norm_exact: float | None
+    norm: float
+    norm_is_exact: bool
     norm_bound: float
     hermiticity_defect: float
     locality: int
@@ -248,19 +265,23 @@ def phi_report(
     ``phi_q`` is the order-q series coefficient, taken from the table the
     caller built with :func:`compute_phi_range`; ``alpha_q`` is the order-q
     commutator sum, from :func:`mpfkit.commutators.commutator_sums`.  The
-    exact norm is read from the groups' sector frame, like a nest's norm.
+    exact norm is read from the groups' sector frame, like a nest's norm;
+    in the one-norm mode or beyond the dense cap ``norm`` is the coefficient
+    one-norm, an upper bound, and ``norm_is_exact`` is False.
     """
-    norm_exact: float | None = None
-    if norm_mode == "exact" and spec.n_sites <= cap:
+    norm_is_exact = norm_mode == "exact" and spec.n_sites <= cap
+    if norm_is_exact:
         from . import dense
 
         frame = dense.SectorFrame.of(spec.group_sums)
         tol = LEAK_TOL * (2.0 * spec.total_one_norm) ** q
-        norm_exact = max(map(dense.spectral_norm, frame.blocks(phi_q, tol)))
+        norm = max(map(dense.spectral_norm, frame.blocks(phi_q, tol)))
+    else:
+        norm = phi_q.one_norm()
     return PhiReport(
         q=q,
-        operator=phi_q,
-        norm_exact=norm_exact,
+        norm=norm,
+        norm_is_exact=norm_is_exact,
         norm_bound=phi_norm_bound(plan.stage_factor, alpha_q, q),
         hermiticity_defect=phi_q.hermiticity_defect(),
         locality=phi_q.locality(),

@@ -5,8 +5,8 @@ JSON config file, then explicit flags), echoes the resolved values into its
 JSON output, and writes only deterministic artifacts: reruns with the same
 inputs produce byte-identical files.  Exit status is 0 when every checked
 inequality holds, 1 when a verification suite found a violation, 2 for
-configuration problems, and 3 when the run itself failed (the traceback is
-printed).
+configuration problems (a finite setting that overflows a float included),
+and 3 when the run itself failed (the traceback is printed).
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .pauli import PauliSum
 # inside the code that builds matrices, so a run that builds none never
 # loads them; bounds and commutators load in the handlers that use them
 if TYPE_CHECKING:
+    from .bch import PhiReport
     from .trotter import TrotterEvaluator
 
 SLOPE_MARGIN = 0.8
@@ -279,31 +280,24 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return path
 
 
-def _require_dense(cfg: ExperimentConfig, purpose: str) -> None:
-    if cfg.n_sites > cfg.dense_cap:
-        raise ConfigError(
-            f"{purpose} needs dense matrices: n_sites = {cfg.n_sites} exceeds "
-            f"the dense cap {cfg.dense_cap}"
-        )
-
-
-def _enumeration_mode(cfg: ExperimentConfig) -> str:
+def _enumeration_mode(cfg: ExperimentConfig) -> str | None:
+    """How the run measures nests and Phi_q; None beyond the site cap."""
+    if cfg.n_sites > ENUMERATION_SITE_CAP:
+        return None
     if cfg.norm_mode == "exact" and cfg.n_sites <= cfg.dense_cap:
         return "exact"
     return "one-norm"
 
 
 def _alpha_table(
-    cfg: ExperimentConfig, spec: HamiltonianSpec
+    cfg: ExperimentConfig, spec: HamiltonianSpec, mode: str | None
 ) -> dict[int, float] | None:
     """The run's one table alpha_2..alpha_qmax; None beyond the site cap."""
     from .commutators import commutator_sums
 
-    if cfg.n_sites > ENUMERATION_SITE_CAP:
+    if mode is None:
         return None
-    return _configured(
-        commutator_sums, spec, cfg.q_max, _enumeration_mode(cfg), cfg.dense_cap
-    )
+    return _configured(commutator_sums, spec, cfg.q_max, mode, cfg.dense_cap)
 
 
 # -- verify-order ----------------------------------------------------------
@@ -334,7 +328,11 @@ def cmd_verify_order(cfg: ExperimentConfig) -> int:
     from .trotter import TrotterEvaluator, difference_norm, geometric_grid
 
     spec = build_family(cfg)
-    _require_dense(cfg, "verify-order")
+    if cfg.n_sites > cfg.dense_cap:
+        raise ConfigError(
+            f"verify-order needs dense matrices: n_sites = {cfg.n_sites} "
+            f"exceeds the dense cap {cfg.dense_cap}"
+        )
     out = _out_dir(cfg)
     plan = _configured(build_plan, spec.n_groups, cfg.p)
     taus = geometric_grid(cfg.tau_min, cfg.tau_max, cfg.tau_points)
@@ -410,71 +408,78 @@ def cmd_verify_order(cfg: ExperimentConfig) -> int:
 
 
 def _row(name: str, lhs, rhs, *, slack: float = 1e-12, note: str = "") -> dict:
-    held = lhs <= rhs * (1.0 + slack) + slack
+    """The check lhs <= rhs up to ``slack`` relative plus ``slack`` absolute;
+    untestable when ``lhs`` is None."""
+    if lhs is None:
+        status = "untestable"
+    else:
+        status = "pass" if lhs <= rhs * (1.0 + slack) + slack else "fail"
     return {
         "name": name,
-        "status": "pass" if held else "fail",
+        "status": status,
         "lhs": lhs,
         "rhs": rhs,
-        "margin": rhs - lhs,
-        "note": note,
-    }
-
-
-def _untestable(name: str, note: str) -> dict:
-    return {
-        "name": name,
-        "status": "untestable",
-        "lhs": None,
-        "rhs": None,
-        "margin": None,
+        "margin": None if lhs is None else rhs - lhs,
         "note": note,
     }
 
 
 def _alpha_rows(
-    cfg: ExperimentConfig, spec: HamiltonianSpec, alphas: dict[int, float] | None
+    spec: HamiltonianSpec, q: int, alpha: float | None, mode: str | None
 ) -> list[dict]:
+    """alpha_q against its factorial and one-norm bounds."""
     from .commutators import factorial_commutator_bound, power_commutator_bound
 
-    rows: list[dict] = []
-    mode = _enumeration_mode(cfg)
-    for q in range(2, cfg.q_max + 1):
-        if alphas is None:
-            rows.append(
-                _untestable(f"alpha_factorial[q={q}]", _SITE_CAP_NOTE)
-            )
-            continue
-        alpha = alphas[q]
-        factorial = factorial_commutator_bound(
-            q, spec.locality, spec.extensiveness, spec.n_sites
-        )
-        one_norm = power_commutator_bound(q, spec.total_one_norm)
-        rows.append(_row(f"alpha_factorial[q={q}]", alpha, factorial, note=mode))
-        rows.append(_row(f"alpha_one_norm[q={q}]", alpha, one_norm, note=mode))
-    return rows
+    factorial = factorial_commutator_bound(
+        q, spec.locality, spec.extensiveness, spec.n_sites
+    )
+    one_norm = power_commutator_bound(q, spec.total_one_norm)
+    return [
+        _row(f"alpha_factorial[q={q}]", alpha, factorial, note=mode),
+        _row(f"alpha_one_norm[q={q}]", alpha, one_norm, note=mode),
+    ]
 
 
-def _phi_rows(
-    cfg: ExperimentConfig,
-    spec: HamiltonianSpec,
-    plan,
-    alphas: dict[int, float] | None,
-    phis: dict[int, PauliSum] | None,
-) -> list[dict]:
-    from .bch import phi_report
+def _phi_rows(cfg: ExperimentConfig, report: PhiReport) -> list[dict]:
+    """Phi_q's checks: it vanishes for q <= p and stays inside its bounds."""
+    q = report.q
+    note = "spectral norm" if report.norm_is_exact else "coefficient one-norm"
+    rows = []
+    if q <= cfg.p:
+        rows.append(_row(f"phi_zero[q={q}]", report.norm, 1e-10, note=note))
+    return rows + [
+        _row(f"phi_norm[q={q}]", report.norm, report.norm_bound, note=note),
+        _row(
+            f"phi_hermiticity[q={q}]",
+            report.hermiticity_defect,
+            1e-10,
+            note="anti-Hermitian part",
+        ),
+        _row(
+            f"phi_locality[q={q}]",
+            float(report.locality),
+            float(report.locality_bound),
+        ),
+        _row(
+            f"phi_extensiveness[q={q}]",
+            report.extensiveness,
+            report.extensiveness_bound,
+        ),
+    ]
 
-    rows: list[dict] = []
-    mode = _enumeration_mode(cfg)
-    for q in range(2, cfg.q_max + 1):
-        if alphas is None:
-            rows.append(
-                _untestable(
-                    f"phi_norm[q={q}]", "series coefficients beyond the site cap"
-                )
-            )
-            continue
-        report = phi_report(
+
+def _phi_reports(cfg: ExperimentConfig, spec: HamiltonianSpec, plan, mode: str):
+    """The run's alpha table, Phi_q table and one report per order q.
+
+    The series budget is refused before the alpha enumeration starts.
+    """
+    from .bch import check_composition_budget, compute_phi_range, phi_report
+
+    _configured(check_composition_budget, plan, cfg.q_max)
+    alphas = _alpha_table(cfg, spec, mode)
+    phis = _configured(compute_phi_range, plan, spec, cfg.q_max)
+    reports = [
+        phi_report(
             plan,
             spec,
             q,
@@ -483,49 +488,18 @@ def _phi_rows(
             norm_mode=mode,
             cap=cfg.dense_cap,
         )
-        if report.norm_exact is not None:
-            measured = report.norm_exact
-            note = "spectral norm"
-        else:
-            measured = report.operator.one_norm()
-            note = "coefficient one-norm"
-        if q <= cfg.p:
-            rows.append(_row(f"phi_zero[q={q}]", measured, 1e-10, note=note))
-        rows.append(_row(f"phi_norm[q={q}]", measured, report.norm_bound, note=note))
-        rows.append(
-            _row(
-                f"phi_hermiticity[q={q}]",
-                report.hermiticity_defect,
-                1e-10,
-                note="anti-Hermitian part",
-            )
-        )
-        rows.append(
-            _row(
-                f"phi_locality[q={q}]",
-                float(report.locality),
-                float(report.locality_bound),
-            )
-        )
-        rows.append(
-            _row(
-                f"phi_extensiveness[q={q}]",
-                report.extensiveness,
-                report.extensiveness_bound,
-            )
-        )
-    return rows
+        for q in range(2, cfg.q_max + 1)
+    ]
+    return alphas, phis, reports
 
 
-def _dense_blocker(
-    cfg: ExperimentConfig, p0: int, alphas: dict[int, float] | None
-) -> str | None:
+def _dense_blocker(cfg: ExperimentConfig, p0: int, mode: str | None) -> str | None:
     """Why the dense checks at order p0 cannot run; None when they can."""
     if p0 > cfg.q_max:
         return f"p0 = {p0} exceeds the qmax window {cfg.q_max}"
     if cfg.n_sites > cfg.dense_cap:
         return "dense matrices beyond the cap"
-    if alphas is None:
+    if mode is None:
         return _SITE_CAP_NOTE
     return None
 
@@ -539,7 +513,7 @@ def _truncation_rows(
     blocked: str | None,
 ) -> list[dict]:
     if blocked:
-        return [_untestable("truncation_defect", blocked)]
+        return [_row("truncation_defect", None, None, note=blocked)]
     from .bch import check_truncated_generator
     from .bounds import bch_time_condition
 
@@ -587,9 +561,9 @@ def _step_bound_rows(
     # a p0 beyond the qmax window is reported first, through the blocker
     if p0 <= min(cfg.p, cfg.q_max):
         note = f"p0 = {p0} leaves no commutator window above p = {cfg.p}"
-        return [_untestable("step_error_bound", note)]
+        return [_row("step_error_bound", None, None, note=note)]
     if blocked:
-        return [_untestable("step_error_bound", blocked)]
+        return [_row("step_error_bound", None, None, note=blocked)]
     from .bounds import bch_time_condition, mpf_time_condition, step_error_bound
     from .commutators import mu_from_alphas, mu_window_bound
     from .mpf import MPFEvaluator
@@ -629,7 +603,6 @@ def _step_bound_rows(
 
 
 def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
-    from .bch import check_composition_budget, compute_phi_range
     from .bounds import truncation_order
     from .trotter import TrotterEvaluator
 
@@ -637,18 +610,26 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     plan = _configured(build_plan, spec.n_groups, cfg.p)
     p0 = _configured(truncation_order, cfg.n_sites, cfg.eps)
-    if cfg.n_sites <= ENUMERATION_SITE_CAP:
-        # refuse an over-budget series before the alpha enumeration
-        _configured(check_composition_budget, plan, cfg.q_max)
-    alphas = _alpha_table(cfg, spec)
-    phis = None
-    if alphas is not None:
-        phis = _configured(compute_phi_range, plan, spec, cfg.q_max)
+    mode = _enumeration_mode(cfg)
+    orders = range(2, cfg.q_max + 1)
+    if mode is None:
+        alphas = phis = None
+        rows = [
+            _row(f"{name}[q={q}]", None, None, note=note)
+            for name, note in (
+                ("alpha_factorial", _SITE_CAP_NOTE),
+                ("phi_norm", "series coefficients beyond the site cap"),
+            )
+            for q in orders
+        ]
+    else:
+        alphas, phis, reports = _phi_reports(cfg, spec, plan, mode)
+        rows = [row for q in orders for row in _alpha_rows(spec, q, alphas[q], mode)]
+        for report in reports:
+            rows.extend(_phi_rows(cfg, report))
     # the truncation check and the step bound share one dense evaluator
-    blocked = _dense_blocker(cfg, p0, alphas)
+    blocked = _dense_blocker(cfg, p0, mode)
     evaluator = None if blocked else TrotterEvaluator(spec, plan, cfg.dense_cap)
-    rows = _alpha_rows(cfg, spec, alphas)
-    rows.extend(_phi_rows(cfg, spec, plan, alphas, phis))
     rows.extend(_truncation_rows(cfg, spec, evaluator, phis, p0, blocked))
     if cfg.p % 2 == 0:
         mpf_spec = build_mpf_spec(cfg, cfg.p)
@@ -656,9 +637,8 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
             _step_bound_rows(cfg, spec, evaluator, mpf_spec, p0, alphas, blocked)
         )
     else:
-        rows.append(
-            _untestable("step_error_bound", "extrapolation needs an even base order")
-        )
+        note = "extrapolation needs an even base order"
+        rows.append(_row("step_error_bound", None, None, note=note))
 
     tally = {"pass": 0, "fail": 0, "untestable": 0}
     for row in rows:
@@ -801,7 +781,8 @@ def cmd_cost(cfg: ExperimentConfig) -> int:
     chain = admissibility_chain(report)
     table = _gate_costs(cfg, spec)
 
-    alphas = _alpha_table(cfg, spec) if cfg.q_max >= 3 else None
+    mode = _enumeration_mode(cfg)
+    alphas = _alpha_table(cfg, spec, mode) if cfg.q_max >= 3 else None
     if alphas is not None:
         window = {q: alphas[q] for q in range(2, cfg.q_max + 1)}
         diagnostics = divergence_diagnostics(spec, window)
@@ -873,108 +854,63 @@ def cmd_table1(cfg: ExperimentConfig) -> int:
 
 
 def cmd_phi(cfg: ExperimentConfig) -> int:
-    from .bch import check_composition_budget, compute_phi_range, phi_report
-
     spec = build_family(cfg)
-    if cfg.n_sites > ENUMERATION_SITE_CAP:
+    mode = _enumeration_mode(cfg)
+    if mode is None:
         raise ConfigError(
             "series coefficients need symbolic enumeration; "
             f"n_sites = {cfg.n_sites} exceeds the site cap {ENUMERATION_SITE_CAP}"
         )
     out = _out_dir(cfg)
     plan = _configured(build_plan, spec.n_groups, cfg.p)
-    mode = _enumeration_mode(cfg)
-    _configured(check_composition_budget, plan, cfg.q_max)
-    alphas = _alpha_table(cfg, spec)
-    phis = _configured(compute_phi_range, plan, spec, cfg.q_max)
-    rows = []
-    violated = False
-    for q in range(2, cfg.q_max + 1):
-        report = phi_report(
-            plan,
-            spec,
-            q,
-            phi_q=phis[q],
-            alpha_q=alphas[q],
-            norm_mode=mode,
-            cap=cfg.dense_cap,
-        )
-        if report.norm_exact is not None:
-            norm = report.norm_exact
-            norm_is_exact = True
-        else:
-            norm = report.operator.one_norm()
-            norm_is_exact = False
-        ok = (
-            norm <= report.norm_bound * (1.0 + 1e-12) + 1e-12
-            and report.hermiticity_defect <= 1e-10
-            and report.locality <= report.locality_bound
-            and report.extensiveness <= report.extensiveness_bound * (1.0 + 1e-12)
-        )
-        violated = violated or not ok
-        rows.append(
-            {
-                "q": q,
-                "norm": norm,
-                "norm_is_exact": norm_is_exact,
-                "norm_bound": report.norm_bound,
-                "hermiticity_defect": report.hermiticity_defect,
-                "locality": report.locality,
-                "locality_bound": report.locality_bound,
-                "extensiveness": report.extensiveness,
-                "extensiveness_bound": report.extensiveness_bound,
-                "bounds_hold": ok,
-            }
-        )
-    payload = {"config": cfg.echo(), "rows": rows, "passed": not violated}
+    _, _, reports = _phi_reports(cfg, spec, plan, mode)
+    rows = [
+        {
+            **report._asdict(),
+            "bounds_hold": all(
+                row["status"] == "pass" for row in _phi_rows(cfg, report)
+            ),
+        }
+        for report in reports
+    ]
+    passed = all(row["bounds_hold"] for row in rows)
+    payload = {"config": cfg.echo(), "rows": rows, "passed": passed}
     write_json(out / "phi_report.json", payload)
     _write_rows(out / "phi_norms.csv", rows)
-    return 0 if not violated else 1
+    return 0 if passed else 1
 
 
 # -- alpha -----------------------------------------------------------------
 
 
 def cmd_alpha(cfg: ExperimentConfig) -> int:
-    from .commutators import factorial_commutator_bound, power_commutator_bound
-
     spec = build_family(cfg)
     out = _out_dir(cfg)
     mode = _enumeration_mode(cfg)
-    alphas = _alpha_table(cfg, spec)
-    enumerable = alphas is not None
+    alphas = _alpha_table(cfg, spec, mode)
+    holds = {"pass": True, "fail": False, "untestable": None}
     rows = []
-    violated = False
     for q in range(2, cfg.q_max + 1):
-        factorial = factorial_commutator_bound(
-            q, spec.locality, spec.extensiveness, spec.n_sites
-        )
-        one_norm = power_commutator_bound(q, spec.total_one_norm)
-        if enumerable:
-            alpha = alphas[q]
-            slack = 1e-12
-            factorial_holds = alpha <= factorial * (1.0 + slack) + slack
-            one_norm_holds = alpha <= one_norm * (1.0 + slack) + slack
-            violated = violated or not (factorial_holds and one_norm_holds)
-        else:
-            alpha = None
-            factorial_holds = None
-            one_norm_holds = None
+        alpha = None if alphas is None else alphas[q]
+        factorial, one_norm = _alpha_rows(spec, q, alpha, mode)
         rows.append(
             {
                 "q": q,
                 "alpha": alpha,
-                "mode": mode if enumerable else "untestable",
-                "factorial_bound": factorial,
-                "factorial_holds": factorial_holds,
-                "one_norm_bound": one_norm,
-                "one_norm_holds": one_norm_holds,
+                "mode": mode or "untestable",
+                "factorial_bound": factorial["rhs"],
+                "factorial_holds": holds[factorial["status"]],
+                "one_norm_bound": one_norm["rhs"],
+                "one_norm_holds": holds[one_norm["status"]],
             }
         )
-    payload = {"config": cfg.echo(), "rows": rows, "passed": not violated}
+    passed = False not in {
+        row[key] for row in rows for key in ("factorial_holds", "one_norm_holds")
+    }
+    payload = {"config": cfg.echo(), "rows": rows, "passed": passed}
     write_json(out / "alpha_table.json", payload)
     _write_rows(out / "alpha_table.csv", rows)
-    return 0 if not violated else 1
+    return 0 if passed else 1
 
 
 # -- parser ----------------------------------------------------------------
@@ -1086,6 +1022,10 @@ def main(argv: list[str] | None = None) -> int:
         return handler(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # a finite setting so large that a bound or coefficient overflows
+        print(f"error: the configured values overflow: {exc}", file=sys.stderr)
         return 2
     except Exception:
         import traceback  # only a failed run pays for it

@@ -183,9 +183,9 @@ def test_criterion_04_series_coefficients():
         for q in range(2, 6):
             rep = phi_report(plan, spec, q, phi_q=phis[q], alpha_q=alphas[q])
             if q <= p:
-                worst_zero = max(worst_zero, rep.norm_exact)
+                worst_zero = max(worst_zero, rep.norm)
             worst_herm = max(worst_herm, rep.hermiticity_defect)
-            bound_ok = bound_ok and rep.norm_exact <= rep.norm_bound * (1 + 1e-12)
+            bound_ok = bound_ok and rep.norm <= rep.norm_bound * (1 + 1e-12)
             shape_ok = shape_ok and rep.locality <= rep.locality_bound
             shape_ok = (
                 shape_ok

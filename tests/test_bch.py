@@ -144,8 +144,8 @@ class TestBounds:
             alpha_q=nested_commutator_sum(spec, 3),
         )
         assert rep.q == 3
-        assert rep.norm_exact is not None
-        assert rep.norm_exact <= rep.norm_bound
+        assert rep.norm_is_exact
+        assert rep.norm <= rep.norm_bound
         assert rep.locality <= rep.locality_bound
         assert rep.extensiveness <= rep.extensiveness_bound
         assert rep.hermiticity_defect <= 1e-10
@@ -166,7 +166,7 @@ class TestBlockedPhiNorm:
         phi = compute_phi(plan, spec, q)
         rep = phi_report(plan, spec, q, phi_q=phi, alpha_q=0.0)
         want = full_matrix_norm(phi)
-        assert abs(rep.norm_exact - want) <= 1e-13 * want
+        assert abs(rep.norm - want) <= 1e-13 * want
 
 
 class TestMatrixLogOracle:
@@ -491,3 +491,26 @@ class TestCompositionBudget:
         monkeypatch.setattr(bch, "compute_phi", None)
         with pytest.raises(ValueError, match="7 compositions, over the budget 6"):
             compute_phi_range(plan, toy_spec(), 3)
+
+
+class TestPermutationBudget:
+    def test_counted_before_any_coefficient(self, monkeypatch):
+        # two groups on a Strang plan merge into three stages; order q walks
+        # q! weights once per word, at most min(2^q, C(q+2, q)) words
+        spec = heisenberg_chain(4, field=0.0)
+        plan = build_plan(spec.n_groups, 2)
+        orders = []
+
+        def stub(plan, spec, q):
+            orders.append(q)
+            return PauliSum.zero(spec.n_sites)
+
+        monkeypatch.setattr(bch, "compute_phi", stub)
+        assert sorted(compute_phi_range(plan, spec, 9)) == list(range(2, 10))
+        assert orders == list(range(2, 10))
+        orders.clear()
+        with pytest.raises(
+            ValueError, match="walk 265516048 permutation weights, over the budget"
+        ):
+            compute_phi_range(plan, spec, 10)
+        assert orders == []

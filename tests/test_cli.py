@@ -19,7 +19,7 @@ from mpfkit.cli import ExperimentConfig, main
 from mpfkit.commutators import nested_commutator_sum
 from mpfkit.hamiltonians import heisenberg_chain, spec_to_document
 from mpfkit.mpf import MPFEvaluator, build_mpf
-from mpfkit.pauli import PauliSum
+from mpfkit.pauli import PauliSum, PauliTerm
 from mpfkit.trotter import TrotterEvaluator, build_plan
 
 import oracles
@@ -175,6 +175,23 @@ class TestConfigResolution:
         err = capsys.readouterr().err
         assert "non-finite coefficient" in err and f"on {doc['terms'][1]['pauli']}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cost", "--family", "long-range-zz", "--n-sites", "4", "--exponent", "2000"),
+            ("cost", "--coupling", "1e308"),
+            ("cost", "--t", "1e300"),
+            ("verify-bounds", "--coupling", "1e300", "--n-sites", "4"),
+        ],
+        ids=["exponent", "coupling", "time", "verify-bounds"],
+    )
+    def test_finite_setting_that_overflows_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "overflow" in err and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_bad_flag_values(self, tmp_path):
         assert run(tmp_path, "verify-order", "--eps", "-1.0") == 2
@@ -593,6 +610,49 @@ class TestPhiAlpha:
     def test_phi_rejects_large_systems(self, tmp_path):
         assert run(tmp_path, "phi", "--n-sites", "24") == 2
 
+    def test_phi_checks_that_orders_up_to_p_vanish(self, tmp_path, monkeypatch):
+        # a mirror-even Phi_2 of norm 0.004 keeps inside the norm bound, so
+        # only the vanishing check of the p = 2 plan can catch it
+        compute_phi = bch.compute_phi
+        planted = PauliSum.from_terms([PauliTerm(4, 0, 1 << j, 1e-3) for j in range(4)])
+
+        def planting(plan, spec, q):
+            phi = compute_phi(plan, spec, q)
+            return phi + planted if q == 2 else phi
+
+        monkeypatch.setattr(bch, "compute_phi", planting)
+        assert run(tmp_path, "phi") == 1
+        rows = load(tmp_path, "phi_report.json")["rows"]
+        assert rows[0]["norm"] == pytest.approx(0.004, rel=1e-12)
+        assert [row["bounds_hold"] for row in rows] == [False, True, True, True]
+        assert run(tmp_path, "verify-bounds", "--eps", "0.25") == 1
+        failed = [
+            row["name"]
+            for row in load(tmp_path, "verify_bounds.json")["rows"]
+            if row["status"] == "fail"
+        ]
+        assert failed == ["phi_zero[q=2]"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (),
+            ("--n-sites", "5", "--p", "4", "--eps", "0.5"),
+            ("--norm-mode", "one-norm"),
+        ],
+        ids=["default", "fourth-order", "one-norm"],
+    )
+    def test_phi_bounds_hold_where_verify_bounds_passes(self, tmp_path, argv):
+        assert run(tmp_path, "phi", *argv) in (0, 1)
+        assert run(tmp_path, "verify-bounds", *argv) in (0, 1)
+        passes: dict[int, bool] = {}
+        for row in load(tmp_path, "verify_bounds.json")["rows"]:
+            if row["name"].startswith("phi_"):
+                q = int(row["name"].split("[q=")[1].rstrip("]"))
+                passes[q] = passes.get(q, True) and row["status"] == "pass"
+        rows = load(tmp_path, "phi_report.json")["rows"]
+        assert {row["q"]: row["bounds_hold"] for row in rows} == passes
+
 
 class TestOneAlphaTable:
     @pytest.mark.parametrize(
@@ -770,6 +830,33 @@ class TestCompositionBudget:
         err = capsys.readouterr().err
         assert "4780128 compositions, over the budget 1000000" in err
 
+    @pytest.mark.parametrize(
+        "argv, walked",
+        [
+            # two groups, three merged stages: the 11! weights are stored
+            # once and walked by each of min(2^11, C(13, 11)) = 78 words
+            (("phi", "--field", "0", "--qmax", "11"), 3418943248),
+            # one group on two sites: one word per order
+            (("phi", "--n-sites", "2", "--field", "0", "--qmax", "11"), 87909424),
+        ],
+        ids=["two-groups", "one-group"],
+    )
+    def test_permutation_sums_refused_before_any_series(
+        self, tmp_path, monkeypatch, capsys, argv, walked
+    ):
+        calls = []
+
+        def refused(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a series coefficient was computed")
+
+        monkeypatch.setattr(bch, "compute_phi", refused)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert f"walk {walked} permutation weights, over the budget 30000000" in err
+        assert not any(out.iterdir())
 
     def test_tuple_budget_still_refuses_first(self, tmp_path, capsys):
         # 3^13 tuples exceed the tuple budget; the p = 2 plan's compositions
@@ -795,6 +882,21 @@ class TestReproducibility:
         first = (tmp_path / "cost_report.json").read_bytes()
         assert run(tmp_path, "cost") == 0
         assert (tmp_path / "cost_report.json").read_bytes() == first
+
+    @pytest.mark.parametrize(
+        "command, names",
+        [
+            ("phi", ("phi_report.json", "phi_norms.csv")),
+            ("alpha", ("alpha_table.json", "alpha_table.csv")),
+            ("verify-order", ("verify_order.json", "order_sweep.csv")),
+        ],
+    )
+    def test_table_rerun_is_byte_identical(self, tmp_path, command, names):
+        assert run(tmp_path, command) == 0
+        first = {name: (tmp_path / name).read_bytes() for name in names}
+        assert run(tmp_path, command) == 0
+        for name, blob in first.items():
+            assert (tmp_path / name).read_bytes() == blob
 
 
 class TestTracer:
