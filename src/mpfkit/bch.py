@@ -19,9 +19,8 @@ per group word (the group labels a composition spells out), so sequences
 whose weights cancel exactly are never evaluated; the surviving nested
 commutators are shared along common suffixes.  Order q visits C(q+V-1, V-1)
 compositions of the V merged stages but at most n_groups^q words, and
-:func:`check_composition_budget` refuses tables over
-``DEFAULT_COMPOSITION_BUDGET`` compositions; each word also walks the q!
-permutations, counted against ``DEFAULT_PERMUTATION_BUDGET``.
+each word walks the q! permutations; :func:`check_series_budget` counts
+both before any order is built.
 
 Orders ``q <= p`` vanish for an order-p plan, every ``Phi_q`` is Hermitian,
 and the series truncated at order p0 reproduces the step unitary to
@@ -54,7 +53,7 @@ if TYPE_CHECKING:
 __all__ = [
     "DEFAULT_COMPOSITION_BUDGET",
     "DEFAULT_PERMUTATION_BUDGET",
-    "check_composition_budget",
+    "check_series_budget",
     "compute_phi",
     "compute_phi_range",
     "phi_norm_bound",
@@ -167,11 +166,14 @@ def compute_phi(
     return PauliSum(spec.n_sites, {k: overall * c for k, c in acc.items()})
 
 
-def check_composition_budget(plan: ProductFormulaPlan, q_max: int) -> None:
-    """Refuse a table Phi_2..Phi_qmax over ``DEFAULT_COMPOSITION_BUDGET``.
+def check_series_budget(plan: ProductFormulaPlan, q_max: int) -> None:
+    """Refuse a table Phi_2..Phi_qmax over either series budget.
 
-    Order q visits C(q+V-1, q) compositions of the V merged stages.  Callers
-    that do other expensive work before the series check this first.
+    Order q visits C(q+V-1, q) compositions of the V merged stages, counted
+    against ``DEFAULT_COMPOSITION_BUDGET``; it stores q! permutation weights
+    and walks them once per distinct word, of which there are at most
+    min(n_groups^q, C(q+V-1, q)), counted against
+    ``DEFAULT_PERMUTATION_BUDGET``.
     """
     v_count = len(plan.merged_stages())
     count = sum(math.comb(q + v_count - 1, q) for q in range(2, q_max + 1))
@@ -180,22 +182,6 @@ def check_composition_budget(plan: ProductFormulaPlan, q_max: int) -> None:
             f"Phi_2..Phi_{q_max} sum over {count} compositions, over the "
             f"budget {DEFAULT_COMPOSITION_BUDGET}; lower q_max or the plan order"
         )
-
-
-def compute_phi_range(
-    plan: ProductFormulaPlan,
-    spec: HamiltonianSpec,
-    q_max: int,
-) -> dict[int, PauliSum]:
-    """The table Phi_2..Phi_qmax, keyed by order.
-
-    Refused before any work by :func:`check_composition_budget`, then when
-    the permutation sums would walk more than ``DEFAULT_PERMUTATION_BUDGET``
-    entries: order q stores q! weights and walks them once per distinct
-    word, of which there are at most min(n_groups^q, C(q+V-1, q)).
-    """
-    check_composition_budget(plan, q_max)
-    v_count = len(plan.merged_stages())
     walked = sum(
         math.factorial(q)
         * (1 + min(plan.n_groups**q, math.comb(q + v_count - 1, q)))
@@ -206,6 +192,16 @@ def compute_phi_range(
             f"Phi_2..Phi_{q_max} walk {walked} permutation weights, over the "
             f"budget {DEFAULT_PERMUTATION_BUDGET}; lower q_max"
         )
+
+
+def compute_phi_range(
+    plan: ProductFormulaPlan,
+    spec: HamiltonianSpec,
+    q_max: int,
+) -> dict[int, PauliSum]:
+    """The table Phi_2..Phi_qmax, keyed by order, refused before any work
+    by :func:`check_series_budget`."""
+    check_series_budget(plan, q_max)
     return {q: compute_phi(plan, spec, q) for q in range(2, q_max + 1)}
 
 
@@ -265,17 +261,15 @@ def phi_report(
     ``phi_q`` is the order-q series coefficient, taken from the table the
     caller built with :func:`compute_phi_range`; ``alpha_q`` is the order-q
     commutator sum, from :func:`mpfkit.commutators.commutator_sums`.  The
-    exact norm is read from the groups' sector frame, like a nest's norm;
+    exact norm is read as a nest's norm is, under the same allowance;
     in the one-norm mode or beyond the dense cap ``norm`` is the coefficient
     one-norm, an upper bound, and ``norm_is_exact`` is False.
     """
     norm_is_exact = norm_mode == "exact" and spec.n_sites <= cap
     if norm_is_exact:
-        from . import dense
+        from .commutators import _sector_norm
 
-        frame = dense.SectorFrame.of(spec.group_sums)
-        tol = LEAK_TOL * (2.0 * spec.total_one_norm) ** q
-        norm = max(map(dense.spectral_norm, frame.blocks(phi_q, tol)))
+        norm = _sector_norm(spec, None)(phi_q, q)
     else:
         norm = phi_q.one_norm()
     return PhiReport(

@@ -257,10 +257,17 @@ def trotter_number(
 def step_error_allocation(
     eps: float, norm_c_1: float, norm_k_1: float, r: int
 ) -> float:
-    """Per-step accuracy eps / (4 ||c||_1 ||k||_1 r)."""
+    """Per-step accuracy eps / (4 ||c||_1 ||k||_1 r), refused when it
+    underflows to 0."""
     if r < 1:
         raise ValueError("step count must be positive")
-    return eps / (4.0 * norm_c_1 * norm_k_1 * r)
+    eps_step = eps / (4.0 * norm_c_1 * norm_k_1 * r)
+    if eps > 0.0 and eps_step == 0.0:
+        raise ValueError(
+            f"eps = {eps!r} leaves a per-step accuracy "
+            "eps / (4 ||c||_1 ||k||_1 r) that underflows to 0; raise eps"
+        )
+    return eps_step
 
 
 def helper_inequality_x(a: float, m: int) -> float:

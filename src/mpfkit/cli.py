@@ -24,6 +24,7 @@ from .formulas import (
     MPFSpec,
     build_mpf,
     build_plan,
+    check_dense_cap,
     fit_line,
     loglog_slope,
     solve_coefficients,
@@ -280,10 +281,27 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return path
 
 
-def _enumeration_mode(cfg: ExperimentConfig) -> str | None:
-    """How the run measures nests and Phi_q; None beyond the site cap."""
+def _enumeration_mode(
+    cfg: ExperimentConfig, spec: HamiltonianSpec, plan=None, *, required=False
+) -> str | None:
+    """The run's one preflight: how it measures nests and Phi_q; None beyond
+    the site cap, where a run that ``required`` them is refused.  Within it
+    the alpha table's tuples, then the compositions and permutation sums of
+    ``plan``'s Phi_q table, are refused over budget before any work starts."""
     if cfg.n_sites > ENUMERATION_SITE_CAP:
+        if required:
+            raise ConfigError(
+                "series coefficients need symbolic enumeration; n_sites = "
+                f"{cfg.n_sites} exceeds the site cap {ENUMERATION_SITE_CAP}"
+            )
         return None
+    from .commutators import check_tuple_budget
+
+    _configured(check_tuple_budget, spec.n_groups, cfg.q_max)
+    if plan is not None:
+        from .bch import check_series_budget
+
+        _configured(check_series_budget, plan, cfg.q_max)
     if cfg.norm_mode == "exact" and cfg.n_sites <= cfg.dense_cap:
         return "exact"
     return "one-norm"
@@ -292,7 +310,7 @@ def _enumeration_mode(cfg: ExperimentConfig) -> str | None:
 def _alpha_table(
     cfg: ExperimentConfig, spec: HamiltonianSpec, mode: str | None
 ) -> dict[int, float] | None:
-    """The run's one table alpha_2..alpha_qmax; None beyond the site cap."""
+    """The run's one table alpha_2..alpha_qmax; None without a mode."""
     from .commutators import commutator_sums
 
     if mode is None:
@@ -328,11 +346,7 @@ def cmd_verify_order(cfg: ExperimentConfig) -> int:
     from .trotter import TrotterEvaluator, difference_norm, geometric_grid
 
     spec = build_family(cfg)
-    if cfg.n_sites > cfg.dense_cap:
-        raise ConfigError(
-            f"verify-order needs dense matrices: n_sites = {cfg.n_sites} "
-            f"exceeds the dense cap {cfg.dense_cap}"
-        )
+    _configured(check_dense_cap, cfg.n_sites, cfg.dense_cap)
     out = _out_dir(cfg)
     plan = _configured(build_plan, spec.n_groups, cfg.p)
     taus = geometric_grid(cfg.tau_min, cfg.tau_max, cfg.tau_points)
@@ -469,13 +483,9 @@ def _phi_rows(cfg: ExperimentConfig, report: PhiReport) -> list[dict]:
 
 
 def _phi_reports(cfg: ExperimentConfig, spec: HamiltonianSpec, plan, mode: str):
-    """The run's alpha table, Phi_q table and one report per order q.
+    """The run's alpha table, Phi_q table and one report per order q."""
+    from .bch import compute_phi_range, phi_report
 
-    The series budget is refused before the alpha enumeration starts.
-    """
-    from .bch import check_composition_budget, compute_phi_range, phi_report
-
-    _configured(check_composition_budget, plan, cfg.q_max)
     alphas = _alpha_table(cfg, spec, mode)
     phis = _configured(compute_phi_range, plan, spec, cfg.q_max)
     reports = [
@@ -556,6 +566,7 @@ def _step_bound_rows(
     mpf_spec: MPFSpec,
     p0: int,
     alphas: dict[int, float] | None,
+    mode: str | None,
     blocked: str | None,
 ) -> list[dict]:
     # a p0 beyond the qmax window is reported first, through the blocker
@@ -568,7 +579,6 @@ def _step_bound_rows(
     from .commutators import mu_from_alphas, mu_window_bound
     from .mpf import MPFEvaluator
 
-    mode = _enumeration_mode(cfg)
     plan = evaluator.plan
     mu = mu_from_alphas(alphas, cfg.p, mpf_spec.m, p0, source=mode)
     ceiling = mu_window_bound(
@@ -607,10 +617,10 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
     from .trotter import TrotterEvaluator
 
     spec = build_family(cfg)
-    out = _out_dir(cfg)
     plan = _configured(build_plan, spec.n_groups, cfg.p)
     p0 = _configured(truncation_order, cfg.n_sites, cfg.eps)
-    mode = _enumeration_mode(cfg)
+    mode = _enumeration_mode(cfg, spec, plan)
+    out = _out_dir(cfg)
     orders = range(2, cfg.q_max + 1)
     if mode is None:
         alphas = phis = None
@@ -634,7 +644,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
     if cfg.p % 2 == 0:
         mpf_spec = build_mpf_spec(cfg, cfg.p)
         rows.extend(
-            _step_bound_rows(cfg, spec, evaluator, mpf_spec, p0, alphas, blocked)
+            _step_bound_rows(cfg, spec, evaluator, mpf_spec, p0, alphas, mode, blocked)
         )
     else:
         note = "extrapolation needs an even base order"
@@ -773,6 +783,7 @@ def cmd_cost(cfg: ExperimentConfig) -> int:
     if cfg.p % 2 != 0:
         raise ConfigError("cost reports need an even base order")
     spec = build_family(cfg)
+    mode = _enumeration_mode(cfg, spec) if cfg.q_max >= 3 else None
     out = _out_dir(cfg)
     plan = build_plan(spec.n_groups, cfg.p)
     mpf_spec = build_mpf_spec(cfg, cfg.p)
@@ -781,8 +792,7 @@ def cmd_cost(cfg: ExperimentConfig) -> int:
     chain = admissibility_chain(report)
     table = _gate_costs(cfg, spec)
 
-    mode = _enumeration_mode(cfg)
-    alphas = _alpha_table(cfg, spec, mode) if cfg.q_max >= 3 else None
+    alphas = _alpha_table(cfg, spec, mode)
     if alphas is not None:
         window = {q: alphas[q] for q in range(2, cfg.q_max + 1)}
         diagnostics = divergence_diagnostics(spec, window)
@@ -855,14 +865,9 @@ def cmd_table1(cfg: ExperimentConfig) -> int:
 
 def cmd_phi(cfg: ExperimentConfig) -> int:
     spec = build_family(cfg)
-    mode = _enumeration_mode(cfg)
-    if mode is None:
-        raise ConfigError(
-            "series coefficients need symbolic enumeration; "
-            f"n_sites = {cfg.n_sites} exceeds the site cap {ENUMERATION_SITE_CAP}"
-        )
-    out = _out_dir(cfg)
     plan = _configured(build_plan, spec.n_groups, cfg.p)
+    mode = _enumeration_mode(cfg, spec, plan, required=True)
+    out = _out_dir(cfg)
     _, _, reports = _phi_reports(cfg, spec, plan, mode)
     rows = [
         {
@@ -885,8 +890,8 @@ def cmd_phi(cfg: ExperimentConfig) -> int:
 
 def cmd_alpha(cfg: ExperimentConfig) -> int:
     spec = build_family(cfg)
+    mode = _enumeration_mode(cfg, spec)
     out = _out_dir(cfg)
-    mode = _enumeration_mode(cfg)
     alphas = _alpha_table(cfg, spec, mode)
     holds = {"pass": True, "fail": False, "untestable": None}
     rows = []

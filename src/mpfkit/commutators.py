@@ -34,6 +34,7 @@ from .pauli import PauliSum
 __all__ = [
     "DEFAULT_TUPLE_BUDGET",
     "SectorLeakError",
+    "check_tuple_budget",
     "commutator_sums",
     "nested_commutator_sum",
     "factorial_commutator_bound",
@@ -46,6 +47,16 @@ __all__ = [
 ]
 
 DEFAULT_TUPLE_BUDGET = 10**6
+
+
+def check_tuple_budget(n_groups: int, q_max: int) -> None:
+    """Refuse an enumeration to order q_max over ``DEFAULT_TUPLE_BUDGET``
+    group tuples, n_groups^q_max."""
+    if n_groups**q_max > DEFAULT_TUPLE_BUDGET:
+        raise ValueError(
+            f"{n_groups}^{q_max} tuples exceed the budget "
+            f"{DEFAULT_TUPLE_BUDGET}; lower q_max"
+        )
 
 
 def _sector_norm(
@@ -74,7 +85,6 @@ def _nest_sums(
     q_max: int,
     mode: str,
     cap: int,
-    budget: int,
     splice: tuple[PauliSum, int] | None = None,
 ) -> dict[int, float]:
     """Norm sums of the nonzero nests of orders q_min..q_max, by order.
@@ -92,12 +102,7 @@ def _nest_sums(
     """
     if q_max < 1:
         raise ValueError("q must be >= 1")
-    n_groups = spec.n_groups
-    if n_groups**q_max > budget:
-        raise ValueError(
-            f"{n_groups}^{q_max} tuples exceed the budget {budget}; "
-            "raise it explicitly for big enumerations"
-        )
+    check_tuple_budget(spec.n_groups, q_max)
     if mode not in ("exact", "one-norm"):
         raise ValueError(f"unknown norm mode {mode!r} (use 'exact' or 'one-norm')")
     if mode == "exact":
@@ -138,7 +143,6 @@ def commutator_sums(
     q_max: int,
     mode: str = "exact",
     cap: int = DEFAULT_DENSE_CAP,
-    budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> dict[int, float]:
     """Every commutator sum alpha_2..alpha_{q_max} from one enumeration.
 
@@ -151,11 +155,8 @@ def commutator_sums(
     (:func:`_sector_norm`); ``mode="one-norm"`` replaces every norm by the
     coefficient one-norm of the same symbolically exact nest (an upper
     bound, no dense work).
-
-    Cost grows as n_groups^q_max tuples; the budget and the dense cap are
-    checked once, before any nest is built.
     """
-    return _nest_sums(spec, 2, q_max, mode, cap, budget)
+    return _nest_sums(spec, 2, q_max, mode, cap)
 
 
 def nested_commutator_sum(
@@ -163,10 +164,9 @@ def nested_commutator_sum(
     q: int,
     mode: str = "exact",
     cap: int = DEFAULT_DENSE_CAP,
-    budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> float:
     """The order-q commutator sum alone; see :func:`commutator_sums`."""
-    return _nest_sums(spec, q, q, mode, cap, budget)[q]
+    return _nest_sums(spec, q, q, mode, cap)[q]
 
 
 def factorial_commutator_bound(q: int, k: int, g: float, n_sites: int) -> float:
@@ -190,7 +190,6 @@ def inserted_commutator_sum(
     insert_after: int,
     mode: str = "exact",
     cap: int = DEFAULT_DENSE_CAP,
-    budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> float:
     """Commutator sum with an observable spliced into the nest.
 
@@ -209,7 +208,7 @@ def inserted_commutator_sum(
     if observable.n_sites != spec.n_sites:
         raise ValueError("observable site count differs from spec")
     splice = (observable, insert_after)
-    return _nest_sums(spec, q, q, mode, cap, budget, splice)[q]
+    return _nest_sums(spec, q, q, mode, cap, splice)[q]
 
 
 def insertion_bound(q: int, k: int, g: float, observable_norm: float) -> float:

@@ -230,6 +230,17 @@ class TestBoundReport:
         with pytest.raises(ValueError):
             bounds.report_from_parts(ham, plan, build_mpf(2), 1.0, 1e-3)
 
+    def test_per_step_accuracy_that_underflows_names_the_configured_eps(self):
+        # eps / (4 ||c||_1 ||k||_1 r) = 1e-300 / (20 r) underflows to 0 for a
+        # large enough r; the message names eps, not the zero it became
+        assert bounds.step_error_allocation(1e-300, 5 / 3, 3, 10**4) > 0.0
+        with pytest.raises(ValueError, match=r"eps = 1e-300 leaves .* underflows"):
+            bounds.step_error_allocation(1e-300, 5 / 3, 3, 10**30)
+        ham = heisenberg_chain(4, field=0.8)
+        plan = build_plan(ham.n_groups, 2)
+        with pytest.raises(ValueError, match=r"eps = 1e-300 leaves"):
+            bounds.report_from_parts(ham, plan, build_mpf(2), 1.0, 1e-300)
+
     def test_error_bound_at_constructed_step_is_admissible(self):
         rep = desk_report()
         out = rep.error_bound_at(rep.tau)

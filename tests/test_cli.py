@@ -546,6 +546,16 @@ class TestCost:
         note = load(tmp_path, "cost_report.json")["divergence"]["note"]
         assert note == "the window 2..qmax holds fewer than two orders"
 
+    def test_underflowing_step_accuracy_names_the_configured_eps(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        assert main(["cost", "--eps", "1e-300", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "eps = 1e-300" in err and "underflows to 0" in err
+        assert "got 0.0" not in err and "Traceback" not in err
+        assert not any(out.iterdir())
+
     def test_odd_base_order_rejected(self, tmp_path):
         assert run(tmp_path, "cost", "--p", "3") == 2
 
@@ -725,7 +735,9 @@ class TestOneAlphaTable:
         p0 = truncation_order(cfg.n_sites, cfg.eps)
         assert cfg.p < p0 <= cfg.q_max
         blocked = cli._dense_blocker(cfg, p0, None)
-        rows = cli._step_bound_rows(cfg, spec, None, build_mpf(2), p0, None, blocked)
+        rows = cli._step_bound_rows(
+            cfg, spec, None, build_mpf(2), p0, None, None, blocked
+        )
         assert [row["status"] for row in rows] == ["untestable"]
         assert "site cap" in rows[0]["note"]
 
@@ -856,13 +868,63 @@ class TestCompositionBudget:
         assert calls == []
         err = capsys.readouterr().err
         assert f"walk {walked} permutation weights, over the budget 30000000" in err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_tuple_budget_still_refuses_first(self, tmp_path, capsys):
         # 3^13 tuples exceed the tuple budget; the p = 2 plan's compositions
         # are within theirs
         assert run(tmp_path, "phi", "--qmax", "13") == 2
         assert "3^13 tuples exceed the budget 1000000" in capsys.readouterr().err
+
+
+class TestPreflight:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("alpha", "--qmax", "20"), "3^20 tuples exceed the budget 1000000"),
+            (("cost", "--qmax", "20"), "3^20 tuples exceed the budget 1000000"),
+            (
+                ("verify-bounds", "--qmax", "20"),
+                "3^20 tuples exceed the budget 1000000",
+            ),
+            (("phi", "--qmax", "13"), "3^13 tuples exceed the budget 1000000"),
+            (("phi", "--p", "6", "--qmax", "4"), "over 4780128 compositions"),
+            (
+                ("verify-bounds", "--n-sites", "10", "--p", "6", "--qmax", "4"),
+                "over 4780128 compositions",
+            ),
+            (("phi", "--field", "0", "--qmax", "11"), "walk 3418943248 permutation"),
+            (
+                ("verify-bounds", "--n-sites", "8", "--field", "0", "--qmax", "11"),
+                "walk 3418943248 permutation",
+            ),
+            (("phi", "--n-sites", "24"), "n_sites = 24 exceeds the site cap 16"),
+            (("verify-order", "--n-sites", "13"), "on 13 sites exceeds cap 12"),
+        ],
+        ids=[
+            "alpha-tuples", "cost-tuples", "verify-bounds-tuples", "phi-tuples",
+            "phi-compositions", "verify-bounds-compositions",
+            "phi-permutations", "verify-bounds-permutations",
+            "phi-site-cap", "verify-order-dense-cap",
+        ],
+    )
+    def test_refused_before_any_table_or_folder(
+        self, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        calls = []
+
+        def refused(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("work started before the refusal")
+
+        monkeypatch.setattr(commutators, "commutator_sums", refused)
+        monkeypatch.setattr(bch, "compute_phi", refused)
+        monkeypatch.setattr(TrotterEvaluator, "__init__", refused)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert calls == []
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReproducibility:
@@ -1033,10 +1095,12 @@ class TestNoScipyAtRunTime:
             (("table1",), 0),
             (("phi", "--n-sites", "4", "--norm-mode", "one-norm"), 0),
             (("verify-order", "--tau-min", "0.5", "--tau-max", "0.1"), 2),
+            (("phi", "--qmax", "13"), 2),
+            (("alpha", "--qmax", "20"), 2),
         ],
         ids=[
             "cost-a0.5", "cost-a1", "cost-a3", "table1", "phi-one-norm",
-            "config-error",
+            "config-error", "phi-refused", "alpha-refused",
         ],
     )
     def test_runs_without_matrices_leave_numpy_unloaded(

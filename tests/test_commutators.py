@@ -98,10 +98,11 @@ class TestNestedSum:
             loose = nested_commutator_sum(spec, q, "one-norm")
             assert exact <= loose * (1 + 1e-12), q
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         spec = heisenberg_chain(4, field=0.5)
+        monkeypatch.setattr(commutators, "DEFAULT_TUPLE_BUDGET", 100)
         with pytest.raises(ValueError, match="budget"):
-            nested_commutator_sum(spec, 5, budget=100)
+            nested_commutator_sum(spec, 5)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="norm mode"):
