@@ -18,9 +18,11 @@ Permutation weights are summed as exact integers over one denominator once
 per group word (the group labels a composition spells out), so sequences
 whose weights cancel exactly are never evaluated; the surviving nested
 commutators are shared along common suffixes.  Order q visits C(q+V-1, V-1)
-compositions of the V merged stages but at most n_groups^q words, and
-each word walks the q! permutations; :func:`check_series_budget` counts
-both before any order is built.
+compositions of the V merged stages but at most n_groups^q words; the q!
+permutations are walked once per word's equality pattern (at most the Bell
+number B_q of them) and relabelled for each word.
+:func:`check_series_budget` counts compositions and, as an upper bound, one
+walk per word, before any order is built.
 
 Orders ``q <= p`` vanish for an order-p plan, every ``Phi_q`` is Hermitian,
 and the series truncated at order p0 reproduces the step unitary to
@@ -107,9 +109,9 @@ def compute_phi(
 
     ``q = 1`` returns the Hamiltonian itself (the stage fractions sum to one
     per group).  The sum visits C(q+V-1, V-1) compositions, with V the merged
-    stage count, and sums exact permutation weights for each of at most
-    n_groups^q distinct words.  No budget is checked here; see
-    :func:`compute_phi_range`.
+    stage count, and sums exact permutation weights once per equality
+    pattern of its at most n_groups^q distinct words.  No budget is checked
+    here; see :func:`compute_phi_range`.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -119,8 +121,12 @@ def compute_phi(
     group_of = [g for g, _ in slots]
     alpha_of = [a for _, a in slots]
 
-    # sum the exact weights once per group word; int / int rounds correctly
+    # sum the exact weights once per equality pattern of a group word (the
+    # word relabelled 0, 1, ... by first occurrence), then relabel them for
+    # each word: distinct keys stay distinct and keep their order, and
+    # int / int rounds correctly
     den, weights = _perm_weights(q)
+    patterns: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
     words: dict[tuple[int, ...], list[tuple[tuple[int, ...], float]]] = {}
     agg: dict[tuple[int, ...], float] = {}
     for comp in _compositions(q, len(slots)):
@@ -130,11 +136,18 @@ def compute_phi(
             comp_factor *= alpha_of[v] ** q_v / math.factorial(q_v)
             word += (group_of[v],) * q_v
         if word not in words:
-            local: dict[tuple[int, ...], int] = {}
-            for sigma, w in weights:
-                key = tuple(word[i] for i in sigma)
-                local[key] = local.get(key, 0) + w
-            words[word] = [(key, n / den) for key, n in local.items() if n]
+            labels = list(dict.fromkeys(word))
+            pattern = tuple(labels.index(g) for g in word)
+            if pattern not in patterns:
+                local: dict[tuple[int, ...], int] = {}
+                for sigma, w in weights:
+                    key = tuple(pattern[i] for i in sigma)
+                    local[key] = local.get(key, 0) + w
+                patterns[pattern] = [(key, n) for key, n in local.items() if n]
+            words[word] = [
+                (tuple(labels[i] for i in key), n / den)
+                for key, n in patterns[pattern]
+            ]
         for key, f in words[word]:
             agg[key] = agg.get(key, 0.0) + f * comp_factor
 
@@ -171,7 +184,7 @@ def check_series_budget(plan: ProductFormulaPlan, q_max: int) -> None:
 
     Order q visits C(q+V-1, q) compositions of the V merged stages, counted
     against ``DEFAULT_COMPOSITION_BUDGET``; it stores q! permutation weights
-    and walks them once per distinct word, of which there are at most
+    and walks them at most once per distinct word, of which there are at most
     min(n_groups^q, C(q+V-1, q)), counted against
     ``DEFAULT_PERMUTATION_BUDGET``.
     """

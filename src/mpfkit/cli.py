@@ -347,17 +347,17 @@ def cmd_verify_order(cfg: ExperimentConfig) -> int:
 
     spec = build_family(cfg)
     _configured(check_dense_cap, cfg.n_sites, cfg.dense_cap)
-    out = _out_dir(cfg)
     plan = _configured(build_plan, spec.n_groups, cfg.p)
-    taus = geometric_grid(cfg.tau_min, cfg.tau_max, cfg.tau_points)
-
-    trotter = TrotterEvaluator(spec, plan, cfg.dense_cap)
     mpf_specs: list[MPFSpec] = []
     if cfg.p % 2 == 0:
         if cfg.k_list is not None:
             mpf_specs = [build_mpf_spec(cfg, cfg.p)]
         else:
             mpf_specs = [build_mpf(j, cfg.p) for j in range(1, cfg.j_count + 1)]
+    out = _out_dir(cfg)
+    taus = geometric_grid(cfg.tau_min, cfg.tau_max, cfg.tau_points)
+
+    trotter = TrotterEvaluator(spec, plan, cfg.dense_cap)
     evaluators = [MPFEvaluator(mspec, trotter) for mspec in mpf_specs]
 
     # tau outer: the exact propagator and one base power T(tau/k)^k per
@@ -620,6 +620,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
     plan = _configured(build_plan, spec.n_groups, cfg.p)
     p0 = _configured(truncation_order, cfg.n_sites, cfg.eps)
     mode = _enumeration_mode(cfg, spec, plan)
+    mpf_spec = build_mpf_spec(cfg, cfg.p) if cfg.p % 2 == 0 else None
     out = _out_dir(cfg)
     orders = range(2, cfg.q_max + 1)
     if mode is None:
@@ -641,8 +642,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
     blocked = _dense_blocker(cfg, p0, mode)
     evaluator = None if blocked else TrotterEvaluator(spec, plan, cfg.dense_cap)
     rows.extend(_truncation_rows(cfg, spec, evaluator, phis, p0, blocked))
-    if cfg.p % 2 == 0:
-        mpf_spec = build_mpf_spec(cfg, cfg.p)
+    if mpf_spec is not None:
         rows.extend(
             _step_bound_rows(cfg, spec, evaluator, mpf_spec, p0, alphas, mode, blocked)
         )
@@ -784,13 +784,12 @@ def cmd_cost(cfg: ExperimentConfig) -> int:
         raise ConfigError("cost reports need an even base order")
     spec = build_family(cfg)
     mode = _enumeration_mode(cfg, spec) if cfg.q_max >= 3 else None
-    out = _out_dir(cfg)
     plan = build_plan(spec.n_groups, cfg.p)
     mpf_spec = build_mpf_spec(cfg, cfg.p)
     report = _configured(report_from_parts, spec, plan, mpf_spec, cfg.t, cfg.eps)
+    table = _gate_costs(cfg, spec)
     consistency = self_consistency(report)
     chain = admissibility_chain(report)
-    table = _gate_costs(cfg, spec)
 
     alphas = _alpha_table(cfg, spec, mode)
     if alphas is not None:
@@ -802,7 +801,9 @@ def cmd_cost(cfg: ExperimentConfig) -> int:
         diagnostics = {"note": "nested-commutator window beyond the site cap"}
 
     eps_sweep = _eps_sweep(cfg, spec, plan)
+    # an N-sweep size whose weights overflow is refused before the folder
     n_sweep = _n_sweep(cfg, mpf_spec)
+    out = _out_dir(cfg)
 
     passed = consistency.holds and chain.holds
     payload = {
@@ -848,8 +849,8 @@ def cmd_cost(cfg: ExperimentConfig) -> int:
 
 def cmd_table1(cfg: ExperimentConfig) -> int:
     spec = build_family(cfg)
-    out = _out_dir(cfg)
     rows = _gate_costs(cfg, spec)
+    out = _out_dir(cfg)
     payload = {
         "config": cfg.echo(),
         "range_class": cfg.range_class,

@@ -178,23 +178,41 @@ def mirror_odd_norm(s: PauliSum) -> float:
 class ParityStack(NamedTuple):
     """Stacked blocks, row c of ``index``, ``mirror`` (``(count, size)``) and
     ``sign`` (``(count,)``) giving block c's basis ``(|a> + s |R a>) / sqrt 2``,
-    or ``|a>`` where ``a = mirror`` (a palindrome, or an unsplit sector)."""
+    or ``|a>`` where ``a = mirror`` (a palindrome, or an unsplit sector).
+    :meth:`of` fixes, once per stack, what :func:`parity_blocks` gathers:
+    ``cols``, the columns ``index`` then ``mirror``, and ``halves``, the
+    number f_i + f_j of palindromes in entry (i, j)'s pair, which picks its
+    weight from ``_PAIR_WEIGHTS``; both are None when every index is its own
+    mirror."""
 
     index: np.ndarray
     mirror: np.ndarray
     sign: np.ndarray
+    cols: np.ndarray | None
+    halves: np.ndarray | None
+
+    @classmethod
+    def of(
+        cls, index: np.ndarray, mirror: np.ndarray, sign: np.ndarray
+    ) -> "ParityStack":
+        if np.array_equal(index, mirror):
+            return cls(index, mirror, sign, None, None)
+        f = (index == mirror).astype(np.int8)
+        halves = f[:, :, None] + f[:, None, :]
+        return cls(index, mirror, sign, np.hstack([index, mirror]), halves)
+
+
+# 0.5 ** (f_i + f_j), square-rooted: 1, 1/sqrt 2, or exactly 1/2
+_PAIR_WEIGHTS = np.sqrt(0.5 ** np.arange(3.0))
 
 
 def _parity_fill(xrs: np.ndarray, vals: np.ndarray, p: ParityStack) -> np.ndarray:
     """One stack of :func:`parity_blocks`; ``m[a, a]``, ``m[a, r]`` from one gather."""
-    if np.array_equal(p.index, p.mirror):
+    if p.cols is None:
         return _fill(xrs, vals, p.index, p.index)
-    both = _fill(xrs, vals, p.index, np.hstack([p.index, p.mirror]))
+    both = _fill(xrs, vals, p.index, p.cols)
     x, y = np.split(both, [p.index.shape[1]], axis=2)
-    f = (p.index == p.mirror) * 1.0
-    # 0.5 ** (f_i + f_j), square-rooted: 1, 1/sqrt 2, or exactly 1/2
-    w = np.sqrt(0.5 ** (f[:, :, None] + f[:, None, :]))
-    return w * (x + p.sign[:, None, None] * y)
+    return _PAIR_WEIGHTS[p.halves] * (x + p.sign[:, None, None] * y)
 
 
 def parity_blocks(
@@ -241,7 +259,7 @@ class SectorFrame:
                 if a.size:
                     rows.append((a, rev[a], sign))
         self.basis = [
-            ParityStack(*map(np.array, zip(*(t for t in rows if t[0].size == size))))
+            ParityStack.of(*map(np.array, zip(*(t for t in rows if t[0].size == size))))
             for size in sorted({a.size for a, _, _ in rows})
         ]
 

@@ -34,6 +34,9 @@
 - The Richardson weights of :func:`mpfkit.formulas.closed_form_coefficients`
   as a running ``Fraction`` product, one factor per node pair, where the
   package reduces one integer quotient per weight.
+- The every-site fold behind :func:`mpfkit.hamiltonians.family_constants`:
+  each site's whole tail of weights left-folded, with no screening by
+  prefix-sum estimates.
 - Two scaling diagnostics that check paper claims on families of inputs:
   how the extensiveness g grows with N (:func:`g_scaling_report`) and how
   the weight norm ||c||_1 grows with J (:func:`condition_report`).
@@ -45,8 +48,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
@@ -361,6 +367,47 @@ def oracle_phi_from_logs(
     for m in mats:
         out.append(pauli_decompose(1j * m, spec.n_sites, tol=1e-12))
     return out
+
+
+def every_site_family_constants(
+    family: str,
+    n_sites: int,
+    coupling: float = 1.0,
+    field: float = 0.0,
+    exponent: float = 2.0,
+) -> tuple[int, float, int]:
+    """:func:`mpfkit.hamiltonians.family_constants` with every site folded.
+
+    Each site's doubled head is shared from site to site and its whole tail
+    is left-folded onto it, O(N) per site; the package folds only the sites
+    whose prefix-sum estimate lies within the rounding allowance of the best.
+    """
+    if n_sites < 2:
+        raise ValueError("need at least two sites for a chain")
+    if family == "heisenberg":
+        weights = [(1, abs(complex(coupling)))] * 3
+        n_groups = (2 if n_sites > 2 else 1) + (field != 0.0)
+    elif family == "long-range-zz":
+        weights = [
+            (d, abs(complex(coupling / float(d) ** exponent)))
+            for d in range(1, n_sites)
+        ]
+        n_groups = n_sites - 1
+    else:
+        raise ValueError(f"no built-in family {family!r}")
+    ds = [d for d, _ in weights]
+    values = [a for _, a in weights]
+    g = head = 0.0
+    lo = 0
+    for i in range((n_sites + 1) // 2):
+        while lo < len(ds) and ds[lo] <= i:
+            head = head + values[lo] + values[lo]
+            lo += 1
+        tail = values[lo : bisect_left(ds, n_sites - i)]
+        g = max(g, reduce(add, tail, head))
+    if family == "heisenberg":
+        g += abs(complex(field))
+    return 2, g, n_groups
 
 
 def lstsq_fit_line(xs, ys) -> tuple[float, float]:

@@ -177,21 +177,29 @@ class TestConfigResolution:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, before_folder",
         [
-            ("cost", "--family", "long-range-zz", "--n-sites", "4", "--exponent", "2000"),
-            ("cost", "--coupling", "1e308"),
-            ("cost", "--t", "1e300"),
-            ("verify-bounds", "--coupling", "1e300", "--n-sites", "4"),
+            (("cost", "--family", "long-range-zz", "--n-sites", "4", "--exponent", "2000"), True),
+            (("cost", "--coupling", "1e308"), True),
+            (("cost", "--t", "1e300"), True),
+            # 11.0 ** 300 overflows in the N-sweep at N = 64
+            (("cost", "--family", "long-range-zz", "--n-sites", "6", "--exponent", "300"), True),
+            # overflows inside the alpha table, after the folder is made
+            (("verify-bounds", "--coupling", "1e300", "--n-sites", "4"), False),
         ],
-        ids=["exponent", "coupling", "time", "verify-bounds"],
+        ids=["exponent", "coupling", "time", "sweep-exponent", "verify-bounds"],
     )
-    def test_finite_setting_that_overflows_exits_2(self, tmp_path, capsys, argv):
+    def test_finite_setting_that_overflows_exits_2(
+        self, tmp_path, capsys, argv, before_folder
+    ):
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "overflow" in err and "Traceback" not in err
-        assert not out.exists() or not any(out.iterdir())
+        if before_folder:
+            assert not out.exists()
+        else:
+            assert not out.exists() or not any(out.iterdir())
 
     def test_bad_flag_values(self, tmp_path):
         assert run(tmp_path, "verify-order", "--eps", "-1.0") == 2
@@ -554,7 +562,7 @@ class TestCost:
         err = capsys.readouterr().err
         assert "eps = 1e-300" in err and "underflows to 0" in err
         assert "got 0.0" not in err and "Traceback" not in err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_odd_base_order_rejected(self, tmp_path):
         assert run(tmp_path, "cost", "--p", "3") == 2
@@ -919,6 +927,39 @@ class TestPreflight:
 
         monkeypatch.setattr(commutators, "commutator_sums", refused)
         monkeypatch.setattr(bch, "compute_phi", refused)
+        monkeypatch.setattr(TrotterEvaluator, "__init__", refused)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert calls == []
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("cost", "--eps", "1e-300"), "eps = 1e-300 leaves a per-step"),
+            (("cost", "--t", "1e-9"), "N g t / eps = 2.72e-05 must exceed 1"),
+            (("table1", "--t", "1e-9"), "log factor needs argument > e"),
+            (("verify-order", "--p", "3"), "unsupported order 3"),
+            (("verify-order", "--k-list", "2,1"), "strictly increasing"),
+            (("verify-bounds", "--k-list", "2,1"), "strictly increasing"),
+            (("cost", "--k-list", "2,1"), "strictly increasing"),
+        ],
+        ids=[
+            "cost-eps", "cost-t", "table1-t", "verify-order-p",
+            "verify-order-k-list", "verify-bounds-k-list", "cost-k-list",
+        ],
+    )
+    def test_plan_and_formula_refusals_come_before_the_folder(
+        self, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        calls = []
+
+        def refused(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("work started before the refusal")
+
+        monkeypatch.setattr(commutators, "commutator_sums", refused)
         monkeypatch.setattr(TrotterEvaluator, "__init__", refused)
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 2

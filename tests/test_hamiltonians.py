@@ -1,12 +1,16 @@
 """Grouped Hamiltonian construction, derived constants, JSON round trip."""
 
 import json
+import math
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mpfkit import hamiltonians
+from mpfkit.cli import N_SWEEP_SIZES
 from mpfkit.hamiltonians import (
     family_constants,
     heisenberg_chain,
@@ -16,7 +20,7 @@ from mpfkit.hamiltonians import (
     spec_to_document,
 )
 from mpfkit.pauli import PauliTerm
-from oracles import g_scaling_report
+from oracles import every_site_family_constants, g_scaling_report
 
 
 class TestHeisenberg:
@@ -140,6 +144,79 @@ class TestFamilyConstants:
             family_constants("file", 4)
         with pytest.raises(ValueError, match="two sites"):
             family_constants("heisenberg", 1)
+
+
+class TestScreenedFold:
+    """Folding only the sites whose prefix-sum estimate can hold the
+    maximum gives the every-site fold's constants, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 1024),
+        exponent=st.floats(-2.0, 6.0),
+        base=_COUPLINGS,
+    )
+    @example(n=1024, exponent=0.5, base=1.0)
+    @example(n=1024, exponent=1.0, base=1.0)
+    @example(n=1024, exponent=3.0, base=1.0)
+    def test_long_range_matches_every_site_fold(self, n, exponent, base):
+        args = ("long-range-zz", n, base, 0.0, exponent)
+        assert family_constants(*args) == every_site_family_constants(*args)
+
+    @pytest.mark.parametrize(
+        "n, base, exponent",
+        [(64, 1e307, -1.0), (1024, 1e307, -1.0), (1024, 1e308, 0.5)],
+    )
+    def test_non_finite_sum_folds_every_site(self, n, base, exponent):
+        # inf - inf in the prefix differences would screen out every site
+        args = ("long-range-zz", n, base, 0.0, exponent)
+        got = family_constants(*args)
+        assert got == every_site_family_constants(*args)
+        assert got[1] == math.inf
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 1024])
+    def test_zero_coupling_ties_everywhere(self, n):
+        args = ("long-range-zz", n, 0.0, 0.0, 1.0)
+        assert family_constants(*args) == every_site_family_constants(*args)
+        assert family_constants(*args)[1] == 0.0
+        if n <= 17:
+            assert family_constants(*args) == _constants(
+                long_range_zz_chain(n, 1.0, base=0.0)
+            )
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 11])
+    def test_steep_exponent_ties(self, n):
+        # 1/d^300 vanishes against the nearest neighbours, so sites tie
+        args = ("long-range-zz", n, 1.0, 0.0, 300.0)
+        got = family_constants(*args)
+        assert got == every_site_family_constants(*args)
+        assert got == _constants(long_range_zz_chain(n, 300.0))
+
+    def test_steep_exponent_overflow_is_kept(self):
+        # 11.0 ** 300 overflows; both routes raise, as the built spec does
+        for route in (family_constants, every_site_family_constants):
+            with pytest.raises(OverflowError):
+                route("long-range-zz", 64, 1.0, 0.0, 300.0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("family", ["heisenberg", "long-range-zz"])
+    def test_shortest_chains(self, family, n):
+        args = (family, n, -0.7, 0.3, 1.5)
+        assert family_constants(*args) == every_site_family_constants(*args)
+
+    @pytest.mark.parametrize("exponent", [0.5, 1.0, 3.0])
+    def test_few_exact_folds_per_size(self, monkeypatch, exponent):
+        folds = []
+
+        def counted(*args):
+            folds.append(len(args[1]))
+            return reduce(*args)
+
+        monkeypatch.setattr(hamiltonians, "reduce", counted)
+        for n in N_SWEEP_SIZES:
+            folds.clear()
+            family_constants("long-range-zz", n, 1.0, 0.0, exponent)
+            assert 1 <= len(folds) <= 3, (n, folds)
 
 
 class TestDocumentForm:
