@@ -539,7 +539,7 @@ def _truncation_rows(
         boundary,
         subdivisions=(1.0, 0.5),
     )
-    rows = [
+    return [
         _row(
             "truncation_defect",
             max(check.defects),
@@ -547,16 +547,6 @@ def _truncation_rows(
             note=f"p0 = {p0}, tau <= {boundary:.6g}",
         )
     ]
-    if check.slope is not None:
-        rows.append(
-            _row(
-                "truncation_slope",
-                float(p0) + SLOPE_MARGIN,
-                check.slope,
-                note=f"{check.slope_points} fit points",
-            )
-        )
-    return rows
 
 
 def _step_bound_rows(
@@ -621,7 +611,6 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
     p0 = _configured(truncation_order, cfg.n_sites, cfg.eps)
     mode = _enumeration_mode(cfg, spec, plan)
     mpf_spec = build_mpf_spec(cfg, cfg.p) if cfg.p % 2 == 0 else None
-    out = _out_dir(cfg)
     orders = range(2, cfg.q_max + 1)
     if mode is None:
         alphas = phis = None
@@ -660,6 +649,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
         "summary": tally,
         "passed": passed,
     }
+    out = _out_dir(cfg)
     write_json(out / "verify_bounds.json", payload)
     _write_rows(out / "verify_bounds.csv", rows)
     return 0 if passed else 1
@@ -868,7 +858,6 @@ def cmd_phi(cfg: ExperimentConfig) -> int:
     spec = build_family(cfg)
     plan = _configured(build_plan, spec.n_groups, cfg.p)
     mode = _enumeration_mode(cfg, spec, plan, required=True)
-    out = _out_dir(cfg)
     _, _, reports = _phi_reports(cfg, spec, plan, mode)
     rows = [
         {
@@ -881,6 +870,7 @@ def cmd_phi(cfg: ExperimentConfig) -> int:
     ]
     passed = all(row["bounds_hold"] for row in rows)
     payload = {"config": cfg.echo(), "rows": rows, "passed": passed}
+    out = _out_dir(cfg)
     write_json(out / "phi_report.json", payload)
     _write_rows(out / "phi_norms.csv", rows)
     return 0 if passed else 1
@@ -892,7 +882,6 @@ def cmd_phi(cfg: ExperimentConfig) -> int:
 def cmd_alpha(cfg: ExperimentConfig) -> int:
     spec = build_family(cfg)
     mode = _enumeration_mode(cfg, spec)
-    out = _out_dir(cfg)
     alphas = _alpha_table(cfg, spec, mode)
     holds = {"pass": True, "fail": False, "untestable": None}
     rows = []
@@ -914,6 +903,7 @@ def cmd_alpha(cfg: ExperimentConfig) -> int:
         row[key] for row in rows for key in ("factorial_holds", "one_norm_holds")
     }
     payload = {"config": cfg.echo(), "rows": rows, "passed": passed}
+    out = _out_dir(cfg)
     write_json(out / "alpha_table.json", payload)
     _write_rows(out / "alpha_table.csv", rows)
     return 0 if passed else 1

@@ -64,7 +64,10 @@ def _sector_norm(
 ) -> Callable[[PauliSum, int], float]:
     """``norm(nest, q)``: the exact norm of a nest of q groups, read one block
     stack at a time from the sector frame of the groups (and the observable)
-    under the leak allowance ``LEAK_TOL (2 L)^q`` (times ``2 ||O||_1``)."""
+    under the leak allowance ``LEAK_TOL (2 L)^q`` (times ``2 ||O||_1``).
+    Real coefficients give Hermitian blocks; imaginary ones (a nest of an even
+    number of groups) anti-Hermitian blocks, rotated by i.  A sum with both
+    is bounded by the norm of its larger part plus the smaller's one-norm."""
     from . import dense  # numpy loads with the first nest that needs a matrix
 
     frame = dense.SectorFrame.of(
@@ -74,7 +77,16 @@ def _sector_norm(
 
     def norm(nest: PauliSum, q: int) -> float:
         tol = allowance * (2.0 * spec.total_one_norm) ** q
-        return max(map(dense.spectral_norm, frame.blocks(nest, tol)))
+        stacks = frame.blocks(nest, tol)  # the leak rule reads the whole sum
+        re = sum(abs(c.real) for _, c in nest.items())
+        im = sum(abs(c.imag) for _, c in nest.items())
+        if re and im:
+            sign = 1.0 if re >= im else -1.0
+            stacks = map(lambda b: 0.5 * (b + sign * dense.adjoint(b)), stacks)
+        if im > re:
+            stacks = map(lambda b: 1j * b, stacks)
+        # map, unlike a generator, holds no stack past its norm
+        return max(map(dense.spectral_norm, stacks)) + min(re, im)
 
     return norm
 

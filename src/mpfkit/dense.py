@@ -3,7 +3,7 @@
 Everything here works on complex matrices of side up to 2^n with numpy and
 is meant for small n (default cap 12 qubits).  It converts Pauli sums
 (:mod:`mpfkit.pauli`) to matrix blocks, exponentiates Hermitian generators
-exactly through eigendecomposition, and measures spectral norms.
+exactly through eigendecomposition, and measures Hermitian spectral norms.
 
 Conversion rests on one index map: a Pauli string is a signed permutation
 of the computational basis.  :func:`permuted_diagonals` adds each string
@@ -39,7 +39,6 @@ __all__ = [
     "from_pauli_sum",
     "invariant_sectors",
     "mirror_odd_norm",
-    "parity_blocks",
     "permuted_diagonals",
     "sector_blocks",
     "spectral_norm",
@@ -179,7 +178,7 @@ class ParityStack(NamedTuple):
     """Stacked blocks, row c of ``index``, ``mirror`` (``(count, size)``) and
     ``sign`` (``(count,)``) giving block c's basis ``(|a> + s |R a>) / sqrt 2``,
     or ``|a>`` where ``a = mirror`` (a palindrome, or an unsplit sector).
-    :meth:`of` fixes, once per stack, what :func:`parity_blocks` gathers:
+    :meth:`of` fixes, once per stack, what :func:`_parity_fill` gathers:
     ``cols``, the columns ``index`` then ``mirror``, and ``halves``, the
     number f_i + f_j of palindromes in entry (i, j)'s pair, which picks its
     weight from ``_PAIR_WEIGHTS``; both are None when every index is its own
@@ -207,24 +206,14 @@ _PAIR_WEIGHTS = np.sqrt(0.5 ** np.arange(3.0))
 
 
 def _parity_fill(xrs: np.ndarray, vals: np.ndarray, p: ParityStack) -> np.ndarray:
-    """One stack of :func:`parity_blocks`; ``m[a, a]``, ``m[a, r]`` from one gather."""
+    """The blocks ``w_i w_j (m[a_i, a_j] + s m[a_i, r_j])`` on ``p`` (a = index,
+    r = mirror, s = sign; w = 1/sqrt 2 where a = r, else 1) of a matrix m that
+    commutes with R, from its :func:`_stacked` diagonals in one gather."""
     if p.cols is None:
         return _fill(xrs, vals, p.index, p.index)
     both = _fill(xrs, vals, p.index, p.cols)
     x, y = np.split(both, [p.index.shape[1]], axis=2)
     return _PAIR_WEIGHTS[p.halves] * (x + p.sign[:, None, None] * y)
-
-
-def parity_blocks(
-    diags: dict[int, np.ndarray], basis: list[ParityStack]
-) -> list[np.ndarray]:
-    """The blocks on ``basis`` of a matrix m that commutes with R, given by
-    its :func:`permuted_diagonals`: ``w_i w_j (m[a_i, a_j] + s m[a_i, r_j])``
-    for a = index, r = mirror and s = sign, with w = 1 for a pair and
-    1/sqrt 2 where a = r (so an unsplit sector's block is ``m[a, a]``).
-    """
-    xrs, vals = _stacked(diags, sum(p.index.size for p in basis))
-    return [_parity_fill(xrs, vals, p) for p in basis]
 
 
 class SectorFrame:
@@ -293,11 +282,6 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2).conj()
 
 
-def _inf_norm(a: np.ndarray) -> float:
-    """Largest absolute row sum over a matrix or a stack of matrices."""
-    return float(np.max(np.sum(np.abs(a), axis=-1)))
-
-
 class HermitianFactorization(NamedTuple):
     """Cached eigendecomposition ``h = vecs @ diag(vals) @ vecs^dag``.
 
@@ -314,7 +298,7 @@ class HermitianFactorization(NamedTuple):
         # the defect is anti-Hermitian, so its inf-norm (max row sum) bounds
         # its spectral norm from above at O(4^n) cost, without an SVD; over
         # a stack of blocks it is the inf-norm of their direct sum
-        defect = _inf_norm(h - adjoint(h))
+        defect = float(np.max(np.sum(np.abs(h - adjoint(h)), axis=-1)))
         if defect > herm_tol:
             raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
         vals, vecs = np.linalg.eigh(h)
@@ -329,22 +313,10 @@ class HermitianFactorization(NamedTuple):
         return (self.vecs * self.phases(tau)[..., None, :]) @ adjoint(self.vecs)
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value, with fast exact paths for (anti-)Hermitian input.
-
-    Hermitian and anti-Hermitian matrices are detected to tight tolerance and
-    routed through ``eigvalsh`` (their singular values are |eigenvalues|);
-    everything else falls back to the SVD route.  A stack of blocks gives
-    the norm of their direct sum, the largest of the block norms.
-    """
-    if a.size == 0:
+def spectral_norm(h: np.ndarray) -> float:
+    """Spectral norm of a Hermitian matrix, its largest |eigenvalue|; for a
+    stack of blocks, that of their direct sum, and 0 for an empty stack.
+    ``eigvalsh`` reads one triangle, so the caller vouches for Hermiticity."""
+    if h.size == 0:
         return 0.0
-    scale = np.max(np.abs(a))
-    if scale == 0.0:
-        return 0.0
-    tol = 1e-13 * scale
-    if _inf_norm(a - adjoint(a)) <= tol:
-        return float(np.max(np.abs(np.linalg.eigvalsh(a))))
-    if _inf_norm(a + adjoint(a)) <= tol:
-        return float(np.max(np.abs(np.linalg.eigvalsh(1j * a))))
-    return float(np.max(np.linalg.svd(a, compute_uv=False)))
+    return float(np.max(np.abs(np.linalg.eigvalsh(h))))

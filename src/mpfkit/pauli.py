@@ -164,21 +164,13 @@ class PauliSum:
         self,
         n_sites: int,
         data: Mapping[tuple[int, int], complex] | None = None,
-        *,
-        _prune: bool = True,
     ) -> None:
         if n_sites < 1:
             raise ValueError("n_sites must be positive")
         self.n_sites = n_sites
-        d: dict[tuple[int, int], complex] = {}
-        if data:
-            if _prune:
-                for key, c in data.items():
-                    if abs(c) >= PRUNE_TOL:
-                        d[key] = complex(c)
-            else:
-                d = dict(data)
-        self._data = d
+        self._data = {
+            key: complex(c) for key, c in (data or {}).items() if abs(c) >= PRUNE_TOL
+        }
 
     # -- construction ------------------------------------------------------
 

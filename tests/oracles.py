@@ -168,7 +168,7 @@ def truncation_defect(
     """The full-matrix defect || T(tau) - exp(-i H_eff^{(p0)}(tau) tau) ||."""
     u = FullMatrixEvaluator(ev.spec, ev.plan).formula_unitary(tau)
     v = truncated_step_unitary(ev.spec, tau, p0, phis)
-    return dense.spectral_norm(u - v)
+    return np.linalg.norm(u - v, 2)
 
 
 def invariant_sectors(mats: list[np.ndarray]) -> list[np.ndarray]:
@@ -210,7 +210,7 @@ def full_matrix_norm(nest: PauliSum, q: int = 0) -> float:
     Takes (and ignores) the nest order the sector-blocked norm reads its
     leak allowance from, so it can stand in for that norm.
     """
-    return dense.spectral_norm(dense.from_pauli_sum(nest))
+    return np.linalg.norm(dense.from_pauli_sum(nest), 2)
 
 
 def all_tuples_commutator_sums(

@@ -177,29 +177,30 @@ class TestConfigResolution:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "argv, before_folder",
+        "argv",
         [
-            (("cost", "--family", "long-range-zz", "--n-sites", "4", "--exponent", "2000"), True),
-            (("cost", "--coupling", "1e308"), True),
-            (("cost", "--t", "1e300"), True),
+            ("cost", "--family", "long-range-zz", "--n-sites", "4", "--exponent", "2000"),
+            ("cost", "--coupling", "1e308"),
+            ("cost", "--t", "1e300"),
             # 11.0 ** 300 overflows in the N-sweep at N = 64
-            (("cost", "--family", "long-range-zz", "--n-sites", "6", "--exponent", "300"), True),
-            # overflows inside the alpha table, after the folder is made
-            (("verify-bounds", "--coupling", "1e300", "--n-sites", "4"), False),
+            ("cost", "--family", "long-range-zz", "--n-sites", "6", "--exponent", "300"),
+            # these overflow inside the alpha or Phi_q tables
+            ("verify-bounds", "--coupling", "1e300", "--n-sites", "4"),
+            ("verify-bounds", "--coupling", "1e300", "--n-sites", "4", "--norm-mode", "one-norm"),
+            ("alpha", "--coupling", "1e300"),
+            ("phi", "--coupling", "1e200"),
         ],
-        ids=["exponent", "coupling", "time", "sweep-exponent", "verify-bounds"],
+        ids=[
+            "exponent", "coupling", "time", "sweep-exponent",
+            "verify-bounds", "verify-bounds-one-norm", "alpha", "phi",
+        ],
     )
-    def test_finite_setting_that_overflows_exits_2(
-        self, tmp_path, capsys, argv, before_folder
-    ):
+    def test_finite_setting_that_overflows_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "overflow" in err and "Traceback" not in err
-        if before_folder:
-            assert not out.exists()
-        else:
-            assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_bad_flag_values(self, tmp_path):
         assert run(tmp_path, "verify-order", "--eps", "-1.0") == 2
@@ -435,6 +436,40 @@ class TestNoFullMatrixPath:
 
     def test_alpha(self, tmp_path):
         assert run(tmp_path, "alpha", "--n-sites", "6") == 0
+
+
+class TestHermitianNormInputs:
+    """``dense.spectral_norm`` reads one triangle of each stack through
+    ``eigvalsh``, so every stack a run hands it must be Hermitian: the nest
+    norms pick the rotation from the Pauli coefficients, not from the
+    blocks.  It is wrapped through whole runs, and each stack's defect
+    ``||a - a^dag||_inf`` must stay within 1e-13 of its largest entry."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("alpha", "--n-sites", "6", "--qmax", "5"),
+            ("alpha", "--n-sites", "5", "--field", "0", "--qmax", "5"),
+            ("alpha", "--n-sites", "7", "--qmax", "4"),
+            ("phi", "--n-sites", "4", "--p", "4", "--qmax", "5", "--field", "0"),
+            ("phi", "--n-sites", "6", "--qmax", "5", "--field", "0.77"),
+            ("verify-bounds", "--n-sites", "6", "--eps", "0.25"),
+            ("verify-bounds", "--n-sites", "5", "--p", "4", "--eps", "0.5"),
+        ],
+        ids=["alpha", "alpha-no-field", "alpha-odd-chain", "phi-p4", "phi",
+             "verify-bounds", "verify-bounds-p4"],
+    )
+    def test_every_stack_is_hermitian(self, tmp_path, monkeypatch, argv):
+        norm, defects = dense.spectral_norm, []
+
+        def checked(h):
+            defect = np.max(np.sum(np.abs(h - dense.adjoint(h)), axis=-1))
+            defects.append(defect / max(np.max(np.abs(h)), 1e-300))
+            return norm(h)
+
+        monkeypatch.setattr(dense, "spectral_norm", checked)
+        assert run(tmp_path, *argv) == 0
+        assert defects and max(defects) <= 1e-13
 
 
 class TestVerifyBounds:

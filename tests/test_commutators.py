@@ -212,6 +212,27 @@ class TestSectorBlockedNorm:
         # the CLI maps a ValueError to a configuration error (exit 2)
         assert not issubclass(SectorLeakError, ValueError)
 
+    @pytest.mark.parametrize("q, small", [(2, 1e-3), (3, 1e-3j), (2, 0.7), (3, 0.7j)])
+    def test_mixed_sum_is_bounded_by_its_larger_part(self, q, small):
+        # a nest has real (q odd) or imaginary (q even) coefficients; the
+        # added diagonal sum keeps the magnetization sectors and the mirror
+        spec = heisenberg_chain(4, field=0.5)
+        first, second = spec.group_sums[:2]
+        nest = second.commutator(first)
+        if q == 3:
+            nest = first.commutator(nest)
+        added = (PauliSum.from_label("ZIIZ") + PauliSum.from_label("IZZI")).scale(small)
+        mixed = nest + added
+        smaller = min(
+            sum(abs(c.real) for _, c in mixed.items()),
+            sum(abs(c.imag) for _, c in mixed.items()),
+        )
+        assert smaller > 0.0
+        got = commutators._sector_norm(spec, None)(mixed, q)
+        want = full_matrix_norm(mixed)
+        # ||M|| <= ||larger part|| + ||smaller part||_1 <= ||M|| + ||smaller part||_1
+        assert want * (1 - 1e-13) <= got <= (want + smaller) * (1 + 1e-13)
+
     def test_planted_mirror_odd_term_is_refused(self):
         # Z on one end site keeps the magnetization sectors but breaks the
         # reflection that splits the even chain's sectors
