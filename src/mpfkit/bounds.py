@@ -70,6 +70,8 @@ __all__ = [
 
 _E3 = math.exp(3.0)
 _INT_SNAP = 1e-9
+# relative slack of the step-count and chain inequalities checked at r
+_CHECK_TOL = 1e-9
 
 
 def _ceil_snapped(value: float) -> int:
@@ -96,15 +98,13 @@ def truncation_order(n_sites: int, eps: float) -> int:
     return _ceil_snapped(math.log(3.0 * n_sites / eps))
 
 
-def bch_time_condition(
-    n_sites: int, eps: float, c_p: float, k: int, g: float
-) -> float:
-    """Largest step 1/(8 e^3 c_p p0 k g) for a trustworthy truncation."""
+def bch_time_condition(p0: int, c_p: float, k: int, g: float) -> float:
+    """Largest step 1/(8 e^3 c_p p0 k g) for a trustworthy truncation at
+    series order p0 (:func:`truncation_order`)."""
     if g <= 0.0:
         raise ValueError("extensiveness must be positive")
     if c_p <= 0.0 or k < 1:
         raise ValueError("need positive stage factor and locality")
-    p0 = truncation_order(n_sites, eps)
     return 1.0 / (8.0 * _E3 * c_p * p0 * k * g)
 
 
@@ -340,19 +340,6 @@ class BoundReport(NamedTuple):
     tau_max: float
     query_count: float
 
-    def error_bound_at(self, tau: float) -> StepErrorBound:
-        i = self.inputs
-        return step_error_bound(
-            tau,
-            i.norm_c_1,
-            i.norm_k_1,
-            i.stage_factor,
-            self.mu_used,
-            i.m,
-            self.eps_step,
-            self.tau_max_bch,
-        )
-
 
 def build_report(
     n_sites: int,
@@ -391,9 +378,7 @@ def build_report(
     p0_step = truncation_order(n_sites, eps_step)
     mu_ceiling = mu_window_bound(n_sites, p, p0_step, locality, extensiveness)
     mu_used = mu_ceiling if mu_value is None else mu_value
-    tau_max_bch = bch_time_condition(
-        n_sites, eps_step, stage_factor, locality, extensiveness
-    )
+    tau_max_bch = bch_time_condition(p0_step, stage_factor, locality, extensiveness)
     tau_max_mpf = mpf_time_condition(stage_factor, mu_used)
     return BoundReport(
         inputs=BoundInputs(
@@ -463,13 +448,13 @@ class ConsistencyCheck(NamedTuple):
     holds: bool
 
 
-def self_consistency(report: BoundReport, rel_tol: float = 1e-9) -> ConsistencyCheck:
+def self_consistency(report: BoundReport) -> ConsistencyCheck:
     """Substitute the report's r back into its two defining inequalities.
 
     The first uses the locality prefactor 4 c_p (p+1) N^(1/(p+1)) k g, the
     second the truncation prefactor 4 e^3 c_p p0 k g with p0 evaluated at
     the per-step allocation; both left sides carry the literal 2*2^m slack
-    and must come out at or below eps/(2r).
+    and must come out at or below eps/(2r), up to ``_CHECK_TOL`` relative.
     """
     i = report.inputs
     tau = report.tau
@@ -481,8 +466,8 @@ def self_consistency(report: BoundReport, rel_tol: float = 1e-9) -> ConsistencyC
     common = 2.0 * 2.0**i.m * i.norm_c_1
     lhs_loc = common * (b_loc * tau) ** (i.m + 1) + shared
     lhs_tru = common * (b_tru * tau) ** (i.m + 1) + shared
-    ok_loc = lhs_loc <= rhs * (1.0 + rel_tol)
-    ok_tru = lhs_tru <= rhs * (1.0 + rel_tol)
+    ok_loc = lhs_loc <= rhs * (1.0 + _CHECK_TOL)
+    ok_tru = lhs_tru <= rhs * (1.0 + _CHECK_TOL)
     return ConsistencyCheck(
         rhs=rhs,
         locality_lhs=lhs_loc,
@@ -514,7 +499,7 @@ class ChainCheck(NamedTuple):
     holds: bool
 
 
-def admissibility_chain(report: BoundReport, rel_tol: float = 1e-9) -> ChainCheck:
+def admissibility_chain(report: BoundReport) -> ChainCheck:
     i = report.inputs
     tau = report.tau
     root = i.n_sites ** (1.0 / (i.base_order + 1))
@@ -527,8 +512,8 @@ def admissibility_chain(report: BoundReport, rel_tol: float = 1e-9) -> ChainChec
     exp_factor = math.exp(-log_ratio / (report.m_selected + 1))
     second = report.tau_max * exp_factor
     order_ok = i.m <= report.m_selected
-    step_holds = tau <= first * (1.0 + rel_tol)
-    window_holds = first <= second * (1.0 + rel_tol)
+    step_holds = tau <= first * (1.0 + _CHECK_TOL)
+    window_holds = first <= second * (1.0 + _CHECK_TOL)
     shrinks = exp_factor < 1.0
     return ChainCheck(
         tau=tau,

@@ -421,13 +421,13 @@ def cmd_verify_order(cfg: ExperimentConfig) -> int:
 # -- verify-bounds ---------------------------------------------------------
 
 
-def _row(name: str, lhs, rhs, *, slack: float = 1e-12, note: str = "") -> dict:
-    """The check lhs <= rhs up to ``slack`` relative plus ``slack`` absolute;
+def _row(name: str, lhs, rhs, *, note: str = "") -> dict:
+    """The check lhs <= rhs up to 1e-12 relative plus 1e-12 absolute;
     untestable when ``lhs`` is None."""
     if lhs is None:
         status = "untestable"
     else:
-        status = "pass" if lhs <= rhs * (1.0 + slack) + slack else "fail"
+        status = "pass" if lhs <= rhs * (1.0 + 1e-12) + 1e-12 else "fail"
     return {
         "name": name,
         "status": status,
@@ -516,21 +516,16 @@ def _dense_blocker(cfg: ExperimentConfig, p0: int, mode: str | None) -> str | No
 
 def _truncation_rows(
     cfg: ExperimentConfig,
-    spec: HamiltonianSpec,
     evaluator: TrotterEvaluator | None,
     phis: dict[int, PauliSum] | None,
     p0: int,
+    boundary: float | None,
     blocked: str | None,
 ) -> list[dict]:
     if blocked:
         return [_row("truncation_defect", None, None, note=blocked)]
     from .bch import check_truncated_generator
-    from .bounds import bch_time_condition
 
-    plan = evaluator.plan
-    boundary = bch_time_condition(
-        cfg.n_sites, cfg.eps, plan.stage_factor, spec.locality, spec.extensiveness
-    )
     check = check_truncated_generator(
         evaluator,
         phis,
@@ -557,6 +552,7 @@ def _step_bound_rows(
     p0: int,
     alphas: dict[int, float] | None,
     mode: str | None,
+    boundary_bch: float | None,
     blocked: str | None,
 ) -> list[dict]:
     # a p0 beyond the qmax window is reported first, through the blocker
@@ -565,19 +561,16 @@ def _step_bound_rows(
         return [_row("step_error_bound", None, None, note=note)]
     if blocked:
         return [_row("step_error_bound", None, None, note=blocked)]
-    from .bounds import bch_time_condition, mpf_time_condition, step_error_bound
+    from .bounds import mpf_time_condition, step_error_bound
     from .commutators import mu_from_alphas, mu_window_bound
     from .mpf import MPFEvaluator
 
     plan = evaluator.plan
-    mu = mu_from_alphas(alphas, cfg.p, mpf_spec.m, p0, source=mode)
+    mu = mu_from_alphas(alphas, cfg.p, mpf_spec.m, p0)
     ceiling = mu_window_bound(
         cfg.n_sites, cfg.p, p0, spec.locality, spec.extensiveness
     )
     rows = [_row("mu_ceiling", mu.value, ceiling, note=f"mu source: {mode}")]
-    boundary_bch = bch_time_condition(
-        cfg.n_sites, cfg.eps, plan.stage_factor, spec.locality, spec.extensiveness
-    )
     boundary_mpf = mpf_time_condition(plan.stage_factor, mu.value)
     tau = 0.8 * min(boundary_bch, boundary_mpf)
     bound = step_error_bound(
@@ -603,7 +596,7 @@ def _step_bound_rows(
 
 
 def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
-    from .bounds import truncation_order
+    from .bounds import bch_time_condition, truncation_order
     from .trotter import TrotterEvaluator
 
     spec = build_family(cfg)
@@ -611,6 +604,11 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
     p0 = _configured(truncation_order, cfg.n_sites, cfg.eps)
     mode = _enumeration_mode(cfg, spec, plan)
     mpf_spec = build_mpf_spec(cfg, cfg.p) if cfg.p % 2 == 0 else None
+    # the dense checks' one step boundary, refused before any table is built
+    blocked = _dense_blocker(cfg, p0, mode)
+    boundary = None if blocked else _configured(
+        bch_time_condition, p0, plan.stage_factor, spec.locality, spec.extensiveness
+    )
     orders = range(2, cfg.q_max + 1)
     if mode is None:
         alphas = phis = None
@@ -628,12 +626,13 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
         for report in reports:
             rows.extend(_phi_rows(cfg, report))
     # the truncation check and the step bound share one dense evaluator
-    blocked = _dense_blocker(cfg, p0, mode)
     evaluator = None if blocked else TrotterEvaluator(spec, plan, cfg.dense_cap)
-    rows.extend(_truncation_rows(cfg, spec, evaluator, phis, p0, blocked))
+    rows.extend(_truncation_rows(cfg, evaluator, phis, p0, boundary, blocked))
     if mpf_spec is not None:
         rows.extend(
-            _step_bound_rows(cfg, spec, evaluator, mpf_spec, p0, alphas, mode, blocked)
+            _step_bound_rows(
+                cfg, spec, evaluator, mpf_spec, p0, alphas, mode, boundary, blocked
+            )
         )
     else:
         note = "extrapolation needs an even base order"

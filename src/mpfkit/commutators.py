@@ -27,13 +27,12 @@ import itertools
 import math
 from typing import Callable, Mapping, NamedTuple
 
-from .formulas import DEFAULT_DENSE_CAP, LEAK_TOL, SectorLeakError, check_dense_cap
+from .formulas import DEFAULT_DENSE_CAP, LEAK_TOL, check_dense_cap
 from .hamiltonians import HamiltonianSpec
 from .pauli import PauliSum
 
 __all__ = [
     "DEFAULT_TUPLE_BUDGET",
-    "SectorLeakError",
     "check_tuple_budget",
     "commutator_sums",
     "nested_commutator_sum",
@@ -247,7 +246,6 @@ class MuResult(NamedTuple):
     converged: bool
     n_max: int
     best_per_n: tuple[float, ...]
-    source: str
 
 
 def _composition_sums(
@@ -275,7 +273,6 @@ def mu_from_alphas(
     m: int,
     p0: int,
     n_max: int = 8,
-    source: str = "exact",
 ) -> MuResult:
     """Enumerate the windowed supremum over (q, n) candidates.
 
@@ -330,7 +327,6 @@ def mu_from_alphas(
         converged=converged,
         n_max=n_max,
         best_per_n=tuple(best_per_n),
-        source=source,
     )
 
 

@@ -25,22 +25,18 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .formulas import DEFAULT_DENSE_CAP, DenseCapError, SectorLeakError, check_dense_cap
+from .formulas import DEFAULT_DENSE_CAP, SectorLeakError, check_dense_cap
 from .pauli import PauliSum
 
 __all__ = [
-    "DEFAULT_DENSE_CAP",
-    "DenseCapError",
     "HermitianFactorization",
     "ParityStack",
     "SectorFrame",
     "adjoint",
-    "check_dense_cap",
     "from_pauli_sum",
     "invariant_sectors",
     "mirror_odd_norm",
     "permuted_diagonals",
-    "sector_blocks",
     "spectral_norm",
 ]
 
@@ -92,7 +88,8 @@ def permuted_diagonals(s: PauliSum) -> dict[int, np.ndarray]:
 def from_pauli_sum(s: PauliSum, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     """Dense matrix of a Pauli sum: the one block of the whole basis."""
     check_dense_cap(s.n_sites, cap)
-    return sector_blocks(permuted_diagonals(s), [np.arange(1 << s.n_sites)[None]])[0][0]
+    idx = np.arange(1 << s.n_sites)[None]
+    return _fill(*_stacked(permuted_diagonals(s), 1 << s.n_sites), idx, idx)[0]
 
 
 def invariant_sectors(
@@ -151,19 +148,6 @@ def _fill(
     k, e = np.nonzero(cut)  # the nonzeros of diagonal k at column entry e
     block[e // size, row[flat[e] ^ xrs[k]], e % size] = cut[k, e]
     return block[:, :-1]
-
-
-def sector_blocks(
-    diags: dict[int, np.ndarray], sectors: list[np.ndarray]
-) -> list[np.ndarray]:
-    """The blocks ``m[idx[:, :, None], idx[:, None, :]]`` on each stack ``idx``
-    of ``sectors``, of the matrix m whose :func:`permuted_diagonals` are
-    ``diags`` and whose nonzeros all lie in the sectors; m is never formed.
-    ``sectors`` may hold any of the stacks of :func:`invariant_sectors`.
-    """
-    dim = max([d.size for d in diags.values()] + [1 + int(i.max()) for i in sectors])
-    xrs, vals = _stacked(diags, dim)
-    return [_fill(xrs, vals, idx, idx) for idx in sectors]
 
 
 def mirror_odd_norm(s: PauliSum) -> float:

@@ -251,26 +251,18 @@ def make_mpf_spec(
     c_values: Sequence[float],
     base_order: int = 2,
     m: int | None = None,
-    residual_tol: float | None = 1e-10,
 ) -> MPFSpec:
-    """Assemble a spec from explicit nodes and weights, checking the system.
-
-    Pass ``residual_tol=None`` to admit weights that deliberately do not
-    solve the Richardson system (the slope fit then reveals what order they
-    actually achieve).
-    """
+    """Assemble a spec from explicit nodes and weights, refusing weights
+    whose Richardson residual exceeds 1e-10."""
     ks = _validated_k(k_values)
     cs = tuple(float(c) for c in c_values)
     if len(cs) != len(ks):
         raise ValueError("k and c lists must have equal length")
     if base_order < 2 or base_order % 2:
         raise ValueError("base order must be a positive even integer")
-    if residual_tol is not None:
-        worst = max(vandermonde_residuals(ks, cs))
-        if worst > residual_tol:
-            raise ValueError(
-                f"Richardson residual {worst:g} exceeds {residual_tol:g}"
-            )
+    worst = max(vandermonde_residuals(ks, cs))
+    if worst > 1e-10:
+        raise ValueError(f"Richardson residual {worst:g} exceeds 1e-10")
     j = len(ks)
     return MPFSpec(
         base_order=base_order,

@@ -64,7 +64,7 @@ class HamiltonianSpec(NamedTuple):
         return self.group_sums[group - 1]
 
     def full_sum(self) -> PauliSum:
-        acc = PauliSum.zero(self.n_sites)
+        acc = PauliSum(self.n_sites)
         for s in self.group_sums:
             acc = acc + s
         return acc

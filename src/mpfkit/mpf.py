@@ -1,9 +1,9 @@
 """Dense evaluation of multi-product formulas.
 
 A multi-product step ``M(tau) = sum_j c_j T_p(tau / k_j)^{k_j}`` combines
-powers of a symmetric even-order base step; the nodes and weights are
-solved in :mod:`mpfkit.formulas` (re-exported here), and
-:class:`MPFEvaluator` forms the combination densely and measures its error.
+powers of a symmetric even-order base step.  The nodes and weights are
+solved in :mod:`mpfkit.formulas`; :class:`MPFEvaluator` forms the
+combination densely and measures its error.
 """
 
 from __future__ import annotations
@@ -12,29 +12,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .formulas import (
-    MAX_J,
-    MPFSpec,
-    build_mpf,
-    closed_form_coefficients,
-    exact_system_solve,
-    make_mpf_spec,
-    solve_coefficients,
-    vandermonde_residuals,
-)
+from .formulas import MPFSpec
+# outside __all__: perfbench/tracer.py wraps the solve as mpf.solve_coefficients
+from .formulas import solve_coefficients  # noqa: F401
 from .trotter import TrotterEvaluator, difference_norm
 
-__all__ = [
-    "MAX_J",
-    "MPFSpec",
-    "closed_form_coefficients",
-    "exact_system_solve",
-    "vandermonde_residuals",
-    "make_mpf_spec",
-    "solve_coefficients",
-    "build_mpf",
-    "MPFEvaluator",
-]
+__all__ = ["MPFEvaluator"]
 
 
 class MPFEvaluator:

@@ -175,10 +175,6 @@ class PauliSum:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def zero(cls, n_sites: int) -> "PauliSum":
-        return cls(n_sites)
-
-    @classmethod
     def from_terms(cls, terms: Iterable[PauliTerm], n_sites: int | None = None) -> "PauliSum":
         terms = list(terms)
         if n_sites is None:
@@ -312,6 +308,3 @@ class PauliSum:
     def hermiticity_defect(self) -> float:
         """One-norm of ``self - adjoint(self)``; 0 for exactly real coefficients."""
         return float(sum(2.0 * abs(c.imag) for c in self._data.values()))
-
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return self.hermiticity_defect() <= tol

@@ -1,6 +1,6 @@
 """Dense evaluation of product-formula plans.
 
-A plan (:mod:`mpfkit.formulas`) is a flat list of stages ``(group, alpha)``
+A plan (built in :mod:`mpfkit.formulas`) is a flat list of stages ``(group, alpha)``
 with ``stages[0]`` acting first.  Each stage exponential is exact (group
 eigendecomposition, cached per group), so measured errors are purely the
 formula's own, down to rounding.  The evaluator factorizes and multiplies
@@ -12,24 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import dense
-from .formulas import (
-    LEAK_TOL,
-    ProductFormulaPlan,
-    build_plan,
-    loglog_slope,
-    suzuki_fractions,
-)
+from .formulas import DEFAULT_DENSE_CAP, LEAK_TOL, ProductFormulaPlan, check_dense_cap
 from .hamiltonians import HamiltonianSpec
 
-__all__ = [
-    "ProductFormulaPlan",
-    "build_plan",
-    "suzuki_fractions",
-    "TrotterEvaluator",
-    "difference_norm",
-    "geometric_grid",
-    "loglog_slope",
-]
+__all__ = ["TrotterEvaluator", "difference_norm", "geometric_grid"]
 
 
 class TrotterEvaluator:
@@ -57,13 +43,13 @@ class TrotterEvaluator:
         self,
         spec: HamiltonianSpec,
         plan: ProductFormulaPlan,
-        cap: int = dense.DEFAULT_DENSE_CAP,
+        cap: int = DEFAULT_DENSE_CAP,
     ) -> None:
         if plan.n_groups != spec.n_groups:
             raise ValueError(
                 f"plan built for {plan.n_groups} groups, spec has {spec.n_groups}"
             )
-        dense.check_dense_cap(spec.n_sites, cap)
+        check_dense_cap(spec.n_sites, cap)
         self.spec = spec
         self.plan = plan
         self.frame = dense.SectorFrame.of(spec.group_sums)

@@ -62,10 +62,11 @@ import scipy.sparse.csgraph
 
 from mpfkit import bch, dense
 from mpfkit.dense import _PHASES, _bit_reverse, _popcounts
+from mpfkit.formulas import DEFAULT_DENSE_CAP, MPFSpec, ProductFormulaPlan, build_mpf
 from mpfkit.hamiltonians import HamiltonianSpec
-from mpfkit.mpf import MPFEvaluator, MPFSpec, build_mpf
+from mpfkit.mpf import MPFEvaluator
 from mpfkit.pauli import PauliSum
-from mpfkit.trotter import ProductFormulaPlan, TrotterEvaluator, difference_norm
+from mpfkit.trotter import TrotterEvaluator, difference_norm
 
 
 class FullMatrixEvaluator:
@@ -351,7 +352,7 @@ def oracle_phi_from_logs(
     spec: HamiltonianSpec,
     max_order: int,
     taus: np.ndarray,
-    cap: int = dense.DEFAULT_DENSE_CAP,
+    cap: int = DEFAULT_DENSE_CAP,
 ) -> list[PauliSum]:
     """Independent route to the series: polynomial fit of dense matrix logs.
 

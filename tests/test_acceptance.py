@@ -41,20 +41,17 @@ from mpfkit.commutators import (
     nested_commutator_sum,
     power_commutator_bound,
 )
-from mpfkit.hamiltonians import heisenberg_chain, long_range_zz_chain, make_spec
-from mpfkit.mpf import (
-    MPFEvaluator,
+from mpfkit.formulas import (
     build_mpf,
+    build_plan,
+    loglog_slope,
     solve_coefficients,
     vandermonde_residuals,
 )
+from mpfkit.hamiltonians import heisenberg_chain, long_range_zz_chain, make_spec
+from mpfkit.mpf import MPFEvaluator
 from mpfkit.pauli import PauliSum, PauliTerm
-from mpfkit.trotter import (
-    TrotterEvaluator,
-    build_plan,
-    geometric_grid,
-    loglog_slope,
-)
+from mpfkit.trotter import TrotterEvaluator, geometric_grid
 from oracles import error_sweep, long_time_error, oracle_phi_from_logs
 
 
@@ -229,7 +226,7 @@ def test_criterion_05_truncated_generator():
     p0 = truncation_order(spec.n_sites, eps)
     assert p0 == 4
     boundary = bch_time_condition(
-        spec.n_sites, eps, plan.stage_factor, spec.locality, spec.extensiveness
+        p0, plan.stage_factor, spec.locality, spec.extensiveness
     )
     check = check_truncated_generator(
         TrotterEvaluator(spec, plan),
@@ -301,7 +298,7 @@ def test_criterion_07_step_bound_with_enumerated_mu():
         spec.n_sites, 2, p0, spec.locality, spec.extensiveness
     )
     boundary = bch_time_condition(
-        spec.n_sites, eps, plan.stage_factor, spec.locality, spec.extensiveness
+        p0, plan.stage_factor, spec.locality, spec.extensiveness
     )
     trotter = TrotterEvaluator(spec, plan)
     violations = 0

@@ -24,8 +24,8 @@ from mpfkit.bch import _compositions, _perm_weights
 from mpfkit.commutators import nested_commutator_sum
 from mpfkit.hamiltonians import heisenberg_chain, long_range_zz_chain, make_spec
 from mpfkit.pauli import PauliSum, PauliTerm
-from mpfkit.trotter import TrotterEvaluator, build_plan, geometric_grid
-from mpfkit.formulas import SectorLeakError
+from mpfkit.trotter import TrotterEvaluator, geometric_grid
+from mpfkit.formulas import SectorLeakError, build_plan
 from oracles import (
     fraction_perm_weights,
     full_matrix_norm,
@@ -503,7 +503,7 @@ class TestPermutationBudget:
 
         def stub(plan, spec, q):
             orders.append(q)
-            return PauliSum.zero(spec.n_sites)
+            return PauliSum(spec.n_sites)
 
         monkeypatch.setattr(bch, "compute_phi", stub)
         assert sorted(compute_phi_range(plan, spec, 9)) == list(range(2, 10))

@@ -12,10 +12,9 @@ from mpfkit.commutators import (
     mu_window_bound,
     nested_commutator_sum,
 )
+from mpfkit.formulas import build_mpf, build_plan
 from mpfkit.hamiltonians import heisenberg_chain, make_spec
-from mpfkit.mpf import build_mpf
 from mpfkit.pauli import PauliTerm
-from mpfkit.trotter import build_plan
 
 
 class TestTruncationOrder:
@@ -44,22 +43,26 @@ class TestTimeConditions:
     def test_frozen_value(self):
         # p0(4, 0.25) = ceil(ln 48) = 4
         want = 1.0 / (8.0 * math.e**3 * 2.0 * 4 * 2 * 6.0)
-        got = bounds.bch_time_condition(4, 0.25, 2.0, 2, 6.0)
+        p0 = bounds.truncation_order(4, 0.25)
+        got = bounds.bch_time_condition(p0, 2.0, 2, 6.0)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_doubling_extensiveness_halves_bound(self):
-        a = bounds.bch_time_condition(4, 0.25, 2.0, 2, 6.0)
-        b = bounds.bch_time_condition(4, 0.25, 2.0, 2, 12.0)
+        p0 = bounds.truncation_order(4, 0.25)
+        a = bounds.bch_time_condition(p0, 2.0, 2, 6.0)
+        b = bounds.bch_time_condition(p0, 2.0, 2, 12.0)
         assert b == pytest.approx(a / 2.0, rel=1e-12)
 
     def test_tighter_accuracy_shrinks_bound(self):
-        loose = bounds.bch_time_condition(4, 0.25, 2.0, 2, 6.0)
-        tight = bounds.bch_time_condition(4, 1e-6, 2.0, 2, 6.0)
+        p0_loose = bounds.truncation_order(4, 0.25)
+        p0_tight = bounds.truncation_order(4, 1e-6)
+        loose = bounds.bch_time_condition(p0_loose, 2.0, 2, 6.0)
+        tight = bounds.bch_time_condition(p0_tight, 2.0, 2, 6.0)
         assert tight < loose
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            bounds.bch_time_condition(4, 0.25, 2.0, 2, 0.0)
+            bounds.bch_time_condition(bounds.truncation_order(4, 0.25), 2.0, 2, 0.0)
         with pytest.raises(ValueError):
             bounds.mpf_time_condition(0.0, 1.0)
         with pytest.raises(ValueError):
@@ -243,7 +246,17 @@ class TestBoundReport:
 
     def test_error_bound_at_constructed_step_is_admissible(self):
         rep = desk_report()
-        out = rep.error_bound_at(rep.tau)
+        i = rep.inputs
+        out = bounds.step_error_bound(
+            rep.tau,
+            i.norm_c_1,
+            i.norm_k_1,
+            i.stage_factor,
+            rep.mu_used,
+            i.m,
+            rep.eps_step,
+            rep.tau_max_bch,
+        )
         assert out.admissible
         assert out.value <= rep.inputs.eps / (2.0 * rep.r) * (1.0 + 1e-9)
 

@@ -17,10 +17,11 @@ from mpfkit import bch, cli, commutators, dense, hamiltonians, trotter
 from mpfkit.bounds import truncation_order
 from mpfkit.cli import ExperimentConfig, main
 from mpfkit.commutators import nested_commutator_sum
+from mpfkit.formulas import build_mpf, build_plan
 from mpfkit.hamiltonians import heisenberg_chain, spec_to_document
-from mpfkit.mpf import MPFEvaluator, build_mpf
+from mpfkit.mpf import MPFEvaluator
 from mpfkit.pauli import PauliSum, PauliTerm
-from mpfkit.trotter import TrotterEvaluator, build_plan
+from mpfkit.trotter import TrotterEvaluator
 
 import oracles
 
@@ -779,7 +780,7 @@ class TestOneAlphaTable:
         assert cfg.p < p0 <= cfg.q_max
         blocked = cli._dense_blocker(cfg, p0, None)
         rows = cli._step_bound_rows(
-            cfg, spec, None, build_mpf(2), p0, None, None, blocked
+            cfg, spec, None, build_mpf(2), p0, None, None, None, blocked
         )
         assert [row["status"] for row in rows] == ["untestable"]
         assert "site cap" in rows[0]["note"]
@@ -943,12 +944,23 @@ class TestPreflight:
             ),
             (("phi", "--n-sites", "24"), "n_sites = 24 exceeds the site cap 16"),
             (("verify-order", "--n-sites", "13"), "on 13 sites exceeds cap 12"),
+            # g = 0: the step boundary 1/(8 e^3 c_p p0 k g) does not exist
+            (
+                ("verify-bounds", "--coupling", "0", "--field", "0", "--eps", "0.25"),
+                "error: extensiveness must be positive",
+            ),
+            (
+                ("verify-bounds", "--family", "long-range-zz", "--coupling", "0",
+                 "--n-sites", "4", "--eps", "0.25"),
+                "error: extensiveness must be positive",
+            ),
         ],
         ids=[
             "alpha-tuples", "cost-tuples", "verify-bounds-tuples", "phi-tuples",
             "phi-compositions", "verify-bounds-compositions",
             "phi-permutations", "verify-bounds-permutations",
             "phi-site-cap", "verify-order-dense-cap",
+            "verify-bounds-zero-heisenberg", "verify-bounds-zero-long-range",
         ],
     )
     def test_refused_before_any_table_or_folder(

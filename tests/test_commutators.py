@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from mpfkit import commutators, dense
 from mpfkit.commutators import (
-    SectorLeakError,
     commutator_sums,
     factorial_commutator_bound,
     inserted_commutator_sum,
@@ -20,6 +19,7 @@ from mpfkit.commutators import (
     nested_commutator_sum,
     power_commutator_bound,
 )
+from mpfkit.formulas import SectorLeakError
 from mpfkit.hamiltonians import heisenberg_chain, long_range_zz_chain, make_spec
 from mpfkit.pauli import PauliSum, PauliTerm
 from oracles import all_tuples_commutator_sums, full_matrix_norm

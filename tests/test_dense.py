@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpfkit import dense
+from mpfkit.formulas import DenseCapError
 from mpfkit.hamiltonians import heisenberg_chain
 from mpfkit.pauli import PauliSum, PauliTerm
 from oracles import expm_minus_i, log_series_fit, pauli_decompose, unitary_log
@@ -132,7 +133,7 @@ def test_from_pauli_sum_matches_label_kron():
 
 def test_dense_cap_enforced():
     s = PauliSum.from_label("I" * 13)
-    with pytest.raises(dense.DenseCapError):
+    with pytest.raises(DenseCapError):
         dense.from_pauli_sum(s)
     dense.from_pauli_sum(s, cap=13)
 

@@ -5,22 +5,19 @@ import pytest
 
 from mpfkit.hamiltonians import heisenberg_chain, make_spec
 from mpfkit.pauli import PauliTerm
-from mpfkit.mpf import (
+from mpfkit.formulas import (
     MAX_J,
-    MPFEvaluator,
     build_mpf,
+    build_plan,
     closed_form_coefficients,
     exact_system_solve,
+    loglog_slope,
     make_mpf_spec,
     solve_coefficients,
     vandermonde_residuals,
 )
-from mpfkit.trotter import (
-    TrotterEvaluator,
-    build_plan,
-    geometric_grid,
-    loglog_slope,
-)
+from mpfkit.mpf import MPFEvaluator
+from mpfkit.trotter import TrotterEvaluator, geometric_grid
 from oracles import (
     condition_report,
     error_sweep,
@@ -91,8 +88,6 @@ class TestCoefficients:
     def test_make_spec_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             make_mpf_spec((1, 2), (0.5, 0.5))
-        loose = make_mpf_spec((1, 2), (0.5, 0.5), residual_tol=None)
-        assert loose.norm_c_1 == 1.0
 
     def test_odd_base_order_rejected(self):
         with pytest.raises(ValueError):
@@ -203,7 +198,7 @@ class TestOrderCondition:
         # base formula's order, confirming the slope fit detects the system
         spec = heisenberg_chain(4, field=0.8)
         plan = build_plan(spec.n_groups, 2)
-        loose = make_mpf_spec((1, 2), (0.5, 0.5), residual_tol=None)
+        loose = build_mpf(2)._replace(c_values=(0.5, 0.5), norm_c_1=1.0)
         taus = geometric_grid(0.02, 0.3, 10)
         ev = MPFEvaluator(loose, TrotterEvaluator(spec, plan))
         slope, _ = loglog_slope(taus, error_sweep(ev, taus))

@@ -9,23 +9,22 @@ from hypothesis import strategies as st
 
 from mpfkit import dense
 from mpfkit.bch import compute_phi_range, truncation_defect
-from mpfkit.formulas import LEAK_TOL
+from mpfkit.formulas import (
+    LEAK_TOL,
+    build_mpf,
+    build_plan,
+    loglog_slope,
+    suzuki_fractions,
+)
 from mpfkit.hamiltonians import (
     HamiltonianSpec,
     heisenberg_chain,
     long_range_zz_chain,
     make_spec,
 )
-from mpfkit.mpf import MPFEvaluator, build_mpf
+from mpfkit.mpf import MPFEvaluator
 from mpfkit.pauli import PauliTerm
-from mpfkit.trotter import (
-    TrotterEvaluator,
-    build_plan,
-    difference_norm,
-    geometric_grid,
-    loglog_slope,
-    suzuki_fractions,
-)
+from mpfkit.trotter import TrotterEvaluator, difference_norm, geometric_grid
 
 import oracles
 from oracles import (
@@ -370,8 +369,9 @@ class TestMaskBuiltBlocks:
         for got, want in zip(ev.frame.sectors, expected):
             assert np.array_equal(got, want)
         for s, m in zip(sums, mats):
-            blocks = dense.sector_blocks(dense.permuted_diagonals(s), ev.frame.sectors)
-            for idx, b in zip(ev.frame.sectors, blocks, strict=True):
+            diags = dense._stacked(dense.permuted_diagonals(s), ev.frame.dim)
+            for idx in ev.frame.sectors:
+                b = dense._fill(*diags, idx, idx)
                 assert b.tobytes() == m[idx[:, :, None], idx[:, None, :]].tobytes()
 
     @settings(max_examples=40, deadline=None)
