@@ -14,15 +14,15 @@ permutation average
                       [A_{sigma(1)}, [A_{sigma(2)}, ... A_{sigma(q)}]]
 
 where ``d_sigma`` counts adjacent descents, times an overall ``(-i)^{q-1}``.
+The average depends on a composition only through its group word (the
+group labels it spells out), so a recursion over word prefixes, one merged
+stage at a time, sums the weights per word in at most V (q+1) sum_{l<=q}
+n_groups^l updates instead of visiting all C(q+V-1, V-1) compositions.
 Permutation weights are summed as exact integers over one denominator once
-per group word (the group labels a composition spells out), so sequences
-whose weights cancel exactly are never evaluated; the surviving nested
-commutators are shared along common suffixes.  Order q visits C(q+V-1, V-1)
-compositions of the V merged stages but at most n_groups^q words; the q!
-permutations are walked once per word's equality pattern (at most the Bell
-number B_q of them) and relabelled for each word.
-:func:`check_series_budget` counts compositions and, as an upper bound, one
-walk per word, before any order is built.
+per word's equality pattern and relabelled for each word, so sequences whose
+weights cancel exactly are never evaluated; the surviving nested commutators
+are shared along common suffixes.  :func:`check_series_budget` counts the
+updates and the pattern walks before any order is built.
 
 Orders ``q <= p`` vanish for an order-p plan, every ``Phi_q`` is Hermitian,
 and the series truncated at order p0 reproduces the step unitary to
@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .formulas import (
     DEFAULT_DENSE_CAP,
@@ -53,7 +53,7 @@ if TYPE_CHECKING:
     from .trotter import TrotterEvaluator
 
 __all__ = [
-    "DEFAULT_COMPOSITION_BUDGET",
+    "DEFAULT_RECURSION_BUDGET",
     "DEFAULT_PERMUTATION_BUDGET",
     "check_series_budget",
     "compute_phi",
@@ -69,7 +69,7 @@ __all__ = [
     "check_truncated_generator",
 ]
 
-DEFAULT_COMPOSITION_BUDGET = 10**6
+DEFAULT_RECURSION_BUDGET = 10**6
 DEFAULT_PERMUTATION_BUDGET = 3 * 10**7
 
 
@@ -85,19 +85,25 @@ def _perm_weights(q: int) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]
     return den, tuple(out)
 
 
-def _compositions(
-    total: int, parts: int, start: int = 0
-) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Compositions of ``total`` >= 1 over slots ``start..parts-1``.
+def _word_weights(
+    slots: Sequence[tuple[int, float]], q: int
+) -> dict[tuple[int, ...], float]:
+    """Sum over compositions (q_1..q_V) of q of prod_v a_v^{q_v} / q_v!, keyed
+    by the group word g_1^{q_1} .. g_V^{q_V} each one spells.
 
-    Each is given as its nonzero ``(slot, part)`` pairs, in lexicographic order
-    of the full part tuples, the order that fixes :func:`compute_phi`'s sums.
+    Built slot by slot, leftmost factor first: every prefix w of length l
+    grows to ``w + (g_v,) * k`` for k = 0..q-l with weight a_v^k / k!.
     """
-    for v in range(parts - 1, start - 1, -1):
-        for k in range(1, total):
-            for rest in _compositions(total - k, parts, v + 1):
-                yield ((v, k),) + rest
-        yield ((v, total),)
+    prefixes: dict[tuple[int, ...], float] = {(): 1.0}
+    for g, a in slots:
+        powers = [a**k / math.factorial(k) for k in range(q + 1)]
+        grown: dict[tuple[int, ...], float] = {}
+        for w, c in prefixes.items():
+            for k in range(q - len(w) + 1):
+                key = w + (g,) * k
+                grown[key] = grown.get(key, 0.0) + c * powers[k]
+        prefixes = grown
+    return {w: c for w, c in prefixes.items() if len(w) == q}
 
 
 def compute_phi(
@@ -108,48 +114,34 @@ def compute_phi(
     """The order-q coefficient of the effective-generator series.
 
     ``q = 1`` returns the Hamiltonian itself (the stage fractions sum to one
-    per group).  The sum visits C(q+V-1, V-1) compositions, with V the merged
-    stage count, and sums exact permutation weights once per equality
-    pattern of its at most n_groups^q distinct words.  No budget is checked
-    here; see :func:`compute_phi_range`.
+    per group).  One weight per group word comes from :func:`_word_weights`,
+    and exact permutation weights are summed once per equality pattern of
+    its at most n_groups^q words.  No budget is checked here; see
+    :func:`compute_phi_range`.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     if plan.n_groups != spec.n_groups:
         raise ValueError("plan and spec disagree on the group count")
-    slots = plan.merged_stages()[::-1]  # leftmost product factor first
-    group_of = [g for g, _ in slots]
-    alpha_of = [a for _, a in slots]
-
     # sum the exact weights once per equality pattern of a group word (the
     # word relabelled 0, 1, ... by first occurrence), then relabel them for
-    # each word: distinct keys stay distinct and keep their order, and
-    # int / int rounds correctly
+    # each word: distinct keys stay distinct, and int / int rounds correctly
     den, weights = _perm_weights(q)
     patterns: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-    words: dict[tuple[int, ...], list[tuple[tuple[int, ...], float]]] = {}
     agg: dict[tuple[int, ...], float] = {}
-    for comp in _compositions(q, len(slots)):
-        comp_factor = 1.0
-        word: tuple[int, ...] = ()
-        for v, q_v in comp:
-            comp_factor *= alpha_of[v] ** q_v / math.factorial(q_v)
-            word += (group_of[v],) * q_v
-        if word not in words:
-            labels = list(dict.fromkeys(word))
-            pattern = tuple(labels.index(g) for g in word)
-            if pattern not in patterns:
-                local: dict[tuple[int, ...], int] = {}
-                for sigma, w in weights:
-                    key = tuple(pattern[i] for i in sigma)
-                    local[key] = local.get(key, 0) + w
-                patterns[pattern] = [(key, n) for key, n in local.items() if n]
-            words[word] = [
-                (tuple(labels[i] for i in key), n / den)
-                for key, n in patterns[pattern]
-            ]
-        for key, f in words[word]:
-            agg[key] = agg.get(key, 0.0) + f * comp_factor
+    slots = plan.merged_stages()[::-1]  # leftmost product factor first
+    for word, weight in _word_weights(slots, q).items():
+        labels = list(dict.fromkeys(word))
+        pattern = tuple(labels.index(g) for g in word)
+        if pattern not in patterns:
+            local: dict[tuple[int, ...], int] = {}
+            for sigma, w in weights:
+                key = tuple(pattern[i] for i in sigma)
+                local[key] = local.get(key, 0) + w
+            patterns[pattern] = [(key, n) for key, n in local.items() if n]
+        for key, n in patterns[pattern]:
+            seq = tuple(labels[i] for i in key)
+            agg[seq] = agg.get(seq, 0.0) + n / den * weight
 
     # evaluate the surviving nested commutators, sharing common suffixes
     acc: dict[tuple[int, int], complex] = {}
@@ -182,22 +174,30 @@ def compute_phi(
 def check_series_budget(plan: ProductFormulaPlan, q_max: int) -> None:
     """Refuse a table Phi_2..Phi_qmax over either series budget.
 
-    Order q visits C(q+V-1, q) compositions of the V merged stages, counted
-    against ``DEFAULT_COMPOSITION_BUDGET``; it stores q! permutation weights
-    and walks them at most once per distinct word, of which there are at most
-    min(n_groups^q, C(q+V-1, q)), counted against
+    Order q's word recursion makes at most V (q+1) sum_{l<=q} n_groups^l
+    (prefix, k) updates over the V merged stages, counted against
+    ``DEFAULT_RECURSION_BUDGET``; it stores q! permutation weights and walks
+    them once per equality pattern of its words, counted exactly against
     ``DEFAULT_PERMUTATION_BUDGET``.
     """
-    v_count = len(plan.merged_stages())
-    count = sum(math.comb(q + v_count - 1, q) for q in range(2, q_max + 1))
-    if count > DEFAULT_COMPOSITION_BUDGET:
+    slots = plan.merged_stages()[::-1]
+    n = plan.n_groups
+    count = len(slots) * sum(
+        (q + 1) * sum(n**l for l in range(q + 1)) for q in range(2, q_max + 1)
+    )
+    if count > DEFAULT_RECURSION_BUDGET:
         raise ValueError(
-            f"Phi_2..Phi_{q_max} sum over {count} compositions, over the "
-            f"budget {DEFAULT_COMPOSITION_BUDGET}; lower q_max or the plan order"
+            f"Phi_2..Phi_{q_max} make {count} word-recursion updates, over the "
+            f"budget {DEFAULT_RECURSION_BUDGET}; lower q_max or the plan order"
         )
+    # a word is a run sequence the stages spell in order with positive run
+    # lengths: order q has C(q-1, m-1) patterns per relabelled m-run sequence
+    runs: set[tuple[int, ...]] = {()}
+    for g, _ in slots:
+        runs |= {r + (g,) for r in runs if len(r) < q_max and r[-1:] != (g,)}
+    shapes = {tuple(list(dict.fromkeys(r)).index(g) for g in r) for r in runs if r}
     walked = sum(
-        math.factorial(q)
-        * (1 + min(plan.n_groups**q, math.comb(q + v_count - 1, q)))
+        math.factorial(q) * (1 + sum(math.comb(q - 1, len(s) - 1) for s in shapes))
         for q in range(2, q_max + 1)
     )
     if walked > DEFAULT_PERMUTATION_BUDGET:

@@ -25,6 +25,10 @@
 - The exact descent weights of :func:`mpfkit.bch.compute_phi` as
   ``Fraction`` values, the form :func:`mpfkit.bch._perm_weights` puts over
   one integer denominator.
+- The per-composition walk that :func:`mpfkit.bch._word_weights` replaces:
+  every composition of q over the merged stages visited in turn, its
+  weight added to its word (in floats or exactly), and the whole series
+  coefficient summed composition by composition.
 - The all-tuples commutator traversal, which walks every group tuple where
   :mod:`mpfkit.commutators` walks only the pairs g_1 < g_2 and doubles, and
   the full-matrix nest norm that the sector-blocked norm must reproduce.
@@ -53,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -203,6 +207,104 @@ def fraction_perm_weights(q: int) -> tuple[tuple[tuple[int, ...], Fraction], ...
         d = sum(1 for i in range(q - 1) if sigma[i] > sigma[i + 1])
         out.append((sigma, Fraction((-1) ** d, math.comb(q - 1, d))))
     return tuple(out)
+
+
+def compositions(
+    total: int, parts: int, start: int = 0
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Compositions of ``total`` >= 1 over slots ``start..parts-1``.
+
+    Each is given as its nonzero ``(slot, part)`` pairs, in lexicographic order
+    of the full part tuples, the order that fixes the per-composition sums.
+    """
+    for v in range(parts - 1, start - 1, -1):
+        for k in range(1, total):
+            for rest in compositions(total - k, parts, v + 1):
+                yield ((v, k),) + rest
+        yield ((v, total),)
+
+
+def composition_word_weights(
+    slots: Sequence[tuple[int, float]], q: int, exact: bool = False
+) -> dict[tuple[int, ...], float | Fraction]:
+    """Each composition's prod_v a_v^{q_v} / q_v! added to the word it spells,
+    in enumeration order; with ``exact`` the products and sums are
+    ``Fraction`` values of the float stage fractions, with no rounding."""
+    out: dict[tuple[int, ...], float | Fraction] = {}
+    for comp in compositions(q, len(slots)):
+        factor = Fraction(1) if exact else 1.0
+        word: tuple[int, ...] = ()
+        for v, q_v in comp:
+            g, a = slots[v]
+            factor *= (Fraction(a) if exact else a) ** q_v / math.factorial(q_v)
+            word += (g,) * q_v
+        out[word] = out.get(word, 0) + factor
+    return out
+
+
+def nest_series_term(
+    spec: HamiltonianSpec, q: int, agg: dict[tuple[int, ...], float]
+) -> PauliSum:
+    """(-i)^{q-1} / q^2 sum_seq agg[seq] [H_seq1, [H_seq2, ... H_seqq]], the
+    nests taken in order of their reversed group sequence and shared along
+    common suffixes, as :func:`mpfkit.bch.compute_phi` evaluates them."""
+    acc: dict[tuple[int, int], complex] = {}
+    stack: list[PauliSum | None] = [None] * q
+    prev: tuple[int, ...] | None = None
+    for seq in sorted(agg, key=lambda s: s[::-1]):
+        weight = agg[seq]
+        if abs(weight) < 1e-300:
+            continue
+        if prev is None:
+            start = q - 1
+        else:
+            l = q
+            while l > 0 and prev[l - 1] == seq[l - 1]:
+                l -= 1
+            start = l - 1
+        for j in range(start, -1, -1):
+            h = spec.group_sum(seq[j])
+            stack[j] = h if j == q - 1 else h.commutator(stack[j + 1])
+        prev = seq
+        nest = stack[0]
+        if nest:
+            for key, c in nest.items():
+                acc[key] = acc.get(key, 0.0) + weight * c
+    overall = (-1j) ** (q - 1) / (q * q)
+    return PauliSum(spec.n_sites, {k: overall * c for k, c in acc.items()})
+
+
+def composition_phi(plan: ProductFormulaPlan, spec: HamiltonianSpec, q: int) -> PauliSum:
+    """Phi_q summed composition by composition: each composition's weight
+    times each of its word's permutation weights (summed once per word's
+    equality pattern), added to the group sequence it lands on."""
+    slots = plan.merged_stages()[::-1]  # leftmost product factor first
+    den, weights = bch._perm_weights(q)
+    patterns: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    words: dict[tuple[int, ...], list[tuple[tuple[int, ...], float]]] = {}
+    agg: dict[tuple[int, ...], float] = {}
+    for comp in compositions(q, len(slots)):
+        comp_factor = 1.0
+        word: tuple[int, ...] = ()
+        for v, q_v in comp:
+            comp_factor *= slots[v][1] ** q_v / math.factorial(q_v)
+            word += (slots[v][0],) * q_v
+        if word not in words:
+            labels = list(dict.fromkeys(word))
+            pattern = tuple(labels.index(g) for g in word)
+            if pattern not in patterns:
+                local: dict[tuple[int, ...], int] = {}
+                for sigma, w in weights:
+                    key = tuple(pattern[i] for i in sigma)
+                    local[key] = local.get(key, 0) + w
+                patterns[pattern] = [(key, n) for key, n in local.items() if n]
+            words[word] = [
+                (tuple(labels[i] for i in key), n / den)
+                for key, n in patterns[pattern]
+            ]
+        for key, f in words[word]:
+            agg[key] = agg.get(key, 0.0) + f * comp_factor
+    return nest_series_term(spec, q, agg)
 
 
 def full_matrix_norm(nest: PauliSum, q: int = 0) -> float:

@@ -20,15 +20,19 @@ from mpfkit.bch import (
     phi_report,
     truncation_defect,
 )
-from mpfkit.bch import _compositions, _perm_weights
+from mpfkit.bch import _perm_weights, _word_weights
 from mpfkit.commutators import nested_commutator_sum
 from mpfkit.hamiltonians import heisenberg_chain, long_range_zz_chain, make_spec
 from mpfkit.pauli import PauliSum, PauliTerm
 from mpfkit.trotter import TrotterEvaluator, geometric_grid
 from mpfkit.formulas import SectorLeakError, build_plan
 from oracles import (
+    composition_phi,
+    composition_word_weights,
+    compositions,
     fraction_perm_weights,
     full_matrix_norm,
+    nest_series_term,
     oracle_phi_from_logs,
     truncated_step_unitary,
 )
@@ -271,55 +275,18 @@ def recursive_compositions(total, parts):
 
 
 def fraction_oracle_phi(plan, spec, q):
-    """compute_phi with the exact permutation weights summed per composition."""
-    slots = plan.merged_stages()[::-1]  # leftmost product factor first
-    v_count = len(slots)
-    group_of = [g for g, _ in slots]
-    alpha_of = [a for _, a in slots]
-
-    # aggregate the exact permutation weights per group sequence
+    """compute_phi with the exact permutation weights summed per word, the
+    words taken in the order the word recursion yields them."""
     agg: dict[tuple[int, ...], float] = {}
-    for comp in recursive_compositions(q, v_count):
-        comp_factor = 1.0
-        positions: list[int] = []
-        for v, q_v in enumerate(comp):
-            if q_v:
-                comp_factor *= alpha_of[v] ** q_v / math.factorial(q_v)
-                positions.extend([group_of[v]] * q_v)
+    for word, weight in _word_weights(plan.merged_stages()[::-1], q).items():
         local: dict[tuple[int, ...], Fraction] = {}
         for sigma, w in fraction_perm_weights(q):
-            key = tuple(positions[i] for i in sigma)
+            key = tuple(word[i] for i in sigma)
             local[key] = local.get(key, Fraction(0)) + w
         for key, fr in local.items():
             if fr:
-                agg[key] = agg.get(key, 0.0) + float(fr) * comp_factor
-
-    # evaluate the surviving nested commutators, sharing common suffixes
-    acc: dict[tuple[int, int], complex] = {}
-    stack: list[PauliSum | None] = [None] * q
-    prev: tuple[int, ...] | None = None
-    for seq in sorted(agg, key=lambda s: s[::-1]):
-        weight = agg[seq]
-        if abs(weight) < 1e-300:
-            continue
-        if prev is None:
-            start = q - 1
-        else:
-            l = q
-            while l > 0 and prev[l - 1] == seq[l - 1]:
-                l -= 1
-            start = l - 1
-        for j in range(start, -1, -1):
-            h = spec.group_sum(seq[j])
-            stack[j] = h if j == q - 1 else h.commutator(stack[j + 1])
-        prev = seq
-        nest = stack[0]
-        if nest:
-            for key, c in nest.items():
-                acc[key] = acc.get(key, 0.0) + weight * c
-
-    overall = (-1j) ** (q - 1) / (q * q)
-    return PauliSum(spec.n_sites, {k: overall * c for k, c in acc.items()})
+                agg[key] = agg.get(key, 0.0) + float(fr) * weight
+    return nest_series_term(spec, q, agg)
 
 
 @st.composite
@@ -341,7 +308,7 @@ def three_site_specs(draw):
 
 
 # compute_phi(build_plan(3, p), heisenberg_chain(3, field=0.4), q) keyed by
-# (p, q), as the per-composition Fraction aggregation computed it
+# (p, q), with the word weights summed by the prefix recursion
 FROZEN_PHI_THREE_SITES = {
     (1, 1): {
         (3, 0): 1.0, (3, 3): 1.0, (0, 3): 1.0, (6, 0): 1.0, (6, 6): 1.0, (0, 6): 1.0,
@@ -377,9 +344,9 @@ FROZEN_PHI_THREE_SITES = {
     },
     (2, 4): {},
     (2, 5): {
-        (6, 6): -0.3333333333333334, (5, 5): 0.33333333333333337,
-        (0, 6): -0.3333333333333334, (0, 5): 0.33333333333333337,
-        (6, 0): -0.3333333333333334, (5, 0): 0.33333333333333337,
+        (6, 6): -0.3333333333333334, (5, 5): 0.3333333333333333,
+        (0, 6): -0.3333333333333334, (0, 5): 0.3333333333333333,
+        (6, 0): -0.3333333333333334, (5, 0): 0.3333333333333333,
     },
     (4, 1): {
         (3, 0): 1.0, (3, 3): 1.0, (0, 3): 1.0, (6, 0): 1.0, (6, 6): 1.0, (0, 6): 1.0,
@@ -389,32 +356,32 @@ FROZEN_PHI_THREE_SITES = {
     (4, 3): {},
     (4, 4): {},
     (4, 5): {
-        (6, 6): -0.007683536370017126, (5, 5): -0.024791998465442822,
-        (0, 6): -0.007683536370017126, (0, 5): -0.024791998465442822,
-        (6, 0): -0.007683536370017126, (5, 0): -0.024791998465442822,
-        (3, 3): 0.03247553483545995, (0, 3): 0.03247553483545995,
-        (3, 0): 0.03247553483545995,
+        (6, 6): -0.007683536370017161, (5, 5): -0.024791998465440952,
+        (0, 6): -0.007683536370017161, (0, 5): -0.024791998465440952,
+        (6, 0): -0.007683536370017161, (5, 0): -0.024791998465440952,
+        (3, 3): 0.032475534835458106, (0, 3): 0.032475534835458106,
+        (3, 0): 0.032475534835458106,
     },
 }
 
 # Phi_5 of the fourth-order plan on heisenberg_chain(4, field=0.0), the
 # coefficient the `series` benchmark workload spends its time on
 FROZEN_PHI_SERIES = {
-    (6, 6): -0.11502694026256755, (5, 5): -0.03966719754470554,
-    (9, 6): 0.06495106967091624, (5, 10): -0.06495106967091616,
-    (0, 6): -0.11502694026256755, (0, 5): -0.03966719754470554,
-    (15, 6): 0.06495106967091624, (15, 10): -0.06495106967091616,
-    (15, 5): -0.06495106967091616, (15, 9): 0.06495106967091624,
-    (10, 5): -0.06495106967091616, (6, 9): 0.06495106967091624,
-    (10, 10): -0.03966719754470554, (0, 10): -0.03966719754470554,
-    (0, 9): -0.014875199079264956, (9, 9): -0.014875199079264956,
-    (6, 0): -0.11502694026256755, (5, 0): -0.03966719754470554,
-    (9, 15): 0.06495106967091624, (5, 15): -0.06495106967091616,
-    (10, 15): -0.06495106967091616, (6, 15): 0.06495106967091624,
-    (10, 0): -0.03966719754470554, (9, 0): -0.014875199079264956,
-    (3, 3): 0.10461826721562177, (0, 3): 0.10461826721562177,
-    (12, 12): 0.10461826721562177, (0, 12): 0.10461826721562177,
-    (3, 0): 0.10461826721562177, (12, 0): 0.10461826721562177,
+    (6, 6): -0.11502694026256763, (5, 5): -0.03966719754470574,
+    (9, 6): 0.06495106967091616, (5, 10): -0.06495106967091609,
+    (0, 6): -0.11502694026256763, (0, 5): -0.03966719754470574,
+    (15, 6): 0.06495106967091616, (15, 10): -0.06495106967091609,
+    (15, 5): -0.06495106967091609, (15, 9): 0.06495106967091616,
+    (10, 5): -0.06495106967091609, (6, 9): 0.06495106967091616,
+    (10, 10): -0.03966719754470574, (0, 10): -0.03966719754470574,
+    (0, 9): -0.014875199079264654, (9, 9): -0.014875199079264654,
+    (6, 0): -0.11502694026256763, (5, 0): -0.03966719754470574,
+    (9, 15): 0.06495106967091616, (5, 15): -0.06495106967091609,
+    (10, 15): -0.06495106967091609, (6, 15): 0.06495106967091616,
+    (10, 0): -0.03966719754470574, (9, 0): -0.014875199079264654,
+    (3, 3): 0.1046182672156219, (0, 3): 0.1046182672156219,
+    (12, 12): 0.1046182672156219, (0, 12): 0.1046182672156219,
+    (3, 0): 0.1046182672156219, (12, 0): 0.1046182672156219,
 }
 
 
@@ -424,11 +391,39 @@ class TestWordAggregation:
     @example(spec=heisenberg_chain(3, coupling=-0.9, field=0.0), p=4, q=5)
     @example(spec=heisenberg_chain(3, coupling=1.3, field=0.7), p=4, q=4)
     def test_matches_the_fraction_oracle(self, spec, p, q):
-        if spec.n_groups == 3 and p == 4:
-            q = min(q, 4)
         plan = build_plan(spec.n_groups, p)
         mine = dict(compute_phi(plan, spec, q).items())
         assert mine == dict(fraction_oracle_phi(plan, spec, q).items())
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=three_site_specs(), p=st.sampled_from([1, 2, 4]), q=st.integers(1, 5))
+    @example(spec=heisenberg_chain(3, coupling=-0.9, field=0.0), p=4, q=5)
+    @example(spec=heisenberg_chain(3, coupling=1.3, field=0.7), p=4, q=5)
+    def test_matches_the_per_composition_oracle(self, spec, p, q):
+        # the two routes differ only in rounding; the summed composition
+        # weights are at most c^q and each nest at most (2 L)^q in one-norm
+        plan = build_plan(spec.n_groups, p)
+        mine = dict(compute_phi(plan, spec, q).items())
+        oracle = dict(composition_phi(plan, spec, q).items())
+        tol = 1e-15 * (2 * plan.stage_factor * spec.total_one_norm) ** q
+        for key in mine.keys() | oracle.keys():
+            assert abs(mine.get(key, 0) - oracle.get(key, 0)) <= tol, key
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    @pytest.mark.parametrize("n_groups", [1, 2, 3])
+    def test_word_weights_round_no_worse_than_the_compositions(self, n_groups, p):
+        # against the exact Fraction sums of the float stage fractions
+        slots = build_plan(n_groups, p).merged_stages()[::-1]
+        for q in range(1, 6):
+            exact = composition_word_weights(slots, q, exact=True)
+            mine = _word_weights(slots, q)
+            per_composition = composition_word_weights(slots, q)
+            assert mine.keys() == exact.keys() == per_composition.keys()
+
+            def worst(weights):
+                return max(abs(Fraction(weights[w]) - exact[w]) for w in exact)
+
+            assert worst(mine) <= worst(per_composition), q
 
     @pytest.mark.parametrize("q", range(1, 9))
     def test_integer_weights_are_the_fractions(self, q):
@@ -460,7 +455,7 @@ class TestWordAggregation:
         for parts in range(1, 13):
             for total in range(1, 7):
                 dense_parts = []
-                for comp in _compositions(total, parts):
+                for comp in compositions(total, parts):
                     full = [0] * parts
                     for v, q_v in comp:
                         full[v] = q_v
@@ -483,20 +478,45 @@ class TestWordAggregation:
 
 class TestCompositionBudget:
     def test_checked_before_any_coefficient(self, monkeypatch):
-        # two merged stages: C(3, 2) + C(4, 3) = 7 compositions for q = 2, 3
+        # two merged stages over two groups: 2 (3 x 7 + 4 x 15) = 162 updates
+        # bound the recursion for q = 2, 3
         plan = build_plan(2, 1)
-        monkeypatch.setattr(bch, "DEFAULT_COMPOSITION_BUDGET", 7)
+        monkeypatch.setattr(bch, "DEFAULT_RECURSION_BUDGET", 162)
         assert sorted(compute_phi_range(plan, toy_spec(), 3)) == [2, 3]
-        monkeypatch.setattr(bch, "DEFAULT_COMPOSITION_BUDGET", 6)
+        monkeypatch.setattr(bch, "DEFAULT_RECURSION_BUDGET", 161)
         monkeypatch.setattr(bch, "compute_phi", None)
-        with pytest.raises(ValueError, match="7 compositions, over the budget 6"):
+        with pytest.raises(
+            ValueError, match="162 word-recursion updates, over the budget 161"
+        ):
             compute_phi_range(plan, toy_spec(), 3)
+
+    @pytest.mark.parametrize("p", [1, 2, 4, 6])
+    @pytest.mark.parametrize("n_groups", [1, 2, 3])
+    def test_count_bounds_the_replayed_updates(self, monkeypatch, n_groups, p):
+        # replay the recursion on word sets alone, counting each (prefix, k)
+        plan = build_plan(n_groups, p)
+        slots = plan.merged_stages()[::-1]
+        updates = 0
+        for q in range(2, 5):
+            prefixes = {()}
+            for g, _ in slots:
+                updates += sum(q - len(w) + 1 for w in prefixes)
+                prefixes = {
+                    w + (g,) * k for w in prefixes for k in range(q - len(w) + 1)
+                }
+            words = {w for w in prefixes if len(w) == q}
+            assert words == set(_word_weights(slots, q)), q
+        monkeypatch.setattr(bch, "DEFAULT_RECURSION_BUDGET", 0)
+        with pytest.raises(ValueError, match="word-recursion updates") as refused:
+            bch.check_series_budget(plan, 4)
+        count = int(str(refused.value).split(" make ")[1].split()[0])
+        assert count >= updates
 
 
 class TestPermutationBudget:
     def test_counted_before_any_coefficient(self, monkeypatch):
-        # two groups on a Strang plan merge into three stages; order q walks
-        # q! weights once per word, at most min(2^q, C(q+2, q)) words
+        # two groups on a Strang plan merge into three stages, 1 2 1: order q
+        # walks q! weights once per pattern, 1 + (q-1) + C(q-1, 2) of them
         spec = heisenberg_chain(4, field=0.0)
         plan = build_plan(spec.n_groups, 2)
         orders = []
@@ -510,7 +530,42 @@ class TestPermutationBudget:
         assert orders == list(range(2, 10))
         orders.clear()
         with pytest.raises(
-            ValueError, match="walk 265516048 permutation weights, over the budget"
+            ValueError, match="walk 185682468 permutation weights, over the budget"
         ):
             compute_phi_range(plan, spec, 10)
         assert orders == []
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    @pytest.mark.parametrize("n_groups", [1, 2, 3, 4])
+    def test_counts_the_patterns_compute_phi_walks(self, monkeypatch, n_groups, p):
+        plan = build_plan(n_groups, p)
+        slots = plan.merged_stages()[::-1]
+        walked = 0
+        for q in range(2, 6):
+            words = _word_weights(slots, q)
+            shapes = {tuple(list(dict.fromkeys(w)).index(g) for g in w) for w in words}
+            walked += math.factorial(q) * (1 + len(shapes))
+        monkeypatch.setattr(bch, "DEFAULT_PERMUTATION_BUDGET", walked)
+        bch.check_series_budget(plan, 5)
+        monkeypatch.setattr(bch, "DEFAULT_PERMUTATION_BUDGET", walked - 1)
+        with pytest.raises(ValueError, match=f"walk {walked} permutation weights"):
+            bch.check_series_budget(plan, 5)
+
+    @pytest.mark.parametrize("p", [1, 2, 4, 6])
+    def test_refuses_every_table_the_per_word_count_refused(self, p):
+        # the earlier W walked q! weights once per distinct word, at most
+        # min(n_groups^q, C(q+V-1, q)) of them; a table over its budget, and
+        # within the tuple budget, must stay refused by one of the two counts
+        for n_groups in range(1, 16):
+            plan = build_plan(n_groups, p)
+            v = len(plan.merged_stages())
+            for q_max in range(2, 14):
+                if n_groups**q_max > 10**6:
+                    continue
+                per_word = sum(
+                    math.factorial(q) * (1 + min(n_groups**q, math.comb(q + v - 1, q)))
+                    for q in range(2, q_max + 1)
+                )
+                if per_word > bch.DEFAULT_PERMUTATION_BUDGET:
+                    with pytest.raises(ValueError, match="over the budget"):
+                        bch.check_series_budget(plan, q_max)

@@ -846,16 +846,16 @@ class TestCompositionBudget:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("verify-bounds", "--n-sites", "5", "--p", "6", "--qmax", "4"),
-            ("phi", "--p", "6", "--qmax", "4"),
+            ("verify-bounds", "--n-sites", "5", "--p", "6", "--qmax", "7"),
+            ("phi", "--p", "6", "--qmax", "7"),
         ],
         ids=["verify-bounds", "phi"],
     )
     def test_over_budget_refused_before_any_series(
         self, tmp_path, monkeypatch, capsys, argv
     ):
-        # three groups at p = 6 merge into 101 stages: C(102, 2) + C(103, 3)
-        # + C(104, 4) compositions for Phi_2..Phi_4
+        # three groups at p = 6 merge into 101 stages: the word recursion
+        # makes at most 101 (q+1) sum_{l<=q} 3^l updates per order q <= 7
         calls = []
 
         def refused(*args, **kwargs):
@@ -866,7 +866,7 @@ class TestCompositionBudget:
         assert run(tmp_path, *argv) == 2
         assert calls == []
         err = capsys.readouterr().err
-        assert "4780128 compositions, over the budget 1000000" in err
+        assert "3724779 word-recursion updates, over the budget 1000000" in err
 
     @pytest.mark.parametrize("command", ["verify-bounds", "phi"])
     def test_over_budget_refused_before_the_alpha_table(
@@ -880,19 +880,20 @@ class TestCompositionBudget:
             raise AssertionError("the alpha table was enumerated")
 
         monkeypatch.setattr(commutators, "commutator_sums", refused)
-        argv = (command, "--n-sites", "10", "--p", "6", "--qmax", "4")
+        argv = (command, "--n-sites", "10", "--p", "6", "--qmax", "7")
         assert run(tmp_path, *argv) == 2
         assert calls == []
         err = capsys.readouterr().err
-        assert "4780128 compositions, over the budget 1000000" in err
+        assert "3724779 word-recursion updates, over the budget 1000000" in err
 
     @pytest.mark.parametrize(
         "argv, walked",
         [
-            # two groups, three merged stages: the 11! weights are stored
-            # once and walked by each of min(2^11, C(13, 11)) = 78 words
-            (("phi", "--field", "0", "--qmax", "11"), 3418943248),
-            # one group on two sites: one word per order
+            # two groups, three merged stages 1 2 1: the 11! weights are
+            # stored once and walked by each of 1 + 10 + C(10, 2) = 56
+            # equality patterns of the words
+            (("phi", "--field", "0", "--qmax", "11"), 2460940068),
+            # one group on two sites: one word, one pattern per order
             (("phi", "--n-sites", "2", "--field", "0", "--qmax", "11"), 87909424),
         ],
         ids=["two-groups", "one-group"],
@@ -914,9 +915,20 @@ class TestCompositionBudget:
         assert f"walk {walked} permutation weights, over the budget 30000000" in err
         assert not out.exists()
 
+    def test_sixth_order_series_runs(self, tmp_path):
+        # two groups at p = 6: 51 merged stages, C(57, 7) = 264,385,836
+        # compositions at q = 7 alone, but 180,693 recursion updates in all
+        argv = ("phi", "--n-sites", "4", "--p", "6", "--qmax", "7", "--field", "0")
+        assert run(tmp_path, *argv) == 0
+        rows = {row["q"]: row for row in load(tmp_path, "phi_report.json")["rows"]}
+        assert sorted(rows) == list(range(2, 8))
+        for q in range(2, 7):
+            assert rows[q]["bounds_hold"] and rows[q]["norm"] <= 1e-12, q
+        assert rows[7]["norm"] > 1e-3
+
     def test_tuple_budget_still_refuses_first(self, tmp_path, capsys):
-        # 3^13 tuples exceed the tuple budget; the p = 2 plan's compositions
-        # are within theirs
+        # 3^13 tuples exceed the tuple budget; the p = 2 plan's word
+        # recursion is within its own
         assert run(tmp_path, "phi", "--qmax", "13") == 2
         assert "3^13 tuples exceed the budget 1000000" in capsys.readouterr().err
 
@@ -932,15 +944,15 @@ class TestPreflight:
                 "3^20 tuples exceed the budget 1000000",
             ),
             (("phi", "--qmax", "13"), "3^13 tuples exceed the budget 1000000"),
-            (("phi", "--p", "6", "--qmax", "4"), "over 4780128 compositions"),
+            (("phi", "--p", "6", "--qmax", "7"), "make 3724779 word-recursion"),
             (
-                ("verify-bounds", "--n-sites", "10", "--p", "6", "--qmax", "4"),
-                "over 4780128 compositions",
+                ("verify-bounds", "--n-sites", "10", "--p", "6", "--qmax", "7"),
+                "make 3724779 word-recursion",
             ),
-            (("phi", "--field", "0", "--qmax", "11"), "walk 3418943248 permutation"),
+            (("phi", "--field", "0", "--qmax", "11"), "walk 2460940068 permutation"),
             (
                 ("verify-bounds", "--n-sites", "8", "--field", "0", "--qmax", "11"),
-                "walk 3418943248 permutation",
+                "walk 2460940068 permutation",
             ),
             (("phi", "--n-sites", "24"), "n_sites = 24 exceeds the site cap 16"),
             (("verify-order", "--n-sites", "13"), "on 13 sites exceeds cap 12"),
@@ -957,7 +969,7 @@ class TestPreflight:
         ],
         ids=[
             "alpha-tuples", "cost-tuples", "verify-bounds-tuples", "phi-tuples",
-            "phi-compositions", "verify-bounds-compositions",
+            "phi-recursion", "verify-bounds-recursion",
             "phi-permutations", "verify-bounds-permutations",
             "phi-site-cap", "verify-order-dense-cap",
             "verify-bounds-zero-heisenberg", "verify-bounds-zero-long-range",
