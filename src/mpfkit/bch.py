@@ -16,13 +16,12 @@ permutation average
 where ``d_sigma`` counts adjacent descents, times an overall ``(-i)^{q-1}``.
 The average depends on a composition only through its group word (the
 group labels it spells out), so a recursion over word prefixes, one merged
-stage at a time, sums the weights per word in at most V (q+1) sum_{l<=q}
-n_groups^l updates instead of visiting all C(q+V-1, V-1) compositions.
-Permutation weights are summed as exact integers over one denominator once
-per word's equality pattern and relabelled for each word, so sequences whose
-weights cancel exactly are never evaluated; the surviving nested commutators
-are shared along common suffixes.  :func:`check_series_budget` counts the
-updates and the pattern walks before any order is built.
+stage at a time, sums the weights per word instead of visiting all
+C(q+V-1, V-1) compositions.  Permutation weights are summed as exact
+integers once per word's equality pattern and relabelled for each word, so
+sequences whose weights cancel are never evaluated; the surviving nested
+commutators share common suffixes.  :func:`check_series_budget` counts this
+work before any order is built.
 
 Orders ``q <= p`` vanish for an order-p plan, every ``Phi_q`` is Hermitian,
 and the series truncated at order p0 reproduces the step unitary to
@@ -34,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -91,26 +91,25 @@ def _word_weights(
     """Sum over compositions (q_1..q_V) of q of prod_v a_v^{q_v} / q_v!, keyed
     by the group word g_1^{q_1} .. g_V^{q_V} each one spells.
 
-    Built slot by slot, leftmost factor first: every prefix w of length l
-    grows to ``w + (g_v,) * k`` for k = 0..q-l with weight a_v^k / k!.
+    Built slot by slot, leftmost factor first: every prefix w of length l < q
+    grows to ``w + (g_v,) * k`` for k = 0..q-l with weight a_v^k / k!, and
+    the words of length q it reaches leave the prefixes.
     """
     prefixes: dict[tuple[int, ...], float] = {(): 1.0}
+    words: dict[tuple[int, ...], float] = {}
     for g, a in slots:
         powers = [a**k / math.factorial(k) for k in range(q + 1)]
         grown: dict[tuple[int, ...], float] = {}
         for w, c in prefixes.items():
             for k in range(q - len(w) + 1):
                 key = w + (g,) * k
-                grown[key] = grown.get(key, 0.0) + c * powers[k]
+                into = words if len(key) == q else grown
+                into[key] = into.get(key, 0.0) + c * powers[k]
         prefixes = grown
-    return {w: c for w, c in prefixes.items() if len(w) == q}
+    return words
 
 
-def compute_phi(
-    plan: ProductFormulaPlan,
-    spec: HamiltonianSpec,
-    q: int,
-) -> PauliSum:
+def compute_phi(plan: ProductFormulaPlan, spec: HamiltonianSpec, q: int) -> PauliSum:
     """The order-q coefficient of the effective-generator series.
 
     ``q = 1`` returns the Hamiltonian itself (the stage fractions sum to one
@@ -151,13 +150,9 @@ def compute_phi(
         weight = agg[seq]
         if abs(weight) < 1e-300:
             continue
-        if prev is None:
-            start = q - 1
-        else:
-            l = q
-            while l > 0 and prev[l - 1] == seq[l - 1]:
-                l -= 1
-            start = l - 1
+        start = q - 1
+        while prev and start >= 0 and prev[start] == seq[start]:
+            start -= 1
         for j in range(start, -1, -1):
             h = spec.group_sum(seq[j])
             stack[j] = h if j == q - 1 else h.commutator(stack[j + 1])
@@ -174,32 +169,50 @@ def compute_phi(
 def check_series_budget(plan: ProductFormulaPlan, q_max: int) -> None:
     """Refuse a table Phi_2..Phi_qmax over either series budget.
 
-    Order q's word recursion makes at most V (q+1) sum_{l<=q} n_groups^l
-    (prefix, k) updates over the V merged stages, counted against
-    ``DEFAULT_RECURSION_BUDGET``; it stores q! permutation weights and walks
-    them once per equality pattern of its words, counted exactly against
-    ``DEFAULT_PERMUTATION_BUDGET``.
+    The word recursion's (prefix, k) updates are counted exactly against
+    ``DEFAULT_RECURSION_BUDGET``.  Against ``DEFAULT_PERMUTATION_BUDGET`` go,
+    per order q, the q! stored permutation weights, q! per equality pattern
+    of the words, and per word its distinct rearrangements, the most keys it
+    relabels.
     """
+    # replay the recursion on counts of the distinct prefixes by length, in
+    # all and ending in each group: one ending in g after stage g is one not
+    # ending in g and a run of g; one of length l < q makes q-l+1 updates
     slots = plan.merged_stages()[::-1]
-    n = plan.n_groups
-    count = len(slots) * sum(
-        (q + 1) * sum(n**l for l in range(q + 1)) for q in range(2, q_max + 1)
-    )
+    orders = range(2, q_max + 1)
+    by_len, ends, count = [1] + [0] * q_max, {}, 0
+    for g, _ in slots:
+        count += sum(by_len[l] * (q - l + 1) for q in orders for l in range(q))
+        old = ends.get(g, [0] * (q_max + 1))
+        ends[g] = [sum(by_len[j] - old[j] for j in range(l)) for l in range(q_max + 1)]
+        by_len = [t - o + e for t, o, e in zip(by_len, old, ends[g])]
     if count > DEFAULT_RECURSION_BUDGET:
         raise ValueError(
             f"Phi_2..Phi_{q_max} make {count} word-recursion updates, over the "
             f"budget {DEFAULT_RECURSION_BUDGET}; lower q_max or the plan order"
         )
-    # a word is a run sequence the stages spell in order with positive run
-    # lengths: order q has C(q-1, m-1) patterns per relabelled m-run sequence
+    # a word is a run sequence the stages spell in order, with positive run
+    # lengths: C(q-1, m-1) patterns per relabelled m-run sequence.  A group
+    # with k runs takes c letters in C(c-1, k-1) ways, and a word with c_j
+    # letters of group j has q!/prod_j c_j! distinct rearrangements
     runs: set[tuple[int, ...]] = {()}
     for g, _ in slots:
         runs |= {r + (g,) for r in runs if len(r) < q_max and r[-1:] != (g,)}
-    shapes = {tuple(list(dict.fromkeys(r)).index(g) for g in r) for r in runs if r}
+    runs.discard(())
+    shapes = {tuple(list(dict.fromkeys(r)).index(g) for g in r) for r in runs}
     walked = sum(
         math.factorial(q) * (1 + sum(math.comb(q - 1, len(s) - 1) for s in shapes))
-        for q in range(2, q_max + 1)
+        for q in orders
     )
+    for split, n_runs in Counter(tuple(Counter(r).values()) for r in runs).items():
+        ways = [1] + [0] * q_max  # by the letters placed so far
+        for k in split:
+            ways = [
+                sum(ways[t - c] * math.comb(t, c) * math.comb(c - 1, k - 1)
+                    for c in range(k, t + 1))
+                for t in range(q_max + 1)
+            ]
+        walked += n_runs * sum(ways[2:])
     if walked > DEFAULT_PERMUTATION_BUDGET:
         raise ValueError(
             f"Phi_2..Phi_{q_max} walk {walked} permutation weights, over the "
@@ -208,9 +221,7 @@ def check_series_budget(plan: ProductFormulaPlan, q_max: int) -> None:
 
 
 def compute_phi_range(
-    plan: ProductFormulaPlan,
-    spec: HamiltonianSpec,
-    q_max: int,
+    plan: ProductFormulaPlan, spec: HamiltonianSpec, q_max: int
 ) -> dict[int, PauliSum]:
     """The table Phi_2..Phi_qmax, keyed by order, refused before any work
     by :func:`check_series_budget`."""
@@ -236,13 +247,8 @@ def phi_extensiveness_bound(
     """Extensiveness ceiling ((q-1)!/q) (2 c k g)^{q-1} c g for c = stage factor."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    return (
-        math.factorial(q - 1)
-        / q
-        * (2.0 * stage_factor * k * g) ** (q - 1)
-        * stage_factor
-        * g
-    )
+    spread = (2.0 * stage_factor * k * g) ** (q - 1)
+    return math.factorial(q - 1) / q * spread * stage_factor * g
 
 
 class PhiReport(NamedTuple):
@@ -304,10 +310,7 @@ def phi_report(
 
 
 def effective_generator(
-    spec: HamiltonianSpec,
-    tau: float,
-    p0: int,
-    phis: dict[int, PauliSum],
+    spec: HamiltonianSpec, tau: float, p0: int, phis: dict[int, PauliSum]
 ) -> PauliSum:
     """H + sum_{q=2}^{p0} Phi_q tau^{q-1}, the generator of one step."""
     if p0 < 1:
@@ -319,10 +322,7 @@ def effective_generator(
 
 
 def truncation_defect(
-    evaluator: TrotterEvaluator,
-    phis: dict[int, PauliSum],
-    tau: float,
-    p0: int,
+    evaluator: TrotterEvaluator, phis: dict[int, PauliSum], tau: float, p0: int
 ) -> float:
     """|| T(tau) - exp(-i H_eff^{(p0)}(tau) tau) || at one time argument.
 

@@ -344,9 +344,9 @@ FROZEN_PHI_THREE_SITES = {
     },
     (2, 4): {},
     (2, 5): {
-        (6, 6): -0.3333333333333334, (5, 5): 0.3333333333333333,
-        (0, 6): -0.3333333333333334, (0, 5): 0.3333333333333333,
-        (6, 0): -0.3333333333333334, (5, 0): 0.3333333333333333,
+        (6, 6): -0.3333333333333333, (5, 5): 0.3333333333333333,
+        (0, 6): -0.3333333333333333, (0, 5): 0.3333333333333333,
+        (6, 0): -0.3333333333333333, (5, 0): 0.3333333333333333,
     },
     (4, 1): {
         (3, 0): 1.0, (3, 3): 1.0, (0, 3): 1.0, (6, 0): 1.0, (6, 6): 1.0, (0, 6): 1.0,
@@ -359,29 +359,29 @@ FROZEN_PHI_THREE_SITES = {
         (6, 6): -0.007683536370017161, (5, 5): -0.024791998465440952,
         (0, 6): -0.007683536370017161, (0, 5): -0.024791998465440952,
         (6, 0): -0.007683536370017161, (5, 0): -0.024791998465440952,
-        (3, 3): 0.032475534835458106, (0, 3): 0.032475534835458106,
-        (3, 0): 0.032475534835458106,
+        (3, 3): 0.03247553483545811, (0, 3): 0.03247553483545811,
+        (3, 0): 0.03247553483545811,
     },
 }
 
 # Phi_5 of the fourth-order plan on heisenberg_chain(4, field=0.0), the
 # coefficient the `series` benchmark workload spends its time on
 FROZEN_PHI_SERIES = {
-    (6, 6): -0.11502694026256763, (5, 5): -0.03966719754470574,
-    (9, 6): 0.06495106967091616, (5, 10): -0.06495106967091609,
-    (0, 6): -0.11502694026256763, (0, 5): -0.03966719754470574,
-    (15, 6): 0.06495106967091616, (15, 10): -0.06495106967091609,
-    (15, 5): -0.06495106967091609, (15, 9): 0.06495106967091616,
-    (10, 5): -0.06495106967091609, (6, 9): 0.06495106967091616,
-    (10, 10): -0.03966719754470574, (0, 10): -0.03966719754470574,
-    (0, 9): -0.014875199079264654, (9, 9): -0.014875199079264654,
-    (6, 0): -0.11502694026256763, (5, 0): -0.03966719754470574,
-    (9, 15): 0.06495106967091616, (5, 15): -0.06495106967091609,
-    (10, 15): -0.06495106967091609, (6, 15): 0.06495106967091616,
-    (10, 0): -0.03966719754470574, (9, 0): -0.014875199079264654,
-    (3, 3): 0.1046182672156219, (0, 3): 0.1046182672156219,
-    (12, 12): 0.1046182672156219, (0, 12): 0.1046182672156219,
-    (3, 0): 0.1046182672156219, (12, 0): 0.1046182672156219,
+    (6, 6): -0.1150269402625677, (5, 5): -0.03966719754470566,
+    (9, 6): 0.06495106967091617, (5, 10): -0.06495106967091616,
+    (0, 6): -0.1150269402625677, (0, 5): -0.03966719754470566,
+    (15, 6): 0.06495106967091617, (15, 10): -0.06495106967091616,
+    (15, 5): -0.06495106967091616, (15, 9): 0.06495106967091617,
+    (10, 5): -0.06495106967091616, (6, 9): 0.06495106967091617,
+    (10, 10): -0.03966719754470566, (0, 10): -0.03966719754470566,
+    (0, 9): -0.014875199079264637, (9, 9): -0.014875199079264637,
+    (6, 0): -0.1150269402625677, (5, 0): -0.03966719754470566,
+    (9, 15): 0.06495106967091617, (5, 15): -0.06495106967091616,
+    (10, 15): -0.06495106967091616, (6, 15): 0.06495106967091617,
+    (10, 0): -0.03966719754470566, (9, 0): -0.014875199079264637,
+    (3, 3): 0.10461826721562183, (0, 3): 0.10461826721562183,
+    (12, 12): 0.10461826721562183, (0, 12): 0.10461826721562183,
+    (3, 0): 0.10461826721562183, (12, 0): 0.10461826721562183,
 }
 
 
@@ -476,47 +476,78 @@ class TestWordAggregation:
         assert dict(compute_phi(plan, spec, 5).items()) == FROZEN_PHI_SERIES
 
 
+def parent_counts(plan, q_max):
+    """The compositions and per-word walks the composition loop's preflight
+    counted: C(q+V-1, q) and q! (1 + min(n_groups^q, C(q+V-1, q))) per order."""
+    v, n = len(plan.merged_stages()), plan.n_groups
+    orders = range(2, q_max + 1)
+    comps = sum(math.comb(q + v - 1, q) for q in orders)
+    walked = sum(
+        math.factorial(q) * (1 + min(n**q, math.comb(q + v - 1, q))) for q in orders
+    )
+    return comps, walked
+
+
+def budget_grid(p):
+    """(plan, q_max) for 1 to 15 groups and q_max 2..13 within the tuple budget."""
+    for n_groups in range(1, 16):
+        plan = build_plan(n_groups, p)
+        for q_max in range(2, 14):
+            if n_groups**q_max <= 10**6:
+                yield plan, q_max
+
+
+# (p, n_groups, q_max) over the per-word walk budget whose walks and
+# relabels, counted as compute_phi makes them, fit in the budget
+ADMITTED_OVER_THE_PER_WORD_COUNT = {
+    (2, 4, 8), (2, 5, 7), (2, 6, 7), (2, 7, 7), (2, 9, 6), (2, 10, 6),
+    (4, 4, 7), (4, 6, 6),
+}
+
+
 class TestCompositionBudget:
     def test_checked_before_any_coefficient(self, monkeypatch):
-        # two merged stages over two groups: 2 (3 x 7 + 4 x 15) = 162 updates
-        # bound the recursion for q = 2, 3
+        # two merged stages over two groups: before the first the empty
+        # prefix makes q+1 updates, before the second each prefix 1^l, l < q,
+        # makes q-l+1: 3 + 5 for q = 2 and 4 + 9 for q = 3
         plan = build_plan(2, 1)
-        monkeypatch.setattr(bch, "DEFAULT_RECURSION_BUDGET", 162)
+        monkeypatch.setattr(bch, "DEFAULT_RECURSION_BUDGET", 21)
         assert sorted(compute_phi_range(plan, toy_spec(), 3)) == [2, 3]
-        monkeypatch.setattr(bch, "DEFAULT_RECURSION_BUDGET", 161)
+        monkeypatch.setattr(bch, "DEFAULT_RECURSION_BUDGET", 20)
         monkeypatch.setattr(bch, "compute_phi", None)
         with pytest.raises(
-            ValueError, match="162 word-recursion updates, over the budget 161"
+            ValueError, match="21 word-recursion updates, over the budget 20"
         ):
             compute_phi_range(plan, toy_spec(), 3)
 
     @pytest.mark.parametrize("p", [1, 2, 4, 6])
     @pytest.mark.parametrize("n_groups", [1, 2, 3])
-    def test_count_bounds_the_replayed_updates(self, monkeypatch, n_groups, p):
-        # replay the recursion on word sets alone, counting each (prefix, k)
+    def test_counts_the_replayed_updates(self, monkeypatch, n_groups, p):
+        # replay the recursion on word sets alone, counting each (prefix, k);
+        # words of length q leave the prefixes
         plan = build_plan(n_groups, p)
         slots = plan.merged_stages()[::-1]
         updates = 0
-        for q in range(2, 5):
-            prefixes = {()}
+        for q in range(2, 6):
+            prefixes, words = {()}, set()
             for g, _ in slots:
                 updates += sum(q - len(w) + 1 for w in prefixes)
-                prefixes = {
-                    w + (g,) * k for w in prefixes for k in range(q - len(w) + 1)
-                }
-            words = {w for w in prefixes if len(w) == q}
+                grown = {w + (g,) * k for w in prefixes for k in range(q - len(w) + 1)}
+                words |= {w for w in grown if len(w) == q}
+                prefixes = grown - words
             assert words == set(_word_weights(slots, q)), q
-        monkeypatch.setattr(bch, "DEFAULT_RECURSION_BUDGET", 0)
-        with pytest.raises(ValueError, match="word-recursion updates") as refused:
-            bch.check_series_budget(plan, 4)
-        count = int(str(refused.value).split(" make ")[1].split()[0])
-        assert count >= updates
+        monkeypatch.setattr(bch, "DEFAULT_RECURSION_BUDGET", updates)
+        bch.check_series_budget(plan, 5)
+        monkeypatch.setattr(bch, "DEFAULT_RECURSION_BUDGET", updates - 1)
+        with pytest.raises(ValueError, match=f"make {updates} word-recursion"):
+            bch.check_series_budget(plan, 5)
 
 
 class TestPermutationBudget:
     def test_counted_before_any_coefficient(self, monkeypatch):
         # two groups on a Strang plan merge into three stages, 1 2 1: order q
-        # walks q! weights once per pattern, 1 + (q-1) + C(q-1, 2) of them
+        # walks q! weights once per pattern, 1 + (q-1) + C(q-1, 2) of them,
+        # and relabels the distinct rearrangements of each word
         spec = heisenberg_chain(4, field=0.0)
         plan = build_plan(spec.n_groups, 2)
         orders = []
@@ -530,21 +561,37 @@ class TestPermutationBudget:
         assert orders == list(range(2, 10))
         orders.clear()
         with pytest.raises(
-            ValueError, match="walk 185682468 permutation weights, over the budget"
+            ValueError, match="walk 185693674 permutation weights, over the budget"
         ):
             compute_phi_range(plan, spec, 10)
         assert orders == []
 
     @pytest.mark.parametrize("p", [1, 2, 4])
     @pytest.mark.parametrize("n_groups", [1, 2, 3, 4])
-    def test_counts_the_patterns_compute_phi_walks(self, monkeypatch, n_groups, p):
+    def test_counts_the_walks_and_relabels(self, monkeypatch, n_groups, p):
+        # q! stored weights, q! per pattern of the words and q!/prod_j c_j!
+        # per word; compute_phi's relabels, the pattern's nonzero keys, are
+        # at most that
         plan = build_plan(n_groups, p)
         slots = plan.merged_stages()[::-1]
-        walked = 0
+        walked = made = 0
         for q in range(2, 6):
-            words = _word_weights(slots, q)
-            shapes = {tuple(list(dict.fromkeys(w)).index(g) for g in w) for w in words}
-            walked += math.factorial(q) * (1 + len(shapes))
+            relabels: dict[tuple[int, ...], int] = {}  # per pattern
+            for w in _word_weights(slots, q):
+                pattern = tuple(list(dict.fromkeys(w)).index(g) for g in w)
+                if pattern not in relabels:
+                    keys = {}
+                    for sigma, n in _perm_weights(q)[1]:
+                        key = tuple(pattern[i] for i in sigma)
+                        keys[key] = keys.get(key, 0) + n
+                    relabels[pattern] = sum(1 for n in keys.values() if n)
+                made += relabels[pattern]
+                walked += math.factorial(q) // math.prod(
+                    math.factorial(pattern.count(j)) for j in set(pattern)
+                )
+            walked += math.factorial(q) * (1 + len(relabels))
+            made += math.factorial(q) * (1 + len(relabels))
+        assert made <= walked
         monkeypatch.setattr(bch, "DEFAULT_PERMUTATION_BUDGET", walked)
         bch.check_series_budget(plan, 5)
         monkeypatch.setattr(bch, "DEFAULT_PERMUTATION_BUDGET", walked - 1)
@@ -552,20 +599,23 @@ class TestPermutationBudget:
             bch.check_series_budget(plan, 5)
 
     @pytest.mark.parametrize("p", [1, 2, 4, 6])
-    def test_refuses_every_table_the_per_word_count_refused(self, p):
-        # the earlier W walked q! weights once per distinct word, at most
-        # min(n_groups^q, C(q+V-1, q)) of them; a table over its budget, and
-        # within the tuple budget, must stay refused by one of the two counts
-        for n_groups in range(1, 16):
-            plan = build_plan(n_groups, p)
-            v = len(plan.merged_stages())
-            for q_max in range(2, 14):
-                if n_groups**q_max > 10**6:
-                    continue
-                per_word = sum(
-                    math.factorial(q) * (1 + min(n_groups**q, math.comb(q + v - 1, q)))
-                    for q in range(2, q_max + 1)
-                )
-                if per_word > bch.DEFAULT_PERMUTATION_BUDGET:
-                    with pytest.raises(ValueError, match="over the budget"):
-                        bch.check_series_budget(plan, q_max)
+    def test_allows_every_table_the_composition_counts_allowed(self, p):
+        for plan, q_max in budget_grid(p):
+            comps, per_word = parent_counts(plan, q_max)
+            if comps <= 10**6 and per_word <= bch.DEFAULT_PERMUTATION_BUDGET:
+                bch.check_series_budget(plan, q_max)
+
+    @pytest.mark.parametrize("p", [1, 2, 4, 6])
+    def test_refuses_the_tables_the_per_word_count_refused(self, p):
+        # except the listed ones, which make fewer walks and relabels than
+        # the budget allows
+        admitted = set()
+        for plan, q_max in budget_grid(p):
+            if parent_counts(plan, q_max)[1] > bch.DEFAULT_PERMUTATION_BUDGET:
+                try:
+                    bch.check_series_budget(plan, q_max)
+                except ValueError as refused:
+                    assert "over the budget" in str(refused)
+                else:
+                    admitted.add((p, plan.n_groups, q_max))
+        assert admitted == {t for t in ADMITTED_OVER_THE_PER_WORD_COUNT if t[0] == p}

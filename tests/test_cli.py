@@ -846,8 +846,8 @@ class TestCompositionBudget:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("verify-bounds", "--n-sites", "5", "--p", "6", "--qmax", "7"),
-            ("phi", "--p", "6", "--qmax", "7"),
+            ("verify-bounds", "--n-sites", "5", "--p", "6", "--qmax", "8"),
+            ("phi", "--p", "6", "--qmax", "8"),
         ],
         ids=["verify-bounds", "phi"],
     )
@@ -855,7 +855,7 @@ class TestCompositionBudget:
         self, tmp_path, monkeypatch, capsys, argv
     ):
         # three groups at p = 6 merge into 101 stages: the word recursion
-        # makes at most 101 (q+1) sum_{l<=q} 3^l updates per order q <= 7
+        # makes 1,150,434 updates for the orders q <= 8
         calls = []
 
         def refused(*args, **kwargs):
@@ -866,7 +866,7 @@ class TestCompositionBudget:
         assert run(tmp_path, *argv) == 2
         assert calls == []
         err = capsys.readouterr().err
-        assert "3724779 word-recursion updates, over the budget 1000000" in err
+        assert "1150434 word-recursion updates, over the budget 1000000" in err
 
     @pytest.mark.parametrize("command", ["verify-bounds", "phi"])
     def test_over_budget_refused_before_the_alpha_table(
@@ -880,21 +880,23 @@ class TestCompositionBudget:
             raise AssertionError("the alpha table was enumerated")
 
         monkeypatch.setattr(commutators, "commutator_sums", refused)
-        argv = (command, "--n-sites", "10", "--p", "6", "--qmax", "7")
+        argv = (command, "--n-sites", "10", "--p", "6", "--qmax", "8")
         assert run(tmp_path, *argv) == 2
         assert calls == []
         err = capsys.readouterr().err
-        assert "3724779 word-recursion updates, over the budget 1000000" in err
+        assert "1150434 word-recursion updates, over the budget 1000000" in err
 
     @pytest.mark.parametrize(
         "argv, walked",
         [
             # two groups, three merged stages 1 2 1: the 11! weights are
             # stored once and walked by each of 1 + 10 + C(10, 2) = 56
-            # equality patterns of the words
-            (("phi", "--field", "0", "--qmax", "11"), 2460940068),
-            # one group on two sites: one word, one pattern per order
-            (("phi", "--n-sites", "2", "--field", "0", "--qmax", "11"), 87909424),
+            # equality patterns of the words, and each word relabels its
+            # distinct rearrangements
+            (("phi", "--field", "0", "--qmax", "11"), 2460964575),
+            # one group on two sites: one word, one pattern and one
+            # rearrangement per order
+            (("phi", "--n-sites", "2", "--field", "0", "--qmax", "11"), 87909434),
         ],
         ids=["two-groups", "one-group"],
     )
@@ -917,7 +919,7 @@ class TestCompositionBudget:
 
     def test_sixth_order_series_runs(self, tmp_path):
         # two groups at p = 6: 51 merged stages, C(57, 7) = 264,385,836
-        # compositions at q = 7 alone, but 180,693 recursion updates in all
+        # compositions at q = 7 alone, but 34,236 recursion updates in all
         argv = ("phi", "--n-sites", "4", "--p", "6", "--qmax", "7", "--field", "0")
         assert run(tmp_path, *argv) == 0
         rows = {row["q"]: row for row in load(tmp_path, "phi_report.json")["rows"]}
@@ -925,6 +927,22 @@ class TestCompositionBudget:
         for q in range(2, 7):
             assert rows[q]["bounds_hold"] and rows[q]["norm"] <= 1e-12, q
         assert rows[7]["norm"] > 1e-3
+
+    @pytest.mark.parametrize("command", ["phi", "verify-bounds"])
+    def test_default_long_range_series_runs(self, tmp_path, command):
+        # seven groups merge into 13 stages: C(17, 5) = 6,188 compositions at
+        # q = 5 and 13,653 recursion updates in all, which the composition
+        # loop's preflight allowed too
+        argv = (command, "--family", "long-range-zz", "--n-sites", "8")
+        assert run(tmp_path, *argv) == 0
+        if command == "phi":
+            rows = load(tmp_path, "phi_report.json")["rows"]
+            assert [row["q"] for row in rows] == [2, 3, 4, 5]
+        else:
+            rows = load(tmp_path, "verify_bounds.json")["rows"]
+            phi_rows = [row for row in rows if row["name"].startswith("phi_")]
+            assert {row["name"] for row in phi_rows} >= {"phi_norm[q=5]", "phi_zero[q=2]"}
+            assert all(row["status"] == "pass" for row in phi_rows)
 
     def test_tuple_budget_still_refuses_first(self, tmp_path, capsys):
         # 3^13 tuples exceed the tuple budget; the p = 2 plan's word
@@ -944,15 +962,15 @@ class TestPreflight:
                 "3^20 tuples exceed the budget 1000000",
             ),
             (("phi", "--qmax", "13"), "3^13 tuples exceed the budget 1000000"),
-            (("phi", "--p", "6", "--qmax", "7"), "make 3724779 word-recursion"),
+            (("phi", "--p", "6", "--qmax", "8"), "make 1150434 word-recursion"),
             (
-                ("verify-bounds", "--n-sites", "10", "--p", "6", "--qmax", "7"),
-                "make 3724779 word-recursion",
+                ("verify-bounds", "--n-sites", "10", "--p", "6", "--qmax", "8"),
+                "make 1150434 word-recursion",
             ),
-            (("phi", "--field", "0", "--qmax", "11"), "walk 2460940068 permutation"),
+            (("phi", "--field", "0", "--qmax", "11"), "walk 2460964575 permutation"),
             (
                 ("verify-bounds", "--n-sites", "8", "--field", "0", "--qmax", "11"),
-                "walk 2460940068 permutation",
+                "walk 2460964575 permutation",
             ),
             (("phi", "--n-sites", "24"), "n_sites = 24 exceeds the site cap 16"),
             (("verify-order", "--n-sites", "13"), "on 13 sites exceeds cap 12"),
