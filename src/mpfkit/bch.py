@@ -4,24 +4,26 @@ A product-formula step is exactly ``exp(-i H_eff(tau) tau)`` with
 
     H_eff(tau) = H + sum_{q >= 2} Phi_q tau^{q-1}
 
-and this module computes the operators ``Phi_q`` symbolically.  Each one is
-assembled from the log of a product of exponentials: summing over
-compositions ``(q_1..q_V)`` of q across the product's factors (leftmost
-factor first) with weight ``prod_v alpha_v^{q_v} / q_v!``, of a fixed
-permutation average
+and this module computes the operators ``Phi_q`` symbolically, in the
+Dynkin-Specht-Wever form
 
-    phi_q(A_1..A_q) = (1/q^2) sum_{sigma} (-1)^{d_sigma} / C(q-1, d_sigma)
-                      [A_{sigma(1)}, [A_{sigma(2)}, ... A_{sigma(q)}]]
+    Phi_q = ((-i)^{q-1} / q) sum_w c_w [H_{w_1}, [H_{w_2}, ... H_{w_q}]]
 
-where ``d_sigma`` counts adjacent descents, times an overall ``(-i)^{q-1}``.
-The average depends on a composition only through its group word (the
-group labels it spells out), so a recursion over word prefixes, one merged
-stage at a time, sums the weights per word instead of visiting all
-C(q+V-1, V-1) compositions.  Permutation weights are summed as exact
-integers once per word's equality pattern and relabelled for each word, so
-sequences whose weights cancel are never evaluated; the surviving nested
-commutators share common suffixes.  :func:`check_series_budget` counts this
-work before any order is built.
+over the group words w of length q, where c_w is the coefficient of w in
+``log prod_v exp(a_v X_{g_v})``, the product's merged stages taken leftmost
+factor first (Reutenauer, *Free Lie Algebras*, 1993; Casas and Murua,
+J. Math. Phys. 50, 033513, 2009).  Expanding the log,
+
+    c_w = sum_m (-1)^{m-1} / m  sum_{w = u_1 .. u_m}  prod_i B(u_i),
+
+where B(u) sums prod_v a_v^{k_v} / k_v! over the ways (k_1..k_V) the stages
+spell the word u.  Every float stage fraction is n_v / 2^S for one common
+S, so B, the splits and the log run in exact integers and each c_w comes
+from one correctly rounded division.  Words whose coefficient is zero, and
+words ending in a repeated group (their nest vanishes), are dropped, so
+the even orders of a palindromic plan evaluate no nest; the surviving
+nested commutators share common suffixes.  :func:`check_series_budget`
+counts this work before any order is built.
 
 Orders ``q <= p`` vanish for an order-p plan, every ``Phi_q`` is Hermitian,
 and the series truncated at order p0 reproduces the step unitary to
@@ -31,10 +33,7 @@ facts the verification helpers at the bottom measure.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
-from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .formulas import (
@@ -53,8 +52,7 @@ if TYPE_CHECKING:
     from .trotter import TrotterEvaluator
 
 __all__ = [
-    "DEFAULT_RECURSION_BUDGET",
-    "DEFAULT_PERMUTATION_BUDGET",
+    "DEFAULT_SERIES_BUDGET",
     "check_series_budget",
     "compute_phi",
     "compute_phi_range",
@@ -69,78 +67,99 @@ __all__ = [
     "check_truncated_generator",
 ]
 
-DEFAULT_RECURSION_BUDGET = 10**6
-DEFAULT_PERMUTATION_BUDGET = 3 * 10**7
-
-
-@lru_cache(maxsize=16)
-def _perm_weights(q: int) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
-    """``(den, ((sigma, n), ...))`` over the permutations of 0..q-1, with
-    ``n / den = (-1)^d / C(q-1, d)`` exactly and ``den = lcm_d C(q-1, d)``."""
-    den = math.lcm(*(math.comb(q - 1, d) for d in range(q)))
-    out = []
-    for sigma in itertools.permutations(range(q)):
-        d = sum(1 for i in range(q - 1) if sigma[i] > sigma[i + 1])
-        out.append((sigma, (-1) ** d * (den // math.comb(q - 1, d))))
-    return den, tuple(out)
+DEFAULT_SERIES_BUDGET = 5 * 10**6
 
 
 def _word_weights(
     slots: Sequence[tuple[int, float]], q: int
-) -> dict[tuple[int, ...], float]:
-    """Sum over compositions (q_1..q_V) of q of prod_v a_v^{q_v} / q_v!, keyed
-    by the group word g_1^{q_1} .. g_V^{q_V} each one spells.
+) -> tuple[int, dict[tuple[int, ...], int]]:
+    """``(S, I)``: the integers I(u) = |u|! 2^{S |u|} B(u) of every word u of
+    length 1..q that the stages spell, each stage fraction being n_v / 2^S.
 
     Built slot by slot, leftmost factor first: every prefix w of length l < q
-    grows to ``w + (g_v,) * k`` for k = 0..q-l with weight a_v^k / k!, and
-    the words of length q it reaches leave the prefixes.
+    grows to ``w + (g_v,) * k`` for k = 0..q-l, its integer times
+    C(l+k, k) n_v^k, and the words of length q it reaches leave the prefixes.
     """
-    prefixes: dict[tuple[int, ...], float] = {(): 1.0}
-    words: dict[tuple[int, ...], float] = {}
-    for g, a in slots:
-        powers = [a**k / math.factorial(k) for k in range(q + 1)]
-        grown: dict[tuple[int, ...], float] = {}
+    ratios = [(g, a.as_integer_ratio()) for g, a in slots]
+    shift = max(d.bit_length() - 1 for _, (_, d) in ratios)
+    prefixes: dict[tuple[int, ...], int] = {(): 1}
+    words: dict[tuple[int, ...], int] = {}
+    for g, (n, d) in ratios:
+        n <<= shift - d.bit_length() + 1
+        steps = [[math.comb(l + k, k) * n**k for k in range(q - l + 1)] for l in range(q)]
+        grown: dict[tuple[int, ...], int] = {}
         for w, c in prefixes.items():
-            for k in range(q - len(w) + 1):
+            for k, f in enumerate(steps[len(w)]):
                 key = w + (g,) * k
                 into = words if len(key) == q else grown
-                into[key] = into.get(key, 0.0) + c * powers[k]
+                into[key] = into.get(key, 0) + c * f
         prefixes = grown
-    return words
+    del prefixes[()]
+    return shift, prefixes | words
+
+
+def _log_coefficients(
+    slots: Sequence[tuple[int, float]], q: int
+) -> tuple[int, dict[tuple[int, ...], int]]:
+    """``(D, N)`` with c_w = N[w] / D for every word w of length q over the
+    stages' groups, exactly.
+
+    A split DP runs forward over prefixes, shortest first: G[pre][m] is
+    |pre|! 2^{S |pre|} times the sum over splits of pre into m spelled words
+    of prod_i B(u_i), and each spelled word u with |pre| + |u| <= q extends
+    it, G[pre + u][m + 1] += G[pre][m] C(|pre| + |u|, |pre|) I(u).  A word
+    of length q closes the split, so its numerator
+    sum_m (-1)^{m-1} (L / m) G[w][m], with L = lcm(1..q), is summed
+    directly, and D = q! L 2^{S q}.
+    """
+    shift, weights = _word_weights(slots, q)
+    by_len: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(q + 1)]
+    for u, i in weights.items():
+        by_len[len(u)].append((u, i))
+    lcm = math.lcm(*range(1, q + 1))
+    levels: list[dict[tuple[int, ...], list[int]]] = [{} for _ in range(q)]
+    levels[0][()] = [1]
+    numerators: dict[tuple[int, ...], int] = {}
+    for j, level in enumerate(levels):
+        for pre, vec in level.items():
+            for l in range(1, q - j):
+                into = levels[j + l]
+                f = math.comb(j + l, j)
+                for u, i in by_len[l]:
+                    key = pre + u
+                    t = into.get(key)
+                    if t is None:
+                        t = into[key] = [0] * (j + l + 1)
+                    c = f * i
+                    for m, x in enumerate(vec):
+                        t[m + 1] += c * x
+            # the last word makes m + 1 pieces: sign (-1)^m, weight L / (m + 1)
+            s = math.comb(q, j) * sum(
+                (-x if m % 2 else x) * (lcm // (m + 1)) for m, x in enumerate(vec)
+            )
+            for u, i in by_len[q - j]:
+                key = pre + u
+                numerators[key] = numerators.get(key, 0) + s * i
+        level.clear()
+    return math.factorial(q) * lcm << (shift * q), numerators
 
 
 def compute_phi(plan: ProductFormulaPlan, spec: HamiltonianSpec, q: int) -> PauliSum:
     """The order-q coefficient of the effective-generator series.
 
     ``q = 1`` returns the Hamiltonian itself (the stage fractions sum to one
-    per group).  One weight per group word comes from :func:`_word_weights`,
-    and exact permutation weights are summed once per equality pattern of
-    its at most n_groups^q words.  No budget is checked here; see
-    :func:`compute_phi_range`.
+    per group).  Each word's coefficient c_w comes exactly from
+    :func:`_log_coefficients` and is rounded once.  No budget is checked
+    here; see :func:`compute_phi_range`.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     if plan.n_groups != spec.n_groups:
         raise ValueError("plan and spec disagree on the group count")
-    # sum the exact weights once per equality pattern of a group word (the
-    # word relabelled 0, 1, ... by first occurrence), then relabel them for
-    # each word: distinct keys stay distinct, and int / int rounds correctly
-    den, weights = _perm_weights(q)
-    patterns: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-    agg: dict[tuple[int, ...], float] = {}
-    slots = plan.merged_stages()[::-1]  # leftmost product factor first
-    for word, weight in _word_weights(slots, q).items():
-        labels = list(dict.fromkeys(word))
-        pattern = tuple(labels.index(g) for g in word)
-        if pattern not in patterns:
-            local: dict[tuple[int, ...], int] = {}
-            for sigma, w in weights:
-                key = tuple(pattern[i] for i in sigma)
-                local[key] = local.get(key, 0) + w
-            patterns[pattern] = [(key, n) for key, n in local.items() if n]
-        for key, n in patterns[pattern]:
-            seq = tuple(labels[i] for i in key)
-            agg[seq] = agg.get(seq, 0.0) + n / den * weight
+    den, numerators = _log_coefficients(plan.merged_stages()[::-1], q)
+    # [H_g, H_g] = 0 ends the nest of a word whose last two letters agree; a
+    # one-letter word has no such pair
+    agg = {w: n / den for w, n in numerators.items() if n and w[-2:-1] != w[-1:]}
 
     # evaluate the surviving nested commutators, sharing common suffixes
     acc: dict[tuple[int, int], complex] = {}
@@ -148,8 +167,6 @@ def compute_phi(plan: ProductFormulaPlan, spec: HamiltonianSpec, q: int) -> Paul
     prev: tuple[int, ...] | None = None
     for seq in sorted(agg, key=lambda s: s[::-1]):
         weight = agg[seq]
-        if abs(weight) < 1e-300:
-            continue
         start = q - 1
         while prev and start >= 0 and prev[start] == seq[start]:
             start -= 1
@@ -162,61 +179,36 @@ def compute_phi(plan: ProductFormulaPlan, spec: HamiltonianSpec, q: int) -> Paul
             for key, c in nest.items():
                 acc[key] = acc.get(key, 0.0) + weight * c
 
-    overall = (-1j) ** (q - 1) / (q * q)
+    overall = (-1j) ** (q - 1) / q
     return PauliSum(spec.n_sites, {k: overall * c for k, c in acc.items()})
 
 
 def check_series_budget(plan: ProductFormulaPlan, q_max: int) -> None:
-    """Refuse a table Phi_2..Phi_qmax over either series budget.
+    """Refuse a table Phi_2..Phi_qmax over ``DEFAULT_SERIES_BUDGET`` updates.
 
-    The word recursion's (prefix, k) updates are counted exactly against
-    ``DEFAULT_RECURSION_BUDGET``.  Against ``DEFAULT_PERMUTATION_BUDGET`` go,
-    per order q, the q! stored permutation weights, q! per equality pattern
-    of the words, and per word its distinct rearrangements, the most keys it
-    relabels.
+    Counted exactly, per order q: the word recursion's (prefix, k) updates
+    in :func:`_word_weights`, and the split DP's (prefix, word) updates in
+    :func:`_log_coefficients`, where each of the n_groups^j prefixes of a
+    length j < q meets every spelled word of length at most q - j.
     """
     # replay the recursion on counts of the distinct prefixes by length, in
     # all and ending in each group: one ending in g after stage g is one not
     # ending in g and a run of g; one of length l < q makes q-l+1 updates
-    slots = plan.merged_stages()[::-1]
     orders = range(2, q_max + 1)
     by_len, ends, count = [1] + [0] * q_max, {}, 0
-    for g, _ in slots:
+    for g, _ in plan.merged_stages()[::-1]:
         count += sum(by_len[l] * (q - l + 1) for q in orders for l in range(q))
         old = ends.get(g, [0] * (q_max + 1))
         ends[g] = [sum(by_len[j] - old[j] for j in range(l)) for l in range(q_max + 1)]
         by_len = [t - o + e for t, o, e in zip(by_len, old, ends[g])]
-    if count > DEFAULT_RECURSION_BUDGET:
-        raise ValueError(
-            f"Phi_2..Phi_{q_max} make {count} word-recursion updates, over the "
-            f"budget {DEFAULT_RECURSION_BUDGET}; lower q_max or the plan order"
-        )
-    # a word is a run sequence the stages spell in order, with positive run
-    # lengths: C(q-1, m-1) patterns per relabelled m-run sequence.  A group
-    # with k runs takes c letters in C(c-1, k-1) ways, and a word with c_j
-    # letters of group j has q!/prod_j c_j! distinct rearrangements
-    runs: set[tuple[int, ...]] = {()}
-    for g, _ in slots:
-        runs |= {r + (g,) for r in runs if len(r) < q_max and r[-1:] != (g,)}
-    runs.discard(())
-    shapes = {tuple(list(dict.fromkeys(r)).index(g) for g in r) for r in runs}
-    walked = sum(
-        math.factorial(q) * (1 + sum(math.comb(q - 1, len(s) - 1) for s in shapes))
-        for q in orders
+    # by_len[l] now counts the spelled words of length l
+    count += sum(
+        plan.n_groups**j * sum(by_len[1 : q - j + 1]) for q in orders for j in range(q)
     )
-    for split, n_runs in Counter(tuple(Counter(r).values()) for r in runs).items():
-        ways = [1] + [0] * q_max  # by the letters placed so far
-        for k in split:
-            ways = [
-                sum(ways[t - c] * math.comb(t, c) * math.comb(c - 1, k - 1)
-                    for c in range(k, t + 1))
-                for t in range(q_max + 1)
-            ]
-        walked += n_runs * sum(ways[2:])
-    if walked > DEFAULT_PERMUTATION_BUDGET:
+    if count > DEFAULT_SERIES_BUDGET:
         raise ValueError(
-            f"Phi_2..Phi_{q_max} walk {walked} permutation weights, over the "
-            f"budget {DEFAULT_PERMUTATION_BUDGET}; lower q_max"
+            f"Phi_2..Phi_{q_max} make {count} series updates, over the budget "
+            f"{DEFAULT_SERIES_BUDGET}; lower q_max or the plan order"
         )
 
 

@@ -286,8 +286,8 @@ def _enumeration_mode(
 ) -> str | None:
     """The run's one preflight: how it measures nests and Phi_q; None beyond
     the site cap, where a run that ``required`` them is refused.  Within it
-    the alpha table's tuples, then the word-recursion updates and permutation
-    walks of ``plan``'s Phi_q table, are refused over budget before any work."""
+    the alpha table's tuples, then the series updates of ``plan``'s Phi_q
+    table, are refused over budget before any work."""
     if cfg.n_sites > ENUMERATION_SITE_CAP:
         if required:
             raise ConfigError(

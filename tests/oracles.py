@@ -22,13 +22,18 @@
   a grid of small time arguments, take principal matrix logarithms, fit
   ``log T(tau) = sum_q C_q tau^q`` by least squares and expand each ``C_q``
   in the Pauli basis.  scipy (for the Schur form) is a test dependency only.
-- The exact descent weights of :func:`mpfkit.bch.compute_phi` as
-  ``Fraction`` values, the form :func:`mpfkit.bch._perm_weights` puts over
-  one integer denominator.
+- The exact free-algebra log coefficients c_w behind
+  :func:`mpfkit.bch.compute_phi`, as ``Fraction`` values: the word weights
+  by a ``Fraction`` prefix recursion, then, word by word, a DP over its
+  split points.  :func:`mpfkit.bch._log_coefficients` runs the same sums
+  in integers, forward over shared prefixes.
 - The per-composition walk that :func:`mpfkit.bch._word_weights` replaces:
   every composition of q over the merged stages visited in turn, its
   weight added to its word (in floats or exactly), and the whole series
-  coefficient summed composition by composition.
+  coefficient summed composition by composition through the descent
+  weights of the permutation average
+  (-1)^d / C(q-1, d) [A_sigma(1), [... A_sigma(q)]] / q^2, an independent
+  form of the same series.
 - The all-tuples commutator traversal, which walks every group tuple where
   :mod:`mpfkit.commutators` walks only the pairs g_1 < g_2 and doubles, and
   the full-matrix nest norm that the sector-blocked norm must reproduce.
@@ -242,10 +247,54 @@ def composition_word_weights(
     return out
 
 
+def fraction_word_weights(
+    slots: Sequence[tuple[int, float]], q: int
+) -> dict[tuple[int, ...], Fraction]:
+    """B(u), the sum of prod_v a_v^{k_v} / k_v! over the ways the stages
+    spell u, for every spelled word of length 1..q, exactly: each prefix w
+    grows to ``w + (g_v,) * k`` at stage v, times a_v^k / k!."""
+    prefixes: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
+    for g, a in slots:
+        powers = [Fraction(a) ** k / math.factorial(k) for k in range(q + 1)]
+        grown: dict[tuple[int, ...], Fraction] = {}
+        for w, c in prefixes.items():
+            for k in range(q - len(w) + 1):
+                key = w + (g,) * k
+                grown[key] = grown.get(key, 0) + c * powers[k]
+        prefixes = grown
+    del prefixes[()]
+    return prefixes
+
+
+def fraction_log_coefficients(
+    slots: Sequence[tuple[int, float]], q: int
+) -> dict[tuple[int, ...], Fraction]:
+    """c_w, the coefficient of each word w of length q over the stages'
+    groups in log prod_v exp(a_v X_{g_v}), exactly:
+    sum_m (-1)^{m-1} / m G[q][m], where G[i][m] sums prod B(u) over the
+    splits of w[:i] into m spelled words, G[i][m] = sum_j G[j][m-1] B(w[j:i])."""
+    weights = fraction_word_weights(slots, q)
+    groups = sorted({g for g, _ in slots})
+    out: dict[tuple[int, ...], Fraction] = {}
+    for w in itertools.product(groups, repeat=q):
+        g_table: list[dict[int, Fraction]] = [{0: Fraction(1)}] + [{} for _ in range(q)]
+        for i in range(1, q + 1):
+            for j in range(i):
+                b = weights.get(w[j:i])
+                if b:
+                    for m, x in g_table[j].items():
+                        g_table[i][m + 1] = g_table[i].get(m + 1, 0) + x * b
+        out[w] = sum(
+            (Fraction((-1) ** (m - 1), m) * x for m, x in g_table[q].items()),
+            Fraction(0),
+        )
+    return out
+
+
 def nest_series_term(
     spec: HamiltonianSpec, q: int, agg: dict[tuple[int, ...], float]
 ) -> PauliSum:
-    """(-i)^{q-1} / q^2 sum_seq agg[seq] [H_seq1, [H_seq2, ... H_seqq]], the
+    """(-i)^{q-1} / q sum_seq agg[seq] [H_seq1, [H_seq2, ... H_seqq]], the
     nests taken in order of their reversed group sequence and shared along
     common suffixes, as :func:`mpfkit.bch.compute_phi` evaluates them."""
     acc: dict[tuple[int, int], complex] = {}
@@ -253,8 +302,6 @@ def nest_series_term(
     prev: tuple[int, ...] | None = None
     for seq in sorted(agg, key=lambda s: s[::-1]):
         weight = agg[seq]
-        if abs(weight) < 1e-300:
-            continue
         if prev is None:
             start = q - 1
         else:
@@ -270,8 +317,18 @@ def nest_series_term(
         if nest:
             for key, c in nest.items():
                 acc[key] = acc.get(key, 0.0) + weight * c
-    overall = (-1j) ** (q - 1) / (q * q)
+    overall = (-1j) ** (q - 1) / q
     return PauliSum(spec.n_sites, {k: overall * c for k, c in acc.items()})
+
+
+def fraction_phi(plan: ProductFormulaPlan, spec: HamiltonianSpec, q: int) -> PauliSum:
+    """Phi_q from the correctly rounded ``Fraction`` log coefficients, less
+    the zero ones and those of words ending in a repeated group."""
+    coeffs = fraction_log_coefficients(plan.merged_stages()[::-1], q)
+    agg = {
+        w: float(c) for w, c in coeffs.items() if c and (q == 1 or w[-1] != w[-2])
+    }
+    return nest_series_term(spec, q, agg)
 
 
 def composition_phi(plan: ProductFormulaPlan, spec: HamiltonianSpec, q: int) -> PauliSum:
@@ -279,8 +336,8 @@ def composition_phi(plan: ProductFormulaPlan, spec: HamiltonianSpec, q: int) -> 
     times each of its word's permutation weights (summed once per word's
     equality pattern), added to the group sequence it lands on."""
     slots = plan.merged_stages()[::-1]  # leftmost product factor first
-    den, weights = bch._perm_weights(q)
-    patterns: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    weights = fraction_perm_weights(q)
+    patterns: dict[tuple[int, ...], list[tuple[tuple[int, ...], Fraction]]] = {}
     words: dict[tuple[int, ...], list[tuple[tuple[int, ...], float]]] = {}
     agg: dict[tuple[int, ...], float] = {}
     for comp in compositions(q, len(slots)):
@@ -293,13 +350,14 @@ def composition_phi(plan: ProductFormulaPlan, spec: HamiltonianSpec, q: int) -> 
             labels = list(dict.fromkeys(word))
             pattern = tuple(labels.index(g) for g in word)
             if pattern not in patterns:
-                local: dict[tuple[int, ...], int] = {}
+                local: dict[tuple[int, ...], Fraction] = {}
                 for sigma, w in weights:
                     key = tuple(pattern[i] for i in sigma)
                     local[key] = local.get(key, 0) + w
                 patterns[pattern] = [(key, n) for key, n in local.items() if n]
+            # the permutation average carries 1/q^2, the log form 1/q
             words[word] = [
-                (tuple(labels[i] for i in key), n / den)
+                (tuple(labels[i] for i in key), float(n / q))
                 for key, n in patterns[pattern]
             ]
         for key, f in words[word]:

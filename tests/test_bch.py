@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mpfkit import bch, dense
@@ -20,7 +20,7 @@ from mpfkit.bch import (
     phi_report,
     truncation_defect,
 )
-from mpfkit.bch import _perm_weights, _word_weights
+from mpfkit.bch import _log_coefficients, _word_weights
 from mpfkit.commutators import nested_commutator_sum
 from mpfkit.hamiltonians import heisenberg_chain, long_range_zz_chain, make_spec
 from mpfkit.pauli import PauliSum, PauliTerm
@@ -30,7 +30,9 @@ from oracles import (
     composition_phi,
     composition_word_weights,
     compositions,
-    fraction_perm_weights,
+    fraction_log_coefficients,
+    fraction_phi,
+    fraction_word_weights,
     full_matrix_norm,
     nest_series_term,
     oracle_phi_from_logs,
@@ -262,7 +264,7 @@ class TestTruncatedGenerator:
         assert not issubclass(SectorLeakError, ValueError)
 
 
-# -- word-level weight aggregation against the per-composition oracle -------
+# -- log coefficients against the Fraction and per-composition oracles ------
 
 
 def recursive_compositions(total, parts):
@@ -274,19 +276,22 @@ def recursive_compositions(total, parts):
             yield (first,) + rest
 
 
-def fraction_oracle_phi(plan, spec, q):
-    """compute_phi with the exact permutation weights summed per word, the
-    words taken in the order the word recursion yields them."""
-    agg: dict[tuple[int, ...], float] = {}
-    for word, weight in _word_weights(plan.merged_stages()[::-1], q).items():
-        local: dict[tuple[int, ...], Fraction] = {}
-        for sigma, w in fraction_perm_weights(q):
-            key = tuple(word[i] for i in sigma)
-            local[key] = local.get(key, Fraction(0)) + w
-        for key, fr in local.items():
-            if fr:
-                agg[key] = agg.get(key, 0.0) + float(fr) * weight
-    return nest_series_term(spec, q, agg)
+def stage_slots(n_groups, p):
+    return build_plan(n_groups, p).merged_stages()[::-1]
+
+
+def scaled_word_weights(slots, q):
+    """B(u) = I(u) / (|u|! 2^(S |u|)) from the integers of _word_weights."""
+    shift, weights = _word_weights(slots, q)
+    return {
+        u: Fraction(i, math.factorial(len(u)) << (shift * len(u)))
+        for u, i in weights.items()
+    }
+
+
+def exact_log_coefficients(slots, q):
+    den, numerators = _log_coefficients(slots, q)
+    return {w: Fraction(n, den) for w, n in numerators.items()}
 
 
 @st.composite
@@ -308,7 +313,7 @@ def three_site_specs(draw):
 
 
 # compute_phi(build_plan(3, p), heisenberg_chain(3, field=0.4), q) keyed by
-# (p, q), with the word weights summed by the prefix recursion
+# (p, q), each word's log coefficient rounded once
 FROZEN_PHI_THREE_SITES = {
     (1, 1): {
         (3, 0): 1.0, (3, 3): 1.0, (0, 3): 1.0, (6, 0): 1.0, (6, 6): 1.0, (0, 6): 1.0,
@@ -344,9 +349,9 @@ FROZEN_PHI_THREE_SITES = {
     },
     (2, 4): {},
     (2, 5): {
-        (6, 6): -0.3333333333333333, (5, 5): 0.3333333333333333,
-        (0, 6): -0.3333333333333333, (0, 5): 0.3333333333333333,
-        (6, 0): -0.3333333333333333, (5, 0): 0.3333333333333333,
+        (6, 6): -0.33333333333333337, (5, 5): 0.3333333333333333,
+        (0, 6): -0.33333333333333337, (0, 5): 0.3333333333333333,
+        (6, 0): -0.33333333333333337, (5, 0): 0.3333333333333333,
     },
     (4, 1): {
         (3, 0): 1.0, (3, 3): 1.0, (0, 3): 1.0, (6, 0): 1.0, (6, 6): 1.0, (0, 6): 1.0,
@@ -356,44 +361,53 @@ FROZEN_PHI_THREE_SITES = {
     (4, 3): {},
     (4, 4): {},
     (4, 5): {
-        (6, 6): -0.007683536370017161, (5, 5): -0.024791998465440952,
-        (0, 6): -0.007683536370017161, (0, 5): -0.024791998465440952,
-        (6, 0): -0.007683536370017161, (5, 0): -0.024791998465440952,
-        (3, 3): 0.03247553483545811, (0, 3): 0.03247553483545811,
-        (3, 0): 0.03247553483545811,
+        (6, 6): -0.007683536370017107, (5, 5): -0.02479199846544097,
+        (0, 6): -0.007683536370017107, (0, 5): -0.02479199846544097,
+        (6, 0): -0.007683536370017107, (5, 0): -0.02479199846544097,
+        (3, 3): 0.03247553483545808, (0, 3): 0.03247553483545808,
+        (3, 0): 0.03247553483545808,
     },
 }
 
 # Phi_5 of the fourth-order plan on heisenberg_chain(4, field=0.0), the
 # coefficient the `series` benchmark workload spends its time on
 FROZEN_PHI_SERIES = {
-    (6, 6): -0.1150269402625677, (5, 5): -0.03966719754470566,
-    (9, 6): 0.06495106967091617, (5, 10): -0.06495106967091616,
-    (0, 6): -0.1150269402625677, (0, 5): -0.03966719754470566,
-    (15, 6): 0.06495106967091617, (15, 10): -0.06495106967091616,
-    (15, 5): -0.06495106967091616, (15, 9): 0.06495106967091617,
-    (10, 5): -0.06495106967091616, (6, 9): 0.06495106967091617,
-    (10, 10): -0.03966719754470566, (0, 10): -0.03966719754470566,
-    (0, 9): -0.014875199079264637, (9, 9): -0.014875199079264637,
-    (6, 0): -0.1150269402625677, (5, 0): -0.03966719754470566,
-    (9, 15): 0.06495106967091617, (5, 15): -0.06495106967091616,
-    (10, 15): -0.06495106967091616, (6, 15): 0.06495106967091617,
-    (10, 0): -0.03966719754470566, (9, 0): -0.014875199079264637,
-    (3, 3): 0.10461826721562183, (0, 3): 0.10461826721562183,
-    (12, 12): 0.10461826721562183, (0, 12): 0.10461826721562183,
-    (3, 0): 0.10461826721562183, (12, 0): 0.10461826721562183,
+    (6, 6): -0.11502694026256773, (5, 5): -0.039667197544705546,
+    (9, 6): 0.06495106967091617, (5, 10): -0.06495106967091617,
+    (0, 6): -0.11502694026256773, (0, 5): -0.039667197544705546,
+    (15, 6): 0.06495106967091617, (15, 10): -0.06495106967091617,
+    (15, 5): -0.06495106967091617, (15, 9): 0.06495106967091617,
+    (10, 5): -0.06495106967091617, (6, 9): 0.06495106967091617,
+    (10, 10): -0.039667197544705546, (0, 10): -0.039667197544705546,
+    (0, 9): -0.0148751990792646, (9, 9): -0.0148751990792646,
+    (6, 0): -0.11502694026256773, (5, 0): -0.039667197544705546,
+    (9, 15): 0.06495106967091617, (5, 15): -0.06495106967091617,
+    (10, 15): -0.06495106967091617, (6, 15): 0.06495106967091617,
+    (10, 0): -0.039667197544705546, (9, 0): -0.0148751990792646,
+    (3, 3): 0.10461826721562172, (0, 3): 0.10461826721562172,
+    (12, 12): 0.10461826721562172, (0, 12): 0.10461826721562172,
+    (3, 0): 0.10461826721562172, (12, 0): 0.10461826721562172,
 }
+
+
+# the largest relative error of a FROZEN_PHI_SERIES coefficient against the
+# exact Phi_5 (the table is at 1.05e-15)
+SERIES_RELATIVE_ERROR = 1.5e-15
 
 
 class TestWordAggregation:
     @settings(max_examples=30, deadline=None)
-    @given(spec=three_site_specs(), p=st.sampled_from([1, 2, 4]), q=st.integers(1, 5))
+    @given(
+        spec=three_site_specs(), p=st.sampled_from([1, 2, 4, 6]), q=st.integers(1, 7)
+    )
     @example(spec=heisenberg_chain(3, coupling=-0.9, field=0.0), p=4, q=5)
-    @example(spec=heisenberg_chain(3, coupling=1.3, field=0.7), p=4, q=4)
+    @example(spec=heisenberg_chain(3, coupling=1.3, field=0.7), p=6, q=7)
     def test_matches_the_fraction_oracle(self, spec, p, q):
+        # bitwise: one correctly rounded division per word, then the same
+        # nests summed in the same order
         plan = build_plan(spec.n_groups, p)
-        mine = dict(compute_phi(plan, spec, q).items())
-        assert mine == dict(fraction_oracle_phi(plan, spec, q).items())
+        mine = list(compute_phi(plan, spec, q).items())
+        assert mine == list(fraction_phi(plan, spec, q).items())
 
     @settings(max_examples=30, deadline=None)
     @given(spec=three_site_specs(), p=st.sampled_from([1, 2, 4]), q=st.integers(1, 5))
@@ -412,25 +426,46 @@ class TestWordAggregation:
     @pytest.mark.parametrize("p", [1, 2, 4])
     @pytest.mark.parametrize("n_groups", [1, 2, 3])
     def test_word_weights_round_no_worse_than_the_compositions(self, n_groups, p):
-        # against the exact Fraction sums of the float stage fractions
-        slots = build_plan(n_groups, p).merged_stages()[::-1]
+        # the integer weights, scaled back, are the exact Fraction sums of the
+        # float stage fractions: they do not round at all
+        slots = stage_slots(n_groups, p)
+        mine = scaled_word_weights(slots, 5)
         for q in range(1, 6):
             exact = composition_word_weights(slots, q, exact=True)
-            mine = _word_weights(slots, q)
-            per_composition = composition_word_weights(slots, q)
-            assert mine.keys() == exact.keys() == per_composition.keys()
+            assert {u: b for u, b in mine.items() if len(u) == q} == exact, q
+            assert composition_word_weights(slots, q).keys() == exact.keys()
 
-            def worst(weights):
-                return max(abs(Fraction(weights[w]) - exact[w]) for w in exact)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_groups=st.integers(1, 3), p=st.sampled_from([1, 2, 4, 6]), q=st.integers(1, 7)
+    )
+    def test_word_weights_are_the_composition_sums(self, n_groups, p, q):
+        # wherever the per-composition oracle stays small
+        slots = stage_slots(n_groups, p)
+        assume(math.comb(q + len(slots), q) <= 20_000)
+        mine = scaled_word_weights(slots, q)
+        for l in range(1, q + 1):
+            exact = composition_word_weights(slots, l, exact=True)
+            assert {u: b for u, b in mine.items() if len(u) == l} == exact, l
 
-            assert worst(mine) <= worst(per_composition), q
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_groups=st.integers(1, 3), p=st.sampled_from([1, 2, 4, 6]), q=st.integers(1, 7)
+    )
+    @example(n_groups=3, p=6, q=7)
+    def test_log_coefficients_are_the_fraction_dp(self, n_groups, p, q):
+        slots = stage_slots(n_groups, p)
+        assert scaled_word_weights(slots, q) == fraction_word_weights(slots, q)
+        assert exact_log_coefficients(slots, q) == fraction_log_coefficients(slots, q)
 
     @pytest.mark.parametrize("q", range(1, 9))
     def test_integer_weights_are_the_fractions(self, q):
-        den, weights = _perm_weights(q)
-        oracle = fraction_perm_weights(q)
-        assert [sigma for sigma, _ in weights] == [sigma for sigma, _ in oracle]
-        assert all(Fraction(n, den) == w for (_, n), (_, w) in zip(weights, oracle))
+        # the integer log coefficients of the `series` plan and of the
+        # three-group Strang plan are the Fraction DP's, word by word
+        for n_groups, p in ((2, 4), (3, 2)):
+            slots = stage_slots(n_groups, p)
+            exact = fraction_log_coefficients(slots, q)
+            assert exact_log_coefficients(slots, q) == exact, (n_groups, p)
 
     @pytest.mark.parametrize(
         "spec, p",
@@ -440,13 +475,11 @@ class TestWordAggregation:
         ],
         ids=["certify", "series"],
     )
-    def test_integer_weights_keep_every_item_bitwise(self, monkeypatch, spec, p):
-        # with the Fraction weights over the denominator 1, compute_phi turns
-        # each summed Fraction into a float as it did before the integer sums
+    def test_integer_weights_keep_every_item_bitwise(self, spec, p):
+        # each c_w is its Fraction coefficient, correctly rounded
         plan = build_plan(spec.n_groups, p)
         got = [list(compute_phi(plan, spec, q).items()) for q in range(2, 6)]
-        monkeypatch.setattr(bch, "_perm_weights", lambda q: (1, fraction_perm_weights(q)))
-        want = [list(compute_phi(plan, spec, q).items()) for q in range(2, 6)]
+        want = [list(fraction_phi(plan, spec, q).items()) for q in range(2, 6)]
         assert [[(k, repr(c)) for k, c in items] for items in got] == [
             [(k, repr(c)) for k, c in items] for items in want
         ]
@@ -475,6 +508,50 @@ class TestWordAggregation:
         plan = build_plan(spec.n_groups, 4)
         assert dict(compute_phi(plan, spec, 5).items()) == FROZEN_PHI_SERIES
 
+    def test_series_coefficient_is_within_rounding_of_the_exact_one(self):
+        # at coupling 1 and field 0 every nest has integer coefficients, so
+        # Phi_5 = (1/5) sum_w c_w nest(w) is exact from the Fraction c_w
+        spec = heisenberg_chain(4, field=0.0)
+        plan = build_plan(spec.n_groups, 4)
+        exact: dict[tuple[int, int], Fraction] = {}
+        for w, c in fraction_log_coefficients(plan.merged_stages()[::-1], 5).items():
+            nest = spec.group_sum(w[-1])
+            for g in reversed(w[:-1]):
+                nest = spec.group_sum(g).commutator(nest)
+            for key, v in nest.items():
+                assert v == int(v.real), (w, key)
+                exact[key] = exact.get(key, 0) + c * int(v.real) / 5
+        exact = {key: v for key, v in exact.items() if v}
+        assert exact.keys() == FROZEN_PHI_SERIES.keys()
+        for key, value in FROZEN_PHI_SERIES.items():
+            error = abs(Fraction(value) - exact[key])
+            assert error <= SERIES_RELATIVE_ERROR * abs(exact[key]), key
+
+
+class TestVanishingOrders:
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    def test_even_orders_of_palindromic_plans_make_no_nest(self, monkeypatch, p):
+        # the log of a palindromic product is odd in time: every even-order
+        # coefficient cancels exactly, so no word is left to nest
+        spec = heisenberg_chain(4, field=0.5)
+        plan = build_plan(spec.n_groups, p)
+        slots = plan.merged_stages()[::-1]
+        assert slots == plan.merged_stages()
+        calls = []
+        commutator = PauliSum.commutator
+
+        def counting(self, other):
+            calls.append(other)
+            return commutator(self, other)
+
+        monkeypatch.setattr(PauliSum, "commutator", counting)
+        for q in (2, 4, 6):
+            assert not any(_log_coefficients(slots, q)[1].values()), q
+            assert not compute_phi(plan, spec, q), q
+        assert calls == []
+        assert compute_phi(plan, spec, p + 1)
+        assert calls
+
 
 def parent_counts(plan, q_max):
     """The compositions and per-word walks the composition loop's preflight
@@ -488,6 +565,10 @@ def parent_counts(plan, q_max):
     return comps, walked
 
 
+# the composition loop's budgets: compositions and per-word walks
+PARENT_BUDGETS = (10**6, 3 * 10**7)
+
+
 def budget_grid(p):
     """(plan, q_max) for 1 to 15 groups and q_max 2..13 within the tuple budget."""
     for n_groups in range(1, 16):
@@ -497,57 +578,102 @@ def budget_grid(p):
                 yield plan, q_max
 
 
-# (p, n_groups, q_max) over the per-word walk budget whose walks and
-# relabels, counted as compute_phi makes them, fit in the budget
-ADMITTED_OVER_THE_PER_WORD_COUNT = {
-    (2, 4, 8), (2, 5, 7), (2, 6, 7), (2, 7, 7), (2, 9, 6), (2, 10, 6),
-    (4, 4, 7), (4, 6, 6),
+# (p, n_groups, q_max) in budget_grid that the permutation-weight count (the
+# stored weights, a walk per equality pattern and a relabel per
+# rearrangement, against 3 x 10^7, with the word recursion against 10^6)
+# refused.  The series count admits the first set and refuses the second;
+# it admits every other table of the grid.
+ADMITTED_OVER_THE_PERMUTATION_COUNT = {
+    (1, 1, 11), (1, 1, 12), (1, 1, 13), (1, 2, 10), (1, 2, 11), (1, 2, 12),
+    (1, 2, 13), (1, 3, 10), (1, 3, 11), (1, 3, 12), (1, 4, 9),
+    (2, 1, 11), (2, 1, 12), (2, 1, 13), (2, 2, 10), (2, 2, 11), (2, 2, 12),
+    (2, 2, 13), (2, 3, 9), (2, 3, 10), (2, 3, 11), (2, 3, 12), (2, 4, 9),
+    (2, 5, 8),
+    (4, 1, 11), (4, 1, 12), (4, 1, 13), (4, 2, 9), (4, 2, 10), (4, 2, 11),
+    (4, 2, 12), (4, 2, 13), (4, 3, 8), (4, 3, 9), (4, 3, 10), (4, 4, 8),
+    (4, 5, 7), (4, 7, 6), (4, 9, 5), (4, 10, 5), (4, 11, 5),
+    (6, 1, 11), (6, 1, 12), (6, 1, 13), (6, 2, 9), (6, 2, 10), (6, 2, 11),
+    (6, 2, 12), (6, 2, 13), (6, 3, 8), (6, 3, 9), (6, 4, 7), (6, 5, 6),
+    (6, 7, 5), (6, 8, 5), (6, 10, 4), (6, 11, 4), (6, 12, 4), (6, 13, 4),
+    (6, 14, 4),
 }
+REFUSED_BY_THE_SERIES_COUNT = {
+    (4, 3, 11), (4, 3, 12), (4, 4, 9), (4, 5, 8), (4, 6, 7), (4, 7, 7),
+    (4, 8, 6), (4, 9, 6), (4, 10, 6), (4, 12, 5), (4, 13, 5), (4, 14, 5),
+    (4, 15, 5),
+    (6, 3, 10), (6, 3, 11), (6, 3, 12), (6, 4, 8), (6, 4, 9), (6, 5, 7),
+    (6, 5, 8), (6, 6, 6), (6, 6, 7), (6, 7, 6), (6, 7, 7), (6, 8, 6),
+    (6, 9, 5), (6, 9, 6), (6, 10, 5), (6, 10, 6), (6, 11, 5), (6, 12, 5),
+    (6, 13, 5), (6, 14, 5), (6, 15, 4), (6, 15, 5),
+}
+
+
+def replayed_updates(plan, q_max):
+    """The series updates of Phi_2..Phi_qmax replayed on word sets, as
+    ``(recursion, split, spelled)``: the recursion's (prefix, k) per stage,
+    words of length q leaving the prefixes; the split DP's (prefix, word)
+    over every prefix it reaches; and the words of length 1..q per order."""
+    slots = plan.merged_stages()[::-1]
+    recursion = split = 0
+    spelled = {}
+    for q in range(2, q_max + 1):
+        prefixes, words = {()}, set()
+        for g, _ in slots:
+            recursion += sum(q - len(w) + 1 for w in prefixes)
+            grown = {w + (g,) * k for w in prefixes for k in range(q - len(w) + 1)}
+            words |= {w for w in grown if len(w) == q}
+            prefixes = grown - words
+        spelled[q] = (words | prefixes) - {()}
+        levels = [{()}] + [set() for _ in range(q - 1)]
+        for j, level in enumerate(levels):
+            for pre in level:
+                for u in spelled[q]:
+                    if j + len(u) <= q:
+                        split += 1
+                        if j + len(u) < q:
+                            levels[j + len(u)].add(pre + u)
+    return recursion, split, spelled
 
 
 class TestCompositionBudget:
     def test_checked_before_any_coefficient(self, monkeypatch):
-        # two merged stages over two groups: before the first the empty
-        # prefix makes q+1 updates, before the second each prefix 1^l, l < q,
-        # makes q-l+1: 3 + 5 for q = 2 and 4 + 9 for q = 3
+        # two merged stages over two groups spell 1, 2; 11, 12, 22; 111, 112,
+        # 122, 222.  The recursion makes 3 + 5 updates for q = 2 and 4 + 9
+        # for q = 3; the split DP extends each of the 2^j prefixes of length
+        # j < q by every word of length at most q - j: 5 + 2 * 2 and
+        # 9 + 2 * 5 + 4 * 2
         plan = build_plan(2, 1)
-        monkeypatch.setattr(bch, "DEFAULT_RECURSION_BUDGET", 21)
+        monkeypatch.setattr(bch, "DEFAULT_SERIES_BUDGET", 57)
         assert sorted(compute_phi_range(plan, toy_spec(), 3)) == [2, 3]
-        monkeypatch.setattr(bch, "DEFAULT_RECURSION_BUDGET", 20)
+        monkeypatch.setattr(bch, "DEFAULT_SERIES_BUDGET", 56)
         monkeypatch.setattr(bch, "compute_phi", None)
-        with pytest.raises(
-            ValueError, match="21 word-recursion updates, over the budget 20"
-        ):
+        with pytest.raises(ValueError, match="57 series updates, over the budget 56"):
             compute_phi_range(plan, toy_spec(), 3)
 
     @pytest.mark.parametrize("p", [1, 2, 4, 6])
     @pytest.mark.parametrize("n_groups", [1, 2, 3])
     def test_counts_the_replayed_updates(self, monkeypatch, n_groups, p):
-        # replay the recursion on word sets alone, counting each (prefix, k);
-        # words of length q leave the prefixes
         plan = build_plan(n_groups, p)
         slots = plan.merged_stages()[::-1]
-        updates = 0
-        for q in range(2, 6):
-            prefixes, words = {()}, set()
-            for g, _ in slots:
-                updates += sum(q - len(w) + 1 for w in prefixes)
-                grown = {w + (g,) * k for w in prefixes for k in range(q - len(w) + 1)}
-                words |= {w for w in grown if len(w) == q}
-                prefixes = grown - words
-            assert words == set(_word_weights(slots, q)), q
-        monkeypatch.setattr(bch, "DEFAULT_RECURSION_BUDGET", updates)
+        recursion, split, spelled = replayed_updates(plan, 5)
+        for q, words in spelled.items():
+            assert words == set(_word_weights(slots, q)[1]), q
+        updates = recursion + split
+        monkeypatch.setattr(bch, "DEFAULT_SERIES_BUDGET", updates)
         bch.check_series_budget(plan, 5)
-        monkeypatch.setattr(bch, "DEFAULT_RECURSION_BUDGET", updates - 1)
-        with pytest.raises(ValueError, match=f"make {updates} word-recursion"):
+        monkeypatch.setattr(bch, "DEFAULT_SERIES_BUDGET", updates - 1)
+        with pytest.raises(ValueError, match=f"make {updates} series updates"):
             bch.check_series_budget(plan, 5)
 
 
 class TestPermutationBudget:
+    """The series count on the tables the permutation-weight count sized
+    before the log coefficients replaced the permutation walk."""
+
     def test_counted_before_any_coefficient(self, monkeypatch):
-        # two groups on a Strang plan merge into three stages, 1 2 1: order q
-        # walks q! weights once per pattern, 1 + (q-1) + C(q-1, 2) of them,
-        # and relabels the distinct rearrangements of each word
+        # two groups on a Strang plan merge into three stages, 1 2 1; the
+        # split DP's 2^j prefixes of each length j about double the count
+        # with each order
         spec = heisenberg_chain(4, field=0.0)
         plan = build_plan(spec.n_groups, 2)
         orders = []
@@ -557,65 +683,59 @@ class TestPermutationBudget:
             return PauliSum(spec.n_sites)
 
         monkeypatch.setattr(bch, "compute_phi", stub)
-        assert sorted(compute_phi_range(plan, spec, 9)) == list(range(2, 10))
-        assert orders == list(range(2, 10))
+        assert sorted(compute_phi_range(plan, spec, 17)) == list(range(2, 18))
+        assert orders == list(range(2, 18))
         orders.clear()
         with pytest.raises(
-            ValueError, match="walk 185693674 permutation weights, over the budget"
+            ValueError, match="make 5242177 series updates, over the budget 5000000"
         ):
-            compute_phi_range(plan, spec, 10)
+            compute_phi_range(plan, spec, 18)
         assert orders == []
 
     @pytest.mark.parametrize("p", [1, 2, 4])
     @pytest.mark.parametrize("n_groups", [1, 2, 3, 4])
     def test_counts_the_walks_and_relabels(self, monkeypatch, n_groups, p):
-        # q! stored weights, q! per pattern of the words and q!/prod_j c_j!
-        # per word; compute_phi's relabels, the pattern's nonzero keys, are
-        # at most that
+        # the count's closed form for the split DP, read off the real code:
+        # the DP reaches all n_groups^q words of length q, so it walks
+        # n_groups^j prefixes of each length j < q, and each meets every
+        # spelled word that fits
         plan = build_plan(n_groups, p)
         slots = plan.merged_stages()[::-1]
-        walked = made = 0
+        recursion, split, _ = replayed_updates(plan, 5)
+        walked = 0
         for q in range(2, 6):
-            relabels: dict[tuple[int, ...], int] = {}  # per pattern
-            for w in _word_weights(slots, q):
-                pattern = tuple(list(dict.fromkeys(w)).index(g) for g in w)
-                if pattern not in relabels:
-                    keys = {}
-                    for sigma, n in _perm_weights(q)[1]:
-                        key = tuple(pattern[i] for i in sigma)
-                        keys[key] = keys.get(key, 0) + n
-                    relabels[pattern] = sum(1 for n in keys.values() if n)
-                made += relabels[pattern]
-                walked += math.factorial(q) // math.prod(
-                    math.factorial(pattern.count(j)) for j in set(pattern)
-                )
-            walked += math.factorial(q) * (1 + len(relabels))
-            made += math.factorial(q) * (1 + len(relabels))
-        assert made <= walked
-        monkeypatch.setattr(bch, "DEFAULT_PERMUTATION_BUDGET", walked)
+            assert len(_log_coefficients(slots, q)[1]) == n_groups**q, q
+            lengths = [len(u) for u in _word_weights(slots, q)[1]]
+            walked += sum(
+                n_groups**j * sum(1 for l in lengths if l <= q - j) for j in range(q)
+            )
+        assert walked == split
+        monkeypatch.setattr(bch, "DEFAULT_SERIES_BUDGET", recursion + walked)
         bch.check_series_budget(plan, 5)
-        monkeypatch.setattr(bch, "DEFAULT_PERMUTATION_BUDGET", walked - 1)
-        with pytest.raises(ValueError, match=f"walk {walked} permutation weights"):
+        monkeypatch.setattr(bch, "DEFAULT_SERIES_BUDGET", recursion + walked - 1)
+        with pytest.raises(ValueError, match=f"make {recursion + walked} series"):
             bch.check_series_budget(plan, 5)
 
     @pytest.mark.parametrize("p", [1, 2, 4, 6])
     def test_allows_every_table_the_composition_counts_allowed(self, p):
         for plan, q_max in budget_grid(p):
             comps, per_word = parent_counts(plan, q_max)
-            if comps <= 10**6 and per_word <= bch.DEFAULT_PERMUTATION_BUDGET:
+            if comps <= PARENT_BUDGETS[0] and per_word <= PARENT_BUDGETS[1]:
                 bch.check_series_budget(plan, q_max)
 
     @pytest.mark.parametrize("p", [1, 2, 4, 6])
     def test_refuses_the_tables_the_per_word_count_refused(self, p):
-        # except the listed ones, which make fewer walks and relabels than
-        # the budget allows
-        admitted = set()
+        # the series count refuses only tables the permutation count refused
+        # too, and admits the listed ones of those
+        grid, refused = set(), set()
         for plan, q_max in budget_grid(p):
-            if parent_counts(plan, q_max)[1] > bch.DEFAULT_PERMUTATION_BUDGET:
-                try:
-                    bch.check_series_budget(plan, q_max)
-                except ValueError as refused:
-                    assert "over the budget" in str(refused)
-                else:
-                    admitted.add((p, plan.n_groups, q_max))
-        assert admitted == {t for t in ADMITTED_OVER_THE_PER_WORD_COUNT if t[0] == p}
+            table = (p, plan.n_groups, q_max)
+            grid.add(table)
+            try:
+                bch.check_series_budget(plan, q_max)
+            except ValueError as over:
+                assert "series updates, over the budget" in str(over)
+                refused.add(table)
+        assert refused == {t for t in REFUSED_BY_THE_SERIES_COUNT if t[0] == p}
+        admitted = {t for t in ADMITTED_OVER_THE_PERMUTATION_COUNT if t[0] == p}
+        assert admitted <= grid - refused

@@ -507,6 +507,17 @@ class TestVerifyBounds:
         assert doc["summary"]["fail"] == 0
         assert doc["passed"] is True
 
+    def test_qmax_window_reaching_p0_tests_the_truncation(self, tmp_path):
+        # at the default eps p0 = 10: the series table Phi_2..Phi_10 is
+        # within the series budget, so both dense checks run
+        assert run(tmp_path, "verify-bounds", "--qmax", "10") == 0
+        doc = load(tmp_path, "verify_bounds.json")
+        rows = {row["name"]: row for row in doc["rows"]}
+        assert rows["truncation_defect"]["status"] == "pass"
+        assert rows["step_error_bound"]["status"] == "pass"
+        assert doc["summary"]["untestable"] == 0
+        assert doc["passed"] is True
+
     def test_one_norm_mode_still_meaningful(self, tmp_path):
         code = run(
             tmp_path,
@@ -846,8 +857,8 @@ class TestCompositionBudget:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("verify-bounds", "--n-sites", "5", "--p", "6", "--qmax", "8"),
-            ("phi", "--p", "6", "--qmax", "8"),
+            ("verify-bounds", "--n-sites", "5", "--p", "6", "--qmax", "10"),
+            ("phi", "--p", "6", "--qmax", "10"),
         ],
         ids=["verify-bounds", "phi"],
     )
@@ -855,7 +866,7 @@ class TestCompositionBudget:
         self, tmp_path, monkeypatch, capsys, argv
     ):
         # three groups at p = 6 merge into 101 stages: the word recursion
-        # makes 1,150,434 updates for the orders q <= 8
+        # and the split DP make 11,328,082 updates for the orders q <= 10
         calls = []
 
         def refused(*args, **kwargs):
@@ -866,7 +877,7 @@ class TestCompositionBudget:
         assert run(tmp_path, *argv) == 2
         assert calls == []
         err = capsys.readouterr().err
-        assert "1150434 word-recursion updates, over the budget 1000000" in err
+        assert "11328082 series updates, over the budget 5000000" in err
 
     @pytest.mark.parametrize("command", ["verify-bounds", "phi"])
     def test_over_budget_refused_before_the_alpha_table(
@@ -880,29 +891,29 @@ class TestCompositionBudget:
             raise AssertionError("the alpha table was enumerated")
 
         monkeypatch.setattr(commutators, "commutator_sums", refused)
-        argv = (command, "--n-sites", "10", "--p", "6", "--qmax", "8")
+        argv = (command, "--n-sites", "10", "--p", "6", "--qmax", "10")
         assert run(tmp_path, *argv) == 2
         assert calls == []
         err = capsys.readouterr().err
-        assert "1150434 word-recursion updates, over the budget 1000000" in err
+        assert "11328082 series updates, over the budget 5000000" in err
 
     @pytest.mark.parametrize(
         "argv, walked",
         [
-            # two groups, three merged stages 1 2 1: the 11! weights are
-            # stored once and walked by each of 1 + 10 + C(10, 2) = 56
-            # equality patterns of the words, and each word relabels its
-            # distinct rearrangements
-            (("phi", "--field", "0", "--qmax", "11"), 2460964575),
-            # one group on two sites: one word, one pattern and one
-            # rearrangement per order
-            (("phi", "--n-sites", "2", "--field", "0", "--qmax", "11"), 87909434),
+            # two groups, three merged stages 1 2 1: the split DP walks 2^j
+            # prefixes of each length j, so the count about doubles per
+            # order (2,620,800 at --qmax 17)
+            (("phi", "--field", "0", "--qmax", "18"), 5242177),
+            # one group on two sites: one word of each length, so the count
+            # grows like qmax^3 / 6
+            (("phi", "--n-sites", "2", "--field", "0", "--qmax", "320"), 5564317),
         ],
         ids=["two-groups", "one-group"],
     )
     def test_permutation_sums_refused_before_any_series(
         self, tmp_path, monkeypatch, capsys, argv, walked
     ):
+        # the series count that replaced the permutation-weight count
         calls = []
 
         def refused(*args, **kwargs):
@@ -914,12 +925,12 @@ class TestCompositionBudget:
         assert main([*argv, "--out", str(out)]) == 2
         assert calls == []
         err = capsys.readouterr().err
-        assert f"walk {walked} permutation weights, over the budget 30000000" in err
+        assert f"make {walked} series updates, over the budget 5000000" in err
         assert not out.exists()
 
     def test_sixth_order_series_runs(self, tmp_path):
         # two groups at p = 6: 51 merged stages, C(57, 7) = 264,385,836
-        # compositions at q = 7 alone, but 34,236 recursion updates in all
+        # compositions at q = 7 alone, but 36,816 series updates in all
         argv = ("phi", "--n-sites", "4", "--p", "6", "--qmax", "7", "--field", "0")
         assert run(tmp_path, *argv) == 0
         rows = {row["q"]: row for row in load(tmp_path, "phi_report.json")["rows"]}
@@ -931,7 +942,7 @@ class TestCompositionBudget:
     @pytest.mark.parametrize("command", ["phi", "verify-bounds"])
     def test_default_long_range_series_runs(self, tmp_path, command):
         # seven groups merge into 13 stages: C(17, 5) = 6,188 compositions at
-        # q = 5 and 13,653 recursion updates in all, which the composition
+        # q = 5 and 88,917 series updates in all, which the composition
         # loop's preflight allowed too
         argv = (command, "--family", "long-range-zz", "--n-sites", "8")
         assert run(tmp_path, *argv) == 0
@@ -945,8 +956,8 @@ class TestCompositionBudget:
             assert all(row["status"] == "pass" for row in phi_rows)
 
     def test_tuple_budget_still_refuses_first(self, tmp_path, capsys):
-        # 3^13 tuples exceed the tuple budget; the p = 2 plan's word
-        # recursion is within its own
+        # 3^13 tuples exceed the tuple budget, and the p = 2 plan's
+        # 14,920,892 series updates exceed their own; tuples come first
         assert run(tmp_path, "phi", "--qmax", "13") == 2
         assert "3^13 tuples exceed the budget 1000000" in capsys.readouterr().err
 
@@ -962,15 +973,17 @@ class TestPreflight:
                 "3^20 tuples exceed the budget 1000000",
             ),
             (("phi", "--qmax", "13"), "3^13 tuples exceed the budget 1000000"),
-            (("phi", "--p", "6", "--qmax", "8"), "make 1150434 word-recursion"),
+            # the series count: the word recursion dominates at p = 6 on
+            # three groups, the split DP on two groups at p = 2
+            (("phi", "--p", "6", "--qmax", "10"), "make 11328082 series updates"),
             (
-                ("verify-bounds", "--n-sites", "10", "--p", "6", "--qmax", "8"),
-                "make 1150434 word-recursion",
+                ("verify-bounds", "--n-sites", "10", "--p", "6", "--qmax", "10"),
+                "make 11328082 series updates",
             ),
-            (("phi", "--field", "0", "--qmax", "11"), "walk 2460964575 permutation"),
+            (("phi", "--field", "0", "--qmax", "18"), "make 5242177 series updates"),
             (
-                ("verify-bounds", "--n-sites", "8", "--field", "0", "--qmax", "11"),
-                "walk 2460964575 permutation",
+                ("verify-bounds", "--n-sites", "8", "--field", "0", "--qmax", "18"),
+                "make 5242177 series updates",
             ),
             (("phi", "--n-sites", "24"), "n_sites = 24 exceeds the site cap 16"),
             (("verify-order", "--n-sites", "13"), "on 13 sites exceeds cap 12"),
