@@ -19,11 +19,11 @@ J. Math. Phys. 50, 033513, 2009).  Expanding the log,
 where B(u) sums prod_v a_v^{k_v} / k_v! over the ways (k_1..k_V) the stages
 spell the word u.  Every float stage fraction is n_v / 2^S for one common
 S, so B, the splits and the log run in exact integers and each c_w comes
-from one correctly rounded division.  Words whose coefficient is zero, and
-words ending in a repeated group (their nest vanishes), are dropped, so
-the even orders of a palindromic plan evaluate no nest; the surviving
-nested commutators share common suffixes.  :func:`check_series_budget`
-counts this work before any order is built.
+from one correctly rounded division.  One depth-first walk spells the words
+innermost group first, each word carrying its split sums and its nest to
+every order up to q_max; a repeated innermost pair or an empty nest ends a
+branch, and a top-order nest is formed only for a nonzero c_w.
+:func:`check_series_budget` counts this work before any order is built.
 
 Orders ``q <= p`` vanish for an order-p plan, every ``Phi_q`` is Hermitian,
 and the series truncated at order p0 reproduces the step unitary to
@@ -34,7 +34,7 @@ facts the verification helpers at the bottom measure.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
 
 from .formulas import (
     DEFAULT_DENSE_CAP,
@@ -76,7 +76,7 @@ def _word_weights(
     """``(S, I)``: the integers I(u) = |u|! 2^{S |u|} B(u) of every word u of
     length 1..q that the stages spell, each stage fraction being n_v / 2^S.
 
-    Built slot by slot, leftmost factor first: every prefix w of length l < q
+    Built slot by slot, in the order given: every prefix w of length l < q
     grows to ``w + (g_v,) * k`` for k = 0..q-l, its integer times
     C(l+k, k) n_v^k, and the words of length q it reaches leave the prefixes.
     """
@@ -98,113 +98,111 @@ def _word_weights(
     return shift, prefixes | words
 
 
-def _log_coefficients(
-    slots: Sequence[tuple[int, float]], q: int
-) -> tuple[int, dict[tuple[int, ...], int]]:
-    """``(D, N)`` with c_w = N[w] / D for every word w of length q over the
-    stages' groups, exactly.
+def _series_terms(
+    plan: ProductFormulaPlan, q_max: int, child: Callable[[Any, int], Any]
+) -> Iterator[tuple[int, int, int, Any]]:
+    """``(q, N, D, nest)`` for each group word w of length q <= q_max with
+    c_w = N / D nonzero and a nonempty nest, in one depth-first walk.
 
-    A split DP runs forward over prefixes, shortest first: G[pre][m] is
-    |pre|! 2^{S |pre|} times the sum over splits of pre into m spelled words
-    of prod_i B(u_i), and each spelled word u with |pre| + |u| <= q extends
-    it, G[pre + u][m + 1] += G[pre][m] C(|pre| + |u|, |pre|) I(u).  A word
-    of length q closes the split, so its numerator
-    sum_m (-1)^{m-1} (L / m) G[w][m], with L = lcm(1..q), is summed
-    directly, and D = q! L 2^{S q}.
+    The walk spells each word reversed, r = w_q .. w_1, innermost group
+    first, so that ``child(nest, g)`` makes the nest of r + (g,) from the
+    nest of r (``None`` at the root).  It reads the word weights of the
+    merged stages in their own order: c_w over the product's factors is c_r
+    over the same factors reversed.  A node r of length i holds its split
+    vector G[r][m], i! 2^{S i} times the sum of prod_k B(u_k) over the
+    splits of r into m spelled words, summed over its spelled suffixes r[j:]:
+
+        G[r][m + 1] += C(i, j) I(r[j:]) G[r[:j]][m].
+
+    A suffix of a spelled word is spelled, so the first unspelled suffix
+    ends the sum.  Then N = sum_m (-1)^{m-1} (L / m) G[r][m] and
+    D = i! L 2^{S i}, with L = lcm(1..i).  A repeated innermost pair and
+    every word below an empty nest are skipped, since their nests vanish,
+    and a nest of length q_max is formed only when N is nonzero.
     """
-    shift, weights = _word_weights(slots, q)
-    by_len: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(q + 1)]
-    for u, i in weights.items():
-        by_len[len(u)].append((u, i))
-    lcm = math.lcm(*range(1, q + 1))
-    levels: list[dict[tuple[int, ...], list[int]]] = [{} for _ in range(q)]
-    levels[0][()] = [1]
-    numerators: dict[tuple[int, ...], int] = {}
-    for j, level in enumerate(levels):
-        for pre, vec in level.items():
-            for l in range(1, q - j):
-                into = levels[j + l]
-                f = math.comb(j + l, j)
-                for u, i in by_len[l]:
-                    key = pre + u
-                    t = into.get(key)
-                    if t is None:
-                        t = into[key] = [0] * (j + l + 1)
-                    c = f * i
-                    for m, x in enumerate(vec):
-                        t[m + 1] += c * x
-            # the last word makes m + 1 pieces: sign (-1)^m, weight L / (m + 1)
-            s = math.comb(q, j) * sum(
-                (-x if m % 2 else x) * (lcm // (m + 1)) for m, x in enumerate(vec)
-            )
-            for u, i in by_len[q - j]:
-                key = pre + u
-                numerators[key] = numerators.get(key, 0) + s * i
-        level.clear()
-    return math.factorial(q) * lcm << (shift * q), numerators
+    stages = plan.merged_stages()
+    shift, weights = _word_weights(stages, q_max)
+    groups = sorted({g for g, _ in stages})
+
+    def grow(word, splits, nest):
+        i = len(word) + 1
+        lcm = math.lcm(*range(1, i + 1))
+        den = math.factorial(i) * lcm << (shift * i)
+        for g in groups:
+            if i == 2 and g == word[0]:
+                continue
+            r = word + (g,)
+            vec = [0] * (i + 1)
+            for j in range(i - 1, -1, -1):
+                u = weights.get(r[j:])
+                if u is None:
+                    break
+                f = math.comb(i, j) * u
+                for m, x in enumerate(splits[j]):
+                    vec[m + 1] += f * x
+            n = sum(lcm // m * (x if m % 2 else -x) for m, x in enumerate(vec[1:], 1))
+            sub = child(nest, g) if n or i < q_max else None
+            if sub:
+                if n:
+                    yield i, n, den, sub
+                if i < q_max:
+                    yield from grow(r, splits + (vec,), sub)
+
+    yield from grow((), ([1],), None)
+
+
+def _phi_table(
+    plan: ProductFormulaPlan, spec: HamiltonianSpec, q_max: int
+) -> dict[int, PauliSum]:
+    """Phi_1..Phi_qmax from one walk, each c_w rounded once."""
+    if plan.n_groups != spec.n_groups:
+        raise ValueError("plan and spec disagree on the group count")
+
+    def child(nest: PauliSum | None, g: int) -> PauliSum:
+        return spec.group_sum(g) if nest is None else spec.group_sum(g).commutator(nest)
+
+    acc: dict[int, dict[tuple[int, int], complex]] = {q: {} for q in range(1, q_max + 1)}
+    for q, n, den, nest in _series_terms(plan, q_max, child):
+        weight, into = n / den, acc[q]
+        for key, c in nest.items():
+            into[key] = into.get(key, 0.0) + weight * c
+    return {
+        q: PauliSum(spec.n_sites, terms).scale((-1j) ** (q - 1) / q)
+        for q, terms in acc.items()
+    }
 
 
 def compute_phi(plan: ProductFormulaPlan, spec: HamiltonianSpec, q: int) -> PauliSum:
     """The order-q coefficient of the effective-generator series.
 
     ``q = 1`` returns the Hamiltonian itself (the stage fractions sum to one
-    per group).  Each word's coefficient c_w comes exactly from
-    :func:`_log_coefficients` and is rounded once.  No budget is checked
-    here; see :func:`compute_phi_range`.
+    per group).  The walk runs to q, as :func:`compute_phi_range` runs it to
+    q_max, and gives the same Phi_q bit for bit.  No budget is checked here.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    if plan.n_groups != spec.n_groups:
-        raise ValueError("plan and spec disagree on the group count")
-    den, numerators = _log_coefficients(plan.merged_stages()[::-1], q)
-    # [H_g, H_g] = 0 ends the nest of a word whose last two letters agree; a
-    # one-letter word has no such pair
-    agg = {w: n / den for w, n in numerators.items() if n and w[-2:-1] != w[-1:]}
-
-    # evaluate the surviving nested commutators, sharing common suffixes
-    acc: dict[tuple[int, int], complex] = {}
-    stack: list[PauliSum | None] = [None] * q
-    prev: tuple[int, ...] | None = None
-    for seq in sorted(agg, key=lambda s: s[::-1]):
-        weight = agg[seq]
-        start = q - 1
-        while prev and start >= 0 and prev[start] == seq[start]:
-            start -= 1
-        for j in range(start, -1, -1):
-            h = spec.group_sum(seq[j])
-            stack[j] = h if j == q - 1 else h.commutator(stack[j + 1])
-        prev = seq
-        nest = stack[0]
-        if nest:
-            for key, c in nest.items():
-                acc[key] = acc.get(key, 0.0) + weight * c
-
-    overall = (-1j) ** (q - 1) / q
-    return PauliSum(spec.n_sites, {k: overall * c for k, c in acc.items()})
+    return _phi_table(plan, spec, q)[q]
 
 
 def check_series_budget(plan: ProductFormulaPlan, q_max: int) -> None:
     """Refuse a table Phi_2..Phi_qmax over ``DEFAULT_SERIES_BUDGET`` updates.
 
-    Counted exactly, per order q: the word recursion's (prefix, k) updates
-    in :func:`_word_weights`, and the split DP's (prefix, word) updates in
-    :func:`_log_coefficients`, where each of the n_groups^j prefixes of a
-    length j < q meets every spelled word of length at most q - j.
+    Counted exactly before pruning: the word recursion's (prefix, k) updates
+    in :func:`_word_weights` to q_max, and the walk's split updates, where
+    each of the n_groups^j prefixes of a length j < q_max meets every
+    spelled word of length at most q_max - j.
     """
-    # replay the recursion on counts of the distinct prefixes by length, in
-    # all and ending in each group: one ending in g after stage g is one not
-    # ending in g and a run of g; one of length l < q makes q-l+1 updates
-    orders = range(2, q_max + 1)
+    # replay the recursion on counts of the distinct prefixes by length, in all
+    # and ending in each group: one ending in g after stage g is one not ending
+    # in g and a run of g; one of length l < q_max makes q_max-l+1 updates
     by_len, ends, count = [1] + [0] * q_max, {}, 0
-    for g, _ in plan.merged_stages()[::-1]:
-        count += sum(by_len[l] * (q - l + 1) for q in orders for l in range(q))
+    for g, _ in plan.merged_stages():
+        count += sum(by_len[l] * (q_max - l + 1) for l in range(q_max))
         old = ends.get(g, [0] * (q_max + 1))
         ends[g] = [sum(by_len[j] - old[j] for j in range(l)) for l in range(q_max + 1)]
         by_len = [t - o + e for t, o, e in zip(by_len, old, ends[g])]
     # by_len[l] now counts the spelled words of length l
-    count += sum(
-        plan.n_groups**j * sum(by_len[1 : q - j + 1]) for q in orders for j in range(q)
-    )
+    count += sum(plan.n_groups**j * sum(by_len[1 : q_max - j + 1]) for j in range(q_max))
     if count > DEFAULT_SERIES_BUDGET:
         raise ValueError(
             f"Phi_2..Phi_{q_max} make {count} series updates, over the budget "
@@ -215,10 +213,11 @@ def check_series_budget(plan: ProductFormulaPlan, q_max: int) -> None:
 def compute_phi_range(
     plan: ProductFormulaPlan, spec: HamiltonianSpec, q_max: int
 ) -> dict[int, PauliSum]:
-    """The table Phi_2..Phi_qmax, keyed by order, refused before any work
-    by :func:`check_series_budget`."""
+    """The table Phi_2..Phi_qmax, keyed by order, from one walk, refused
+    before any work by :func:`check_series_budget`."""
     check_series_budget(plan, q_max)
-    return {q: compute_phi(plan, spec, q) for q in range(2, q_max + 1)}
+    table = _phi_table(plan, spec, q_max) if q_max >= 2 else {}
+    return {q: phi for q, phi in table.items() if q >= 2}
 
 
 def phi_norm_bound(stage_factor: float, alpha_q: float, q: int) -> float:

@@ -25,8 +25,8 @@
 - The exact free-algebra log coefficients c_w behind
   :func:`mpfkit.bch.compute_phi`, as ``Fraction`` values: the word weights
   by a ``Fraction`` prefix recursion, then, word by word, a DP over its
-  split points.  :func:`mpfkit.bch._log_coefficients` runs the same sums
-  in integers, forward over shared prefixes.
+  split points.  :func:`mpfkit.bch._series_terms` runs the same sums in
+  integers, one depth-first walk over the reversed words.
 - The per-composition walk that :func:`mpfkit.bch._word_weights` replaces:
   every composition of q over the merged stages visited in turn, its
   weight added to its word (in floats or exactly), and the whole series
@@ -296,7 +296,8 @@ def nest_series_term(
 ) -> PauliSum:
     """(-i)^{q-1} / q sum_seq agg[seq] [H_seq1, [H_seq2, ... H_seqq]], the
     nests taken in order of their reversed group sequence and shared along
-    common suffixes, as :func:`mpfkit.bch.compute_phi` evaluates them."""
+    common suffixes, the order in which :func:`mpfkit.bch.compute_phi`'s
+    walk sums them."""
     acc: dict[tuple[int, int], complex] = {}
     stack: list[PauliSum | None] = [None] * q
     prev: tuple[int, ...] | None = None

@@ -1,5 +1,6 @@
 """Effective-generator coefficients: conventions, vanishing, bounds, oracle."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from mpfkit.bch import (
     phi_report,
     truncation_defect,
 )
-from mpfkit.bch import _log_coefficients, _word_weights
+from mpfkit.bch import _series_terms, _word_weights
 from mpfkit.commutators import nested_commutator_sum
 from mpfkit.hamiltonians import heisenberg_chain, long_range_zz_chain, make_spec
 from mpfkit.pauli import PauliSum, PauliTerm
@@ -289,9 +290,46 @@ def scaled_word_weights(slots, q):
     }
 
 
-def exact_log_coefficients(slots, q):
-    den, numerators = _log_coefficients(slots, q)
-    return {w: Fraction(n, den) for w, n in numerators.items()}
+def spelling(nest, g):
+    """A child step whose nest is the reversed word itself, so nothing is
+    pruned below it."""
+    return (nest or ()) + (g,)
+
+
+def walked_log_coefficients(plan, q_max):
+    """c_w = N / D of every word of length 1..q_max that the walk yields,
+    keyed by the word w, not by the reversed word the walk spells."""
+    return {
+        r[::-1]: Fraction(n, den) for _, n, den, r in _series_terms(plan, q_max, spelling)
+    }
+
+
+def fraction_coefficients_to(plan, q_max):
+    """The oracle's nonzero c_w of lengths 1..q_max over the product's
+    factors, less the words ending in a repeated group, which the walk skips."""
+    slots = plan.merged_stages()[::-1]
+    return {
+        w: c
+        for q in range(1, q_max + 1)
+        for w, c in fraction_log_coefficients(slots, q).items()
+        if c and (q == 1 or w[-1] != w[-2])
+    }
+
+
+@st.composite
+def asymmetric_plans(draw):
+    """Plans of two or three groups with random stage lists and fractions,
+    rarely their own reverse."""
+    n_groups = draw(st.integers(2, 3))
+    stages = draw(
+        st.lists(
+            st.tuples(st.integers(1, n_groups), st.floats(-1.5, 1.5)),
+            min_size=2,
+            max_size=6,
+        )
+    )
+    stages += [(g, 1.0) for g in range(1, n_groups + 1)]
+    return build_plan(n_groups, 1)._replace(stages=tuple(stages))
 
 
 @st.composite
@@ -454,18 +492,26 @@ class TestWordAggregation:
     )
     @example(n_groups=3, p=6, q=7)
     def test_log_coefficients_are_the_fraction_dp(self, n_groups, p, q):
+        # the walk spells reversed words on the stages in their own order;
+        # at p = 1 the stage list is not its own reverse
         slots = stage_slots(n_groups, p)
         assert scaled_word_weights(slots, q) == fraction_word_weights(slots, q)
-        assert exact_log_coefficients(slots, q) == fraction_log_coefficients(slots, q)
+        plan = build_plan(n_groups, p)
+        assert walked_log_coefficients(plan, q) == fraction_coefficients_to(plan, q)
+
+    @settings(max_examples=30, deadline=None)
+    @given(plan=asymmetric_plans(), q=st.integers(1, 5))
+    def test_walk_reverses_an_asymmetric_product(self, plan, q):
+        assert walked_log_coefficients(plan, q) == fraction_coefficients_to(plan, q)
 
     @pytest.mark.parametrize("q", range(1, 9))
     def test_integer_weights_are_the_fractions(self, q):
         # the integer log coefficients of the `series` plan and of the
         # three-group Strang plan are the Fraction DP's, word by word
         for n_groups, p in ((2, 4), (3, 2)):
-            slots = stage_slots(n_groups, p)
-            exact = fraction_log_coefficients(slots, q)
-            assert exact_log_coefficients(slots, q) == exact, (n_groups, p)
+            plan = build_plan(n_groups, p)
+            exact = fraction_coefficients_to(plan, q)
+            assert walked_log_coefficients(plan, q) == exact, (n_groups, p)
 
     @pytest.mark.parametrize(
         "spec, p",
@@ -532,11 +578,11 @@ class TestVanishingOrders:
     @pytest.mark.parametrize("p", [2, 4, 6])
     def test_even_orders_of_palindromic_plans_make_no_nest(self, monkeypatch, p):
         # the log of a palindromic product is odd in time: every even-order
-        # coefficient cancels exactly, so no word is left to nest
+        # coefficient cancels exactly, so the walk forms no nest at an even
+        # top order, and Phi_2 costs no commutator at all
         spec = heisenberg_chain(4, field=0.5)
         plan = build_plan(spec.n_groups, p)
-        slots = plan.merged_stages()[::-1]
-        assert slots == plan.merged_stages()
+        assert plan.merged_stages()[::-1] == plan.merged_stages()
         calls = []
         commutator = PauliSum.commutator
 
@@ -545,12 +591,63 @@ class TestVanishingOrders:
             return commutator(self, other)
 
         monkeypatch.setattr(PauliSum, "commutator", counting)
-        for q in (2, 4, 6):
-            assert not any(_log_coefficients(slots, q)[1].values()), q
-            assert not compute_phi(plan, spec, q), q
+        assert not compute_phi(plan, spec, 2)
         assert calls == []
+        for q in (2, 4, 6):
+            formed = []
+
+            def child(nest, g):
+                formed.append(len(nest or ()) + 1)
+                return spelling(nest, g)
+
+            assert all(d % 2 for d, *_ in _series_terms(plan, q, child)), q
+            assert q not in formed, q
+            assert not compute_phi(plan, spec, q), q
+        calls.clear()
         assert compute_phi(plan, spec, p + 1)
         assert calls
+
+
+class TestOneWalk:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        spec=three_site_specs(), p=st.sampled_from([1, 2, 4, 6]), q_max=st.integers(2, 6)
+    )
+    @example(spec=heisenberg_chain(3, coupling=1.3, field=0.7), p=1, q_max=6)
+    def test_table_orders_are_the_single_orders(self, spec, p, q_max):
+        # the walk to q_max forms every nest below q_max, the walk to q
+        # only those with a nonzero coefficient at q: bitwise, key order too
+        plan = build_plan(spec.n_groups, p)
+        table = compute_phi_range(plan, spec, q_max)
+        assert sorted(table) == list(range(2, q_max + 1))
+        for q, phi in table.items():
+            single = compute_phi(plan, spec, q)
+            assert [(k, repr(c)) for k, c in phi.items()] == [
+                (k, repr(c)) for k, c in single.items()
+            ], q
+
+    @pytest.mark.parametrize(
+        "spec, p, q_max, ceiling",
+        [
+            # seven commuting ZZ groups: every nest of two groups is empty,
+            # so the walk stops at the 7 x 6 ordered pairs
+            (long_range_zz_chain(8, 2.0), 2, 7, 42),
+            (heisenberg_chain(4, field=0.8), 2, 10, 768),
+        ],
+        ids=["long-range", "heisenberg"],
+    )
+    def test_empty_nests_prune_their_words(self, monkeypatch, spec, p, q_max, ceiling):
+        calls = []
+        commutator = PauliSum.commutator
+
+        def counting(self, other):
+            calls.append(other)
+            return commutator(self, other)
+
+        monkeypatch.setattr(PauliSum, "commutator", counting)
+        table = compute_phi_range(build_plan(spec.n_groups, p), spec, q_max)
+        assert sorted(table) == list(range(2, q_max + 1))
+        assert 0 < len(calls) <= ceiling
 
 
 def parent_counts(plan, q_max):
@@ -582,7 +679,8 @@ def budget_grid(p):
 # stored weights, a walk per equality pattern and a relabel per
 # rearrangement, against 3 x 10^7, with the word recursion against 10^6)
 # refused.  The series count admits the first set and refuses the second;
-# it admits every other table of the grid.
+# it admits every other table of the grid.  Counting the one walk to q_max
+# instead of a split DP per order admitted (4, 3, 11): 4,979,430 updates.
 ADMITTED_OVER_THE_PERMUTATION_COUNT = {
     (1, 1, 11), (1, 1, 12), (1, 1, 13), (1, 2, 10), (1, 2, 11), (1, 2, 12),
     (1, 2, 13), (1, 3, 10), (1, 3, 11), (1, 3, 12), (1, 4, 9),
@@ -598,7 +696,7 @@ ADMITTED_OVER_THE_PERMUTATION_COUNT = {
     (6, 14, 4),
 }
 REFUSED_BY_THE_SERIES_COUNT = {
-    (4, 3, 11), (4, 3, 12), (4, 4, 9), (4, 5, 8), (4, 6, 7), (4, 7, 7),
+    (4, 3, 12), (4, 4, 9), (4, 5, 8), (4, 6, 7), (4, 7, 7),
     (4, 8, 6), (4, 9, 6), (4, 10, 6), (4, 12, 5), (4, 13, 5), (4, 14, 5),
     (4, 15, 5),
     (6, 3, 10), (6, 3, 11), (6, 3, 12), (6, 4, 8), (6, 4, 9), (6, 5, 7),
@@ -610,55 +708,47 @@ REFUSED_BY_THE_SERIES_COUNT = {
 
 def replayed_updates(plan, q_max):
     """The series updates of Phi_2..Phi_qmax replayed on word sets, as
-    ``(recursion, split, spelled)``: the recursion's (prefix, k) per stage,
-    words of length q leaving the prefixes; the split DP's (prefix, word)
-    over every prefix it reaches; and the words of length 1..q per order."""
-    slots = plan.merged_stages()[::-1]
-    recursion = split = 0
-    spelled = {}
-    for q in range(2, q_max + 1):
-        prefixes, words = {()}, set()
-        for g, _ in slots:
-            recursion += sum(q - len(w) + 1 for w in prefixes)
-            grown = {w + (g,) * k for w in prefixes for k in range(q - len(w) + 1)}
-            words |= {w for w in grown if len(w) == q}
-            prefixes = grown - words
-        spelled[q] = (words | prefixes) - {()}
-        levels = [{()}] + [set() for _ in range(q - 1)]
-        for j, level in enumerate(levels):
-            for pre in level:
-                for u in spelled[q]:
-                    if j + len(u) <= q:
-                        split += 1
-                        if j + len(u) < q:
-                            levels[j + len(u)].add(pre + u)
+    ``(recursion, split, spelled)``: the recursion's (prefix, k) per stage
+    to q_max, words of length q_max leaving the prefixes; one split update
+    per spelled suffix of every word of length 1..q_max, the walk with
+    nothing pruned, as a dict keyed by word; and the spelled words."""
+    recursion = 0
+    prefixes, words = {()}, set()
+    for g, _ in plan.merged_stages():
+        recursion += sum(q_max - len(w) + 1 for w in prefixes)
+        grown = {w + (g,) * k for w in prefixes for k in range(q_max - len(w) + 1)}
+        words |= {w for w in grown if len(w) == q_max}
+        prefixes = grown - words
+    spelled = (words | prefixes) - {()}
+    split = {
+        r: sum(r[j:] in spelled for j in range(len(r)))
+        for i in range(1, q_max + 1)
+        for r in itertools.product(range(1, plan.n_groups + 1), repeat=i)
+    }
     return recursion, split, spelled
 
 
 class TestCompositionBudget:
     def test_checked_before_any_coefficient(self, monkeypatch):
         # two merged stages over two groups spell 1, 2; 11, 12, 22; 111, 112,
-        # 122, 222.  The recursion makes 3 + 5 updates for q = 2 and 4 + 9
-        # for q = 3; the split DP extends each of the 2^j prefixes of length
-        # j < q by every word of length at most q - j: 5 + 2 * 2 and
-        # 9 + 2 * 5 + 4 * 2
+        # 122, 222.  The recursion to q = 3 makes 4 + 9 updates; the walk
+        # meets each of the 2^j prefixes of length j < 3 with every spelled
+        # word of length at most 3 - j: 9 + 2 * 5 + 4 * 2
         plan = build_plan(2, 1)
-        monkeypatch.setattr(bch, "DEFAULT_SERIES_BUDGET", 57)
+        monkeypatch.setattr(bch, "DEFAULT_SERIES_BUDGET", 40)
         assert sorted(compute_phi_range(plan, toy_spec(), 3)) == [2, 3]
-        monkeypatch.setattr(bch, "DEFAULT_SERIES_BUDGET", 56)
-        monkeypatch.setattr(bch, "compute_phi", None)
-        with pytest.raises(ValueError, match="57 series updates, over the budget 56"):
+        monkeypatch.setattr(bch, "DEFAULT_SERIES_BUDGET", 39)
+        monkeypatch.setattr(bch, "_series_terms", None)
+        with pytest.raises(ValueError, match="40 series updates, over the budget 39"):
             compute_phi_range(plan, toy_spec(), 3)
 
     @pytest.mark.parametrize("p", [1, 2, 4, 6])
     @pytest.mark.parametrize("n_groups", [1, 2, 3])
     def test_counts_the_replayed_updates(self, monkeypatch, n_groups, p):
         plan = build_plan(n_groups, p)
-        slots = plan.merged_stages()[::-1]
         recursion, split, spelled = replayed_updates(plan, 5)
-        for q, words in spelled.items():
-            assert words == set(_word_weights(slots, q)[1]), q
-        updates = recursion + split
+        assert spelled == set(_word_weights(plan.merged_stages(), 5)[1])
+        updates = recursion + sum(split.values())
         monkeypatch.setattr(bch, "DEFAULT_SERIES_BUDGET", updates)
         bch.check_series_budget(plan, 5)
         monkeypatch.setattr(bch, "DEFAULT_SERIES_BUDGET", updates - 1)
@@ -672,44 +762,55 @@ class TestPermutationBudget:
 
     def test_counted_before_any_coefficient(self, monkeypatch):
         # two groups on a Strang plan merge into three stages, 1 2 1; the
-        # split DP's 2^j prefixes of each length j about double the count
-        # with each order
+        # walk's 2^j prefixes of each length j about double the count with
+        # each order
         spec = heisenberg_chain(4, field=0.0)
         plan = build_plan(spec.n_groups, 2)
-        orders = []
+        walks = []
 
-        def stub(plan, spec, q):
-            orders.append(q)
-            return PauliSum(spec.n_sites)
+        def stub(plan, q_max, child):
+            walks.append(q_max)
+            return iter(())
 
-        monkeypatch.setattr(bch, "compute_phi", stub)
-        assert sorted(compute_phi_range(plan, spec, 17)) == list(range(2, 18))
-        assert orders == list(range(2, 18))
-        orders.clear()
+        monkeypatch.setattr(bch, "_series_terms", stub)
+        assert sorted(compute_phi_range(plan, spec, 18)) == list(range(2, 19))
+        assert walks == [18]
+        walks.clear()
         with pytest.raises(
-            ValueError, match="make 5242177 series updates, over the budget 5000000"
+            ValueError, match="make 5242814 series updates, over the budget 5000000"
         ):
-            compute_phi_range(plan, spec, 18)
-        assert orders == []
+            compute_phi_range(plan, spec, 19)
+        assert walks == []
 
     @pytest.mark.parametrize("p", [1, 2, 4])
     @pytest.mark.parametrize("n_groups", [1, 2, 3, 4])
     def test_counts_the_walks_and_relabels(self, monkeypatch, n_groups, p):
-        # the count's closed form for the split DP, read off the real code:
-        # the DP reaches all n_groups^q words of length q, so it walks
-        # n_groups^j prefixes of each length j < q, and each meets every
-        # spelled word that fits
+        # the count's closed form for the split updates, read off the real
+        # walk: with no nest pruned it meets every spelled suffix of every
+        # word but those under a repeated innermost pair, which it skips
         plan = build_plan(n_groups, p)
-        slots = plan.merged_stages()[::-1]
-        recursion, split, _ = replayed_updates(plan, 5)
-        walked = 0
-        for q in range(2, 6):
-            assert len(_log_coefficients(slots, q)[1]) == n_groups**q, q
-            lengths = [len(u) for u in _word_weights(slots, q)[1]]
-            walked += sum(
-                n_groups**j * sum(1 for l in lengths if l <= q - j) for j in range(q)
-            )
-        assert walked == split
+        recursion, split, spelled = replayed_updates(plan, 5)
+        read = []
+        word_weights = bch._word_weights
+
+        class Reading(dict):
+            def get(self, key, default=None):
+                if key in self:
+                    read.append(key)
+                return super().get(key, default)
+
+        def reading(stages, q):
+            shift, weights = word_weights(stages, q)
+            return shift, Reading(weights)
+
+        monkeypatch.setattr(bch, "_word_weights", reading)
+        assert list(_series_terms(plan, 5, spelling))
+        skipped = sum(n for r, n in split.items() if r[1:2] == r[:1])
+        assert len(read) == sum(split.values()) - skipped
+        walked = sum(split.values())
+        assert walked == sum(
+            n_groups**j * sum(1 for u in spelled if len(u) <= 5 - j) for j in range(5)
+        )
         monkeypatch.setattr(bch, "DEFAULT_SERIES_BUDGET", recursion + walked)
         bch.check_series_budget(plan, 5)
         monkeypatch.setattr(bch, "DEFAULT_SERIES_BUDGET", recursion + walked - 1)

@@ -678,14 +678,15 @@ class TestPhiAlpha:
     def test_phi_checks_that_orders_up_to_p_vanish(self, tmp_path, monkeypatch):
         # a mirror-even Phi_2 of norm 0.004 keeps inside the norm bound, so
         # only the vanishing check of the p = 2 plan can catch it
-        compute_phi = bch.compute_phi
+        compute_phi_range = bch.compute_phi_range
         planted = PauliSum.from_terms([PauliTerm(4, 0, 1 << j, 1e-3) for j in range(4)])
 
-        def planting(plan, spec, q):
-            phi = compute_phi(plan, spec, q)
-            return phi + planted if q == 2 else phi
+        def planting(plan, spec, q_max):
+            phis = compute_phi_range(plan, spec, q_max)
+            phis[2] = phis[2] + planted
+            return phis
 
-        monkeypatch.setattr(bch, "compute_phi", planting)
+        monkeypatch.setattr(bch, "compute_phi_range", planting)
         assert run(tmp_path, "phi") == 1
         rows = load(tmp_path, "phi_report.json")["rows"]
         assert rows[0]["norm"] == pytest.approx(0.004, rel=1e-12)
@@ -764,7 +765,7 @@ class TestOneAlphaTable:
             calls.append(args)
             raise AssertionError("a series coefficient was computed")
 
-        monkeypatch.setattr(bch, "compute_phi", refused)
+        monkeypatch.setattr(bch, "_series_terms", refused)
         assert run(tmp_path, "phi", "--qmax", "13") == 2
         assert calls == []
 
@@ -841,16 +842,16 @@ class TestOneEvaluatorAndPhiTable:
 
     def test_verify_bounds_builds_one_phi_table(self, tmp_path, monkeypatch):
         # p0 = 4 <= qmax = 5: the phi rows and the truncation check share it
-        orders = []
-        compute_phi = bch.compute_phi
+        walks = []
+        series_terms = bch._series_terms
 
-        def counting(plan, spec, q):
-            orders.append(q)
-            return compute_phi(plan, spec, q)
+        def counting(plan, q_max, child):
+            walks.append(q_max)
+            return series_terms(plan, q_max, child)
 
-        monkeypatch.setattr(bch, "compute_phi", counting)
+        monkeypatch.setattr(bch, "_series_terms", counting)
         assert run(tmp_path, "verify-bounds", "--n-sites", "5", "--eps", "0.5") == 0
-        assert orders == [2, 3, 4, 5]
+        assert walks == [5]
 
 
 class TestCompositionBudget:
@@ -866,18 +867,18 @@ class TestCompositionBudget:
         self, tmp_path, monkeypatch, capsys, argv
     ):
         # three groups at p = 6 merge into 101 stages: the word recursion
-        # and the split DP make 11,328,082 updates for the orders q <= 10
+        # and the walk's split updates make 7,557,646 updates to q = 10
         calls = []
 
         def refused(*args, **kwargs):
             calls.append(args)
             raise AssertionError("a series coefficient was computed")
 
-        monkeypatch.setattr(bch, "compute_phi", refused)
+        monkeypatch.setattr(bch, "_series_terms", refused)
         assert run(tmp_path, *argv) == 2
         assert calls == []
         err = capsys.readouterr().err
-        assert "11328082 series updates, over the budget 5000000" in err
+        assert "7557646 series updates, over the budget 5000000" in err
 
     @pytest.mark.parametrize("command", ["verify-bounds", "phi"])
     def test_over_budget_refused_before_the_alpha_table(
@@ -895,18 +896,18 @@ class TestCompositionBudget:
         assert run(tmp_path, *argv) == 2
         assert calls == []
         err = capsys.readouterr().err
-        assert "11328082 series updates, over the budget 5000000" in err
+        assert "7557646 series updates, over the budget 5000000" in err
 
     @pytest.mark.parametrize(
         "argv, walked",
         [
-            # two groups, three merged stages 1 2 1: the split DP walks 2^j
+            # two groups, three merged stages 1 2 1: the walk meets 2^j
             # prefixes of each length j, so the count about doubles per
-            # order (2,620,800 at --qmax 17)
-            (("phi", "--field", "0", "--qmax", "18"), 5242177),
+            # order (2,621,377 at --qmax 18)
+            (("phi", "--field", "0", "--qmax", "19"), 5242814),
             # one group on two sites: one word of each length, so the count
-            # grows like qmax^3 / 6
-            (("phi", "--n-sites", "2", "--field", "0", "--qmax", "320"), 5564317),
+            # grows like qmax^2 / 2
+            (("phi", "--n-sites", "2", "--field", "0", "--qmax", "3162"), 5003866),
         ],
         ids=["two-groups", "one-group"],
     )
@@ -920,7 +921,7 @@ class TestCompositionBudget:
             calls.append(args)
             raise AssertionError("a series coefficient was computed")
 
-        monkeypatch.setattr(bch, "compute_phi", refused)
+        monkeypatch.setattr(bch, "_series_terms", refused)
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 2
         assert calls == []
@@ -930,7 +931,7 @@ class TestCompositionBudget:
 
     def test_sixth_order_series_runs(self, tmp_path):
         # two groups at p = 6: 51 merged stages, C(57, 7) = 264,385,836
-        # compositions at q = 7 alone, but 36,816 series updates in all
+        # compositions at q = 7 alone, but 19,403 series updates in all
         argv = ("phi", "--n-sites", "4", "--p", "6", "--qmax", "7", "--field", "0")
         assert run(tmp_path, *argv) == 0
         rows = {row["q"]: row for row in load(tmp_path, "phi_report.json")["rows"]}
@@ -942,7 +943,7 @@ class TestCompositionBudget:
     @pytest.mark.parametrize("command", ["phi", "verify-bounds"])
     def test_default_long_range_series_runs(self, tmp_path, command):
         # seven groups merge into 13 stages: C(17, 5) = 6,188 compositions at
-        # q = 5 and 88,917 series updates in all, which the composition
+        # q = 5 and 75,286 series updates in all, which the composition
         # loop's preflight allowed too
         argv = (command, "--family", "long-range-zz", "--n-sites", "8")
         assert run(tmp_path, *argv) == 0
@@ -957,7 +958,7 @@ class TestCompositionBudget:
 
     def test_tuple_budget_still_refuses_first(self, tmp_path, capsys):
         # 3^13 tuples exceed the tuple budget, and the p = 2 plan's
-        # 14,920,892 series updates exceed their own; tuples come first
+        # 9,943,345 series updates exceed their own; tuples come first
         assert run(tmp_path, "phi", "--qmax", "13") == 2
         assert "3^13 tuples exceed the budget 1000000" in capsys.readouterr().err
 
@@ -974,16 +975,16 @@ class TestPreflight:
             ),
             (("phi", "--qmax", "13"), "3^13 tuples exceed the budget 1000000"),
             # the series count: the word recursion dominates at p = 6 on
-            # three groups, the split DP on two groups at p = 2
-            (("phi", "--p", "6", "--qmax", "10"), "make 11328082 series updates"),
+            # three groups, the walk's split updates on two groups at p = 2
+            (("phi", "--p", "6", "--qmax", "10"), "make 7557646 series updates"),
             (
                 ("verify-bounds", "--n-sites", "10", "--p", "6", "--qmax", "10"),
-                "make 11328082 series updates",
+                "make 7557646 series updates",
             ),
-            (("phi", "--field", "0", "--qmax", "18"), "make 5242177 series updates"),
+            (("phi", "--field", "0", "--qmax", "19"), "make 5242814 series updates"),
             (
-                ("verify-bounds", "--n-sites", "8", "--field", "0", "--qmax", "18"),
-                "make 5242177 series updates",
+                ("verify-bounds", "--n-sites", "8", "--field", "0", "--qmax", "19"),
+                "make 5242814 series updates",
             ),
             (("phi", "--n-sites", "24"), "n_sites = 24 exceeds the site cap 16"),
             (("verify-order", "--n-sites", "13"), "on 13 sites exceeds cap 12"),
@@ -1016,7 +1017,7 @@ class TestPreflight:
             raise AssertionError("work started before the refusal")
 
         monkeypatch.setattr(commutators, "commutator_sums", refused)
-        monkeypatch.setattr(bch, "compute_phi", refused)
+        monkeypatch.setattr(bch, "_series_terms", refused)
         monkeypatch.setattr(TrotterEvaluator, "__init__", refused)
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 2
