@@ -177,10 +177,12 @@ def compute_phi(plan: ProductFormulaPlan, spec: HamiltonianSpec, q: int) -> Paul
 
     ``q = 1`` returns the Hamiltonian itself (the stage fractions sum to one
     per group).  The walk runs to q, as :func:`compute_phi_range` runs it to
-    q_max, and gives the same Phi_q bit for bit.  No budget is checked here.
+    q_max, and gives the same Phi_q bit for bit; :func:`check_series_budget`
+    refuses it first.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
+    check_series_budget(plan, q)
     return _phi_table(plan, spec, q)[q]
 
 

@@ -1,12 +1,15 @@
 """Command-line entry points for verification suites and budget reports.
 
 Every subcommand resolves one :class:`ExperimentConfig` (defaults, then a
-JSON config file, then explicit flags), echoes the resolved values into its
-JSON output, and writes only deterministic artifacts: reruns with the same
-inputs produce byte-identical files.  Exit status is 0 when every checked
-inequality holds, 1 when a verification suite found a violation, 2 for
-configuration problems (a finite setting that overflows a float included),
-and 3 when the run itself failed (the traceback is printed).
+JSON config file, then explicit flags) and hands it to its handler, which
+touches no file: it returns its verdict and its result files' contents.
+:func:`main` then makes the ``--out`` folder, writes every file, echoing the
+resolved values into each JSON document, and sets the exit status, so a
+refused or failed run leaves no folder behind.  The files are deterministic:
+reruns with the same inputs produce byte-identical files.  Exit status is 0
+when every checked inequality holds, 1 when a verification suite found a
+violation, 2 for configuration problems (a finite setting that overflows a
+float included), and 3 when the run itself failed (the traceback is printed).
 """
 
 from __future__ import annotations
@@ -267,9 +270,9 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             sink.writerow(["" if v is None else v for v in row])
 
 
-def _write_rows(path: Path, rows: list[dict]) -> None:
-    """CSV of same-keyed row dicts, headed by their keys."""
-    write_csv(path, list(rows[0]), [list(r.values()) for r in rows])
+def _table(rows: list[dict]) -> tuple[list[str], list[list]]:
+    """The CSV header (their keys) and rows of same-keyed row dicts."""
+    return list(rows[0]), [list(r.values()) for r in rows]
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
@@ -341,7 +344,7 @@ def _slope_entry(
     return entry
 
 
-def cmd_verify_order(cfg: ExperimentConfig) -> int:
+def cmd_verify_order(cfg: ExperimentConfig) -> tuple[bool, dict]:
     from .mpf import MPFEvaluator
     from .trotter import TrotterEvaluator, difference_norm, geometric_grid
 
@@ -354,7 +357,6 @@ def cmd_verify_order(cfg: ExperimentConfig) -> int:
             mpf_specs = [build_mpf_spec(cfg, cfg.p)]
         else:
             mpf_specs = [build_mpf(j, cfg.p) for j in range(1, cfg.j_count + 1)]
-    out = _out_dir(cfg)
     taus = geometric_grid(cfg.tau_min, cfg.tau_max, cfg.tau_points)
 
     trotter = TrotterEvaluator(spec, plan, cfg.dense_cap)
@@ -396,7 +398,6 @@ def cmd_verify_order(cfg: ExperimentConfig) -> int:
         entry["status"] != "fail" for entry in mpf_entries
     )
     payload = {
-        "config": cfg.echo(),
         "grid": {
             "tau_min": cfg.tau_min,
             "tau_max": cfg.tau_max,
@@ -404,18 +405,17 @@ def cmd_verify_order(cfg: ExperimentConfig) -> int:
         },
         "trotter": trotter_entry,
         "mpf": mpf_entries,
-        "passed": passed,
     }
-    write_json(out / "verify_order.json", payload)
-
     header = ["tau", f"trotter_p{cfg.p}"] + [name for name, _ in mpf_columns]
     rows = []
     for i, tau in enumerate(taus):
         row = [float(tau), trotter_errors[i]]
         row.extend(col[i] for _, col in mpf_columns)
         rows.append(row)
-    write_csv(out / "order_sweep.csv", header, rows)
-    return 0 if passed else 1
+    return passed, {
+        "verify_order.json": payload,
+        "order_sweep.csv": (header, rows),
+    }
 
 
 # -- verify-bounds ---------------------------------------------------------
@@ -595,7 +595,7 @@ def _step_bound_rows(
     return rows
 
 
-def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
+def cmd_verify_bounds(cfg: ExperimentConfig) -> tuple[bool, dict]:
     from .bounds import bch_time_condition, truncation_order
     from .trotter import TrotterEvaluator
 
@@ -641,17 +641,10 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> int:
     tally = {"pass": 0, "fail": 0, "untestable": 0}
     for row in rows:
         tally[row["status"]] += 1
-    passed = tally["fail"] == 0
-    payload = {
-        "config": cfg.echo(),
-        "rows": rows,
-        "summary": tally,
-        "passed": passed,
+    return tally["fail"] == 0, {
+        "verify_bounds.json": {"rows": rows, "summary": tally},
+        "verify_bounds.csv": _table(rows),
     }
-    out = _out_dir(cfg)
-    write_json(out / "verify_bounds.json", payload)
-    _write_rows(out / "verify_bounds.csv", rows)
-    return 0 if passed else 1
 
 
 # -- cost ------------------------------------------------------------------
@@ -759,7 +752,7 @@ def _n_sweep(cfg: ExperimentConfig, mpf_spec: MPFSpec) -> dict:
     }
 
 
-def cmd_cost(cfg: ExperimentConfig) -> int:
+def cmd_cost(cfg: ExperimentConfig) -> tuple[bool, dict]:
     from .bounds import (
         PRIOR_QUERY_SCALING,
         QUERY_SCALING,
@@ -790,13 +783,8 @@ def cmd_cost(cfg: ExperimentConfig) -> int:
         diagnostics = {"note": "nested-commutator window beyond the site cap"}
 
     eps_sweep = _eps_sweep(cfg, spec, plan)
-    # an N-sweep size whose weights overflow is refused before the folder
     n_sweep = _n_sweep(cfg, mpf_spec)
-    out = _out_dir(cfg)
-
-    passed = consistency.holds and chain.holds
     payload = {
-        "config": cfg.echo(),
         "report": report,
         "consistency": consistency,
         "chain": chain,
@@ -809,10 +797,7 @@ def cmd_cost(cfg: ExperimentConfig) -> int:
         "divergence": diagnostics,
         "eps_sweep": eps_sweep,
         "n_sweep": n_sweep,
-        "passed": passed,
     }
-    write_json(out / "cost_report.json", payload)
-
     csv_rows = []
     for row in eps_sweep["rows"]:
         if "r" in row:
@@ -825,35 +810,29 @@ def cmd_cost(cfg: ExperimentConfig) -> int:
             ["n", row["n"], row["g"], mpf_spec.m, mpf_spec.j_count,
              row["r1"], row["r2"], row["r"]]
         )
-    write_csv(
-        out / "cost_sweeps.csv",
-        ["sweep", "x", "g", "m", "j_count", "r1", "r2", "r"],
-        csv_rows,
-    )
-    return 0 if passed else 1
+    header = ["sweep", "x", "g", "m", "j_count", "r1", "r2", "r"]
+    return consistency.holds and chain.holds, {
+        "cost_report.json": payload,
+        "cost_sweeps.csv": (header, csv_rows),
+    }
 
 
 # -- table1 ----------------------------------------------------------------
 
 
-def cmd_table1(cfg: ExperimentConfig) -> int:
+def cmd_table1(cfg: ExperimentConfig) -> tuple[None, dict]:
     spec = build_family(cfg)
-    rows = _gate_costs(cfg, spec)
-    out = _out_dir(cfg)
-    payload = {
-        "config": cfg.echo(),
-        "range_class": cfg.range_class,
-        "rows": [row._asdict() for row in rows],
+    rows = [row._asdict() for row in _gate_costs(cfg, spec)]
+    return None, {
+        "gate_costs.json": {"range_class": cfg.range_class, "rows": rows},
+        "gate_costs.csv": _table(rows),
     }
-    write_json(out / "gate_costs.json", payload)
-    _write_rows(out / "gate_costs.csv", payload["rows"])
-    return 0
 
 
 # -- phi -------------------------------------------------------------------
 
 
-def cmd_phi(cfg: ExperimentConfig) -> int:
+def cmd_phi(cfg: ExperimentConfig) -> tuple[bool, dict]:
     spec = build_family(cfg)
     plan = _configured(build_plan, spec.n_groups, cfg.p)
     mode = _enumeration_mode(cfg, spec, plan, required=True)
@@ -867,18 +846,16 @@ def cmd_phi(cfg: ExperimentConfig) -> int:
         }
         for report in reports
     ]
-    passed = all(row["bounds_hold"] for row in rows)
-    payload = {"config": cfg.echo(), "rows": rows, "passed": passed}
-    out = _out_dir(cfg)
-    write_json(out / "phi_report.json", payload)
-    _write_rows(out / "phi_norms.csv", rows)
-    return 0 if passed else 1
+    return all(row["bounds_hold"] for row in rows), {
+        "phi_report.json": {"rows": rows},
+        "phi_norms.csv": _table(rows),
+    }
 
 
 # -- alpha -----------------------------------------------------------------
 
 
-def cmd_alpha(cfg: ExperimentConfig) -> int:
+def cmd_alpha(cfg: ExperimentConfig) -> tuple[bool, dict]:
     spec = build_family(cfg)
     mode = _enumeration_mode(cfg, spec)
     alphas = _alpha_table(cfg, spec, mode)
@@ -901,11 +878,10 @@ def cmd_alpha(cfg: ExperimentConfig) -> int:
     passed = False not in {
         row[key] for row in rows for key in ("factorial_holds", "one_norm_holds")
     }
-    payload = {"config": cfg.echo(), "rows": rows, "passed": passed}
-    out = _out_dir(cfg)
-    write_json(out / "alpha_table.json", payload)
-    _write_rows(out / "alpha_table.csv", rows)
-    return 0 if passed else 1
+    return passed, {
+        "alpha_table.json": {"rows": rows},
+        "alpha_table.csv": _table(rows),
+    }
 
 
 # -- parser ----------------------------------------------------------------
@@ -1014,7 +990,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         handler, _ = _COMMANDS[args.command]
-        return handler(cfg)
+        passed, files = handler(cfg)
+        verdict = {} if passed is None else {"passed": passed}
+        out = _out_dir(cfg)
+        for name, doc in files.items():
+            if name.endswith(".csv"):
+                write_csv(out / name, *doc)
+            else:
+                write_json(out / name, {"config": cfg.echo(), **doc, **verdict})
+        return 1 if passed is False else 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,9 +2,9 @@
 
 A Hamiltonian here is a list of weighted Pauli strings, each tagged with a
 group label ``1..n_groups``.  The groups are the factors of the product
-formula: the ideal is that terms inside one group mutually commute, and a
-flag records when that fails rather than forbidding it.  From the term list
-we derive the locality ``k`` (largest string support), the extensiveness
+formula: the ideal is that terms inside one group mutually commute, but
+nothing checks or forbids a group that does not.  From the term list we
+derive the locality ``k`` (largest string support), the extensiveness
 ``g`` (largest per-site absolute weight), and the total one-norm.
 
 Two built-in families cover the test surface: a Heisenberg chain with
@@ -51,7 +51,6 @@ class HamiltonianSpec(NamedTuple):
     locality: int
     extensiveness: float
     total_one_norm: float
-    non_commuting_groups: bool
     group_sums: tuple[PauliSum, ...]
 
     __eq__ = object.__eq__
@@ -112,8 +111,6 @@ def make_spec(
         PauliSum.from_terms(ts, n_sites=n_sites) for ts in grouped
     )
 
-    non_commuting = any(not _group_commutes(ts) for ts in grouped)
-
     return HamiltonianSpec(
         n_sites=n_sites,
         terms=tuple((t, g) for t, g in terms),
@@ -121,34 +118,8 @@ def make_spec(
         locality=k,
         extensiveness=g_ext,
         total_one_norm=total,
-        non_commuting_groups=non_commuting,
         group_sums=group_sums,
     )
-
-
-def _group_commutes(ts: list[PauliTerm]) -> bool:
-    """Pairwise commutation inside one group, with cheap sufficient checks.
-
-    All-diagonal groups (no X content) and groups whose terms live on
-    pairwise disjoint supports commute without running the quadratic loop.
-    """
-    if all(t.x_mask == 0 for t in ts):
-        return True
-    seen = 0
-    disjoint = True
-    for t in ts:
-        m = t.x_mask | t.z_mask
-        if m & seen:
-            disjoint = False
-            break
-        seen |= m
-    if disjoint:
-        return True
-    for i in range(len(ts)):
-        for j in range(i + 1, len(ts)):
-            if not ts[i].commutes_with(ts[j]):
-                return False
-    return True
 
 
 # -- JSON document form ----------------------------------------------------

@@ -46,6 +46,9 @@
 - The every-site fold behind :func:`mpfkit.hamiltonians.family_constants`:
   each site's whole tail of weights left-folded, with no screening by
   prefix-sum estimates.
+- Commutation inside each group of a Hamiltonian, term pair by term pair,
+  which the product formula's grouping presumes and nothing in the
+  package checks.
 - Two scaling diagnostics that check paper claims on families of inputs:
   how the extensiveness g grows with N (:func:`g_scaling_report`) and how
   the weight norm ||c||_1 grows with J (:func:`condition_report`).
@@ -74,7 +77,7 @@ from mpfkit.dense import _PHASES, _bit_reverse, _popcounts
 from mpfkit.formulas import DEFAULT_DENSE_CAP, MPFSpec, ProductFormulaPlan, build_mpf
 from mpfkit.hamiltonians import HamiltonianSpec
 from mpfkit.mpf import MPFEvaluator
-from mpfkit.pauli import PauliSum
+from mpfkit.pauli import PauliSum, terms_commute
 from mpfkit.trotter import TrotterEvaluator, difference_norm
 
 
@@ -570,6 +573,15 @@ def every_site_family_constants(
     if family == "heisenberg":
         g += abs(complex(field))
     return 2, g, n_groups
+
+
+def groups_commute(spec: HamiltonianSpec) -> bool:
+    """Whether every two terms of one group commute."""
+    return all(
+        terms_commute(s.x_mask, s.z_mask, t.x_mask, t.z_mask)
+        for (s, g), (t, h) in itertools.combinations(spec.terms, 2)
+        if g == h
+    )
 
 
 def lstsq_fit_line(xs, ys) -> tuple[float, float]:

@@ -742,6 +742,11 @@ class TestCompositionBudget:
         with pytest.raises(ValueError, match="40 series updates, over the budget 39"):
             compute_phi_range(plan, toy_spec(), 3)
 
+    def test_single_order_is_refused_before_its_walk(self, monkeypatch):
+        monkeypatch.setattr(bch, "_series_terms", None)
+        with pytest.raises(ValueError, match="make 7557646 series updates"):
+            compute_phi(build_plan(3, 6), heisenberg_chain(4, field=0.8), 10)
+
     @pytest.mark.parametrize("p", [1, 2, 4, 6])
     @pytest.mark.parametrize("n_groups", [1, 2, 3])
     def test_counts_the_replayed_updates(self, monkeypatch, n_groups, p):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpfkit import bch, cli, commutators, dense, hamiltonians, trotter
+from mpfkit import bch, bounds, cli, commutators, dense, hamiltonians, trotter
 from mpfkit.bounds import truncation_order
 from mpfkit.cli import ExperimentConfig, main
 from mpfkit.commutators import nested_commutator_sum
@@ -1058,6 +1058,29 @@ class TestPreflight:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, owner, name",
+        [
+            ("verify-order", TrotterEvaluator, "__init__"),
+            ("verify-bounds", commutators, "commutator_sums"),
+            ("cost", bounds, "gate_cost_table"),
+            ("table1", bounds, "gate_cost_table"),
+            ("phi", bch, "_series_terms"),
+            ("alpha", commutators, "commutator_sums"),
+        ],
+    )
+    def test_failed_run_leaves_no_folder(
+        self, tmp_path, monkeypatch, capsys, command, owner, name
+    ):
+        def broken(*args, **kwargs):
+            raise RuntimeError("heavy call failed")
+
+        monkeypatch.setattr(owner, name, broken)
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out)]) == 3
+        assert "heavy call failed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReproducibility:
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -1122,6 +1145,20 @@ class TestTracer:
         counts = json.loads(trace.read_text())["counts"]
         assert counts["cli.main.calls"] == 1
         assert counts.get("dense.from_pauli_sum.calls", 0) == 0
+
+
+class TestBenchmarkSelftest:
+    def test_output_checks_pass_and_reject_perturbations(self):
+        # runs every benchmark workload once and requires its output checks
+        # to pass, then to catch each perturbed copy of the result files
+        selftest = SRC.parent / "perfbench" / "selftest.py"
+        done = subprocess.run(
+            [sys.executable, str(selftest)],
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
 
 
 class TestNoScipyAtRunTime:

@@ -20,7 +20,7 @@ from mpfkit.hamiltonians import (
     spec_to_document,
 )
 from mpfkit.pauli import PauliTerm
-from oracles import every_site_family_constants, g_scaling_report
+from oracles import every_site_family_constants, g_scaling_report, groups_commute
 
 
 class TestHeisenberg:
@@ -33,7 +33,7 @@ class TestHeisenberg:
         assert spec.extensiveness == pytest.approx(6.0)
         # 3 bonds x 3 strings x |J|=1
         assert spec.total_one_norm == pytest.approx(9.0)
-        assert not spec.non_commuting_groups
+        assert groups_commute(spec)
 
     def test_field_adds_a_group(self):
         spec = heisenberg_chain(4, coupling=1.0, field=0.5)
@@ -62,11 +62,11 @@ class TestHeisenberg:
     def test_within_group_commutation_heisenberg(self):
         # XX, YY, ZZ on one bond mutually commute; disjoint bonds trivially so
         spec = heisenberg_chain(6, coupling=1.0, field=0.4)
-        assert not spec.non_commuting_groups
+        assert groups_commute(spec)
 
     def test_periodic_small_ring_flags_noncommuting_group(self):
         spec = heisenberg_chain(3, coupling=1.0, periodic=True)
-        assert spec.non_commuting_groups
+        assert not groups_commute(spec)
 
     def test_extensiveness_independent_of_length(self):
         gs = {n: heisenberg_chain(n).extensiveness for n in (4, 6, 9)}
@@ -80,7 +80,7 @@ class TestLongRange:
         assert spec.extensiveness == pytest.approx(1.0 + 1.0 + 0.25)
         assert spec.n_groups == 3
         assert spec.locality == 2
-        assert not spec.non_commuting_groups
+        assert groups_commute(spec)
 
     def test_steep_exponent_approaches_nearest_neighbor(self):
         spec = long_range_zz_chain(6, exponent=50.0)
