@@ -36,19 +36,12 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
 
-from .formulas import (
-    DEFAULT_DENSE_CAP,
-    LEAK_TOL,
-    ProductFormulaPlan,
-    loglog_slope,
-)
+from .formulas import DEFAULT_DENSE_CAP, LEAK_TOL, ProductFormulaPlan
 from .hamiltonians import HamiltonianSpec
 from .pauli import PauliSum
 
-# numpy and the dense layer load in the dense checks only
+# the dense layer loads in the dense checks only
 if TYPE_CHECKING:
-    import numpy as np
-
     from .trotter import TrotterEvaluator
 
 __all__ = [
@@ -62,8 +55,6 @@ __all__ = [
     "PhiReport",
     "phi_report",
     "effective_generator",
-    "truncation_defect",
-    "TruncationCheck",
     "check_truncated_generator",
 ]
 
@@ -314,12 +305,17 @@ def effective_generator(
     return gen
 
 
-def truncation_defect(
-    evaluator: TrotterEvaluator, phis: dict[int, PauliSum], tau: float, p0: int
-) -> float:
-    """|| T(tau) - exp(-i H_eff^{(p0)}(tau) tau) || at one time argument.
+def check_truncated_generator(
+    evaluator: TrotterEvaluator,
+    phis: dict[int, PauliSum],
+    p0: int,
+    taus: Sequence[float],
+) -> list[float]:
+    """|| T(tau) - exp(-i H_eff^{(p0)}(tau) tau) || at each tau, in order.
 
-    The truncated generator is filled on the evaluator's frame, under the
+    ``evaluator`` supplies the dense step of its plan and ``phis`` that
+    plan's series coefficients Phi_2..Phi_p0 (higher orders are ignored).
+    Each truncated generator is filled on the evaluator's frame, under the
     leak allowance ``LEAK_TOL sum_q (2 L)^q |tau|^(q-1)``, and factorized
     per stack.
     """
@@ -327,64 +323,14 @@ def truncation_defect(
     from .trotter import difference_norm
 
     spec = evaluator.spec
-    gen = effective_generator(spec, tau, p0, phis)
     two_l = 2.0 * spec.total_one_norm
-    tol = LEAK_TOL * sum(two_l**q * abs(tau) ** (q - 1) for q in range(1, p0 + 1))
-    blocks = evaluator.frame.blocks(gen, tol)
-    # the series coefficients carry float-product noise; symmetrized check
-    facts = (dense.HermitianFactorization.of(b, herm_tol=1e-8) for b in blocks)
-    exact = [f.expm_minus_i(tau) for f in facts]
-    return difference_norm(evaluator.formula_blocks(tau), exact)
-
-
-class TruncationCheck(NamedTuple):
-    """Measured truncation defects at and below the admissible boundary."""
-
-    p0: int
-    epsilon: float
-    tau_boundary: float
-    taus: tuple[float, ...]
-    defects: tuple[float, ...]
-    passed: bool
-    margin: float
-    slope: float | None
-    slope_points: int
-
-
-def check_truncated_generator(
-    evaluator: TrotterEvaluator,
-    phis: dict[int, PauliSum],
-    epsilon: float,
-    p0: int,
-    tau_boundary: float,
-    *,
-    subdivisions: Sequence[float] = (1.0, 0.5, 0.25),
-    slope_grid: np.ndarray | None = None,
-) -> TruncationCheck:
-    """Verify the truncated series reproduces the step to epsilon.
-
-    ``evaluator`` supplies the dense step of its plan and ``phis`` that
-    plan's series coefficients Phi_2..Phi_p0 (higher orders are ignored).
-    Measures the defect at ``tau_boundary`` scaled by each subdivision (all
-    must come in below epsilon) and, when a slope grid is supplied, fits the
-    defect's convergence order on it (expected about p0 + 1).
-    """
-    taus = tuple(tau_boundary * s for s in subdivisions)
-    defects = tuple(truncation_defect(evaluator, phis, t, p0) for t in taus)
-    worst = max(defects)
-    slope = None
-    n_used = 0
-    if slope_grid is not None:
-        errs = [truncation_defect(evaluator, phis, t, p0) for t in slope_grid]
-        slope, n_used = loglog_slope(slope_grid, errs)
-    return TruncationCheck(
-        p0=p0,
-        epsilon=epsilon,
-        tau_boundary=tau_boundary,
-        taus=taus,
-        defects=defects,
-        passed=worst <= epsilon,
-        margin=epsilon - worst,
-        slope=slope,
-        slope_points=n_used,
-    )
+    defects = []
+    for tau in taus:
+        gen = effective_generator(spec, tau, p0, phis)
+        tol = LEAK_TOL * sum(two_l**q * abs(tau) ** (q - 1) for q in range(1, p0 + 1))
+        blocks = evaluator.frame.blocks(gen, tol)
+        # the series coefficients carry float-product noise; symmetrized check
+        facts = (dense.HermitianFactorization.of(b, herm_tol=1e-8) for b in blocks)
+        exact = [f.expm_minus_i(tau) for f in facts]
+        defects.append(difference_norm(evaluator.formula_blocks(tau), exact))
+    return defects

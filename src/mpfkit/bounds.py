@@ -318,9 +318,8 @@ class BoundInputs(NamedTuple):
 class BoundReport(NamedTuple):
     """Budget summary: step counts, admissible windows, query cost.
 
-    ``mu_value`` is the enumerated windowed supremum when a Hamiltonian was
-    available, else None; ``mu_used`` falls back to the closed-form ceiling
-    ``mu_ceiling`` so every downstream field is always populated.
+    ``mu_ceiling`` is the closed-form ceiling on the windowed supremum mu
+    at truncation order ``p0_step``; ``tau_max_mpf`` reads it.
     """
 
     inputs: BoundInputs
@@ -331,10 +330,7 @@ class BoundReport(NamedTuple):
     tau: float
     eps_step: float
     p0_step: int
-    mu_value: float | None
     mu_ceiling: float
-    mu_used: float
-    mu_source: str
     tau_max_bch: float
     tau_max_mpf: float
     tau_max: float
@@ -350,14 +346,8 @@ def build_report(
     mpf_spec: MPFSpec,
     t: float,
     eps: float,
-    mu_value: float | None = None,
 ) -> BoundReport:
-    """Assemble the full budget for one simulation instance.
-
-    ``mu_value`` should be the enumerated windowed supremum at truncation
-    order ``p0_step`` when dense enumeration was affordable; the ceiling
-    from locality data is reported (and used as fallback) either way.
-    """
+    """Assemble the full budget for one simulation instance."""
     p = mpf_spec.base_order
     m = mpf_spec.m
     nums = trotter_number(
@@ -377,9 +367,8 @@ def build_report(
     )
     p0_step = truncation_order(n_sites, eps_step)
     mu_ceiling = mu_window_bound(n_sites, p, p0_step, locality, extensiveness)
-    mu_used = mu_ceiling if mu_value is None else mu_value
     tau_max_bch = bch_time_condition(p0_step, stage_factor, locality, extensiveness)
-    tau_max_mpf = mpf_time_condition(stage_factor, mu_used)
+    tau_max_mpf = mpf_time_condition(stage_factor, mu_ceiling)
     return BoundReport(
         inputs=BoundInputs(
             n_sites=n_sites,
@@ -402,10 +391,7 @@ def build_report(
         tau=t / nums.r,
         eps_step=eps_step,
         p0_step=p0_step,
-        mu_value=mu_value,
         mu_ceiling=mu_ceiling,
-        mu_used=mu_used,
-        mu_source="ceiling" if mu_value is None else "enumerated",
         tau_max_bch=tau_max_bch,
         tau_max_mpf=tau_max_mpf,
         tau_max=min(tau_max_bch, tau_max_mpf),
@@ -419,7 +405,6 @@ def report_from_parts(
     mpf_spec: MPFSpec,
     t: float,
     eps: float,
-    mu_value: float | None = None,
 ) -> BoundReport:
     """Pull the scalar inputs out of the structured objects."""
     if plan.order != mpf_spec.base_order:
@@ -433,7 +418,6 @@ def report_from_parts(
         mpf_spec,
         t,
         eps,
-        mu_value,
     )
 
 

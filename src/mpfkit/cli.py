@@ -39,7 +39,6 @@ from .hamiltonians import (
     load_spec,
     long_range_zz_chain,
 )
-from .pauli import PauliSum
 
 # numpy and the modules built on it (dense, trotter, mpf, bch) are imported
 # inside the code that builds matrices, so a run that builds none never
@@ -102,14 +101,23 @@ class ExperimentConfig:
         return doc
 
 
+def _not_exact(value, converted) -> bool:
+    """A string may spell a number; any other value must already have the type."""
+    return isinstance(value, bool) or (converted != value and not isinstance(value, str))
+
+
 def _coerce_k_list(value) -> tuple[int, ...]:
     if isinstance(value, str):
-        parts = [piece.strip() for piece in value.split(",") if piece.strip()]
-        value = parts
+        value = [piece.strip() for piece in value.split(",") if piece.strip()]
+    if not isinstance(value, list):
+        raise ConfigError(f"config key 'k_list' must be a list, got {value!r}")
     try:
         ks = tuple(int(v) for v in value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad k_list {value!r}: {exc}") from None
+    # the rule of the int fields: a string may spell one, a number must be one
+    if any(_not_exact(v, k) for v, k in zip(value, ks)):
+        raise ConfigError(f"config key 'k_list' must hold int entries, got {value!r}")
     if not ks:
         raise ConfigError("k_list must not be empty")
     return ks
@@ -126,10 +134,7 @@ def _coerce_value(name: str, value, annotation: str):
         converted = {"int": int, "float": float, "str": str}[kind](value)
     except (TypeError, ValueError):
         converted = None
-    # a string may spell a number; any other value must already have the type
-    if converted is None or isinstance(value, bool) or (
-        converted != value and not isinstance(value, str)
-    ):
+    if converted is None or _not_exact(value, converted):
         raise ConfigError(f"config key {name!r} must be {annotation}, got {value!r}")
     return converted
 
@@ -514,36 +519,6 @@ def _dense_blocker(cfg: ExperimentConfig, p0: int, mode: str | None) -> str | No
     return None
 
 
-def _truncation_rows(
-    cfg: ExperimentConfig,
-    evaluator: TrotterEvaluator | None,
-    phis: dict[int, PauliSum] | None,
-    p0: int,
-    boundary: float | None,
-    blocked: str | None,
-) -> list[dict]:
-    if blocked:
-        return [_row("truncation_defect", None, None, note=blocked)]
-    from .bch import check_truncated_generator
-
-    check = check_truncated_generator(
-        evaluator,
-        phis,
-        cfg.eps,
-        p0,
-        boundary,
-        subdivisions=(1.0, 0.5),
-    )
-    return [
-        _row(
-            "truncation_defect",
-            max(check.defects),
-            check.epsilon,
-            note=f"p0 = {p0}, tau <= {boundary:.6g}",
-        )
-    ]
-
-
 def _step_bound_rows(
     cfg: ExperimentConfig,
     spec: HamiltonianSpec,
@@ -596,6 +571,7 @@ def _step_bound_rows(
 
 
 def cmd_verify_bounds(cfg: ExperimentConfig) -> tuple[bool, dict]:
+    from .bch import check_truncated_generator
     from .bounds import bch_time_condition, truncation_order
     from .trotter import TrotterEvaluator
 
@@ -626,8 +602,15 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> tuple[bool, dict]:
         for report in reports:
             rows.extend(_phi_rows(cfg, report))
     # the truncation check and the step bound share one dense evaluator
-    evaluator = None if blocked else TrotterEvaluator(spec, plan, cfg.dense_cap)
-    rows.extend(_truncation_rows(cfg, evaluator, phis, p0, boundary, blocked))
+    if blocked:
+        evaluator = None
+        rows.append(_row("truncation_defect", None, None, note=blocked))
+    else:
+        evaluator = TrotterEvaluator(spec, plan, cfg.dense_cap)
+        taus = (boundary, 0.5 * boundary)
+        defects = check_truncated_generator(evaluator, phis, p0, taus)
+        note = f"p0 = {p0}, tau <= {boundary:.6g}"
+        rows.append(_row("truncation_defect", max(defects), cfg.eps, note=note))
     if mpf_spec is not None:
         rows.extend(
             _step_bound_rows(

@@ -125,6 +125,14 @@ def make_spec(
 # -- JSON document form ----------------------------------------------------
 
 
+def _whole(value, name: str) -> int:
+    """int(value), refusing a bool and a number with a fractional part."""
+    number = int(value)
+    if isinstance(value, bool) or (number != value and not isinstance(value, str)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return number
+
+
 def load_spec(source: str | Path | dict) -> HamiltonianSpec:
     """Read the JSON document form.
 
@@ -141,7 +149,7 @@ def load_spec(source: str | Path | dict) -> HamiltonianSpec:
     if not isinstance(doc, dict):
         raise ValueError("Hamiltonian document must be a JSON object")
     try:
-        n_sites = int(doc["n_sites"])
+        n_sites = _whole(doc["n_sites"], "n_sites")
         raw_terms = doc["terms"]
     except KeyError as exc:
         raise ValueError(f"Hamiltonian document missing key {exc}") from None
@@ -152,7 +160,7 @@ def load_spec(source: str | Path | dict) -> HamiltonianSpec:
         try:
             label = entry["pauli"]
             coeff = float(entry["coeff"])
-            group = int(entry["group"])
+            group = _whole(entry["group"], "group")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad term entry #{i}: {exc}") from None
         if len(label) != n_sites:

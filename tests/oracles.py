@@ -12,7 +12,7 @@
   the truncated effective generator exponentiated as one matrix, and the
   truncation defect between the two full-matrix steps.  They check
   :meth:`mpfkit.trotter.TrotterEvaluator.scatter` and the blocked
-  :func:`mpfkit.bch.truncation_defect`.
+  :func:`mpfkit.bch.check_truncated_generator`.
 - The matrix form of :func:`mpfkit.dense.invariant_sectors`: the connected
   components of the union of full matrices' nonzero patterns, found by
   scipy's graph search.  It checks the sectors the evaluator finds from the

@@ -19,14 +19,13 @@ from mpfkit.bch import (
     phi_locality_bound,
     phi_norm_bound,
     phi_report,
-    truncation_defect,
 )
 from mpfkit.bch import _series_terms, _word_weights
 from mpfkit.commutators import nested_commutator_sum
 from mpfkit.hamiltonians import heisenberg_chain, long_range_zz_chain, make_spec
 from mpfkit.pauli import PauliSum, PauliTerm
 from mpfkit.trotter import TrotterEvaluator, geometric_grid
-from mpfkit.formulas import SectorLeakError, build_plan
+from mpfkit.formulas import SectorLeakError, build_plan, loglog_slope
 from oracles import (
     composition_phi,
     composition_word_weights,
@@ -202,7 +201,7 @@ class TestTruncatedGenerator:
         defects = []
         for p0 in (2, 3, 4):
             phis = compute_phi_range(plan, spec, p0)
-            defects.append(truncation_defect(ev, phis, tau, p0))
+            defects.extend(check_truncated_generator(ev, phis, p0, [tau]))
         assert defects[0] > defects[1] > defects[2]
 
     def test_truncated_unitary_is_unitary(self):
@@ -222,18 +221,14 @@ class TestTruncatedGenerator:
     def test_check_runs_below_boundary(self):
         spec = heisenberg_chain(3, field=0.5)
         plan = build_plan(spec.n_groups, 1)
-        check = check_truncated_generator(
-            TrotterEvaluator(spec, plan),
-            compute_phi_range(plan, spec, 4),
-            epsilon=0.3,
-            p0=4,
-            tau_boundary=2e-4,
-            slope_grid=geometric_grid(2e-2, 2e-1, 10),
-        )
-        assert check.passed
-        assert check.margin > 0
-        assert check.slope is not None
-        assert check.slope >= 4.8
+        ev = TrotterEvaluator(spec, plan)
+        phis = compute_phi_range(plan, spec, 4)
+        defects = check_truncated_generator(ev, phis, 4, [2e-4, 1e-4, 5e-5])
+        assert len(defects) == 3
+        assert max(defects) < 0.3
+        grid = geometric_grid(2e-2, 2e-1, 10)
+        slope, _ = loglog_slope(grid, check_truncated_generator(ev, phis, 4, grid))
+        assert slope >= 4.8
 
     def test_float_built_generator_passes_the_leak_rule(self):
         # Phi_q breaks the mirror symmetry and the sectors by rounding only
@@ -244,7 +239,7 @@ class TestTruncatedGenerator:
         phis = compute_phi_range(plan, spec, 5)
         for q, phi in phis.items():
             assert dense.mirror_odd_norm(phi) <= 1e-13, q
-        defect = truncation_defect(ev, phis, 0.1, 5)
+        [defect] = check_truncated_generator(ev, phis, 5, [0.1])
         assert defect == pytest.approx(oracle_defect(ev, phis, 0.1, 5), abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -261,7 +256,7 @@ class TestTruncatedGenerator:
         phis = compute_phi_range(plan, spec, 3)
         phis[3] = phis[3] + PauliSum.from_label(label, 1e-3)
         with pytest.raises(SectorLeakError, match=match):
-            truncation_defect(ev, phis, 0.1, 3)
+            check_truncated_generator(ev, phis, 3, [0.1])
         assert not issubclass(SectorLeakError, ValueError)
 
 

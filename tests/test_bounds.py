@@ -177,12 +177,10 @@ class TestHelperInequality:
             bounds.helper_inequality_x(0.1, 0)
 
 
-def desk_report(j_count=2, t=1.0, eps=1e-3, mu_value=None):
+def desk_report(j_count=2, t=1.0, eps=1e-3):
     ham = heisenberg_chain(4, field=0.8)
     plan = build_plan(ham.n_groups, 2)
-    return bounds.report_from_parts(
-        ham, plan, build_mpf(j_count), t, eps, mu_value
-    )
+    return bounds.report_from_parts(ham, plan, build_mpf(j_count), t, eps)
 
 
 class TestBoundReport:
@@ -199,15 +197,8 @@ class TestBoundReport:
             i.norm_c_1 * i.norm_k_1 * rep.r, rel=1e-15
         )
         assert rep.tau_max == min(rep.tau_max_bch, rep.tau_max_mpf)
-        assert rep.mu_source == "ceiling"
-        assert rep.mu_used == rep.mu_ceiling
-
-    def test_supplied_mu_is_used(self):
-        rep = desk_report(mu_value=123.0)
-        assert rep.mu_source == "enumerated"
-        assert rep.mu_used == 123.0
-        assert rep.tau_max_mpf == pytest.approx(
-            1.0 / (2.0 * rep.inputs.stage_factor * 123.0), rel=1e-12
+        assert rep.tau_max_mpf == bounds.mpf_time_condition(
+            i.stage_factor, rep.mu_ceiling
         )
 
     def test_report_matches_scalar_assembly(self):
@@ -252,7 +243,7 @@ class TestBoundReport:
             i.norm_c_1,
             i.norm_k_1,
             i.stage_factor,
-            rep.mu_used,
+            rep.mu_ceiling,
             i.m,
             rep.eps_step,
             rep.tau_max_bch,

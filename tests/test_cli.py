@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mpfkit import bch, bounds, cli, commutators, dense, hamiltonians, trotter
-from mpfkit.bounds import truncation_order
+from mpfkit.bounds import mpf_time_condition, truncation_order
 from mpfkit.cli import ExperimentConfig, main
 from mpfkit.commutators import nested_commutator_sum
 from mpfkit.formulas import build_mpf, build_plan
@@ -93,6 +93,9 @@ class TestConfigResolution:
             ({"n_sites": 4.5}, "int"),
             ({"n_sites": True}, "int"),
             ({"family": 3}, "str"),
+            ({"k_list": [1.5, 2.7]}, "int"),
+            ({"k_list": [True, 2]}, "int"),
+            ({"k_list": {"1": 0, "3": 0}}, "list"),
         ],
     )
     def test_config_value_of_wrong_type(self, tmp_path, capsys, entry, expected):
@@ -224,6 +227,25 @@ class TestConfigResolution:
         assert code == 0
         cfg = load(tmp_path, "alpha_table.json")["config"]
         assert cfg["n_sites"] == 3
+
+    @pytest.mark.parametrize(
+        "key, value", [("n_sites", 3.9), ("group", 1.7)], ids=["n_sites", "group"]
+    )
+    def test_hamiltonian_file_with_non_integral_count_exits_2(
+        self, tmp_path, capsys, key, value
+    ):
+        doc = spec_to_document(heisenberg_chain(3, field=0.5))
+        if key == "n_sites":
+            doc["n_sites"] = value
+        else:
+            doc["terms"][0]["group"] = value
+        ham = tmp_path / "chain.json"
+        ham.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = ["alpha", "--family", "file", "--ham-file", str(ham), "--out", str(out)]
+        assert main(argv) == 2
+        assert f"{key} must be an integer, got {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ham_file_needs_file_family(self, tmp_path, capsys):
         assert run(tmp_path, "cost", "--ham-file", "nofile.json") == 2
@@ -544,7 +566,13 @@ class TestCost:
     def test_desk_report(self, tmp_path):
         assert run(tmp_path, "cost") == 0
         doc = load(tmp_path, "cost_report.json")
-        assert doc["report"]["r"] == 1446955693
+        report = doc["report"]
+        assert report["r"] == 1446955693
+        # the budget reads mu's closed-form ceiling; no enumerated mu is kept
+        assert not {"mu_value", "mu_used", "mu_source"} & report.keys()
+        assert report["tau_max_mpf"] == mpf_time_condition(
+            report["inputs"]["stage_factor"], report["mu_ceiling"]
+        )
         assert doc["consistency"]["holds"] is True
         assert doc["chain"]["holds"] is True
         assert doc["passed"] is True

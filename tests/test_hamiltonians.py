@@ -251,6 +251,26 @@ class TestDocumentForm:
         with pytest.raises(ValueError, match="length"):
             load_spec(doc)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_sites", 2.9), ("n_sites", True), ("group", 1.7), ("group", True)],
+    )
+    def test_rejects_non_integral_counts(self, key, value):
+        # int() would run a 2-site or group-1 Hamiltonian in their place
+        doc = {
+            "n_sites": 2,
+            "terms": [
+                {"pauli": "XX", "coeff": 1.0, "group": 1},
+                {"pauli": "ZI", "coeff": 0.5, "group": 2},
+            ],
+        }
+        if key == "n_sites":
+            doc["n_sites"] = value
+        else:
+            doc["terms"][0]["group"] = value
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            load_spec(doc)
+
     def test_rejects_missing_keys(self):
         with pytest.raises(ValueError, match="missing"):
             load_spec({"terms": []})

@@ -25,7 +25,6 @@ RECORDS = (
     bounds.CostRow,
     bounds.DivergenceDiagnostics,
     bch.PhiReport,
-    bch.TruncationCheck,
     dense.HermitianFactorization,
 )
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpfkit import dense
-from mpfkit.bch import compute_phi_range, truncation_defect
+from mpfkit.bch import check_truncated_generator, compute_phi_range
 from mpfkit.formulas import (
     LEAK_TOL,
     build_mpf,
@@ -450,8 +450,12 @@ class TestBlockedAgainstFullMatrix:
         ev = TrotterEvaluator(spec, plan)
         p0 = p + extra
         phis = compute_phi_range(plan, spec, p0)
-        oracle = oracles.truncation_defect(ev, phis, tau, p0)
-        assert abs(truncation_defect(ev, phis, tau, p0) - oracle) <= 1e-12
+        # one call over several taus gives each its own defect, in order
+        taus = (tau, 0.5 * tau, -tau)
+        defects = check_truncated_generator(ev, phis, p0, taus)
+        assert len(defects) == len(taus)
+        for t, defect in zip(taus, defects):
+            assert abs(defect - oracles.truncation_defect(ev, phis, t, p0)) <= 1e-12
 
     def test_difference_norm_is_the_full_spectral_norm(self):
         rng = np.random.default_rng(5)
