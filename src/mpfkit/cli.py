@@ -34,6 +34,7 @@ from .formulas import (
 )
 from .hamiltonians import (
     HamiltonianSpec,
+    coerce,
     family_constants,
     heisenberg_chain,
     load_spec,
@@ -54,7 +55,12 @@ _SITE_CAP_NOTE = "nested-commutator enumeration beyond the site cap"
 N_SWEEP_SIZES = (64, 128, 256, 512, 1024)
 EPS_SWEEP = tuple(10.0 ** (-2.0 - 0.5 * i) for i in range(13))
 
-FAMILIES = ("heisenberg", "long-range-zz", "file")
+# the settings that take one of a few words
+CHOICES = {
+    "family": ("heisenberg", "long-range-zz", "file"),
+    "norm_mode": ("exact", "one-norm"),
+    "range_class": ("finite", "long"),
+}
 
 
 class ConfigError(Exception):
@@ -62,8 +68,10 @@ class ConfigError(Exception):
 
 
 class ExperimentConfig:
-    """Resolved run parameters shared by all subcommands: the annotated
-    attributes, whose defaults keyword arguments override by name."""
+    """Resolved run parameters shared by all subcommands.  Each annotated
+    attribute is the one declaration of a setting: its name (the config-file
+    key, and the flag with "-" for "_"), its type and its default.  Keyword
+    arguments override the defaults by name."""
 
     family: str = "heisenberg"
     n_sites: int = 4
@@ -101,42 +109,23 @@ class ExperimentConfig:
         return doc
 
 
-def _not_exact(value, converted) -> bool:
-    """A string may spell a number; any other value must already have the type."""
-    return isinstance(value, bool) or (converted != value and not isinstance(value, str))
-
-
-def _coerce_k_list(value) -> tuple[int, ...]:
-    if isinstance(value, str):
-        value = [piece.strip() for piece in value.split(",") if piece.strip()]
-    if not isinstance(value, list):
-        raise ConfigError(f"config key 'k_list' must be a list, got {value!r}")
-    try:
-        ks = tuple(int(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad k_list {value!r}: {exc}") from None
-    # the rule of the int fields: a string may spell one, a number must be one
-    if any(_not_exact(v, k) for v, k in zip(value, ks)):
-        raise ConfigError(f"config key 'k_list' must hold int entries, got {value!r}")
-    if not ks:
-        raise ConfigError("k_list must not be empty")
-    return ks
-
-
 def _coerce_value(name: str, value, annotation: str):
-    """Convert one config-file value to the type of its config field."""
+    """Type one flag text or config-file value as its config field, by
+    :func:`mpfkit.hamiltonians.coerce`; ``k_list`` may be comma-separated."""
     kind, _, optional = annotation.partition(" | ")
     if value is None and optional:
         return None
-    if name == "k_list":
-        return _coerce_k_list(value)
     try:
-        converted = {"int": int, "float": float, "str": str}[kind](value)
-    except (TypeError, ValueError):
-        converted = None
-    if converted is None or _not_exact(value, converted):
-        raise ConfigError(f"config key {name!r} must be {annotation}, got {value!r}")
-    return converted
+        if name != "k_list":
+            kinds = {"int": int, "float": float, "str": str}
+            return coerce(value, kinds[kind], f"setting {name!r} must be {annotation}")
+        if isinstance(value, str):
+            value = [piece.strip() for piece in value.split(",") if piece.strip()]
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"setting 'k_list' must be a non-empty list, got {value!r}")
+        return tuple(coerce(v, int, "setting 'k_list' must hold int entries") for v in value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _load_config_file(path: str) -> dict:
@@ -159,8 +148,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         value = getattr(cfg, name)
         if kind.startswith("float") and value is not None and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value!r}")
-    if cfg.family not in FAMILIES:
-        raise ConfigError(f"unknown family {cfg.family!r}; choose from {FAMILIES}")
+        if name in CHOICES and value not in CHOICES[name]:
+            raise ConfigError(f"{name} must be one of {CHOICES[name]}, got {value!r}")
     if cfg.family == "file" and not cfg.ham_file:
         raise ConfigError("family 'file' needs --ham-file")
     if cfg.ham_file and cfg.family != "file":
@@ -179,14 +168,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("evolution time must be positive")
     if cfg.eps <= 0.0:
         raise ConfigError("target accuracy must be positive")
-    if cfg.norm_mode not in ("exact", "one-norm"):
-        raise ConfigError("norm mode must be 'exact' or 'one-norm'")
     if cfg.dense_cap < 1:
         raise ConfigError("dense cap must be positive")
     if cfg.q_max < 2:
         raise ConfigError("qmax must be >= 2")
-    if cfg.range_class not in ("finite", "long"):
-        raise ConfigError("range class must be 'finite' or 'long'")
     if cfg.range_class == "long" and cfg.nu is None:
         raise ConfigError("range class 'long' needs --nu")
     if cfg.d < 1:
@@ -194,23 +179,20 @@ def _validate(cfg: ExperimentConfig) -> None:
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge defaults, config-file values, and explicit flags, then validate."""
+    """Merge defaults, config-file values, and explicit flags, typing each
+    value by the one rule of :func:`_coerce_value`, then validate."""
     cfg = ExperimentConfig()
     known = ExperimentConfig.__annotations__
-    if getattr(args, "config", None):
-        data = _load_config_file(args.config)
-        unknown = sorted(set(data) - set(known))
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        for name, value in data.items():
-            setattr(cfg, name, _coerce_value(name, value, known[name]))
-    for name in known:
+    data = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    for name, value in data.items():
+        setattr(cfg, name, _coerce_value(name, value, known[name]))
+    for name in known:  # each flag given overrides the file
         value = getattr(args, name, None)
-        if value is None:
-            continue
-        if name == "k_list":
-            value = _coerce_k_list(value)
-        setattr(cfg, name, value)
+        if value is not None:
+            setattr(cfg, name, _coerce_value(name, value, known[name]))
     _validate(cfg)
     return cfg
 
@@ -870,57 +852,36 @@ def cmd_alpha(cfg: ExperimentConfig) -> tuple[bool, dict]:
 # -- parser ----------------------------------------------------------------
 
 
+# every flag sets the config field of its name, with "-" for "_", but these
+_SPELLINGS = {"j_count": "--J", "q_max": "--qmax"}
+_HELP = {
+    "exponent": "decay power of the long-range family",
+    "ham_file": "JSON Hamiltonian",
+    "p": "base product-formula order",
+    "j_count": "extrapolation term count",
+    "k_list": "comma-separated subdivision counts, overrides --J",
+    "t": "total evolution time",
+    "eps": "target accuracy",
+    "norm_mode": "measure operators by spectral norm or certified one-norm",
+    "dense_cap": "largest site count allowed dense matrices",
+    "q_max": "top commutator order checked",
+    "out": "output directory (default: current)",
+    "nu": "long-range decay power",
+    "d": "lattice dimension",
+}
+
+
 def _shared_flags() -> argparse.ArgumentParser:
+    """One flag per config field, kept as text for :func:`resolve_config`."""
     shared = argparse.ArgumentParser(add_help=False)
-    run = shared.add_argument_group("run")
-    run.add_argument("--config", help="JSON config file; flags override it")
-    run.add_argument("--out", help="output directory (default: current)")
-    run.add_argument(
-        "--norm-mode",
-        choices=["exact", "one-norm"],
-        dest="norm_mode",
-        help="measure operators by spectral norm or certified one-norm",
-    )
-    run.add_argument(
-        "--dense-cap",
-        type=int,
-        dest="dense_cap",
-        help="largest site count allowed dense matrices",
-    )
-    run.add_argument(
-        "--qmax", type=int, dest="q_max", help="top commutator order checked"
-    )
-    model = shared.add_argument_group("model")
-    model.add_argument("--family", choices=list(FAMILIES))
-    model.add_argument("--n-sites", type=int, dest="n_sites")
-    model.add_argument("--coupling", type=float)
-    model.add_argument("--field", type=float)
-    model.add_argument(
-        "--exponent", type=float, help="decay power of the long-range family"
-    )
-    model.add_argument("--ham-file", dest="ham_file", help="JSON Hamiltonian")
-    formula = shared.add_argument_group("formula")
-    formula.add_argument("--p", type=int, help="base product-formula order")
-    formula.add_argument(
-        "--J", type=int, dest="j_count", help="extrapolation term count"
-    )
-    formula.add_argument(
-        "--k-list",
-        dest="k_list",
-        help="comma-separated subdivision counts, overrides --J",
-    )
-    grid = shared.add_argument_group("grid")
-    grid.add_argument("--tau-min", type=float, dest="tau_min")
-    grid.add_argument("--tau-max", type=float, dest="tau_max")
-    grid.add_argument("--tau-points", type=int, dest="tau_points")
-    grid.add_argument("--t", type=float, help="total evolution time")
-    grid.add_argument("--eps", type=float, help="target accuracy")
-    table = shared.add_argument_group("cost table")
-    table.add_argument(
-        "--range-class", choices=["finite", "long"], dest="range_class"
-    )
-    table.add_argument("--nu", type=float, help="long-range decay power")
-    table.add_argument("--d", type=int, help="lattice dimension")
+    shared.add_argument("--config", help="JSON config file; flags override it")
+    for name in ExperimentConfig.__annotations__:
+        shared.add_argument(
+            _SPELLINGS.get(name, "--" + name.replace("_", "-")),
+            dest=name,
+            metavar="{%s}" % ",".join(CHOICES[name]) if name in CHOICES else None,
+            help=_HELP.get(name),
+        )
     return shared
 
 

@@ -279,18 +279,25 @@ class HermitianFactorization(NamedTuple):
 
     @classmethod
     def of(cls, h: np.ndarray, herm_tol: float = 1e-10) -> "HermitianFactorization":
+        # entries that overflowed to inf (or nan) leave the defect nan, which
+        # no comparison refuses, and send eigh into NaNs
+        if not np.isfinite(h).all():
+            raise OverflowError("a Hamiltonian block has non-finite entries")
         # the defect is anti-Hermitian, so its inf-norm (max row sum) bounds
         # its spectral norm from above at O(4^n) cost, without an SVD; over
         # a stack of blocks it is the inf-norm of their direct sum
         defect = float(np.max(np.sum(np.abs(h - adjoint(h)), axis=-1)))
-        if defect > herm_tol:
+        if not defect <= herm_tol:
             raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
         vals, vecs = np.linalg.eigh(h)
         return cls(vals=vals, vecs=vecs)
 
     def phases(self, tau: float) -> np.ndarray:
         """The eigenvalues ``exp(-i vals tau)`` of ``exp(-i h tau)``."""
-        return np.exp(-1j * self.vals * tau)
+        angles = self.vals * tau
+        if not np.isfinite(angles).all():
+            raise OverflowError("the phases of exp(-i h tau) overflow")
+        return np.exp(-1j * angles)
 
     def expm_minus_i(self, tau: float) -> np.ndarray:
         """``exp(-i h tau)``, exactly unitary up to rounding."""

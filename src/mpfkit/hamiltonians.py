@@ -29,6 +29,7 @@ __all__ = [
     "HamiltonianSpec",
     "make_spec",
     "load_spec",
+    "coerce",
     "spec_to_document",
     "heisenberg_chain",
     "long_range_zz_chain",
@@ -125,12 +126,22 @@ def make_spec(
 # -- JSON document form ----------------------------------------------------
 
 
-def _whole(value, name: str) -> int:
-    """int(value), refusing a bool and a number with a fractional part."""
-    number = int(value)
-    if isinstance(value, bool) or (number != value and not isinstance(value, str)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return number
+def coerce(value, kind: type, what: str):
+    """``kind(value)`` by the one typing rule for outside values: a string
+    may spell the value, any other value must already be of ``kind`` (an
+    integral number counts as an int, an int as a float), and a bool is
+    refused.  A refused value raises ValueError("<what>, got <value>")."""
+    try:
+        converted = kind(value)
+    except (TypeError, ValueError):
+        converted = None
+    if (
+        converted is None
+        or isinstance(value, bool)
+        or not (isinstance(value, (str, kind)) or converted == value)
+    ):
+        raise ValueError(f"{what}, got {value!r}")
+    return converted
 
 
 def load_spec(source: str | Path | dict) -> HamiltonianSpec:
@@ -149,7 +160,7 @@ def load_spec(source: str | Path | dict) -> HamiltonianSpec:
     if not isinstance(doc, dict):
         raise ValueError("Hamiltonian document must be a JSON object")
     try:
-        n_sites = _whole(doc["n_sites"], "n_sites")
+        n_sites = coerce(doc["n_sites"], int, "n_sites must be an integer")
         raw_terms = doc["terms"]
     except KeyError as exc:
         raise ValueError(f"Hamiltonian document missing key {exc}") from None
@@ -158,9 +169,9 @@ def load_spec(source: str | Path | dict) -> HamiltonianSpec:
     terms: list[tuple[PauliTerm, int]] = []
     for i, entry in enumerate(raw_terms):
         try:
-            label = entry["pauli"]
-            coeff = float(entry["coeff"])
-            group = _whole(entry["group"], "group")
+            label = coerce(entry["pauli"], str, "pauli must be a string")
+            coeff = coerce(entry["coeff"], float, "coeff must be a number")
+            group = coerce(entry["group"], int, "group must be an integer")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad term entry #{i}: {exc}") from None
         if len(label) != n_sites:

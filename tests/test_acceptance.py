@@ -9,7 +9,6 @@ import itertools
 import time
 
 import numpy as np
-import pytest
 
 from mpfkit import dense
 from mpfkit.bch import (

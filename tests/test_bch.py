@@ -34,7 +34,6 @@ from oracles import (
     fraction_phi,
     fraction_word_weights,
     full_matrix_norm,
-    nest_series_term,
     oracle_phi_from_logs,
     truncated_step_unitary,
 )

@@ -36,6 +36,35 @@ def load(tmp_path, name):
     return json.loads((tmp_path / name).read_text())
 
 
+# texts for each config field's flag and config-file entry; the first is
+# accepted and differs from the default, the rest probe the typing rule
+FLAG_TEXTS = {
+    "family": ["long-range-zz", "ising", "3"],
+    "n_sites": ["5", "5.0", "five", "true"],
+    "coupling": ["0.5", "-2", "1e-3", "strong"],
+    "field": ["0.25", "nan", ""],
+    "exponent": ["3", "1e400", "x"],
+    "ham_file": ["chain.json", ""],
+    "p": ["4", "4.5", "two"],
+    "j_count": ["3", "3.0", "0"],
+    "k_list": ["1,3", "1, 2, 4", "1.5,3", "a,b", ",", "true"],
+    "tau_min": ["0.02", "0.5", "small"],
+    "tau_max": ["0.5", "inf", "0.001"],
+    "tau_points": ["6", "6.5", "3"],
+    "t": ["2", "1e-2", "long"],
+    "eps": ["0.25", "0", "1e-3"],
+    "norm_mode": ["one-norm", "spectral", "exact"],
+    "dense_cap": ["8", "big"],
+    "q_max": ["4", "1", "4.0"],
+    "out": ["elsewhere", "."],
+    "range_class": ["long", "short"],
+    "nu": ["2", "none"],
+    "d": ["2", "2.5", "-1"],
+}
+# flags that the texts above need to pass the cross-field checks
+FLAG_CONTEXT = {"ham_file": ["--family", "file"], "range_class": ["--nu", "2"]}
+
+
 class TestConfigResolution:
     def test_defaults_echoed(self, tmp_path):
         assert run(tmp_path, "verify-order") == 0
@@ -193,10 +222,14 @@ class TestConfigResolution:
             ("verify-bounds", "--coupling", "1e300", "--n-sites", "4", "--norm-mode", "one-norm"),
             ("alpha", "--coupling", "1e300"),
             ("phi", "--coupling", "1e200"),
+            # these overflow in the dense blocks, then in the stage phases
+            ("verify-order", "--n-sites", "4", "--field", "1e308"),
+            ("verify-order", "--n-sites", "4", "--tau-max", "1e308"),
         ],
         ids=[
             "exponent", "coupling", "time", "sweep-exponent",
             "verify-bounds", "verify-bounds-one-norm", "alpha", "phi",
+            "verify-order-field", "verify-order-tau",
         ],
     )
     def test_finite_setting_that_overflows_exits_2(self, tmp_path, capsys, argv):
@@ -246,6 +279,59 @@ class TestConfigResolution:
         assert main(argv) == 2
         assert f"{key} must be an integer, got {value}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", [True, "x"], ids=["bool", "text"])
+    def test_hamiltonian_file_with_non_numeric_coefficient_exits_2(
+        self, tmp_path, capsys, value
+    ):
+        doc = spec_to_document(heisenberg_chain(3, field=0.5))
+        doc["terms"][0]["coeff"] = value
+        ham = tmp_path / "chain.json"
+        ham.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = ["alpha", "--family", "file", "--ham-file", str(ham), "--out", str(out)]
+        assert main(argv) == 2
+        assert f"coeff must be a number, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", list(ExperimentConfig.__annotations__), ids=str)
+    def test_flag_and_config_file_share_one_typing_rule(self, tmp_path, name):
+        """A text as a flag and as a config-file value resolves alike, and
+        every subcommand takes the flag."""
+        flag = {"j_count": "--J", "q_max": "--qmax"}.get(
+            name, "--" + name.replace("_", "-")
+        )
+        context = FLAG_CONTEXT.get(name, [])
+        cfg_file = tmp_path / "run.json"
+        for text in FLAG_TEXTS[name]:
+            cfg_file.write_text(json.dumps({name: text}))
+            from_flag = [f"{flag}={text}", *context]
+            from_file = ["--config", str(cfg_file), *context]
+            resolved = []
+            for argv in (from_flag, from_file):
+                out = tmp_path / "out"
+                try:
+                    args = cli.build_parser().parse_args(["cost", *argv])
+                    resolved.append(cli.resolve_config(args).echo()[name])
+                except cli.ConfigError:
+                    assert main(["cost", *argv, "--out", str(out)]) == 2
+                    assert not out.exists()
+                    resolved.append("refused")
+            assert resolved[0] == resolved[1], text
+        # the first text of each field is accepted and differs from the default
+        first = FLAG_TEXTS[name][0]
+        args = cli.build_parser().parse_args(["cost", f"{flag}={first}", *context])
+        assert cli.resolve_config(args).echo()[name] != ExperimentConfig().echo()[name]
+        for command in cli._COMMANDS:
+            args = cli.build_parser().parse_args([command, f"{flag}={first}"])
+            assert getattr(args, name) == first
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        assert "--qmax Q_MAX" in capsys.readouterr().out
 
     def test_ham_file_needs_file_family(self, tmp_path, capsys):
         assert run(tmp_path, "cost", "--ham-file", "nofile.json") == 2

@@ -36,3 +36,45 @@ def _exported(tree: ast.Module) -> list[str]:
 def test_all_names_only_what_the_module_defines(path):
     tree = ast.parse(path.read_text())
     assert sorted(set(_exported(tree)) - _defined(tree)) == []
+
+
+TESTS = Path(__file__).resolve().parent
+ALL_MODULES = sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")])
+
+
+def _unread_imports(source: str) -> list[str]:
+    """Names a module imports but never reads, besides its ``__all__`` names
+    and imports marked ``# noqa: F401`` (kept for another module's lookup)."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            future = isinstance(node, ast.ImportFrom) and node.module == "__future__"
+            if future or "# noqa: F401" in lines[node.end_lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read.update(_exported(tree))
+    unread = [(name, line) for name, line in imported.items() if name not in read]
+    return sorted(f"{name} (line {line})" for name, line in unread)
+
+
+@pytest.mark.parametrize(
+    "path", ALL_MODULES, ids=lambda p: f"{p.parent.name}/{p.stem}"
+)
+def test_every_imported_name_is_read(path):
+    assert _unread_imports(path.read_text()) == []
+
+
+def test_unread_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "from sys import argv, path\n"
+        "from json import dumps  # noqa: F401\n"
+        "print(path)\n"
+    )
+    assert _unread_imports(source) == ["argv (line 3)", "os (line 2)"]

@@ -271,6 +271,28 @@ class TestDocumentForm:
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             load_spec(doc)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("coeff", True, "coeff must be a number"),
+            ("coeff", "x", "coeff must be a number"),
+            ("coeff", None, "coeff must be a number"),
+            ("pauli", ["X", "X"], "pauli must be a string"),
+            ("pauli", 5, "pauli must be a string"),
+        ],
+    )
+    def test_rejects_mistyped_term_values(self, key, value, message):
+        # float() would run a boolean coefficient as 1.0
+        doc = {"n_sites": 2, "terms": [{"pauli": "XX", "coeff": 1.0, "group": 1}]}
+        doc["terms"][0][key] = value
+        with pytest.raises(ValueError, match=f"bad term entry #0: {message}"):
+            load_spec(doc)
+
+    def test_numbers_spelled_as_text_are_read(self):
+        doc = {"n_sites": "2", "terms": [{"pauli": "XX", "coeff": "0.5", "group": "1"}]}
+        spec = load_spec(doc)
+        assert spec.n_sites == 2 and spec.terms[0][0].coeff == 0.5
+
     def test_rejects_missing_keys(self):
         with pytest.raises(ValueError, match="missing"):
             load_spec({"terms": []})
