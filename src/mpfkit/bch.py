@@ -18,12 +18,12 @@ J. Math. Phys. 50, 033513, 2009).  Expanding the log,
 
 where B(u) sums prod_v a_v^{k_v} / k_v! over the ways (k_1..k_V) the stages
 spell the word u.  Every float stage fraction is n_v / 2^S for one common
-S, so B, the splits and the log run in exact integers and each c_w comes
-from one correctly rounded division.  One depth-first walk spells the words
-innermost group first, each word carrying its split sums and its nest to
-every order up to q_max; a repeated innermost pair or an empty nest ends a
-branch, and a top-order nest is formed only for a nonzero c_w.
-:func:`check_series_budget` counts this work before any order is built.
+S, so B, the splits and the log run in exact integers.  The nests are those
+of the alpha_q walk, :func:`mpfkit.commutators._nest_sums`, which visits only
+the pairs r_1 < r_2 of the reversed words r; each nest takes c_r - c_r', r'
+being r with its innermost pair swapped, from one correctly rounded
+division.  :func:`check_series_budget` counts this work before any order is
+built.
 
 Orders ``q <= p`` vanish for an order-p plan, every ``Phi_q`` is Hermitian,
 and the series truncated at order p0 reproduces the step unitary to
@@ -34,8 +34,9 @@ facts the verification helpers at the bottom measure.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
+from .commutators import _nest_sums, _sector_norm
 from .formulas import DEFAULT_DENSE_CAP, LEAK_TOL, ProductFormulaPlan
 from .hamiltonians import HamiltonianSpec
 from .pauli import PauliSum
@@ -89,92 +90,66 @@ def _word_weights(
     return shift, prefixes | words
 
 
-def _series_terms(
-    plan: ProductFormulaPlan, q_max: int, child: Callable[[Any, int], Any]
-) -> Iterator[tuple[int, int, int, Any]]:
-    """``(q, N, D, nest)`` for each group word w of length q <= q_max with
-    c_w = N / D nonzero and a nonempty nest, in one depth-first walk.
+def _pair_weights(plan: ProductFormulaPlan, q_max: int) -> Callable:
+    """``weigh(r, chains) -> (N, D, chains)`` for the nest walk of
+    :func:`mpfkit.commutators._nest_sums`, which spells each word reversed,
+    r = w_q .. w_1, innermost group first, and visits only r_1 < r_2.
 
-    The walk spells each word reversed, r = w_q .. w_1, innermost group
-    first, so that ``child(nest, g)`` makes the nest of r + (g,) from the
-    nest of r (``None`` at the root).  It reads the word weights of the
-    merged stages in their own order: c_w over the product's factors is c_r
-    over the same factors reversed.  A node r of length i holds its split
-    vector G[r][m], i! 2^{S i} times the sum of prod_k B(u_k) over the
-    splits of r into m spelled words, summed over its spelled suffixes r[j:]:
+    It reads the word weights of the merged stages in their own order: c_w
+    over the product's factors is c_r over the same factors reversed.  A word
+    r of length i has the split vector G[r][m], i! 2^{S i} times the sum of
+    prod_k B(u_k) over the splits of r into m spelled words, summed over its
+    spelled suffixes r[j:] until the first unspelled one:
 
         G[r][m + 1] += C(i, j) I(r[j:]) G[r[:j]][m].
 
-    A suffix of a spelled word is spelled, so the first unspelled suffix
-    ends the sum.  Then N = sum_m (-1)^{m-1} (L / m) G[r][m] and
-    D = i! L 2^{S i}, with L = lcm(1..i).  A repeated innermost pair and
-    every word below an empty nest are skipped, since their nests vanish,
-    and a nest of length q_max is formed only when N is nonzero.
+    Then c_r = N_r / D with N_r = sum_m (-1)^{m-1} (L / m) G[r][m],
+    D = i! L 2^{S i} and L = lcm(1..i).  The word r' that swaps the innermost
+    pair of r has the negated nest, so ``N`` is N_r - N_r' (N_r at i = 1);
+    ``chains`` holds the split vectors of the prefixes of r and of r'.
     """
-    stages = plan.merged_stages()
-    shift, weights = _word_weights(stages, q_max)
-    groups = sorted({g for g, _ in stages})
+    shift, weights = _word_weights(plan.merged_stages(), q_max)
+    lcms = [math.lcm(*range(1, i + 1)) for i in range(q_max + 1)]
+    dens = [math.factorial(i) * lcm << (shift * i) for i, lcm in enumerate(lcms)]
 
-    def grow(word, splits, nest):
-        i = len(word) + 1
-        lcm = math.lcm(*range(1, i + 1))
-        den = math.factorial(i) * lcm << (shift * i)
-        for g in groups:
-            if i == 2 and g == word[0]:
-                continue
-            r = word + (g,)
-            vec = [0] * (i + 1)
-            for j in range(i - 1, -1, -1):
-                u = weights.get(r[j:])
-                if u is None:
-                    break
-                f = math.comb(i, j) * u
-                for m, x in enumerate(splits[j]):
-                    vec[m + 1] += f * x
-            n = sum(lcm // m * (x if m % 2 else -x) for m, x in enumerate(vec[1:], 1))
-            sub = child(nest, g) if n or i < q_max else None
-            if sub:
-                if n:
-                    yield i, n, den, sub
-                if i < q_max:
-                    yield from grow(r, splits + (vec,), sub)
+    def split(r, splits):
+        i = len(r)
+        vec = [0] * (i + 1)
+        for j in range(i - 1, -1, -1):
+            u = weights.get(r[j:])
+            if u is None:
+                break
+            f = math.comb(i, j) * u
+            for m, x in enumerate(splits[j]):
+                vec[m + 1] += f * x
+        n = sum(lcms[i] // m * (x if m % 2 else -x) for m, x in enumerate(vec[1:], 1))
+        return vec, n
 
-    yield from grow((), ([1],), None)
+    firsts = {g: split((g,), ([1],)) for g in range(1, plan.n_groups + 1)}
 
+    def weigh(r, chains):
+        if len(r) == 1:
+            return firsts[r[0]][1], dens[1], None
+        if len(r) == 2:
+            chains = ([1], firsts[r[0]][0]), ([1], firsts[r[1]][0])
+        a, b = chains
+        va, na = split(r, a)
+        vb, nb = split(r[1::-1] + r[2:], b)
+        return na - nb, dens[len(r)], (a + (va,), b + (vb,))
 
-def _phi_table(
-    plan: ProductFormulaPlan, spec: HamiltonianSpec, q_max: int
-) -> dict[int, PauliSum]:
-    """Phi_1..Phi_qmax from one walk, each c_w rounded once."""
-    if plan.n_groups != spec.n_groups:
-        raise ValueError("plan and spec disagree on the group count")
-
-    def child(nest: PauliSum | None, g: int) -> PauliSum:
-        return spec.group_sum(g) if nest is None else spec.group_sum(g).commutator(nest)
-
-    acc: dict[int, dict[tuple[int, int], complex]] = {q: {} for q in range(1, q_max + 1)}
-    for q, n, den, nest in _series_terms(plan, q_max, child):
-        weight, into = n / den, acc[q]
-        for key, c in nest.items():
-            into[key] = into.get(key, 0.0) + weight * c
-    return {
-        q: PauliSum(spec.n_sites, terms).scale((-1j) ** (q - 1) / q)
-        for q, terms in acc.items()
-    }
+    return weigh
 
 
 def compute_phi(plan: ProductFormulaPlan, spec: HamiltonianSpec, q: int) -> PauliSum:
     """The order-q coefficient of the effective-generator series.
 
     ``q = 1`` returns the Hamiltonian itself (the stage fractions sum to one
-    per group).  The walk runs to q, as :func:`compute_phi_range` runs it to
-    q_max, and gives the same Phi_q bit for bit; :func:`check_series_budget`
-    refuses it first.
+    per group).  The nest walk runs to q without norms, as
+    :func:`compute_phi_range` runs it to q_max, and gives the same Phi_q bit
+    for bit; :func:`check_series_budget` refuses it first.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
     check_series_budget(plan, q)
-    return _phi_table(plan, spec, q)[q]
+    return _nest_sums(spec, 2, q, plan=plan)[1][q]
 
 
 def check_series_budget(plan: ProductFormulaPlan, q_max: int) -> None:
@@ -183,7 +158,8 @@ def check_series_budget(plan: ProductFormulaPlan, q_max: int) -> None:
     Counted exactly before pruning: the word recursion's (prefix, k) updates
     in :func:`_word_weights` to q_max, and the walk's split updates, where
     each of the n_groups^j prefixes of a length j < q_max meets every
-    spelled word of length at most q_max - j.
+    spelled word of length at most q_max - j.  Splitting r and its swapped r'
+    at each r_1 < r_2, the walk splits each word once (the count keeps r_1 = r_2).
     """
     # replay the recursion on counts of the distinct prefixes by length, in all
     # and ending in each group: one ending in g after stage g is one not ending
@@ -206,11 +182,10 @@ def check_series_budget(plan: ProductFormulaPlan, q_max: int) -> None:
 def compute_phi_range(
     plan: ProductFormulaPlan, spec: HamiltonianSpec, q_max: int
 ) -> dict[int, PauliSum]:
-    """The table Phi_2..Phi_qmax, keyed by order, from one walk, refused
-    before any work by :func:`check_series_budget`."""
+    """The table Phi_2..Phi_qmax, keyed by order, from one nest walk without
+    norms, refused before any work by :func:`check_series_budget`."""
     check_series_budget(plan, q_max)
-    table = _phi_table(plan, spec, q_max) if q_max >= 2 else {}
-    return {q: phi for q, phi in table.items() if q >= 2}
+    return {q: phi for q, phi in _nest_sums(spec, 2, q_max, plan=plan)[1].items() if q > 1}
 
 
 def phi_norm_bound(stage_factor: float, alpha_q: float, q: int) -> float:
@@ -261,17 +236,15 @@ def phi_report(
 ) -> PhiReport:
     """Measure Phi_q and evaluate every bound the tables need.
 
-    ``phi_q`` is the order-q series coefficient, taken from the table the
-    caller built with :func:`compute_phi_range`; ``alpha_q`` is the order-q
-    commutator sum, from :func:`mpfkit.commutators.commutator_sums`.  The
+    ``phi_q`` is the order-q series coefficient and ``alpha_q`` the order-q
+    commutator sum, from the tables the caller built in one walk with
+    :func:`mpfkit.commutators.commutator_sums` and the plan.  The
     exact norm is read as a nest's norm is, under the same allowance;
     in the one-norm mode or beyond the dense cap ``norm`` is the coefficient
     one-norm, an upper bound, and ``norm_is_exact`` is False.
     """
     norm_is_exact = norm_mode == "exact" and spec.n_sites <= cap
     if norm_is_exact:
-        from .commutators import _sector_norm
-
         norm = _sector_norm(spec, None)(phi_q, q)
     else:
         norm = phi_q.one_norm()

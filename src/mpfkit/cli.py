@@ -209,6 +209,7 @@ def build_family(cfg: ExperimentConfig) -> HamiltonianSpec:
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"cannot load Hamiltonian file: {exc}") from None
         cfg.n_sites = spec.n_sites
+        _validate(cfg)  # the file's site count meets the flag's checks
     return spec
 
 
@@ -470,11 +471,12 @@ def _phi_rows(cfg: ExperimentConfig, report: PhiReport) -> list[dict]:
 
 
 def _phi_reports(cfg: ExperimentConfig, spec: HamiltonianSpec, plan, mode: str):
-    """The run's alpha table, Phi_q table and one report per order q."""
-    from .bch import compute_phi_range, phi_report
+    """The run's alpha and Phi_q tables, from one walk, and one report per q."""
+    from .bch import phi_report
+    from .commutators import commutator_sums
 
-    alphas = _alpha_table(cfg, spec, mode)
-    phis = _configured(compute_phi_range, plan, spec, cfg.q_max)
+    tables = (commutator_sums, spec, cfg.q_max, mode, cfg.dense_cap)
+    alphas, phis = _configured(*tables, plan=plan)
     reports = [
         phi_report(
             plan,
@@ -946,8 +948,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:
-        # a finite setting so large that a bound or coefficient overflows
+    except (OverflowError, FloatingPointError) as exc:
+        # a finite setting so large that a bound, coefficient or matrix overflows
         print(f"error: the configured values overflow: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -23,11 +23,10 @@ n; the result records its witness and whether the window was wide enough.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import Callable, Mapping, NamedTuple
 
-from .formulas import DEFAULT_DENSE_CAP, LEAK_TOL, check_dense_cap
+from .formulas import DEFAULT_DENSE_CAP, LEAK_TOL, ProductFormulaPlan, check_dense_cap
 from .hamiltonians import HamiltonianSpec
 from .pauli import PauliSum
 
@@ -94,11 +93,13 @@ def _nest_sums(
     spec: HamiltonianSpec,
     q_min: int,
     q_max: int,
-    mode: str,
-    cap: int,
+    mode: str | None = None,
+    cap: int = DEFAULT_DENSE_CAP,
     splice: tuple[PauliSum, int] | None = None,
-) -> dict[int, float]:
-    """Norm sums of the nonzero nests of orders q_min..q_max, by order.
+    plan: ProductFormulaPlan | None = None,
+) -> tuple[dict[int, float], dict[int, PauliSum]]:
+    """Norm sums of the nonzero nests of orders q_min..q_max, by order, and
+    the series coefficients Phi_1..Phi_qmax of ``plan`` ({} without one).
 
     One depth-first search walks the group tuples, extending each nonzero
     nest by every group and descending only while its order is below
@@ -107,46 +108,59 @@ def _nest_sums(
     (g_2, g_1) gives the negated nest and negates its whole subtree.
     ``splice = (O, j)`` commutes O onto each nest once it holds j groups;
     at j = 1 the antisymmetry fails and every tuple is walked.  Exact norms
-    come from :func:`_sector_norm`, built at the first nonzero nest.  The
-    tuple budget, the norm mode and the dense cap are checked before any
-    nest is built.
+    come from :func:`_sector_norm`, built at the first nonzero nest;
+    ``mode=None`` takes none.  The tuple budget, the norm mode and the
+    dense cap are checked before any nest is built.  A plan's walk adds each
+    nest r times c_r - c_r' to Phi_q (:func:`mpfkit.bch._pair_weights`);
+    without norms it forms a top-order nest only for a nonzero difference.
     """
     if q_max < 1:
         raise ValueError("q must be >= 1")
     check_tuple_budget(spec.n_groups, q_max)
-    if mode not in ("exact", "one-norm"):
+    if mode not in ("exact", "one-norm", None):
         raise ValueError(f"unknown norm mode {mode!r} (use 'exact' or 'one-norm')")
     if mode == "exact":
         check_dense_cap(spec.n_sites, cap)
-    observable, insert_after = splice or (None, 0)
-    sums = spec.group_sums
+    weigh = None
+    if plan is not None:
+        from .bch import _pair_weights
+
+        if plan.n_groups != spec.n_groups:
+            raise ValueError("plan and spec disagree on the group count")
+        weigh = _pair_weights(plan, q_max)
+    observable, insert_after = splice or (None, None)
+    pairs = q_min > 1 and insert_after != 1
     alphas = dict.fromkeys(range(q_min, q_max + 1), 0.0)
+    acc: dict[int, dict[tuple[int, int], complex]] = {q: {} for q in range(1, q_max + 1)}
     sector_norm = functools.cache(lambda: _sector_norm(spec, observable))
 
-    def descend(depth: int, nest: PauliSum, weight: float) -> None:
+    def descend(word: tuple[int, ...], nest: PauliSum | None, chains) -> None:
+        depth = len(word)
         if depth == insert_after:
             nest = observable.commutator(nest)
             if not nest:
                 return
-        if depth >= q_min:
+        if mode and depth >= q_min:
             norm = sector_norm()(nest, depth) if mode == "exact" else nest.one_norm()
-            alphas[depth] += weight * norm
+            alphas[depth] += (2.0 if pairs else 1.0) * norm
         if depth == q_max:
             return
-        for h in sums:
-            nxt = h.commutator(nest)
+        first = word[0] if pairs and depth == 1 else 0
+        for g, h in enumerate(spec.group_sums[first:], first + 1):
+            n, den, grown = weigh(word + (g,), chains) if weigh else (0, 1, None)
+            if not (n or mode or depth + 1 < q_max):
+                continue
+            nxt = h.commutator(nest) if depth else h
             if nxt:
-                descend(depth + 1, nxt, weight)
+                if n:  # the one rounding of the pair's coefficient
+                    c, into = n / den, acc[depth + 1]
+                    for key, x in nxt.items():
+                        into[key] = into.get(key, 0.0) + c * x
+                descend(word + (g,), nxt, grown)
 
-    if q_min == 1 or insert_after == 1:
-        for first in sums:
-            descend(1, first, 1.0)
-    else:
-        for first, second in itertools.combinations(sums, 2):
-            pair = second.commutator(first)
-            if pair:
-                descend(2, pair, 2.0)
-    return alphas
+    descend((), None, None)
+    overall = {q: (-1j) ** (q - 1) / q for q in acc if weigh}  # none without a plan
+    return alphas, {q: PauliSum(spec.n_sites, acc[q]).scale(f) for q, f in overall.items()}
 
 
 def commutator_sums(
@@ -154,7 +168,8 @@ def commutator_sums(
     q_max: int,
     mode: str = "exact",
     cap: int = DEFAULT_DENSE_CAP,
-) -> dict[int, float]:
+    plan: ProductFormulaPlan | None = None,
+) -> dict[int, float] | tuple[dict[int, float], dict[int, PauliSum]]:
     """Every commutator sum alpha_2..alpha_{q_max} from one enumeration.
 
     Each nonzero nest of q groups with g_1 < g_2 adds twice its norm to
@@ -165,9 +180,16 @@ def commutator_sums(
     ``mode="exact"`` measures spectral norms on the groups' sector frame
     (:func:`_sector_norm`); ``mode="one-norm"`` replaces every norm by the
     coefficient one-norm of the same symbolically exact nest (an upper
-    bound, no dense work).
+    bound, no dense work).  With a ``plan`` the same walk, refused first by
+    :func:`mpfkit.bch.check_series_budget`, returns ``(alphas, phis)``, with
+    Phi_1..Phi_qmax bitwise as :func:`mpfkit.bch.compute_phi_range` has them.
     """
-    return _nest_sums(spec, 2, q_max, mode, cap)
+    if plan is None:
+        return _nest_sums(spec, 2, q_max, mode, cap)[0]
+    from .bch import check_series_budget
+
+    check_series_budget(plan, q_max)
+    return _nest_sums(spec, 2, q_max, mode, cap, plan=plan)
 
 
 def nested_commutator_sum(
@@ -177,7 +199,7 @@ def nested_commutator_sum(
     cap: int = DEFAULT_DENSE_CAP,
 ) -> float:
     """The order-q commutator sum alone; see :func:`commutator_sums`."""
-    return _nest_sums(spec, q, q, mode, cap)[q]
+    return _nest_sums(spec, q, q, mode, cap)[0][q]
 
 
 def factorial_commutator_bound(q: int, k: int, g: float, n_sites: int) -> float:
@@ -219,7 +241,7 @@ def inserted_commutator_sum(
     if observable.n_sites != spec.n_sites:
         raise ValueError("observable site count differs from spec")
     splice = (observable, insert_after)
-    return _nest_sums(spec, q, q, mode, cap, splice)[q]
+    return _nest_sums(spec, q, q, mode, cap, splice)[0][q]
 
 
 def insertion_bound(q: int, k: int, g: float, observable_norm: float) -> float:

@@ -71,17 +71,19 @@ def permuted_diagonals(s: PauliSum) -> dict[int, np.ndarray]:
     added in the sum's order from +0, so each entry gets the exact terms, in
     the same order, of the Kronecker-product build ``sum c * (site_0 (x) ...
     (x) site_{n-1})``: the two are bitwise equal, signed zeros included (a
-    sum started at +0 never holds a -0).  Cost is O(2^n) per string.
+    sum started at +0 never holds a -0).  Cost is O(2^n) per string.  An
+    entry that overflows raises ``FloatingPointError``.
     """
     n = s.n_sites
     idx = np.arange(1 << n)
     odd = (_popcounts(n) & 1).astype(bool)
     diags: dict[int, np.ndarray] = {}
-    for (x, z), c in s.items():
-        v = c * _PHASES[(x & z).bit_count() & 3]
-        flip = odd[idx & _bit_reverse(z, n)]
-        d = diags.setdefault(_bit_reverse(x, n), np.zeros(1 << n, dtype=complex))
-        d += np.where(flip, -v, v)
+    with np.errstate(over="raise"):
+        for (x, z), c in s.items():
+            v = c * _PHASES[(x & z).bit_count() & 3]
+            flip = odd[idx & _bit_reverse(z, n)]
+            d = diags.setdefault(_bit_reverse(x, n), np.zeros(1 << n, dtype=complex))
+            d += np.where(flip, -v, v)
     return diags
 
 
@@ -293,11 +295,10 @@ class HermitianFactorization(NamedTuple):
         return cls(vals=vals, vecs=vecs)
 
     def phases(self, tau: float) -> np.ndarray:
-        """The eigenvalues ``exp(-i vals tau)`` of ``exp(-i h tau)``."""
-        angles = self.vals * tau
-        if not np.isfinite(angles).all():
-            raise OverflowError("the phases of exp(-i h tau) overflow")
-        return np.exp(-1j * angles)
+        """The eigenvalues ``exp(-i vals tau)`` of ``exp(-i h tau)``; an angle
+        that overflows raises ``FloatingPointError``."""
+        with np.errstate(over="raise"):
+            return np.exp(-1j * (self.vals * tau))
 
     def expm_minus_i(self, tau: float) -> np.ndarray:
         """``exp(-i h tau)``, exactly unitary up to rounding."""

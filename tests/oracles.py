@@ -25,8 +25,8 @@
 - The exact free-algebra log coefficients c_w behind
   :func:`mpfkit.bch.compute_phi`, as ``Fraction`` values: the word weights
   by a ``Fraction`` prefix recursion, then, word by word, a DP over its
-  split points.  :func:`mpfkit.bch._series_terms` runs the same sums in
-  integers, one depth-first walk over the reversed words.
+  split points.  :func:`mpfkit.bch._pair_weights` runs the same sums in
+  integers for the nest walk over the reversed words.
 - The per-composition walk that :func:`mpfkit.bch._word_weights` replaces:
   every composition of q over the merged stages visited in turn, its
   weight added to its word (in floats or exactly), and the whole series
@@ -63,7 +63,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from operator import add
 from typing import Callable, Iterator, Sequence
 
@@ -250,12 +250,14 @@ def composition_word_weights(
     return out
 
 
+@cache
 def fraction_word_weights(
-    slots: Sequence[tuple[int, float]], q: int
+    slots: tuple[tuple[int, float], ...], q: int
 ) -> dict[tuple[int, ...], Fraction]:
     """B(u), the sum of prod_v a_v^{k_v} / k_v! over the ways the stages
     spell u, for every spelled word of length 1..q, exactly: each prefix w
-    grows to ``w + (g_v,) * k`` at stage v, times a_v^k / k!."""
+    grows to ``w + (g_v,) * k`` at stage v, times a_v^k / k!.  Cached on
+    (stages, q); callers read the dict and never change it."""
     prefixes: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
     for g, a in slots:
         powers = [Fraction(a) ** k / math.factorial(k) for k in range(q + 1)]
@@ -269,13 +271,15 @@ def fraction_word_weights(
     return prefixes
 
 
+@cache
 def fraction_log_coefficients(
-    slots: Sequence[tuple[int, float]], q: int
+    slots: tuple[tuple[int, float], ...], q: int
 ) -> dict[tuple[int, ...], Fraction]:
     """c_w, the coefficient of each word w of length q over the stages'
     groups in log prod_v exp(a_v X_{g_v}), exactly:
     sum_m (-1)^{m-1} / m G[q][m], where G[i][m] sums prod B(u) over the
-    splits of w[:i] into m spelled words, G[i][m] = sum_j G[j][m-1] B(w[j:i])."""
+    splits of w[:i] into m spelled words, G[i][m] = sum_j G[j][m-1] B(w[j:i]).
+    Cached on (stages, q), like :func:`fraction_word_weights`."""
     weights = fraction_word_weights(slots, q)
     groups = sorted({g for g, _ in slots})
     out: dict[tuple[int, ...], Fraction] = {}
@@ -299,8 +303,8 @@ def nest_series_term(
 ) -> PauliSum:
     """(-i)^{q-1} / q sum_seq agg[seq] [H_seq1, [H_seq2, ... H_seqq]], the
     nests taken in order of their reversed group sequence and shared along
-    common suffixes, the order in which :func:`mpfkit.bch.compute_phi`'s
-    walk sums them."""
+    common suffixes, the order in which the nest walk behind
+    :func:`mpfkit.bch.compute_phi` sums them."""
     acc: dict[tuple[int, int], complex] = {}
     stack: list[PauliSum | None] = [None] * q
     prev: tuple[int, ...] | None = None
@@ -325,14 +329,29 @@ def nest_series_term(
     return PauliSum(spec.n_sites, {k: overall * c for k, c in acc.items()})
 
 
+def fraction_pair_coefficients(
+    slots: tuple[tuple[int, float], ...], q: int
+) -> dict[tuple[int, ...], Fraction]:
+    """The nonzero weights the nest walk rounds, exactly: c_w of a word of
+    one group, and c_w - c_w' of a longer word w whose reversed word r has
+    r_1 < r_2, w' being w with its innermost pair swapped (whose nest is the
+    negated one)."""
+    coeffs = fraction_log_coefficients(slots, q)
+    if q > 1:
+        coeffs = {
+            w: c - coeffs[w[:-2] + (w[-1], w[-2])]
+            for w, c in coeffs.items()
+            if w[-1] < w[-2]
+        }
+    return {w: c for w, c in coeffs.items() if c}
+
+
 def fraction_phi(plan: ProductFormulaPlan, spec: HamiltonianSpec, q: int) -> PauliSum:
-    """Phi_q from the correctly rounded ``Fraction`` log coefficients, less
-    the zero ones and those of words ending in a repeated group."""
-    coeffs = fraction_log_coefficients(plan.merged_stages()[::-1], q)
-    agg = {
-        w: float(c) for w, c in coeffs.items() if c and (q == 1 or w[-1] != w[-2])
-    }
-    return nest_series_term(spec, q, agg)
+    """Phi_q from the ``Fraction`` log coefficients, rounded once per word
+    pair (r, r'): each of :func:`fraction_pair_coefficients` correctly
+    rounded."""
+    pairs = fraction_pair_coefficients(plan.merged_stages()[::-1], q)
+    return nest_series_term(spec, q, {w: float(c) for w, c in pairs.items()})
 
 
 def composition_phi(plan: ProductFormulaPlan, spec: HamiltonianSpec, q: int) -> PauliSum:

@@ -20,7 +20,7 @@ from mpfkit.bch import (
     phi_norm_bound,
     phi_report,
 )
-from mpfkit.bch import _series_terms, _word_weights
+from mpfkit.bch import _pair_weights, _word_weights
 from mpfkit.commutators import nested_commutator_sum
 from mpfkit.hamiltonians import heisenberg_chain, long_range_zz_chain, make_spec
 from mpfkit.pauli import PauliSum, PauliTerm
@@ -31,6 +31,7 @@ from oracles import (
     composition_word_weights,
     compositions,
     fraction_log_coefficients,
+    fraction_pair_coefficients,
     fraction_phi,
     fraction_word_weights,
     full_matrix_norm,
@@ -284,30 +285,48 @@ def scaled_word_weights(slots, q):
     }
 
 
-def spelling(nest, g):
-    """A child step whose nest is the reversed word itself, so nothing is
-    pruned below it."""
-    return (nest or ()) + (g,)
-
-
 def walked_log_coefficients(plan, q_max):
-    """c_w = N / D of every word of length 1..q_max that the walk yields,
-    keyed by the word w, not by the reversed word the walk spells."""
-    return {
-        r[::-1]: Fraction(n, den) for _, n, den, r in _series_terms(plan, q_max, spelling)
-    }
+    """The nonzero N / D of every word r of length 1..q_max that the nest walk
+    weighs, r_1 < r_2 from length 2 on and nothing pruned: c_r of a word of
+    one group, c_r - c_r' of a longer one.  Keyed by the word w, not by the
+    reversed word r the walk spells."""
+    weigh, out = _pair_weights(plan, q_max), {}
+
+    def walk(r, chains):
+        n, den, grown = weigh(r, chains)
+        if n:
+            out[r[::-1]] = Fraction(n, den)
+        if len(r) < q_max:
+            for g in range(r[0] + 1 if len(r) == 1 else 1, plan.n_groups + 1):
+                walk(r + (g,), grown)
+
+    for g in range(1, plan.n_groups + 1):
+        walk((g,), None)
+    return out
 
 
 def fraction_coefficients_to(plan, q_max):
-    """The oracle's nonzero c_w of lengths 1..q_max over the product's
-    factors, less the words ending in a repeated group, which the walk skips."""
+    """The oracle's nonzero pair weights of lengths 1..q_max over the
+    product's factors."""
     slots = plan.merged_stages()[::-1]
     return {
-        w: c
-        for q in range(1, q_max + 1)
-        for w, c in fraction_log_coefficients(slots, q).items()
-        if c and (q == 1 or w[-1] != w[-2])
+        w: c for q in range(1, q_max + 1) for w, c in fraction_pair_coefficients(slots, q).items()
     }
+
+
+def generic_spec(n_groups):
+    """Each group holds every two-site Pauli string at a random weight, so no
+    nest of up to five groups vanishes and the walk prunes nothing."""
+    rng = np.random.default_rng(7)
+    labels = [a + b for a in "IXYZ" for b in "IXYZ"][1:]
+    return make_spec(
+        2,
+        [
+            (PauliTerm.from_label(label, rng.uniform(0.5, 1.5)), g)
+            for g in range(1, n_groups + 1)
+            for label in labels
+        ],
+    )
 
 
 @st.composite
@@ -345,7 +364,7 @@ def three_site_specs(draw):
 
 
 # compute_phi(build_plan(3, p), heisenberg_chain(3, field=0.4), q) keyed by
-# (p, q), each word's log coefficient rounded once
+# (p, q), each word pair's log coefficient difference rounded once
 FROZEN_PHI_THREE_SITES = {
     (1, 1): {
         (3, 0): 1.0, (3, 3): 1.0, (0, 3): 1.0, (6, 0): 1.0, (6, 6): 1.0, (0, 6): 1.0,
@@ -381,9 +400,9 @@ FROZEN_PHI_THREE_SITES = {
     },
     (2, 4): {},
     (2, 5): {
-        (6, 6): -0.33333333333333337, (5, 5): 0.3333333333333333,
-        (0, 6): -0.33333333333333337, (0, 5): 0.3333333333333333,
-        (6, 0): -0.33333333333333337, (5, 0): 0.3333333333333333,
+        (6, 6): -0.3333333333333333, (5, 5): 0.3333333333333333,
+        (0, 6): -0.3333333333333333, (0, 5): 0.3333333333333333,
+        (6, 0): -0.3333333333333333, (5, 0): 0.3333333333333333,
     },
     (4, 1): {
         (3, 0): 1.0, (3, 3): 1.0, (0, 3): 1.0, (6, 0): 1.0, (6, 6): 1.0, (0, 6): 1.0,
@@ -393,9 +412,9 @@ FROZEN_PHI_THREE_SITES = {
     (4, 3): {},
     (4, 4): {},
     (4, 5): {
-        (6, 6): -0.007683536370017107, (5, 5): -0.02479199846544097,
-        (0, 6): -0.007683536370017107, (0, 5): -0.02479199846544097,
-        (6, 0): -0.007683536370017107, (5, 0): -0.02479199846544097,
+        (6, 6): -0.0076835363700171, (5, 5): -0.024791998465440973,
+        (0, 6): -0.0076835363700171, (0, 5): -0.024791998465440973,
+        (6, 0): -0.0076835363700171, (5, 0): -0.024791998465440973,
         (3, 3): 0.03247553483545808, (0, 3): 0.03247553483545808,
         (3, 0): 0.03247553483545808,
     },
@@ -404,18 +423,18 @@ FROZEN_PHI_THREE_SITES = {
 # Phi_5 of the fourth-order plan on heisenberg_chain(4, field=0.0), the
 # coefficient the `series` benchmark workload spends its time on
 FROZEN_PHI_SERIES = {
-    (6, 6): -0.11502694026256773, (5, 5): -0.039667197544705546,
-    (9, 6): 0.06495106967091617, (5, 10): -0.06495106967091617,
-    (0, 6): -0.11502694026256773, (0, 5): -0.039667197544705546,
-    (15, 6): 0.06495106967091617, (15, 10): -0.06495106967091617,
-    (15, 5): -0.06495106967091617, (15, 9): 0.06495106967091617,
-    (10, 5): -0.06495106967091617, (6, 9): 0.06495106967091617,
-    (10, 10): -0.039667197544705546, (0, 10): -0.039667197544705546,
-    (0, 9): -0.0148751990792646, (9, 9): -0.0148751990792646,
-    (6, 0): -0.11502694026256773, (5, 0): -0.039667197544705546,
-    (9, 15): 0.06495106967091617, (5, 15): -0.06495106967091617,
-    (10, 15): -0.06495106967091617, (6, 15): 0.06495106967091617,
-    (10, 0): -0.039667197544705546, (9, 0): -0.0148751990792646,
+    (6, 6): -0.11502694026256771, (5, 5): -0.03966719754470555,
+    (9, 6): 0.06495106967091616, (5, 10): -0.06495106967091616,
+    (0, 6): -0.11502694026256771, (0, 5): -0.03966719754470555,
+    (15, 6): 0.06495106967091616, (15, 10): -0.06495106967091616,
+    (15, 5): -0.06495106967091616, (15, 9): 0.06495106967091616,
+    (10, 5): -0.06495106967091616, (6, 9): 0.06495106967091616,
+    (10, 10): -0.03966719754470555, (0, 10): -0.03966719754470555,
+    (0, 9): -0.01487519907926459, (9, 9): -0.01487519907926459,
+    (6, 0): -0.11502694026256771, (5, 0): -0.03966719754470555,
+    (9, 15): 0.06495106967091616, (5, 15): -0.06495106967091616,
+    (10, 15): -0.06495106967091616, (6, 15): 0.06495106967091616,
+    (10, 0): -0.03966719754470555, (9, 0): -0.01487519907926459,
     (3, 3): 0.10461826721562172, (0, 3): 0.10461826721562172,
     (12, 12): 0.10461826721562172, (0, 12): 0.10461826721562172,
     (3, 0): 0.10461826721562172, (12, 0): 0.10461826721562172,
@@ -423,8 +442,9 @@ FROZEN_PHI_SERIES = {
 
 
 # the largest relative error of a FROZEN_PHI_SERIES coefficient against the
-# exact Phi_5 (the table is at 1.05e-15)
-SERIES_RELATIVE_ERROR = 1.5e-15
+# exact Phi_5 (the table is at 3.53e-16; rounded once per word it was at
+# 1.05e-15, against a bound of 1.5e-15)
+SERIES_RELATIVE_ERROR = 5e-16
 
 
 class TestWordAggregation:
@@ -435,8 +455,8 @@ class TestWordAggregation:
     @example(spec=heisenberg_chain(3, coupling=-0.9, field=0.0), p=4, q=5)
     @example(spec=heisenberg_chain(3, coupling=1.3, field=0.7), p=6, q=7)
     def test_matches_the_fraction_oracle(self, spec, p, q):
-        # bitwise: one correctly rounded division per word, then the same
-        # nests summed in the same order
+        # bitwise: one correctly rounded division per word pair (r, r'), then
+        # the same nests summed in the same order
         plan = build_plan(spec.n_groups, p)
         mine = list(compute_phi(plan, spec, q).items())
         assert mine == list(fraction_phi(plan, spec, q).items())
@@ -487,7 +507,8 @@ class TestWordAggregation:
     @example(n_groups=3, p=6, q=7)
     def test_log_coefficients_are_the_fraction_dp(self, n_groups, p, q):
         # the walk spells reversed words on the stages in their own order;
-        # at p = 1 the stage list is not its own reverse
+        # at p = 1 the stage list is not its own reverse.  Its pair weights
+        # c_r - c_r' are exact: they are the Fraction DP's differences
         slots = stage_slots(n_groups, p)
         assert scaled_word_weights(slots, q) == fraction_word_weights(slots, q)
         plan = build_plan(n_groups, p)
@@ -577,29 +598,26 @@ class TestVanishingOrders:
         spec = heisenberg_chain(4, field=0.5)
         plan = build_plan(spec.n_groups, p)
         assert plan.merged_stages()[::-1] == plan.merged_stages()
-        calls = []
+        formed = []  # (order, nest): each nest is kept, so no id is reused
+        orders = {}
         commutator = PauliSum.commutator
 
         def counting(self, other):
-            calls.append(other)
-            return commutator(self, other)
+            nest = commutator(self, other)
+            orders[id(nest)] = orders.get(id(other), 1) + 1
+            formed.append((orders[id(nest)], nest))
+            return nest
 
         monkeypatch.setattr(PauliSum, "commutator", counting)
         assert not compute_phi(plan, spec, 2)
-        assert calls == []
+        assert formed == []
         for q in (2, 4, 6):
-            formed = []
-
-            def child(nest, g):
-                formed.append(len(nest or ()) + 1)
-                return spelling(nest, g)
-
-            assert all(d % 2 for d, *_ in _series_terms(plan, q, child)), q
-            assert q not in formed, q
+            assert all(len(w) % 2 for w in walked_log_coefficients(plan, q)), q
             assert not compute_phi(plan, spec, q), q
-        calls.clear()
+            assert q not in {order for order, _ in formed}, q
+        formed.clear()
         assert compute_phi(plan, spec, p + 1)
-        assert calls
+        assert formed
 
 
 class TestOneWalk:
@@ -732,12 +750,12 @@ class TestCompositionBudget:
         monkeypatch.setattr(bch, "DEFAULT_SERIES_BUDGET", 40)
         assert sorted(compute_phi_range(plan, toy_spec(), 3)) == [2, 3]
         monkeypatch.setattr(bch, "DEFAULT_SERIES_BUDGET", 39)
-        monkeypatch.setattr(bch, "_series_terms", None)
+        monkeypatch.setattr(bch, "_nest_sums", None)
         with pytest.raises(ValueError, match="40 series updates, over the budget 39"):
             compute_phi_range(plan, toy_spec(), 3)
 
     def test_single_order_is_refused_before_its_walk(self, monkeypatch):
-        monkeypatch.setattr(bch, "_series_terms", None)
+        monkeypatch.setattr(bch, "_nest_sums", None)
         with pytest.raises(ValueError, match="make 7557646 series updates"):
             compute_phi(build_plan(3, 6), heisenberg_chain(4, field=0.8), 10)
 
@@ -767,11 +785,11 @@ class TestPermutationBudget:
         plan = build_plan(spec.n_groups, 2)
         walks = []
 
-        def stub(plan, q_max, child):
+        def stub(spec, q_min, q_max, *args, plan=None, **kwargs):
             walks.append(q_max)
-            return iter(())
+            return {}, {q: PauliSum(spec.n_sites) for q in range(1, q_max + 1)}
 
-        monkeypatch.setattr(bch, "_series_terms", stub)
+        monkeypatch.setattr(bch, "_nest_sums", stub)
         assert sorted(compute_phi_range(plan, spec, 18)) == list(range(2, 19))
         assert walks == [18]
         walks.clear()
@@ -785,8 +803,9 @@ class TestPermutationBudget:
     @pytest.mark.parametrize("n_groups", [1, 2, 3, 4])
     def test_counts_the_walks_and_relabels(self, monkeypatch, n_groups, p):
         # the count's closed form for the split updates, read off the real
-        # walk: with no nest pruned it meets every spelled suffix of every
-        # word but those under a repeated innermost pair, which it skips
+        # walk: with no nest pruned it splits every word, each pair r_1 < r_2
+        # with its swapped r', and meets every spelled suffix of each but
+        # those under a repeated innermost pair, which it skips
         plan = build_plan(n_groups, p)
         recursion, split, spelled = replayed_updates(plan, 5)
         read = []
@@ -803,7 +822,7 @@ class TestPermutationBudget:
             return shift, Reading(weights)
 
         monkeypatch.setattr(bch, "_word_weights", reading)
-        assert list(_series_terms(plan, 5, spelling))
+        assert compute_phi_range(plan, generic_spec(n_groups), 5)
         skipped = sum(n for r, n in split.items() if r[1:2] == r[:1])
         assert len(read) == sum(split.values()) - skipped
         walked = sum(split.values())

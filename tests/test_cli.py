@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -222,21 +223,29 @@ class TestConfigResolution:
             ("verify-bounds", "--coupling", "1e300", "--n-sites", "4", "--norm-mode", "one-norm"),
             ("alpha", "--coupling", "1e300"),
             ("phi", "--coupling", "1e200"),
-            # these overflow in the dense blocks, then in the stage phases
+            # these overflow in the dense blocks, then in the stage phases;
+            # the nest norms read the same blocks
             ("verify-order", "--n-sites", "4", "--field", "1e308"),
             ("verify-order", "--n-sites", "4", "--tau-max", "1e308"),
+            ("alpha", "--n-sites", "4", "--field", "1e308"),
+            ("phi", "--field", "1e308"),
         ],
         ids=[
             "exponent", "coupling", "time", "sweep-exponent",
             "verify-bounds", "verify-bounds-one-norm", "alpha", "phi",
-            "verify-order-field", "verify-order-tau",
+            "verify-order-field", "verify-order-tau", "alpha-field", "phi-field",
         ],
     )
     def test_finite_setting_that_overflows_exits_2(self, tmp_path, capsys, argv):
+        # refused before numpy warns: a RuntimeWarning raised as an error
+        # would crash the run with a traceback instead
         out = tmp_path / "out"
-        assert main([*argv, "--out", str(out)]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "overflow" in err and "Traceback" not in err
+        assert "RuntimeWarning" not in err
         assert not out.exists()
 
     def test_bad_flag_values(self, tmp_path):
@@ -249,6 +258,19 @@ class TestConfigResolution:
         doc = load(tmp_path, "verify_order.json")
         assert doc["config"]["k_list"] == [1, 3]
         assert doc["mpf"][0]["k_values"] == [1, 3]
+
+    @pytest.mark.parametrize("command", ["alpha", "cost", "verify-order"])
+    def test_one_site_hamiltonian_file_exits_2(self, tmp_path, capsys, command):
+        # the file pins n_sites after the flags were checked, so the file's
+        # count meets the same two-site floor as --n-sites
+        ham = tmp_path / "site.json"
+        doc = {"n_sites": 1, "terms": [{"pauli": "X", "coeff": 1.0, "group": 1}]}
+        ham.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        flags = ["--family", "file", "--ham-file", str(ham), "--out", str(out)]
+        assert main([command, *flags]) == 2
+        assert "need at least two sites" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_hamiltonian_file_family(self, tmp_path):
         spec = heisenberg_chain(3, field=0.5)
@@ -791,16 +813,17 @@ class TestPhiAlpha:
 
     def test_phi_checks_that_orders_up_to_p_vanish(self, tmp_path, monkeypatch):
         # a mirror-even Phi_2 of norm 0.004 keeps inside the norm bound, so
-        # only the vanishing check of the p = 2 plan can catch it
-        compute_phi_range = bch.compute_phi_range
+        # only the vanishing check of the p = 2 plan can catch it; it is
+        # planted in the Phi_q table of the one nest walk
+        commutator_sums = commutators.commutator_sums
         planted = PauliSum.from_terms([PauliTerm(4, 0, 1 << j, 1e-3) for j in range(4)])
 
-        def planting(plan, spec, q_max):
-            phis = compute_phi_range(plan, spec, q_max)
+        def planting(*args, plan, **kwargs):
+            alphas, phis = commutator_sums(*args, plan=plan, **kwargs)
             phis[2] = phis[2] + planted
-            return phis
+            return alphas, phis
 
-        monkeypatch.setattr(bch, "compute_phi_range", planting)
+        monkeypatch.setattr(commutators, "commutator_sums", planting)
         assert run(tmp_path, "phi") == 1
         rows = load(tmp_path, "phi_report.json")["rows"]
         assert rows[0]["norm"] == pytest.approx(0.004, rel=1e-12)
@@ -879,7 +902,7 @@ class TestOneAlphaTable:
             calls.append(args)
             raise AssertionError("a series coefficient was computed")
 
-        monkeypatch.setattr(bch, "_series_terms", refused)
+        monkeypatch.setattr(commutators, "_nest_sums", refused)
         assert run(tmp_path, "phi", "--qmax", "13") == 2
         assert calls == []
 
@@ -955,17 +978,48 @@ class TestOneEvaluatorAndPhiTable:
         assert len(calls) == 1
 
     def test_verify_bounds_builds_one_phi_table(self, tmp_path, monkeypatch):
-        # p0 = 4 <= qmax = 5: the phi rows and the truncation check share it
+        # p0 = 4 <= qmax = 5: the phi rows and the truncation check share it,
+        # and the nest walk that builds it builds the alpha table too
         walks = []
-        series_terms = bch._series_terms
+        nest_sums = commutators._nest_sums
 
-        def counting(plan, q_max, child):
-            walks.append(q_max)
-            return series_terms(plan, q_max, child)
+        def counting(spec, q_min, q_max, *args, plan=None, **kwargs):
+            walks.append(q_max if plan else None)
+            return nest_sums(spec, q_min, q_max, *args, plan=plan, **kwargs)
 
-        monkeypatch.setattr(bch, "_series_terms", counting)
+        monkeypatch.setattr(commutators, "_nest_sums", counting)
         assert run(tmp_path, "verify-bounds", "--n-sites", "5", "--eps", "0.5") == 0
         assert walks == [5]
+
+
+class TestOneNestWalk:
+    @pytest.mark.parametrize(
+        "argv, made",
+        [
+            (("--qmax", "10"), 768),
+            (("--qmax", "12"), 3072),
+            (("--n-sites", "6", "--eps", "0.25"), 24),
+        ],
+        ids=["qmax-10", "qmax-12", "certify"],
+    )
+    def test_phi_tables_cost_no_commutator_beyond_the_alpha_table(
+        self, tmp_path, monkeypatch, argv, made
+    ):
+        # the walk that builds the alpha table builds Phi_q from the same
+        # nests: one walk per run, where a second one doubled the count
+        counts = {}
+        commutator = PauliSum.commutator
+        for command in ("alpha", "phi", "verify-bounds"):
+            calls = []
+
+            def counting(self, other):
+                calls.append(1)
+                return commutator(self, other)
+
+            monkeypatch.setattr(PauliSum, "commutator", counting)
+            assert run(tmp_path, command, *argv) == 0
+            counts[command] = len(calls)
+        assert counts == dict.fromkeys(counts, made)
 
 
 class TestCompositionBudget:
@@ -988,7 +1042,7 @@ class TestCompositionBudget:
             calls.append(args)
             raise AssertionError("a series coefficient was computed")
 
-        monkeypatch.setattr(bch, "_series_terms", refused)
+        monkeypatch.setattr(commutators, "_nest_sums", refused)
         assert run(tmp_path, *argv) == 2
         assert calls == []
         err = capsys.readouterr().err
@@ -1035,7 +1089,7 @@ class TestCompositionBudget:
             calls.append(args)
             raise AssertionError("a series coefficient was computed")
 
-        monkeypatch.setattr(bch, "_series_terms", refused)
+        monkeypatch.setattr(commutators, "_nest_sums", refused)
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 2
         assert calls == []
@@ -1131,7 +1185,7 @@ class TestPreflight:
             raise AssertionError("work started before the refusal")
 
         monkeypatch.setattr(commutators, "commutator_sums", refused)
-        monkeypatch.setattr(bch, "_series_terms", refused)
+        monkeypatch.setattr(commutators, "_nest_sums", refused)
         monkeypatch.setattr(TrotterEvaluator, "__init__", refused)
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 2
@@ -1179,7 +1233,7 @@ class TestPreflight:
             ("verify-bounds", commutators, "commutator_sums"),
             ("cost", bounds, "gate_cost_table"),
             ("table1", bounds, "gate_cost_table"),
-            ("phi", bch, "_series_terms"),
+            ("phi", commutators, "_nest_sums"),
             ("alpha", commutators, "commutator_sums"),
         ],
     )
