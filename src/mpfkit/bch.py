@@ -149,7 +149,7 @@ def compute_phi(plan: ProductFormulaPlan, spec: HamiltonianSpec, q: int) -> Paul
     for bit; :func:`check_series_budget` refuses it first.
     """
     check_series_budget(plan, q)
-    return _nest_sums(spec, 2, q, plan=plan)[1][q]
+    return _nest_sums(spec, q, plan=plan)[1][q]
 
 
 def check_series_budget(plan: ProductFormulaPlan, q_max: int) -> None:
@@ -185,7 +185,7 @@ def compute_phi_range(
     """The table Phi_2..Phi_qmax, keyed by order, from one nest walk without
     norms, refused before any work by :func:`check_series_budget`."""
     check_series_budget(plan, q_max)
-    return {q: phi for q, phi in _nest_sums(spec, 2, q_max, plan=plan)[1].items() if q > 1}
+    return {q: phi for q, phi in _nest_sums(spec, q_max, plan=plan)[1].items() if q > 1}
 
 
 def phi_norm_bound(stage_factor: float, alpha_q: float, q: int) -> float:
@@ -245,7 +245,7 @@ def phi_report(
     """
     norm_is_exact = norm_mode == "exact" and spec.n_sites <= cap
     if norm_is_exact:
-        norm = _sector_norm(spec, None)(phi_q, q)
+        norm = _sector_norm(spec)(phi_q, q)
     else:
         norm = phi_q.one_norm()
     return PhiReport(

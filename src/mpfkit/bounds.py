@@ -10,8 +10,7 @@ eps.  The formulas come in four families:
 * the per-step error bound for a multi-product step together with its
   admissibility check;
 * the step-count selection r = ceil(max(r1, r2)) with its two defining
-  inequalities, the helper log-over-power inequality, and the a-posteriori
-  admissibility chain for tau = t/r;
+  inequalities and the a-posteriori admissibility chain for tau = t/r;
 * query counts and the gate-cost table across named competing algorithms.
 
 Dense, Hamiltonian-specific quantities (enumerated commutator sums, the
@@ -49,9 +48,6 @@ __all__ = [
     "TrotterNumbers",
     "trotter_number",
     "step_error_allocation",
-    "helper_inequality_x",
-    "HelperInequalityCheck",
-    "helper_inequality_check",
     "BoundInputs",
     "BoundReport",
     "build_report",
@@ -268,34 +264,6 @@ def step_error_allocation(
             "eps / (4 ||c||_1 ||k||_1 r) that underflows to 0; raise eps"
         )
     return eps_step
-
-
-def helper_inequality_x(a: float, m: int) -> float:
-    """The threshold x_a = 5^(1+1/m) a^(-1/m) ln^(1+1/m)(1/a)."""
-    if not (0.0 < a <= 0.2):
-        raise ValueError("a must lie in (0, 1/5]")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return (
-        5.0 ** (1.0 + 1.0 / m)
-        * a ** (-1.0 / m)
-        * math.log(1.0 / a) ** (1.0 + 1.0 / m)
-    )
-
-
-class HelperInequalityCheck(NamedTuple):
-    a: float
-    m: int
-    x: float
-    lhs: float
-    holds: bool
-
-
-def helper_inequality_check(a: float, m: int) -> HelperInequalityCheck:
-    """Verify (ln x + 1)^(m+1) / x^m <= a at the threshold x_a."""
-    x = helper_inequality_x(a, m)
-    lhs = (math.log(x) + 1.0) ** (m + 1) / x**m
-    return HelperInequalityCheck(a=a, m=m, x=x, lhs=lhs, holds=lhs <= a)
 
 
 class BoundInputs(NamedTuple):

@@ -617,18 +617,18 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> tuple[bool, dict]:
 # -- cost ------------------------------------------------------------------
 
 
-def _gate_costs(cfg: ExperimentConfig, spec: HamiltonianSpec):
+def _gate_costs(cfg: ExperimentConfig, k: int, g: float):
     from .bounds import gate_cost_table
 
     return _configured(
         gate_cost_table,
         cfg.n_sites,
-        spec.extensiveness,
+        g,
         cfg.t,
         cfg.eps,
         cfg.p,
         range_class=cfg.range_class,
-        k=spec.locality,
+        k=k,
         nu=cfg.nu,
         d=cfg.d,
     )
@@ -736,7 +736,7 @@ def cmd_cost(cfg: ExperimentConfig) -> tuple[bool, dict]:
     plan = build_plan(spec.n_groups, cfg.p)
     mpf_spec = build_mpf_spec(cfg, cfg.p)
     report = _configured(report_from_parts, spec, plan, mpf_spec, cfg.t, cfg.eps)
-    table = _gate_costs(cfg, spec)
+    table = _gate_costs(cfg, spec.locality, spec.extensiveness)
     consistency = self_consistency(report)
     chain = admissibility_chain(report)
 
@@ -788,8 +788,17 @@ def cmd_cost(cfg: ExperimentConfig) -> tuple[bool, dict]:
 
 
 def cmd_table1(cfg: ExperimentConfig) -> tuple[None, dict]:
-    spec = build_family(cfg)
-    rows = [row._asdict() for row in _gate_costs(cfg, spec)]
+    # a built-in chain's k and g come bit for bit without its terms
+    if cfg.family == "file":
+        spec = build_family(cfg)
+        k, g = spec.locality, spec.extensiveness
+    else:
+        k, g, _ = family_constants(
+            cfg.family, cfg.n_sites, cfg.coupling, cfg.field, cfg.exponent
+        )
+        if not math.isfinite(g):  # make_spec refuses such a chain's terms
+            raise ConfigError(f"the {cfg.family} chain's extensiveness is {g}")
+    rows = [row._asdict() for row in _gate_costs(cfg, k, g)]
     return None, {
         "gate_costs.json": {"range_class": cfg.range_class, "rows": rows},
         "gate_costs.csv": _table(rows),

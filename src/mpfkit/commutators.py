@@ -11,8 +11,7 @@ from the pairs g_1 < g_2 only and counts each nest twice, since the swapped
 pair negates the whole subtree, and takes exact norms block by block on the
 groups' sector frame.  Two closed forms dominate it: the
 factorial/locality form  (q-1)! (2 k g)^{q-1} N g  and the crude power form
-(2 L)^q  with L the total one-norm.  An observable can be spliced into the
-nest at any depth; the corresponding sum is bounded by  q! (2 k g)^q ||O||.
+(2 L)^q  with L the total one-norm.
 
 On top of the alpha table sits the step-size constant mu: a supremum over
 composition sums of alpha values whose (q+n-1)-th root controls how far the
@@ -37,8 +36,6 @@ __all__ = [
     "nested_commutator_sum",
     "factorial_commutator_bound",
     "power_commutator_bound",
-    "inserted_commutator_sum",
-    "insertion_bound",
     "MuResult",
     "mu_from_alphas",
     "mu_window_bound",
@@ -57,24 +54,19 @@ def check_tuple_budget(n_groups: int, q_max: int) -> None:
         )
 
 
-def _sector_norm(
-    spec: HamiltonianSpec, observable: PauliSum | None
-) -> Callable[[PauliSum, int], float]:
+def _sector_norm(spec: HamiltonianSpec) -> Callable[[PauliSum, int], float]:
     """``norm(nest, q)``: the exact norm of a nest of q groups, read one block
-    stack at a time from the sector frame of the groups (and the observable)
-    under the leak allowance ``LEAK_TOL (2 L)^q`` (times ``2 ||O||_1``).
-    Real coefficients give Hermitian blocks; imaginary ones (a nest of an even
-    number of groups) anti-Hermitian blocks, rotated by i.  A sum with both
-    is bounded by the norm of its larger part plus the smaller's one-norm."""
+    stack at a time from the sector frame of the groups under the leak
+    allowance ``LEAK_TOL (2 L)^q``.  Real coefficients give Hermitian blocks;
+    imaginary ones (a nest of an even number of groups) anti-Hermitian
+    blocks, rotated by i.  A sum with both is bounded by the norm of its
+    larger part plus the smaller's one-norm."""
     from . import dense  # numpy loads with the first nest that needs a matrix
 
-    frame = dense.SectorFrame.of(
-        (*spec.group_sums, observable) if observable else spec.group_sums
-    )
-    allowance = LEAK_TOL * (2.0 * observable.one_norm() if observable else 1.0)
+    frame = dense.SectorFrame.of(spec.group_sums)
 
     def norm(nest: PauliSum, q: int) -> float:
-        tol = allowance * (2.0 * spec.total_one_norm) ** q
+        tol = LEAK_TOL * (2.0 * spec.total_one_norm) ** q
         stacks = frame.blocks(nest, tol)  # the leak rule reads the whole sum
         re = sum(abs(c.real) for _, c in nest.items())
         im = sum(abs(c.imag) for _, c in nest.items())
@@ -91,24 +83,20 @@ def _sector_norm(
 
 def _nest_sums(
     spec: HamiltonianSpec,
-    q_min: int,
     q_max: int,
     mode: str | None = None,
     cap: int = DEFAULT_DENSE_CAP,
-    splice: tuple[PauliSum, int] | None = None,
     plan: ProductFormulaPlan | None = None,
 ) -> tuple[dict[int, float], dict[int, PauliSum]]:
-    """Norm sums of the nonzero nests of orders q_min..q_max, by order, and
-    the series coefficients Phi_1..Phi_qmax of ``plan`` ({} without one).
+    """Norm sums alpha_2..alpha_qmax of the nonzero nests, by order, and the
+    series coefficients Phi_1..Phi_qmax of ``plan`` ({} without one).
 
     One depth-first search walks the group tuples, extending each nonzero
     nest by every group and descending only while its order is below
     q_max.  From order 2 on it starts from the pairs g_1 < g_2 alone, in
     lexicographic order, and adds each nest's norm with weight 2: the pair
-    (g_2, g_1) gives the negated nest and negates its whole subtree.
-    ``splice = (O, j)`` commutes O onto each nest once it holds j groups;
-    at j = 1 the antisymmetry fails and every tuple is walked.  Exact norms
-    come from :func:`_sector_norm`, built at the first nonzero nest;
+    (g_2, g_1) gives the negated nest and negates its whole subtree.  Exact
+    norms come from :func:`_sector_norm`, built at the first nonzero nest;
     ``mode=None`` takes none.  The tuple budget, the norm mode and the
     dense cap are checked before any nest is built.  A plan's walk adds each
     nest r times c_r - c_r' to Phi_q (:func:`mpfkit.bch._pair_weights`);
@@ -128,24 +116,18 @@ def _nest_sums(
         if plan.n_groups != spec.n_groups:
             raise ValueError("plan and spec disagree on the group count")
         weigh = _pair_weights(plan, q_max)
-    observable, insert_after = splice or (None, None)
-    pairs = q_min > 1 and insert_after != 1
-    alphas = dict.fromkeys(range(q_min, q_max + 1), 0.0)
+    alphas = dict.fromkeys(range(2, q_max + 1), 0.0)
     acc: dict[int, dict[tuple[int, int], complex]] = {q: {} for q in range(1, q_max + 1)}
-    sector_norm = functools.cache(lambda: _sector_norm(spec, observable))
+    sector_norm = functools.cache(lambda: _sector_norm(spec))
 
     def descend(word: tuple[int, ...], nest: PauliSum | None, chains) -> None:
         depth = len(word)
-        if depth == insert_after:
-            nest = observable.commutator(nest)
-            if not nest:
-                return
-        if mode and depth >= q_min:
+        if mode and depth >= 2:
             norm = sector_norm()(nest, depth) if mode == "exact" else nest.one_norm()
-            alphas[depth] += (2.0 if pairs else 1.0) * norm
+            alphas[depth] += 2.0 * norm
         if depth == q_max:
             return
-        first = word[0] if pairs and depth == 1 else 0
+        first = word[0] if depth == 1 else 0
         for g, h in enumerate(spec.group_sums[first:], first + 1):
             n, den, grown = weigh(word + (g,), chains) if weigh else (0, 1, None)
             if not (n or mode or depth + 1 < q_max):
@@ -174,8 +156,6 @@ def commutator_sums(
 
     Each nonzero nest of q groups with g_1 < g_2 adds twice its norm to
     alpha_q, in lexicographic tuple order, as a search stopped at q would.
-    Orders start at 2: alpha_1, the sum of the group norms
-    (:func:`nested_commutator_sum` at q = 1), enters no bound.
 
     ``mode="exact"`` measures spectral norms on the groups' sector frame
     (:func:`_sector_norm`); ``mode="one-norm"`` replaces every norm by the
@@ -185,11 +165,11 @@ def commutator_sums(
     Phi_1..Phi_qmax bitwise as :func:`mpfkit.bch.compute_phi_range` has them.
     """
     if plan is None:
-        return _nest_sums(spec, 2, q_max, mode, cap)[0]
+        return _nest_sums(spec, q_max, mode, cap)[0]
     from .bch import check_series_budget
 
     check_series_budget(plan, q_max)
-    return _nest_sums(spec, 2, q_max, mode, cap, plan=plan)
+    return _nest_sums(spec, q_max, mode, cap, plan=plan)
 
 
 def nested_commutator_sum(
@@ -198,8 +178,10 @@ def nested_commutator_sum(
     mode: str = "exact",
     cap: int = DEFAULT_DENSE_CAP,
 ) -> float:
-    """The order-q commutator sum alone; see :func:`commutator_sums`."""
-    return _nest_sums(spec, q, q, mode, cap)[0][q]
+    """The order-q commutator sum, q >= 2, as :func:`commutator_sums` has it."""
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    return _nest_sums(spec, q, mode, cap)[0][q]
 
 
 def factorial_commutator_bound(q: int, k: int, g: float, n_sites: int) -> float:
@@ -214,41 +196,6 @@ def power_commutator_bound(q: int, total_one_norm: float) -> float:
     if q < 1:
         raise ValueError("q must be >= 1")
     return (2.0 * total_one_norm) ** q
-
-
-def inserted_commutator_sum(
-    spec: HamiltonianSpec,
-    observable: PauliSum,
-    q: int,
-    insert_after: int,
-    mode: str = "exact",
-    cap: int = DEFAULT_DENSE_CAP,
-) -> float:
-    """Commutator sum with an observable spliced into the nest.
-
-    ``insert_after = j`` (1 <= j <= q) places the observable outside the
-    innermost j group factors:
-
-        j = q:  sum || [O, [H_{g_q}, ... [H_{g_2}, H_{g_1}]]] ||
-        j = 1:  sum || [H_{g_q}, ... [H_{g_2}, [O, H_{g_1}]]] ||
-
-    Every position obeys the same  q! (2 k g)^q ||O||  bound.
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if not 1 <= insert_after <= q:
-        raise ValueError(f"insert_after must be in 1..{q}")
-    if observable.n_sites != spec.n_sites:
-        raise ValueError("observable site count differs from spec")
-    splice = (observable, insert_after)
-    return _nest_sums(spec, q, q, mode, cap, splice)[0][q]
-
-
-def insertion_bound(q: int, k: int, g: float, observable_norm: float) -> float:
-    """Closed form q! (2 k g)^q ||O|| for the spliced commutator sum."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    return math.factorial(q) * (2.0 * k * g) ** q * observable_norm
 
 
 # -- the window constant mu ------------------------------------------------

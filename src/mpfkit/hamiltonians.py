@@ -30,7 +30,6 @@ __all__ = [
     "make_spec",
     "load_spec",
     "coerce",
-    "spec_to_document",
     "heisenberg_chain",
     "long_range_zz_chain",
     "family_constants",
@@ -57,11 +56,6 @@ class HamiltonianSpec(NamedTuple):
     __eq__ = object.__eq__
     __ne__ = object.__ne__
     __hash__ = object.__hash__
-
-    def group_sum(self, group: int) -> PauliSum:
-        if not 1 <= group <= self.n_groups:
-            raise ValueError(f"group {group} outside 1..{self.n_groups}")
-        return self.group_sums[group - 1]
 
     def full_sum(self) -> PauliSum:
         acc = PauliSum(self.n_sites)
@@ -182,17 +176,6 @@ def load_spec(source: str | Path | dict) -> HamiltonianSpec:
             raise ValueError(f"term #{i} group {group} must be >= 1")
         terms.append((PauliTerm.from_label(label, coeff), group))
     return make_spec(n_sites, terms)
-
-
-def spec_to_document(spec: HamiltonianSpec) -> dict:
-    """Inverse of :func:`load_spec` (coefficients emitted as reals)."""
-    return {
-        "n_sites": spec.n_sites,
-        "terms": [
-            {"pauli": t.label, "coeff": float(t.coeff.real), "group": g}
-            for t, g in spec.terms
-        ],
-    }
 
 
 # -- built-in families -----------------------------------------------------

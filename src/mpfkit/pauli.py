@@ -28,7 +28,6 @@ __all__ = [
     "PauliSum",
     "parse_label",
     "term_product",
-    "terms_commute",
 ]
 
 PRUNE_TOL = 1e-14
@@ -79,11 +78,6 @@ def term_product(x1: int, z1: int, x2: int, z2: int) -> tuple[int, int, complex]
     return x3, z3, _PHASES[e & 3]
 
 
-def terms_commute(x1: int, z1: int, x2: int, z2: int) -> bool:
-    """True iff the two strings commute (even symplectic product)."""
-    return ((x1 & z2).bit_count() + (z1 & x2).bit_count()) % 2 == 0
-
-
 class PauliTerm(namedtuple("PauliTerm", "n_sites x_mask z_mask coeff")):
     """One weighted Pauli string.
 
@@ -117,37 +111,6 @@ class PauliTerm(namedtuple("PauliTerm", "n_sites x_mask z_mask coeff")):
     @property
     def label(self) -> str:
         return _mask_label(self.n_sites, self.x_mask, self.z_mask)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        m = self.x_mask | self.z_mask
-        return tuple(j for j in range(self.n_sites) if (m >> j) & 1)
-
-    @property
-    def weight(self) -> int:
-        """Number of non-identity sites (the locality of this one string)."""
-        return (self.x_mask | self.z_mask).bit_count()
-
-    def commutes_with(self, other: "PauliTerm") -> bool:
-        return terms_commute(self.x_mask, self.z_mask, other.x_mask, other.z_mask)
-
-    def __mul__(self, other: "PauliTerm") -> "PauliTerm":
-        if self.n_sites != other.n_sites:
-            raise ValueError("site-count mismatch")
-        x3, z3, ph = term_product(self.x_mask, self.z_mask, other.x_mask, other.z_mask)
-        return PauliTerm(self.n_sites, x3, z3, ph * self.coeff * other.coeff)
-
-    def commutator(self, other: "PauliTerm") -> "PauliTerm | None":
-        """``[self, other]`` as a single term, or ``None`` when they commute.
-
-        For non-commuting strings ``ab = -ba``, so ``[a, b] = 2ab``.
-        """
-        if self.n_sites != other.n_sites:
-            raise ValueError("site-count mismatch")
-        if self.commutes_with(other):
-            return None
-        prod = self * other
-        return PauliTerm(prod.n_sites, prod.x_mask, prod.z_mask, 2.0 * prod.coeff)
 
 
 class PauliSum:
@@ -199,18 +162,6 @@ class PauliSum:
     def items(self) -> Iterator[tuple[tuple[int, int], complex]]:
         return iter(self._data.items())
 
-    def terms(self) -> list[PauliTerm]:
-        return [
-            PauliTerm(self.n_sites, x, z, c) for (x, z), c in self._data.items()
-        ]
-
-    def coefficient(self, label: str) -> complex:
-        key = parse_label(label)
-        return self._data.get(key, 0.0 + 0.0j)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
     def __bool__(self) -> bool:
         return bool(self._data)
 
@@ -235,30 +186,12 @@ class PauliSum:
             acc[key] = acc.get(key, 0.0) + c
         return PauliSum(self.n_sites, acc)
 
-    def __sub__(self, other: "PauliSum") -> "PauliSum":
-        return self + other.scale(-1.0)
-
     def scale(self, factor: complex) -> "PauliSum":
         return PauliSum(
             self.n_sites, {key: factor * c for key, c in self._data.items()}
         )
 
-    def adjoint(self) -> "PauliSum":
-        return PauliSum(
-            self.n_sites, {key: c.conjugate() for key, c in self._data.items()}
-        )
-
     # -- multiplicative structure -----------------------------------------
-
-    def __mul__(self, other: "PauliSum") -> "PauliSum":
-        self._check(other)
-        acc: dict[tuple[int, int], complex] = {}
-        for (x1, z1), c1 in self._data.items():
-            for (x2, z2), c2 in other._data.items():
-                x3, z3, ph = term_product(x1, z1, x2, z2)
-                key = (x3, z3)
-                acc[key] = acc.get(key, 0.0) + ph * c1 * c2
-        return PauliSum(self.n_sites, acc)
 
     def commutator(self, other: "PauliSum") -> "PauliSum":
         """``[self, other]`` using the term-pair rule (skip commuting pairs)."""

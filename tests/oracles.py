@@ -52,6 +52,11 @@
 - Two scaling diagnostics that check paper claims on families of inputs:
   how the extensiveness g grows with N (:func:`g_scaling_report`) and how
   the weight norm ||c||_1 grows with J (:func:`condition_report`).
+- The JSON document of a spec, the inverse of
+  :func:`mpfkit.hamiltonians.load_spec`, which the tests write as
+  Hamiltonian files.
+- The helper inequality (ln x + 1)^(m+1) / x^m <= a at its threshold x_a,
+  behind the closed-form step count r2 of :func:`mpfkit.bounds.trotter_number`.
 
 Nothing in ``mpfkit`` reaches these routes, so they live with the tests.
 """
@@ -65,7 +70,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from operator import add
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -77,7 +82,7 @@ from mpfkit.dense import _PHASES, _bit_reverse, _popcounts
 from mpfkit.formulas import DEFAULT_DENSE_CAP, MPFSpec, ProductFormulaPlan, build_mpf
 from mpfkit.hamiltonians import HamiltonianSpec
 from mpfkit.mpf import MPFEvaluator
-from mpfkit.pauli import PauliSum, terms_commute
+from mpfkit.pauli import PauliSum
 from mpfkit.trotter import TrotterEvaluator, difference_norm
 
 
@@ -318,7 +323,7 @@ def nest_series_term(
                 l -= 1
             start = l - 1
         for j in range(start, -1, -1):
-            h = spec.group_sum(seq[j])
+            h = spec.group_sums[seq[j] - 1]
             stack[j] = h if j == q - 1 else h.commutator(stack[j + 1])
         prev = seq
         nest = stack[0]
@@ -595,11 +600,11 @@ def every_site_family_constants(
 
 
 def groups_commute(spec: HamiltonianSpec) -> bool:
-    """Whether every two terms of one group commute."""
+    """Whether every two terms of one group commute (even symplectic product)."""
     return all(
-        terms_commute(s.x_mask, s.z_mask, t.x_mask, t.z_mask)
-        for (s, g), (t, h) in itertools.combinations(spec.terms, 2)
-        if g == h
+        ((x1 & z2).bit_count() + (z1 & x2).bit_count()) % 2 == 0
+        for group in spec.group_sums
+        for ((x1, z1), _), ((x2, z2), _) in itertools.combinations(group.items(), 2)
     )
 
 
@@ -733,3 +738,43 @@ def condition_report(specs: Sequence[MPFSpec]) -> ConditionReport:
         log_residual=log_residual,
         subpolynomial=log_residual <= power_residual,
     )
+
+
+def spec_to_document(spec: HamiltonianSpec) -> dict:
+    """Inverse of :func:`mpfkit.hamiltonians.load_spec` (coefficients emitted
+    as reals)."""
+    return {
+        "n_sites": spec.n_sites,
+        "terms": [
+            {"pauli": t.label, "coeff": float(t.coeff.real), "group": g}
+            for t, g in spec.terms
+        ],
+    }
+
+
+def helper_inequality_x(a: float, m: int) -> float:
+    """The threshold x_a = 5^(1+1/m) a^(-1/m) ln^(1+1/m)(1/a)."""
+    if not (0.0 < a <= 0.2):
+        raise ValueError("a must lie in (0, 1/5]")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return (
+        5.0 ** (1.0 + 1.0 / m)
+        * a ** (-1.0 / m)
+        * math.log(1.0 / a) ** (1.0 + 1.0 / m)
+    )
+
+
+class HelperInequalityCheck(NamedTuple):
+    a: float
+    m: int
+    x: float
+    lhs: float
+    holds: bool
+
+
+def helper_inequality_check(a: float, m: int) -> HelperInequalityCheck:
+    """Verify (ln x + 1)^(m+1) / x^m <= a at the threshold x_a."""
+    x = helper_inequality_x(a, m)
+    lhs = (math.log(x) + 1.0) ** (m + 1) / x**m
+    return HelperInequalityCheck(a=a, m=m, x=x, lhs=lhs, holds=lhs <= a)

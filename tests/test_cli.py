@@ -19,7 +19,7 @@ from mpfkit.bounds import mpf_time_condition, truncation_order
 from mpfkit.cli import ExperimentConfig, main
 from mpfkit.commutators import nested_commutator_sum
 from mpfkit.formulas import build_mpf, build_plan
-from mpfkit.hamiltonians import heisenberg_chain, spec_to_document
+from mpfkit.hamiltonians import heisenberg_chain
 from mpfkit.mpf import MPFEvaluator
 from mpfkit.pauli import PauliSum, PauliTerm
 from mpfkit.trotter import TrotterEvaluator
@@ -200,7 +200,7 @@ class TestConfigResolution:
         self, tmp_path, capsys, command, coeff
     ):
         ham = tmp_path / "chain.json"
-        doc = spec_to_document(heisenberg_chain(4, field=0.5))
+        doc = oracles.spec_to_document(heisenberg_chain(4, field=0.5))
         doc["terms"][1]["coeff"] = "COEFF"
         ham.write_text(json.dumps(doc).replace('"COEFF"', coeff))
         out = tmp_path / "out"
@@ -275,7 +275,7 @@ class TestConfigResolution:
     def test_hamiltonian_file_family(self, tmp_path):
         spec = heisenberg_chain(3, field=0.5)
         ham = tmp_path / "chain.json"
-        ham.write_text(json.dumps(spec_to_document(spec)))
+        ham.write_text(json.dumps(oracles.spec_to_document(spec)))
         code = run(
             tmp_path, "alpha", "--family", "file", "--ham-file", str(ham)
         )
@@ -289,7 +289,7 @@ class TestConfigResolution:
     def test_hamiltonian_file_with_non_integral_count_exits_2(
         self, tmp_path, capsys, key, value
     ):
-        doc = spec_to_document(heisenberg_chain(3, field=0.5))
+        doc = oracles.spec_to_document(heisenberg_chain(3, field=0.5))
         if key == "n_sites":
             doc["n_sites"] = value
         else:
@@ -306,7 +306,7 @@ class TestConfigResolution:
     def test_hamiltonian_file_with_non_numeric_coefficient_exits_2(
         self, tmp_path, capsys, value
     ):
-        doc = spec_to_document(heisenberg_chain(3, field=0.5))
+        doc = oracles.spec_to_document(heisenberg_chain(3, field=0.5))
         doc["terms"][0]["coeff"] = value
         ham = tmp_path / "chain.json"
         ham.write_text(json.dumps(doc))
@@ -782,6 +782,19 @@ class TestTable1:
     def test_long_range_needs_decay_power(self, tmp_path):
         assert run(tmp_path, "table1", "--range-class", "long") == 2
 
+    @pytest.mark.parametrize("family", ["heisenberg", "long-range-zz"])
+    def test_built_in_chain_is_never_built(self, tmp_path, monkeypatch, family):
+        # k and g come from family_constants; a chain of a million sites
+        # would hold terms with million-bit masks
+        def refused(*args, **kwargs):
+            raise AssertionError("a chain was built")
+
+        monkeypatch.setattr(hamiltonians, "make_spec", refused)
+        for name in ("heisenberg_chain", "long_range_zz_chain"):
+            monkeypatch.setattr(cli, name, refused)
+        argv = ("table1", "--family", family, "--n-sites", "1000000")
+        assert run(tmp_path, *argv) == 0
+
 
 class TestPhiAlpha:
     def test_phi_table(self, tmp_path):
@@ -983,9 +996,9 @@ class TestOneEvaluatorAndPhiTable:
         walks = []
         nest_sums = commutators._nest_sums
 
-        def counting(spec, q_min, q_max, *args, plan=None, **kwargs):
+        def counting(spec, q_max, *args, plan=None, **kwargs):
             walks.append(q_max if plan else None)
-            return nest_sums(spec, q_min, q_max, *args, plan=plan, **kwargs)
+            return nest_sums(spec, q_max, *args, plan=plan, **kwargs)
 
         monkeypatch.setattr(commutators, "_nest_sums", counting)
         assert run(tmp_path, "verify-bounds", "--n-sites", "5", "--eps", "0.5") == 0

@@ -12,8 +12,6 @@ from mpfkit import commutators, dense
 from mpfkit.commutators import (
     commutator_sums,
     factorial_commutator_bound,
-    inserted_commutator_sum,
-    insertion_bound,
     mu_from_alphas,
     mu_window_bound,
     nested_commutator_sum,
@@ -86,10 +84,9 @@ class TestNestedSum:
         for q in (2, 3, 4):
             assert nested_commutator_sum(spec, q) == 0.0
 
-    def test_order_one_is_sum_of_group_norms(self):
-        spec = two_group_toy()
-        got = nested_commutator_sum(spec, 1)
-        assert got == pytest.approx(1.0 + 2.0)
+    def test_order_one_is_refused(self):
+        with pytest.raises(ValueError, match="q must be >= 2"):
+            nested_commutator_sum(two_group_toy(), 1)
 
     def test_one_norm_mode_dominates_exact(self):
         spec = heisenberg_chain(4, field=0.7)
@@ -119,7 +116,6 @@ class TestCommutatorSums:
         for spec in specs:
             sums = commutator_sums(spec, 4)
             assert list(sums) == [2, 3, 4]
-            sums[1] = nested_commutator_sum(spec, 1)
             for q, got in sums.items():
                 ref = brute_alpha(spec, q)
                 assert got == pytest.approx(ref, rel=1e-9), (spec.n_sites, q)
@@ -137,8 +133,6 @@ class TestCommutatorSums:
             }
         monkeypatch.undo()
         # values of a search stopped at each order, with the blocked norm
-        assert nested_commutator_sum(spec, 1) == 11.0
-        assert nested_commutator_sum(spec, 1, "one-norm") == 11.0
         assert commutator_sums(spec, 5) == {
             2: 27.712812921102042,
             3: 332.55375505322456,
@@ -155,42 +149,24 @@ class TestCommutatorSums:
 
 @st.composite
 def nests(draw):
-    """A spec, an observable or None, a nest of q groups (zero or not) with
-    the observable spliced in after some of them, and q."""
+    """A spec, a nest of q groups (zero or not), and q."""
     spec = draw(blocked_specs())
     groups = st.integers(0, spec.n_groups - 1)
     tup = draw(st.lists(groups, min_size=1, max_size=4))
-    observable, insert_after = None, 0
-    if draw(st.booleans()):
-        label = draw(st.text("IXYZ", min_size=spec.n_sites, max_size=spec.n_sites))
-        observable = PauliSum.from_label(label, draw(st.floats(0.2, 2.0)))
-        insert_after = draw(st.integers(1, len(tup)))
     nest = None
-    for depth, g in enumerate(tup, start=1):
+    for g in tup:
         h = spec.group_sums[g]
         nest = h if nest is None else h.commutator(nest)
-        if depth == insert_after:
-            nest = observable.commutator(nest)
-    return spec, observable, nest, len(tup)
-
-
-def parity_flipping_nest():
-    """XX and YY of unequal weight leave only the two parity sectors; the
-    spliced X_0 flips parity, so its diagonals must join the sector build."""
-    spec = anisotropic_chain(4, 1.0, 0.4, 0.8, field=0.6)
-    observable = PauliSum.from_label("XIII", 0.5)
-    pair = spec.group_sums[1].commutator(spec.group_sums[0])
-    return spec, observable, observable.commutator(pair), 2
+    return spec, nest, len(tup)
 
 
 class TestSectorBlockedNorm:
     @settings(max_examples=60, deadline=None)
     @given(case=nests())
-    @example(case=parity_flipping_nest())
     def test_matches_the_full_matrix_norm(self, case):
-        spec, observable, nest, q = case
+        spec, nest, q = case
         assume(nest)
-        got = commutators._sector_norm(spec, observable)(nest, q)
+        got = commutators._sector_norm(spec)(nest, q)
         want = full_matrix_norm(nest)
         assert abs(got - want) <= 1e-13 * want
 
@@ -205,7 +181,7 @@ class TestSectorBlockedNorm:
         spec = heisenberg_chain(4, field=0.5)
         first, second = spec.group_sums[:2]
         nest = second.commutator(first) + PauliSum.from_label("XIII", 1e-3)
-        norm = commutators._sector_norm(spec, None)
+        norm = commutators._sector_norm(spec)
         # its Frobenius norm 4e-3 is far above LEAK_TOL (2 L)^2 = 4.8e-10
         with pytest.raises(SectorLeakError, match="outside the sectors"):
             norm(nest, 2)
@@ -228,7 +204,7 @@ class TestSectorBlockedNorm:
             sum(abs(c.imag) for _, c in mixed.items()),
         )
         assert smaller > 0.0
-        got = commutators._sector_norm(spec, None)(mixed, q)
+        got = commutators._sector_norm(spec)(mixed, q)
         want = full_matrix_norm(mixed)
         # ||M|| <= ||larger part|| + ||smaller part||_1 <= ||M|| + ||smaller part||_1
         assert want * (1 - 1e-13) <= got <= (want + smaller) * (1 + 1e-13)
@@ -239,7 +215,7 @@ class TestSectorBlockedNorm:
         spec = heisenberg_chain(4, field=0.5)
         first, second = spec.group_sums[:2]
         nest = second.commutator(first) + PauliSum.from_label("ZIII", 1e-3)
-        norm = commutators._sector_norm(spec, None)
+        norm = commutators._sector_norm(spec)
         with pytest.raises(SectorLeakError, match="mirror-odd"):
             norm(nest, 2)
 
@@ -262,22 +238,6 @@ class TestHalvedTraversal:
         assert list(got) == list(want)
         for q in want:
             assert abs(got[q] - want[q]) <= 1e-14 * want[q], q
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        spec=blocked_specs(),
-        q=st.integers(2, 3),
-        mode=st.sampled_from(["exact", "one-norm"]),
-        data=st.data(),
-    )
-    def test_spliced_sum_matches_every_tuple(self, spec, q, mode, data):
-        label = data.draw(st.text("IXYZ", min_size=spec.n_sites, max_size=spec.n_sites))
-        observable = PauliSum.from_label(label, data.draw(st.floats(0.2, 2.0)))
-        insert_after = data.draw(st.integers(1, q))
-        got = inserted_commutator_sum(spec, observable, q, insert_after, mode)
-        splice = (observable, insert_after)
-        want = all_tuples_commutator_sums(spec, q, mode, splice)[q]
-        assert abs(got - want) <= 1e-14 * want
 
 
 class TestClosedFormBounds:
@@ -312,6 +272,7 @@ class TestClosedFormBounds:
             assert loose[q] <= power * (1 + 1e-12)
             assert exact[q] <= factorial
             assert exact[q] == nested_commutator_sum(spec, q)
+            assert loose[q] == nested_commutator_sum(spec, q, "one-norm")
 
     def test_table_without_exact_column(self):
         # the one-norm table needs no dense matrix, so no dense cap applies
@@ -329,6 +290,9 @@ class TestClosedFormBounds:
 
 
 class TestInsertedSum:
+    """alpha_q with the observable O commuted onto each nest once it holds
+    pos groups, from the all-tuples oracle."""
+
     def brute_inserted(self, spec, obs, q: int, pos: int) -> float:
         mats = [dense.from_pauli_sum(s) for s in spec.group_sums]
         o = dense.from_pauli_sum(obs)
@@ -351,7 +315,7 @@ class TestInsertedSum:
         obs = PauliSum.from_label("XII", 0.7)
         for q in (2, 3):
             for pos in range(1, q + 1):
-                got = inserted_commutator_sum(spec, obs, q, pos)
+                got = all_tuples_commutator_sums(spec, q, "exact", (obs, pos))[q]
                 ref = self.brute_inserted(spec, obs, q, pos)
                 assert got == pytest.approx(ref, rel=1e-9), (q, pos)
 
@@ -360,21 +324,16 @@ class TestInsertedSum:
         obs = PauliSum.from_label("IXII", 1.0)
         obs_norm = dense.spectral_norm(dense.from_pauli_sum(obs))
         for q in (2, 3):
-            cap = insertion_bound(q, spec.locality, spec.extensiveness, obs_norm)
+            spread = 2.0 * spec.locality * spec.extensiveness
+            cap = math.factorial(q) * spread**q * obs_norm  # q! (2 k g)^q ||O||
             for pos in range(1, q + 1):
-                val = inserted_commutator_sum(spec, obs, q, pos)
+                val = all_tuples_commutator_sums(spec, q, "exact", (obs, pos))[q]
                 assert val <= cap, (q, pos)
 
     def test_commuting_observable_vanishes(self):
         spec = long_range_zz_chain(4, exponent=2.0)
         obs = PauliSum.from_label("ZIII", 2.0)
-        assert inserted_commutator_sum(spec, obs, 2, 1) == 0.0
-
-    def test_position_validation(self):
-        spec = heisenberg_chain(3)
-        obs = PauliSum.from_label("XII")
-        with pytest.raises(ValueError, match="insert_after"):
-            inserted_commutator_sum(spec, obs, 2, 3)
+        assert all_tuples_commutator_sums(spec, 2, "exact", (obs, 1))[2] == 0.0
 
 
 class TestMu:

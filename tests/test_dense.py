@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mpfkit import dense
 from mpfkit.formulas import DenseCapError
 from mpfkit.hamiltonians import heisenberg_chain
-from mpfkit.pauli import PauliSum, PauliTerm
+from mpfkit.pauli import PauliSum, PauliTerm, parse_label
 from oracles import expm_minus_i, log_series_fit, pauli_decompose, unitary_log
 
 MATS = {
@@ -110,8 +110,8 @@ class TestSignedPermutationBuild:
         assert got.tobytes() == kron_oracle(s).tobytes()
 
     def test_pinned_nests_are_nontrivial(self):
-        assert len(ONE_SITE_NEST) == 2
-        assert len(heisenberg_nest(8)) > 50
+        assert len(dict(ONE_SITE_NEST.items())) == 2
+        assert len(dict(heisenberg_nest(8).items())) > 50
 
 
 def test_from_pauli_sum_matches_label_kron():
@@ -237,9 +237,8 @@ def test_pauli_decompose_round_trip():
         [PauliTerm.from_label(l, c) for l, c in zip(labels, coeffs)]
     )
     back = pauli_decompose(dense.from_pauli_sum(s), 2)
-    for l, c in zip(labels, coeffs):
-        assert back.coefficient(l) == pytest.approx(c, abs=1e-12)
-    assert len(back) == 4
+    want = {parse_label(l): pytest.approx(c, abs=1e-12) for l, c in zip(labels, coeffs)}
+    assert dict(back.items()) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -278,5 +277,5 @@ def test_log_series_fit_recovers_polynomial_generator():
     assert np.max(np.abs(c2 - (-1j) * g)) <= 1e-6
     assert np.max(np.abs(c3)) <= 1e-4
     as_pauli = log_series_fit(taus, list(unitaries), 4, n_sites=2)
-    assert as_pauli[0].coefficient("XI") == pytest.approx(-1j, abs=1e-8)
-    assert as_pauli[1].coefficient("YI") == pytest.approx(-0.4j, abs=1e-6)
+    assert dict(as_pauli[0].items())[parse_label("XI")] == pytest.approx(-1j, abs=1e-8)
+    assert dict(as_pauli[1].items())[parse_label("YI")] == pytest.approx(-0.4j, abs=1e-6)

@@ -17,10 +17,14 @@ from mpfkit.hamiltonians import (
     load_spec,
     long_range_zz_chain,
     make_spec,
-    spec_to_document,
 )
 from mpfkit.pauli import PauliTerm
-from oracles import every_site_family_constants, g_scaling_report, groups_commute
+from oracles import (
+    every_site_family_constants,
+    g_scaling_report,
+    groups_commute,
+    spec_to_document,
+)
 
 
 class TestHeisenberg:
@@ -39,19 +43,19 @@ class TestHeisenberg:
         spec = heisenberg_chain(4, coupling=1.0, field=0.5)
         assert spec.n_groups == 3
         assert spec.extensiveness == pytest.approx(6.5)
-        assert spec.group_sum(3).one_norm() == pytest.approx(2.0)
+        assert spec.group_sums[2].one_norm() == pytest.approx(2.0)
 
     def test_two_sites_collapse_odd_group(self):
         spec = heisenberg_chain(2, coupling=1.0, field=0.3)
         # single bond: the odd-bond group is empty and must be dropped
         assert spec.n_groups == 2
-        assert spec.group_sum(1).locality() == 2
-        assert spec.group_sum(2).locality() == 1
+        assert spec.group_sums[0].locality() == 2
+        assert spec.group_sums[1].locality() == 1
 
     def test_group_partition_reconstructs_full_sum(self):
         spec = heisenberg_chain(5, coupling=0.7, field=0.2)
         full = spec.full_sum()
-        total = {t.label: t.coeff for t in full.terms()}
+        total = {PauliTerm(5, x, z, c).label: c for (x, z), c in full.items()}
         acc: dict[str, complex] = {}
         for t, _ in spec.terms:
             acc[t.label] = acc.get(t.label, 0.0) + t.coeff
@@ -89,10 +93,11 @@ class TestLongRange:
     def test_group_labels_are_distances(self):
         spec = long_range_zz_chain(5, exponent=1.0)
         for d in range(1, 5):
-            s = spec.group_sum(d)
-            assert len(s) == 5 - d
-            for t in s.terms():
-                lo, hi = t.support
+            items = list(spec.group_sums[d - 1].items())
+            assert len(items) == 5 - d
+            for (x, z), _ in items:
+                support = x | z
+                lo, hi = (support & -support).bit_length(), support.bit_length()
                 assert hi - lo == d
 
 

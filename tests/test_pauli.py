@@ -8,7 +8,7 @@ bookkeeping is checked against textbook matrix arithmetic.
 import numpy as np
 import pytest
 
-from mpfkit.pauli import PauliSum, PauliTerm, parse_label, terms_commute
+from mpfkit.pauli import PauliSum, PauliTerm, parse_label, term_product
 
 MATS = {
     "I": np.eye(2, dtype=complex),
@@ -28,8 +28,8 @@ def label_matrix(label: str) -> np.ndarray:
 def sum_matrix(s: PauliSum) -> np.ndarray:
     dim = 2**s.n_sites
     out = np.zeros((dim, dim), dtype=complex)
-    for t in s.terms():
-        out += t.coeff * label_matrix(t.label)
+    for (x, z), c in s.items():
+        out += c * label_matrix(PauliTerm(s.n_sites, x, z, c).label)
     return out
 
 
@@ -50,11 +50,18 @@ def random_sum(rng: np.random.Generator, n: int, n_terms: int) -> PauliSum:
     return PauliSum.from_terms(terms, n_sites=n)
 
 
+def product(a: str, b: str) -> PauliTerm:
+    """The string of ``a`` times the string of ``b`` by :func:`term_product`,
+    its phase as the coefficient."""
+    x, z, phase = term_product(*parse_label(a), *parse_label(b))
+    return PauliTerm(len(a), x, z, phase)
+
+
 class TestTermProducts:
     def test_single_site_table_matches_dense(self):
         for a in "IXYZ":
             for b in "IXYZ":
-                prod = PauliTerm.from_label(a) * PauliTerm.from_label(b)
+                prod = product(a, b)
                 expected = MATS[a] @ MATS[b]
                 got = prod.coeff * label_matrix(prod.label)
                 assert np.max(np.abs(got - expected)) <= 1e-12, (a, b)
@@ -63,25 +70,23 @@ class TestTermProducts:
         labels = all_labels(2)
         for la in labels:
             for lb in labels:
-                prod = PauliTerm.from_label(la) * PauliTerm.from_label(lb)
+                prod = product(la, lb)
                 expected = label_matrix(la) @ label_matrix(lb)
                 got = prod.coeff * label_matrix(prod.label)
                 assert np.max(np.abs(got - expected)) <= 1e-12, (la, lb)
 
     def test_x_times_z_gives_minus_i_y(self):
-        prod = PauliTerm.from_label("XI") * PauliTerm.from_label("ZI")
+        prod = product("XI", "ZI")
         assert prod.label == "YI"
         assert prod.coeff == pytest.approx(-1j)
 
     def test_commutator_of_x_and_z(self):
-        comm = PauliTerm.from_label("X").commutator(PauliTerm.from_label("Z"))
-        assert comm is not None
-        assert comm.label == "Y"
-        assert comm.coeff == pytest.approx(-2j)
+        comm = PauliSum.from_label("X").commutator(PauliSum.from_label("Z"))
+        assert comm
+        assert dict(comm.items()) == {parse_label("Y"): pytest.approx(-2j)}
 
     def test_commuting_strings_return_none(self):
-        assert PauliTerm.from_label("XX").commutator(PauliTerm.from_label("YY")) is None
-        assert terms_commute(*parse_label("XX"), *parse_label("YY"))
+        assert not PauliSum.from_label("XX").commutator(PauliSum.from_label("YY"))
 
     def test_commutation_predicate_exhaustive_two_sites(self):
         labels = all_labels(2)
@@ -91,20 +96,22 @@ class TestTermProducts:
                     lb
                 ) @ label_matrix(la)
                 expected = np.max(np.abs(dense)) <= 1e-12
-                got = terms_commute(*parse_label(la), *parse_label(lb))
+                got = not PauliSum.from_label(la).commutator(PauliSum.from_label(lb))
                 assert got == expected, (la, lb)
 
 
 class TestPauliSum:
     def test_x_plus_z_squares_to_two_identity(self):
-        s = PauliSum.from_label("X") + PauliSum.from_label("Z")
-        sq = s * s
-        assert len(sq) == 1
-        assert sq.coefficient("I") == pytest.approx(2.0)
+        # X X + X Z + Z X + Z Z, term by term; X Z and Z X cancel
+        sq = PauliSum(1)
+        for a in "XZ":
+            for b in "XZ":
+                prod = product(a, b)
+                sq = sq + PauliSum(1, {(prod.x_mask, prod.z_mask): prod.coeff})
+        assert dict(sq.items()) == {parse_label("I"): pytest.approx(2.0)}
 
     def test_cancellation_prunes_to_empty(self):
         s = PauliSum.from_label("XY", 1.0) + PauliSum.from_label("XY", -1.0)
-        assert len(s) == 0
         assert not s
 
     def test_structure_measures(self):
@@ -139,8 +146,6 @@ class TestPauliSum:
     def test_label_round_trip(self):
         t = PauliTerm.from_label("IXYZ", 0.25)
         assert t.label == "IXYZ"
-        assert t.support == (1, 2, 3)
-        assert t.weight == 3
 
     def test_site_count_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -155,10 +160,8 @@ class TestRandomAgainstDense:
             b = random_sum(rng, 3, int(rng.integers(1, 9)))
             da, db = sum_matrix(a), sum_matrix(b)
             assert np.max(np.abs(sum_matrix(a + b) - (da + db))) <= 1e-12
-            assert np.max(np.abs(sum_matrix(a * b) - da @ db)) <= 1e-11
             comm = a.commutator(b)
             assert np.max(np.abs(sum_matrix(comm) - (da @ db - db @ da))) <= 1e-11
-            assert np.max(np.abs(sum_matrix(a.adjoint()) - da.conj().T)) <= 1e-12
 
     def test_one_norm_dominates_spectral_norm(self):
         rng = np.random.default_rng(7)
@@ -170,7 +173,7 @@ class TestRandomAgainstDense:
     def test_scale_and_subtract(self):
         rng = np.random.default_rng(3)
         s = random_sum(rng, 2, 5)
-        z = s - s.scale(1.0)
-        assert len(z) == 0
+        z = s + s.scale(-1.0)
+        assert not z
         half = s.scale(0.5)
         assert np.max(np.abs(sum_matrix(half) - 0.5 * sum_matrix(s))) <= 1e-12

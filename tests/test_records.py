@@ -8,6 +8,7 @@ from mpfkit import bch, bounds, commutators, dense, formulas, hamiltonians, paul
 from mpfkit.cli import ExperimentConfig, main
 from mpfkit.hamiltonians import heisenberg_chain
 from mpfkit.pauli import PauliTerm
+from oracles import HelperInequalityCheck
 
 RECORDS = (
     pauli.PauliTerm,
@@ -17,7 +18,7 @@ RECORDS = (
     commutators.MuResult,
     bounds.StepErrorBound,
     bounds.TrotterNumbers,
-    bounds.HelperInequalityCheck,
+    HelperInequalityCheck,
     bounds.BoundInputs,
     bounds.BoundReport,
     bounds.ConsistencyCheck,

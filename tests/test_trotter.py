@@ -109,7 +109,7 @@ class TestEvaluation:
         u = ev.formula_unitary(0.37)
         expected = np.eye(ev.frame.dim, dtype=complex)
         for g in range(1, spec.n_groups + 1):
-            stage = expm_minus_i(dense.from_pauli_sum(spec.group_sum(g)), 0.37)
+            stage = expm_minus_i(dense.from_pauli_sum(spec.group_sums[g - 1]), 0.37)
             expected = stage @ expected
         assert np.max(np.abs(u - expected)) <= 1e-12
 
