@@ -1,8 +1,9 @@
 """Command-line entry points for verification suites and budget reports.
 
-Every subcommand resolves one :class:`ExperimentConfig` (defaults, then a
-JSON config file, then explicit flags) and hands it to its handler, which
-touches no file: it returns its verdict and its result files' contents.
+One parser reads every run: the command, ``--config`` and one flag per
+:class:`ExperimentConfig` field, in any order.  Each run resolves the config
+(defaults, then a JSON config file, then explicit flags) for its handler,
+which touches no file: it returns its verdict and its result files' contents.
 :func:`main` then makes the ``--out`` folder, writes every file, echoing the
 resolved values into each JSON document, and sets the exit status, so a
 refused or failed run leaves no folder behind.  The files are deterministic:
@@ -183,14 +184,14 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     value by the one rule of :func:`_coerce_value`, then validate."""
     cfg = ExperimentConfig()
     known = ExperimentConfig.__annotations__
-    data = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    data = _load_config_file(args.config) if args.config else {}
     unknown = sorted(set(data) - set(known))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     for name, value in data.items():
         setattr(cfg, name, _coerce_value(name, value, known[name]))
     for name in known:  # each flag given overrides the file
-        value = getattr(args, name, None)
+        value = getattr(args, name)
         if value is not None:
             setattr(cfg, name, _coerce_value(name, value, known[name]))
     _validate(cfg)
@@ -199,17 +200,17 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def build_family(cfg: ExperimentConfig) -> HamiltonianSpec:
     """Construct the configured Hamiltonian and pin n_sites to it."""
+    # make_spec refuses a chain whose coefficients overflow to inf
     if cfg.family == "heisenberg":
-        spec = heisenberg_chain(cfg.n_sites, coupling=cfg.coupling, field=cfg.field)
-    elif cfg.family == "long-range-zz":
-        spec = long_range_zz_chain(cfg.n_sites, cfg.exponent, base=cfg.coupling)
-    else:
-        try:
-            spec = load_spec(cfg.ham_file)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"cannot load Hamiltonian file: {exc}") from None
-        cfg.n_sites = spec.n_sites
-        _validate(cfg)  # the file's site count meets the flag's checks
+        return _configured(heisenberg_chain, cfg.n_sites, cfg.coupling, cfg.field)
+    if cfg.family == "long-range-zz":
+        return _configured(long_range_zz_chain, cfg.n_sites, cfg.exponent, cfg.coupling)
+    try:
+        spec = load_spec(cfg.ham_file)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot load Hamiltonian file: {exc}") from None
+    cfg.n_sites = spec.n_sites
+    _validate(cfg)  # the file's site count meets the flag's checks
     return spec
 
 
@@ -882,20 +883,6 @@ _HELP = {
 }
 
 
-def _shared_flags() -> argparse.ArgumentParser:
-    """One flag per config field, kept as text for :func:`resolve_config`."""
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="JSON config file; flags override it")
-    for name in ExperimentConfig.__annotations__:
-        shared.add_argument(
-            _SPELLINGS.get(name, "--" + name.replace("_", "-")),
-            dest=name,
-            metavar="{%s}" % ",".join(CHOICES[name]) if name in CHOICES else None,
-            help=_HELP.get(name),
-        )
-    return shared
-
-
 _COMMANDS = {
     "verify-order": (
         cmd_verify_order,
@@ -925,23 +912,31 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser: the command, ``--config`` and one flag per config field,
+    each flag kept as text for :func:`resolve_config`."""
+    commands = "".join(
+        f"\n  {name:<15}{summary}" for name, (_, summary) in _COMMANDS.items()
+    )
     parser = argparse.ArgumentParser(
         prog="mpfkit",
-        description=(
-            "verification suites and cost reports for extrapolated "
-            "product-formula simulation"
-        ),
+        description="verification suites and cost reports for extrapolated\n"
+        "product-formula simulation\n\ncommands:" + commands,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    shared = _shared_flags()
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (_, summary) in _COMMANDS.items():
-        subparsers.add_parser(name, parents=[shared], help=summary)
+    parser.add_argument("command", choices=_COMMANDS, help="one of the commands above")
+    parser.add_argument("--config", help="JSON config file; flags override it")
+    for name in ExperimentConfig.__annotations__:
+        parser.add_argument(
+            _SPELLINGS.get(name, "--" + name.replace("_", "-")),
+            dest=name,
+            metavar="{%s}" % ",".join(CHOICES[name]) if name in CHOICES else None,
+            help=_HELP.get(name),
+        )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
         handler, _ = _COMMANDS[args.command]

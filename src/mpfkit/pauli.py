@@ -199,7 +199,7 @@ class PauliSum:
         acc: dict[tuple[int, int], complex] = {}
         for (x1, z1), c1 in self._data.items():
             for (x2, z2), c2 in other._data.items():
-                if ((x1 & z2).bit_count() + (z1 & x2).bit_count()) % 2 == 0:
+                if not ((x1 & z2) ^ (z1 & x2)).bit_count() & 1:
                     continue
                 x3, z3, ph = term_product(x1, z1, x2, z2)
                 key = (x3, z3)

@@ -348,12 +348,29 @@ class TestConfigResolution:
             args = cli.build_parser().parse_args([command, f"{flag}={first}"])
             assert getattr(args, name) == first
 
-    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    @pytest.mark.parametrize("command", [*cli._COMMANDS, None])
     def test_help_exits_0(self, command, capsys):
+        """``mpfkit --help`` and each ``mpfkit <command> --help`` print the
+        one parser's page: every command's summary and every flag."""
         with pytest.raises(SystemExit) as stop:
-            main([command, "--help"])
+            main([command, "--help"] if command else ["--help"])
         assert stop.value.code == 0
-        assert "--qmax Q_MAX" in capsys.readouterr().out
+        shown = capsys.readouterr().out
+        assert "--qmax Q_MAX" in shown
+        for name, (_, summary) in cli._COMMANDS.items():
+            assert f"\n  {name:<15}{summary}\n" in shown
+
+    @pytest.mark.parametrize(
+        "command", ["cost", "alpha", "phi", "verify-order", "verify-bounds"]
+    )
+    def test_non_finite_chain_coefficient_exits_2(self, tmp_path, command, capsys):
+        out = tmp_path / "out"
+        argv = [command, "--family", "long-range-zz", "--exponent", "-1074"]
+        assert main([*argv, "--n-sites", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: non-finite coefficient (inf+0j) on ZIZ" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_ham_file_needs_file_family(self, tmp_path, capsys):
         assert run(tmp_path, "cost", "--ham-file", "nofile.json") == 2
@@ -371,6 +388,83 @@ class TestConfigResolution:
 
     def test_file_family_needs_path(self, tmp_path):
         assert run(tmp_path, "alpha", "--family", "file") == 2
+
+
+class TestOneParser:
+    """Every subcommand reads one parser: the command, ``--config`` and one
+    flag per config field, in any order."""
+
+    @pytest.mark.parametrize("argv", [[], ["nope"]], ids=["none", "unknown"])
+    def test_missing_or_unknown_command_exits_2(self, tmp_path, argv, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as stop:
+            main([*argv, "--n-sites", "5", "--out", str(out)])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mpfkit ")
+        assert "mpfkit: error: " in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_flags_before_the_command_resolve_alike(self, tmp_path, monkeypatch):
+        flags = ["--n-sites", "5", "--t", "2", "--J", "3", "--out", "res"]
+        orders = [["cost", *flags], [*flags, "cost"], [*flags[:4], "cost", *flags[4:]]]
+        resolved = []
+        for argv in orders:
+            args = cli.build_parser().parse_args(argv)
+            assert args.command == "cost"
+            resolved.append(cli.resolve_config(args).echo())
+        assert resolved[1] == resolved[0] and resolved[2] == resolved[0]
+        # and the files agree byte for byte, each run in its own folder
+        written = []
+        for i, argv in enumerate(orders):
+            (tmp_path / str(i)).mkdir()
+            monkeypatch.chdir(tmp_path / str(i))
+            assert main(argv) == 0
+            written.append({f.name: f.read_bytes() for f in Path("res").iterdir()})
+        assert written[1] == written[0] and written[2] == written[0]
+        assert set(written[0]) == {"cost_report.json", "cost_sweeps.csv"}
+
+    def test_options_are_the_command_config_and_fields(self):
+        parser = cli.build_parser()
+        actions = parser._actions
+        options = {a.option_strings[0] if a.option_strings else a.dest for a in actions}
+        fields = ExperimentConfig.__annotations__
+        spellings = {"--" + name.replace("_", "-") for name in fields}
+        spellings = spellings - {"--j-count", "--q-max"} | {"--J", "--qmax"}
+        assert options == {"-h", "--config", "command"} | spellings
+        assert {a.dest for a in actions} == {"help", "config", "command", *fields}
+        assert len(actions) == len(fields) + 3
+
+    def test_benchmark_setup_probe_argv_resolves(self, tmp_path):
+        """The benchmark's set-up probe, on each workload's first operation's
+        argv, goes through ``build_parser`` and ``resolve_config``."""
+        bench = SRC.parent / "perfbench"
+        listing = (
+            "import json, random, run\n"
+            "argvs = {}\n"
+            "for name, spec in sorted(run.WORKLOADS.items()):\n"
+            "    ops = spec.operations(spec.flags(random.Random(name + ':0')))\n"
+            "    argvs[name] = [*ops[0].args, '--out', 'setup']\n"
+            "print(json.dumps({'snippet': run.SETUP_SNIPPET, 'argvs': argvs}))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-c", listing],
+            cwd=bench, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        probe = json.loads(done.stdout.splitlines()[-1])
+        assert "build_parser" in probe["snippet"] and "resolve_config" in probe["snippet"]
+        assert sorted(probe["argvs"]) == ["certify", "evolve", "series", "sweep"]
+        for argv in probe["argvs"].values():
+            cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
+            assert cfg.out == "setup"
+            done = subprocess.run(
+                [sys.executable, "-c", probe["snippet"], *argv],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+        assert not (tmp_path / "setup").exists()
 
 
 # verify-order --n-sites 8 --J 3 --tau-points 6 (coupling 1, field 0.8) as
