@@ -14,7 +14,7 @@ eps.  The formulas come in four families:
 * query counts and the gate-cost table across named competing algorithms.
 
 Dense, Hamiltonian-specific quantities (enumerated commutator sums, the
-windowed supremum mu) plug in through optional arguments; when absent the
+supremum mu) plug in through optional arguments; when absent the
 closed-form ceiling from the locality data is used instead.
 """
 
@@ -286,7 +286,7 @@ class BoundInputs(NamedTuple):
 class BoundReport(NamedTuple):
     """Budget summary: step counts, admissible windows, query cost.
 
-    ``mu_ceiling`` is the closed-form ceiling on the windowed supremum mu
+    ``mu_ceiling`` is the closed-form ceiling on the supremum mu
     at truncation order ``p0_step``; ``tau_max_mpf`` reads it.
     """
 

@@ -526,19 +526,19 @@ def _step_bound_rows(
     from .mpf import MPFEvaluator
 
     plan = evaluator.plan
-    mu = mu_from_alphas(alphas, cfg.p, mpf_spec.m, p0)
+    mu = mu_from_alphas(alphas, cfg.p, p0)
     ceiling = mu_window_bound(
         cfg.n_sites, cfg.p, p0, spec.locality, spec.extensiveness
     )
-    rows = [_row("mu_ceiling", mu.value, ceiling, note=f"mu source: {mode}")]
-    boundary_mpf = mpf_time_condition(plan.stage_factor, mu.value)
+    rows = [_row("mu_ceiling", mu, ceiling, note=f"mu source: {mode}")]
+    boundary_mpf = mpf_time_condition(plan.stage_factor, mu)
     tau = 0.8 * min(boundary_bch, boundary_mpf)
     bound = step_error_bound(
         tau,
         mpf_spec.norm_c_1,
         mpf_spec.norm_k_1,
         plan.stage_factor,
-        mu.value,
+        mu,
         mpf_spec.m,
         cfg.eps,
         boundary_bch,

@@ -1,4 +1,4 @@
-"""Nested-commutator sums, their closed-form bounds, and the window constant.
+"""Nested-commutator sums, their closed-form bounds, and the step constant.
 
 The central quantity is the order-q commutator sum of a grouped Hamiltonian,
 
@@ -13,17 +13,17 @@ groups' sector frame.  Two closed forms dominate it: the
 factorial/locality form  (q-1)! (2 k g)^{q-1} N g  and the crude power form
 (2 L)^q  with L the total one-norm.
 
-On top of the alpha table sits the step-size constant mu: a supremum over
-composition sums of alpha values whose (q+n-1)-th root controls how far the
-multi-product step can be pushed.  Enumeration is windowed in the part count
-n; the result records its witness and whether the window was wide enough.
+On top of the alpha table sits the step-size constant mu, which controls how
+far the multi-product step can be pushed: the supremum over compositions of
+the T-th root of the summed alpha products whose orders add up to T.  It is
+1/x0 for the root x0 of sum_v alpha_v x^v = 1, found by bisection.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 from .formulas import DEFAULT_DENSE_CAP, LEAK_TOL, ProductFormulaPlan, check_dense_cap
 from .hamiltonians import HamiltonianSpec
@@ -36,7 +36,6 @@ __all__ = [
     "nested_commutator_sum",
     "factorial_commutator_bound",
     "power_commutator_bound",
-    "MuResult",
     "mu_from_alphas",
     "mu_window_bound",
 ]
@@ -198,105 +197,39 @@ def power_commutator_bound(q: int, total_one_norm: float) -> float:
     return (2.0 * total_one_norm) ** q
 
 
-# -- the window constant mu ------------------------------------------------
+# -- the step constant mu --------------------------------------------------
 
 
-class MuResult(NamedTuple):
-    """Windowed supremum defining the admissible-step constant.
+def mu_from_alphas(alphas: Mapping[int, float], p: int, p0: int) -> float:
+    """The step constant mu: the supremum over n >= 1 and T of
+    ([x^T] A(x)^n)^(1/T), with A(x) = sum_{v=p+1}^{p0} alpha_v x^v.
 
-    ``witness`` is the (q, n) pair attaining the supremum (lexicographically
-    smallest among ties), ``best_per_n`` the per-part-count maxima, and
-    ``converged`` whether the witness sat strictly inside the n window with
-    the edge values already decreasing.
-    """
-
-    value: float
-    witness: tuple[int, int] | None
-    converged: bool
-    n_max: int
-    best_per_n: tuple[float, ...]
-
-
-def _composition_sums(
-    alphas: Mapping[int, float], n: int, lo: int, hi: int
-) -> dict[int, float]:
-    """sum over (q_1..q_n), lo <= q_i <= hi, of prod alpha_{q_i}, keyed by total."""
-    current = {0: 1.0}
-    for _ in range(n):
-        nxt: dict[int, float] = {}
-        for s, w in current.items():
-            for v in range(lo, hi + 1):
-                a = alphas.get(v)
-                if a is None:
-                    raise KeyError(f"alpha({v}) missing from the table")
-                if a == 0.0:
-                    continue
-                nxt[s + v] = nxt.get(s + v, 0.0) + w * a
-        current = nxt
-    return current
-
-
-def mu_from_alphas(
-    alphas: Mapping[int, float],
-    p: int,
-    m: int,
-    p0: int,
-    n_max: int = 8,
-) -> MuResult:
-    """Enumerate the windowed supremum over (q, n) candidates.
-
-    Candidates are ``(sum over compositions of q+n-1 into n parts from
-    [p+1, p0] of the alpha product) ** (1/(q+n-1))`` for q >= m+1 and
-    n >= 1; parts constrain q to [n p + 1, n (p0 - 1) + 1].  The alphas
-    mapping must cover [p+1, p0].
+    A has nonnegative coefficients, so [x^T] A(x)^n <= A(x)^n / x^T at every
+    x > 0: at the root x0 of A(x0) = 1 every candidate is at most 1/x0, and
+    the candidates approach it as n grows.  So mu = 1/x0 whatever the
+    combination order.  In y = 1/x, with r_v = alpha_v^(1/v), the root of
+    sum (r_v / y)^v = 1 lies in [t, K t] for t the largest r_v over the K
+    nonzero alphas; bisection returns the first float above its upper end.
+    The alphas mapping must cover [p+1, p0]; all zero gives 0.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     if p0 < p + 1:
         raise ValueError("p0 must be at least p+1")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    lo, hi = p + 1, p0
-    best: float = 0.0
-    witness: tuple[int, int] | None = None
-    best_per_n: list[float] = []
-    candidates: list[tuple[float, int, int]] = []
-    for n in range(1, n_max + 1):
-        by_total = _composition_sums(alphas, n, lo, hi)
-        n_best = 0.0
-        q_lo = max(m + 1, n * p + 1)
-        q_hi = n * (p0 - 1) + 1
-        for q in range(q_lo, q_hi + 1):
-            s = by_total.get(q + n - 1, 0.0)
-            if s <= 0.0:
-                continue
-            val = s ** (1.0 / (q + n - 1))
-            candidates.append((val, q, n))
-            n_best = max(n_best, val)
-        best_per_n.append(n_best)
-    if candidates:
-        best = max(v for v, _, _ in candidates)
-        ties = [
-            (q, n) for v, q, n in candidates if v >= best * (1.0 - 1e-12)
-        ]
-        witness = min(ties)
-    if witness is None:
-        converged = True
-    else:
-        inside = witness[1] <= n_max - 2
-        tail_flat = (
-            n_max >= 3
-            and best_per_n[-1] <= best_per_n[-2] * (1.0 + 1e-12)
-            and best_per_n[-2] <= best_per_n[-3] * (1.0 + 1e-12)
-        )
-        converged = inside and tail_flat
-    return MuResult(
-        value=best,
-        witness=witness,
-        converged=converged,
-        n_max=n_max,
-        best_per_n=tuple(best_per_n),
-    )
+    for v in range(p + 1, p0 + 1):
+        if v not in alphas:
+            raise KeyError(f"alpha({v}) missing from the table")
+    roots = [(v, alphas[v] ** (1.0 / v)) for v in range(p + 1, p0 + 1) if alphas[v]]
+    if not roots:
+        return 0.0
+    lo = max(r for _, r in roots)
+    hi = len(roots) * lo
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if sum((r / mid) ** v for v, r in roots) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return math.nextafter(hi, math.inf)
 
 
 def mu_window_bound(n_sites: int, p: int, p0: int, k: int, g: float) -> float:

@@ -37,6 +37,9 @@
 - The all-tuples commutator traversal, which walks every group tuple where
   :mod:`mpfkit.commutators` walks only the pairs g_1 < g_2 and doubles, and
   the full-matrix nest norm that the sector-blocked norm must reproduce.
+- The step constant mu as a window of exact composition sums over part
+  counts n <= n_max, which rises toward the closed form of
+  :func:`mpfkit.commutators.mu_from_alphas` from below.
 - The numpy routes of two plain-float helpers: the ``lstsq`` line fit behind
   :func:`mpfkit.formulas.fit_line` and the array form of
   :func:`mpfkit.formulas.vandermonde_residuals`.
@@ -70,7 +73,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from operator import add
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -435,6 +438,36 @@ def all_tuples_commutator_sums(
     for first in spec.group_sums:
         descend(1, first)
     return alphas
+
+
+def window_maxima(
+    alphas: Mapping[int, float], p: int, m: int, p0: int, n_max: int
+) -> list[float]:
+    """Window maxima of the step constant mu: entry i - 1 enumerates the part
+    counts n <= i, for i = 1..n_max.
+
+    Each is the largest ``(sum over compositions of q+n-1 into n parts from
+    [p+1, p0] of the alpha product) ** (1/(q+n-1))`` over q >= m+1; the parts
+    hold q in [n p + 1, n (p0 - 1) + 1].  The sums are exact ``Fraction``
+    values, rounded once through their logarithm, so no product overflows
+    or underflows.  They rise toward :func:`mpfkit.commutators.mu_from_alphas`.
+    """
+    parts = [(v, Fraction(alphas[v])) for v in range(p + 1, p0 + 1)]
+    best, maxima, by_total = 0.0, [], {0: Fraction(1)}
+    for n in range(1, n_max + 1):
+        nxt: dict[int, Fraction] = {}
+        for s, w in by_total.items():
+            for v, a in parts:
+                nxt[s + v] = nxt.get(s + v, 0) + w * a
+        by_total = nxt
+        for q in range(max(m + 1, n * p + 1), n * (p0 - 1) + 2):
+            t = q + n - 1
+            total = by_total.get(t, 0)
+            if total > 0:
+                log = math.log(total.numerator) - math.log(total.denominator)
+                best = max(best, math.exp(log / t))
+        maxima.append(best)
+    return maxima
 
 
 def pauli_decompose(mat: np.ndarray, n_sites: int, tol: float = 1e-12) -> PauliSum:

@@ -295,11 +295,11 @@ class TestEnumeratedMu:
             alphas = {
                 q: nested_commutator_sum(ham, q) for q in range(3, p0 + 1)
             }
-            mu = mu_from_alphas(alphas, 2, 2, p0)
+            mu = mu_from_alphas(alphas, 2, p0)
             ceiling = mu_window_bound(
                 ham.n_sites, 2, p0, ham.locality, ham.extensiveness
             )
-            assert 0.0 < mu.value <= ceiling
+            assert 0.0 < mu <= ceiling
 
 
 class TestQueryCount:

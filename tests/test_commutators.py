@@ -1,7 +1,9 @@
-"""Nested-commutator enumeration against brute force, bounds, window constant."""
+"""Nested-commutator enumeration against brute force, bounds, step constant."""
 
+import functools
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from mpfkit.commutators import (
 from mpfkit.formulas import SectorLeakError
 from mpfkit.hamiltonians import heisenberg_chain, long_range_zz_chain, make_spec
 from mpfkit.pauli import PauliSum, PauliTerm
-from oracles import all_tuples_commutator_sums, full_matrix_norm
+from oracles import all_tuples_commutator_sums, full_matrix_norm, window_maxima
 from test_trotter import anisotropic_chain, blocked_specs
 
 
@@ -336,46 +338,86 @@ class TestInsertedSum:
         assert all_tuples_commutator_sums(spec, 2, "exact", (obs, 1))[2] == 0.0
 
 
+# the certify chain's table: 6 sites, coupling 1, field 0.8, p = 2, p0 = 5
+CERTIFY_MU = 11.99517023557582
+
+
+@functools.cache
+def certify_alphas():
+    return commutator_sums(heisenberg_chain(6, field=0.8), 5)
+
+
+@st.composite
+def alpha_tables(draw):
+    """(alphas, p, p0): nonnegative tables over [p+1, p0], zeros included."""
+    p = draw(st.integers(1, 3))
+    p0 = p + draw(st.integers(1, 4))
+    value = st.one_of(st.just(0.0), st.floats(0.0, 1e12))
+    return {v: draw(value) for v in range(p + 1, p0 + 1)}, p, p0
+
+
 class TestMu:
     def test_degenerate_window_closed_form(self):
-        # single admissible part size: every candidate collapses to
-        # alpha^{1/(p+1)} and the witness is the smallest (q, n)
-        a3 = 5.0
-        res = mu_from_alphas({3: a3}, p=2, m=4, p0=3, n_max=8)
-        assert res.value == pytest.approx(a3 ** (1.0 / 3.0))
-        assert res.witness == (5, 2)
-        assert res.converged
+        # one admissible part size: mu is alpha^{1/(p+1)}
+        mu = mu_from_alphas({3: 5.0}, p=2, p0=3)
+        assert mu == pytest.approx(5.0 ** (1.0 / 3.0), rel=1e-15)
 
     def test_empty_alphas_give_zero(self):
-        res = mu_from_alphas({3: 0.0, 4: 0.0}, p=2, m=4, p0=4)
-        assert res.value == 0.0
-        assert res.witness is None
-        assert res.converged
+        assert mu_from_alphas({3: 0.0, 4: 0.0}, p=2, p0=4) == 0.0
 
-    def test_window_enlargement_stability(self):
-        spec = heisenberg_chain(4, field=0.5)
-        alphas = commutator_sums(spec, 4)
-        base = mu_from_alphas(alphas, p=2, m=4, p0=4, n_max=8)
-        wider = mu_from_alphas(alphas, p=2, m=4, p0=4, n_max=10)
-        if base.converged:
-            assert wider.value <= base.value * (1 + 1e-9)
-            assert wider.value >= base.value * (1 - 1e-9)
+    def test_certify_chain_value(self):
+        mu = mu_from_alphas(certify_alphas(), 2, 5)
+        assert mu == pytest.approx(CERTIFY_MU, rel=1e-12)
+
+    def test_windows_rise_toward_mu(self):
+        # m = 4 as for the default J = 2 formula; the windows never
+        # converge: each doubling of n_max closes part of the gap
+        alphas = certify_alphas()
+        mu = mu_from_alphas(alphas, 2, 5)
+        maxima = window_maxima(alphas, 2, 4, 5, 32)
+        windows = [maxima[n_max - 1] for n_max in (8, 16, 32)]
+        assert windows[0] == pytest.approx(11.340764549149819, rel=1e-12)
+        assert windows[0] < windows[1] < windows[2] < mu
+        assert mu - windows[2] < mu - windows[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha_tables(), st.integers(1, 8))
+    @example(({3: 5.0}, 2, 3), 4)
+    def test_no_window_exceeds_mu(self, table, m):
+        alphas, p, p0 = table
+        mu = mu_from_alphas(alphas, p, p0)
+        maxima = window_maxima(alphas, p, m, p0, 16)
+        for n_max in (4, 8, 16):
+            assert maxima[n_max - 1] <= mu * (1 + 1e-12), n_max
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha_tables(), st.sampled_from([1e-30, 0.5, 3.0, 1e30]))
+    def test_scaling_alpha_v_by_lambda_v_scales_mu(self, table, lam):
+        alphas, p, p0 = table
+        scaled = {v: a * lam**v for v, a in alphas.items()}
+        # every nonzero alpha stays a finite normal float
+        normal = sys.float_info.min
+        assume(all(normal <= scaled[v] < math.inf for v, a in alphas.items() if a))
+        expected = mu_from_alphas(alphas, p, p0) * lam
+        assert mu_from_alphas(scaled, p, p0) == pytest.approx(expected, rel=1e-12)
 
     def test_enumerated_value_below_window_bound(self):
         spec = heisenberg_chain(4, field=0.5)
-        res = mu_from_alphas(commutator_sums(spec, 4), p=2, m=4, p0=4)
+        mu = mu_from_alphas(commutator_sums(spec, 4), p=2, p0=4)
         cap = mu_window_bound(
             spec.n_sites, 2, 4, spec.locality, spec.extensiveness
         )
-        assert res.value <= cap
+        assert 0.0 < mu <= cap
 
     def test_missing_alpha_detected(self):
         with pytest.raises(KeyError, match="alpha"):
-            mu_from_alphas({3: 1.0}, p=2, m=2, p0=4)
+            mu_from_alphas({3: 1.0}, p=2, p0=4)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            mu_from_alphas({3: 1.0}, p=2, m=2, p0=2)
+            mu_from_alphas({3: 1.0}, p=2, p0=2)
+        with pytest.raises(ValueError):
+            mu_from_alphas({1: 1.0}, p=0, p0=1)
         with pytest.raises(ValueError):
             mu_window_bound(4, 2, 2, 2, 6.0)
 

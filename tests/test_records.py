@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mpfkit import bch, bounds, commutators, dense, formulas, hamiltonians, pauli
+from mpfkit import bch, bounds, dense, formulas, hamiltonians, pauli
 from mpfkit.cli import ExperimentConfig, main
 from mpfkit.hamiltonians import heisenberg_chain
 from mpfkit.pauli import PauliTerm
@@ -15,7 +15,6 @@ RECORDS = (
     formulas.ProductFormulaPlan,
     formulas.MPFSpec,
     hamiltonians.HamiltonianSpec,
-    commutators.MuResult,
     bounds.StepErrorBound,
     bounds.TrotterNumbers,
     HelperInequalityCheck,
