@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from csv import writer as csv_writer
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -214,6 +215,18 @@ def build_family(cfg: ExperimentConfig) -> HamiltonianSpec:
     return spec
 
 
+def _budget_constants(
+    cfg: ExperimentConfig, spec: HamiltonianSpec | None, n_sites: int
+) -> tuple[int, float, int]:
+    """The one source of a budget's k, g and group count: a loaded file's
+    ``spec``, or :func:`family_constants` at ``n_sites``, bit for bit a
+    built-in chain's without its terms."""
+    if cfg.family == "file":
+        return spec.locality, spec.extensiveness, spec.n_groups
+    chain = (cfg.family, n_sites, cfg.coupling, cfg.field, cfg.exponent)
+    return _configured(family_constants, *chain)
+
+
 def _configured(compute, *args, **kwargs):
     """Call ``compute`` on configured values; its ValueError is a ConfigError."""
     try:
@@ -273,19 +286,22 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return path
 
 
+def _check_series_site_cap(cfg: ExperimentConfig) -> None:
+    if cfg.n_sites > ENUMERATION_SITE_CAP:
+        raise ConfigError(
+            "series coefficients need symbolic enumeration; n_sites = "
+            f"{cfg.n_sites} exceeds the site cap {ENUMERATION_SITE_CAP}"
+        )
+
+
 def _enumeration_mode(
-    cfg: ExperimentConfig, spec: HamiltonianSpec, plan=None, *, required=False
+    cfg: ExperimentConfig, spec: HamiltonianSpec, plan=None
 ) -> str | None:
     """The run's one preflight: how it measures nests and Phi_q; None beyond
-    the site cap, where a run that ``required`` them is refused.  Within it
-    the alpha table's tuples, then the series updates of ``plan``'s Phi_q
-    table, are refused over budget before any work."""
+    the site cap.  Within it the alpha table's tuples, then the series
+    updates of ``plan``'s Phi_q table, are refused over budget before any
+    work."""
     if cfg.n_sites > ENUMERATION_SITE_CAP:
-        if required:
-            raise ConfigError(
-                "series coefficients need symbolic enumeration; n_sites = "
-                f"{cfg.n_sites} exceeds the site cap {ENUMERATION_SITE_CAP}"
-            )
         return None
     from .commutators import check_tuple_budget
 
@@ -297,17 +313,6 @@ def _enumeration_mode(
     if cfg.norm_mode == "exact" and cfg.n_sites <= cfg.dense_cap:
         return "exact"
     return "one-norm"
-
-
-def _alpha_table(
-    cfg: ExperimentConfig, spec: HamiltonianSpec, mode: str | None
-) -> dict[int, float] | None:
-    """The run's one table alpha_2..alpha_qmax; None without a mode."""
-    from .commutators import commutator_sums
-
-    if mode is None:
-        return None
-    return _configured(commutator_sums, spec, cfg.q_max, mode, cfg.dense_cap)
 
 
 # -- verify-order ----------------------------------------------------------
@@ -337,6 +342,8 @@ def cmd_verify_order(cfg: ExperimentConfig) -> tuple[bool, dict]:
     from .mpf import MPFEvaluator
     from .trotter import TrotterEvaluator, difference_norm, geometric_grid
 
+    if cfg.family != "file":  # a file's size is known once it is loaded
+        _configured(check_dense_cap, cfg.n_sites, cfg.dense_cap)
     spec = build_family(cfg)
     _configured(check_dense_cap, cfg.n_sites, cfg.dense_cap)
     plan = _configured(build_plan, spec.n_groups, cfg.p)
@@ -635,19 +642,17 @@ def _gate_costs(cfg: ExperimentConfig, k: int, g: float):
     )
 
 
-def _eps_sweep(cfg: ExperimentConfig, spec: HamiltonianSpec, plan) -> dict:
-    from .bounds import matched_mpf_spec, report_from_parts
+def _eps_sweep(cfg: ExperimentConfig, g: float, budget) -> dict:
+    from .bounds import matched_mpf_spec
 
     rows = []
     for eps in EPS_SWEEP:
         try:
-            matched = matched_mpf_spec(
-                cfg.n_sites, spec.extensiveness, cfg.t, eps, cfg.p
-            )
+            matched = matched_mpf_spec(cfg.n_sites, g, cfg.t, eps, cfg.p)
         except ValueError as exc:
             rows.append({"eps": eps, "note": str(exc)})
             continue
-        report = report_from_parts(spec, plan, matched, cfg.t, eps)
+        report = budget(matched, cfg.t, eps)
         rows.append(
             {
                 "eps": eps,
@@ -691,9 +696,7 @@ def _n_sweep(cfg: ExperimentConfig, mpf_spec: MPFSpec) -> dict:
         return {"rows": [], "note": "fixed-size Hamiltonian file; no size sweep"}
     rows = []
     for n in N_SWEEP_SIZES:
-        k, g, n_groups = family_constants(
-            cfg.family, n, cfg.coupling, cfg.field, cfg.exponent
-        )
+        k, g, n_groups = _budget_constants(cfg, None, n)
         plan = build_plan(n_groups, cfg.p)
         report = build_report(
             n, k, g, n_groups, plan.stage_factor, mpf_spec, cfg.t, cfg.eps
@@ -725,24 +728,31 @@ def cmd_cost(cfg: ExperimentConfig) -> tuple[bool, dict]:
         PRIOR_QUERY_SCALING,
         QUERY_SCALING,
         admissibility_chain,
+        build_report,
         divergence_diagnostics,
-        report_from_parts,
         self_consistency,
     )
+    from .commutators import commutator_sums
 
     if cfg.p % 2 != 0:
         raise ConfigError("cost reports need an even base order")
-    spec = build_family(cfg)
-    mode = _enumeration_mode(cfg, spec) if cfg.q_max >= 3 else None
-    plan = build_plan(spec.n_groups, cfg.p)
+    # terms only for a file or the window, built first for make_spec's refusals
+    enumerated = cfg.q_max >= 3 and cfg.n_sites <= ENUMERATION_SITE_CAP
+    spec = build_family(cfg) if enumerated or cfg.family == "file" else None
+    k, g, n_groups = _budget_constants(cfg, spec, cfg.n_sites)
+    if spec is None and not math.isfinite(g):
+        build_family(cfg)  # make_spec names a coefficient that is not finite
+    mode = _enumeration_mode(cfg, spec) if spec is not None and cfg.q_max >= 3 else None
+    plan = build_plan(n_groups, cfg.p)
     mpf_spec = build_mpf_spec(cfg, cfg.p)
-    report = _configured(report_from_parts, spec, plan, mpf_spec, cfg.t, cfg.eps)
-    table = _gate_costs(cfg, spec.locality, spec.extensiveness)
+    budget = partial(build_report, cfg.n_sites, k, g, n_groups, plan.stage_factor)
+    report = _configured(budget, mpf_spec, cfg.t, cfg.eps)
+    table = _gate_costs(cfg, k, g)
     consistency = self_consistency(report)
     chain = admissibility_chain(report)
 
-    alphas = _alpha_table(cfg, spec, mode)
-    if alphas is not None:
+    if mode is not None:
+        alphas = _configured(commutator_sums, spec, cfg.q_max, mode, cfg.dense_cap)
         window = {q: alphas[q] for q in range(2, cfg.q_max + 1)}
         diagnostics = divergence_diagnostics(spec, window)
     elif cfg.q_max < 3:
@@ -750,7 +760,7 @@ def cmd_cost(cfg: ExperimentConfig) -> tuple[bool, dict]:
     else:
         diagnostics = {"note": "nested-commutator window beyond the site cap"}
 
-    eps_sweep = _eps_sweep(cfg, spec, plan)
+    eps_sweep = _eps_sweep(cfg, g, budget)
     n_sweep = _n_sweep(cfg, mpf_spec)
     payload = {
         "report": report,
@@ -770,7 +780,7 @@ def cmd_cost(cfg: ExperimentConfig) -> tuple[bool, dict]:
     for row in eps_sweep["rows"]:
         if "r" in row:
             csv_rows.append(
-                ["eps", row["eps"], spec.extensiveness, row["m"],
+                ["eps", row["eps"], g, row["m"],
                  row["j_count"], row["r1"], row["r2"], row["r"]]
             )
     for row in n_sweep["rows"]:
@@ -789,16 +799,10 @@ def cmd_cost(cfg: ExperimentConfig) -> tuple[bool, dict]:
 
 
 def cmd_table1(cfg: ExperimentConfig) -> tuple[None, dict]:
-    # a built-in chain's k and g come bit for bit without its terms
-    if cfg.family == "file":
-        spec = build_family(cfg)
-        k, g = spec.locality, spec.extensiveness
-    else:
-        k, g, _ = family_constants(
-            cfg.family, cfg.n_sites, cfg.coupling, cfg.field, cfg.exponent
-        )
-        if not math.isfinite(g):  # make_spec refuses such a chain's terms
-            raise ConfigError(f"the {cfg.family} chain's extensiveness is {g}")
+    spec = build_family(cfg) if cfg.family == "file" else None
+    k, g, _ = _budget_constants(cfg, spec, cfg.n_sites)
+    if spec is None and not math.isfinite(g):
+        raise ConfigError(f"the {cfg.family} chain's extensiveness is {g}")
     rows = [row._asdict() for row in _gate_costs(cfg, k, g)]
     return None, {
         "gate_costs.json": {"range_class": cfg.range_class, "rows": rows},
@@ -810,9 +814,12 @@ def cmd_table1(cfg: ExperimentConfig) -> tuple[None, dict]:
 
 
 def cmd_phi(cfg: ExperimentConfig) -> tuple[bool, dict]:
+    if cfg.family != "file":  # a file's size is known once it is loaded
+        _check_series_site_cap(cfg)
     spec = build_family(cfg)
     plan = _configured(build_plan, spec.n_groups, cfg.p)
-    mode = _enumeration_mode(cfg, spec, plan, required=True)
+    _check_series_site_cap(cfg)
+    mode = _enumeration_mode(cfg, spec, plan)
     _, _, reports = _phi_reports(cfg, spec, plan, mode)
     rows = [
         {
@@ -833,13 +840,17 @@ def cmd_phi(cfg: ExperimentConfig) -> tuple[bool, dict]:
 
 
 def cmd_alpha(cfg: ExperimentConfig) -> tuple[bool, dict]:
+    from .commutators import commutator_sums
+
     spec = build_family(cfg)
     mode = _enumeration_mode(cfg, spec)
-    alphas = _alpha_table(cfg, spec, mode)
+    alphas = {}
+    if mode is not None:
+        alphas = _configured(commutator_sums, spec, cfg.q_max, mode, cfg.dense_cap)
     holds = {"pass": True, "fail": False, "untestable": None}
     rows = []
     for q in range(2, cfg.q_max + 1):
-        alpha = None if alphas is None else alphas[q]
+        alpha = alphas.get(q)
         factorial, one_norm = _alpha_rows(spec, q, alpha, mode)
         rows.append(
             {

@@ -234,11 +234,23 @@ def long_range_zz_chain(
         raise ValueError("need at least two sites for a chain")
     tagged: list[tuple[PauliTerm, int]] = []
     for d in range(1, n_sites):
-        coeff = complex(base / float(d) ** exponent)
+        coeff = _zz_coupling(d, exponent, base)
         for i in range(n_sites - d):
             z_mask = (1 << i) | (1 << (i + d))
             tagged.append((PauliTerm(n_sites, 0, z_mask, coeff), d))
     return make_spec(n_sites, tagged)
+
+
+def _zz_coupling(d: int, exponent: float, base: float) -> complex:
+    """``base / d**exponent``, the coefficient of every ZZ term at distance
+    ``d``; refused where ``d**exponent`` underflows to 0."""
+    scale = float(d) ** exponent
+    if scale == 0.0:
+        raise ValueError(
+            f"{float(d)}**{exponent} underflows to 0, so the coupling at "
+            f"distance {d} is out of float range"
+        )
+    return complex(base / scale)
 
 
 def family_constants(
@@ -279,7 +291,7 @@ def family_constants(
         n_groups = (2 if n_sites > 2 else 1) + (field != 0.0)
     elif family == "long-range-zz":
         weights = [
-            (d, abs(complex(coupling / float(d) ** exponent)))
+            (d, abs(_zz_coupling(d, exponent, coupling)))
             for d in range(1, n_sites)
         ]
         n_groups = n_sites - 1

@@ -361,16 +361,24 @@ class TestConfigResolution:
             assert f"\n  {name:<15}{summary}\n" in shown
 
     @pytest.mark.parametrize(
-        "command", ["cost", "alpha", "phi", "verify-order", "verify-bounds"]
+        "command", ["cost", "alpha", "phi", "verify-order", "verify-bounds", "table1"]
     )
     def test_non_finite_chain_coefficient_exits_2(self, tmp_path, command, capsys):
+        # 1 / 2^-1074 is inf; from 4 sites on, 3^-1074 also underflows to 0
         out = tmp_path / "out"
         argv = [command, "--family", "long-range-zz", "--exponent", "-1074"]
-        assert main([*argv, "--n-sites", "3", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "error: non-finite coefficient (inf+0j) on ZIZ" in err
-        assert "Traceback" not in err
-        assert not out.exists()
+        inf_coefficient = "error: non-finite coefficient (inf+0j) on ZIZ"
+        if command == "table1":  # its constants build no term to refuse
+            inf_coefficient = "error: the long-range-zz chain's extensiveness is inf"
+        for n_sites, message in (
+            ("3", inf_coefficient),
+            ("4", "error: 3.0**-1074.0 underflows to 0, so the coupling at distance 3"),
+        ):
+            assert main([*argv, "--n-sites", n_sites, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert message in err
+            assert "Traceback" not in err
+            assert not out.exists()
 
     def test_ham_file_needs_file_family(self, tmp_path, capsys):
         assert run(tmp_path, "cost", "--ham-file", "nofile.json") == 2
@@ -844,6 +852,73 @@ class TestCost:
     def test_odd_base_order_rejected(self, tmp_path):
         assert run(tmp_path, "cost", "--p", "3") == 2
 
+    @pytest.mark.parametrize(
+        "family, n_sites",
+        [("heisenberg", "1000000"), ("long-range-zz", "100000")],
+    )
+    def test_chain_beyond_the_window_is_never_built(
+        self, tmp_path, monkeypatch, family, n_sites
+    ):
+        # k, g and the group count come from family_constants; only the
+        # nested-commutator window reads terms
+        def refused(*args, **kwargs):
+            raise AssertionError("a chain was built")
+
+        monkeypatch.setattr(hamiltonians, "make_spec", refused)
+        for name in ("heisenberg_chain", "long_range_zz_chain"):
+            monkeypatch.setattr(cli, name, refused)
+        assert run(tmp_path, "cost", "--family", family, "--n-sites", n_sites) == 0
+
+    @pytest.mark.parametrize(
+        "family, n_sites, coupling, field, exponent",
+        [
+            ("heisenberg", 4, 1.0, 0.8, 2.0),
+            ("heisenberg", 5, 0.37, 0.0, 2.0),
+            ("heisenberg", 8, 1.93, -0.61, 2.0),
+            ("long-range-zz", 4, 1.0, 0.0, 0.5),
+            ("long-range-zz", 6, 1.37, 0.0, 1.0),
+            ("long-range-zz", 7, 0.61, 0.0, 3.0),
+            ("long-range-zz", 8, 2.5, 0.0, -1.0),
+        ],
+    )
+    @pytest.mark.parametrize("q_max", ["2", "3"])
+    def test_budgets_match_the_built_spec(
+        self, tmp_path, family, n_sites, coupling, field, exponent, q_max
+    ):
+        # report_from_parts on the built spec is the oracle; at qmax 2 cost
+        # builds no chain, at qmax 3 it builds one for the window
+        argv = ("cost", "--family", family, "--n-sites", str(n_sites),
+                "--coupling", str(coupling), "--field", str(field),
+                "--exponent", str(exponent), "--qmax", q_max,
+                "--norm-mode", "one-norm")
+        assert run(tmp_path, *argv) == 0
+        doc = load(tmp_path, "cost_report.json")
+        if family == "heisenberg":
+            spec = heisenberg_chain(n_sites, coupling, field)
+        else:
+            spec = hamiltonians.long_range_zz_chain(n_sites, exponent, coupling)
+        plan = build_plan(spec.n_groups, 2)
+
+        def as_json(value):
+            return json.loads(json.dumps(cli._as_jsonable(value)))
+
+        report = bounds.report_from_parts(spec, plan, build_mpf(2), 1.0, 1e-3)
+        assert doc["report"] == as_json(report)
+        for row in doc["eps_sweep"]["rows"]:
+            eps = row["eps"]
+            try:
+                matched = bounds.matched_mpf_spec(
+                    n_sites, spec.extensiveness, 1.0, eps, 2
+                )
+            except ValueError as exc:
+                assert row == {"eps": eps, "note": str(exc)}
+                continue
+            swept = bounds.report_from_parts(spec, plan, matched, 1.0, eps)
+            assert row == as_json(
+                {"eps": eps, "m": matched.m, "j_count": matched.j_count,
+                 "r1": swept.r1, "r2": swept.r2, "r": swept.r}
+            )
+
 
 class TestTable1:
     def test_finite_range_rows(self, tmp_path):
@@ -982,7 +1057,6 @@ class TestOneAlphaTable:
             orders.append(q_max)
             return commutator_sums(spec, q_max, *args, **kwargs)
 
-        monkeypatch.setattr(commutators, "commutator_sums", counting)
         monkeypatch.setattr(commutators, "commutator_sums", counting)
         assert run(tmp_path, *argv) == 0
         assert orders == [5 if argv[0] == "verify-bounds" else 4]
@@ -1298,6 +1372,31 @@ class TestPreflight:
         assert main([*argv, "--out", str(out)]) == 2
         assert calls == []
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family", ["heisenberg", "long-range-zz"])
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("verify-order", "error: dense build on 1000000 sites exceeds cap 12"),
+            ("phi", "n_sites = 1000000 exceeds the site cap 16"),
+        ],
+        ids=["verify-order", "phi"],
+    )
+    def test_caps_refused_before_the_chain_is_built(
+        self, tmp_path, monkeypatch, capsys, family, command, message
+    ):
+        def refused(*args, **kwargs):
+            raise AssertionError("a chain was built")
+
+        monkeypatch.setattr(hamiltonians, "make_spec", refused)
+        for name in ("heisenberg_chain", "long_range_zz_chain"):
+            monkeypatch.setattr(cli, name, refused)
+        out = tmp_path / "out"
+        argv = [command, "--family", family, "--n-sites", "1000000"]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from functools import reduce
 
 import numpy as np
@@ -99,6 +100,21 @@ class TestLongRange:
                 support = x | z
                 lo, hi = (support & -support).bit_length(), support.bit_length()
                 assert hi - lo == d
+
+    @pytest.mark.parametrize(
+        "n, base, exponent, d",
+        [(4, 1.0, -1074.0, 3), (4, 0.0, -700.0, 3), (64, -2.0, -180.0, 63)],
+    )
+    def test_underflowing_power_is_refused(self, n, base, exponent, d):
+        # the chain and its constants refuse the first distance d whose
+        # d**exponent is 0, as the quotient's float is then unknown
+        message = f"{float(d)}**{exponent} underflows to 0"
+        for route in (
+            lambda: long_range_zz_chain(n, exponent, base),
+            lambda: family_constants("long-range-zz", n, base, 0.0, exponent),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                route()
 
 
 def _constants(spec):

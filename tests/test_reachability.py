@@ -18,6 +18,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "mpfkit"
 _TRACED = "perfbench/tracer.py wraps it by name"
 ALLOWED = {
     "bch.compute_phi": _TRACED,
+    "bounds.report_from_parts": _TRACED,
     "commutators.nested_commutator_sum": _TRACED,
     "dense.from_pauli_sum": _TRACED,
     "trotter.TrotterEvaluator.formula_unitary": _TRACED,
