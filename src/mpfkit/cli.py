@@ -199,30 +199,44 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def build_family(cfg: ExperimentConfig) -> HamiltonianSpec:
-    """Construct the configured Hamiltonian and pin n_sites to it."""
-    # make_spec refuses a chain whose coefficients overflow to inf
-    if cfg.family == "heisenberg":
-        return _configured(heisenberg_chain, cfg.n_sites, cfg.coupling, cfg.field)
-    if cfg.family == "long-range-zz":
-        return _configured(long_range_zz_chain, cfg.n_sites, cfg.exponent, cfg.coupling)
-    try:
-        spec = load_spec(cfg.ham_file)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"cannot load Hamiltonian file: {exc}") from None
-    cfg.n_sites = spec.n_sites
-    _validate(cfg)  # the file's site count meets the flag's checks
-    return spec
-
-
-def _budget_constants(
-    cfg: ExperimentConfig, spec: HamiltonianSpec | None, n_sites: int
-) -> tuple[int, float, int]:
-    """The one source of a budget's k, g and group count: a loaded file's
-    ``spec``, or :func:`family_constants` at ``n_sites``, bit for bit a
-    built-in chain's without its terms."""
+def load_chain(
+    cfg: ExperimentConfig, cap: str | None = None, terms_up_to: float = math.inf
+) -> tuple[int, float, int, HamiltonianSpec | None]:
+    """Every run's one Hamiltonian source: k, g and the group count, from a
+    loaded file (which pins n_sites) or from :func:`family_constants`, and
+    the spec only when the run reads terms (n_sites <= ``terms_up_to``).
+    Once the size is known the run's ``cap`` ("dense" or "series") is
+    refused, then constants that are not finite, before any term is built."""
+    spec = None
     if cfg.family == "file":
-        return spec.locality, spec.extensiveness, spec.n_groups
+        try:
+            spec = load_spec(cfg.ham_file)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"cannot load Hamiltonian file: {exc}") from None
+        cfg.n_sites = spec.n_sites
+        _validate(cfg)  # the file's site count meets the flag's checks
+    if cap == "dense":
+        _configured(check_dense_cap, cfg.n_sites, cfg.dense_cap)
+    if cap == "series" and cfg.n_sites > ENUMERATION_SITE_CAP:
+        raise ConfigError(
+            "series coefficients need symbolic enumeration; n_sites = "
+            f"{cfg.n_sites} exceeds the site cap {ENUMERATION_SITE_CAP}"
+        )
+    k, g, n_groups = _constants(cfg, cfg.n_sites) if spec is None else (
+        spec.locality, spec.extensiveness, spec.n_groups
+    )
+    if not math.isfinite(g):
+        raise ConfigError(f"the Hamiltonian's extensiveness overflows to {g}")
+    if cfg.n_sites > terms_up_to:
+        spec = None
+    elif cfg.family == "heisenberg":
+        spec = heisenberg_chain(cfg.n_sites, cfg.coupling, cfg.field)
+    elif cfg.family == "long-range-zz":
+        spec = long_range_zz_chain(cfg.n_sites, cfg.exponent, cfg.coupling)
+    return k, g, n_groups, spec
+
+
+def _constants(cfg: ExperimentConfig, n_sites: int) -> tuple[int, float, int]:
     chain = (cfg.family, n_sites, cfg.coupling, cfg.field, cfg.exponent)
     return _configured(family_constants, *chain)
 
@@ -286,17 +300,7 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return path
 
 
-def _check_series_site_cap(cfg: ExperimentConfig) -> None:
-    if cfg.n_sites > ENUMERATION_SITE_CAP:
-        raise ConfigError(
-            "series coefficients need symbolic enumeration; n_sites = "
-            f"{cfg.n_sites} exceeds the site cap {ENUMERATION_SITE_CAP}"
-        )
-
-
-def _enumeration_mode(
-    cfg: ExperimentConfig, spec: HamiltonianSpec, plan=None
-) -> str | None:
+def _enumeration_mode(cfg: ExperimentConfig, n_groups: int, plan=None) -> str | None:
     """The run's one preflight: how it measures nests and Phi_q; None beyond
     the site cap.  Within it the alpha table's tuples, then the series
     updates of ``plan``'s Phi_q table, are refused over budget before any
@@ -305,7 +309,7 @@ def _enumeration_mode(
         return None
     from .commutators import check_tuple_budget
 
-    _configured(check_tuple_budget, spec.n_groups, cfg.q_max)
+    _configured(check_tuple_budget, n_groups, cfg.q_max)
     if plan is not None:
         from .bch import check_series_budget
 
@@ -342,11 +346,8 @@ def cmd_verify_order(cfg: ExperimentConfig) -> tuple[bool, dict]:
     from .mpf import MPFEvaluator
     from .trotter import TrotterEvaluator, difference_norm, geometric_grid
 
-    if cfg.family != "file":  # a file's size is known once it is loaded
-        _configured(check_dense_cap, cfg.n_sites, cfg.dense_cap)
-    spec = build_family(cfg)
-    _configured(check_dense_cap, cfg.n_sites, cfg.dense_cap)
-    plan = _configured(build_plan, spec.n_groups, cfg.p)
+    _, _, n_groups, spec = load_chain(cfg, "dense")
+    plan = _configured(build_plan, n_groups, cfg.p)
     mpf_specs: list[MPFSpec] = []
     if cfg.p % 2 == 0:
         if cfg.k_list is not None:
@@ -567,15 +568,16 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> tuple[bool, dict]:
     from .bounds import bch_time_condition, truncation_order
     from .trotter import TrotterEvaluator
 
-    spec = build_family(cfg)
-    plan = _configured(build_plan, spec.n_groups, cfg.p)
+    # past the site cap every row is untestable, and only the group count is read
+    k, g, n_groups, spec = load_chain(cfg, terms_up_to=ENUMERATION_SITE_CAP)
+    plan = _configured(build_plan, n_groups, cfg.p)
     p0 = _configured(truncation_order, cfg.n_sites, cfg.eps)
-    mode = _enumeration_mode(cfg, spec, plan)
+    mode = _enumeration_mode(cfg, n_groups, plan)
     mpf_spec = build_mpf_spec(cfg, cfg.p) if cfg.p % 2 == 0 else None
     # the dense checks' one step boundary, refused before any table is built
     blocked = _dense_blocker(cfg, p0, mode)
     boundary = None if blocked else _configured(
-        bch_time_condition, p0, plan.stage_factor, spec.locality, spec.extensiveness
+        bch_time_condition, p0, plan.stage_factor, k, g
     )
     orders = range(2, cfg.q_max + 1)
     if mode is None:
@@ -696,7 +698,7 @@ def _n_sweep(cfg: ExperimentConfig, mpf_spec: MPFSpec) -> dict:
         return {"rows": [], "note": "fixed-size Hamiltonian file; no size sweep"}
     rows = []
     for n in N_SWEEP_SIZES:
-        k, g, n_groups = _budget_constants(cfg, None, n)
+        k, g, n_groups = _constants(cfg, n)
         plan = build_plan(n_groups, cfg.p)
         report = build_report(
             n, k, g, n_groups, plan.stage_factor, mpf_spec, cfg.t, cfg.eps
@@ -736,13 +738,10 @@ def cmd_cost(cfg: ExperimentConfig) -> tuple[bool, dict]:
 
     if cfg.p % 2 != 0:
         raise ConfigError("cost reports need an even base order")
-    # terms only for a file or the window, built first for make_spec's refusals
-    enumerated = cfg.q_max >= 3 and cfg.n_sites <= ENUMERATION_SITE_CAP
-    spec = build_family(cfg) if enumerated or cfg.family == "file" else None
-    k, g, n_groups = _budget_constants(cfg, spec, cfg.n_sites)
-    if spec is None and not math.isfinite(g):
-        build_family(cfg)  # make_spec names a coefficient that is not finite
-    mode = _enumeration_mode(cfg, spec) if spec is not None and cfg.q_max >= 3 else None
+    # terms only for the nested-commutator window, of two orders or more
+    window = ENUMERATION_SITE_CAP if cfg.q_max >= 3 else 0
+    k, g, n_groups, spec = load_chain(cfg, terms_up_to=window)
+    mode = None if spec is None else _enumeration_mode(cfg, n_groups)
     plan = build_plan(n_groups, cfg.p)
     mpf_spec = build_mpf_spec(cfg, cfg.p)
     budget = partial(build_report, cfg.n_sites, k, g, n_groups, plan.stage_factor)
@@ -799,10 +798,7 @@ def cmd_cost(cfg: ExperimentConfig) -> tuple[bool, dict]:
 
 
 def cmd_table1(cfg: ExperimentConfig) -> tuple[None, dict]:
-    spec = build_family(cfg) if cfg.family == "file" else None
-    k, g, _ = _budget_constants(cfg, spec, cfg.n_sites)
-    if spec is None and not math.isfinite(g):
-        raise ConfigError(f"the {cfg.family} chain's extensiveness is {g}")
+    k, g, _, _ = load_chain(cfg, terms_up_to=0)
     rows = [row._asdict() for row in _gate_costs(cfg, k, g)]
     return None, {
         "gate_costs.json": {"range_class": cfg.range_class, "rows": rows},
@@ -814,12 +810,9 @@ def cmd_table1(cfg: ExperimentConfig) -> tuple[None, dict]:
 
 
 def cmd_phi(cfg: ExperimentConfig) -> tuple[bool, dict]:
-    if cfg.family != "file":  # a file's size is known once it is loaded
-        _check_series_site_cap(cfg)
-    spec = build_family(cfg)
-    plan = _configured(build_plan, spec.n_groups, cfg.p)
-    _check_series_site_cap(cfg)
-    mode = _enumeration_mode(cfg, spec, plan)
+    _, _, n_groups, spec = load_chain(cfg, "series")
+    plan = _configured(build_plan, n_groups, cfg.p)
+    mode = _enumeration_mode(cfg, n_groups, plan)
     _, _, reports = _phi_reports(cfg, spec, plan, mode)
     rows = [
         {
@@ -842,8 +835,8 @@ def cmd_phi(cfg: ExperimentConfig) -> tuple[bool, dict]:
 def cmd_alpha(cfg: ExperimentConfig) -> tuple[bool, dict]:
     from .commutators import commutator_sums
 
-    spec = build_family(cfg)
-    mode = _enumeration_mode(cfg, spec)
+    _, _, n_groups, spec = load_chain(cfg)  # the one-norm bound reads L
+    mode = _enumeration_mode(cfg, n_groups)
     alphas = {}
     if mode is not None:
         alphas = _configured(commutator_sums, spec, cfg.q_max, mode, cfg.dense_cap)

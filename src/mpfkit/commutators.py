@@ -45,8 +45,14 @@ DEFAULT_TUPLE_BUDGET = 10**6
 
 def check_tuple_budget(n_groups: int, q_max: int) -> None:
     """Refuse an enumeration to order q_max over ``DEFAULT_TUPLE_BUDGET``
-    group tuples, n_groups^q_max."""
-    if n_groups**q_max > DEFAULT_TUPLE_BUDGET:
+    group tuples, n_groups^q_max, or a one-group walk's q_max - 1 orders."""
+    if n_groups == 1 and q_max - 1 > DEFAULT_TUPLE_BUDGET:
+        raise ValueError(
+            f"a one-group walk's {q_max - 1} orders exceed the budget "
+            f"{DEFAULT_TUPLE_BUDGET}; lower q_max"
+        )
+    # 2^b exceeds the budget at its bit length b, so the power stops at b
+    if n_groups ** min(q_max, DEFAULT_TUPLE_BUDGET.bit_length()) > DEFAULT_TUPLE_BUDGET:
         raise ValueError(
             f"{n_groups}^{q_max} tuples exceed the budget "
             f"{DEFAULT_TUPLE_BUDGET}; lower q_max"

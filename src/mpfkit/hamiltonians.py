@@ -233,24 +233,32 @@ def long_range_zz_chain(
     if n_sites < 2:
         raise ValueError("need at least two sites for a chain")
     tagged: list[tuple[PauliTerm, int]] = []
-    for d in range(1, n_sites):
-        coeff = _zz_coupling(d, exponent, base)
+    for d, coeff in enumerate(_zz_couplings(n_sites, exponent, base), 1):
         for i in range(n_sites - d):
             z_mask = (1 << i) | (1 << (i + d))
             tagged.append((PauliTerm(n_sites, 0, z_mask, coeff), d))
     return make_spec(n_sites, tagged)
 
 
-def _zz_coupling(d: int, exponent: float, base: float) -> complex:
-    """``base / d**exponent``, the coefficient of every ZZ term at distance
-    ``d``; refused where ``d**exponent`` underflows to 0."""
-    scale = float(d) ** exponent
-    if scale == 0.0:
+def _zz_couplings(n_sites: int, exponent: float, base: float) -> list[complex]:
+    """``base / d**exponent`` for d = 1..n_sites-1, the coefficient of every
+    ZZ term at distance d.  Refused at the first d where ``d**exponent``
+    underflows to 0, and then at the first d where the quotient overflows."""
+    scales = [float(d) ** exponent for d in range(1, n_sites)]
+    if 0.0 in scales:
+        d = scales.index(0.0) + 1
         raise ValueError(
             f"{float(d)}**{exponent} underflows to 0, so the coupling at "
             f"distance {d} is out of float range"
         )
-    return complex(base / scale)
+    couplings = [complex(base / scale) for scale in scales]
+    for d, coeff in enumerate(couplings, 1):
+        if math.isinf(coeff.real):
+            raise ValueError(
+                f"{base}/{float(d)}**{exponent} overflows, so the coupling at "
+                f"distance {d} is out of float range"
+            )
+    return couplings
 
 
 def family_constants(
@@ -290,10 +298,8 @@ def family_constants(
         weights = [(1, abs(complex(coupling)))] * 3
         n_groups = (2 if n_sites > 2 else 1) + (field != 0.0)
     elif family == "long-range-zz":
-        weights = [
-            (d, abs(_zz_coupling(d, exponent, coupling)))
-            for d in range(1, n_sites)
-        ]
+        couplings = _zz_couplings(n_sites, exponent, coupling)
+        weights = [(d, abs(c)) for d, c in enumerate(couplings, 1)]
         n_groups = n_sites - 1
     else:
         raise ValueError(f"no built-in family {family!r}")

@@ -37,6 +37,19 @@ def load(tmp_path, name):
     return json.loads((tmp_path / name).read_text())
 
 
+@pytest.fixture
+def no_chain(monkeypatch):
+    """``make_spec`` and both chain builders raise, so a run that builds
+    terms fails; a chain of a million sites would hold million-bit masks."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a chain was built")
+
+    monkeypatch.setattr(hamiltonians, "make_spec", refused)
+    for name in ("heisenberg_chain", "long_range_zz_chain"):
+        monkeypatch.setattr(cli, name, refused)
+
+
 # texts for each config field's flag and config-file entry; the first is
 # accepted and differs from the default, the rest probe the typing rule
 FLAG_TEXTS = {
@@ -364,20 +377,17 @@ class TestConfigResolution:
         "command", ["cost", "alpha", "phi", "verify-order", "verify-bounds", "table1"]
     )
     def test_non_finite_chain_coefficient_exits_2(self, tmp_path, command, capsys):
-        # 1 / 2^-1074 is inf; from 4 sites on, 3^-1074 also underflows to 0
+        # 1 / 2^-1074 is inf; from 4 sites on, 3^-1074 also underflows to 0,
+        # which is named first; every subcommand prints the same one line
         out = tmp_path / "out"
         argv = [command, "--family", "long-range-zz", "--exponent", "-1074"]
-        inf_coefficient = "error: non-finite coefficient (inf+0j) on ZIZ"
-        if command == "table1":  # its constants build no term to refuse
-            inf_coefficient = "error: the long-range-zz chain's extensiveness is inf"
-        for n_sites, message in (
-            ("3", inf_coefficient),
+        for n_sites, line in (
+            ("3", "error: 1.0/2.0**-1074.0 overflows, so the coupling at distance 2"),
             ("4", "error: 3.0**-1074.0 underflows to 0, so the coupling at distance 3"),
         ):
             assert main([*argv, "--n-sites", n_sites, "--out", str(out)]) == 2
             err = capsys.readouterr().err
-            assert message in err
-            assert "Traceback" not in err
+            assert err == line + " is out of float range\n"
             assert not out.exists()
 
     def test_ham_file_needs_file_family(self, tmp_path, capsys):
@@ -750,6 +760,21 @@ class TestVerifyBounds:
         assert doc["summary"]["untestable"] == 0
         assert doc["passed"] is True
 
+    @pytest.mark.parametrize(
+        "family, n_sites",
+        [("heisenberg", "1000000"), ("long-range-zz", "100000")],
+    )
+    def test_chain_beyond_the_site_cap_is_never_built(
+        self, tmp_path, no_chain, family, n_sites
+    ):
+        # past the enumeration site cap every row is untestable, and the run
+        # reads only the group count
+        argv = ("verify-bounds", "--family", family, "--n-sites", n_sites)
+        assert run(tmp_path, *argv) == 0
+        doc = load(tmp_path, "verify_bounds.json")
+        assert {row["status"] for row in doc["rows"]} == {"untestable"}
+        assert doc["summary"]["untestable"] == len(doc["rows"]) == 10
+
     def test_one_norm_mode_still_meaningful(self, tmp_path):
         code = run(
             tmp_path,
@@ -857,17 +882,31 @@ class TestCost:
         [("heisenberg", "1000000"), ("long-range-zz", "100000")],
     )
     def test_chain_beyond_the_window_is_never_built(
-        self, tmp_path, monkeypatch, family, n_sites
+        self, tmp_path, no_chain, family, n_sites
     ):
         # k, g and the group count come from family_constants; only the
         # nested-commutator window reads terms
-        def refused(*args, **kwargs):
-            raise AssertionError("a chain was built")
-
-        monkeypatch.setattr(hamiltonians, "make_spec", refused)
-        for name in ("heisenberg_chain", "long_range_zz_chain"):
-            monkeypatch.setattr(cli, name, refused)
         assert run(tmp_path, "cost", "--family", family, "--n-sites", n_sites) == 0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--coupling", "1e308", "--n-sites", "1000000"),
+             "error: the Hamiltonian's extensiveness overflows to inf\n"),
+            (("--family", "long-range-zz", "--coupling", "1e300", "--exponent",
+              "-10", "--n-sites", "100000"),
+             "error: 1e+300/7.0**-10.0 overflows, so the coupling at distance 7"
+             " is out of float range\n"),
+        ],
+        ids=["heisenberg", "long-range-zz"],
+    )
+    def test_overflowing_constants_refused_before_any_chain(
+        self, tmp_path, no_chain, capsys, argv, message
+    ):
+        out = tmp_path / "out"
+        assert main(["cost", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "family, n_sites, coupling, field, exponent",
@@ -952,15 +991,8 @@ class TestTable1:
         assert run(tmp_path, "table1", "--range-class", "long") == 2
 
     @pytest.mark.parametrize("family", ["heisenberg", "long-range-zz"])
-    def test_built_in_chain_is_never_built(self, tmp_path, monkeypatch, family):
-        # k and g come from family_constants; a chain of a million sites
-        # would hold terms with million-bit masks
-        def refused(*args, **kwargs):
-            raise AssertionError("a chain was built")
-
-        monkeypatch.setattr(hamiltonians, "make_spec", refused)
-        for name in ("heisenberg_chain", "long_range_zz_chain"):
-            monkeypatch.setattr(cli, name, refused)
+    def test_built_in_chain_is_never_built(self, tmp_path, no_chain, family):
+        # k and g come from family_constants
         argv = ("table1", "--family", family, "--n-sites", "1000000")
         assert run(tmp_path, *argv) == 0
 
@@ -1075,6 +1107,29 @@ class TestOneAlphaTable:
         monkeypatch.setattr(PauliSum, "commutator", counting)
         assert run(tmp_path, command, "--qmax", "20") == 2
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--qmax", "10000000"), "error: 3^10000000 tuples exceed the budget"),
+            (("--n-sites", "2", "--field", "0", "--qmax", "30000000"),
+             "error: a one-group walk's 29999999 orders exceed the budget 1000000"),
+        ],
+        ids=["three-groups", "one-group"],
+    )
+    def test_oversized_qmax_refused_before_any_walk(
+        self, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        # decided without forming 3^(10^7); one group passes every tuple
+        # count, so its walk's per-order tables are counted instead
+        def refused(*args, **kwargs):
+            raise AssertionError("the nest walk started")
+
+        monkeypatch.setattr(commutators, "_nest_sums", refused)
+        out = tmp_path / "out"
+        assert main(["alpha", *argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_phi_over_budget_refused_before_any_series(self, tmp_path, monkeypatch):
         calls = []
@@ -1384,14 +1439,8 @@ class TestPreflight:
         ids=["verify-order", "phi"],
     )
     def test_caps_refused_before_the_chain_is_built(
-        self, tmp_path, monkeypatch, capsys, family, command, message
+        self, tmp_path, no_chain, capsys, family, command, message
     ):
-        def refused(*args, **kwargs):
-            raise AssertionError("a chain was built")
-
-        monkeypatch.setattr(hamiltonians, "make_spec", refused)
-        for name in ("heisenberg_chain", "long_range_zz_chain"):
-            monkeypatch.setattr(cli, name, refused)
         out = tmp_path / "out"
         argv = [command, "--family", family, "--n-sites", "1000000"]
         assert main([*argv, "--out", str(out)]) == 2

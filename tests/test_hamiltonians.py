@@ -116,6 +116,21 @@ class TestLongRange:
             with pytest.raises(ValueError, match=re.escape(message)):
                 route()
 
+    @pytest.mark.parametrize(
+        "n, base, exponent, d",
+        [(3, 1.0, -1074.0, 2), (64, 1e307, -1.0, 18), (60, -2.0, -180.0, 52)],
+    )
+    def test_overflowing_coupling_is_refused(self, n, base, exponent, d):
+        # without an underflowing power, the first distance d whose coupling
+        # overflows is refused; make_spec never meets the inf coefficient
+        message = f"{base}/{float(d)}**{exponent} overflows, so the coupling at "
+        for route in (
+            lambda: long_range_zz_chain(n, exponent, base),
+            lambda: family_constants("long-range-zz", n, base, 0.0, exponent),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                route()
+
 
 def _constants(spec):
     return spec.locality, spec.extensiveness, spec.n_groups
@@ -186,10 +201,11 @@ class TestScreenedFold:
 
     @pytest.mark.parametrize(
         "n, base, exponent",
-        [(64, 1e307, -1.0), (1024, 1e307, -1.0), (1024, 1e308, 0.5)],
+        [(64, 1e306, -1.0), (1024, 1e305, -1.0), (1024, 1e308, 0.5)],
     )
     def test_non_finite_sum_folds_every_site(self, n, base, exponent):
-        # inf - inf in the prefix differences would screen out every site
+        # inf - inf in the prefix differences would screen out every site;
+        # every coupling is finite, but their sum is not
         args = ("long-range-zz", n, base, 0.0, exponent)
         got = family_constants(*args)
         assert got == every_site_family_constants(*args)
