@@ -19,11 +19,11 @@ J. Math. Phys. 50, 033513, 2009).  Expanding the log,
 where B(u) sums prod_v a_v^{k_v} / k_v! over the ways (k_1..k_V) the stages
 spell the word u.  Every float stage fraction is n_v / 2^S for one common
 S, so B, the splits and the log run in exact integers.  The nests are those
-of the alpha_q walk, :func:`mpfkit.commutators._nest_sums`, which visits only
-the pairs r_1 < r_2 of the reversed words r; each nest takes c_r - c_r', r'
-being r with its innermost pair swapped, from one correctly rounded
-division.  :func:`check_series_budget` counts this work before any order is
-built.
+of the alpha_q walk, :func:`mpfkit.commutators.commutator_sums`, which
+visits only the pairs r_1 < r_2 of the reversed words r; each nest takes
+c_r - c_r', r' being r with its innermost pair swapped, from one correctly
+rounded division.  :func:`check_series_budget` counts this work, and the
+walk calls it before any order is built.
 
 Orders ``q <= p`` vanish for an order-p plan, every ``Phi_q`` is Hermitian,
 and the series truncated at order p0 reproduces the step unitary to
@@ -34,9 +34,11 @@ facts the verification helpers at the bottom measure.
 from __future__ import annotations
 
 import math
+import operator
+from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .commutators import _nest_sums, _sector_norm
+from .commutators import _sector_norm, commutator_sums
 from .formulas import DEFAULT_DENSE_CAP, LEAK_TOL, ProductFormulaPlan
 from .hamiltonians import HamiltonianSpec
 from .pauli import PauliSum
@@ -49,7 +51,6 @@ __all__ = [
     "DEFAULT_SERIES_BUDGET",
     "check_series_budget",
     "compute_phi",
-    "compute_phi_range",
     "phi_norm_bound",
     "phi_locality_bound",
     "phi_extensiveness_bound",
@@ -71,6 +72,7 @@ def _word_weights(
     Built slot by slot, in the order given: every prefix w of length l < q
     grows to ``w + (g_v,) * k`` for k = 0..q-l, its integer times
     C(l+k, k) n_v^k, and the words of length q it reaches leave the prefixes.
+    The factors are tabled only for the prefix lengths present.
     """
     ratios = [(g, a.as_integer_ratio()) for g, a in slots]
     shift = max(d.bit_length() - 1 for _, (_, d) in ratios)
@@ -78,7 +80,8 @@ def _word_weights(
     words: dict[tuple[int, ...], int] = {}
     for g, (n, d) in ratios:
         n <<= shift - d.bit_length() + 1
-        steps = [[math.comb(l + k, k) * n**k for k in range(q - l + 1)] for l in range(q)]
+        lengths = {len(w) for w in prefixes}
+        steps = {l: [math.comb(l + k, k) * n**k for k in range(q - l + 1)] for l in lengths}
         grown: dict[tuple[int, ...], int] = {}
         for w, c in prefixes.items():
             for k, f in enumerate(steps[len(w)]):
@@ -92,7 +95,7 @@ def _word_weights(
 
 def _pair_weights(plan: ProductFormulaPlan, q_max: int) -> Callable:
     """``weigh(r, chains) -> (N, D, chains)`` for the nest walk of
-    :func:`mpfkit.commutators._nest_sums`, which spells each word reversed,
+    :func:`mpfkit.commutators.commutator_sums`, which spells each word reversed,
     r = w_q .. w_1, innermost group first, and visits only r_1 < r_2.
 
     It reads the word weights of the merged stages in their own order: c_w
@@ -109,8 +112,9 @@ def _pair_weights(plan: ProductFormulaPlan, q_max: int) -> Callable:
     ``chains`` holds the split vectors of the prefixes of r and of r'.
     """
     shift, weights = _word_weights(plan.merged_stages(), q_max)
-    lcms = [math.lcm(*range(1, i + 1)) for i in range(q_max + 1)]
-    dens = [math.factorial(i) * lcm << (shift * i) for i, lcm in enumerate(lcms)]
+    lcms = list(accumulate(range(1, q_max + 1), math.lcm, initial=1))
+    facts = accumulate(range(1, q_max + 1), operator.mul, initial=1)
+    dens = [f * lcm << (shift * i) for i, (f, lcm) in enumerate(zip(facts, lcms))]
 
     def split(r, splits):
         i = len(r)
@@ -144,12 +148,10 @@ def compute_phi(plan: ProductFormulaPlan, spec: HamiltonianSpec, q: int) -> Paul
     """The order-q coefficient of the effective-generator series.
 
     ``q = 1`` returns the Hamiltonian itself (the stage fractions sum to one
-    per group).  The nest walk runs to q without norms, as
-    :func:`compute_phi_range` runs it to q_max, and gives the same Phi_q bit
-    for bit; :func:`check_series_budget` refuses it first.
+    per group).  The nest walk runs to q without norms and gives Phi_q bit
+    for bit as the walk to any q_max >= q has it.
     """
-    check_series_budget(plan, q)
-    return _nest_sums(spec, q, plan=plan)[1][q]
+    return commutator_sums(spec, q, None, plan=plan)[1][q]
 
 
 def check_series_budget(plan: ProductFormulaPlan, q_max: int) -> None:
@@ -177,15 +179,6 @@ def check_series_budget(plan: ProductFormulaPlan, q_max: int) -> None:
             f"Phi_2..Phi_{q_max} make {count} series updates, over the budget "
             f"{DEFAULT_SERIES_BUDGET}; lower q_max or the plan order"
         )
-
-
-def compute_phi_range(
-    plan: ProductFormulaPlan, spec: HamiltonianSpec, q_max: int
-) -> dict[int, PauliSum]:
-    """The table Phi_2..Phi_qmax, keyed by order, from one nest walk without
-    norms, refused before any work by :func:`check_series_budget`."""
-    check_series_budget(plan, q_max)
-    return {q: phi for q, phi in _nest_sums(spec, q_max, plan=plan)[1].items() if q > 1}
 
 
 def phi_norm_bound(stage_factor: float, alpha_q: float, q: int) -> float:

@@ -300,20 +300,11 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return path
 
 
-def _enumeration_mode(cfg: ExperimentConfig, n_groups: int, plan=None) -> str | None:
-    """The run's one preflight: how it measures nests and Phi_q; None beyond
-    the site cap.  Within it the alpha table's tuples, then the series
-    updates of ``plan``'s Phi_q table, are refused over budget before any
-    work."""
+def _enumeration_mode(cfg: ExperimentConfig) -> str | None:
+    """How the run measures nests and Phi_q; None beyond the site cap.  The
+    walk refuses its own budgets before any nest is built."""
     if cfg.n_sites > ENUMERATION_SITE_CAP:
         return None
-    from .commutators import check_tuple_budget
-
-    _configured(check_tuple_budget, n_groups, cfg.q_max)
-    if plan is not None:
-        from .bch import check_series_budget
-
-        _configured(check_series_budget, plan, cfg.q_max)
     if cfg.norm_mode == "exact" and cfg.n_sites <= cfg.dense_cap:
         return "exact"
     return "one-norm"
@@ -572,7 +563,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> tuple[bool, dict]:
     k, g, n_groups, spec = load_chain(cfg, terms_up_to=ENUMERATION_SITE_CAP)
     plan = _configured(build_plan, n_groups, cfg.p)
     p0 = _configured(truncation_order, cfg.n_sites, cfg.eps)
-    mode = _enumeration_mode(cfg, n_groups, plan)
+    mode = _enumeration_mode(cfg)
     mpf_spec = build_mpf_spec(cfg, cfg.p) if cfg.p % 2 == 0 else None
     # the dense checks' one step boundary, refused before any table is built
     blocked = _dense_blocker(cfg, p0, mode)
@@ -741,7 +732,7 @@ def cmd_cost(cfg: ExperimentConfig) -> tuple[bool, dict]:
     # terms only for the nested-commutator window, of two orders or more
     window = ENUMERATION_SITE_CAP if cfg.q_max >= 3 else 0
     k, g, n_groups, spec = load_chain(cfg, terms_up_to=window)
-    mode = None if spec is None else _enumeration_mode(cfg, n_groups)
+    mode = None if spec is None else _enumeration_mode(cfg)
     plan = build_plan(n_groups, cfg.p)
     mpf_spec = build_mpf_spec(cfg, cfg.p)
     budget = partial(build_report, cfg.n_sites, k, g, n_groups, plan.stage_factor)
@@ -751,7 +742,7 @@ def cmd_cost(cfg: ExperimentConfig) -> tuple[bool, dict]:
     chain = admissibility_chain(report)
 
     if mode is not None:
-        alphas = _configured(commutator_sums, spec, cfg.q_max, mode, cfg.dense_cap)
+        alphas, _ = _configured(commutator_sums, spec, cfg.q_max, mode, cfg.dense_cap)
         window = {q: alphas[q] for q in range(2, cfg.q_max + 1)}
         diagnostics = divergence_diagnostics(spec, window)
     elif cfg.q_max < 3:
@@ -812,7 +803,7 @@ def cmd_table1(cfg: ExperimentConfig) -> tuple[None, dict]:
 def cmd_phi(cfg: ExperimentConfig) -> tuple[bool, dict]:
     _, _, n_groups, spec = load_chain(cfg, "series")
     plan = _configured(build_plan, n_groups, cfg.p)
-    mode = _enumeration_mode(cfg, n_groups, plan)
+    mode = _enumeration_mode(cfg)
     _, _, reports = _phi_reports(cfg, spec, plan, mode)
     rows = [
         {
@@ -835,11 +826,11 @@ def cmd_phi(cfg: ExperimentConfig) -> tuple[bool, dict]:
 def cmd_alpha(cfg: ExperimentConfig) -> tuple[bool, dict]:
     from .commutators import commutator_sums
 
-    _, _, n_groups, spec = load_chain(cfg)  # the one-norm bound reads L
-    mode = _enumeration_mode(cfg, n_groups)
+    _, _, _, spec = load_chain(cfg)  # the one-norm bound reads L
+    mode = _enumeration_mode(cfg)
     alphas = {}
     if mode is not None:
-        alphas = _configured(commutator_sums, spec, cfg.q_max, mode, cfg.dense_cap)
+        alphas, _ = _configured(commutator_sums, spec, cfg.q_max, mode, cfg.dense_cap)
     holds = {"pass": True, "fail": False, "untestable": None}
     rows = []
     for q in range(2, cfg.q_max + 1):

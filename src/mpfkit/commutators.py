@@ -6,7 +6,10 @@ The central quantity is the order-q commutator sum of a grouped Hamiltonian,
 
 with the rightmost pair innermost.  It is enumerated exactly by depth-first
 search over group tuples with the partial nests shared along prefixes and
-zero branches pruned; one search yields every order up to q_max.  It starts
+zero branches pruned; one search, :func:`commutator_sums`, yields every
+order up to q_max and, given a product-formula plan, that plan's series
+coefficients Phi_q from the same nests (see :mod:`mpfkit.bch`).  It refuses
+its own tuple and series budgets before any nest is built.  It starts
 from the pairs g_1 < g_2 only and counts each nest twice, since the swapped
 pair negates the whole subtree, and takes exact norms block by block on the
 groups' sector frame.  Two closed forms dominate it: the
@@ -86,25 +89,30 @@ def _sector_norm(spec: HamiltonianSpec) -> Callable[[PauliSum, int], float]:
     return norm
 
 
-def _nest_sums(
+def commutator_sums(
     spec: HamiltonianSpec,
     q_max: int,
-    mode: str | None = None,
+    mode: str | None = "exact",
     cap: int = DEFAULT_DENSE_CAP,
     plan: ProductFormulaPlan | None = None,
 ) -> tuple[dict[int, float], dict[int, PauliSum]]:
-    """Norm sums alpha_2..alpha_qmax of the nonzero nests, by order, and the
-    series coefficients Phi_1..Phi_qmax of ``plan`` ({} without one).
+    """``(alphas, phis)``: the norm sums alpha_2..alpha_qmax of the nonzero
+    nests, by order, and the series coefficients Phi_1..Phi_qmax of ``plan``
+    ({} without one), from one enumeration.
 
     One depth-first search walks the group tuples, extending each nonzero
     nest by every group and descending only while its order is below
     q_max.  From order 2 on it starts from the pairs g_1 < g_2 alone, in
     lexicographic order, and adds each nest's norm with weight 2: the pair
-    (g_2, g_1) gives the negated nest and negates its whole subtree.  Exact
-    norms come from :func:`_sector_norm`, built at the first nonzero nest;
-    ``mode=None`` takes none.  The tuple budget, the norm mode and the
-    dense cap are checked before any nest is built.  A plan's walk adds each
-    nest r times c_r - c_r' to Phi_q (:func:`mpfkit.bch._pair_weights`);
+    (g_2, g_1) gives the negated nest and negates its whole subtree.
+    ``mode="exact"`` measures spectral norms on the groups' sector frame
+    (:func:`_sector_norm`, built at the first nonzero nest);
+    ``mode="one-norm"`` replaces every norm by the coefficient one-norm of
+    the same symbolically exact nest (an upper bound, no dense work);
+    ``mode=None`` takes none.  Before any nest or weight is built it refuses
+    the tuple budget, the norm mode, the dense cap, the plan's group count
+    and then :func:`mpfkit.bch.check_series_budget`.  A plan's walk adds
+    each nest r times c_r - c_r' to Phi_q (:func:`mpfkit.bch._pair_weights`);
     without norms it forms a top-order nest only for a nonzero difference.
     """
     if q_max < 1:
@@ -116,10 +124,11 @@ def _nest_sums(
         check_dense_cap(spec.n_sites, cap)
     weigh = None
     if plan is not None:
-        from .bch import _pair_weights
+        from .bch import _pair_weights, check_series_budget
 
         if plan.n_groups != spec.n_groups:
             raise ValueError("plan and spec disagree on the group count")
+        check_series_budget(plan, q_max)
         weigh = _pair_weights(plan, q_max)
     alphas = dict.fromkeys(range(2, q_max + 1), 0.0)
     acc: dict[int, dict[tuple[int, int], complex]] = {q: {} for q in range(1, q_max + 1)}
@@ -150,33 +159,6 @@ def _nest_sums(
     return alphas, {q: PauliSum(spec.n_sites, acc[q]).scale(f) for q, f in overall.items()}
 
 
-def commutator_sums(
-    spec: HamiltonianSpec,
-    q_max: int,
-    mode: str = "exact",
-    cap: int = DEFAULT_DENSE_CAP,
-    plan: ProductFormulaPlan | None = None,
-) -> dict[int, float] | tuple[dict[int, float], dict[int, PauliSum]]:
-    """Every commutator sum alpha_2..alpha_{q_max} from one enumeration.
-
-    Each nonzero nest of q groups with g_1 < g_2 adds twice its norm to
-    alpha_q, in lexicographic tuple order, as a search stopped at q would.
-
-    ``mode="exact"`` measures spectral norms on the groups' sector frame
-    (:func:`_sector_norm`); ``mode="one-norm"`` replaces every norm by the
-    coefficient one-norm of the same symbolically exact nest (an upper
-    bound, no dense work).  With a ``plan`` the same walk, refused first by
-    :func:`mpfkit.bch.check_series_budget`, returns ``(alphas, phis)``, with
-    Phi_1..Phi_qmax bitwise as :func:`mpfkit.bch.compute_phi_range` has them.
-    """
-    if plan is None:
-        return _nest_sums(spec, q_max, mode, cap)[0]
-    from .bch import check_series_budget
-
-    check_series_budget(plan, q_max)
-    return _nest_sums(spec, q_max, mode, cap, plan=plan)
-
-
 def nested_commutator_sum(
     spec: HamiltonianSpec,
     q: int,
@@ -186,7 +168,7 @@ def nested_commutator_sum(
     """The order-q commutator sum, q >= 2, as :func:`commutator_sums` has it."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    return _nest_sums(spec, q, mode, cap)[0][q]
+    return commutator_sums(spec, q, mode, cap)[0][q]
 
 
 def factorial_commutator_bound(q: int, k: int, g: float, n_sites: int) -> float:

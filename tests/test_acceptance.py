@@ -15,7 +15,6 @@ from mpfkit import dense
 from mpfkit.bch import (
     check_truncated_generator,
     compute_phi,
-    compute_phi_range,
     phi_report,
 )
 from mpfkit.bounds import (
@@ -174,10 +173,10 @@ def test_criterion_04_series_coefficients():
     worst_herm = 0.0
     bound_ok = True
     shape_ok = True
-    alphas = commutator_sums(spec, 5)
+    alphas, _ = commutator_sums(spec, 5)
     for p in (1, 2):
         plan = build_plan(spec.n_groups, p)
-        phis = compute_phi_range(plan, spec, 5)
+        phis = commutator_sums(spec, 5, None, plan=plan)[1]
         for q in range(2, 6):
             rep = phi_report(plan, spec, q, phi_q=phis[q], alpha_q=alphas[q])
             if q <= p:
@@ -230,7 +229,7 @@ def test_criterion_05_truncated_generator():
         p0, plan.stage_factor, spec.locality, spec.extensiveness
     )
     ev = TrotterEvaluator(spec, plan)
-    phis = compute_phi_range(plan, spec, p0)
+    phis = commutator_sums(spec, p0, None, plan=plan)[1]
     worst = max(
         check_truncated_generator(ev, phis, p0, [boundary * s for s in (1.0, 0.5, 0.25)])
     )

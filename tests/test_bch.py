@@ -13,7 +13,6 @@ from mpfkit import bch, dense
 from mpfkit.bch import (
     check_truncated_generator,
     compute_phi,
-    compute_phi_range,
     effective_generator,
     phi_extensiveness_bound,
     phi_locality_bound,
@@ -21,7 +20,7 @@ from mpfkit.bch import (
     phi_report,
 )
 from mpfkit.bch import _pair_weights, _word_weights
-from mpfkit.commutators import nested_commutator_sum
+from mpfkit.commutators import commutator_sums, nested_commutator_sum
 from mpfkit.hamiltonians import heisenberg_chain, long_range_zz_chain, make_spec
 from mpfkit.pauli import PauliSum, PauliTerm
 from mpfkit.trotter import TrotterEvaluator, geometric_grid
@@ -103,8 +102,9 @@ class TestLeadingCoefficient:
     def test_hermiticity_through_order_six(self):
         spec = heisenberg_chain(3, field=0.4)
         plan = build_plan(spec.n_groups, 1)
-        for q, op in compute_phi_range(plan, spec, 6).items():
-            assert op.hermiticity_defect() <= 1e-10, q
+        phis = commutator_sums(spec, 6, None, plan=plan)[1]
+        for q in range(2, 7):
+            assert phis[q].hermiticity_defect() <= 1e-10, q
 
 
 class TestBounds:
@@ -200,21 +200,21 @@ class TestTruncatedGenerator:
         tau = 0.05
         defects = []
         for p0 in (2, 3, 4):
-            phis = compute_phi_range(plan, spec, p0)
+            phis = commutator_sums(spec, p0, None, plan=plan)[1]
             defects.extend(check_truncated_generator(ev, phis, p0, [tau]))
         assert defects[0] > defects[1] > defects[2]
 
     def test_truncated_unitary_is_unitary(self):
         spec = heisenberg_chain(3, field=0.3)
         plan = build_plan(spec.n_groups, 2)
-        u = truncated_step_unitary(spec, 0.08, 4, compute_phi_range(plan, spec, 4))
+        u = truncated_step_unitary(spec, 0.08, 4, commutator_sums(spec, 4, None, plan=plan)[1])
         assert np.max(np.abs(u @ u.conj().T - np.eye(8))) <= 1e-11
 
     def test_effective_generator_terms(self):
         spec = toy_spec()
         plan = build_plan(2, 1)
         tau = 0.1
-        gen = effective_generator(spec, tau, 2, compute_phi_range(plan, spec, 2))
+        gen = effective_generator(spec, tau, 2, commutator_sums(spec, 2, None, plan=plan)[1])
         manual = spec.full_sum() + compute_phi(plan, spec, 2).scale(tau)
         assert coeff_distance(gen, manual) <= 1e-14
 
@@ -222,7 +222,7 @@ class TestTruncatedGenerator:
         spec = heisenberg_chain(3, field=0.5)
         plan = build_plan(spec.n_groups, 1)
         ev = TrotterEvaluator(spec, plan)
-        phis = compute_phi_range(plan, spec, 4)
+        phis = commutator_sums(spec, 4, None, plan=plan)[1]
         defects = check_truncated_generator(ev, phis, 4, [2e-4, 1e-4, 5e-5])
         assert len(defects) == 3
         assert max(defects) < 0.3
@@ -236,9 +236,9 @@ class TestTruncatedGenerator:
         plan = build_plan(spec.n_groups, 2)
         ev = TrotterEvaluator(spec, plan)
         assert ev.frame.reflected
-        phis = compute_phi_range(plan, spec, 5)
-        for q, phi in phis.items():
-            assert dense.mirror_odd_norm(phi) <= 1e-13, q
+        phis = commutator_sums(spec, 5, None, plan=plan)[1]
+        for q in range(2, 6):
+            assert dense.mirror_odd_norm(phis[q]) <= 1e-13, q
         [defect] = check_truncated_generator(ev, phis, 5, [0.1])
         assert defect == pytest.approx(oracle_defect(ev, phis, 0.1, 5), abs=1e-12)
 
@@ -253,7 +253,7 @@ class TestTruncatedGenerator:
         spec = heisenberg_chain(6, coupling=1.05, field=0.8)
         plan = build_plan(spec.n_groups, 2)
         ev = TrotterEvaluator(spec, plan)
-        phis = compute_phi_range(plan, spec, 3)
+        phis = commutator_sums(spec, 3, None, plan=plan)[1]
         phis[3] = phis[3] + PauliSum.from_label(label, 1e-3)
         with pytest.raises(SectorLeakError, match=match):
             check_truncated_generator(ev, phis, 3, [0.1])
@@ -630,11 +630,11 @@ class TestOneWalk:
         # the walk to q_max forms every nest below q_max, the walk to q
         # only those with a nonzero coefficient at q: bitwise, key order too
         plan = build_plan(spec.n_groups, p)
-        table = compute_phi_range(plan, spec, q_max)
-        assert sorted(table) == list(range(2, q_max + 1))
-        for q, phi in table.items():
+        table = commutator_sums(spec, q_max, None, plan=plan)[1]
+        assert sorted(table) == list(range(1, q_max + 1))
+        for q in range(2, q_max + 1):
             single = compute_phi(plan, spec, q)
-            assert [(k, repr(c)) for k, c in phi.items()] == [
+            assert [(k, repr(c)) for k, c in table[q].items()] == [
                 (k, repr(c)) for k, c in single.items()
             ], q
 
@@ -657,8 +657,8 @@ class TestOneWalk:
             return commutator(self, other)
 
         monkeypatch.setattr(PauliSum, "commutator", counting)
-        table = compute_phi_range(build_plan(spec.n_groups, p), spec, q_max)
-        assert sorted(table) == list(range(2, q_max + 1))
+        table = commutator_sums(spec, q_max, None, plan=build_plan(spec.n_groups, p))[1]
+        assert sorted(table) == list(range(1, q_max + 1))
         assert 0 < len(calls) <= ceiling
 
 
@@ -748,14 +748,14 @@ class TestCompositionBudget:
         # word of length at most 3 - j: 9 + 2 * 5 + 4 * 2
         plan = build_plan(2, 1)
         monkeypatch.setattr(bch, "DEFAULT_SERIES_BUDGET", 40)
-        assert sorted(compute_phi_range(plan, toy_spec(), 3)) == [2, 3]
+        assert sorted(commutator_sums(toy_spec(), 3, None, plan=plan)[1]) == [1, 2, 3]
         monkeypatch.setattr(bch, "DEFAULT_SERIES_BUDGET", 39)
-        monkeypatch.setattr(bch, "_nest_sums", None)
+        monkeypatch.setattr(bch, "_pair_weights", None)
         with pytest.raises(ValueError, match="40 series updates, over the budget 39"):
-            compute_phi_range(plan, toy_spec(), 3)
+            commutator_sums(toy_spec(), 3, None, plan=plan)
 
     def test_single_order_is_refused_before_its_walk(self, monkeypatch):
-        monkeypatch.setattr(bch, "_nest_sums", None)
+        monkeypatch.setattr(bch, "_pair_weights", None)
         with pytest.raises(ValueError, match="make 7557646 series updates"):
             compute_phi(build_plan(3, 6), heisenberg_chain(4, field=0.8), 10)
 
@@ -784,19 +784,23 @@ class TestPermutationBudget:
         spec = heisenberg_chain(4, field=0.0)
         plan = build_plan(spec.n_groups, 2)
         walks = []
+        pair_weights = bch._pair_weights
 
-        def stub(spec, q_max, *args, plan=None, **kwargs):
+        def weighing(plan, q_max):
             walks.append(q_max)
-            return {}, {q: PauliSum(spec.n_sites) for q in range(1, q_max + 1)}
+            return pair_weights(plan, q_max)
 
-        monkeypatch.setattr(bch, "_nest_sums", stub)
-        assert sorted(compute_phi_range(plan, spec, 18)) == list(range(2, 19))
+        # empty nests stop the walk at the pairs
+        monkeypatch.setattr(PauliSum, "commutator", lambda a, b: PauliSum(a.n_sites))
+        monkeypatch.setattr(bch, "_pair_weights", weighing)
+        phis = commutator_sums(spec, 18, None, plan=plan)[1]
+        assert sorted(phis) == list(range(1, 19))
         assert walks == [18]
         walks.clear()
         with pytest.raises(
             ValueError, match="make 5242814 series updates, over the budget 5000000"
         ):
-            compute_phi_range(plan, spec, 19)
+            commutator_sums(spec, 19, None, plan=plan)
         assert walks == []
 
     @pytest.mark.parametrize("p", [1, 2, 4])
@@ -822,7 +826,7 @@ class TestPermutationBudget:
             return shift, Reading(weights)
 
         monkeypatch.setattr(bch, "_word_weights", reading)
-        assert compute_phi_range(plan, generic_spec(n_groups), 5)
+        assert commutator_sums(generic_spec(n_groups), 5, None, plan=plan)[1]
         skipped = sum(n for r, n in split.items() if r[1:2] == r[:1])
         assert len(read) == sum(split.values()) - skipped
         walked = sum(split.values())

@@ -428,7 +428,7 @@ class TestGateCostTable:
 class TestDivergenceDiagnostics:
     def test_heisenberg_window(self):
         ham = heisenberg_chain(3, field=0.5)
-        sums = commutator_sums(ham, 8)
+        sums, _ = commutator_sums(ham, 8)
         window = {q: sums[q] for q in range(2, 9)}
         diag = bounds.divergence_diagnostics(ham, window)
         assert diag.factorial_tail_increasing
@@ -448,7 +448,7 @@ class TestDivergenceDiagnostics:
                 (PauliTerm.from_label("IZ", -0.4), 2),
             ],
         )
-        sums = commutator_sums(spec, 6)
+        sums, _ = commutator_sums(spec, 6)
         window = {q: sums[q] for q in range(2, 7)}
         diag = bounds.divergence_diagnostics(spec, window)
         assert diag.exact_all_zero

@@ -5,6 +5,7 @@ writes, the same way a shell user would.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -48,6 +49,24 @@ def no_chain(monkeypatch):
     monkeypatch.setattr(hamiltonians, "make_spec", refused)
     for name in ("heisenberg_chain", "long_range_zz_chain"):
         monkeypatch.setattr(cli, name, refused)
+
+
+@pytest.fixture
+def no_walk(monkeypatch):
+    """The nest walk's inner work and the dense evaluator raise: a commutator,
+    the plan's pair weights, the exact nest norm, a ``TrotterEvaluator``.
+    Returns the list of calls that reached one of them."""
+    calls = []
+
+    def refused(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("work started before the refusal")
+
+    monkeypatch.setattr(PauliSum, "commutator", refused)
+    monkeypatch.setattr(bch, "_pair_weights", refused)
+    monkeypatch.setattr(commutators, "_sector_norm", refused)
+    monkeypatch.setattr(TrotterEvaluator, "__init__", refused)
+    return calls
 
 
 # texts for each config field's flag and config-file entry; the first is
@@ -1118,29 +1137,45 @@ class TestOneAlphaTable:
         ids=["three-groups", "one-group"],
     )
     def test_oversized_qmax_refused_before_any_walk(
-        self, tmp_path, monkeypatch, capsys, argv, message
+        self, tmp_path, no_walk, capsys, argv, message
     ):
         # decided without forming 3^(10^7); one group passes every tuple
         # count, so its walk's per-order tables are counted instead
-        def refused(*args, **kwargs):
-            raise AssertionError("the nest walk started")
-
-        monkeypatch.setattr(commutators, "_nest_sums", refused)
         out = tmp_path / "out"
         assert main(["alpha", *argv, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_phi_over_budget_refused_before_any_series(self, tmp_path, monkeypatch):
-        calls = []
-
-        def refused(*args, **kwargs):
-            calls.append(args)
-            raise AssertionError("a series coefficient was computed")
-
-        monkeypatch.setattr(commutators, "_nest_sums", refused)
+    def test_phi_over_budget_refused_before_any_series(self, tmp_path, no_walk):
         assert run(tmp_path, "phi", "--qmax", "13") == 2
-        assert calls == []
+        assert no_walk == []
+
+    @pytest.mark.parametrize(
+        "argv, series",
+        [
+            (("phi",), 1),
+            (("verify-bounds", "--eps", "0.25"), 1),
+            (("alpha",), 0),
+            (("cost",), 0),
+        ],
+        ids=["phi", "verify-bounds", "alpha", "cost"],
+    )
+    def test_each_budget_is_counted_once(self, tmp_path, monkeypatch, argv, series):
+        # the walk refuses its own budgets; the series budget applies only
+        # to a walk with a plan
+        counted = []
+        for owner, name in ((commutators, "check_tuple_budget"),
+                            (bch, "check_series_budget")):
+            check = getattr(owner, name)
+
+            def counting(*args, name=name, check=check):
+                counted.append(name)
+                return check(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+        assert run(tmp_path, *argv) == 0
+        assert counted.count("check_tuple_budget") == 1
+        assert counted.count("check_series_budget") == series
 
     def test_cost_enumerates_under_the_configured_dense_cap(
         self, tmp_path, monkeypatch
@@ -1149,7 +1184,7 @@ class TestOneAlphaTable:
 
         def zeros(spec, q_max, mode, cap):
             caps.append(cap)
-            return dict.fromkeys(range(1, q_max + 1), 0.0)
+            return dict.fromkeys(range(1, q_max + 1), 0.0), {}
 
         monkeypatch.setattr(commutators, "commutator_sums", zeros)
         argv = ("cost", "--n-sites", "13", "--dense-cap", "13", "--qmax", "3")
@@ -1215,17 +1250,24 @@ class TestOneEvaluatorAndPhiTable:
 
     def test_verify_bounds_builds_one_phi_table(self, tmp_path, monkeypatch):
         # p0 = 4 <= qmax = 5: the phi rows and the truncation check share it,
-        # and the nest walk that builds it builds the alpha table too
-        walks = []
-        nest_sums = commutators._nest_sums
+        # and the nest walk that builds it builds the alpha table too: one
+        # walk weighs the plan's words, and one reads nest norms
+        walks, norms = [], []
+        pair_weights, sector_norm = bch._pair_weights, commutators._sector_norm
 
-        def counting(spec, q_max, *args, plan=None, **kwargs):
-            walks.append(q_max if plan else None)
-            return nest_sums(spec, q_max, *args, plan=plan, **kwargs)
+        def weighing(plan, q_max):
+            walks.append(q_max)
+            return pair_weights(plan, q_max)
 
-        monkeypatch.setattr(commutators, "_nest_sums", counting)
+        def norming(spec):
+            norms.append(spec)
+            return sector_norm(spec)
+
+        monkeypatch.setattr(bch, "_pair_weights", weighing)
+        monkeypatch.setattr(commutators, "_sector_norm", norming)
         assert run(tmp_path, "verify-bounds", "--n-sites", "5", "--eps", "0.5") == 0
         assert walks == [5]
+        assert len(norms) == 1
 
 
 class TestOneNestWalk:
@@ -1268,37 +1310,23 @@ class TestCompositionBudget:
         ids=["verify-bounds", "phi"],
     )
     def test_over_budget_refused_before_any_series(
-        self, tmp_path, monkeypatch, capsys, argv
+        self, tmp_path, no_walk, capsys, argv
     ):
         # three groups at p = 6 merge into 101 stages: the word recursion
         # and the walk's split updates make 7,557,646 updates to q = 10
-        calls = []
-
-        def refused(*args, **kwargs):
-            calls.append(args)
-            raise AssertionError("a series coefficient was computed")
-
-        monkeypatch.setattr(commutators, "_nest_sums", refused)
         assert run(tmp_path, *argv) == 2
-        assert calls == []
+        assert no_walk == []
         err = capsys.readouterr().err
         assert "7557646 series updates, over the budget 5000000" in err
 
     @pytest.mark.parametrize("command", ["verify-bounds", "phi"])
     def test_over_budget_refused_before_the_alpha_table(
-        self, tmp_path, monkeypatch, capsys, command
+        self, tmp_path, no_walk, capsys, command
     ):
         # at 10 sites the exact alpha table alone takes about a minute
-        calls = []
-
-        def refused(*args, **kwargs):
-            calls.append(args)
-            raise AssertionError("the alpha table was enumerated")
-
-        monkeypatch.setattr(commutators, "commutator_sums", refused)
         argv = (command, "--n-sites", "10", "--p", "6", "--qmax", "10")
         assert run(tmp_path, *argv) == 2
-        assert calls == []
+        assert no_walk == []
         err = capsys.readouterr().err
         assert "7557646 series updates, over the budget 5000000" in err
 
@@ -1316,22 +1344,33 @@ class TestCompositionBudget:
         ids=["two-groups", "one-group"],
     )
     def test_permutation_sums_refused_before_any_series(
-        self, tmp_path, monkeypatch, capsys, argv, walked
+        self, tmp_path, no_walk, capsys, argv, walked
     ):
         # the series count that replaced the permutation-weight count
-        calls = []
-
-        def refused(*args, **kwargs):
-            calls.append(args)
-            raise AssertionError("a series coefficient was computed")
-
-        monkeypatch.setattr(commutators, "_nest_sums", refused)
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 2
-        assert calls == []
+        assert no_walk == []
         err = capsys.readouterr().err
         assert f"make {walked} series updates, over the budget 5000000" in err
         assert not out.exists()
+
+    def test_one_group_word_weights_take_linear_binomials(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # one group on two sites: one word of each length, so the weights
+        # need one binomial row, not one per prefix length at every stage
+        calls = []
+        comb = math.comb
+
+        def counting(*args):
+            calls.append(args)
+            return comb(*args)
+
+        monkeypatch.setattr(math, "comb", counting)
+        argv = ("phi", "--n-sites", "2", "--field", "0", "--qmax", "1000")
+        assert run(tmp_path, *argv) == 2
+        assert "integer division result too large for a float" in capsys.readouterr().err
+        assert 0 < len(calls) <= 2 * 1000
 
     def test_sixth_order_series_runs(self, tmp_path):
         # two groups at p = 6: 51 merged stages, C(57, 7) = 264,385,836
@@ -1412,20 +1451,11 @@ class TestPreflight:
         ],
     )
     def test_refused_before_any_table_or_folder(
-        self, tmp_path, monkeypatch, capsys, argv, message
+        self, tmp_path, no_walk, capsys, argv, message
     ):
-        calls = []
-
-        def refused(*args, **kwargs):
-            calls.append(args)
-            raise AssertionError("work started before the refusal")
-
-        monkeypatch.setattr(commutators, "commutator_sums", refused)
-        monkeypatch.setattr(commutators, "_nest_sums", refused)
-        monkeypatch.setattr(TrotterEvaluator, "__init__", refused)
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 2
-        assert calls == []
+        assert no_walk == []
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -1488,7 +1518,7 @@ class TestPreflight:
             ("verify-bounds", commutators, "commutator_sums"),
             ("cost", bounds, "gate_cost_table"),
             ("table1", bounds, "gate_cost_table"),
-            ("phi", commutators, "_nest_sums"),
+            ("phi", bch, "_pair_weights"),
             ("alpha", commutators, "commutator_sums"),
         ],
     )

@@ -116,8 +116,8 @@ class TestCommutatorSums:
             heisenberg_chain(4, field=0.0),
         ]
         for spec in specs:
-            sums = commutator_sums(spec, 4)
-            assert list(sums) == [2, 3, 4]
+            sums, phis = commutator_sums(spec, 4)
+            assert list(sums) == [2, 3, 4] and phis == {}
             for q, got in sums.items():
                 ref = brute_alpha(spec, q)
                 assert got == pytest.approx(ref, rel=1e-9), (spec.n_sites, q)
@@ -130,18 +130,18 @@ class TestCommutatorSums:
         spec = heisenberg_chain(4, field=0.5)
         monkeypatch.setattr(commutators, "_sector_norm", lambda *_: full_matrix_norm)
         for s in (spec, anisotropic_chain(4, 1.0, 0.4, 0.8, field=0.6)):
-            assert commutator_sums(s, 5) == {
+            assert commutator_sums(s, 5)[0] == {
                 q: pair_order_alpha(s, q, full_matrix_norm) for q in range(2, 6)
             }
         monkeypatch.undo()
         # values of a search stopped at each order, with the blocked norm
-        assert commutator_sums(spec, 5) == {
+        assert commutator_sums(spec, 5)[0] == {
             2: 27.712812921102042,
             3: 332.55375505322456,
             4: 3103.8350471634285,
             5: 37246.02056596115,
         }
-        assert commutator_sums(spec, 5, "one-norm") == {
+        assert commutator_sums(spec, 5, "one-norm")[0] == {
             2: 48.0,
             3: 576.0,
             4: 5376.0,
@@ -177,7 +177,7 @@ class TestSectorBlockedNorm:
             raise AssertionError("a full matrix was built")
 
         monkeypatch.setattr(dense, "from_pauli_sum", refused)
-        assert commutator_sums(heisenberg_chain(5, field=0.5), 4)[4] > 0.0
+        assert commutator_sums(heisenberg_chain(5, field=0.5), 4)[0][4] > 0.0
 
     def test_planted_out_of_sector_term_is_refused(self):
         spec = heisenberg_chain(4, field=0.5)
@@ -235,7 +235,7 @@ class TestHalvedTraversal:
     # outside the magnetization sectors
     @example(spec=heisenberg_chain(4, coupling=1.1937, field=0.6123), q_max=5, mode="exact")
     def test_table_matches_every_tuple(self, spec, q_max, mode):
-        got = commutator_sums(spec, q_max, mode)
+        got, _ = commutator_sums(spec, q_max, mode)
         want = all_tuples_commutator_sums(spec, q_max, mode)
         assert list(got) == list(want)
         for q in want:
@@ -263,8 +263,8 @@ class TestClosedFormBounds:
 
     def test_table_columns_are_ordered(self):
         spec = heisenberg_chain(4, field=0.5)
-        exact = commutator_sums(spec, 4)
-        loose = commutator_sums(spec, 4, "one-norm")
+        exact, _ = commutator_sums(spec, 4)
+        loose, _ = commutator_sums(spec, 4, "one-norm")
         for q in range(2, 5):
             factorial = factorial_commutator_bound(
                 q, spec.locality, spec.extensiveness, spec.n_sites
@@ -279,7 +279,7 @@ class TestClosedFormBounds:
     def test_table_without_exact_column(self):
         # the one-norm table needs no dense matrix, so no dense cap applies
         spec = heisenberg_chain(3)
-        loose = commutator_sums(spec, 3, "one-norm", cap=1)
+        loose, _ = commutator_sums(spec, 3, "one-norm", cap=1)
         assert list(loose) == [2, 3]
         with pytest.raises(ValueError, match="exceeds cap"):
             commutator_sums(spec, 3, "exact", cap=1)
@@ -344,7 +344,7 @@ CERTIFY_MU = 11.99517023557582
 
 @functools.cache
 def certify_alphas():
-    return commutator_sums(heisenberg_chain(6, field=0.8), 5)
+    return commutator_sums(heisenberg_chain(6, field=0.8), 5)[0]
 
 
 @st.composite
@@ -403,7 +403,7 @@ class TestMu:
 
     def test_enumerated_value_below_window_bound(self):
         spec = heisenberg_chain(4, field=0.5)
-        mu = mu_from_alphas(commutator_sums(spec, 4), p=2, p0=4)
+        mu = mu_from_alphas(commutator_sums(spec, 4)[0], p=2, p0=4)
         cap = mu_window_bound(
             spec.n_sites, 2, 4, spec.locality, spec.extensiveness
         )

@@ -24,7 +24,6 @@ ALLOWED = {
     "trotter.TrotterEvaluator.formula_unitary": _TRACED,
     "trotter.TrotterEvaluator.scatter": "the traced formula_unitary calls it",
     "mpf.MPFEvaluator.step": _TRACED,
-    "bch.compute_phi_range": "the tests build Phi tables without alpha through it",
     "trotter.TrotterEvaluator.error": "the tests' error sweeps read it",
     "pauli.PauliSum.from_label": "the tests build Pauli sums from labels",
     "pauli.PauliSum.__repr__": "pytest prints Pauli sums in failure messages",

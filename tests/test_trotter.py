@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpfkit import dense
-from mpfkit.bch import check_truncated_generator, compute_phi_range
+from mpfkit.bch import check_truncated_generator
+from mpfkit.commutators import commutator_sums
 from mpfkit.formulas import (
     LEAK_TOL,
     build_mpf,
@@ -449,7 +450,7 @@ class TestBlockedAgainstFullMatrix:
         plan = build_plan(spec.n_groups, p)
         ev = TrotterEvaluator(spec, plan)
         p0 = p + extra
-        phis = compute_phi_range(plan, spec, p0)
+        phis = commutator_sums(spec, p0, None, plan=plan)[1]
         # one call over several taus gives each its own defect, in order
         taus = (tau, 0.5 * tau, -tau)
         defects = check_truncated_generator(ev, phis, p0, taus)
