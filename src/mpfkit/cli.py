@@ -38,6 +38,7 @@ from .hamiltonians import (
     HamiltonianSpec,
     coerce,
     family_constants,
+    family_one_norm,
     heisenberg_chain,
     load_spec,
     long_range_zz_chain,
@@ -236,9 +237,9 @@ def load_chain(
     return k, g, n_groups, spec
 
 
-def _constants(cfg: ExperimentConfig, n_sites: int) -> tuple[int, float, int]:
+def _constants(cfg: ExperimentConfig, n_sites: int, compute=family_constants):
     chain = (cfg.family, n_sites, cfg.coupling, cfg.field, cfg.exponent)
-    return _configured(family_constants, *chain)
+    return _configured(compute, *chain)
 
 
 def _configured(compute, *args, **kwargs):
@@ -427,15 +428,14 @@ def _row(name: str, lhs, rhs, *, note: str = "") -> dict:
 
 
 def _alpha_rows(
-    spec: HamiltonianSpec, q: int, alpha: float | None, mode: str | None
+    cfg: ExperimentConfig, k: int, g: float, total: float, q: int, alpha, mode
 ) -> list[dict]:
-    """alpha_q against its factorial and one-norm bounds."""
+    """alpha_q against its factorial bound, from k and g, and its one-norm
+    bound, from the total one-norm."""
     from .commutators import factorial_commutator_bound, power_commutator_bound
 
-    factorial = factorial_commutator_bound(
-        q, spec.locality, spec.extensiveness, spec.n_sites
-    )
-    one_norm = power_commutator_bound(q, spec.total_one_norm)
+    factorial = factorial_commutator_bound(q, k, g, cfg.n_sites)
+    one_norm = power_commutator_bound(q, total)
     return [
         _row(f"alpha_factorial[q={q}]", alpha, factorial, note=mode),
         _row(f"alpha_one_norm[q={q}]", alpha, one_norm, note=mode),
@@ -583,7 +583,8 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> tuple[bool, dict]:
         ]
     else:
         alphas, phis, reports = _phi_reports(cfg, spec, plan, mode)
-        rows = [row for q in orders for row in _alpha_rows(spec, q, alphas[q], mode)]
+        alpha_rows = partial(_alpha_rows, cfg, k, g, spec.total_one_norm)
+        rows = [row for q in orders for row in alpha_rows(q, alphas[q], mode)]
         for report in reports:
             rows.extend(_phi_rows(cfg, report))
     # the truncation check and the step bound share one dense evaluator
@@ -826,7 +827,13 @@ def cmd_phi(cfg: ExperimentConfig) -> tuple[bool, dict]:
 def cmd_alpha(cfg: ExperimentConfig) -> tuple[bool, dict]:
     from .commutators import commutator_sums
 
-    _, _, _, spec = load_chain(cfg)  # the one-norm bound reads L
+    # the one-norm bound reads L: a loaded file's, else folded without terms
+    cap = math.inf if cfg.family == "file" else ENUMERATION_SITE_CAP
+    k, g, _, spec = load_chain(cfg, terms_up_to=cap)
+    if spec is None:
+        total = _constants(cfg, cfg.n_sites, family_one_norm)
+    else:
+        total = spec.total_one_norm
     mode = _enumeration_mode(cfg)
     alphas = {}
     if mode is not None:
@@ -835,7 +842,7 @@ def cmd_alpha(cfg: ExperimentConfig) -> tuple[bool, dict]:
     rows = []
     for q in range(2, cfg.q_max + 1):
         alpha = alphas.get(q)
-        factorial, one_norm = _alpha_rows(spec, q, alpha, mode)
+        factorial, one_norm = _alpha_rows(cfg, k, g, total, q, alpha, mode)
         rows.append(
             {
                 "q": q,

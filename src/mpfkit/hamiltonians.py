@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from functools import reduce
-from itertools import accumulate
-from operator import add
+from itertools import chain, repeat
+from operator import add, ge, le, lt, sub
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -33,6 +32,7 @@ __all__ = [
     "heisenberg_chain",
     "long_range_zz_chain",
     "family_constants",
+    "family_one_norm",
 ]
 
 
@@ -261,6 +261,22 @@ def _zz_couplings(n_sites: int, exponent: float, base: float) -> list[complex]:
     return couplings
 
 
+def _chain_weights(
+    family: str, n_sites: int, coupling: float, field: float, exponent: float
+) -> tuple[Sequence[int], list[float], float, int]:
+    """A built-in chain's bond distances, nearest first, with the absolute
+    weight of each Pauli string; the field's (0 on long-range chains); n_groups."""
+    if n_sites < 2:
+        raise ValueError("need at least two sites for a chain")
+    if family == "heisenberg":  # XX, YY and ZZ on every bond
+        n_groups = (2 if n_sites > 2 else 1) + (field != 0.0)
+        return [1] * 3, [abs(complex(coupling))] * 3, abs(complex(field)), n_groups
+    if family == "long-range-zz":
+        couplings = _zz_couplings(n_sites, exponent, coupling)
+        return range(1, n_sites), list(map(abs, couplings)), 0.0, n_sites - 1
+    raise ValueError(f"no built-in family {family!r}")
+
+
 def family_constants(
     family: str,
     n_sites: int,
@@ -272,62 +288,41 @@ def family_constants(
 
     ``family`` is ``"heisenberg"`` (:func:`heisenberg_chain`, open
     boundary) or ``"long-range-zz"`` (:func:`long_range_zz_chain` with
-    ``base=coupling``).  No term is built: each site's weights are summed
-    in the order :func:`make_spec` adds them, one distance (or one
-    Heisenberg string) at a time and the field last, so every value is
-    bit-identical to the built spec's.
+    ``base=coupling``).  No term is built: a site's weights are left-folded
+    in the order :func:`make_spec` adds them, nearest first and the field
+    last, so g is bit-identical to the built spec's.
 
-    That exact left fold costs O(N) per site, so it runs only on the sites
-    that can hold the maximum.  Prefix sums of the K < N weights estimate
-    every site's sum in O(1).  All weights are nonnegative and a site adds
-    each at most twice, so no site's summands add up to more than
-    M = 2 total (1 + gamma_2K).  By Higham's bound |fl(sum) - sum| <=
-    gamma_m sum |x_i|, gamma_m = m u / (1 - m u), u = 2^-53, a fold lies
-    within gamma_K M of its exact sum, and an estimate (two prefix sums,
-    one difference, one addition) within (2 gamma_K + 2 u) M.  A site whose
-    estimate falls below the best one by more than twice their sum plus
-    the cut's own rounding, (6K + 5) u M (1 + O(K u)) < 8 N u (2 total),
-    folds to less than the best site does, and is skipped.  When the total
-    or the cut is not finite, every site is folded.
+    The k-th nearest distance from the middle site (n-1)//2 is at most, and
+    from site 0 at least, the k-th nearest from any site.  So when the
+    weights fall with distance the middle site's list is at least every
+    site's term by term (a shorter list padded with zeros), and when they
+    rise site 0's is; IEEE addition is monotone in each operand, so that
+    list folds to g.  Weights that are not monotone fold every site.
     """
-    if n_sites < 2:
-        raise ValueError("need at least two sites for a chain")
-    if family == "heisenberg":
-        # XX, YY and ZZ on every bond all carry |coupling|, so the order
-        # in which a site's bonds add it does not change the sum
-        weights = [(1, abs(complex(coupling)))] * 3
-        n_groups = (2 if n_sites > 2 else 1) + (field != 0.0)
-    elif family == "long-range-zz":
-        couplings = _zz_couplings(n_sites, exponent, coupling)
-        weights = [(d, abs(c)) for d, c in enumerate(couplings, 1)]
-        n_groups = n_sites - 1
-    else:
-        raise ValueError(f"no built-in family {family!r}")
-    # site i <= n-1-i, and its mirror n-1-i, add every weight of distance
-    # d <= i twice (a bond on each side) and then every weight of distance
-    # i < d < n-i once; the doubled head is shared from site to site, and
-    # the tail is a left fold because sum() of floats compensates on 3.12+
-    ds = [d for d, _ in weights]
-    values = [a for _, a in weights]
-    prefix = list(accumulate(values, initial=0.0))
-    sites = []
-    head = 0.0
-    lo = 0
-    for i in range((n_sites + 1) // 2):
-        while lo < len(ds) and ds[lo] <= i:
-            head = head + values[lo] + values[lo]
-            lo += 1
-        hi = bisect_left(ds, n_sites - i)
-        sites.append((head + (prefix[hi] - prefix[lo]), head, lo, hi))
-        if lo == len(ds):
-            break  # every later site sums this head alone
-    cut = max(e for e, _, _, _ in sites) - 8 * n_sites * 2.0**-53 * 2 * prefix[-1]
-    screened = math.isfinite(prefix[-1]) and math.isfinite(cut)
-    g = 0.0
-    for estimate, head, lo, hi in sites:
-        if not screened or estimate >= cut:
-            g = max(g, reduce(add, values[lo:hi], head))
-    if family == "heisenberg":
-        # every site gains the field last, and rounding is monotone
-        g += abs(complex(field))
-    return 2, g, n_groups
+    ds, values, h, n_groups = _chain_weights(family, n_sites, coupling, field, exponent)
+    sites = range(n_sites)
+    if all(map(ge, values, values[1:])) or all(map(le, values, values[1:])):
+        sites = {0, (n_sites - 1) // 2}
+
+    def fold(s: int) -> float:
+        # a weight of distance d for a bond on the left (d <= s), then one on
+        # the right (d < n - s); a left fold, as sum() compensates on 3.12+
+        counts = map(add, map(le, ds, repeat(s)), map(lt, ds, repeat(n_sites - s)))
+        return reduce(add, chain.from_iterable(map(repeat, values, counts)), 0.0)
+
+    return 2, max(map(fold, sites)) + h, n_groups
+
+
+def family_one_norm(
+    family: str,
+    n_sites: int,
+    coupling: float = 1.0,
+    field: float = 0.0,
+    exponent: float = 2.0,
+) -> float:
+    """Total one-norm L of a built-in chain (see :func:`family_constants`),
+    bit for bit the built spec's: each weight of distance d left-folded over
+    its n - d bonds, nearest first, then the field over every site."""
+    ds, values, h, _ = _chain_weights(family, n_sites, coupling, field, exponent)
+    bonds = chain.from_iterable(map(repeat, values, map(sub, repeat(n_sites), ds)))
+    return reduce(add, chain(bonds, repeat(h, n_sites)), 0.0)

@@ -47,8 +47,8 @@
   as a running ``Fraction`` product, one factor per node pair, where the
   package reduces one integer quotient per weight.
 - The every-site fold behind :func:`mpfkit.hamiltonians.family_constants`:
-  each site's whole tail of weights left-folded, with no screening by
-  prefix-sum estimates.
+  every site's weights left-folded, with no dominance argument picking
+  two sites.
 - Commutation inside each group of a Hamiltonian, term pair by term pair,
   which the product formula's grouping presumes and nothing in the
   package checks.
@@ -601,8 +601,9 @@ def every_site_family_constants(
     """:func:`mpfkit.hamiltonians.family_constants` with every site folded.
 
     Each site's doubled head is shared from site to site and its whole tail
-    is left-folded onto it, O(N) per site; the package folds only the sites
-    whose prefix-sum estimate lies within the rounding allowance of the best.
+    is left-folded onto it, O(N) per site.  The package folds only site 0
+    and the middle site when the weights are monotone in distance: one of
+    their lists is then at least every site's, term by term.
     """
     if n_sites < 2:
         raise ValueError("need at least two sites for a chain")

@@ -1090,6 +1090,22 @@ class TestPhiAlpha:
         assert {row["q"]: row["bounds_hold"] for row in rows} == passes
 
 
+class TestAlpha:
+    @pytest.mark.parametrize(
+        "family, n_sites", [("heisenberg", 40000), ("long-range-zz", 2000)]
+    )
+    def test_built_in_chain_is_never_built(self, tmp_path, no_chain, family, n_sites):
+        # k and g come from family_constants, L from family_one_norm
+        argv = ("alpha", "--family", family, "--n-sites", str(n_sites))
+        assert run(tmp_path, *argv) == 0
+        total = hamiltonians.family_one_norm(family, n_sites, 1.0, 0.8, 2.0)
+        rows = load(tmp_path, "alpha_table.json")["rows"]
+        assert [row["mode"] for row in rows] == ["untestable"] * 4
+        assert [row["one_norm_bound"] for row in rows] == [
+            (2.0 * total) ** q for q in range(2, 6)
+        ]
+
+
 class TestOneAlphaTable:
     @pytest.mark.parametrize(
         "argv",

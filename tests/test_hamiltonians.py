@@ -14,6 +14,7 @@ from mpfkit import hamiltonians
 from mpfkit.cli import N_SWEEP_SIZES
 from mpfkit.hamiltonians import (
     family_constants,
+    family_one_norm,
     heisenberg_chain,
     load_spec,
     long_range_zz_chain,
@@ -136,6 +137,18 @@ def _constants(spec):
     return spec.locality, spec.extensiveness, spec.n_groups
 
 
+def _counted_folds(monkeypatch) -> list:
+    """Records every fold that :mod:`mpfkit.hamiltonians` makes from now on."""
+    folds = []
+
+    def counted(*args):
+        folds.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(hamiltonians, "reduce", counted)
+    return folds
+
+
 # negative, zero and non-round values; exact equality must hold for all
 _COUPLINGS = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
 
@@ -161,19 +174,43 @@ class TestFamilyConstants:
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(2, 256),
-        exponent=st.floats(0.25, 4.0),
+        exponent=st.one_of(st.just(0.0), st.floats(-3.0, 4.0)),
         base=_COUPLINGS,
     )
     @example(n=2, exponent=2.0, base=1.0)
     @example(n=256, exponent=0.5, base=-0.73)
     @example(n=256, exponent=1.0, base=1.0)
     @example(n=97, exponent=3.0, base=1.9)
+    @example(n=128, exponent=0.0, base=1.0)
+    @example(n=65, exponent=-1.0, base=0.6)
+    @example(n=48, exponent=-1e-12, base=1.0)
+    @example(n=48, exponent=1e-12, base=1.0)
     def test_long_range_matches_make_spec(self, n, exponent, base):
         spec = long_range_zz_chain(n, exponent, base=base)
         got = family_constants(
             "long-range-zz", n, coupling=base, exponent=exponent
         )
         assert got == _constants(spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["heisenberg", "long-range-zz"]),
+        n=st.integers(2, 64),
+        coupling=st.one_of(st.just(0.0), _COUPLINGS),
+        field=st.one_of(st.just(0.0), _COUPLINGS),
+        exponent=st.floats(-3.0, 6.0),
+    )
+    @example(family="heisenberg", n=2, coupling=-0.7, field=-0.3, exponent=2.0)
+    @example(family="long-range-zz", n=64, coupling=-1.3, field=0.8, exponent=-3.0)
+    @example(family="long-range-zz", n=17, coupling=0.0, field=0.8, exponent=0.0)
+    def test_one_norm_matches_make_spec(self, family, n, coupling, field, exponent):
+        # the long-range family has no field, whatever field is passed
+        if family == "heisenberg":
+            spec = heisenberg_chain(n, coupling=coupling, field=field)
+        else:
+            spec = long_range_zz_chain(n, exponent, base=coupling)
+        got = family_one_norm(family, n, coupling, field, exponent)
+        assert got == spec.total_one_norm
 
     def test_rejects_unknown_family_and_short_chain(self):
         with pytest.raises(ValueError, match="family"):
@@ -183,8 +220,8 @@ class TestFamilyConstants:
 
 
 class TestScreenedFold:
-    """Folding only the sites whose prefix-sum estimate can hold the
-    maximum gives the every-site fold's constants, bit for bit."""
+    """Folding only site 0 and the middle site when the weights are monotone
+    in distance gives the every-site fold's constants, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -204,8 +241,8 @@ class TestScreenedFold:
         [(64, 1e306, -1.0), (1024, 1e305, -1.0), (1024, 1e308, 0.5)],
     )
     def test_non_finite_sum_folds_every_site(self, n, base, exponent):
-        # inf - inf in the prefix differences would screen out every site;
-        # every coupling is finite, but their sum is not
+        # every coupling is finite, but a site's sum is not: the dominating
+        # site's fold overflows as the every-site maximum does
         args = ("long-range-zz", n, base, 0.0, exponent)
         got = family_constants(*args)
         assert got == every_site_family_constants(*args)
@@ -241,19 +278,29 @@ class TestScreenedFold:
         args = (family, n, -0.7, 0.3, 1.5)
         assert family_constants(*args) == every_site_family_constants(*args)
 
-    @pytest.mark.parametrize("exponent", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("exponent", [0.5, 1.0, 3.0, 0.0, -1.0])
     def test_few_exact_folds_per_size(self, monkeypatch, exponent):
-        folds = []
+        # monotone weights fold site 0 and the middle site, one fold each
+        folds = _counted_folds(monkeypatch)
+        for n in (*N_SWEEP_SIZES, 2**16):
+            for family in ("long-range-zz", "heisenberg"):
+                folds.clear()
+                family_constants(family, n, 1.0, 0.8, exponent)
+                assert len(folds) == len({0, (n - 1) // 2}), (family, n)
 
-        def counted(*args):
-            folds.append(len(args[1]))
-            return reduce(*args)
+    @pytest.mark.parametrize("n", [9, 10, 11])
+    def test_weights_that_are_not_monotone_fold_every_site(self, monkeypatch, n):
+        # distance 2 outweighs its neighbours and distance 6 comes back up,
+        # so site 2 (two bonds of distance 2 and one of distance 6) holds g
+        def bumpy(n_sites, exponent, base):
+            weights = {2: 5.0, 6: 4.0}
+            return [complex(base * weights.get(d, 1.0)) for d in range(1, n_sites)]
 
-        monkeypatch.setattr(hamiltonians, "reduce", counted)
-        for n in N_SWEEP_SIZES:
-            folds.clear()
-            family_constants("long-range-zz", n, 1.0, 0.0, exponent)
-            assert 1 <= len(folds) <= 3, (n, folds)
+        monkeypatch.setattr(hamiltonians, "_zz_couplings", bumpy)
+        built = _constants(long_range_zz_chain(n, 2.0))
+        folds = _counted_folds(monkeypatch)
+        assert family_constants("long-range-zz", n, 1.0, 0.0, 2.0) == built
+        assert len(folds) == n
 
 
 class TestDocumentForm:

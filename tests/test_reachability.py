@@ -39,6 +39,7 @@ RUNS = [((command,), 0) for command in DEFAULTS] + [
     (("verify-order", "--k-list", "1,2,3"), 0),
     (("verify-bounds", "--eps", "0.5"), 0),  # p0 within qmax: the dense checks
     (("verify-bounds", "--n-sites", "17"), 0),  # past the site cap: no terms
+    (("alpha", "--n-sites", "17"), 0),  # past the site cap: L without terms
     (("verify-bounds", "--config", "{dir}/config.json"), 0),
     (("cost", "--family", "long-range-zz", "--n-sites", "6"), 0),
     (("alpha", "--family", "file", "--ham-file", "{dir}/ham.json"), 0),
