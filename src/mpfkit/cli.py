@@ -49,7 +49,6 @@ from .hamiltonians import (
 # loads them; bounds and commutators load in the handlers that use them
 if TYPE_CHECKING:
     from .bch import PhiReport
-    from .trotter import TrotterEvaluator
 
 SLOPE_MARGIN = 0.8
 NOISE_FLOOR = 1e-11
@@ -301,14 +300,21 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return path
 
 
-def _enumeration_mode(cfg: ExperimentConfig) -> str | None:
-    """How the run measures nests and Phi_q; None beyond the site cap.  The
-    walk refuses its own budgets before any nest is built."""
-    if cfg.n_sites > ENUMERATION_SITE_CAP:
-        return None
-    if cfg.norm_mode == "exact" and cfg.n_sites <= cfg.dense_cap:
-        return "exact"
-    return "one-norm"
+def _walk(cfg: ExperimentConfig, spec: HamiltonianSpec | None, plan=None):
+    """The run's norm mode and its one nest walk, ``(mode, alphas, phis)``:
+    spectral norms ("exact") when asked for and under the dense cap, else
+    coefficient one-norms; ``(None, {}, {})`` without terms or beyond the
+    site cap.  The walk refuses its own budgets before any nest is built."""
+    from .commutators import commutator_sums
+
+    if spec is None or cfg.n_sites > ENUMERATION_SITE_CAP:
+        return None, {}, {}
+    exact = cfg.norm_mode == "exact" and cfg.n_sites <= cfg.dense_cap
+    mode = "exact" if exact else "one-norm"
+    alphas, phis = _configured(
+        commutator_sums, spec, cfg.q_max, mode, cfg.dense_cap, plan=plan
+    )
+    return mode, alphas, phis
 
 
 # -- verify-order ----------------------------------------------------------
@@ -470,109 +476,54 @@ def _phi_rows(cfg: ExperimentConfig, report: PhiReport) -> list[dict]:
     ]
 
 
-def _phi_reports(cfg: ExperimentConfig, spec: HamiltonianSpec, plan, mode: str):
-    """The run's alpha and Phi_q tables, from one walk, and one report per q."""
+def _phi_reports(
+    cfg: ExperimentConfig, spec: HamiltonianSpec, plan, mode, alphas, phis
+) -> list[PhiReport]:
+    """One Phi_q report per q of the window, from the run's walk."""
     from .bch import phi_report
-    from .commutators import commutator_sums
 
-    tables = (commutator_sums, spec, cfg.q_max, mode, cfg.dense_cap)
-    alphas, phis = _configured(*tables, plan=plan)
-    reports = [
-        phi_report(
-            plan,
-            spec,
-            q,
-            phi_q=phis[q],
-            alpha_q=alphas[q],
-            norm_mode=mode,
-            cap=cfg.dense_cap,
-        )
-        for q in range(2, cfg.q_max + 1)
-    ]
-    return alphas, phis, reports
-
-
-def _dense_blocker(cfg: ExperimentConfig, p0: int, mode: str | None) -> str | None:
-    """Why the dense checks at order p0 cannot run; None when they can."""
-    if p0 > cfg.q_max:
-        return f"p0 = {p0} exceeds the qmax window {cfg.q_max}"
-    if cfg.n_sites > cfg.dense_cap:
-        return "dense matrices beyond the cap"
-    if mode is None:
-        return _SITE_CAP_NOTE
-    return None
-
-
-def _step_bound_rows(
-    cfg: ExperimentConfig,
-    spec: HamiltonianSpec,
-    evaluator: TrotterEvaluator | None,
-    mpf_spec: MPFSpec,
-    p0: int,
-    alphas: dict[int, float] | None,
-    mode: str | None,
-    boundary_bch: float | None,
-    blocked: str | None,
-) -> list[dict]:
-    # a p0 beyond the qmax window is reported first, through the blocker
-    if p0 <= min(cfg.p, cfg.q_max):
-        note = f"p0 = {p0} leaves no commutator window above p = {cfg.p}"
-        return [_row("step_error_bound", None, None, note=note)]
-    if blocked:
-        return [_row("step_error_bound", None, None, note=blocked)]
-    from .bounds import mpf_time_condition, step_error_bound
-    from .commutators import mu_from_alphas, mu_window_bound
-    from .mpf import MPFEvaluator
-
-    plan = evaluator.plan
-    mu = mu_from_alphas(alphas, cfg.p, p0)
-    ceiling = mu_window_bound(
-        cfg.n_sites, cfg.p, p0, spec.locality, spec.extensiveness
-    )
-    rows = [_row("mu_ceiling", mu, ceiling, note=f"mu source: {mode}")]
-    boundary_mpf = mpf_time_condition(plan.stage_factor, mu)
-    tau = 0.8 * min(boundary_bch, boundary_mpf)
-    bound = step_error_bound(
-        tau,
-        mpf_spec.norm_c_1,
-        mpf_spec.norm_k_1,
-        plan.stage_factor,
-        mu,
-        mpf_spec.m,
-        cfg.eps,
-        boundary_bch,
-    )
-    measured = MPFEvaluator(mpf_spec, evaluator).error(tau)
-    rows.append(
-        _row(
-            "step_error_bound",
-            measured,
-            bound.value,
-            note=f"tau = {tau:.6g}, admissible = {bound.admissible}",
-        )
-    )
-    return rows
+    report = partial(phi_report, plan, spec, norm_mode=mode, cap=cfg.dense_cap)
+    orders = range(2, cfg.q_max + 1)
+    return [report(q, phi_q=phis[q], alpha_q=alphas[q]) for q in orders]
 
 
 def cmd_verify_bounds(cfg: ExperimentConfig) -> tuple[bool, dict]:
     from .bch import check_truncated_generator
-    from .bounds import bch_time_condition, truncation_order
+    from .bounds import (
+        bch_time_condition,
+        mpf_time_condition,
+        step_error_bound,
+        truncation_order,
+    )
+    from .commutators import mu_from_alphas, mu_window_bound
+    from .mpf import MPFEvaluator
     from .trotter import TrotterEvaluator
 
     # past the site cap every row is untestable, and only the group count is read
     k, g, n_groups, spec = load_chain(cfg, terms_up_to=ENUMERATION_SITE_CAP)
     plan = _configured(build_plan, n_groups, cfg.p)
     p0 = _configured(truncation_order, cfg.n_sites, cfg.eps)
-    mode = _enumeration_mode(cfg)
     mpf_spec = build_mpf_spec(cfg, cfg.p) if cfg.p % 2 == 0 else None
-    # the dense checks' one step boundary, refused before any table is built
-    blocked = _dense_blocker(cfg, p0, mode)
+    # why the dense checks at order p0 cannot run, and the step bound's own
+    # reasons before those; the one step boundary is refused before any table
+    blocked = None
+    if p0 > cfg.q_max:
+        blocked = f"p0 = {p0} exceeds the qmax window {cfg.q_max}"
+    elif cfg.n_sites > cfg.dense_cap:
+        blocked = "dense matrices beyond the cap"
+    elif cfg.n_sites > ENUMERATION_SITE_CAP:
+        blocked = _SITE_CAP_NOTE
+    step_blocked = blocked
+    if mpf_spec is None:
+        step_blocked = "extrapolation needs an even base order"
+    elif p0 <= min(cfg.p, cfg.q_max):
+        step_blocked = f"p0 = {p0} leaves no commutator window above p = {cfg.p}"
     boundary = None if blocked else _configured(
         bch_time_condition, p0, plan.stage_factor, k, g
     )
+    mode, alphas, phis = _walk(cfg, spec, plan)
     orders = range(2, cfg.q_max + 1)
     if mode is None:
-        alphas = phis = None
         rows = [
             _row(f"{name}[q={q}]", None, None, note=note)
             for name, note in (
@@ -582,14 +533,12 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> tuple[bool, dict]:
             for q in orders
         ]
     else:
-        alphas, phis, reports = _phi_reports(cfg, spec, plan, mode)
         alpha_rows = partial(_alpha_rows, cfg, k, g, spec.total_one_norm)
         rows = [row for q in orders for row in alpha_rows(q, alphas[q], mode)]
-        for report in reports:
+        for report in _phi_reports(cfg, spec, plan, mode, alphas, phis):
             rows.extend(_phi_rows(cfg, report))
     # the truncation check and the step bound share one dense evaluator
     if blocked:
-        evaluator = None
         rows.append(_row("truncation_defect", None, None, note=blocked))
     else:
         evaluator = TrotterEvaluator(spec, plan, cfg.dense_cap)
@@ -597,15 +546,26 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> tuple[bool, dict]:
         defects = check_truncated_generator(evaluator, phis, p0, taus)
         note = f"p0 = {p0}, tau <= {boundary:.6g}"
         rows.append(_row("truncation_defect", max(defects), cfg.eps, note=note))
-    if mpf_spec is not None:
-        rows.extend(
-            _step_bound_rows(
-                cfg, spec, evaluator, mpf_spec, p0, alphas, mode, boundary, blocked
-            )
-        )
+    if step_blocked:
+        rows.append(_row("step_error_bound", None, None, note=step_blocked))
     else:
-        note = "extrapolation needs an even base order"
-        rows.append(_row("step_error_bound", None, None, note=note))
+        mu = mu_from_alphas(alphas, cfg.p, p0)
+        ceiling = mu_window_bound(cfg.n_sites, cfg.p, p0, k, g)
+        rows.append(_row("mu_ceiling", mu, ceiling, note=f"mu source: {mode}"))
+        tau = 0.8 * min(boundary, mpf_time_condition(plan.stage_factor, mu))
+        bound = step_error_bound(
+            tau,
+            mpf_spec.norm_c_1,
+            mpf_spec.norm_k_1,
+            plan.stage_factor,
+            mu,
+            mpf_spec.m,
+            cfg.eps,
+            boundary,
+        )
+        measured = MPFEvaluator(mpf_spec, evaluator).error(tau)
+        note = f"tau = {tau:.6g}, admissible = {bound.admissible}"
+        rows.append(_row("step_error_bound", measured, bound.value, note=note))
 
     tally = {"pass": 0, "fail": 0, "untestable": 0}
     for row in rows:
@@ -726,14 +686,12 @@ def cmd_cost(cfg: ExperimentConfig) -> tuple[bool, dict]:
         divergence_diagnostics,
         self_consistency,
     )
-    from .commutators import commutator_sums
 
     if cfg.p % 2 != 0:
         raise ConfigError("cost reports need an even base order")
     # terms only for the nested-commutator window, of two orders or more
     window = ENUMERATION_SITE_CAP if cfg.q_max >= 3 else 0
     k, g, n_groups, spec = load_chain(cfg, terms_up_to=window)
-    mode = None if spec is None else _enumeration_mode(cfg)
     plan = build_plan(n_groups, cfg.p)
     mpf_spec = build_mpf_spec(cfg, cfg.p)
     budget = partial(build_report, cfg.n_sites, k, g, n_groups, plan.stage_factor)
@@ -742,10 +700,9 @@ def cmd_cost(cfg: ExperimentConfig) -> tuple[bool, dict]:
     consistency = self_consistency(report)
     chain = admissibility_chain(report)
 
+    mode, alphas, _ = _walk(cfg, spec)
     if mode is not None:
-        alphas, _ = _configured(commutator_sums, spec, cfg.q_max, mode, cfg.dense_cap)
-        window = {q: alphas[q] for q in range(2, cfg.q_max + 1)}
-        diagnostics = divergence_diagnostics(spec, window)
+        diagnostics = divergence_diagnostics(spec, alphas)
     elif cfg.q_max < 3:
         diagnostics = {"note": "the window 2..qmax holds fewer than two orders"}
     else:
@@ -804,8 +761,7 @@ def cmd_table1(cfg: ExperimentConfig) -> tuple[None, dict]:
 def cmd_phi(cfg: ExperimentConfig) -> tuple[bool, dict]:
     _, _, n_groups, spec = load_chain(cfg, "series")
     plan = _configured(build_plan, n_groups, cfg.p)
-    mode = _enumeration_mode(cfg)
-    _, _, reports = _phi_reports(cfg, spec, plan, mode)
+    reports = _phi_reports(cfg, spec, plan, *_walk(cfg, spec, plan))
     rows = [
         {
             **report._asdict(),
@@ -825,8 +781,6 @@ def cmd_phi(cfg: ExperimentConfig) -> tuple[bool, dict]:
 
 
 def cmd_alpha(cfg: ExperimentConfig) -> tuple[bool, dict]:
-    from .commutators import commutator_sums
-
     # the one-norm bound reads L: a loaded file's, else folded without terms
     cap = math.inf if cfg.family == "file" else ENUMERATION_SITE_CAP
     k, g, _, spec = load_chain(cfg, terms_up_to=cap)
@@ -834,10 +788,7 @@ def cmd_alpha(cfg: ExperimentConfig) -> tuple[bool, dict]:
         total = _constants(cfg, cfg.n_sites, family_one_norm)
     else:
         total = spec.total_one_norm
-    mode = _enumeration_mode(cfg)
-    alphas = {}
-    if mode is not None:
-        alphas, _ = _configured(commutator_sums, spec, cfg.q_max, mode, cfg.dense_cap)
+    mode, alphas, _ = _walk(cfg, spec)
     holds = {"pass": True, "fail": False, "untestable": None}
     rows = []
     for q in range(2, cfg.q_max + 1):

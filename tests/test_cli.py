@@ -768,6 +768,40 @@ class TestVerifyBounds:
         assert doc["summary"]["fail"] == 0
         assert doc["passed"] is True
 
+    @pytest.mark.parametrize(
+        "argv, truncation, step",
+        [
+            (("--p", "1", "--eps", "0.25"),
+             ("pass", "p0 = 4, tau <= 0.0001144"),
+             "extrapolation needs an even base order"),
+            (("--n-sites", "2", "--eps", "1.0"),
+             ("pass", "p0 = 2, tau <= 0.000204717"),
+             "p0 = 2 leaves no commutator window above p = 2"),
+            ((),
+             ("untestable", "p0 = 10 exceeds the qmax window 5"),
+             "p0 = 10 exceeds the qmax window 5"),
+            (("--n-sites", "13", "--eps", "0.25", "--qmax", "6"),
+             ("untestable", "dense matrices beyond the cap"),
+             "dense matrices beyond the cap"),
+            (("--n-sites", "17", "--dense-cap", "17", "--qmax", "11"),
+             ("untestable", "nested-commutator enumeration beyond the site cap"),
+             "nested-commutator enumeration beyond the site cap"),
+            (("--p", "1", "--n-sites", "17"),
+             ("untestable", "p0 = 11 exceeds the qmax window 5"),
+             "extrapolation needs an even base order"),
+        ],
+        ids=["odd-p", "no-window", "qmax", "dense-cap", "site-cap", "odd-p-qmax"],
+    )
+    def test_untestable_reasons(self, tmp_path, argv, truncation, step):
+        # the step bound's own reasons come first, then p0 beyond qmax, the
+        # dense cap and the site cap, which it shares with the truncation
+        assert run(tmp_path, "verify-bounds", *argv) == 0
+        rows = load(tmp_path, "verify_bounds.json")["rows"]
+        found = {row["name"]: (row["status"], row["note"]) for row in rows}
+        assert found["truncation_defect"] == truncation
+        assert found["step_error_bound"] == ("untestable", step)
+        assert "mu_ceiling" not in found
+
     def test_qmax_window_reaching_p0_tests_the_truncation(self, tmp_path):
         # at the default eps p0 = 10: the series table Phi_2..Phi_10 is
         # within the series budget, so both dense checks run
@@ -1198,9 +1232,9 @@ class TestOneAlphaTable:
     ):
         caps = []
 
-        def zeros(spec, q_max, mode, cap):
+        def zeros(spec, q_max, mode, cap, plan=None):
             caps.append(cap)
-            return dict.fromkeys(range(1, q_max + 1), 0.0), {}
+            return dict.fromkeys(range(2, q_max + 1), 0.0), {}
 
         monkeypatch.setattr(commutators, "commutator_sums", zeros)
         argv = ("cost", "--n-sites", "13", "--dense-cap", "13", "--qmax", "3")
@@ -1208,18 +1242,18 @@ class TestOneAlphaTable:
         assert caps == [13]
         assert load(tmp_path, "cost_report.json")["divergence"]["exact_all_zero"]
 
-    def test_step_bound_untestable_without_a_table(self):
+    def test_step_bound_untestable_without_a_table(
+        self, tmp_path, no_chain, no_walk
+    ):
         # beyond the site cap no table is built, even when the dense cap allows
-        cfg = ExperimentConfig(n_sites=17, dense_cap=17, q_max=11)
-        spec = heisenberg_chain(17)
-        p0 = truncation_order(cfg.n_sites, cfg.eps)
-        assert cfg.p < p0 <= cfg.q_max
-        blocked = cli._dense_blocker(cfg, p0, None)
-        rows = cli._step_bound_rows(
-            cfg, spec, None, build_mpf(2), p0, None, None, None, blocked
-        )
-        assert [row["status"] for row in rows] == ["untestable"]
-        assert "site cap" in rows[0]["note"]
+        assert truncation_order(17, 1e-3) == 11
+        argv = ("--n-sites", "17", "--dense-cap", "17", "--qmax", "11")
+        assert run(tmp_path, "verify-bounds", *argv) == 0
+        assert no_walk == []
+        rows = load(tmp_path, "verify_bounds.json")["rows"]
+        steps = [row for row in rows if row["name"] == "step_error_bound"]
+        assert [row["status"] for row in steps] == ["untestable"]
+        assert "site cap" in steps[0]["note"]
 
 
 class TestOneEvaluatorAndPhiTable:

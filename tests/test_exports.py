@@ -78,3 +78,24 @@ def test_unread_imports_are_found():
         "print(path)\n"
     )
     assert _unread_imports(source) == ["argv (line 3)", "os (line 2)"]
+
+
+def _readers(tree: ast.Module, name: str) -> list[str]:
+    """Top-level functions that read ``name``, as a name or an attribute."""
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            (isinstance(n, ast.Name) and n.id == name)
+            or (isinstance(n, ast.Attribute) and n.attr == name)
+            for n in ast.walk(node)
+        )
+    ]
+
+
+@pytest.mark.parametrize("name", ["commutator_sums", "norm_mode"])
+def test_cli_walks_and_picks_its_norm_mode_in_one_place(name):
+    # every table-reading subcommand gets its mode and tables from one step
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert _readers(tree, name) == ["_walk"]
