@@ -38,8 +38,8 @@ import operator
 from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .commutators import _sector_norm, commutator_sums
-from .formulas import DEFAULT_DENSE_CAP, LEAK_TOL, ProductFormulaPlan
+from .commutators import commutator_sums
+from .formulas import DEFAULT_DENSE_CAP, ProductFormulaPlan
 from .hamiltonians import HamiltonianSpec
 from .pauli import PauliSum
 
@@ -232,13 +232,16 @@ def phi_report(
     ``phi_q`` is the order-q series coefficient and ``alpha_q`` the order-q
     commutator sum, from the tables the caller built in one walk with
     :func:`mpfkit.commutators.commutator_sums` and the plan.  The
-    exact norm is read as a nest's norm is, under the same allowance;
+    exact norm is read as a nest's norm is, by
+    :meth:`mpfkit.dense.SectorFrame.norm` at the scale (2 L)^q;
     in the one-norm mode or beyond the dense cap ``norm`` is the coefficient
     one-norm, an upper bound, and ``norm_is_exact`` is False.
     """
     norm_is_exact = norm_mode == "exact" and spec.n_sites <= cap
     if norm_is_exact:
-        norm = _sector_norm(spec)(phi_q, q)
+        from .dense import SectorFrame  # numpy loads in the exact mode only
+
+        norm = SectorFrame.of(spec.group_sums).norm(phi_q, (2.0 * spec.total_one_norm) ** q)
     else:
         norm = phi_q.one_norm()
     return PhiReport(
@@ -281,9 +284,8 @@ def check_truncated_generator(
 
     ``evaluator`` supplies the dense step of its plan and ``phis`` that
     plan's series coefficients Phi_2..Phi_p0 (higher orders are ignored).
-    Each truncated generator is filled on the evaluator's frame, under the
-    leak allowance ``LEAK_TOL sum_q (2 L)^q |tau|^(q-1)``, and factorized
-    per stack.
+    Each truncated generator is filled on the evaluator's frame at the
+    scale ``sum_q (2 L)^q |tau|^(q-1)`` and factorized per stack.
     """
     from . import dense
     from .trotter import difference_norm
@@ -293,8 +295,8 @@ def check_truncated_generator(
     defects = []
     for tau in taus:
         gen = effective_generator(spec, tau, p0, phis)
-        tol = LEAK_TOL * sum(two_l**q * abs(tau) ** (q - 1) for q in range(1, p0 + 1))
-        blocks = evaluator.frame.blocks(gen, tol)
+        scale = sum(two_l**q * abs(tau) ** (q - 1) for q in range(1, p0 + 1))
+        blocks = evaluator.frame.blocks(gen, scale)
         # the series coefficients carry float-product noise; symmetrized check
         facts = (dense.HermitianFactorization.of(b, herm_tol=1e-8) for b in blocks)
         exact = [f.expm_minus_i(tau) for f in facts]

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Mapping
+from typing import Mapping
 
-from .formulas import DEFAULT_DENSE_CAP, LEAK_TOL, ProductFormulaPlan, check_dense_cap
+from .formulas import DEFAULT_DENSE_CAP, ProductFormulaPlan, check_dense_cap
 from .hamiltonians import HamiltonianSpec
 from .pauli import PauliSum
 
@@ -62,33 +62,6 @@ def check_tuple_budget(n_groups: int, q_max: int) -> None:
         )
 
 
-def _sector_norm(spec: HamiltonianSpec) -> Callable[[PauliSum, int], float]:
-    """``norm(nest, q)``: the exact norm of a nest of q groups, read one block
-    stack at a time from the sector frame of the groups under the leak
-    allowance ``LEAK_TOL (2 L)^q``.  Real coefficients give Hermitian blocks;
-    imaginary ones (a nest of an even number of groups) anti-Hermitian
-    blocks, rotated by i.  A sum with both is bounded by the norm of its
-    larger part plus the smaller's one-norm."""
-    from . import dense  # numpy loads with the first nest that needs a matrix
-
-    frame = dense.SectorFrame.of(spec.group_sums)
-
-    def norm(nest: PauliSum, q: int) -> float:
-        tol = LEAK_TOL * (2.0 * spec.total_one_norm) ** q
-        stacks = frame.blocks(nest, tol)  # the leak rule reads the whole sum
-        re = sum(abs(c.real) for _, c in nest.items())
-        im = sum(abs(c.imag) for _, c in nest.items())
-        if re and im:
-            sign = 1.0 if re >= im else -1.0
-            stacks = map(lambda b: 0.5 * (b + sign * dense.adjoint(b)), stacks)
-        if im > re:
-            stacks = map(lambda b: 1j * b, stacks)
-        # map, unlike a generator, holds no stack past its norm
-        return max(map(dense.spectral_norm, stacks)) + min(re, im)
-
-    return norm
-
-
 def commutator_sums(
     spec: HamiltonianSpec,
     q_max: int,
@@ -106,7 +79,8 @@ def commutator_sums(
     lexicographic order, and adds each nest's norm with weight 2: the pair
     (g_2, g_1) gives the negated nest and negates its whole subtree.
     ``mode="exact"`` measures spectral norms on the groups' sector frame
-    (:func:`_sector_norm`, built at the first nonzero nest);
+    (:meth:`mpfkit.dense.SectorFrame.norm` at the scale (2 L)^q, the frame
+    found at the first nonzero nest);
     ``mode="one-norm"`` replaces every norm by the coefficient one-norm of
     the same symbolically exact nest (an upper bound, no dense work);
     ``mode=None`` takes none.  Before any nest or weight is built it refuses
@@ -132,12 +106,18 @@ def commutator_sums(
         weigh = _pair_weights(plan, q_max)
     alphas = dict.fromkeys(range(2, q_max + 1), 0.0)
     acc: dict[int, dict[tuple[int, int], complex]] = {q: {} for q in range(1, q_max + 1)}
-    sector_norm = functools.cache(lambda: _sector_norm(spec))
+    two_l = 2.0 * spec.total_one_norm
+
+    @functools.cache
+    def frame():
+        from .dense import SectorFrame  # numpy loads with the first nest normed
+
+        return SectorFrame.of(spec.group_sums)
 
     def descend(word: tuple[int, ...], nest: PauliSum | None, chains) -> None:
         depth = len(word)
         if mode and depth >= 2:
-            norm = sector_norm()(nest, depth) if mode == "exact" else nest.one_norm()
+            norm = frame().norm(nest, two_l**depth) if mode == "exact" else nest.one_norm()
             alphas[depth] += 2.0 * norm
         if depth == q_max:
             return

@@ -12,9 +12,9 @@ bitwise the Kronecker-product build's.  Every exact norm and factorization
 reads its blocks from one :class:`SectorFrame`, built once per run from a
 Hamiltonian's groups: the :func:`invariant_sectors` their diagonals link,
 each halved into ``(|b> +- |R b>) / sqrt 2`` combinations when every group
-commutes with the site reflection R, and the rule for the rounding by which
-a float-built sum leaves them.  Factorization and norm take a stack of
-equal-size blocks ``(count, size, size)`` as well as a single matrix.
+commutes with the site reflection R, the one rule for the rounding by which
+a float-built sum leaves them, and the one route that reads a sum's norm.
+Factorization and norm take a stack ``(count, size, size)`` of blocks too.
 """
 
 from __future__ import annotations
@@ -25,13 +25,15 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .formulas import DEFAULT_DENSE_CAP, SectorLeakError, check_dense_cap
+from .formulas import DEFAULT_DENSE_CAP, check_dense_cap
 from .pauli import PauliSum
 
 __all__ = [
     "HermitianFactorization",
+    "LEAK_TOL",
     "ParityStack",
     "SectorFrame",
+    "SectorLeakError",
     "adjoint",
     "from_pauli_sum",
     "invariant_sectors",
@@ -42,6 +44,14 @@ __all__ = [
 
 # i^k, the phase of a string with k sites carrying Y
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+# rounding a sum may leave outside the sectors, per unit of its a-priori scale
+LEAK_TOL = 1e-12
+
+
+class SectorLeakError(RuntimeError):
+    """A sum leaks more than rounding outside the sectors it should keep: a
+    fault of the program, not a ``ValueError``, so the CLI reports a crash."""
 
 
 @functools.cache
@@ -244,14 +254,15 @@ class SectorFrame:
         """The frame of ``sums``, built once per tuple of (identity-hashed) sums."""
         return SectorFrame(sums)
 
-    def blocks(self, s: PauliSum, tol: float) -> Iterator[np.ndarray]:
+    def blocks(self, s: PauliSum, scale: float) -> Iterator[np.ndarray]:
         """The blocks of ``s`` on ``basis``, one stack at a time.
 
-        Entries of ``s`` that link two sectors are zeroed; when their
-        Frobenius norm, or on a reflected frame the one-norm of the
-        mirror-odd part, exceeds ``tol``, :class:`SectorLeakError` is raised
-        before any block is filled.
+        Entries of ``s`` that link two sectors are zeroed.  When their
+        Frobenius norm, or on a reflected frame the one-norm of the mirror-odd
+        part, exceeds ``LEAK_TOL`` times ``scale``, the caller's a-priori size
+        of ``s``, :class:`SectorLeakError` is raised before any block is filled.
         """
+        tol = LEAK_TOL * scale
         xrs, vals = _stacked(permuted_diagonals(s), self.dim)
         outside = self.label[np.arange(self.dim) ^ xrs[:, None]] != self.label
         leak = math.sqrt(float(np.sum(np.abs(vals[outside]) ** 2)))
@@ -261,6 +272,22 @@ class SectorFrame:
             if size > tol:
                 raise SectorLeakError(f"sum {what} by {size:.3e}, over {tol:.3e}")
         return (_parity_fill(xrs, vals, p) for p in self.basis)
+
+    def norm(self, s: PauliSum, scale: float) -> float:
+        """The exact norm of ``s`` from its :meth:`blocks`.  Real coefficients
+        give Hermitian blocks; imaginary ones (a nest of an even number of
+        groups) anti-Hermitian blocks, rotated by i.  A sum with both is
+        bounded by the norm of its larger part plus the smaller's one-norm."""
+        stacks = self.blocks(s, scale)  # the leak rule reads the whole sum
+        re = sum(abs(c.real) for _, c in s.items())
+        im = sum(abs(c.imag) for _, c in s.items())
+        if re and im:
+            sign = 1.0 if re >= im else -1.0
+            stacks = map(lambda b: 0.5 * (b + sign * adjoint(b)), stacks)
+        if im > re:
+            stacks = map(lambda b: 1j * b, stacks)
+        # map, unlike a generator, holds no stack past its norm
+        return max(map(spectral_norm, stacks)) + min(re, im)
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:

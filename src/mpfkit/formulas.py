@@ -33,8 +33,8 @@ is authoritative here; a Gaussian-elimination solve of the same system in
 exact rational arithmetic is kept as a cross-check, since the float
 Vandermonde solve loses all accuracy well before J = 12.
 
-The dense-cap guard and the sector-leak rule live here too, so that
-callers can refuse a dense build before anything imports numpy.
+The dense-cap guard lives here too, so that callers can refuse a dense
+build before anything imports numpy.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ __all__ = [
     "DEFAULT_DENSE_CAP",
     "DenseCapError",
     "check_dense_cap",
-    "LEAK_TOL",
-    "SectorLeakError",
     "ProductFormulaPlan",
     "build_plan",
     "suzuki_fractions",
@@ -78,15 +76,6 @@ def check_dense_cap(n_sites: int, cap: int = DEFAULT_DENSE_CAP) -> None:
             f"dense build on {n_sites} sites exceeds cap {cap}; "
             "raise the cap explicitly if this is intended"
         )
-
-
-# rounding a nest may leave outside the sectors, per unit of (2 L)^q
-LEAK_TOL = 1e-12
-
-
-class SectorLeakError(RuntimeError):
-    """A sum leaks more than rounding outside the sectors it should keep: a
-    fault of the program, not a ``ValueError``, so the CLI reports a crash."""
 
 
 # -- product-formula plans -------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dense
-from .formulas import DEFAULT_DENSE_CAP, LEAK_TOL, ProductFormulaPlan, check_dense_cap
+from .formulas import DEFAULT_DENSE_CAP, ProductFormulaPlan, check_dense_cap
 from .hamiltonians import HamiltonianSpec
 
 __all__ = ["TrotterEvaluator", "difference_norm", "geometric_grid"]
@@ -55,9 +55,9 @@ class TrotterEvaluator:
         self.frame = dense.SectorFrame.of(spec.group_sums)
         # facts[m][s] factorizes sum m on the stack of blocks frame.basis[s];
         # the groups keep the frame exactly and H up to its sum's rounding
-        tol = LEAK_TOL * 2.0 * spec.total_one_norm
+        scale = 2.0 * spec.total_one_norm
         facts = [
-            list(map(dense.HermitianFactorization.of, self.frame.blocks(s, tol)))
+            list(map(dense.HermitianFactorization.of, self.frame.blocks(s, scale)))
             for s in (*spec.group_sums, spec.full_sum())
         ]
         self._full_fact = facts[-1]

@@ -396,12 +396,8 @@ def composition_phi(plan: ProductFormulaPlan, spec: HamiltonianSpec, q: int) -> 
     return nest_series_term(spec, q, agg)
 
 
-def full_matrix_norm(nest: PauliSum, q: int = 0) -> float:
-    """Spectral norm of a Pauli sum built as one 2^n x 2^n matrix.
-
-    Takes (and ignores) the nest order the sector-blocked norm reads its
-    leak allowance from, so it can stand in for that norm.
-    """
+def full_matrix_norm(nest: PauliSum) -> float:
+    """Spectral norm of a Pauli sum built as one 2^n x 2^n matrix."""
     return np.linalg.norm(dense.from_pauli_sum(nest), 2)
 
 

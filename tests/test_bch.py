@@ -21,10 +21,11 @@ from mpfkit.bch import (
 )
 from mpfkit.bch import _pair_weights, _word_weights
 from mpfkit.commutators import commutator_sums, nested_commutator_sum
+from mpfkit.dense import SectorLeakError
 from mpfkit.hamiltonians import heisenberg_chain, long_range_zz_chain, make_spec
 from mpfkit.pauli import PauliSum, PauliTerm
 from mpfkit.trotter import TrotterEvaluator, geometric_grid
-from mpfkit.formulas import SectorLeakError, build_plan, loglog_slope
+from mpfkit.formulas import build_plan, loglog_slope
 from oracles import (
     composition_phi,
     composition_word_weights,

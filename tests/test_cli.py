@@ -64,7 +64,7 @@ def no_walk(monkeypatch):
 
     monkeypatch.setattr(PauliSum, "commutator", refused)
     monkeypatch.setattr(bch, "_pair_weights", refused)
-    monkeypatch.setattr(commutators, "_sector_norm", refused)
+    monkeypatch.setattr(dense.SectorFrame, "norm", refused)
     monkeypatch.setattr(TrotterEvaluator, "__init__", refused)
     return calls
 
@@ -179,7 +179,7 @@ class TestConfigResolution:
     def test_sector_leak_exits_3(self, tmp_path, monkeypatch, capsys):
         # a negative allowance refuses the first nest, which is a fault of
         # the program and not of the configuration
-        monkeypatch.setattr(commutators, "LEAK_TOL", -1.0)
+        monkeypatch.setattr(dense, "LEAK_TOL", -1.0)
         assert run(tmp_path, "alpha", "--qmax", "3") == 3
         assert "SectorLeakError" in capsys.readouterr().err
 
@@ -736,8 +736,8 @@ class TestHermitianNormInputs:
 
 class TestVerifyBounds:
     def test_truncation_leak_exits_3(self, tmp_path, monkeypatch, capsys):
-        # a negative allowance refuses the truncated generator's blocks
-        monkeypatch.setattr(bch, "LEAK_TOL", -1.0)
+        # a negative allowance refuses the first sum read on the frame
+        monkeypatch.setattr(dense, "LEAK_TOL", -1.0)
         assert run(tmp_path, "verify-bounds", "--eps", "0.25") == 3
         assert "SectorLeakError" in capsys.readouterr().err
 
@@ -1301,23 +1301,23 @@ class TestOneEvaluatorAndPhiTable:
     def test_verify_bounds_builds_one_phi_table(self, tmp_path, monkeypatch):
         # p0 = 4 <= qmax = 5: the phi rows and the truncation check share it,
         # and the nest walk that builds it builds the alpha table too: one
-        # walk weighs the plan's words, and one reads nest norms
-        walks, norms = [], []
-        pair_weights, sector_norm = bch._pair_weights, commutators._sector_norm
+        # walk weighs the plan's words, and every norm reads one frame
+        walks, frames = [], []
+        pair_weights, build = bch._pair_weights, dense.SectorFrame.__init__
 
         def weighing(plan, q_max):
             walks.append(q_max)
             return pair_weights(plan, q_max)
 
-        def norming(spec):
-            norms.append(spec)
-            return sector_norm(spec)
+        def building(frame, sums):
+            frames.append(sums)
+            build(frame, sums)
 
         monkeypatch.setattr(bch, "_pair_weights", weighing)
-        monkeypatch.setattr(commutators, "_sector_norm", norming)
+        monkeypatch.setattr(dense.SectorFrame, "__init__", building)
         assert run(tmp_path, "verify-bounds", "--n-sites", "5", "--eps", "0.5") == 0
         assert walks == [5]
-        assert len(norms) == 1
+        assert len(frames) == 1
 
 
 class TestOneNestWalk:

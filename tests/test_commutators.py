@@ -19,7 +19,7 @@ from mpfkit.commutators import (
     nested_commutator_sum,
     power_commutator_bound,
 )
-from mpfkit.formulas import SectorLeakError
+from mpfkit.dense import SectorLeakError
 from mpfkit.hamiltonians import heisenberg_chain, long_range_zz_chain, make_spec
 from mpfkit.pauli import PauliSum, PauliTerm
 from oracles import all_tuples_commutator_sums, full_matrix_norm, window_maxima
@@ -128,7 +128,7 @@ class TestCommutatorSums:
         # Heisenberg chain the field commutes with both bond groups, so only
         # the XYZ chain has more than one nonzero pair
         spec = heisenberg_chain(4, field=0.5)
-        monkeypatch.setattr(commutators, "_sector_norm", lambda *_: full_matrix_norm)
+        monkeypatch.setattr(dense.SectorFrame, "norm", lambda _, s, scale: full_matrix_norm(s))
         for s in (spec, anisotropic_chain(4, 1.0, 0.4, 0.8, field=0.6)):
             assert commutator_sums(s, 5)[0] == {
                 q: pair_order_alpha(s, q, full_matrix_norm) for q in range(2, 6)
@@ -162,13 +162,20 @@ def nests(draw):
     return spec, nest, len(tup)
 
 
+def frame_norm(spec, nest: PauliSum, q: int) -> float:
+    """The norm of a nest of q groups as the walk reads it: on the groups'
+    sector frame at the scale (2 L)^q."""
+    frame = dense.SectorFrame.of(spec.group_sums)
+    return frame.norm(nest, (2.0 * spec.total_one_norm) ** q)
+
+
 class TestSectorBlockedNorm:
     @settings(max_examples=60, deadline=None)
     @given(case=nests())
     def test_matches_the_full_matrix_norm(self, case):
         spec, nest, q = case
         assume(nest)
-        got = commutators._sector_norm(spec)(nest, q)
+        got = frame_norm(spec, nest, q)
         want = full_matrix_norm(nest)
         assert abs(got - want) <= 1e-13 * want
 
@@ -183,10 +190,9 @@ class TestSectorBlockedNorm:
         spec = heisenberg_chain(4, field=0.5)
         first, second = spec.group_sums[:2]
         nest = second.commutator(first) + PauliSum.from_label("XIII", 1e-3)
-        norm = commutators._sector_norm(spec)
         # its Frobenius norm 4e-3 is far above LEAK_TOL (2 L)^2 = 4.8e-10
         with pytest.raises(SectorLeakError, match="outside the sectors"):
-            norm(nest, 2)
+            frame_norm(spec, nest, 2)
         # the CLI maps a ValueError to a configuration error (exit 2)
         assert not issubclass(SectorLeakError, ValueError)
 
@@ -206,7 +212,7 @@ class TestSectorBlockedNorm:
             sum(abs(c.imag) for _, c in mixed.items()),
         )
         assert smaller > 0.0
-        got = commutators._sector_norm(spec)(mixed, q)
+        got = frame_norm(spec, mixed, q)
         want = full_matrix_norm(mixed)
         # ||M|| <= ||larger part|| + ||smaller part||_1 <= ||M|| + ||smaller part||_1
         assert want * (1 - 1e-13) <= got <= (want + smaller) * (1 + 1e-13)
@@ -217,9 +223,8 @@ class TestSectorBlockedNorm:
         spec = heisenberg_chain(4, field=0.5)
         first, second = spec.group_sums[:2]
         nest = second.commutator(first) + PauliSum.from_label("ZIII", 1e-3)
-        norm = commutators._sector_norm(spec)
         with pytest.raises(SectorLeakError, match="mirror-odd"):
-            norm(nest, 2)
+            frame_norm(spec, nest, 2)
 
 
 class TestHalvedTraversal:

@@ -1,6 +1,8 @@
 """Dense backend: signed-permutation builds against the Kronecker oracle,
 exact exponentials, norms, matrix logs and the Pauli decomposition."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -168,6 +170,37 @@ def test_expm_matches_scipy_on_random_hermitian():
 def test_mirror_odd_norm(terms, odd):
     s = PauliSum.from_terms([PauliTerm.from_label(lab, c) for lab, c in terms])
     assert dense.mirror_odd_norm(s) == odd
+
+
+# IZZI keeps the magnetization shells of the 4-site chain and its mirror
+# image; X on both end sites links two shells, Z on one end site breaks R
+LEAK_GROUPS = heisenberg_chain(4, field=0.5).group_sums
+LEAK_SCALE = 37.0
+
+
+@pytest.mark.parametrize("factor", [1 + 1e-6, 1 - 1e-6], ids=["above", "below"])
+@pytest.mark.parametrize(
+    "labels, size, match",
+    [
+        # two diagonals of 16 entries c each: Frobenius norm sqrt(32) c
+        (("XIII", "IIIX"), math.sqrt(32.0), "outside the sectors"),
+        # (ZIII - IIIZ) c / 2, one-norm c
+        (("ZIII",), 1.0, "is mirror-odd"),
+    ],
+    ids=["sector-leak", "mirror-odd"],
+)
+def test_leak_allowance_is_leak_tol_times_scale(labels, size, match, factor):
+    frame = dense.SectorFrame.of(LEAK_GROUPS)
+    assert frame.reflected
+    c = factor * dense.LEAK_TOL * LEAK_SCALE / size
+    s = PauliSum.from_label("IZZI")
+    for label in labels:
+        s = s + PauliSum.from_label(label, c)
+    if factor > 1:
+        with pytest.raises(dense.SectorLeakError, match=match):
+            frame.norm(s, LEAK_SCALE)
+    else:
+        assert abs(frame.norm(s, LEAK_SCALE) - 1.0) <= 2 * c
 
 
 def test_expm_rejects_non_hermitian():

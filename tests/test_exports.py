@@ -99,3 +99,20 @@ def test_cli_walks_and_picks_its_norm_mode_in_one_place(name):
     # every table-reading subcommand gets its mode and tables from one step
     tree = ast.parse((SRC / "cli.py").read_text())
     assert _readers(tree, name) == ["_walk"]
+
+
+def _mentions(tree: ast.Module, name: str) -> bool:
+    """Whether a module defines, imports, reads or exports ``name`` (its
+    docstrings and comments do not count)."""
+    fields = ("id", "attr", "name")  # a Name, an Attribute, an alias or a def
+    return name in _exported(tree) or any(
+        getattr(node, f, None) == name for node in ast.walk(tree) for f in fields
+    )
+
+
+def test_only_the_sector_frame_holds_the_leak_rule():
+    # the allowance, its error and the norm route live in dense alone
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    assert sorted(m for m, t in trees.items() if _mentions(t, "LEAK_TOL")) == ["dense"]
+    assert "SectorLeakError" in _defined(trees["dense"])
+    assert sorted(m for m, t in trees.items() if _mentions(t, "_sector_norm")) == []

@@ -10,13 +10,7 @@ from hypothesis import strategies as st
 from mpfkit import dense
 from mpfkit.bch import check_truncated_generator
 from mpfkit.commutators import commutator_sums
-from mpfkit.formulas import (
-    LEAK_TOL,
-    build_mpf,
-    build_plan,
-    loglog_slope,
-    suzuki_fractions,
-)
+from mpfkit.formulas import build_mpf, build_plan, loglog_slope, suzuki_fractions
 from mpfkit.hamiltonians import (
     HamiltonianSpec,
     heisenberg_chain,
@@ -388,7 +382,7 @@ class TestMaskBuiltBlocks:
         assert np.max(np.abs(q.T @ q - np.eye(ev.frame.dim))) <= 1e-15
         for s in [*spec.group_sums, spec.full_sum()]:
             m = dense.from_pauli_sum(s)
-            blocks = ev.frame.blocks(s, LEAK_TOL * 2.0 * spec.total_one_norm)
+            blocks = ev.frame.blocks(s, 2.0 * spec.total_one_norm)
             start = 0
             for b in (b for stack in blocks for b in stack):
                 qs = q[:, start : start + len(b)]
