@@ -203,10 +203,11 @@ def load_chain(
     cfg: ExperimentConfig, cap: str | None = None, terms_up_to: float = math.inf
 ) -> tuple[int, float, int, HamiltonianSpec | None]:
     """Every run's one Hamiltonian source: k, g and the group count, from a
-    loaded file (which pins n_sites) or from :func:`family_constants`, and
-    the spec only when the run reads terms (n_sites <= ``terms_up_to``).
-    Once the size is known the run's ``cap`` ("dense" or "series") is
-    refused, then constants that are not finite, before any term is built."""
+    loaded file (which pins n_sites and whose spec is always kept) or from
+    :func:`family_constants`, with a built-in chain's spec only when the run
+    reads terms (n_sites <= ``terms_up_to``).  Once the size is known the
+    run's ``cap`` ("dense" or "series") is refused, then constants that are
+    not finite, before any term is built."""
     spec = None
     if cfg.family == "file":
         try:
@@ -227,13 +228,20 @@ def load_chain(
     )
     if not math.isfinite(g):
         raise ConfigError(f"the Hamiltonian's extensiveness overflows to {g}")
-    if cfg.n_sites > terms_up_to:
-        spec = None
-    elif cfg.family == "heisenberg":
-        spec = heisenberg_chain(cfg.n_sites, cfg.coupling, cfg.field)
-    elif cfg.family == "long-range-zz":
-        spec = long_range_zz_chain(cfg.n_sites, cfg.exponent, cfg.coupling)
+    if spec is None and cfg.n_sites <= terms_up_to:
+        if cfg.family == "heisenberg":
+            spec = heisenberg_chain(cfg.n_sites, cfg.coupling, cfg.field)
+        else:
+            spec = long_range_zz_chain(cfg.n_sites, cfg.exponent, cfg.coupling)
     return k, g, n_groups, spec
+
+
+def _one_norm(cfg: ExperimentConfig, spec: HamiltonianSpec | None) -> float:
+    """The total one-norm L: the spec's, else a built-in chain's folded
+    without terms by :func:`family_one_norm`."""
+    if spec is None:
+        return _constants(cfg, cfg.n_sites, family_one_norm)
+    return spec.total_one_norm
 
 
 def _constants(cfg: ExperimentConfig, n_sites: int, compute=family_constants):
@@ -303,11 +311,12 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 def _walk(cfg: ExperimentConfig, spec: HamiltonianSpec | None, plan=None):
     """The run's norm mode and its one nest walk, ``(mode, alphas, phis)``:
     spectral norms ("exact") when asked for and under the dense cap, else
-    coefficient one-norms; ``(None, {}, {})`` without terms or beyond the
-    site cap.  The walk refuses its own budgets before any nest is built."""
+    coefficient one-norms; ``(None, {}, {})`` beyond the site cap, where a
+    built-in chain has no spec.  The walk refuses its own budgets before any
+    nest is built."""
     from .commutators import commutator_sums
 
-    if spec is None or cfg.n_sites > ENUMERATION_SITE_CAP:
+    if cfg.n_sites > ENUMERATION_SITE_CAP:
         return None, {}, {}
     exact = cfg.norm_mode == "exact" and cfg.n_sites <= cfg.dense_cap
     mode = "exact" if exact else "one-norm"
@@ -495,7 +504,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> tuple[bool, dict]:
         step_error_bound,
         truncation_order,
     )
-    from .commutators import mu_from_alphas, mu_window_bound
+    from .commutators import check_tuple_budget, mu_from_alphas, mu_window_bound
     from .mpf import MPFEvaluator
     from .trotter import TrotterEvaluator
 
@@ -524,6 +533,10 @@ def cmd_verify_bounds(cfg: ExperimentConfig) -> tuple[bool, dict]:
     mode, alphas, phis = _walk(cfg, spec, plan)
     orders = range(2, cfg.q_max + 1)
     if mode is None:
+        # no walk runs past the site cap, but a window that the walk would
+        # refuse at the cap (a file's at its own size) is refused before a row
+        at_cap = _constants(cfg, ENUMERATION_SITE_CAP)[2] if spec is None else n_groups
+        _configured(check_tuple_budget, at_cap, cfg.q_max)
         rows = [
             _row(f"{name}[q={q}]", None, None, note=note)
             for name, note in (
@@ -689,9 +702,8 @@ def cmd_cost(cfg: ExperimentConfig) -> tuple[bool, dict]:
 
     if cfg.p % 2 != 0:
         raise ConfigError("cost reports need an even base order")
-    # terms only for the nested-commutator window, of two orders or more
-    window = ENUMERATION_SITE_CAP if cfg.q_max >= 3 else 0
-    k, g, n_groups, spec = load_chain(cfg, terms_up_to=window)
+    # every figure is a closed form; a built-in chain's terms are never built
+    k, g, n_groups, spec = load_chain(cfg, terms_up_to=0)
     plan = build_plan(n_groups, cfg.p)
     mpf_spec = build_mpf_spec(cfg, cfg.p)
     budget = partial(build_report, cfg.n_sites, k, g, n_groups, plan.stage_factor)
@@ -700,13 +712,11 @@ def cmd_cost(cfg: ExperimentConfig) -> tuple[bool, dict]:
     consistency = self_consistency(report)
     chain = admissibility_chain(report)
 
-    mode, alphas, _ = _walk(cfg, spec)
-    if mode is not None:
-        diagnostics = divergence_diagnostics(spec, alphas)
-    elif cfg.q_max < 3:
+    if cfg.q_max < 3:
         diagnostics = {"note": "the window 2..qmax holds fewer than two orders"}
     else:
-        diagnostics = {"note": "nested-commutator window beyond the site cap"}
+        total = _one_norm(cfg, spec)
+        diagnostics = divergence_diagnostics(k, g, cfg.n_sites, total, cfg.q_max)
 
     eps_sweep = _eps_sweep(cfg, g, budget)
     n_sweep = _n_sweep(cfg, mpf_spec)
@@ -781,13 +791,8 @@ def cmd_phi(cfg: ExperimentConfig) -> tuple[bool, dict]:
 
 
 def cmd_alpha(cfg: ExperimentConfig) -> tuple[bool, dict]:
-    # the one-norm bound reads L: a loaded file's, else folded without terms
-    cap = math.inf if cfg.family == "file" else ENUMERATION_SITE_CAP
-    k, g, _, spec = load_chain(cfg, terms_up_to=cap)
-    if spec is None:
-        total = _constants(cfg, cfg.n_sites, family_one_norm)
-    else:
-        total = spec.total_one_norm
+    k, g, _, spec = load_chain(cfg, terms_up_to=ENUMERATION_SITE_CAP)
+    total = _one_norm(cfg, spec)
     mode, alphas, _ = _walk(cfg, spec)
     holds = {"pass": True, "fail": False, "untestable": None}
     rows = []

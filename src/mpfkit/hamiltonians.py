@@ -322,7 +322,31 @@ def family_one_norm(
 ) -> float:
     """Total one-norm L of a built-in chain (see :func:`family_constants`),
     bit for bit the built spec's: each weight of distance d left-folded over
-    its n - d bonds, nearest first, then the field over every site."""
+    its n - d bonds, nearest first, then the field over every site, by
+    :func:`_add_repeatedly`."""
     ds, values, h, _ = _chain_weights(family, n_sites, coupling, field, exponent)
-    bonds = chain.from_iterable(map(repeat, values, map(sub, repeat(n_sites), ds)))
-    return reduce(add, chain(bonds, repeat(h, n_sites)), 0.0)
+    runs = zip(chain(values, [h]), chain(map(sub, repeat(n_sites), ds), [n_sites]))
+    return reduce(lambda total, run: _add_repeatedly(total, *run), runs, 0.0)
+
+
+def _add_repeatedly(x: float, a: float, n: int) -> float:
+    """``reduce(add, repeat(a, n), x)`` for x, a >= 0, bit for bit, with a
+    run of equal increments jumped at once.  Inside one binade of ulp u every
+    sum is x + a rounded to a multiple of u; once two steps add the same
+    d = fl(x + a) - x, a tie has left an even significand that d keeps, so d
+    repeats up to the binade's end."""
+    run = None  # the increment and binade of a last step inside one binade
+    while n > 0:
+        y = x + a
+        if y == x or y == math.inf:
+            return y
+        n -= 1
+        m, e = math.frexp(y)
+        step = (y - x, e) if math.frexp(x)[1] == e else None
+        if step is not None and step == run:  # in units of u = 2^(e-53)
+            sig, d = int(math.ldexp(m, 53)), int(math.ldexp(step[0], 53 - e))
+            jumps = min(n, (2**53 - 1 - sig) // d)  # the last sum stays below 2^e
+            y = math.ldexp(sig + jumps * d, e - 53)
+            n -= jumps
+        x, run = y, step
+    return x

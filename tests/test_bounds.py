@@ -7,14 +7,14 @@ import pytest
 
 from mpfkit import bounds
 from mpfkit.commutators import (
-    commutator_sums,
+    factorial_commutator_bound,
     mu_from_alphas,
     mu_window_bound,
     nested_commutator_sum,
+    power_commutator_bound,
 )
 from mpfkit.formulas import build_mpf, build_plan
-from mpfkit.hamiltonians import heisenberg_chain, make_spec
-from mpfkit.pauli import PauliTerm
+from mpfkit.hamiltonians import heisenberg_chain
 from oracles import helper_inequality_check, helper_inequality_x
 
 
@@ -428,36 +428,31 @@ class TestGateCostTable:
 class TestDivergenceDiagnostics:
     def test_heisenberg_window(self):
         ham = heisenberg_chain(3, field=0.5)
-        sums, _ = commutator_sums(ham, 8)
-        window = {q: sums[q] for q in range(2, 9)}
-        diag = bounds.divergence_diagnostics(ham, window)
+        diag = bounds.divergence_diagnostics(
+            ham.locality, ham.extensiveness, ham.n_sites, ham.total_one_norm, 8
+        )
+        assert diag.q_values == tuple(range(2, 9))
         assert diag.factorial_tail_increasing
         assert diag.plateau_value == pytest.approx(
             2.0 * ham.total_one_norm, rel=1e-12
         )
         for cand in diag.one_norm_candidates:
             assert cand == pytest.approx(diag.plateau_value, rel=1e-12)
-        assert not diag.exact_all_zero
-        assert max(diag.exact_candidates) > 0.0
 
-    def test_commuting_spec_has_zero_candidates(self):
-        spec = make_spec(
-            2,
-            [
-                (PauliTerm.from_label("ZI", 0.7), 1),
-                (PauliTerm.from_label("IZ", -0.4), 2),
-            ],
+    def test_candidates_are_the_closed_forms_roots(self):
+        k, g, n, total = 2, 3.8, 5, 12.2
+        diag = bounds.divergence_diagnostics(k, g, n, total, 6)
+        assert diag.factorial_candidates == tuple(
+            factorial_commutator_bound(q, k, g, n) ** (1.0 / q) for q in range(2, 7)
         )
-        sums, _ = commutator_sums(spec, 6)
-        window = {q: sums[q] for q in range(2, 7)}
-        diag = bounds.divergence_diagnostics(spec, window)
-        assert diag.exact_all_zero
+        assert diag.one_norm_candidates == tuple(
+            power_commutator_bound(q, total) ** (1.0 / q) for q in range(2, 7)
+        )
 
-    def test_window_validation(self):
-        ham = heisenberg_chain(3, field=0.5)
-        with pytest.raises(ValueError):
-            bounds.divergence_diagnostics(ham, {4: 1.0, 3: 1.0, 2: 1.0})
-        with pytest.raises(ValueError):
-            bounds.divergence_diagnostics(ham, {1: 1.0, 2: 1.0, 3: 1.0})
-        with pytest.raises(ValueError):
-            bounds.divergence_diagnostics(ham, {3: 1.0})
+    def test_window_is_formed_order_by_order(self):
+        # (q-1)! leaves float range at q = 172, long before a window of a
+        # billion orders could be held
+        top = bounds.divergence_diagnostics(2, 1.0, 4, 1.0, 171)
+        assert top.q_values[-1] == 171
+        with pytest.raises(OverflowError, match="int too large"):
+            bounds.divergence_diagnostics(2, 1.0, 4, 1.0, 10**9)

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -905,7 +906,7 @@ class TestCost:
         monkeypatch.setattr(hamiltonians, "make_spec", counting)
         code = run(tmp_path, "cost", "--family", family, "--n-sites", "6")
         assert code == 0
-        assert built == [6]
+        assert built == []
         doc = load(tmp_path, "cost_report.json")
         assert [row["n"] for row in doc["n_sweep"]["rows"]] == [
             64, 128, 256, 512, 1024,
@@ -937,9 +938,24 @@ class TestCost:
     def test_chain_beyond_the_window_is_never_built(
         self, tmp_path, no_chain, family, n_sites
     ):
-        # k, g and the group count come from family_constants; only the
-        # nested-commutator window reads terms
+        # k, g and the group count come from family_constants, L from
+        # family_one_norm; no part of the report reads terms
         assert run(tmp_path, "cost", "--family", family, "--n-sites", n_sites) == 0
+        divergence = load(tmp_path, "cost_report.json")["divergence"]
+        assert divergence["q_values"] == [2, 3, 4, 5]
+
+    def test_oversized_qmax_meets_the_overflow_at_once(self, tmp_path, no_walk, capsys):
+        # the window is formed order by order, so (q-1)! overflows at
+        # q = 172 before a billion orders are held
+        out = tmp_path / "out"
+        started = time.perf_counter()
+        assert main(["cost", "--qmax", "1000000000", "--out", str(out)]) == 2
+        assert time.perf_counter() - started < 5.0
+        assert capsys.readouterr().err == (
+            "error: the configured values overflow: int too large to convert to float\n"
+        )
+        assert no_walk == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -977,8 +993,8 @@ class TestCost:
     def test_budgets_match_the_built_spec(
         self, tmp_path, family, n_sites, coupling, field, exponent, q_max
     ):
-        # report_from_parts on the built spec is the oracle; at qmax 2 cost
-        # builds no chain, at qmax 3 it builds one for the window
+        # report_from_parts on the built spec is the oracle; cost itself
+        # builds no chain at either qmax
         argv = ("cost", "--family", family, "--n-sites", str(n_sites),
                 "--coupling", str(coupling), "--field", str(field),
                 "--exponent", str(exponent), "--qmax", q_max,
@@ -1160,7 +1176,8 @@ class TestOneAlphaTable:
 
         monkeypatch.setattr(commutators, "commutator_sums", counting)
         assert run(tmp_path, *argv) == 0
-        assert orders == [5 if argv[0] == "verify-bounds" else 4]
+        # cost's report is closed-form: it walks no nest
+        assert orders == {"verify-bounds": [5], "cost": []}.get(argv[0], [4])
 
     @pytest.mark.parametrize("command", ["alpha", "verify-bounds"])
     def test_over_budget_refused_before_any_commutator(
@@ -1201,18 +1218,22 @@ class TestOneAlphaTable:
         assert no_walk == []
 
     @pytest.mark.parametrize(
-        "argv, series",
+        "argv, tuples, series",
         [
-            (("phi",), 1),
-            (("verify-bounds", "--eps", "0.25"), 1),
-            (("alpha",), 0),
-            (("cost",), 0),
+            (("phi",), 1, 1),
+            (("verify-bounds", "--eps", "0.25"), 1, 1),
+            (("alpha",), 1, 0),
+            (("cost",), 0, 0),
+            (("verify-bounds", "--n-sites", "17"), 1, 0),
         ],
-        ids=["phi", "verify-bounds", "alpha", "cost"],
+        ids=["phi", "verify-bounds", "alpha", "cost", "verify-bounds-past-the-cap"],
     )
-    def test_each_budget_is_counted_once(self, tmp_path, monkeypatch, argv, series):
+    def test_each_budget_is_counted_once(
+        self, tmp_path, monkeypatch, argv, tuples, series
+    ):
         # the walk refuses its own budgets; the series budget applies only
-        # to a walk with a plan
+        # to a walk with a plan; past the site cap verify-bounds refuses the
+        # tuple budget itself, and cost walks no nest
         counted = []
         for owner, name in ((commutators, "check_tuple_budget"),
                             (bch, "check_series_budget")):
@@ -1224,23 +1245,8 @@ class TestOneAlphaTable:
 
             monkeypatch.setattr(owner, name, counting)
         assert run(tmp_path, *argv) == 0
-        assert counted.count("check_tuple_budget") == 1
+        assert counted.count("check_tuple_budget") == tuples
         assert counted.count("check_series_budget") == series
-
-    def test_cost_enumerates_under_the_configured_dense_cap(
-        self, tmp_path, monkeypatch
-    ):
-        caps = []
-
-        def zeros(spec, q_max, mode, cap, plan=None):
-            caps.append(cap)
-            return dict.fromkeys(range(2, q_max + 1), 0.0), {}
-
-        monkeypatch.setattr(commutators, "commutator_sums", zeros)
-        argv = ("cost", "--n-sites", "13", "--dense-cap", "13", "--qmax", "3")
-        assert run(tmp_path, *argv) == 0
-        assert caps == [13]
-        assert load(tmp_path, "cost_report.json")["divergence"]["exact_all_zero"]
 
     def test_step_bound_untestable_without_a_table(
         self, tmp_path, no_chain, no_walk
@@ -1461,10 +1467,20 @@ class TestPreflight:
         "argv, message",
         [
             (("alpha", "--qmax", "20"), "3^20 tuples exceed the budget 1000000"),
-            (("cost", "--qmax", "20"), "3^20 tuples exceed the budget 1000000"),
             (
                 ("verify-bounds", "--qmax", "20"),
                 "3^20 tuples exceed the budget 1000000",
+            ),
+            # past the site cap no walk runs, but the window is refused as
+            # the walk at the cap (16 sites, 15 long-range groups) refuses it
+            (
+                ("verify-bounds", "--n-sites", "17", "--qmax", "100000"),
+                "3^100000 tuples exceed the budget 1000000",
+            ),
+            (
+                ("verify-bounds", "--family", "long-range-zz", "--n-sites",
+                 "100000", "--qmax", "6"),
+                "15^6 tuples exceed the budget 1000000",
             ),
             (("phi", "--qmax", "13"), "3^13 tuples exceed the budget 1000000"),
             # the series count: the word recursion dominates at p = 6 on
@@ -1493,7 +1509,8 @@ class TestPreflight:
             ),
         ],
         ids=[
-            "alpha-tuples", "cost-tuples", "verify-bounds-tuples", "phi-tuples",
+            "alpha-tuples", "verify-bounds-tuples", "verify-bounds-past-the-cap",
+            "verify-bounds-past-the-cap-long-range", "phi-tuples",
             "phi-recursion", "verify-bounds-recursion",
             "phi-permutations", "verify-bounds-permutations",
             "phi-site-cap", "verify-order-dense-cap",
@@ -1739,11 +1756,8 @@ class TestNoScipyAtRunTime:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ("cost", "--n-sites", "5"),
-            ("verify-order", "--n-sites", "5", "--tau-points", "4"),
-        ],
-        ids=["cost", "verify-order"],
+        [("verify-order", "--n-sites", "5", "--tau-points", "4")],
+        ids=["verify-order"],
     )
     def test_running_a_subcommand(self, tmp_path, argv):
         code = (
@@ -1751,7 +1765,7 @@ class TestNoScipyAtRunTime:
             "from mpfkit.cli import main\n"
             f"assert main({list(argv)!r} + ['--out', 'out']) == 0"
         )
-        # both runs build matrices, so the probe sees numpy when it is there,
+        # the run builds matrices, so the probe sees numpy when it is there,
         # and with it inspect
         assert self.check(code, tmp_path) == ["[]", "True", "False", "True"]
         assert any((tmp_path / "out").iterdir())
@@ -1764,6 +1778,12 @@ class TestNoScipyAtRunTime:
             for exponent in ("0.5", "1", "3")
         ]
         + [
+            # cost reads no terms on any chain, commuting or not
+            (("cost",), 0),
+            (("cost", "--n-sites", "5"), 0),
+            (("cost", "--n-sites", "6", "--eps", "0.25"), 0),
+            (("cost", "--n-sites", "13", "--dense-cap", "13"), 0),
+            (("cost", "--family", "file", "--ham-file", "chain.json"), 0),
             (("table1",), 0),
             (("phi", "--n-sites", "4", "--norm-mode", "one-norm"), 0),
             (("verify-order", "--tau-min", "0.5", "--tau-max", "0.1"), 2),
@@ -1771,13 +1791,16 @@ class TestNoScipyAtRunTime:
             (("alpha", "--qmax", "20"), 2),
         ],
         ids=[
-            "cost-a0.5", "cost-a1", "cost-a3", "table1", "phi-one-norm",
+            "cost-a0.5", "cost-a1", "cost-a3", "cost-defaults", "cost-n5",
+            "cost-n6", "cost-n13", "cost-file", "table1", "phi-one-norm",
             "config-error", "phi-refused", "alpha-refused",
         ],
     )
     def test_runs_without_matrices_leave_numpy_unloaded(
         self, tmp_path, argv, status
     ):
+        chain = oracles.spec_to_document(heisenberg_chain(5, field=0.8))
+        (tmp_path / "chain.json").write_text(json.dumps(chain))
         code = (
             "import sys\n"
             "from mpfkit.cli import main\n"

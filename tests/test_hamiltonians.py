@@ -3,7 +3,10 @@
 import json
 import math
 import re
+import sys
 from functools import reduce
+from itertools import repeat
+from operator import add
 
 import numpy as np
 import pytest
@@ -301,6 +304,56 @@ class TestScreenedFold:
         folds = _counted_folds(monkeypatch)
         assert family_constants("long-range-zz", n, 1.0, 0.0, 2.0) == built
         assert len(folds) == n
+
+
+@st.composite
+def _repeated_sums(draw):
+    """(x, a, n) with x, a >= 0; half the weights are ties, an odd multiple
+    of half an ulp of a value at or above x, which the sums pass through,
+    and half the starts lie within a few thousand ulps below a binade's end."""
+    if draw(st.booleans()):
+        x = draw(st.floats(0.0, 1e308))
+    else:
+        below = draw(st.integers(1, 3000))
+        x = math.ldexp(2**53 - below, draw(st.integers(-1074, 970)))
+    n = draw(st.integers(0, 5000))
+    if draw(st.booleans()):
+        scale = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, 2.0**20]))
+        half_ulp = math.ulp(min(x * scale, sys.float_info.max)) / 2
+        a = (2 * draw(st.integers(0, 64)) + 1) * half_ulp
+    else:
+        a = draw(st.floats(0.0, 1e308))
+    return x, a, n
+
+
+class TestRepeatedAddition:
+    """``_add_repeatedly`` jumps runs of equal increments, and is the plain
+    one-addition-at-a-time fold bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_repeated_sums())
+    @example((1.0, 2.0**-53, 4000))  # a tie from an even significand: saturates
+    @example((1.0 + 2.0**-52, 2.0**-53, 4000))  # from an odd one: one step, then saturates
+    @example((1.0, 3 * 2.0**-53, 4000))  # an odd tie multiple: rounds up to 2 ulps
+    @example((1.0, 1e-17, 3000))  # below half an ulp: x + a == x at once
+    @example((0.0, 0.1, 5000))  # crosses a dozen binades
+    @example((0.0, 5e-324, 5000))  # the subnormal grid: every sum exact
+    @example((1e308, 1e306, 1000))  # overflows to inf
+    @example((1.7e308, 0.0, 10))
+    def test_matches_the_plain_fold(self, case):
+        x, a, n = case
+        got = hamiltonians._add_repeatedly(x, a, n)
+        assert got == reduce(add, repeat(a, n), x)
+
+    @pytest.mark.parametrize("exponent", [3.0, 0.5, -1.0, 2.0])
+    def test_long_range_one_norm_matches_the_plain_fold(self, exponent):
+        # 2,999 distinct weights, each over its n - d bonds
+        n = 3000
+        weights = [abs(c) for c in hamiltonians._zz_couplings(n, exponent, 1.37)]
+        plain = 0.0
+        for d, weight in enumerate(weights, 1):
+            plain = reduce(add, repeat(weight, n - d), plain)
+        assert family_one_norm("long-range-zz", n, 1.37, 0.0, exponent) == plain
 
 
 class TestDocumentForm:

@@ -42,6 +42,7 @@ RUNS = [((command,), 0) for command in DEFAULTS] + [
     (("alpha", "--n-sites", "17"), 0),  # past the site cap: L without terms
     (("verify-bounds", "--config", "{dir}/config.json"), 0),
     (("cost", "--family", "long-range-zz", "--n-sites", "6"), 0),
+    (("alpha", "--family", "long-range-zz", "--n-sites", "6"), 0),  # builds the chain
     (("alpha", "--family", "file", "--ham-file", "{dir}/ham.json"), 0),
     (("alpha", "--family", "file", "--ham-file", "{dir}/inf.json"), 2),
     (("cost", "--eps", "0"), 2),
