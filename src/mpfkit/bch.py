@@ -200,7 +200,10 @@ def phi_extensiveness_bound(
     if q < 1:
         raise ValueError("q must be >= 1")
     spread = (2.0 * stage_factor * k * g) ** (q - 1)
-    return math.factorial(q - 1) / q * spread * stage_factor * g
+    bound = math.factorial(q - 1) / q * spread * stage_factor * g
+    if not math.isfinite(bound):
+        raise OverflowError(f"the extensiveness ceiling of Phi_{q} is {bound}")
+    return bound
 
 
 class PhiReport(NamedTuple):
@@ -295,7 +298,7 @@ def check_truncated_generator(
     defects = []
     for tau in taus:
         gen = effective_generator(spec, tau, p0, phis)
-        scale = sum(two_l**q * abs(tau) ** (q - 1) for q in range(1, p0 + 1))
+        scale = math.fsum(two_l**q * abs(tau) ** (q - 1) for q in range(1, p0 + 1))
         blocks = evaluator.frame.blocks(gen, scale)
         # the series coefficients carry float-product noise; symmetrized check
         facts = (dense.HermitianFactorization.of(b, herm_tol=1e-8) for b in blocks)

@@ -600,8 +600,8 @@ def divergence_diagnostics(
     """Both closed forms' candidates over the orders 2..q_max, from the
     locality k, extensiveness g, site count and total one-norm L.
 
-    They are formed order by order, so a q_max past 171 meets the overflow
-    of (q-1)! at q = 172 without ever holding its window of orders.
+    They are formed order by order, so an oversized q_max meets the first
+    factorial candidate past the float range without ever holding its window.
     """
     factorial = tuple(
         factorial_commutator_bound(q, k, g, n_sites) ** (1.0 / q)

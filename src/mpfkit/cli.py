@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .formulas import (
+    DEFAULT_DENSE_CAP,
     MAX_J,
     MPFSpec,
     build_mpf,
@@ -90,7 +91,7 @@ class ExperimentConfig:
     t: float = 1.0
     eps: float = 1e-3
     norm_mode: str = "exact"
-    dense_cap: int = 12
+    dense_cap: int = DEFAULT_DENSE_CAP
     q_max: int = 5
     out: str = "."
     range_class: str = "finite"
@@ -237,8 +238,8 @@ def load_chain(
 
 
 def _one_norm(cfg: ExperimentConfig, spec: HamiltonianSpec | None) -> float:
-    """The total one-norm L: the spec's, else a built-in chain's folded
-    without terms by :func:`family_one_norm`."""
+    """The total one-norm L: the spec's, else a built-in chain's summed
+    without terms by :func:`family_one_norm`, to the same bits."""
     if spec is None:
         return _constants(cfg, cfg.n_sites, family_one_norm)
     return spec.total_one_norm

@@ -155,7 +155,10 @@ def factorial_commutator_bound(q: int, k: int, g: float, n_sites: int) -> float:
     """Closed form (q-1)! (2 k g)^{q-1} N g for k-local, g-extensive input."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    return math.factorial(q - 1) * (2.0 * k * g) ** (q - 1) * n_sites * g
+    bound = math.factorial(q - 1) * (2.0 * k * g) ** (q - 1) * n_sites * g
+    if not math.isfinite(bound):
+        raise OverflowError(f"the factorial bound on alpha_{q} is {bound}")
+    return bound
 
 
 def power_commutator_bound(q: int, total_one_norm: float) -> float:
@@ -193,7 +196,7 @@ def mu_from_alphas(alphas: Mapping[int, float], p: int, p0: int) -> float:
     lo = max(r for _, r in roots)
     hi = len(roots) * lo
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if sum((r / mid) ** v for v, r in roots) <= 1.0:
+        if math.fsum((r / mid) ** v for v, r in roots) <= 1.0:
             hi = mid
         else:
             lo = mid

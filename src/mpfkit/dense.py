@@ -167,7 +167,8 @@ def mirror_odd_norm(s: PauliSum) -> float:
     reflection R (site j to n-1-j), a bound on its norm; 0 when s = R s R."""
     n, d = s.n_sites, dict(s.items())
     m = {(_bit_reverse(x, n), _bit_reverse(z, n)): c for (x, z), c in d.items()}
-    return 0.5 * sum(abs(d.get(k, 0.0) - m.get(k, 0.0)) for k in d.keys() | m.keys())
+    odd = (abs(d.get(k, 0.0) - m.get(k, 0.0)) for k in d.keys() | m.keys())
+    return 0.5 * math.fsum(odd)
 
 
 class ParityStack(NamedTuple):
@@ -261,9 +262,15 @@ class SectorFrame:
         Frobenius norm, or on a reflected frame the one-norm of the mirror-odd
         part, exceeds ``LEAK_TOL`` times ``scale``, the caller's a-priori size
         of ``s``, :class:`SectorLeakError` is raised before any block is filled.
+        A scale or an entry that is not finite raises OverflowError first: an
+        infinite allowance would pass any leak.
         """
+        if not math.isfinite(scale):
+            raise OverflowError(f"a sum's leak allowance is {LEAK_TOL} * {scale}")
         tol = LEAK_TOL * scale
         xrs, vals = _stacked(permuted_diagonals(s), self.dim)
+        if not np.isfinite(vals).all():
+            raise OverflowError("a Pauli sum has non-finite entries")
         outside = self.label[np.arange(self.dim) ^ xrs[:, None]] != self.label
         leak = math.sqrt(float(np.sum(np.abs(vals[outside]) ** 2)))
         vals[outside] = 0.0
@@ -279,8 +286,8 @@ class SectorFrame:
         groups) anti-Hermitian blocks, rotated by i.  A sum with both is
         bounded by the norm of its larger part plus the smaller's one-norm."""
         stacks = self.blocks(s, scale)  # the leak rule reads the whole sum
-        re = sum(abs(c.real) for _, c in s.items())
-        im = sum(abs(c.imag) for _, c in s.items())
+        re = math.fsum(abs(c.real) for _, c in s.items())
+        im = math.fsum(abs(c.imag) for _, c in s.items())
         if re and im:
             sign = 1.0 if re >= im else -1.0
             stacks = map(lambda b: 0.5 * (b + sign * adjoint(b)), stacks)

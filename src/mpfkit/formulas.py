@@ -230,7 +230,7 @@ def vandermonde_residuals(
     if len(ks) != len(cs):
         raise ValueError("k and c lists must have equal length")
     return [
-        abs(sum(c * k ** (-2.0 * i) for c, k in zip(cs, ks)) - float(i == 0))
+        abs(math.fsum(c * k ** (-2.0 * i) for c, k in zip(cs, ks)) - float(i == 0))
         for i in range(len(ks))
     ]
 
@@ -260,7 +260,7 @@ def make_mpf_spec(
         c_values=cs,
         m=2 * j if m is None else int(m),
         norm_k_1=float(sum(ks)),
-        norm_c_1=float(sum(abs(c) for c in cs)),
+        norm_c_1=math.fsum(abs(c) for c in cs),
     )
 
 

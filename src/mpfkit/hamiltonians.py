@@ -71,7 +71,8 @@ def make_spec(
 
     Group labels must cover ``1..max`` with no gaps and every group must be
     non-empty.  Coefficients must be finite and real (the Hamiltonian is
-    Hermitian term by term).
+    Hermitian term by term).  The total one-norm sums their absolute values
+    correctly rounded (OverflowError past the float range).
     """
     if not terms:
         raise ValueError("empty term list")
@@ -80,7 +81,6 @@ def make_spec(
         raise ValueError(f"group labels must be consecutive from 1, got {groups}")
     n_groups = groups[-1]
     per_site = [0.0] * n_sites
-    total = 0.0
     k = 0
     for t, _ in terms:
         if t.n_sites != n_sites:
@@ -90,7 +90,6 @@ def make_spec(
         a = abs(t.coeff)
         if not math.isfinite(a):
             raise ValueError(f"non-finite coefficient {t.coeff} on {t.label}")
-        total += a
         m = t.x_mask | t.z_mask
         k = max(k, m.bit_count())
         while m:
@@ -112,7 +111,7 @@ def make_spec(
         n_groups=n_groups,
         locality=k,
         extensiveness=g_ext,
-        total_one_norm=total,
+        total_one_norm=math.fsum(abs(t.coeff) for t, _ in terms),
         group_sums=group_sums,
     )
 
@@ -321,32 +320,16 @@ def family_one_norm(
     exponent: float = 2.0,
 ) -> float:
     """Total one-norm L of a built-in chain (see :func:`family_constants`),
-    bit for bit the built spec's: each weight of distance d left-folded over
-    its n - d bonds, nearest first, then the field over every site, by
-    :func:`_add_repeatedly`."""
+    bit for bit the built spec's: the exact sum of each weight of distance d
+    over its n - d bonds, then of the field over every site, rounded once.
+    Each weight is an integer over a power of two, so the sum is held as one
+    integer over the largest denominator, and int division rounds correctly."""
     ds, values, h, _ = _chain_weights(family, n_sites, coupling, field, exponent)
-    runs = zip(chain(values, [h]), chain(map(sub, repeat(n_sites), ds), [n_sites]))
-    return reduce(lambda total, run: _add_repeatedly(total, *run), runs, 0.0)
-
-
-def _add_repeatedly(x: float, a: float, n: int) -> float:
-    """``reduce(add, repeat(a, n), x)`` for x, a >= 0, bit for bit, with a
-    run of equal increments jumped at once.  Inside one binade of ulp u every
-    sum is x + a rounded to a multiple of u; once two steps add the same
-    d = fl(x + a) - x, a tie has left an even significand that d keeps, so d
-    repeats up to the binade's end."""
-    run = None  # the increment and binade of a last step inside one binade
-    while n > 0:
-        y = x + a
-        if y == x or y == math.inf:
-            return y
-        n -= 1
-        m, e = math.frexp(y)
-        step = (y - x, e) if math.frexp(x)[1] == e else None
-        if step is not None and step == run:  # in units of u = 2^(e-53)
-            sig, d = int(math.ldexp(m, 53)), int(math.ldexp(step[0], 53 - e))
-            jumps = min(n, (2**53 - 1 - sig) // d)  # the last sum stays below 2^e
-            y = math.ldexp(sig + jumps * d, e - 53)
-            n -= jumps
-        x, run = y, step
-    return x
+    counts = chain(map(sub, repeat(n_sites), ds), [n_sites])
+    num, den = 0, 1
+    for weight, count in zip(chain(values, [h]), counts):
+        m, d = weight.as_integer_ratio()
+        if d > den:
+            num, den = num * (d // den), d
+        num += count * m * (den // d)
+    return num / den

@@ -19,6 +19,7 @@ return new objects; nothing mutates in place.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from typing import Iterable, Iterator, Mapping
 
@@ -210,7 +211,7 @@ class PauliSum:
 
     def one_norm(self) -> float:
         """Sum of absolute coefficients (an upper bound on the spectral norm)."""
-        return float(sum(abs(c) for c in self._data.values()))
+        return math.fsum(abs(c) for c in self._data.values())
 
     def locality(self) -> int:
         """Largest support size among the strings present (0 for empty sums)."""
@@ -240,4 +241,4 @@ class PauliSum:
 
     def hermiticity_defect(self) -> float:
         """One-norm of ``self - adjoint(self)``; 0 for exactly real coefficients."""
-        return float(sum(2.0 * abs(c.imag) for c in self._data.values()))
+        return math.fsum(2.0 * abs(c.imag) for c in self._data.values())

@@ -450,9 +450,12 @@ class TestDivergenceDiagnostics:
         )
 
     def test_window_is_formed_order_by_order(self):
-        # (q-1)! leaves float range at q = 172, long before a window of a
-        # billion orders could be held
-        top = bounds.divergence_diagnostics(2, 1.0, 4, 1.0, 171)
+        # at 2 k g = 1, (q-1)! leaves float range at q = 172, long before a
+        # window of a billion orders could be held
+        top = bounds.divergence_diagnostics(1, 0.5, 4, 1.0, 171)
         assert top.q_values[-1] == 171
         with pytest.raises(OverflowError, match="int too large"):
-            bounds.divergence_diagnostics(2, 1.0, 4, 1.0, 10**9)
+            bounds.divergence_diagnostics(1, 0.5, 4, 1.0, 10**9)
+        # at 2 k g = 4 the product leaves it first, while (q-1)! is a float
+        with pytest.raises(OverflowError, match="factorial bound on alpha_135 is inf"):
+            bounds.divergence_diagnostics(2, 1.0, 4, 1.0, 171)

@@ -262,11 +262,22 @@ class TestConfigResolution:
             ("verify-order", "--n-sites", "4", "--tau-max", "1e308"),
             ("alpha", "--n-sites", "4", "--field", "1e308"),
             ("phi", "--field", "1e308"),
+            # the factorial closed forms overflow to inf from q = 103 on
+            ("cost", "--qmax", "103"),
+            ("alpha", "--n-sites", "2", "--field", "0", "--qmax", "150"),
+            ("phi", "--n-sites", "2", "--field", "0", "--qmax", "150"),
+            ("verify-bounds", "--n-sites", "2", "--field", "0", "--qmax", "150"),
+            # 2 L overflows, so no nest has a finite leak allowance
+            ("alpha", "--coupling", "1e307", "--n-sites", "4"),
+            # every weight is finite, the total one-norm is not
+            ("alpha", "--coupling", "1e307", "--n-sites", "40"),
         ],
         ids=[
             "exponent", "coupling", "time", "sweep-exponent",
             "verify-bounds", "verify-bounds-one-norm", "alpha", "phi",
             "verify-order-field", "verify-order-tau", "alpha-field", "phi-field",
+            "cost-factorial", "alpha-factorial", "phi-extensiveness",
+            "verify-bounds-factorial", "alpha-leak-allowance", "alpha-one-norm",
         ],
     )
     def test_finite_setting_that_overflows_exits_2(self, tmp_path, capsys, argv):
@@ -945,14 +956,15 @@ class TestCost:
         assert divergence["q_values"] == [2, 3, 4, 5]
 
     def test_oversized_qmax_meets_the_overflow_at_once(self, tmp_path, no_walk, capsys):
-        # the window is formed order by order, so (q-1)! overflows at
-        # q = 172 before a billion orders are held
+        # the window is formed order by order, so the factorial bound
+        # overflows at q = 103 before a billion orders are held
         out = tmp_path / "out"
         started = time.perf_counter()
         assert main(["cost", "--qmax", "1000000000", "--out", str(out)]) == 2
         assert time.perf_counter() - started < 5.0
         assert capsys.readouterr().err == (
-            "error: the configured values overflow: int too large to convert to float\n"
+            "error: the configured values overflow: the factorial bound on alpha_103"
+            " is inf\n"
         )
         assert no_walk == []
         assert not out.exists()
@@ -1425,7 +1437,9 @@ class TestCompositionBudget:
         monkeypatch.setattr(math, "comb", counting)
         argv = ("phi", "--n-sites", "2", "--field", "0", "--qmax", "1000")
         assert run(tmp_path, *argv) == 2
-        assert "integer division result too large for a float" in capsys.readouterr().err
+        # the walk runs to q_max; the report then meets an infinite ceiling
+        err = capsys.readouterr().err
+        assert "the extensiveness ceiling of Phi_105 is inf" in err
         assert 0 < len(calls) <= 2 * 1000
 
     def test_sixth_order_series_runs(self, tmp_path):

@@ -203,6 +203,24 @@ def test_leak_allowance_is_leak_tol_times_scale(labels, size, match, factor):
         assert abs(frame.norm(s, LEAK_SCALE) - 1.0) <= 2 * c
 
 
+@pytest.mark.parametrize(
+    "coeff, scale, match",
+    [
+        (1.0, math.inf, "leak allowance"),
+        (1.0, math.nan, "leak allowance"),
+        (math.inf, LEAK_SCALE, "non-finite entries"),
+        (-math.inf, math.inf, "leak allowance"),
+    ],
+    ids=["inf-scale", "nan-scale", "inf-entry", "both"],
+)
+def test_blocks_refuse_what_is_not_finite(coeff, scale, match):
+    # an infinite allowance passes any leak, and an infinite entry would
+    # reach eigvalsh, whose LinAlgError reads as a configuration error
+    frame = dense.SectorFrame.of(LEAK_GROUPS)
+    with pytest.raises(OverflowError, match=match):
+        frame.blocks(PauliSum.from_label("IZZI", coeff), scale)
+
+
 def test_expm_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         expm_minus_i(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)

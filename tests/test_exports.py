@@ -116,3 +116,58 @@ def test_only_the_sector_frame_holds_the_leak_rule():
     assert sorted(m for m, t in trees.items() if _mentions(t, "LEAK_TOL")) == ["dense"]
     assert "SectorLeakError" in _defined(trees["dense"])
     assert sorted(m for m, t in trees.items() if _mentions(t, "_sector_norm")) == []
+
+
+# Integer sums, exact on every interpreter.  A float sum takes math.fsum:
+# the builtin sum() compensates only from Python 3.12 on.
+INTEGER_SUMS = {
+    ("bch", "_pair_weights.split"): 1,  # the split numerators
+    ("bch", "check_series_budget"): 4,
+    ("dense", "SectorFrame.__init__"): 1,  # the reflection index
+    ("formulas", "make_mpf_spec"): 1,  # norm_k_1
+}
+
+
+def _builtin_sums(tree: ast.Module) -> dict[tuple[str, ...], int]:
+    """Calls of the builtin ``sum`` by the qualified name of the function
+    (nested defs and classes joined by dots) that makes them."""
+    found: dict[tuple[str, ...], int] = {}
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "sum"
+            ):
+                found[scope] = found.get(scope, 0) + 1
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_only_integer_sums_call_the_builtin_sum():
+    found = {
+        (path.stem, ".".join(scope)): count
+        for path in MODULES
+        for scope, count in _builtin_sums(ast.parse(path.read_text())).items()
+    }
+    assert found == INTEGER_SUMS
+
+
+def test_builtin_sums_are_found():
+    source = (
+        "total = sum([1, 2])\n"
+        "def f(xs):\n"
+        "    return sum(xs) + math.fsum(xs)\n"
+        "class A:\n"
+        "    def g(self, xs):\n"
+        "        def h():\n"
+        "            return sum(xs), sum(xs)\n"
+        "        return h\n"
+    )
+    assert _builtin_sums(ast.parse(source)) == {(): 1, ("f",): 1, ("A", "g", "h"): 2}

@@ -3,10 +3,8 @@
 import json
 import math
 import re
-import sys
+from fractions import Fraction
 from functools import reduce
-from itertools import repeat
-from operator import add
 
 import numpy as np
 import pytest
@@ -306,54 +304,66 @@ class TestScreenedFold:
         assert len(folds) == n
 
 
+def _exact(weights) -> float:
+    """The correctly rounded sum of float weights, through exact fractions."""
+    return float(sum(map(Fraction, weights), Fraction(0)))
+
+
 @st.composite
-def _repeated_sums(draw):
-    """(x, a, n) with x, a >= 0; half the weights are ties, an odd multiple
-    of half an ulp of a value at or above x, which the sums pass through,
-    and half the starts lie within a few thousand ulps below a binade's end."""
-    if draw(st.booleans()):
-        x = draw(st.floats(0.0, 1e308))
-    else:
-        below = draw(st.integers(1, 3000))
-        x = math.ldexp(2**53 - below, draw(st.integers(-1074, 970)))
-    n = draw(st.integers(0, 5000))
-    if draw(st.booleans()):
-        scale = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, 2.0**20]))
-        half_ulp = math.ulp(min(x * scale, sys.float_info.max)) / 2
-        a = (2 * draw(st.integers(0, 64)) + 1) * half_ulp
-    else:
-        a = draw(st.floats(0.0, 1e308))
-    return x, a, n
+def _term_documents(draw):
+    """A Hamiltonian file of up to 40 terms on up to 6 sites, with weights
+    from subnormal to 1e300 and group labels renumbered to 1..m."""
+    n = draw(st.integers(1, 6))
+    weights = st.one_of(
+        st.floats(-4.0, 4.0), st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300)
+    )
+    entries = draw(
+        st.lists(
+            st.tuples(st.text("IXYZ", min_size=n, max_size=n), weights, st.integers(1, 3)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    labels = {g: i for i, g in enumerate(sorted({g for _, _, g in entries}), 1)}
+    terms = [{"pauli": p, "coeff": c, "group": labels[g]} for p, c, g in entries]
+    return {"n_sites": n, "terms": terms}
 
 
-class TestRepeatedAddition:
-    """``_add_repeatedly`` jumps runs of equal increments, and is the plain
-    one-addition-at-a-time fold bit for bit."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(_repeated_sums())
-    @example((1.0, 2.0**-53, 4000))  # a tie from an even significand: saturates
-    @example((1.0 + 2.0**-52, 2.0**-53, 4000))  # from an odd one: one step, then saturates
-    @example((1.0, 3 * 2.0**-53, 4000))  # an odd tie multiple: rounds up to 2 ulps
-    @example((1.0, 1e-17, 3000))  # below half an ulp: x + a == x at once
-    @example((0.0, 0.1, 5000))  # crosses a dozen binades
-    @example((0.0, 5e-324, 5000))  # the subnormal grid: every sum exact
-    @example((1e308, 1e306, 1000))  # overflows to inf
-    @example((1.7e308, 0.0, 10))
-    def test_matches_the_plain_fold(self, case):
-        x, a, n = case
-        got = hamiltonians._add_repeatedly(x, a, n)
-        assert got == reduce(add, repeat(a, n), x)
+class TestExactOneNorm:
+    """L is the correctly rounded sum of the term weights by either route:
+    a built spec's, and a built-in chain's summed without terms."""
 
     @pytest.mark.parametrize("exponent", [3.0, 0.5, -1.0, 2.0])
-    def test_long_range_one_norm_matches_the_plain_fold(self, exponent):
+    def test_long_range_one_norm_is_the_exact_sum(self, exponent):
         # 2,999 distinct weights, each over its n - d bonds
         n = 3000
         weights = [abs(c) for c in hamiltonians._zz_couplings(n, exponent, 1.37)]
-        plain = 0.0
-        for d, weight in enumerate(weights, 1):
-            plain = reduce(add, repeat(weight, n - d), plain)
-        assert family_one_norm("long-range-zz", n, 1.37, 0.0, exponent) == plain
+        exact = float(sum(Fraction(w) * (n - d) for d, w in enumerate(weights, 1)))
+        assert family_one_norm("long-range-zz", n, 1.37, 0.0, exponent) == exact
+        spec = long_range_zz_chain(200, exponent, base=1.37)
+        assert spec.total_one_norm == _exact(abs(t.coeff) for t, _ in spec.terms)
+
+    def test_heisenberg_one_norm_at_a_million_sites(self):
+        # 3 (n - 1) bonds of weight 1 and n field terms of 0.8, whose
+        # left fold lands 1.9e-4 below
+        n = 10**6
+        exact = float(3 * (n - 1) + n * Fraction(0.8))
+        assert family_one_norm("heisenberg", n, 1.0, 0.8) == exact == 3799997.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_term_documents(), data=st.data())
+    def test_file_one_norm_is_the_exact_sum_in_any_order(self, doc, data):
+        spec = load_spec(doc)
+        assert spec.total_one_norm == _exact(abs(e["coeff"]) for e in doc["terms"])
+        shuffled = dict(doc, terms=data.draw(st.permutations(doc["terms"])))
+        assert load_spec(shuffled).total_one_norm == spec.total_one_norm
+
+    def test_a_sum_past_the_float_range_raises(self):
+        # every weight is finite; their sum is not
+        with pytest.raises(OverflowError):
+            family_one_norm("heisenberg", 40, 1e307)
+        with pytest.raises(OverflowError):
+            heisenberg_chain(16, 1e307)
 
 
 class TestDocumentForm:
