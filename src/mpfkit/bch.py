@@ -39,7 +39,7 @@ from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .commutators import commutator_sums
-from .formulas import DEFAULT_DENSE_CAP, ProductFormulaPlan
+from .formulas import DEFAULT_DENSE_CAP, ProductFormulaPlan, check_dense_cap
 from .hamiltonians import HamiltonianSpec
 from .pauli import PauliSum
 
@@ -207,7 +207,8 @@ def phi_extensiveness_bound(
 
 
 class PhiReport(NamedTuple):
-    """One series coefficient with its measured and bounded sizes."""
+    """One series coefficient with its measured and bounded sizes: ``norm``
+    is the spectral norm if ``norm_is_exact``, else the coefficient one-norm."""
 
     q: int
     norm: float
@@ -236,12 +237,13 @@ def phi_report(
     commutator sum, from the tables the caller built in one walk with
     :func:`mpfkit.commutators.commutator_sums` and the plan.  The
     exact norm is read as a nest's norm is, by
-    :meth:`mpfkit.dense.SectorFrame.norm` at the scale (2 L)^q;
-    in the one-norm mode or beyond the dense cap ``norm`` is the coefficient
-    one-norm, an upper bound, and ``norm_is_exact`` is False.
+    :meth:`mpfkit.dense.SectorFrame.norm` at the scale (2 L)^q, and is
+    refused past the dense cap; in the one-norm mode ``norm`` is the
+    coefficient one-norm, an upper bound, and ``norm_is_exact`` is False.
     """
-    norm_is_exact = norm_mode == "exact" and spec.n_sites <= cap
+    norm_is_exact = norm_mode == "exact"
     if norm_is_exact:
+        check_dense_cap(spec.n_sites, cap)
         from .dense import SectorFrame  # numpy loads in the exact mode only
 
         norm = SectorFrame.of(spec.group_sums).norm(phi_q, (2.0 * spec.total_one_norm) ** q)

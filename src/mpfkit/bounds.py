@@ -13,9 +13,9 @@ eps.  The formulas come in four families:
   inequalities and the a-posteriori admissibility chain for tau = t/r;
 * query counts and the gate-cost table across named competing algorithms.
 
-Dense, Hamiltonian-specific quantities (enumerated commutator sums, the
-supremum mu) plug in through optional arguments; when absent the
-closed-form ceiling from the locality data is used instead.
+A budget reads the Hamiltonian through k, g and N alone: the step
+constant mu is always its closed-form ceiling from the locality data, and
+no enumerated commutator sum enters.
 """
 
 from __future__ import annotations
@@ -522,7 +522,8 @@ def gate_cost_table(
     ``range_class="finite"`` covers finite-range interactions; ``"long"``
     covers k-local long-range interactions and then requires ``k``, while
     its distance-decay row additionally requires ``nu`` and ``d`` and is
-    emitted only when nu > 2d.
+    emitted only when nu > 2d.  A value past the float range raises
+    OverflowError.
     """
     if range_class not in ("finite", "long"):
         raise ValueError(f"unknown range class {range_class!r}")
@@ -575,6 +576,9 @@ def gate_cost_table(
                 False,
             )
         )
+    for row in rows:
+        if not math.isfinite(row.value):
+            raise OverflowError(f"the {row.algorithm} gate cost is {row.value}")
     return tuple(rows)
 
 

@@ -207,8 +207,7 @@ def load_chain(
     loaded file (which pins n_sites and whose spec is always kept) or from
     :func:`family_constants`, with a built-in chain's spec only when the run
     reads terms (n_sites <= ``terms_up_to``).  Once the size is known the
-    run's ``cap`` ("dense" or "series") is refused, then constants that are
-    not finite, before any term is built."""
+    run's ``cap`` ("dense" or "series") is refused before any term is built."""
     spec = None
     if cfg.family == "file":
         try:
@@ -227,8 +226,6 @@ def load_chain(
     k, g, n_groups = _constants(cfg, cfg.n_sites) if spec is None else (
         spec.locality, spec.extensiveness, spec.n_groups
     )
-    if not math.isfinite(g):
-        raise ConfigError(f"the Hamiltonian's extensiveness overflows to {g}")
     if spec is None and cfg.n_sites <= terms_up_to:
         if cfg.family == "heisenberg":
             spec = heisenberg_chain(cfg.n_sites, cfg.coupling, cfg.field)

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import json
 import math
-from functools import reduce
 from itertools import chain, repeat
 from operator import add, ge, le, lt, sub
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .pauli import PauliSum, PauliTerm
+from .pauli import PauliSum, PauliTerm, site_weight
 
 __all__ = [
     "HamiltonianSpec",
@@ -80,23 +79,14 @@ def make_spec(
     if groups[0] != 1 or groups != list(range(1, len(groups) + 1)):
         raise ValueError(f"group labels must be consecutive from 1, got {groups}")
     n_groups = groups[-1]
-    per_site = [0.0] * n_sites
-    k = 0
     for t, _ in terms:
         if t.n_sites != n_sites:
             raise ValueError("term site count differs from n_sites")
         if abs(t.coeff.imag) > 1e-12:
             raise ValueError(f"non-real coefficient {t.coeff} on {t.label}")
-        a = abs(t.coeff)
-        if not math.isfinite(a):
+        if not math.isfinite(abs(t.coeff)):
             raise ValueError(f"non-finite coefficient {t.coeff} on {t.label}")
-        m = t.x_mask | t.z_mask
-        k = max(k, m.bit_count())
-        while m:
-            low = m & -m
-            per_site[low.bit_length() - 1] += a
-            m ^= low
-    g_ext = max(per_site) if per_site else 0.0
+    supports = [(t.x_mask | t.z_mask, abs(t.coeff)) for t, _ in terms]
 
     grouped: list[list[PauliTerm]] = [[] for _ in range(n_groups)]
     for t, g in terms:
@@ -109,9 +99,9 @@ def make_spec(
         n_sites=n_sites,
         terms=tuple((t, g) for t, g in terms),
         n_groups=n_groups,
-        locality=k,
-        extensiveness=g_ext,
-        total_one_norm=math.fsum(abs(t.coeff) for t, _ in terms),
+        locality=max(m.bit_count() for m, _ in supports),
+        extensiveness=site_weight(n_sites, supports),
+        total_one_norm=math.fsum(a for _, a in supports),
         group_sums=group_sums,
     )
 
@@ -287,29 +277,29 @@ def family_constants(
 
     ``family`` is ``"heisenberg"`` (:func:`heisenberg_chain`, open
     boundary) or ``"long-range-zz"`` (:func:`long_range_zz_chain` with
-    ``base=coupling``).  No term is built: a site's weights are left-folded
-    in the order :func:`make_spec` adds them, nearest first and the field
-    last, so g is bit-identical to the built spec's.
+    ``base=coupling``).  No term is built: a site's weights and the field
+    are summed correctly rounded, so g is bit-identical to the built spec's
+    (OverflowError past the float range).
 
     The k-th nearest distance from the middle site (n-1)//2 is at most, and
     from site 0 at least, the k-th nearest from any site.  So when the
     weights fall with distance the middle site's list is at least every
     site's term by term (a shorter list padded with zeros), and when they
-    rise site 0's is; IEEE addition is monotone in each operand, so that
-    list folds to g.  Weights that are not monotone fold every site.
+    rise site 0's is: its exact sum dominates, and correct rounding is
+    monotone.  Weights that are not monotone sum every site.
     """
     ds, values, h, n_groups = _chain_weights(family, n_sites, coupling, field, exponent)
     sites = range(n_sites)
     if all(map(ge, values, values[1:])) or all(map(le, values, values[1:])):
         sites = {0, (n_sites - 1) // 2}
 
-    def fold(s: int) -> float:
+    def site_sum(s: int) -> float:
         # a weight of distance d for a bond on the left (d <= s), then one on
-        # the right (d < n - s); a left fold, as sum() compensates on 3.12+
+        # the right (d < n - s)
         counts = map(add, map(le, ds, repeat(s)), map(lt, ds, repeat(n_sites - s)))
-        return reduce(add, chain.from_iterable(map(repeat, values, counts)), 0.0)
+        return math.fsum([*chain.from_iterable(map(repeat, values, counts)), h])
 
-    return 2, max(map(fold, sites)) + h, n_groups
+    return 2, max(map(site_sum, sites)), n_groups
 
 
 def family_one_norm(

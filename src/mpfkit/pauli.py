@@ -28,6 +28,7 @@ __all__ = [
     "PauliTerm",
     "PauliSum",
     "parse_label",
+    "site_weight",
     "term_product",
 ]
 
@@ -77,6 +78,19 @@ def term_product(x1: int, z1: int, x2: int, z2: int) -> tuple[int, int, complex]
         + 2 * (z1 & x2).bit_count()
     )
     return x3, z3, _PHASES[e & 3]
+
+
+def site_weight(n_sites: int, weights: Iterable[tuple[int, float]]) -> float:
+    """The extensiveness g of (support mask, |c|) pairs: the largest over
+    sites of the correctly rounded sum of the weights whose mask covers the
+    site (OverflowError past the float range), 0.0 if no mask covers one."""
+    per_site: list[list[float]] = [[] for _ in range(n_sites)]
+    for m, a in weights:
+        while m:
+            low = m & -m
+            per_site[low.bit_length() - 1].append(a)
+            m ^= low
+    return max(map(math.fsum, per_site), default=0.0)
 
 
 class PauliTerm(namedtuple("PauliTerm", "n_sites x_mask z_mask coeff")):
@@ -220,24 +234,10 @@ class PauliSum:
         return max((x | z).bit_count() for (x, z) in self._data)
 
     def extensiveness(self) -> float:
-        """Max over sites of the total absolute weight of strings touching it.
-
-        Identity strings touch no site and never contribute.  Returns 0.0
-        for sums with no non-identity content.
-        """
-        per_site = [0.0] * self.n_sites
-        for (x, z), c in self._data.items():
-            m = x | z
-            if not m:
-                continue
-            a = abs(c)
-            j = 0
-            while m:
-                if m & 1:
-                    per_site[j] += a
-                m >>= 1
-                j += 1
-        return max(per_site) if per_site else 0.0
+        """Max over sites of the total absolute weight of strings touching it
+        (:func:`site_weight`); identity strings touch no site."""
+        weights = ((x | z, abs(c)) for (x, z), c in self._data.items())
+        return site_weight(self.n_sites, weights)
 
     def hermiticity_defect(self) -> float:
         """One-norm of ``self - adjoint(self)``; 0 for exactly real coefficients."""

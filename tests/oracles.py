@@ -46,9 +46,9 @@
 - The Richardson weights of :func:`mpfkit.formulas.closed_form_coefficients`
   as a running ``Fraction`` product, one factor per node pair, where the
   package reduces one integer quotient per weight.
-- The every-site fold behind :func:`mpfkit.hamiltonians.family_constants`:
-  every site's weights left-folded, with no dominance argument picking
-  two sites.
+- The every-site sum behind :func:`mpfkit.hamiltonians.family_constants`:
+  every site's weights summed, with no dominance argument picking two
+  sites.
 - Commutation inside each group of a Hamiltonian, term pair by term pair,
   which the product formula's grouping presumes and nothing in the
   package checks.
@@ -68,11 +68,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
-from operator import add
+from functools import cache
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -594,17 +592,19 @@ def every_site_family_constants(
     field: float = 0.0,
     exponent: float = 2.0,
 ) -> tuple[int, float, int]:
-    """:func:`mpfkit.hamiltonians.family_constants` with every site folded.
+    """:func:`mpfkit.hamiltonians.family_constants` with every site summed.
 
-    Each site's doubled head is shared from site to site and its whole tail
-    is left-folded onto it, O(N) per site.  The package folds only site 0
-    and the middle site when the weights are monotone in distance: one of
-    their lists is then at least every site's, term by term.
+    Each site's weights, one per bond it ends, and the field are summed by
+    ``math.fsum``; a site and its mirror image sum alike.  The package sums
+    only site 0 and the middle site when the weights are monotone in
+    distance: one of their lists is then at least every site's, term by term.
     """
     if n_sites < 2:
         raise ValueError("need at least two sites for a chain")
+    h = 0.0
     if family == "heisenberg":
         weights = [(1, abs(complex(coupling)))] * 3
+        h = abs(complex(field))
         n_groups = (2 if n_sites > 2 else 1) + (field != 0.0)
     elif family == "long-range-zz":
         weights = [
@@ -614,18 +614,10 @@ def every_site_family_constants(
         n_groups = n_sites - 1
     else:
         raise ValueError(f"no built-in family {family!r}")
-    ds = [d for d, _ in weights]
-    values = [a for _, a in weights]
-    g = head = 0.0
-    lo = 0
+    g = 0.0
     for i in range((n_sites + 1) // 2):
-        while lo < len(ds) and ds[lo] <= i:
-            head = head + values[lo] + values[lo]
-            lo += 1
-        tail = values[lo : bisect_left(ds, n_sites - i)]
-        g = max(g, reduce(add, tail, head))
-    if family == "heisenberg":
-        g += abs(complex(field))
+        site = [a for d, a in weights for j in (i - d, i + d) if 0 <= j < n_sites]
+        g = max(g, math.fsum([*site, h]))
     return 2, g, n_groups
 
 

@@ -25,7 +25,7 @@ from mpfkit.dense import SectorLeakError
 from mpfkit.hamiltonians import heisenberg_chain, long_range_zz_chain, make_spec
 from mpfkit.pauli import PauliSum, PauliTerm
 from mpfkit.trotter import TrotterEvaluator, geometric_grid
-from mpfkit.formulas import build_plan, loglog_slope
+from mpfkit.formulas import DenseCapError, build_plan, loglog_slope
 from oracles import (
     composition_phi,
     composition_word_weights,
@@ -156,6 +156,16 @@ class TestBounds:
         assert rep.locality <= rep.locality_bound
         assert rep.extensiveness <= rep.extensiveness_bound
         assert rep.hermiticity_defect <= 1e-10
+
+    def test_exact_norm_past_the_dense_cap_is_refused(self):
+        # no silent one-norm: the caller picks the mode, as for the nest walk
+        spec = heisenberg_chain(4, field=0.2)
+        plan = build_plan(spec.n_groups, 1)
+        phi = compute_phi(plan, spec, 3)
+        with pytest.raises(DenseCapError):
+            phi_report(plan, spec, 3, phi_q=phi, alpha_q=0.0, norm_mode="exact", cap=3)
+        rep = phi_report(plan, spec, 3, phi_q=phi, alpha_q=0.0, norm_mode="one-norm", cap=3)
+        assert not rep.norm_is_exact and rep.norm == phi.one_norm()
 
 
 class TestBlockedPhiNorm:

@@ -271,6 +271,8 @@ class TestConfigResolution:
             ("alpha", "--coupling", "1e307", "--n-sites", "4"),
             # every weight is finite, the total one-norm is not
             ("alpha", "--coupling", "1e307", "--n-sites", "40"),
+            # N g t overflows, so every gate row would be inf or nan
+            ("table1", "--coupling", "1e307"),
         ],
         ids=[
             "exponent", "coupling", "time", "sweep-exponent",
@@ -278,6 +280,7 @@ class TestConfigResolution:
             "verify-order-field", "verify-order-tau", "alpha-field", "phi-field",
             "cost-factorial", "alpha-factorial", "phi-extensiveness",
             "verify-bounds-factorial", "alpha-leak-allowance", "alpha-one-norm",
+            "table1-gate-cost",
         ],
     )
     def test_finite_setting_that_overflows_exits_2(self, tmp_path, capsys, argv):
@@ -889,6 +892,17 @@ class TestCost:
         assert len(eps_rows) == 13
         assert len(n_rows) == 5
 
+    def test_too_many_nodes_fail_the_chain(self, tmp_path):
+        # the budget selects the combination order m = 11; 2J = 12 nodes
+        # exceed it, so the first bound of the window tops the second
+        assert run(tmp_path / "j5", "cost", "--J", "5") == 0
+        assert run(tmp_path / "j6", "cost", "--J", "6") == 1
+        doc = load(tmp_path / "j6", "cost_report.json")
+        assert doc["report"]["m_selected"] == 11
+        chain = doc["chain"]
+        assert chain["order_ok"] is False and chain["window_holds"] is False
+        assert chain["first_bound"] > chain["second_bound"]
+
     def test_long_range_g_column_grows(self, tmp_path):
         code = run(
             tmp_path,
@@ -973,7 +987,7 @@ class TestCost:
         "argv, message",
         [
             (("--coupling", "1e308", "--n-sites", "1000000"),
-             "error: the Hamiltonian's extensiveness overflows to inf\n"),
+             "error: the configured values overflow: intermediate overflow in fsum\n"),
             (("--family", "long-range-zz", "--coupling", "1e300", "--exponent",
               "-10", "--n-sites", "100000"),
              "error: 1e+300/7.0**-10.0 overflows, so the coupling at distance 7"

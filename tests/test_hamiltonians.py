@@ -4,7 +4,6 @@ import json
 import math
 import re
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -138,16 +137,18 @@ def _constants(spec):
     return spec.locality, spec.extensiveness, spec.n_groups
 
 
-def _counted_folds(monkeypatch) -> list:
-    """Records every fold that :mod:`mpfkit.hamiltonians` makes from now on."""
-    folds = []
+def _counted_sums(monkeypatch) -> list:
+    """Records every ``math.fsum`` call made from now on: in
+    :func:`family_constants`, one per site summed."""
+    sums = []
+    fsum = math.fsum
 
-    def counted(*args):
-        folds.append(args)
-        return reduce(*args)
+    def counted(values):
+        sums.append(values)
+        return fsum(values)
 
-    monkeypatch.setattr(hamiltonians, "reduce", counted)
-    return folds
+    monkeypatch.setattr(math, "fsum", counted)
+    return sums
 
 
 # negative, zero and non-round values; exact equality must hold for all
@@ -221,8 +222,8 @@ class TestFamilyConstants:
 
 
 class TestScreenedFold:
-    """Folding only site 0 and the middle site when the weights are monotone
-    in distance gives the every-site fold's constants, bit for bit."""
+    """Summing only site 0 and the middle site when the weights are monotone
+    in distance gives the every-site sum's constants, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -243,11 +244,11 @@ class TestScreenedFold:
     )
     def test_non_finite_sum_folds_every_site(self, n, base, exponent):
         # every coupling is finite, but a site's sum is not: the dominating
-        # site's fold overflows as the every-site maximum does
+        # site's sum overflows as the every-site maximum's does
         args = ("long-range-zz", n, base, 0.0, exponent)
-        got = family_constants(*args)
-        assert got == every_site_family_constants(*args)
-        assert got[1] == math.inf
+        for route in (family_constants, every_site_family_constants):
+            with pytest.raises(OverflowError):
+                route(*args)
 
     @pytest.mark.parametrize("n", [2, 3, 17, 1024])
     def test_zero_coupling_ties_everywhere(self, n):
@@ -281,13 +282,13 @@ class TestScreenedFold:
 
     @pytest.mark.parametrize("exponent", [0.5, 1.0, 3.0, 0.0, -1.0])
     def test_few_exact_folds_per_size(self, monkeypatch, exponent):
-        # monotone weights fold site 0 and the middle site, one fold each
-        folds = _counted_folds(monkeypatch)
+        # monotone weights sum site 0 and the middle site, one sum each
+        sums = _counted_sums(monkeypatch)
         for n in (*N_SWEEP_SIZES, 2**16):
             for family in ("long-range-zz", "heisenberg"):
-                folds.clear()
+                sums.clear()
                 family_constants(family, n, 1.0, 0.8, exponent)
-                assert len(folds) == len({0, (n - 1) // 2}), (family, n)
+                assert len(sums) == len({0, (n - 1) // 2}), (family, n)
 
     @pytest.mark.parametrize("n", [9, 10, 11])
     def test_weights_that_are_not_monotone_fold_every_site(self, monkeypatch, n):
@@ -299,9 +300,9 @@ class TestScreenedFold:
 
         monkeypatch.setattr(hamiltonians, "_zz_couplings", bumpy)
         built = _constants(long_range_zz_chain(n, 2.0))
-        folds = _counted_folds(monkeypatch)
+        sums = _counted_sums(monkeypatch)
         assert family_constants("long-range-zz", n, 1.0, 0.0, 2.0) == built
-        assert len(folds) == n
+        assert len(sums) == n
 
 
 def _exact(weights) -> float:
@@ -331,7 +332,8 @@ def _term_documents(draw):
 
 class TestExactOneNorm:
     """L is the correctly rounded sum of the term weights by either route:
-    a built spec's, and a built-in chain's summed without terms."""
+    a built spec's, and a built-in chain's summed without terms; g is the
+    correctly rounded largest per-site sum."""
 
     @pytest.mark.parametrize("exponent", [3.0, 0.5, -1.0, 2.0])
     def test_long_range_one_norm_is_the_exact_sum(self, exponent):
@@ -357,6 +359,21 @@ class TestExactOneNorm:
         assert spec.total_one_norm == _exact(abs(e["coeff"]) for e in doc["terms"])
         shuffled = dict(doc, terms=data.draw(st.permutations(doc["terms"])))
         assert load_spec(shuffled).total_one_norm == spec.total_one_norm
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_term_documents(), data=st.data())
+    def test_file_extensiveness_is_the_exact_site_sum_in_any_order(self, doc, data):
+        spec = load_spec(doc)
+        exact = max(
+            sum(
+                (Fraction(abs(e["coeff"])) for e in doc["terms"] if e["pauli"][j] != "I"),
+                Fraction(0),
+            )
+            for j in range(doc["n_sites"])
+        )
+        assert spec.extensiveness == float(exact)
+        shuffled = dict(doc, terms=data.draw(st.permutations(doc["terms"])))
+        assert load_spec(shuffled).extensiveness == spec.extensiveness
 
     def test_a_sum_past_the_float_range_raises(self):
         # every weight is finite; their sum is not

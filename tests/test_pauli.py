@@ -135,6 +135,13 @@ class TestPauliSum:
         assert s.extensiveness() == pytest.approx(1.0)
         assert s.locality() == 1
 
+    def test_extensiveness_is_free_of_insertion_order(self):
+        # a left fold gives 1e16 in this order and 1e16 + 2 in the reverse
+        items = [("X", 1e16), ("Y", 1.0), ("Z", 1.0)]
+        for order in (items, items[::-1]):
+            s = PauliSum(1, {parse_label(label): c for label, c in order})
+            assert s.extensiveness() == 1e16 + 2
+
     def test_hermiticity_defect(self):
         real = PauliSum.from_label("XZ", 2.0)
         assert real.hermiticity_defect() == 0.0
